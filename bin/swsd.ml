@@ -530,8 +530,8 @@ let cmd_fsck dir salvage =
    dead leader's directory into this one and fences the old era before
    serving (what the supervisor passes to the follower it promotes). *)
 let cmd_serve dir socket listen shards shard_id shard_total no_obs
-    no_group_commit flush_linger_ms flush_max_batch fsync_delay_ms replicate
-    repl_ring follow replicas promote_from era =
+    flush_linger_ms flush_max_batch fsync_delay_ms replicate repl_ring follow
+    replicas promote_from era =
   let listen_spec =
     match listen with
     | Some s -> Server.Protocol.parse_address s
@@ -576,7 +576,6 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
       in
       let serve_flags =
         (if no_obs then [ "--no-obs" ] else [])
-        @ (if no_group_commit then [ "--no-group-commit" ] else [])
         @ [
             "--flush-linger-ms";
             string_of_float flush_linger_ms;
@@ -671,7 +670,6 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
         let base_config extra_notes =
           {
             Server.Service.default_config with
-            group_commit = not no_group_commit;
             flush_linger = Float.max 0.0 flush_linger_ms /. 1000.0;
             flush_max_batch = max 1 flush_max_batch;
             instance_notes = extra_notes @ instance_notes;
@@ -801,161 +799,60 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
                   (fun () -> ()))
       end)
 
-(* Ask a running server for its observability snapshot.  The transcript is
-   plain line protocol: consume the greeting, send @stats, strip the body
-   prefix from the reply.  Exit 1 when the server refuses (e.g. --no-obs)
-   or cannot be reached. *)
-let cmd_stats socket json =
-  (* ride out a server that is still binding (startup race) *)
-  match Server.Client.connect ~retry_for:2.0 socket with
-  | Error m ->
+(* Send request lines to a running server in one session and print the
+   last reply's body: stdout and exit 0 on [!ok]; otherwise the error (a
+   refused reply, or a server that cannot be reached) on stderr and exit
+   1.  The socket subcommands below are thin shells over this — the
+   server does the work, through its lock manager and commit pipeline, so
+   concurrent designers are undisturbed. *)
+let cmd_request addr lines =
+  match Server.Client.call addr lines with
+  | Result.Ok body ->
+      List.iter print_endline body;
+      0
+  | Result.Error m ->
       prerr_endline m;
       1
-  | Ok c ->
-      let finish code =
-        Server.Client.close c;
-        code
-      in
-      let strip line =
-        let p = Server.Protocol.body_prefix in
-        let pl = String.length p in
-        if String.length line >= pl && String.sub line 0 pl = p then
-          String.sub line pl (String.length line - pl)
-        else line
-      in
-      (match Server.Client.read_response c with
-      | None ->
-          prerr_endline (socket ^ ": server hung up before greeting");
-          finish 1
-      | Some _greeting -> (
-          match
-            Server.Client.request c (if json then "@stats json" else "@stats")
-          with
-          | None ->
-              prerr_endline (socket ^ ": server hung up");
-              finish 1
-          | Some lines ->
-              let body, status =
-                match List.rev lines with
-                | status :: rev_body -> (List.rev rev_body, status)
-                | [] -> ([], "!err empty response")
-              in
-              List.iter (fun l -> print_endline (strip l)) body;
-              if String.length status >= 3 && String.sub status 0 3 = "!ok" then
-                finish 0
-              else begin
-                prerr_endline status;
-                finish 1
-              end))
+
+(* Ask a running server for its observability snapshot; refused under
+   --no-obs.  Unlike the other socket commands, a refused reply keeps its
+   body on stdout and puts only the status line on stderr. *)
+let cmd_stats socket json =
+  match
+    Server.Client.call socket [ (if json then "@stats json" else "@stats") ]
+  with
+  | Result.Ok body ->
+      List.iter print_endline body;
+      0
+  | Result.Error m ->
+      (match List.rev (String.split_on_char '\n' m) with
+      | status :: rev_body ->
+          List.iter print_endline (List.rev rev_body);
+          prerr_endline status
+      | [] -> ());
+      1
 
 (* Ask a running server (leader, follower, or router front end) one
-   [@query] and print the answer body.  [--variant V] attaches readonly
-   first; [all]-scoped and [explain] queries need no attachment.  Exit 0
-   on [!ok], 1 otherwise. *)
+   [@query].  [--variant V] attaches readonly first; [all]-scoped and
+   [explain] queries need no attachment. *)
 let cmd_query addr variant expr =
-  match Server.Client.connect ~retry_for:2.0 addr with
-  | Error m ->
-      prerr_endline m;
-      1
-  | Ok c ->
-      let finish code =
-        Server.Client.close c;
-        code
-      in
-      let strip line =
-        let p = Server.Protocol.body_prefix in
-        let pl = String.length p in
-        if String.length line >= pl && String.sub line 0 pl = p then
-          String.sub line pl (String.length line - pl)
-        else line
-      in
-      let run line =
-        match Server.Client.request c line with
-        | None -> Result.Error (addr ^ ": server hung up")
-        | Some lines -> (
-            match List.rev lines with
-            | status :: rev_body
-              when String.length status >= 3 && String.sub status 0 3 = "!ok"
-              ->
-                Result.Ok (List.rev_map strip rev_body)
-            | status :: rev_body ->
-                Result.Error
-                  (String.concat "\n"
-                     (List.rev_map strip rev_body @ [ status ]))
-            | [] -> Result.Error "empty response")
-      in
-      (match Server.Client.read_response c with
-      | None ->
-          prerr_endline (addr ^ ": server hung up before greeting");
-          finish 1
-      | Some _greeting -> (
-          let opened =
-            match variant with
-            | None -> Result.Ok []
-            | Some v -> run ("@open " ^ v ^ " readonly")
-          in
-          match Result.bind opened (fun _ -> run ("@query " ^ expr)) with
-          | Error m ->
-              prerr_endline m;
-              finish 1
-          | Ok body ->
-              List.iter print_endline body;
-              finish 0))
-
-(* Send one request line to a running server and print the reply body;
-   exit 0 on [!ok], 1 otherwise.  `swsd branch` and `swsd merge` are thin
-   shells over this — the server does the work, through its lock manager
-   and commit pipeline, so concurrent designers are undisturbed. *)
-let cmd_request addr line =
-  match Server.Client.connect ~retry_for:2.0 addr with
-  | Error m ->
-      prerr_endline m;
-      1
-  | Ok c ->
-      let finish code =
-        Server.Client.close c;
-        code
-      in
-      let strip line =
-        let p = Server.Protocol.body_prefix in
-        let pl = String.length p in
-        if String.length line >= pl && String.sub line 0 pl = p then
-          String.sub line pl (String.length line - pl)
-        else line
-      in
-      (match Server.Client.read_response c with
-      | None ->
-          prerr_endline (addr ^ ": server hung up before greeting");
-          finish 1
-      | Some _greeting -> (
-          match Server.Client.request c line with
-          | None ->
-              prerr_endline (addr ^ ": server hung up");
-              finish 1
-          | Some lines -> (
-              match List.rev lines with
-              | status :: rev_body
-                when String.length status >= 3 && String.sub status 0 3 = "!ok"
-                ->
-                  List.iter print_endline (List.rev_map strip rev_body);
-                  finish 0
-              | status :: rev_body ->
-                  List.iter prerr_endline (List.rev_map strip rev_body);
-                  prerr_endline status;
-                  finish 1
-              | [] ->
-                  prerr_endline "empty response";
-                  finish 1)))
+  cmd_request addr
+    ((match variant with None -> [] | Some v -> [ "@open " ^ v ^ " readonly" ])
+    @ [ "@query " ^ expr ])
 
 let cmd_branch addr parent child at =
   cmd_request addr
-    ("@branch " ^ parent ^ " " ^ child
-    ^ match at with None -> "" | Some n -> " @at " ^ string_of_int n)
+    [
+      ("@branch " ^ parent ^ " " ^ child
+      ^ match at with None -> "" | Some n -> " @at " ^ string_of_int n);
+    ]
 
 let cmd_merge addr source dest dry_run =
   cmd_request addr
-    ("@merge " ^ source ^ " into " ^ dest
-    ^ if dry_run then " --dry-run" else "")
+    [
+      ("@merge " ^ source ^ " into " ^ dest
+      ^ if dry_run then " --dry-run" else "");
+    ]
 
 let cmd_examples () =
   List.iter
@@ -1294,9 +1191,8 @@ let serve_cmd =
           / --follow / --replicas, ship acked journal records to read-only \
           follower processes and promote one if the leader dies.")
     Term.(
-      const (fun d s l sh sid st n ngc lm mb fd rep rr fo nrep pf er ->
-          Stdlib.exit
-            (cmd_serve d s l sh sid st n ngc lm mb fd rep rr fo nrep pf er))
+      const (fun d s l sh sid st n lm mb fd rep rr fo nrep pf er ->
+          Stdlib.exit (cmd_serve d s l sh sid st n lm mb fd rep rr fo nrep pf er))
       $ repo_dir_arg
       $ Arg.(
           value
@@ -1341,13 +1237,6 @@ let serve_cmd =
               ~doc:
                 "Disable observability: every metric, histogram, and trace \
                  hook becomes a no-op, and @stats reports an error.")
-      $ Arg.(
-          value & flag
-          & info [ "no-group-commit" ]
-              ~doc:
-                "Fsync each journal record individually instead of batching \
-                 concurrent writers' records into one fsync (the group-commit \
-                 default).")
       $ Arg.(
           value & opt float 2.0
           & info [ "flush-linger-ms" ] ~docv:"MS"

@@ -17,7 +17,7 @@
       path: read-class commands run on the variant's published immutable
       snapshot with no variant lock at all ({!Publish});
     - {!Service_write} — the single-writer pipeline:
-      lock → apply → check → journal → publish → ack;
+      lock → apply → check → enqueue → (await batch fsync) → publish → ack;
     - {!Service_admin} — session lifecycle, [@stats], the idle reaper
       (defined against live snapshot holders), and shutdown.
 
@@ -34,8 +34,9 @@
       never shed.
     - {b Durability}: the engine runs with no repository attached; the
       service itself journals the delta of every accepted command (undo
-      records, then fresh steps) through {!Retry.with_retries}, and only
-      then acknowledges with [!ok].  On any persistence failure the
+      records, then fresh steps) through its {!Group_commit} lanes, whose
+      flusher appends with {!Retry.with_retries}, and only then
+      acknowledges with [!ok].  On any persistence failure the
       in-memory state is discarded and the session is evicted, so a live
       session provably equals the replay of its journal; the next [@open]
       reloads from disk, whose recovery repairs any torn tail.
@@ -63,8 +64,6 @@ type config = Service_types.config = {
   breaker_cooldown : float;
   use_file_locks : bool;
   retry_after_ms : int;
-  lockfree_reads : bool;
-  group_commit : bool;
   flush_max_batch : int;
   flush_linger : float;
   flush_on_idle : bool;
@@ -133,34 +132,29 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
      under variant locks) and a deadline so a failing disk cannot pin the
      whole batch in backoff longer than one request is allowed to wait. *)
   let make_commit () =
-    if not config.group_commit then None
-    else
-      let crand = Random.State.make [| 0x0ddba11 |] in
-      Some
-        (Group_commit.create
-           ~policy:
-             {
-               Group_commit.max_batch = config.flush_max_batch;
-               max_linger = config.flush_linger;
-               flush_on_idle = config.flush_on_idle;
-             }
-           ~now:config.now ~sleep:config.sleep
-           ~flush:(fun ~path ~data ->
-             match
-               Retry.with_retries ~rand:crand ~sleep:config.sleep
-                 ~now:config.now
-                 ~deadline:(config.now () +. config.request_deadline)
-                 ~on_retry:(fun ~attempt:_ ~delay:_ ->
-                   Obs.Metrics.incr i.c_retries)
-                 config.retry
-                 (fun () -> Repository.Journal.append_raw io path data)
-             with
-             | Ok () -> ()
-             | Error e -> raise e)
-           ~on_flush:(fun ~path:_ ~batch ~seconds ->
-             Obs.Histo.observe i.h_commit_batch (float_of_int batch);
-             Obs.Histo.observe i.h_commit_flush seconds)
-           ())
+    let crand = Random.State.make [| 0x0ddba11 |] in
+    Group_commit.create
+      ~policy:
+        {
+          Group_commit.max_batch = config.flush_max_batch;
+          max_linger = config.flush_linger;
+          flush_on_idle = config.flush_on_idle;
+        }
+      ~now:config.now ~sleep:config.sleep
+      ~flush:(fun ~path ~data ->
+        match
+          Retry.with_retries ~rand:crand ~sleep:config.sleep ~now:config.now
+            ~deadline:(config.now () +. config.request_deadline)
+            ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Metrics.incr i.c_retries)
+            config.retry
+            (fun () -> Repository.Journal.append_raw io path data)
+        with
+        | Ok () -> ()
+        | Error e -> raise e)
+      ~on_flush:(fun ~path:_ ~batch ~seconds ->
+        Obs.Histo.observe i.h_commit_batch (float_of_int batch);
+        Obs.Histo.observe i.h_commit_flush seconds)
+      ()
   in
   Result.map
     (fun repo ->

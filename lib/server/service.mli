@@ -6,8 +6,10 @@
     bounded queues and per-request deadlines ([!busy]/[!retry-after]);
     read-only commands are served {e lock-free} from the variant's
     published immutable snapshot (single-writer MVCC, see {!Publish} and
-    DESIGN.md §10).  Journal appends are retried with jittered backoff and
-    acknowledged only once durable, and repeated failures trip a
+    DESIGN.md §10).  Journal appends are batched across concurrent writers
+    ({!Group_commit}: writers enqueue their encoded records and block on a
+    ticket, one flusher thread pays a single fsync per batch), retried
+    with jittered backoff, and acknowledged only once durable, and repeated failures trip a
     per-variant circuit breaker to read-only.  Successful responses carry
     the variant's publication stamp ([#version], monotone per variant);
     the writer publishes before acknowledging, so a connection always
@@ -24,18 +26,6 @@ type config = Service_types.config = {
   breaker_cooldown : float;
   use_file_locks : bool;  (** advisory [.lock] per variant (real fs only) *)
   retry_after_ms : int;  (** hint sent with [!busy] *)
-  lockfree_reads : bool;
-      (** serve read-class commands from the published snapshot with no
-          variant lock (default [true]); [false] forces every command
-          through the writer lock — the pre-snapshot behavior, kept as a
-          measurable baseline (bench P13) *)
-  group_commit : bool;
-      (** batch journal fsyncs across concurrent writers ({!Group_commit}):
-          writers enqueue their encoded records and block on a ticket, one
-          flusher thread pays a single fsync per batch, and an ack still
-          implies durability (default [true]); [false] keeps the
-          per-record-fsync write path as a measurable baseline (bench
-          P14) *)
   flush_max_batch : int;
       (** flush a batch at this many pending records (default 64) *)
   flush_linger : float;

@@ -16,8 +16,14 @@
 open Service_types
 
 (* Load a variant from disk into a fresh shared session and publish its
-   state.  Caller holds the variant writer lock. *)
+   state; the one way a session comes off disk.  Loading replays the
+   journal and may rewrite a torn tail, so no batch append may race it:
+   drain {e all} commit lanes first (the journal path is known only once
+   the store is open).  Recovery leaves the tail known-good, so a lane
+   poisoned by a failed flush is reset on success.  Caller holds the
+   variant writer lock. *)
 let load_session t variant =
+  Group_commit.drain_all t.commit;
   let flock =
     if t.config.use_file_locks then
       let path =
@@ -86,6 +92,7 @@ let load_session t variant =
               (* recovery may have repaired (rewritten) the journal, so a
                  follower tracking the old bytes must re-seed *)
               invalidate t variant;
+              Group_commit.reset t.commit ~path:(log_path s);
               Obs.Metrics.incr t.i.c_opened;
               Ok s
           | exception e ->
@@ -153,22 +160,10 @@ let do_open t (conn : conn) variant ~create ~readonly =
               | None -> (
                   if not (Repo.mem_variant t.repo variant) then
                     Protocol.err ("no variant named " ^ variant)
-                  else begin
-                    (* Loading replays the journal and may rewrite a torn
-                       tail: no batch append may race that (we only learn
-                       the journal path once the store is open, hence
-                       drain {e all} lanes), and a lane poisoned by a
-                       failed flush is safe again afterwards — recovery
-                       just made the tail known-good. *)
-                    (match t.commit with
-                    | Some gc -> Group_commit.drain_all gc
-                    | None -> ());
+                  else
                     match load_session t variant with
                     | Error m -> Protocol.err m
                     | Ok s ->
-                        (match t.commit with
-                        | Some gc -> Group_commit.reset gc ~path:(log_path s)
-                        | None -> ());
                         attach t s conn ~readonly;
                         Protocol.ok
                           ~version:(Publish.seq t.pub variant)
@@ -176,8 +171,7 @@ let do_open t (conn : conn) variant ~create ~readonly =
                             (if created then "created and attached to " ^ variant
                              else "attached to " ^ variant)
                             ^ (if readonly then " (readonly)" else "");
-                          ]
-                  end)))
+                          ])))
 
 (* Detach [conn]; the last detach snapshots and frees the session.  Caller
    holds the variant writer lock. *)
@@ -354,7 +348,7 @@ let shutdown t =
      parked on tickets need the flusher alive to settle them.  [stop]
      flushes whatever is still pending, so the snapshots below see fully
      appended journals and nothing acked is lost. *)
-  (match t.commit with Some gc -> Group_commit.stop gc | None -> ());
+  Group_commit.stop t.commit;
   let all =
     locked t (fun () -> Hashtbl.fold (fun v s acc -> (v, s) :: acc) t.sessions [])
   in

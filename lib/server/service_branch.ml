@@ -37,9 +37,6 @@ let do_branch t ~parent ~child ~at ~line =
             (* publish the child like [@open] would, so readers on every
                shard (and followers) can see it without a designer
                attaching first; the load replays the fresh journal *)
-            (match t.commit with
-            | Some gc -> Group_commit.drain_all gc
-            | None -> ());
             match Service_admin.load_session t child with
             | Error m ->
                 (* the branch itself is complete and durable on disk *)
@@ -48,10 +45,7 @@ let do_branch t ~parent ~child ~at ~line =
                     Printf.sprintf "branched %s from %s" child parent;
                     "caution: branched but not loaded: " ^ m;
                   ]
-            | Ok s ->
-                (match t.commit with
-                | Some gc -> Group_commit.reset gc ~path:(log_path s)
-                | None -> ());
+            | Ok _ ->
                 let fork =
                   match Repo.variant_lineage t.repo child with
                   | Some (_, f) -> f

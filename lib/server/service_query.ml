@@ -11,7 +11,7 @@
       the view cell: when the cell is already at the publication stamp
       (the common case — the writer refreshes it after every committed
       op) the evaluator runs straight on it; when it lags (a follower
-      racing its applier, [lockfree_reads = false] baselines, cold start)
+      racing its applier, a cold start)
       the reader advances it itself via the same CAS loop the writer uses
       ({!Service_types.advance_view}) — still {e no variant writer lock};
     + only a variant with {e nothing published at all} falls back through
@@ -52,9 +52,8 @@ let do_branches t name =
     |> Protocol.ok
 
 (* Load a variant through the writer path so something is published; the
-   caller retries its lock-free read afterwards.  Mirrors the [@open] load
-   (drain lanes before the journal replay may rewrite a torn tail, reset
-   the lane after), but attaches no connection. *)
+   caller retries its lock-free read afterwards.  The same load as
+   [@open], but attaches no connection. *)
 let ensure_loaded t variant =
   match
     try_writer t variant (fun () ->
@@ -64,17 +63,7 @@ let ensure_loaded t variant =
                close the benign race with a concurrent evict *)
             ignore (publish t s : int);
             Ok ()
-        | None -> (
-            (match t.commit with
-            | Some gc -> Group_commit.drain_all gc
-            | None -> ());
-            match Service_admin.load_session t variant with
-            | Error m -> Error m
-            | Ok s ->
-                (match t.commit with
-                | Some gc -> Group_commit.reset gc ~path:(log_path s)
-                | None -> ());
-                Ok ()))
+        | None -> Result.map ignore (Service_admin.load_session t variant))
   with
   | Ok r -> r
   | Error (Locks.Busy n) ->

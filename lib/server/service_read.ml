@@ -16,8 +16,8 @@
       classification contract it is the same value, and a defensive
       physical-equality check falls back to the writer lock if a
       misclassified command ever changes state, so the change cannot be
-      lost; [Write] commands (and reads when nothing is published, or with
-      [lockfree_reads = false]) take the {!Service_write} pipeline.
+      lost; [Write] commands (and reads when nothing is published) take
+      the {!Service_write} pipeline.
 
     A reader holds the variant's live-reader count for the duration of the
     engine call ({!Publish.with_snapshot}), which is what the idle reaper
@@ -80,7 +80,7 @@ let do_command t (conn : conn) line =
                   response
                 in
                 (match Designer.Command.access cmd with
-                | Designer.Command.Read when t.config.lockfree_reads -> (
+                | Designer.Command.Read -> (
                     match try_lockfree t variant cmd with
                     | Some response ->
                         Obs.Metrics.incr i.c_read_lockfree;
@@ -91,10 +91,6 @@ let do_command t (conn : conn) line =
                         Obs.Metrics.incr i.c_read_fallback;
                         finish i.h_read
                           (Service_write.do_command t conn variant cmd ~line))
-                | Designer.Command.Read ->
-                    Obs.Metrics.incr i.c_read_fallback;
-                    finish i.h_read
-                      (Service_write.do_command t conn variant cmd ~line)
                 | Designer.Command.Write ->
                     Obs.Metrics.incr i.c_write;
                     finish i.h_write

@@ -32,14 +32,6 @@ type config = {
   breaker_cooldown : float;
   use_file_locks : bool;  (** advisory [.lock] per variant (real fs only) *)
   retry_after_ms : int;  (** hint sent with [!busy] *)
-  lockfree_reads : bool;
-      (** serve read-only commands from the published snapshot without the
-          variant lock (default); [false] forces every command through the
-          writer lock — the pre-snapshot behavior, kept as a baseline *)
-  group_commit : bool;
-      (** batch journal fsyncs across concurrent writers through
-          {!Group_commit} (default); [false] keeps the per-record-fsync
-          write path, kept as a measurable baseline (bench P14) *)
   flush_max_batch : int;  (** flush a lane at this many pending records *)
   flush_linger : float;  (** max seconds a record may wait for company *)
   flush_on_idle : bool;  (** flush short batches when submissions pause *)
@@ -83,8 +75,6 @@ let default_config =
     breaker_cooldown = 30.0;
     use_file_locks = true;
     retry_after_ms = 100;
-    lockfree_reads = true;
-    group_commit = true;
     flush_max_batch = 64;
     flush_linger = 0.002;
     flush_on_idle = true;
@@ -123,7 +113,7 @@ type instruments = {
       (** read-class commands served from the published snapshot *)
   c_read_fallback : Obs.Metrics.counter;
       (** read-class commands that went through the writer lock instead
-          (nothing published, eviction race, or [lockfree_reads = false]) *)
+          (nothing published, or an eviction race) *)
   c_write : Obs.Metrics.counter;  (** write-class commands executed *)
   c_ops : Obs.Metrics.counter;  (** committed engine operations *)
   c_opened : Obs.Metrics.counter;  (** sessions loaded from disk *)
@@ -272,9 +262,9 @@ type t = {
   conn_ids : int Atomic.t;
   mutable stopping : bool;
   rand : Random.State.t;
-  commit : Group_commit.t option;
-      (** the group-commit coordinator; [None] runs the per-record-fsync
-          baseline ([group_commit = false]) *)
+  commit : Group_commit.t;
+      (** the group-commit coordinator: every journal append goes through
+          its lanes *)
   commit_waiting : int Atomic.t;
       (** writers blocked on a ticket right now (feeds the stall gauge) *)
   mutable repl : replication_sink option;
@@ -321,9 +311,9 @@ let shed t (failure : Locks.failure) =
     [Error] is the (already counted) admission failure.  Every
     state-changing path goes through here — the lock-free read path never
     does.  {!with_writer} is the common wrapper that renders the failure
-    as [!busy]; the group-commit write path uses [try_writer] directly
-    because it must keep working {e after} the lock is released (awaiting
-    its ticket) before it has a response. *)
+    as [!busy]; the write path uses [try_writer] directly because it
+    must keep working {e after} the lock is released (awaiting its
+    ticket) before it has a response. *)
 let try_writer t variant f =
   let i = t.i in
   let deadline = t.config.now () +. t.config.request_deadline in
@@ -393,10 +383,10 @@ let view_cell t variant =
    loser recomputes against the winner's newer view, and a cell already at
    or past [stamp] means a racing writer got there first, which is fine
    (views are monotone per variant, like publication stamps).  Runs on the
-   writer's own thread (group-commit phase 2, the per-record path), on the
-   replication applier, and — self-healing — on the query read path; never
-   on the group-commit flusher, whose batches must not wait on view
-   maintenance. *)
+   writer's own thread (write phase 2, or phase 1 for an empty delta on a
+   quiescent lane), on the replication applier, and — self-healing — on
+   the query read path; never on the group-commit flusher, whose batches
+   must not wait on view maintenance. *)
 let advance_view t variant (state : Engine.state) stamp =
   let cell = view_cell t variant in
   let session = state.Engine.session in
@@ -428,9 +418,9 @@ let advance_view t variant (state : Engine.state) stamp =
 
 (* Hand freshly durable journal bytes to the replication hub (no-ops
    without one).  Called with the publication stamp the bytes correspond
-   to, in stamp order per variant: under group commit that order is
-   guaranteed by the flusher running [on_durable] hooks in submission
-   order; on the per-record path by the variant writer lock. *)
+   to, in stamp order per variant: the flusher runs [on_durable] hooks in
+   submission order, and an empty delta ships directly only while its lane
+   is quiescent and the variant writer lock is held. *)
 let ship t ~variant ~stamp ~data =
   match t.repl with
   | None -> ()
@@ -449,10 +439,7 @@ let log_path (s : session) = Store.log_file s.store
    flight.  Mandatory before any whole-file journal rewrite (snapshot,
    recovery repair): the rewrite materializes pending records from the
    in-memory state, so a batch append racing it would write them twice. *)
-let drain_commits t (s : session) =
-  match t.commit with
-  | None -> ()
-  | Some gc -> Group_commit.drain gc ~path:(log_path s)
+let drain_commits t (s : session) = Group_commit.drain t.commit ~path:(log_path s)
 
 (* Snapshot a dirty session through the regular Store path. *)
 let snapshot t (s : session) =
@@ -535,27 +522,9 @@ let journal_delta ~before ~after =
   let popped, added = trim (popped, added) in
   (List.length popped, List.map step_op added)
 
-(** Append [data] — pre-encoded journal records from {!encoded_delta} —
-    through the retry policy; durable (appended and fsync'd as one batch)
-    on [Ok].  Any failure leaves the on-disk journal in an unknown
-    (possibly torn) state: the caller must evict the session so the next
-    open reloads through recovery.  This is the whole of the non-group-
-    commit persistence path: the per-record append/fsync loop it replaces
-    duplicated the delta encoding the group-commit path already owns. *)
-let append_data t (s : session) ~data =
-  match
-    Retry.with_retries ~rand:t.rand ~sleep:t.config.sleep
-      ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Metrics.incr t.i.c_retries)
-      t.config.retry
-      (fun () -> Repository.Journal.append_raw (Store.io s.store) (log_path s) data)
-  with
-  | Ok () -> Ok ()
-  | Error e -> Error e
-
 (** The delta as one pre-encoded byte run: the record count and the exact
-    bytes to append — undo records first, then the fresh steps, each
-    newline-terminated.  Both commit paths (group commit and the
-    per-command-fsync baseline) append exactly these bytes. *)
+    bytes the group-commit lane appends — undo records first, then the
+    fresh steps, each newline-terminated. *)
 let encoded_delta ~before ~after =
   let undos, adds = journal_delta ~before ~after in
   let buf = Buffer.create 128 in

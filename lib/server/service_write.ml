@@ -2,9 +2,8 @@
     publish → ack, one writer per variant.
 
     Every command that may change state runs here, as does a read-class
-    command falling back from the lock-free path (nothing published, or
-    [lockfree_reads = false]).  Since group commit the pipeline has two
-    phases:
+    command falling back from the lock-free path (nothing published).
+    The pipeline has two phases:
 
     {b Phase 1 — under the variant's writer lock} ({!Service_types.try_writer}):
     refuse mutations while the variant's breaker is open, execute on the
@@ -13,23 +12,26 @@
     new engine state in the ticket's [on_durable] hook.  The session
     commits to the new state {e before the lock is released} — per-variant
     engine order, journal order, and publish order are all the submission
-    order.
+    order.  The one command that skips the lane is one with nothing to
+    append (an empty delta) while the lane is quiescent: nothing is
+    pending to order behind, so it publishes and answers right here.
 
     {b Phase 2 — off the lock}: block on the ticket.  The flusher thread
     batches the lane, pays {e one} fsync for the whole batch, then runs
     each record's [on_durable] in order — which is where the new state is
     published for lock-free readers — and settles the tickets.  Only then
     is the command acknowledged, with the publication stamp as [#version]:
-    ack still implies durability {e and} publish-before-ack still gives a
-    connection read-your-writes, exactly as in the per-record-fsync path
-    (kept verbatim for [group_commit = false]).
+    ack implies durability {e and} publish-before-ack gives a connection
+    read-your-writes.
 
     A flush failure fails the whole batch: every waiter reacquires the
     writer lock to degrade the variant's breaker and evict the session —
     which also {e retracts} the published snapshot — and the lane stays
-    poisoned until the next [@open] reloads the journal through recovery.
-    A mid-flight death in phase 1 (chaos hook, crash during encode)
-    degrades and evicts under the lock it already holds, as before. *)
+    poisoned until the next load of the variant ({!Service_admin.load_session},
+    behind [@open], a query's first read, or a merge into it) reloads the
+    journal through recovery and resets the lane.  A mid-flight death in
+    phase 1 (chaos hook, crash during encode) degrades and evicts under
+    the lock it already holds. *)
 
 open Service_types
 
@@ -49,16 +51,25 @@ let persistence_failed e =
   "persistence failed; operation not accepted; session evicted (reopen \
    with @open): " ^ Printexc.to_string e
 
-(* Degrade the breaker (already thread-safe) and evict the session if it
-   is still the one we staged against.  Runs under the variant writer
-   lock when [locked] is true; phase 2 reacquires the lock around it. *)
-let degrade t (st : staged) =
-  let i = t.i in
-  let breaker = breaker_of t st.st_variant in
+(* Record a persistence failure on the variant's breaker (thread-safe),
+   counting the edge into open. *)
+let degrade t variant =
+  let breaker = breaker_of t variant in
   let was_open = Breaker.is_open breaker in
   Breaker.record_failure breaker ~now:(t.config.now ());
   if Breaker.is_open breaker && not was_open then
-    Obs.Metrics.incr i.c_breaker_trips
+    Obs.Metrics.incr t.i.c_breaker_trips
+
+(* Render the feedback as the response, stamped with [version]. *)
+let respond t ~version feedback =
+  let t_respond = t.config.now () in
+  let body = feedback_body feedback in
+  let respond_seconds = t.config.now () -. t_respond in
+  Obs.Histo.observe t.i.h_respond respond_seconds;
+  Obs.Trace.add_phase_current t.i.tracer "respond" respond_seconds;
+  if List.exists Designer.Feedback.is_error feedback then
+    Protocol.err ~body ~version "command rejected"
+  else Protocol.ok ~version body
 
 let evict_staged t (st : staged) =
   match find_session t st.st_variant with
@@ -76,7 +87,7 @@ let evict_staged t (st : staged) =
    meanwhile fails its own enqueue on the poisoned lane and lands here
    too). *)
 let fail_staged t (st : staged) e =
-  degrade t st;
+  degrade t st.st_variant;
   let deadline = t.config.now () +. t.config.request_deadline in
   (match
      Locks.with_key ~max_waiters:max_int ~sleep:t.config.sleep
@@ -110,23 +121,15 @@ let complete t (st : staged) =
          off the variant lock (phase 1 released it) and off the flusher
          (whose batches must not wait on view maintenance) *)
       advance_view t st.st_variant st.st_after !(st.st_version);
-      let t_respond = t.config.now () in
-      let body = feedback_body st.st_feedback in
-      let respond_seconds = t.config.now () -. t_respond in
-      Obs.Histo.observe i.h_respond respond_seconds;
-      Obs.Trace.add_phase_current i.tracer "respond" respond_seconds;
-      let version = !(st.st_version) in
-      if List.exists Designer.Feedback.is_error st.st_feedback then
-        Protocol.err ~body ~version "command rejected"
-      else Protocol.ok ~version body
+      respond t ~version:!(st.st_version) st.st_feedback
 
 (** The generic single-writer pipeline: run [exec] on the variant's engine
     state under its writer lock, journal the session delta, publish, and
     acknowledge only once durable.  [exec] is the only moving part —
     {!do_command} passes {!Engine.exec} on a designer command, and the
     merge path ({!Service_branch}) passes the op-log rebase; everything
-    else (breaker, chaos hook, group commit vs per-command fsync, publish
-    order, eviction on failure) is this one pipeline.
+    else (breaker, chaos hook, group commit, publish order, eviction on
+    failure) is this one pipeline.
 
     [load_if_absent] loads the session from disk first when nothing is live
     (merge targets a variant no connection has open); the default answers
@@ -138,19 +141,9 @@ let execute ?(load_if_absent = false) t (conn : conn) variant ~mutating ~exec
         let found =
           match find_session t variant with
           | Some s -> Ok s
-          | None when load_if_absent -> (
-              (* mirror the [@open] load: drain every lane before the
-                 journal replay may rewrite a torn tail, reset after *)
-              (match t.commit with
-              | Some gc -> Group_commit.drain_all gc
-              | None -> ());
-              match Service_admin.load_session t variant with
-              | Error m -> Error (Protocol.err m)
-              | Ok s ->
-                  (match t.commit with
-                  | Some gc -> Group_commit.reset gc ~path:(log_path s)
-                  | None -> ());
-                  Ok s)
+          | None when load_if_absent ->
+              Service_admin.load_session t variant
+              |> Result.map_error Protocol.err
           | None ->
               conn.variant <- None;
               Error
@@ -174,25 +167,12 @@ let execute ?(load_if_absent = false) t (conn : conn) variant ~mutating ~exec
                  evict the session, so the next @open reloads through
                  recovery *)
               let degrade_and_evict why =
-                let was_open = Breaker.is_open breaker in
-                Breaker.record_failure breaker ~now:(t.config.now ());
-                if Breaker.is_open breaker && not was_open then
-                  Obs.Metrics.incr i.c_breaker_trips;
+                degrade t variant;
                 Obs.Metrics.incr i.c_evicted;
                 Hashtbl.reset s.conns;
                 evict t s;
                 conn.variant <- None;
                 Protocol.err why
-              in
-              let respond_now ~version feedback =
-                let t_respond = t.config.now () in
-                let body = feedback_body feedback in
-                let respond_seconds = t.config.now () -. t_respond in
-                Obs.Histo.observe i.h_respond respond_seconds;
-                Obs.Trace.add_phase_current i.tracer "respond" respond_seconds;
-                if List.exists Designer.Feedback.is_error feedback then
-                  Protocol.err ~body ~version "command rejected"
-                else Protocol.ok ~version body
               in
               let run () =
                 (match t.config.chaos_hook with
@@ -209,73 +189,58 @@ let execute ?(load_if_absent = false) t (conn : conn) variant ~mutating ~exec
                     ~after:after.Engine.session
                 in
                 s.last_used <- t.config.now ();
-                match t.commit with
-                | Some gc
-                  when n > 0
-                       || after != before
-                          && not (Group_commit.quiescent gc ~path:(log_path s))
-                  ->
-                    (* Group-commit path.  A changed state with an empty
-                       delta (e.g. [focus]) still submits — an empty record
-                       — when the lane is busy, so its publish is ordered
-                       behind the pending records' publishes. *)
-                    let version = ref (Publish.seq t.pub variant) in
-                    let ticket =
-                      Group_commit.submit gc ~path:(log_path s)
-                        ~on_durable:(fun () ->
-                          (* runs on the flusher in submission order, so
-                             the hub receives records in stamp order *)
-                          let stamp = Publish.publish t.pub variant after in
-                          version := stamp;
-                          ship t ~variant ~stamp ~data)
-                        data
-                    in
-                    s.state <- after;
-                    if mutating || n > 0 then s.dirty <- true;
-                    `Staged
-                      {
-                        st_session = s;
-                        st_variant = variant;
-                        st_conn = conn;
-                        st_ticket = ticket;
-                        st_version = version;
-                        st_after = after;
-                        st_feedback = feedback;
-                        st_records = n;
-                      }
-                | _ -> (
-                    (* per-command-fsync baseline ([group_commit = false]),
-                       and the no-delta fast path on a quiescent lane: the
-                       same pre-encoded bytes the group-commit path
-                       submits, appended and fsync'd here and now *)
-                    let persisted =
-                      if n = 0 then Ok ()
-                      else append_data t s ~data
-                    in
-                    match persisted with
-                    | Ok () ->
-                        if n > 0 then
-                          Breaker.record_success breaker ~now:(t.config.now ());
-                        s.state <- after;
-                        if mutating || n > 0 then s.dirty <- true;
-                        (* publish-before-ack; an unchanged state (read-class
-                           fallback, rejected op) keeps the current stamp *)
-                        let version =
-                          if after != before then begin
-                            let stamp = publish t s in
-                            (* the records are durable (fsync'd above);
-                               [data] may be empty for a state-only change
-                               ([focus]) — shipped anyway so follower
-                               stamps track the leader's *)
-                            ship t ~variant ~stamp ~data;
-                            advance_view t variant after stamp;
-                            stamp
-                          end
-                          else Publish.seq t.pub variant
-                        in
-                        `Respond (respond_now ~version feedback)
-                    | Error e ->
-                        `Respond (degrade_and_evict (persistence_failed e)))
+                let path = log_path s in
+                s.state <- after;
+                if mutating || n > 0 then s.dirty <- true;
+                if
+                  n > 0
+                  || after != before
+                     && not (Group_commit.quiescent t.commit ~path)
+                then begin
+                  (* A changed state with an empty delta (e.g. [focus])
+                     still submits — an empty record — when the lane is
+                     busy, so its publish is ordered behind the pending
+                     records' publishes. *)
+                  let version = ref (Publish.seq t.pub variant) in
+                  let ticket =
+                    Group_commit.submit t.commit ~path
+                      ~on_durable:(fun () ->
+                        (* runs on the flusher in submission order, so the
+                           hub receives records in stamp order *)
+                        let stamp = Publish.publish t.pub variant after in
+                        version := stamp;
+                        ship t ~variant ~stamp ~data)
+                      data
+                  in
+                  `Staged
+                    {
+                      st_session = s;
+                      st_variant = variant;
+                      st_conn = conn;
+                      st_ticket = ticket;
+                      st_version = version;
+                      st_after = after;
+                      st_feedback = feedback;
+                      st_records = n;
+                    }
+                end
+                else
+                  (* Nothing to append, and nothing pending to order
+                     behind: publish before the ack, here and now.  An
+                     unchanged state (read-class fallback, rejected op)
+                     keeps the current stamp; a state-only change
+                     ([focus]) ships its empty [data] anyway so follower
+                     stamps track the leader's. *)
+                  let version =
+                    if after != before then begin
+                      let stamp = publish t s in
+                      ship t ~variant ~stamp ~data;
+                      advance_view t variant after stamp;
+                      stamp
+                    end
+                    else Publish.seq t.pub variant
+                  in
+                  `Respond (respond t ~version feedback)
               in
               (match run () with
               | r -> r

@@ -266,4 +266,42 @@ module Client = struct
     read_response c
 
   let close c = try Unix.close c.r.fd with Unix.Unix_error _ -> ()
+
+  let strip line =
+    let pl = String.length Protocol.body_prefix in
+    if String.starts_with ~prefix:Protocol.body_prefix line then
+      String.sub line pl (String.length line - pl)
+    else line
+
+  (** One short session: connect (riding out a server still binding),
+      consume the greeting, then send [lines] in order.  [Ok] carries the
+      last reply's body with the body prefix stripped; the first reply
+      that is not [!ok] stops the session, and its body and status line
+      become the [Error] text. *)
+  let call address lines =
+    match connect ~retry_for:2.0 address with
+    | Result.Error _ as e -> e
+    | Result.Ok c ->
+        Fun.protect
+          ~finally:(fun () -> close c)
+          (fun () ->
+            let rec go body = function
+              | [] -> Result.Ok body
+              | line :: rest -> (
+                  match request c line with
+                  | None -> Result.Error (address ^ ": server hung up")
+                  | Some lines -> (
+                      match List.rev lines with
+                      | status :: rev_body
+                        when String.starts_with ~prefix:"!ok" status ->
+                          go (List.rev_map strip rev_body) rest
+                      | status :: rev_body ->
+                          Result.Error
+                            (String.concat "\n"
+                               (List.rev_map strip rev_body @ [ status ]))
+                      | [] -> Result.Error "empty response"))
+            in
+            match read_response c with
+            | None -> Result.Error (address ^ ": server hung up before greeting")
+            | Some _greeting -> go [] lines)
 end

@@ -73,4 +73,12 @@ module Client : sig
   (** Read one response without sending (e.g. the greeting). *)
 
   val close : c -> unit
+
+  val call : string -> string list -> (string list, string) result
+  (** [call address lines]: connect to a socket path or [host:port]
+      (riding out a server still binding for up to 2 s), consume
+      the greeting, and send [lines] in order.  [Ok] is the last reply's
+      body, body prefix stripped; the first reply that is not [!ok] ends
+      the call with its body and status line, newline-joined, as the
+      [Error].  The CLI's one-shot commands are built on this. *)
 end

@@ -4,24 +4,33 @@ let test = Util.test
 
 let swsd = "../bin/swsd.exe"
 
-(** Run the binary with [args]; return (exit code, stdout+stderr). *)
+let read_file path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(** Run the binary with [args]; return (exit code, stdout, stderr). *)
+let run_split args =
+  let out = Filename.temp_file "swsd_cli" ".out"
+  and err = Filename.temp_file "swsd_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote swsd)
+             (String.concat " " (List.map Filename.quote args))
+             (Filename.quote out) (Filename.quote err))
+      in
+      (code, read_file out, read_file err))
+
+(** Run the binary with [args]; return (exit code, stdout then stderr). *)
 let run args =
-  let out = Filename.temp_file "swsd_cli" ".out" in
-  let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote swsd)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out)
-  in
-  let code = Sys.command cmd in
-  let ic = open_in out in
-  let text =
-    Fun.protect
-      ~finally:(fun () ->
-        close_in ic;
-        Sys.remove out)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (code, text)
+  let code, out, err = run_split args in
+  (code, out ^ err)
 
 let check_run args expect_code fragments =
   let code, text = run args in
@@ -32,18 +41,7 @@ let check_run args expect_code fragments =
         Alcotest.failf "%s: output lacks %S:\n%s" (String.concat " " args) f text)
     fragments
 
-let rec rm_rf p =
-  if (try Sys.is_directory p with Sys_error _ -> false) then begin
-    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-    Sys.rmdir p
-  end
-  else Sys.remove p
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let rm_rf = Util.rm_rf
 
 let write_temp suffix contents =
   let path = Filename.temp_file "swsd_cli" suffix in
@@ -179,17 +177,9 @@ let graph_cmd () =
     [ "fillcolor=lightgoldenrod"; "arrowhead=empty" ]
 
 let variants_workflow () =
-  let dir = Filename.temp_file "swsd_cli_variants" "" in
-  Sys.remove dir;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
+  let dir = Util.tmp_dir () in
   Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm dir)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
       check_run [ "variants"; "init"; dir; "emsl" ] 0 [ "initialized" ];
       check_run [ "variants"; "new"; dir; "site1" ] 0 [ "variant site1 created" ];
@@ -211,8 +201,7 @@ let variants_workflow () =
 let repl_save_and_fsck () =
   (* with --save every accepted operation is journalled; the final state
      survives quitting the repl (not the initial session) *)
-  let dir = Filename.temp_file "swsd_cli_save" "" in
-  Sys.remove dir;
+  let dir = Util.tmp_dir () in
   let script =
     write_temp ".txt"
       "focus ww:Person\napply add_attribute(Person, string, 12, phone)\nquit\n"
@@ -222,7 +211,7 @@ let repl_save_and_fsck () =
     ~finally:(fun () ->
       Sys.remove script;
       Sys.remove out;
-      if Sys.file_exists dir then rm_rf dir)
+      rm_rf dir)
     (fun () ->
       let code =
         Sys.command
@@ -237,15 +226,14 @@ let repl_save_and_fsck () =
       check_run [ "fsck"; dir ] 0 [ "clean" ])
 
 let fsck_corrupt_and_salvage () =
-  let dir = Filename.temp_file "swsd_cli_fsck" "" in
-  Sys.remove dir;
+  let dir = Util.tmp_dir () in
   let append_file path text =
     let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
     output_string oc text;
     close_out oc
   in
   Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
       check_run [ "variants"; "init"; dir; "emsl" ] 0 [ "initialized" ];
       check_run [ "variants"; "new"; dir; "site1" ] 0 [];
@@ -317,6 +305,96 @@ let oql_command () =
         [ "@2 : Person" ];
       check_run [ "oql"; "university"; data; "select Person where" ] 1 [])
 
+(* The socket clients against a live [swsd serve]: on [!ok] each prints
+   the reply body on stdout, nothing on stderr, and exits 0; a refused
+   request or an unreachable server goes to stderr with exit 1 (except a
+   refused [stats] reply's body, which stays on stdout). *)
+let socket_clients () =
+  Test_server.with_watchdog ~secs:60.0 ~name:"cli socket clients" (fun () ->
+      let dir = Util.tmp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          check_run [ "variants"; "init"; dir; "emsl" ] 0 [ "initialized" ];
+          check_run [ "variants"; "new"; dir; "v" ] 0 [ "variant v created" ];
+          let sock = Filename.concat dir "swsd.sock" in
+          let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let pid =
+            Unix.create_process swsd [| "swsd"; "serve"; dir |] Unix.stdin null
+              null
+          in
+          Unix.close null;
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.kill pid Sys.sigterm;
+              ignore (Repository.Io.retry_eintr (fun () -> Unix.waitpid [] pid)))
+            (fun () ->
+              (match Server.Client.connect ~retry_for:30.0 sock with
+              | Result.Ok c -> Server.Client.close c
+              | Result.Error m -> Alcotest.failf "server never came up: %s" m);
+              let expect args code ~out ~err =
+                let got, stdout, stderr = run_split args in
+                let label = String.concat " " args in
+                Alcotest.(check int) (label ^ " exit code") code got;
+                let has stream text f =
+                  if not (Str_contains.contains text f) then
+                    Alcotest.failf "%s: %s lacks %S:\n%s" label stream f text
+                in
+                List.iter (has "stdout" stdout) out;
+                List.iter (has "stderr" stderr) err;
+                if code = 0 then
+                  Alcotest.(check string) (label ^ " stderr") "" stderr
+              in
+              expect [ "stats"; sock ] 0
+                ~out:[ "observability snapshot"; "swsd.requests_total" ]
+                ~err:[];
+              expect [ "stats"; sock; "--json" ] 0
+                ~out:[ "{\"at\": "; "\"counters\": {" ]
+                ~err:[];
+              expect [ "query"; sock; "name Machine"; "--variant"; "v" ] 0
+                ~out:[ "Machine\n#version " ] ~err:[];
+              expect [ "branch"; sock; "v"; "w" ] 0
+                ~out:[ "branched w from v@" ] ~err:[];
+              expect [ "merge"; sock; "w"; "v"; "--dry-run" ] 0
+                ~out:[ "merge report: w into v (dry run)"; "rebased 0 op(s)" ]
+                ~err:[];
+              expect [ "query"; sock; "frobnicate"; "--variant"; "v" ] 1 ~out:[]
+                ~err:[ "usage: @query"; "!err query parse error" ];
+              expect
+                [ "stats"; Filename.concat dir "absent.sock" ]
+                1 ~out:[]
+                ~err:[ "absent.sock: No such file or directory" ];
+              (* A refused [@stats] with a body (a router shedding the
+                 request): the body, [!busy] line included, goes to stdout
+                 and only the terminating status to stderr. *)
+              let fake = Filename.concat dir "fake.sock" in
+              let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Fun.protect
+                ~finally:(fun () -> Unix.close lsock)
+                (fun () ->
+                  Unix.bind lsock (Unix.ADDR_UNIX fake);
+                  Unix.listen lsock 1;
+                  let shed () =
+                    let fd, _ = Unix.accept lsock in
+                    let ic = Unix.in_channel_of_descr fd
+                    and oc = Unix.out_channel_of_descr fd in
+                    output_string oc ". fake\n!ok\n";
+                    flush oc;
+                    ignore (input_line ic);
+                    output_string oc
+                      ". partial\n!busy shard 0 unavailable\n!retry-after 50\n";
+                    flush oc;
+                    Unix.close fd
+                  in
+                  let server = Thread.create shed () in
+                  let got, stdout, stderr = run_split [ "stats"; fake ] in
+                  Thread.join server;
+                  Alcotest.(check int) "refused stats exit code" 1 got;
+                  Alcotest.(check string) "refused stats stdout"
+                    "partial\n!busy shard 0 unavailable\n" stdout;
+                  Alcotest.(check string) "refused stats stderr"
+                    "!retry-after 50\n" stderr))))
+
 let tests =
   [
     test "examples" examples_cmd;
@@ -341,4 +419,5 @@ let tests =
     test "fsck on a non-directory" fsck_not_a_directory;
     test "data commands" data_commands;
     test "oql command" oql_command;
+    test "socket clients: stats, query, branch, merge" socket_clients;
   ]

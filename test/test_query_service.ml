@@ -19,8 +19,8 @@ let req_ok = Test_server.req_ok
 let req_err = Test_server.req_err
 let apply_line = Test_server.apply_line
 let with_watchdog = Test_server.with_watchdog
-let tmp_dir = Test_server.tmp_dir
-let rm_rf = Test_server.rm_rf
+let tmp_dir = Util.tmp_dir
+let rm_rf = Util.rm_rf
 
 let attr_line name = Printf.sprintf "apply add_attribute(Person, string, 8, %s)" name
 

@@ -377,9 +377,9 @@ let fence_refuses_old_writer () =
 let ring_of_two_forces_reset () =
   let _, lio = mem_repo () in
   let obs = Obs.create () in
-  (* per-record commits so every acked write has already been pushed into
-     the ring by the time [req_ok] returns *)
-  let lsvc = service ~config:(quick_config ~group_commit:false ()) ~obs lio in
+  (* [on_durable] ships each record to the hub before its ticket settles,
+     so the ring holds every acked write by the time [req_ok] returns *)
+  let lsvc = service ~config:(quick_config ()) ~obs lio in
   let hub = Replication.hub ~ring:2 lsvc in
   let c = Service.connect lsvc in
   ignore (req_ok lsvc c "@open v");
@@ -751,22 +751,14 @@ let prefix_replay_prop =
 
 (* --- the read-only protocol over real sockets (regression) ----------------- *)
 
-let rec rm_rf p =
-  if Sys.is_directory p then begin
-    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-    Sys.rmdir p
-  end
-  else Sys.remove p
-
 (* [@open <missing> readonly] must come back as a terminated [!err] over
    a Unix socket and over TCP alike — not a hang, not a dropped
    connection. *)
 let open_missing_readonly_err () =
   Test_server.with_watchdog ~secs:60.0 ~name:"readonly missing variant" (fun () ->
-      let dir = Filename.temp_file "swsd_repl_ro" "" in
-      Sys.remove dir;
+      let dir = Util.tmp_dir () in
       Fun.protect
-        ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+        ~finally:(fun () -> Util.rm_rf dir)
         (fun () ->
           (match Repo.init dir (Util.parse Test_server.tiny_text) with
           | Result.Ok repo -> (
@@ -833,11 +825,10 @@ let open_missing_readonly_err () =
    follower serving ever-staler state while claiming health. *)
 let follower_survives_leader_restart () =
   Test_server.with_watchdog ~secs:90.0 ~name:"follower reconnect" (fun () ->
-      let dir = Filename.temp_file "swsd_repl_rc" "" in
-      Sys.remove dir;
+      let dir = Util.tmp_dir () in
       Unix.mkdir dir 0o700;
       Fun.protect
-        ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+        ~finally:(fun () -> Util.rm_rf dir)
         (fun () ->
           let ldir = Filename.concat dir "leader" in
           let fdir = Filename.concat dir "replica" in

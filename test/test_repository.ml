@@ -17,17 +17,8 @@ let prop name ?(count = 200) gen f =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count ~long_factor:10 gen f)
 
-let tmp_dir () =
-  let f = Filename.temp_file "swsd_test" "" in
-  Sys.remove f;
-  f
-
-let rec rm_rf p =
-  if Sys.is_directory p then begin
-    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-    Sys.rmdir p
-  end
-  else Sys.remove p
+let tmp_dir = Util.tmp_dir
+let rm_rf = Util.rm_rf
 
 let with_repo f =
   let dir = tmp_dir () in

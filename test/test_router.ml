@@ -85,17 +85,8 @@ let tiny () =
 
 let apply_line tag = Printf.sprintf "apply add_attribute(Person, string, 8, %s)" tag
 
-let tmp_dir () =
-  let f = Filename.temp_file "swsd_router" "" in
-  Sys.remove f;
-  f
-
-let rec rm_rf p =
-  if (try Sys.is_directory p with Sys_error _ -> false) then begin
-    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-    Sys.rmdir p
-  end
-  else if Sys.file_exists p then Sys.remove p
+let tmp_dir = Util.tmp_dir
+let rm_rf = Util.rm_rf
 
 let with_watchdog ~secs ~name f =
   let finished = Atomic.make false in

@@ -348,8 +348,7 @@ let quick_retry =
   { Retry.max_attempts = 3; base_delay = 0.0002; max_delay = 0.001; jitter = 0.5 }
 
 let quick_config ?now ?sleep ?(deadline = 2.0) ?(max_waiters = 8)
-    ?(idle = 300.0) ?(threshold = 3) ?(cooldown = 30.0)
-    ?(lockfree_reads = true) ?(group_commit = true) ?(flush_max_batch = 64)
+    ?(idle = 300.0) ?(threshold = 3) ?(cooldown = 30.0) ?(flush_max_batch = 64)
     ?(flush_linger = 0.002) ?(flush_on_idle = true) ?chaos_hook () =
   {
     Service.request_deadline = deadline;
@@ -361,8 +360,6 @@ let quick_config ?now ?sleep ?(deadline = 2.0) ?(max_waiters = 8)
     breaker_cooldown = cooldown;
     use_file_locks = false (* lockf needs a real fd; mem fs has none *);
     retry_after_ms = 25;
-    lockfree_reads;
-    group_commit;
     flush_max_batch;
     flush_linger;
     flush_on_idle;
@@ -604,10 +601,23 @@ let breaker_degrades_variant () =
     (not (Str_contains.contains steps "lost"))
 
 (* A failed batch flush fails EVERY writer aboard — nothing in the batch
-   is acked, every session is evicted, the breaker trips — and once the
-   disk heals and the breaker cools, a fresh @open reloads the journal
-   and resets the poisoned commit lane: writes flow again. *)
-let group_batch_failure_fails_all () =
+   is acked, every session is evicted, the breaker trips — and the lane
+   stays poisoned until the variant is next loaded from disk, which
+   reloads the journal and resets the lane.  [reload] is that load; every
+   way in must heal the lane, so once the disk heals and the breaker
+   cools, writes flow again. *)
+let reload_open t c = ignore (req_ok t c "@open v")
+
+(* a query on a variant with nothing published loads it (ensure_loaded) *)
+let reload_query t c =
+  Alcotest.(check bool) "the query answers for v" true
+    (List.mem "= v" (req_ok t c "@query all name Person"))
+
+(* a merge into an evicted variant loads it first (load_if_absent); a dry
+   run passes the tripped breaker *)
+let reload_merge t c = ignore (req_ok t c "@merge w into v --dry-run")
+
+let group_batch_failure_fails_all ~reload () =
   with_watchdog ~secs:60.0 ~name:"batch failure" (fun () ->
       let clock = ref 0.0 in
       let failing = ref false in
@@ -622,12 +632,13 @@ let group_batch_failure_fails_all () =
               else raw.Io.append path data);
         }
       in
-      (match Repo.init ~io:raw "/repo" (tiny ()) with
-      | Result.Ok repo -> (
-          match Repo.create_variant repo "v" with
-          | Result.Ok _ -> ()
-          | Result.Error e -> Alcotest.fail e)
-      | Result.Error e -> Alcotest.fail e);
+      let ok_or_fail = function
+        | Result.Ok x -> x
+        | Result.Error e -> Alcotest.fail e
+      in
+      let repo = ok_or_fail (Repo.init ~io:raw "/repo" (tiny ())) in
+      ignore (ok_or_fail (Repo.create_variant repo "v"));
+      ignore (ok_or_fail (Repo.branch_variant repo ~parent:"v" ~child:"w" ()));
       (* three writers fill one batch exactly; the strict policy (no idle
          flush, long linger) makes the batch boundary deterministic *)
       let config =
@@ -664,13 +675,18 @@ let group_batch_failure_fails_all () =
       Alcotest.(check int) "every waiter of the batch failed" 3
         (Atomic.get failures);
       Alcotest.(check int) "every session evicted" 0 (Service.session_count t);
-      (* the breaker tripped: reopened variant is read-only *)
       let c = List.hd conns in
-      ignore (req_ok t c "@open v");
+      reload t c;
+      (* the reload left v live: this attach does not load it again *)
+      let attached = String.concat "\n" (req_ok t c "@open v") in
+      Alcotest.(check bool) "attached to the reloaded session" true
+        (Str_contains.contains attached "already attached"
+        || Str_contains.contains attached "client(s)");
+      (* the breaker tripped: the reloaded variant is read-only *)
       Alcotest.(check bool) "breaker tripped" true
         (Str_contains.contains (req_err t c (apply_line "still_down")) "read-only");
-      (* disk heals, breaker cools; @open already reloaded the journal and
-         reset the lane — the next batch commits *)
+      (* disk heals, breaker cools; the reload already reset the lane —
+         the next batch commits *)
       failing := false;
       clock := !clock +. 31.0;
       ignore (req_ok t c "focus ww:Person");
@@ -1059,17 +1075,8 @@ let soak () =
 
 (* --- the real socket server ------------------------------------------------ *)
 
-let tmp_dir () =
-  let f = Filename.temp_file "swsd_server" "" in
-  Sys.remove f;
-  f
-
-let rec rm_rf p =
-  if (try Sys.is_directory p with Sys_error _ -> false) then begin
-    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-    Sys.rmdir p
-  end
-  else if Sys.file_exists p then Sys.remove p
+let tmp_dir = Util.tmp_dir
+let rm_rf = Util.rm_rf
 
 let socket_end_to_end () =
   with_watchdog ~secs:60.0 ~name:"socket end-to-end" (fun () ->
@@ -1560,43 +1567,32 @@ let version_stamps () =
   ignore (Service.shutdown t)
 
 let read_path_counters () =
-  let run lockfree =
-    let _, io = mem_repo () in
-    let t = service ~config:(quick_config ~lockfree_reads:lockfree ()) io in
-    let c = Service.connect t in
-    ignore (req_ok t c "@open v");
-    ignore (req_ok t c "summary");
-    ignore (req_ok t c "check");
-    ignore (req_ok t c "focus ww:Person");
-    ignore (req_ok t c (apply_line "nickname"));
-    let sn = Obs.snapshot (Service.obs t) in
-    ignore (Service.shutdown t);
-    let n name =
-      match List.assoc_opt name sn.Obs.sn_counters with Some v -> v | None -> 0
-    in
-    let histos name =
-      match List.assoc_opt name sn.Obs.sn_histos with
-      | Some h -> h.Obs.Histo.s_count
-      | None -> 0
-    in
-    ( n "swsd.read.lockfree_total",
-      n "swsd.read.fallback_total",
-      n "swsd.write_total",
-      histos "swsd.read_seconds",
-      histos "swsd.write_seconds" )
+  let _, io = mem_repo () in
+  let t = service ~config:(quick_config ()) io in
+  let c = Service.connect t in
+  ignore (req_ok t c "@open v");
+  ignore (req_ok t c "summary");
+  ignore (req_ok t c "check");
+  ignore (req_ok t c "focus ww:Person");
+  ignore (req_ok t c (apply_line "nickname"));
+  let sn = Obs.snapshot (Service.obs t) in
+  ignore (Service.shutdown t);
+  let n name =
+    match List.assoc_opt name sn.Obs.sn_counters with Some v -> v | None -> 0
   in
-  let lf, fb, w, hr, hw = run true in
-  Alcotest.(check int) "lock-free serves both reads" 2 lf;
-  Alcotest.(check int) "no fallbacks with a live snapshot" 0 fb;
-  Alcotest.(check int) "focus and apply are writes" 2 w;
-  Alcotest.(check int) "read latencies recorded" 2 hr;
-  Alcotest.(check int) "write latencies recorded" 2 hw;
-  let lf, fb, w, hr, hw = run false in
-  Alcotest.(check int) "toggled off: nothing lock-free" 0 lf;
-  Alcotest.(check int) "toggled off: reads fall back to the lock" 2 fb;
-  Alcotest.(check int) "toggled off: writes unchanged" 2 w;
-  Alcotest.(check int) "toggled off: reads still timed as reads" 2 hr;
-  Alcotest.(check int) "toggled off: write timings unchanged" 2 hw
+  let histos name =
+    match List.assoc_opt name sn.Obs.sn_histos with
+    | Some h -> h.Obs.Histo.s_count
+    | None -> 0
+  in
+  Alcotest.(check int) "lock-free serves both reads" 2
+    (n "swsd.read.lockfree_total");
+  Alcotest.(check int) "no fallbacks with a live snapshot" 0
+    (n "swsd.read.fallback_total");
+  Alcotest.(check int) "focus and apply are writes" 2 (n "swsd.write_total");
+  Alcotest.(check int) "read latencies recorded" 2 (histos "swsd.read_seconds");
+  Alcotest.(check int) "write latencies recorded" 2
+    (histos "swsd.write_seconds")
 
 (* Snapshot isolation without chaos: three readonly readers hammer the
    snapshot while one writer storms; every read must be a consistent
@@ -2162,15 +2158,14 @@ let tests =
     test "service: deadline expiry sheds with !busy" deadline_sheds;
     test "service: journal failures degrade the variant to read-only"
       breaker_degrades_variant;
-    test "service: a failed batch flush fails every writer aboard"
-      group_batch_failure_fails_all;
+    test "service: a failed batch flush fails every writer aboard; @open heals"
+      (group_batch_failure_fails_all ~reload:reload_open);
     test "service: durable-but-unacked is clean after the lost-ack window"
       durable_but_unacked;
     test "service: readonly connections read but never write" readonly_connection;
     test "service: #version stamps are monotone and read-your-writes"
       version_stamps;
-    test "service: read/write paths counted, lockfree toggle falls back"
-      read_path_counters;
+    test "service: read/write paths counted" read_path_counters;
     test "service: snapshot isolation holds under a writer storm"
       snapshot_isolation_storm;
     test "locks: same-variant requests serialize (journal intact)"
@@ -2207,6 +2202,16 @@ let tests =
       hangup_mid_response;
     test "repo: variant names are sorted whatever readdir yields"
       variant_names_sorted;
+    (* the other two ways a load heals a poisoned lane; appended so the
+       suite's existing test indices stay put *)
+    test
+      "service: a failed batch flush fails every writer aboard; a @query \
+       load heals"
+      (group_batch_failure_fails_all ~reload:reload_query);
+    test
+      "service: a failed batch flush fails every writer aboard; a @merge \
+       load heals"
+      (group_batch_failure_fails_all ~reload:reload_merge);
   ]
 
 let soak_tests = [ Alcotest.test_case "bounded chaos soak" `Slow soak ]

@@ -77,3 +77,17 @@ let has_warning_containing schema fragment =
     (Odl.Validate.check schema)
 
 let test name f = Alcotest.test_case name `Quick f
+
+(** A fresh, not-yet-created path under the system temp directory. *)
+let tmp_dir () =
+  let f = Filename.temp_file "swsd_test" "" in
+  Sys.remove f;
+  f
+
+(** Remove a file or directory tree; a missing path is not an error. *)
+let rec rm_rf p =
+  if (try Sys.is_directory p with Sys_error _ -> false) then begin
+    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+    Sys.rmdir p
+  end
+  else if Sys.file_exists p then Sys.remove p
