@@ -101,7 +101,10 @@ let ablations_for n =
    modified, then consistency is re-established.  check-full pays a naive
    whole-schema check; check-incremental pays the index update plus the
    dirty-set re-check.  apply vs apply-indexed measures the same contrast
-   through the full operation engine (constraint check + propagation). *)
+   through the full operation engine (constraint check + propagation).
+   current-concepts vs find-concept is the designer's per-op lookup of
+   the focused concept schema: decompose the whole workspace and search
+   it, or build just that concept schema from the index. *)
 let index_checks_for n =
   let schema = schema_of n in
   let probe i =
@@ -115,6 +118,7 @@ let index_checks_for n =
   let updated = Odl.Schema.update_interface schema "T0" probe in
   let warm = Core.Schema_index.build schema in
   ignore (Core.Schema_index.diagnostics warm);
+  let session = Result.get_ok (Core.Session.create schema) in
   let op =
     Core.Modop.Add_attribute ("T0", Odl.Types.D_string, Some 12, "bench_attr")
   in
@@ -133,6 +137,15 @@ let index_checks_for n =
            ignore
              (Core.Apply.Indexed.apply ~original:warm
                 ~kind:Core.Concept.Wagon_wheel warm op)));
+    Test.make
+      ~name:(Printf.sprintf "current-concepts/%d" n)
+      (Staged.stage (fun () ->
+           ignore
+             (Core.Decompose.find (Core.Session.current_concepts session) "ww:T0")));
+    Test.make
+      ~name:(Printf.sprintf "find-concept/%d" n)
+      (Staged.stage (fun () ->
+           ignore (Core.Decompose.Indexed.concept warm "ww:T0")));
   ]
 
 (* P9: instance migration — a store of [3n] objects migrated through a
@@ -237,7 +250,11 @@ let journal_benches_for ~dirs n =
   ]
 
 (* P8 baseline: incremental vs full checking, recorded as JSON so later
-   work can compare against a committed reference. *)
+   work can compare against a committed reference.  The run FAILS (exit 1)
+   unless find-concept at the largest size is at least [lookup_floor] times
+   faster than current-concepts there. *)
+let lookup_floor = 20.
+
 let run_index ~json_path () =
   let rows =
     measure_rows
@@ -250,6 +267,13 @@ let run_index ~json_path () =
     | Some i -> String.sub name (i + 1) (String.length name - i - 1)
     | None -> name
   in
+  let largest = List.fold_left max 0 sizes in
+  let ns_of bench =
+    let name = Printf.sprintf "%s/%d" bench largest in
+    List.assoc name (List.map (fun (n, ns) -> (strip n, ns)) rows)
+  in
+  let speedup = ns_of "current-concepts" /. ns_of "find-concept" in
+  let passed = speedup >= lookup_floor in
   let entry (name, ns) =
     Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }" (strip name)
       ns
@@ -263,6 +287,10 @@ let run_index ~json_path () =
         Printf.sprintf "  \"sizes\": [%s],"
           (String.concat ", " (List.map string_of_int sizes));
         "  \"unit\": \"ns/run\",";
+        Printf.sprintf
+          "  \"lookup_gate\": { \"size\": %d, \"speedup\": %.1f, \
+           \"floor\": %.1f, \"passed\": %b },"
+          largest speedup lookup_floor passed;
         "  \"results\": [";
         String.concat ",\n" (List.map entry rows);
         "  ]";
@@ -273,7 +301,14 @@ let run_index ~json_path () =
   let oc = open_out json_path in
   output_string oc json;
   close_out oc;
-  Printf.printf "\nwrote %s\n" json_path
+  Printf.printf "\nwrote %s\n" json_path;
+  if not passed then begin
+    Printf.printf
+      "FAIL: find-concept/%d is only %.1fx faster than current-concepts/%d \
+       (floor %.0fx) — the per-op concept lookup is not O(concept)\n"
+      largest speedup largest lookup_floor;
+    exit 1
+  end
 
 (* P10 baseline: journal append vs whole-log rewrite, recorded as JSON so
    the O(1)-ish append per accepted operation stays an auditable claim. *)

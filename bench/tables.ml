@@ -120,9 +120,7 @@ let figure7 () =
   print_string
     (Core.Render.concept w
        (Option.get
-          (Core.Decompose.find
-             (Core.Session.current_concepts session)
-             "ww:Course_Offering")))
+          (Core.Session.find_current_concept session "ww:Course_Offering")))
 
 let figure8 () =
   heading "Figure 8 -- modify relationship target type (Employee -> Person)";

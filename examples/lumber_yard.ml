@@ -18,8 +18,7 @@ let apply session kind text =
 
 let show_house session =
   let c =
-    Option.get
-      (Core.Decompose.find (Core.Session.current_concepts session) "ah:House")
+    Option.get (Core.Session.find_current_concept session "ah:House")
   in
   print_string (Core.Render.aggregation (Core.Session.workspace session) c)
 

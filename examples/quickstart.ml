@@ -43,7 +43,7 @@ let () =
   (* 3. the course offering point of view (paper Figure 3) *)
   section "course offering wagon wheel (Figure 3)";
   let ww =
-    Option.get (Core.Decompose.find (Core.Session.concepts session) "ww:Course_Offering")
+    Option.get (Core.Session.find_concept session "ww:Course_Offering")
   in
   print_string (Core.Render.wagon_wheel (Core.Session.workspace session) ww);
 
@@ -60,8 +60,9 @@ let () =
   in
 
   section "elaborated course offering wagon wheel";
-  let concepts = Core.Session.current_concepts session in
-  let ww = Option.get (Core.Decompose.find concepts "ww:Course_Offering") in
+  let ww =
+    Option.get (Core.Session.find_current_concept session "ww:Course_Offering")
+  in
   print_string (Core.Render.wagon_wheel (Core.Session.workspace session) ww);
 
   (* 5. deliverables: custom schema, impact, consistency, mapping *)

@@ -18,10 +18,7 @@ let apply session kind text =
 
 let show_chain session =
   let c =
-    Option.get
-      (Core.Decompose.find
-         (Core.Session.current_concepts session)
-         "ih:Application")
+    Option.get (Core.Session.find_current_concept session "ih:Application")
   in
   print_string (Core.Render.instance_chain (Core.Session.workspace session) c)
 

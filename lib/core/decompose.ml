@@ -11,6 +11,7 @@
     property). *)
 
 open Odl.Types
+module SSet = Set.Make (String)
 
 module Make (V : Schema_view.S) = struct
   (** The wagon wheel centred on [focus]: the focal interface, every
@@ -43,20 +44,20 @@ module Make (V : Schema_view.S) = struct
 
   (* Reachable closure with an explicit edge accumulator. *)
   let reach children_edges start =
-    let rec go members edges = function
+    let rec go seen members edges = function
       | [] -> (List.rev members, List.rev edges)
       | n :: rest ->
-          if List.mem n members then go members edges rest
+          if SSet.mem n seen then go seen members edges rest
           else
             let es = children_edges n in
             let nexts = List.map (fun (_, _, target) -> target) es in
-            go (n :: members)
+            go (SSet.add n seen) (n :: members)
               (List.rev_append
                  (List.map (fun (owner, path, _) -> (owner, path)) es)
                  edges)
               (nexts @ rest)
     in
-    let members, edges = go [] [] [ start ] in
+    let members, edges = go SSet.empty [] [] [ start ] in
     (members, List.rev edges)
 
   (** The generalization hierarchy rooted at [root]: the root and all its
@@ -66,65 +67,63 @@ module Make (V : Schema_view.S) = struct
     let members = root :: V.descendants v root in
     Concept.make Generalization root members []
 
-  (** One generalization-hierarchy concept schema per ISA root that actually
-      has subtypes (a lone interface is not a hierarchy). *)
-  let generalization_hierarchies v =
-    V.isa_roots v
-    |> List.filter (fun r -> V.direct_subtypes v r <> [])
-    |> List.map (generalization_hierarchy v)
-
-  let whole_part_edges v name =
+  (* [name]'s own relationships playing [role], as (owner, path, target). *)
+  let role_edges role v name =
     match V.find_interface v name with
     | None -> []
     | Some i ->
         i.i_rels
-        |> List.filter (fun r -> role_of_relationship r = Whole_end)
+        |> List.filter (fun r -> role_of_relationship r = role)
         |> List.map (fun r -> (name, r.rel_name, r.rel_target))
+
+  (* [name] is the target of some relationship playing [role]. *)
+  let targeted_by role v name =
+    V.relationships_targeting v name
+    |> List.exists (fun (_, r) -> role_of_relationship r = role)
 
   (** The aggregation hierarchy (parts explosion) rooted at [root]. *)
   let aggregation_hierarchy v root =
-    let members, edges = reach (whole_part_edges v) root in
+    let members, edges = reach (role_edges Whole_end v) root in
     Concept.make Aggregation root members edges
-
-  (** Roots of aggregation hierarchies: interfaces that aggregate parts but
-      are not themselves a part of anything. *)
-  let aggregation_roots v =
-    let is_whole n = whole_part_edges v n <> [] in
-    let is_part n =
-      V.relationships_targeting v n
-      |> List.exists (fun (_, r) -> role_of_relationship r = Whole_end)
-    in
-    V.interface_names v |> List.filter (fun n -> is_whole n && not (is_part n))
-
-  let aggregation_hierarchies v =
-    List.map (aggregation_hierarchy v) (aggregation_roots v)
-
-  let generic_instance_edges v name =
-    match V.find_interface v name with
-    | None -> []
-    | Some i ->
-        i.i_rels
-        |> List.filter (fun r -> role_of_relationship r = Generic_end)
-        |> List.map (fun r -> (name, r.rel_name, r.rel_target))
 
   (** The instance-of hierarchy headed at [head]: the chain (in our
       experience linear, but branching is representable) of instance-of
       links. *)
   let instance_chain v head =
-    let members, edges = reach (generic_instance_edges v) head in
+    let members, edges = reach (role_edges Generic_end v) head in
     Concept.make Instance_chain head members edges
 
-  (** Heads of instance-of chains: generic entities that are not themselves
-      an instance of anything. *)
-  let instance_heads v =
-    let is_generic n = generic_instance_edges v n <> [] in
-    let is_instance n =
-      V.relationships_targeting v n
-      |> List.exists (fun (_, r) -> role_of_relationship r = Generic_end)
-    in
-    V.interface_names v
-    |> List.filter (fun n -> is_generic n && not (is_instance n))
+  (* Membership rules: which hierarchy concept schemas exist.  Each costs
+     only the named interface's neighbourhood, and both the enumerations
+     and the by-id lookup below use them. *)
 
+  (* An ISA root (no supertype among the schema's interfaces) that actually
+     has subtypes: a lone interface is not a hierarchy. *)
+  let is_generalization_root v r =
+    V.mem_interface v r
+    && V.direct_supertypes v r = []
+    && V.direct_subtypes v r <> []
+
+  (* Aggregates parts but is not itself a part of anything. *)
+  let is_aggregation_root v r =
+    role_edges Whole_end v r <> [] && not (targeted_by Whole_end v r)
+
+  (* A generic entity that is not itself an instance of anything. *)
+  let is_instance_head v r =
+    role_edges Generic_end v r <> [] && not (targeted_by Generic_end v r)
+
+  let generalization_hierarchies v =
+    V.interface_names v
+    |> List.filter (is_generalization_root v)
+    |> List.map (generalization_hierarchy v)
+
+  let aggregation_roots v =
+    V.interface_names v |> List.filter (is_aggregation_root v)
+
+  let aggregation_hierarchies v =
+    List.map (aggregation_hierarchy v) (aggregation_roots v)
+
+  let instance_heads v = V.interface_names v |> List.filter (is_instance_head v)
   let instance_chains v = List.map (instance_chain v) (instance_heads v)
 
   (** Full decomposition: wagon wheels (one per object type) followed by the
@@ -134,6 +133,25 @@ module Make (V : Schema_view.S) = struct
     @ generalization_hierarchies v
     @ aggregation_hierarchies v
     @ instance_chains v
+
+  (** [concept v id] = [find (decompose v) id], at the cost of that one
+      concept schema: the id's prefix (up to its first [':']) names the
+      kind, the rest its focus, and the kind's membership rule decides
+      whether the decomposition has it. *)
+  let concept v id =
+    match String.index_opt id ':' with
+    | None -> None
+    | Some k ->
+        let focus = String.sub id (k + 1) (String.length id - k - 1) in
+        let found exists make =
+          if exists v focus then Some (make v focus) else None
+        in
+        match String.sub id 0 k with
+        | "ww" -> found V.mem_interface wagon_wheel
+        | "gh" -> found is_generalization_root generalization_hierarchy
+        | "ah" -> found is_aggregation_root aggregation_hierarchy
+        | "ih" -> found is_instance_head instance_chain
+        | _ -> None
 end
 
 module Naive = Make (Schema_view.Naive)
@@ -150,5 +168,6 @@ let instance_chain = Naive.instance_chain
 let instance_heads = Naive.instance_heads
 let instance_chains = Naive.instance_chains
 let decompose = Naive.decompose
+let concept = Naive.concept
 
 let find concepts id = List.find_opt (fun c -> String.equal c.Concept.c_id id) concepts

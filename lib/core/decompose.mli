@@ -5,8 +5,14 @@
     ({!Recompose.reconstruct}).
 
     Functorized over {!Schema_view.S}; the top-level functions below are the
-    naive instantiation, {!Indexed} the one over {!Schema_index.t}.  Both
-    backends produce identical concept lists (tested by property). *)
+    naive instantiation ({!Naive}), {!Indexed} the one over
+    {!Schema_index.t}.  Both backends produce identical concept lists
+    (tested by property).
+
+    A concept schema's existence is decided by one membership rule per
+    kind, costing only the named interface's neighbourhood; the
+    enumerations filter the schema's interfaces with those rules and
+    {!concept} applies one of them to a single id. *)
 
 open Odl.Types
 
@@ -22,8 +28,13 @@ module Make (V : Schema_view.S) : sig
   val instance_heads : V.t -> type_name list
   val instance_chains : V.t -> Concept.t list
   val decompose : V.t -> Concept.t list
+
+  val concept : V.t -> string -> Concept.t option
+  (** [concept v id = find (decompose v) id], costing only the size of
+      that concept schema. *)
 end
 
+module Naive : module type of Make (Schema_view.Naive)
 module Indexed : module type of Make (Schema_index)
 
 val wagon_wheel : schema -> type_name -> Concept.t
@@ -59,6 +70,13 @@ val instance_chains : schema -> Concept.t list
 val decompose : schema -> Concept.t list
 (** Wagon wheels, then generalization, aggregation and instance-of
     hierarchies. *)
+
+val concept : schema -> string -> Concept.t option
+(** Look one concept schema of the decomposition up by id without building
+    the rest: [ww:X] exists iff [X] is an interface, [gh:R] iff [R] is an
+    ISA root with subtypes, [ah:R] iff [R] is an aggregation root, [ih:R]
+    iff [R] is an instance-chain head.  The id splits at its first [':'];
+    any other prefix gives [None].  Equal to [find (decompose s) id]. *)
 
 val find : Concept.t list -> string -> Concept.t option
 (** Look a concept schema up by its id (e.g. ["ww:Course_Offering"]). *)

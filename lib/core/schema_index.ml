@@ -178,23 +178,23 @@ let direct_subtypes t n =
   | None -> []
   | Some s -> in_declaration_order t (SSet.elements s)
 
-let rec closure next visited frontier =
-  match frontier with
-  | [] -> List.rev visited
-  | n :: rest ->
-      if List.mem n visited then closure next visited rest
-      else closure next (n :: visited) (next n @ rest)
+(* Depth-first closure in first-visit order (that of [Odl.Schema.closure]);
+   the visited set is kept beside the result so a hierarchy of [k] members
+   costs O(k log k) rather than O(k^2). *)
+let closure next frontier =
+  let rec go seen acc = function
+    | [] -> List.rev acc
+    | n :: rest ->
+        if SSet.mem n seen then go seen acc rest
+        else go (SSet.add n seen) (n :: acc) (next n @ rest)
+  in
+  go SSet.empty [] frontier
 
-let ancestors t n = closure (direct_supertypes t) [] (direct_supertypes t n)
-let descendants t n = closure (direct_subtypes t) [] (direct_subtypes t n)
+let ancestors t n = closure (direct_supertypes t) (direct_supertypes t n)
+let descendants t n = closure (direct_subtypes t) (direct_subtypes t n)
 
 let same_isa_line t a b =
   String.equal a b || List.mem b (ancestors t a) || List.mem b (descendants t a)
-
-let isa_roots t =
-  t.sch.s_interfaces
-  |> List.filter (fun i -> not (List.exists (mem_interface t) i.i_supertypes))
-  |> List.map (fun i -> i.i_name)
 
 let topo_ancestors t name = List.rev (name :: ancestors t name)
 
@@ -335,6 +335,31 @@ let remove_interface t name =
           cache = prune dirty t.cache;
           g_cache = None;
         }
+
+(* --- shelved versions ------------------------------------------------------
+
+   An index version keeps its schema's interface list materialized, and
+   every update builds a new list spine: O(n) words per version.  A
+   history of old versions (undo) need not hold those spines, because
+   [by_name] records each interface with its declaration position; a
+   shelved version drops the list and rebuilds it on demand.  A schema with
+   duplicated names cannot be recovered from [by_name], so it keeps its
+   list. *)
+
+type shelved = t
+
+let shelve t =
+  if t.has_dups then t else { t with sch = { t.sch with s_interfaces = [] } }
+
+let unshelve t =
+  if t.has_dups then t
+  else
+    let s_interfaces =
+      SMap.fold (fun _ (i, p) acc -> (p, i) :: acc) t.by_name []
+      |> List.sort (fun (p, _) (q, _) -> Int.compare p q)
+      |> List.map snd
+    in
+    { t with sch = { t.sch with s_interfaces } }
 
 (* --- version deltas ------------------------------------------------------ *)
 

@@ -28,6 +28,18 @@ include Schema_view.S with type t := t
 val is_valid : t -> bool
 (** No error-level diagnostics (cache-served where possible). *)
 
+type shelved
+(** An index version without its materialized interface list: O(log n)
+    words beyond what it shares with neighbouring versions, instead of
+    O(n).  What a history of old versions keeps (undo in {!Session}). *)
+
+val shelve : t -> shelved
+
+val unshelve : shelved -> t
+(** The shelved version again, its schema's interface list rebuilt in
+    declaration order — O(n log n).  [schema (unshelve (shelve t))] equals
+    [schema t]; every other query answers as on [t]. *)
+
 val changed_names : t -> t -> Odl.Types.type_name list
 (** [changed_names old new_] — the interface names whose records differ
     between two index versions of one lineage, sorted.  Detected by pointer

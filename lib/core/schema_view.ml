@@ -40,7 +40,6 @@ module type S = sig
   val ancestors : t -> type_name -> type_name list
   val descendants : t -> type_name -> type_name list
   val same_isa_line : t -> type_name -> type_name -> bool
-  val isa_roots : t -> type_name list
   val visible_attrs : t -> type_name -> attribute list
 
   (** {1 Relationship queries} *)
@@ -92,7 +91,6 @@ module Naive : S with type t = schema = struct
   let ancestors = Schema.ancestors
   let descendants = Schema.descendants
   let same_isa_line = Schema.same_isa_line
-  let isa_roots = Schema.isa_roots
   let visible_attrs = Schema.visible_attrs
   let relationships_targeting = Schema.relationships_targeting
   let update_interface = Schema.update_interface

@@ -22,18 +22,18 @@ type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
   st_op : Modop.t;
   st_events : Change.event list;  (** direct + propagated impact *)
-  st_before : schema;  (** workspace before this step, for undo *)
 }
 
 type t = {
   original : schema;  (** the shrink wrap schema, never modified *)
   original_index : Schema_index.t;  (** index of [original] (stability checks) *)
-  concepts : Concept.t list;  (** decomposition of [original] *)
   workspace : schema;  (** the schema under design; equals [schema index] *)
   index : Schema_index.t;  (** the workspace's index, updated per op *)
-  past_indexes : Schema_index.t list;
+  past_indexes : Schema_index.shelved list;
       (** index versions before each step, newest first (parallels
-          [rev_log]); undo restores from here in O(1) *)
+          [rev_log]), shelved so that history costs O(log n) words per
+          step rather than a workspace list each; undo restores from here
+          in O(n log n) *)
   rev_log : step list;
       (** applied steps, {e newest} first: apply conses and undo pops, so
           the spine below any point is shared physically across every
@@ -129,7 +129,6 @@ let create ?(paranoid = false) shrink_wrap =
         {
           original = shrink_wrap;
           original_index = index;
-          concepts = Decompose.Indexed.decompose index;
           workspace = shrink_wrap;
           index;
           past_indexes = [];
@@ -145,13 +144,13 @@ let create ?(paranoid = false) shrink_wrap =
 let original t = t.original
 let workspace t = t.workspace
 let index t = t.index
-let concepts t = t.concepts
+let concepts t = Decompose.Indexed.decompose t.original_index
 let log t = List.rev t.rev_log
 let steps_rev t = t.rev_log
 let step_count t = t.nlog
 let version t = t.version
 
-let find_concept t id = Decompose.find t.concepts id
+let find_concept t id = Decompose.Indexed.concept t.original_index id
 
 let indexed_apply t ~kind op =
   let outcome = Apply.Indexed.apply ~original:t.original_index ~kind t.index op in
@@ -164,12 +163,11 @@ let commit t ~kind op (index, events) ~future =
       t with
       workspace = Schema_index.schema index;
       index;
-      past_indexes = t.index :: t.past_indexes;
+      past_indexes = Schema_index.shelve t.index :: t.past_indexes;
       future;
       version = t.version + 1;
       rev_log =
-        { st_kind = kind; st_op = op; st_events = events; st_before = t.workspace }
-        :: t.rev_log;
+        { st_kind = kind; st_op = op; st_events = events } :: t.rev_log;
       nlog = t.nlog + 1;
     },
     events )
@@ -202,20 +200,16 @@ let preview t ~kind op =
 
 (** Undo the most recent step; [None] when the log is empty.  The undone
     operation becomes redoable until the next fresh application.  The index
-    version recorded at apply time is restored in O(1). *)
+    version recorded at apply time is restored. *)
 let undo t =
-  match t.rev_log with
-  | [] -> None
-  | last :: rest ->
-      let index, past_indexes =
-        match t.past_indexes with
-        | idx :: rest -> (idx, rest)
-        | [] -> (Schema_index.build last.st_before, [])  (* unreachable *)
-      in
+  match (t.rev_log, t.past_indexes) with
+  | [], _ | _, [] -> None
+  | last :: rest, shelved :: past_indexes ->
+      let index = Schema_index.unshelve shelved in
       Some
         {
           t with
-          workspace = last.st_before;
+          workspace = Schema_index.schema index;
           index;
           past_indexes;
           rev_log = rest;
@@ -283,6 +277,10 @@ let mapping t = Mapping.compute ~original:t.original ~custom:t.workspace
 (** Refresh the concept schemas against the workspace (after modifications,
     the decomposition of the workspace shows the customized concepts). *)
 let current_concepts t = Decompose.Indexed.decompose t.index
+
+(** One concept schema of {!current_concepts}, by id, at the cost of that
+    concept schema alone — the per-operation lookup of the designer. *)
+let find_current_concept t id = Decompose.Indexed.concept t.index id
 
 (* --- deliverables -------------------------------------------------------- *)
 

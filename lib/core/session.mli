@@ -14,7 +14,6 @@ type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
   st_op : Modop.t;
   st_events : Change.event list;  (** direct + propagated impact *)
-  st_before : schema;  (** workspace before this step, for undo *)
 }
 
 type t
@@ -58,7 +57,8 @@ val workspace : t -> schema
 val index : t -> Schema_index.t
 (** The workspace's schema index (kept in lock-step with {!workspace}). *)
 val concepts : t -> Concept.t list
-(** The decomposition of the original schema. *)
+(** The decomposition of the original schema (built on each call; a single
+    id is {!find_concept}). *)
 
 val log : t -> step list
 (** The applied steps, oldest first (rebuilt on each call — report-path
@@ -80,6 +80,8 @@ val version : t -> int
     never goes backwards along a session's lineage, so snapshot readers can
     use it to detect staleness. *)
 val find_concept : t -> string -> Concept.t option
+(** [Decompose.find (concepts t) id], at the cost of that concept schema
+    alone. *)
 
 val apply :
   t -> kind:Concept.kind -> Modop.t -> (t * Change.event list, Apply.error) result
@@ -125,7 +127,12 @@ val mapping : t -> Mapping.t
 val mapping_report : t -> string
 val impact_report : t -> string
 val current_concepts : t -> Concept.t list
-(** Decomposition of the workspace (reflects customizations). *)
+(** Decomposition of the workspace (reflects customizations).  O(size of
+    the workspace); a single id is {!find_current_concept}. *)
+
+val find_current_concept : t -> string -> Concept.t option
+(** [Decompose.find (current_concepts t) id], at the cost of that concept
+    schema alone. *)
 
 val deliverables : t -> string
 (** All designer deliverables in one document. *)

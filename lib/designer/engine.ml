@@ -65,19 +65,40 @@ let concept_line (c : Core.Concept.t) =
     (Core.Concept.kind_name c.c_kind)
     (List.length c.c_members)
 
+(* Look the concept up in the decomposition of the current workspace so
+   customizations are visible, falling back to the original decomposition
+   for concepts the customization removed; the tag says which one answered,
+   and so which schema the concept must be rendered against. *)
 let find_concept state id =
-  (* look the concept up in the decomposition of the current workspace so
-     customizations are visible, falling back to the original decomposition
-     for concepts the customization removed *)
-  match Core.Decompose.find (Session.current_concepts state.session) id with
-  | Some c -> Some c
-  | None -> Core.Decompose.find (Session.concepts state.session) id
+  let s = state.session in
+  match Session.find_current_concept s id with
+  | Some c -> Some (c, `Workspace)
+  | None -> Option.map (fun c -> (c, `Original)) (Session.find_concept s id)
 
 let focused_kind state =
   match state.focus with
   | None -> None
   | Some id ->
-      Option.map (fun c -> c.Core.Concept.c_kind) (find_concept state id)
+      Option.map (fun (c, _) -> c.Core.Concept.c_kind) (find_concept state id)
+
+(* [show]/[explain]: render the named (or focused) concept schema against
+   the schema it was found in. *)
+let describe state id_opt ~verb render =
+  let id = match id_opt with Some id -> Some id | None -> state.focus in
+  match id with
+  | None -> [ Feedback.error ("nothing focused; " ^ verb ^ " <concept-id>") ]
+  | Some id -> (
+      match find_concept state id with
+      | Some (c, `Workspace) ->
+          [ Feedback.output (render (Session.workspace state.session) c) ]
+      | Some (c, `Original) ->
+          [
+            Feedback.info
+              (id ^ " no longer exists in the workspace; shown as in the \
+                     shrink wrap schema");
+            Feedback.output (render (Session.original state.session) c);
+          ]
+      | None -> [ Feedback.error ("no concept schema named " ^ id) ])
 
 let apply_feedback events =
   List.map (fun e -> Feedback.info (Core.Change.event_to_string e)) events
@@ -167,7 +188,7 @@ let rec exec state (cmd : Command.t) =
       (state, List.map Feedback.output lines)
   | Focus id -> (
       match find_concept state id with
-      | Some c ->
+      | Some (c, _) ->
           ( {
               state with
               focus = Some id;
@@ -181,14 +202,7 @@ let rec exec state (cmd : Command.t) =
                    (Core.Concept.kind_name c.c_kind));
             ] )
       | None -> (state, [ Feedback.error ("no concept schema named " ^ id) ]))
-  | Show id_opt -> (
-      let id = match id_opt with Some id -> Some id | None -> state.focus in
-      match id with
-      | None -> (state, [ Feedback.error "nothing focused; show <concept-id>" ])
-      | Some id -> (
-          match find_concept state id with
-          | Some c -> (state, [ Feedback.output (Core.Render.concept workspace c) ])
-          | None -> (state, [ Feedback.error ("no concept schema named " ^ id) ])))
+  | Show id_opt -> (state, describe state id_opt ~verb:"show" Core.Render.concept)
   | Odl name -> (
       match Odl.Schema.find_interface workspace name with
       | Some i -> (state, [ Feedback.output (Odl.Printer.interface_to_string i) ])
@@ -310,15 +324,8 @@ let rec exec state (cmd : Command.t) =
           Feedback.output
             (Odl.Printer.schema_to_string (Session.custom_schema ?name state.session));
         ] )
-  | Explain id_opt -> (
-      let id = match id_opt with Some id -> Some id | None -> state.focus in
-      match id with
-      | None -> (state, [ Feedback.error "nothing focused; explain <concept-id>" ])
-      | Some id -> (
-          match find_concept state id with
-          | Some c ->
-              (state, [ Feedback.output (Core.Explain.concept_text workspace c) ])
-          | None -> (state, [ Feedback.error ("no concept schema named " ^ id) ])))
+  | Explain id_opt ->
+      (state, describe state id_opt ~verb:"explain" Core.Explain.concept_text)
   | Alias (canonical, local) -> (
       let target = Core.Aliases.target_of_string canonical in
       match Session.add_alias state.session target local with

@@ -218,6 +218,52 @@ let todo_tracks_review () =
   Alcotest.(check bool) "done" true
     (output_contains fb "every concept schema has been considered")
 
+(* A focused concept schema that customization removed is still looked up
+   in the original decomposition: show/explain render it against the shrink
+   wrap schema (rendering it against the workspace raised
+   Unknown_interface), and apply keeps using its kind. *)
+let removed_focus_falls_back_to_original () =
+  let st =
+    run_all (start ()) [ "focus ww:Book"; "apply delete_type_definition(Book)" ]
+  in
+  Alcotest.(check bool) "Book deleted" false
+    (Odl.Schema.mem_interface (Core.Session.workspace st.Engine.session) "Book");
+  List.iter
+    (fun (cmd, rendering) ->
+      let _, fb = run st cmd in
+      Alcotest.(check bool) (cmd ^ ": no error") false (has_error fb);
+      Alcotest.(check bool) (cmd ^ ": notes the removal") true
+        (output_contains fb "ww:Book no longer exists in the workspace");
+      Alcotest.(check bool) (cmd ^ ": renders the original") true
+        (output_contains fb rendering))
+    [ ("show", "wagon wheel: Book"); ("explain", "the book point of view") ];
+  let st, fb = run st "apply add_type_definition(Lab)" in
+  Alcotest.(check bool) "apply still accepted" true (output_contains fb "applied");
+  match Core.Session.steps_rev st.Engine.session with
+  | (s : Core.Session.step) :: _ ->
+      Alcotest.(check bool) "logged with the original wagon wheel's kind" true
+        (s.st_kind = Core.Concept.Wagon_wheel)
+  | [] -> Alcotest.fail "no step logged"
+
+(* A concept schema only the workspace ever had has no fallback: once
+   deleted, the focus is as good as unset. *)
+let removed_workspace_only_focus () =
+  let st =
+    run_all (start ())
+      [
+        "focus ww:Book";
+        "apply add_type_definition(Book2)";
+        "focus ww:Book2";
+        "apply delete_type_definition(Book2)";
+      ]
+  in
+  let _, fb = run st "apply add_type_definition(Lab)" in
+  Alcotest.(check bool) "no concept schema focused" true
+    (output_contains fb "no concept schema focused");
+  let _, fb = run st "show" in
+  Alcotest.(check bool) "show reports it unknown" true
+    (output_contains fb "no concept schema named ww:Book2")
+
 let data_workflow () =
   let data = Filename.temp_file "swsd_data" ".objs" in
   let oc = open_out data in
@@ -419,4 +465,8 @@ let tests =
     test "data workflow" data_workflow;
     test "select command" select_command;
     test "save includes data" save_includes_data;
+    test "show/explain a removed focus render the original"
+      removed_focus_falls_back_to_original;
+    test "a removed workspace-only focus is unfocused"
+      removed_workspace_only_focus;
   ]

@@ -129,7 +129,101 @@ let decompositions_agree =
       in
       agree orig_idx && go orig_idx steps)
 
-(* 7. seed schemas: the named examples and fixed-size synthetic schemas,
+(* 7. by-id lookup: on both backends, [concept] answers exactly what a
+   search of the full decomposition does — for every id the decomposition
+   holds and for near-misses (each hierarchy prefix on every interface,
+   which covers non-roots, leaf roots, parts and instances; a wrong prefix;
+   no ':'; an unknown name) — initially and after every accepted op *)
+let lookup_ids s =
+  let near name =
+    [ "gh:" ^ name; "ah:" ^ name; "ih:" ^ name; "xx:" ^ name; name;
+      "ww:" ^ name ^ "_ghost" ]
+  in
+  List.map (fun c -> c.Core.Concept.c_id) (Core.Decompose.decompose s)
+  @ List.concat_map near (Odl.Schema.interface_names s)
+  @ [ ""; ":"; "ww:"; "ww" ]
+
+let lookups_agree idx =
+  let s = Index.schema idx in
+  let full = Core.Decompose.decompose s in
+  List.for_all
+    (fun id ->
+      let expected = Core.Decompose.find full id in
+      Option.equal Core.Concept.equal (Core.Decompose.Naive.concept s id) expected
+      && Option.equal Core.Concept.equal
+           (Core.Decompose.Indexed.concept idx id)
+           expected)
+    (lookup_ids s)
+
+let concept_lookup_agrees =
+  prop "concept lookup = find in the decomposition" Gen.schema_and_ops
+    (fun (schema, steps) ->
+      let orig_idx = Index.build schema in
+      let rec go idx = function
+        | [] -> true
+        | (kind, op) :: rest -> (
+            match Apply.Indexed.apply ~original:orig_idx ~kind idx op with
+            | Error _ -> go idx rest
+            | Ok (idx', _) -> lookups_agree idx' && go idx' rest)
+      in
+      lookups_agree orig_idx && go orig_idx steps)
+
+(* 8. a shelved version (what the undo history keeps) comes back equal:
+   same schema, same diagnostics, same decomposition, and the same
+   changed-name delta against its successor *)
+let shelve_roundtrip =
+  prop "unshelve (shelve idx) = idx" Gen.schema_and_ops
+    (fun (schema, steps) ->
+      let orig_idx = Index.build schema in
+      let same idx next =
+        let back = Index.unshelve (Index.shelve idx) in
+        equal_schema (Index.schema back) (Index.schema idx)
+        && diags_equal (Index.diagnostics back) (Index.diagnostics idx)
+        && List.equal Core.Concept.equal
+             (Core.Decompose.Indexed.decompose back)
+             (Core.Decompose.Indexed.decompose idx)
+        && Index.changed_names back next = Index.changed_names idx next
+      in
+      let rec go idx = function
+        | [] -> same idx idx
+        | (kind, op) :: rest -> (
+            match Apply.Indexed.apply ~original:orig_idx ~kind idx op with
+            | Error _ -> go idx rest
+            | Ok (idx', _) -> same idx idx' && go idx' rest)
+      in
+      go orig_idx steps)
+
+(* the near-miss kinds named one by one on a seed, plus an interface whose
+   quoted name contains the id separator *)
+let concept_lookup_units () =
+  let absent s id =
+    Alcotest.(check bool) id true
+      (Core.Decompose.concept s id = None
+      && Core.Decompose.Indexed.concept (Index.build s) id = None)
+  in
+  let u = Util.university () in
+  List.iter (absent u)
+    [ "gh:Student" (* a non-root *); "gh:Book" (* a root without subtypes *);
+      "zz:Person"; "Person"; "ww:Ghost" ];
+  (* a part that aggregates parts itself; an instance with instances *)
+  absent (Util.lumber ()) "ah:Roof";
+  absent (Util.emsl ()) "ih:Application_Version";
+  let s =
+    Util.parse
+      "interface \"a:b\" { attribute string x; };\n\
+       interface \"a:b:c\" : \"a:b\" { };"
+  in
+  List.iter
+    (fun id ->
+      let found = Core.Decompose.find (Core.Decompose.decompose s) id in
+      Alcotest.(check bool) (id ^ " found") true (Option.is_some found);
+      Alcotest.(check bool) (id ^ " agrees") true
+        (Core.Decompose.concept s id = found
+        && Core.Decompose.Indexed.concept (Index.build s) id = found))
+    [ "ww:a:b"; "ww:a:b:c"; "gh:a:b" ];
+  absent s "gh:a:b:c"
+
+(* 9. seed schemas: the named examples and fixed-size synthetic schemas,
    checked deterministically *)
 let seed_case name schema =
   Alcotest.test_case name `Quick (fun () ->
@@ -163,3 +257,9 @@ let tests =
     decompositions_agree;
   ]
   @ seed_units
+  @ [
+      concept_lookup_agrees;
+      Alcotest.test_case "concept lookup near-misses" `Quick
+        concept_lookup_units;
+      shelve_roundtrip;
+    ]

@@ -192,9 +192,9 @@ let current_concepts_follow_workspace () =
   let s = Util.session_of (Util.university ()) in
   let s, _ = Util.apply_ok s "add_type_definition(Lab)" in
   Alcotest.(check bool) "new wagon wheel" true
-    (Option.is_some (Core.Decompose.find (Session.current_concepts s) "ww:Lab"));
+    (Option.is_some (Session.find_current_concept s "ww:Lab"));
   Alcotest.(check bool) "original decomposition fixed" true
-    (Option.is_none (Core.Decompose.find (Session.concepts s) "ww:Lab"))
+    (Option.is_none (Session.find_concept s "ww:Lab"))
 
 let tests =
   [
