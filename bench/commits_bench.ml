@@ -35,6 +35,7 @@ module Io = Repository.Io
 module Repo = Repository.Repo
 module Service = Server.Service
 module Protocol = Server.Protocol
+open Util
 
 let schema_text =
   "interface Person { attribute string name; attribute int age; };\n\
@@ -42,11 +43,6 @@ let schema_text =
 
 let levels = [ 1; 8; 16 ]
 let gate_level = 16
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
 
 let cell_secs () = env_float "SWSD_COMMITS_SECS" 2.0
 let fsync_delay () = env_float "SWSD_COMMITS_FSYNC_MS" 5.0 /. 1000.0
@@ -99,28 +95,10 @@ let write_line ~w k =
     Printf.sprintf "apply add_attribute(Person, string, 8, w%d)" w
   else Printf.sprintf "apply delete_attribute(Person, w%d)" w
 
-type lats = { mutable xs : float list; mutable n : int }
-
-let lats () = { xs = []; n = 0 }
-
-let observe l dt =
-  l.xs <- dt :: l.xs;
-  l.n <- l.n + 1
-
 let timed t c line l =
   let t0 = Unix.gettimeofday () in
   must t c line;
   observe l (Unix.gettimeofday () -. t0)
-
-let p99_ms l =
-  match l.xs with
-  | [] -> 0.0
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      a.(min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1))
-      *. 1000.0
 
 type cell = {
   writers : int;

@@ -33,11 +33,7 @@ module Service = Server.Service
 module Protocol = Server.Protocol
 module Session = Core.Session
 module Oplog = Core.Oplog
-
-let env_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> default
+open Util
 
 let n_types () = env_int "SWSD_MERGE_TYPES" 200
 let reps () = env_int "SWSD_MERGE_REPS" 5

@@ -33,11 +33,7 @@
 module View = Query.View
 module Eval = Query.Eval
 module Parser = Query.Parser
-
-let env_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> default
+open Util
 
 let n_types () = env_int "SWSD_QUERY_TYPES" 1000
 let n_ops () = env_int "SWSD_QUERY_OPS" 200

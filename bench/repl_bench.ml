@@ -19,7 +19,7 @@
    leader's journal, era fence, socket takeover, connect, @open, apply).
 
    Topology per cell: a real-filesystem repository and a
-   {!Server.Replication.Pool} of real [swsd serve] processes (the leader
+   {!Server.Supervisor} of real [swsd serve] processes (the leader
    with --replicate, followers with --follow), exactly what `swsd serve
    --replicas K` runs.  6 read clients issue `quality` (an
    analysis-heavy read, over a 40-attribute pre-grown schema, so the
@@ -39,8 +39,9 @@
 
 module Repo = Repository.Repo
 module Protocol = Server.Protocol
-module Replication = Server.Replication
+module Supervisor = Server.Supervisor
 module Client = Server.Client
+open Util
 
 let schema_text =
   "interface Person { attribute string name; attribute int age; };\n\
@@ -50,46 +51,8 @@ let levels = [ 0; 1; 2 ]
 let readers = 6
 let min_speedup = 1.3
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
-
 let cell_secs () = env_float "SWSD_REPL_SECS" 2.0
 let promote_budget () = env_float "SWSD_REPL_PROMOTE_BUDGET_S" 15.0
-
-let swsd_exe () =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/swsd.exe"
-
-let tmp_dir () =
-  let f = Filename.temp_file "swsd_repl" "" in
-  Sys.remove f;
-  f
-
-let rec rm_rf p =
-  if (try Sys.is_directory p with Sys_error _ -> false) then begin
-    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-    Sys.rmdir p
-  end
-  else if Sys.file_exists p then Sys.remove p
-
-type lats = { mutable xs : float list; mutable n : int }
-
-let lats () = { xs = []; n = 0 }
-
-let observe l dt =
-  l.xs <- dt :: l.xs;
-  l.n <- l.n + 1
-
-let p99_ms l =
-  match l.xs with
-  | [] -> 0.0
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      a.(min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1))
-      *. 1000.0
 
 let must c line =
   match Client.request c line with
@@ -133,14 +96,14 @@ let with_pool ~replicas f =
           | Error e -> failwith e)
       | Error e -> failwith e);
       let pool =
-        Replication.Pool.create ~exe:(swsd_exe ()) ~dir ~replicas ()
+        Supervisor.create ~exe:(swsd_exe ()) ~dir (Supervisor.Replicated replicas)
       in
-      (match Replication.Pool.start pool with
+      (match Supervisor.start pool with
       | Ok () -> ()
       | Error m ->
-          Replication.Pool.stop pool;
+          Supervisor.stop pool;
           failwith m);
-      Fun.protect ~finally:(fun () -> Replication.Pool.stop pool) (fun () ->
+      Fun.protect ~finally:(fun () -> Supervisor.stop pool) (fun () ->
           f pool))
 
 (* One measured cell: a writer hammers the leader while [readers] read
@@ -151,7 +114,7 @@ let with_pool ~replicas f =
 let grow_schema pool =
   let c =
     match
-      Client.connect ~retry_for:10.0 (Replication.Pool.leader_socket pool)
+      Client.connect ~retry_for:10.0 (Supervisor.socket pool Supervisor.Leader)
     with
     | Ok c -> c
     | Error m -> failwith m
@@ -169,8 +132,8 @@ let measure ~replicas =
       grow_schema pool;
       let secs = cell_secs () in
       let read_socket k =
-        if replicas = 0 then Replication.Pool.leader_socket pool
-        else Replication.Pool.follower_socket pool (k mod replicas)
+        if replicas = 0 then Supervisor.socket pool Supervisor.Leader
+        else Supervisor.socket pool (Supervisor.Follower (k mod replicas))
       in
       let read_lats = Array.init readers (fun _ -> lats ()) in
       let writes = Atomic.make 0 in
@@ -184,7 +147,7 @@ let measure ~replicas =
             let c =
               match
                 Client.connect ~retry_for:10.0
-                  (Replication.Pool.leader_socket pool)
+                  (Supervisor.socket pool Supervisor.Leader)
               with
               | Ok c -> c
               | Error m -> failwith m
@@ -259,7 +222,7 @@ let measure_promotion () =
       (* some durable history so promotion has a journal to recover *)
       let c =
         match
-          Client.connect ~retry_for:10.0 (Replication.Pool.leader_socket pool)
+          Client.connect ~retry_for:10.0 (Supervisor.socket pool Supervisor.Leader)
         with
         | Ok c -> c
         | Error m -> failwith m
@@ -272,12 +235,12 @@ let measure_promotion () =
       done;
       Client.close c;
       let t0 = Unix.gettimeofday () in
-      (match Replication.Pool.kill_leader pool with
+      (match Supervisor.kill_leader pool with
       | Ok () -> ()
       | Error m -> failwith ("promotion: " ^ m));
       let c =
         match
-          Client.connect ~retry_for:30.0 (Replication.Pool.leader_socket pool)
+          Client.connect ~retry_for:30.0 (Supervisor.socket pool Supervisor.Leader)
         with
         | Ok c -> c
         | Error m -> failwith ("promoted leader unreachable: " ^ m)
@@ -289,7 +252,7 @@ let measure_promotion () =
       let dt = Unix.gettimeofday () -. t0 in
       Client.close c;
       (* the acked history must be on the new writer *)
-      let promoted_dir = Replication.Pool.leader_dir pool in
+      let promoted_dir = Supervisor.leader_dir pool in
       let log =
         In_channel.with_open_bin
           (Filename.concat promoted_dir "variants/v/log.ops")

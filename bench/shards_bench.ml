@@ -8,8 +8,8 @@
    commit pipelines: with variants spread over the shards, aggregate
    throughput scales with N.
 
-   Topology per cell: a real-filesystem repository, a {!Shard_pool} of N
-   [swsd serve] workers (N in [1; 2; 4]) with a 5 ms injected fsync
+   Topology per cell: a real-filesystem repository, a {!Supervisor} of N
+   [swsd serve] shard workers (N in [1; 2; 4]) with a 5 ms injected fsync
    (--fsync-delay-ms, the P13/P14 disk model), and an in-process
    {!Router} on a Unix socket.  8 client threads drive 8 distinct
    variants through the router in a 2:1 write:read mix (one connection,
@@ -35,8 +35,9 @@ module Io = Repository.Io
 module Repo = Repository.Repo
 module Protocol = Server.Protocol
 module Router = Server.Router
-module Shard_pool = Server.Shard_pool
+module Supervisor = Server.Supervisor
 module Client = Server.Client
+open Util
 
 let schema_text =
   "interface Person { attribute string name; attribute int age; };\n\
@@ -46,29 +47,8 @@ let levels = [ 1; 2; 4 ]
 let clients = 8
 let min_speedup = 2.5
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
-
 let cell_secs () = env_float "SWSD_SHARDS_SECS" 2.0
 let fsync_ms () = env_float "SWSD_SHARDS_FSYNC_MS" 5.0
-
-(* the daemon next to this benchmark in _build *)
-let swsd_exe () =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/swsd.exe"
-
-let tmp_dir () =
-  let f = Filename.temp_file "swsd_shards" "" in
-  Sys.remove f;
-  f
-
-let rec rm_rf p =
-  if (try Sys.is_directory p with Sys_error _ -> false) then begin
-    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-    Sys.rmdir p
-  end
-  else if Sys.file_exists p then Sys.remove p
 
 (* distinct names, client i's hashing to shard i mod N *)
 let pick_variants ~shards =
@@ -90,24 +70,6 @@ let write_line ~w k =
   if k land 1 = 0 then
     Printf.sprintf "apply add_attribute(Person, string, 8, w%d)" w
   else Printf.sprintf "apply delete_attribute(Person, w%d)" w
-
-type lats = { mutable xs : float list; mutable n : int }
-
-let lats () = { xs = []; n = 0 }
-
-let observe l dt =
-  l.xs <- dt :: l.xs;
-  l.n <- l.n + 1
-
-let p99_ms l =
-  match l.xs with
-  | [] -> 0.0
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      a.(min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1))
-      *. 1000.0
 
 type cell = {
   shards : int;
@@ -141,22 +103,22 @@ let measure ~shards =
             variants
       | Error e -> failwith e);
       let pool =
-        Shard_pool.create
+        Supervisor.create
           ~worker_args:
             [ "--fsync-delay-ms"; Printf.sprintf "%g" (fsync_ms ()) ]
-          ~exe:(swsd_exe ()) ~dir ~shards ()
+          ~exe:(swsd_exe ()) ~dir (Supervisor.Sharded shards)
       in
-      (match Shard_pool.start pool with
+      (match Supervisor.start pool with
       | Ok () -> ()
       | Error m ->
-          Shard_pool.stop pool;
+          Supervisor.stop pool;
           failwith m);
       let listen = Protocol.Unix_path (Filename.concat dir "front.sock") in
       let router =
         match Router.create ~obs:Obs.noop ~listen pool with
         | Ok r -> r
         | Error m ->
-            Shard_pool.stop pool;
+            Supervisor.stop pool;
             failwith m
       in
       let runner = Thread.create (fun () -> Router.run router) () in
@@ -164,7 +126,7 @@ let measure ~shards =
         ~finally:(fun () ->
           Router.stop router;
           Thread.join runner;
-          Shard_pool.stop pool)
+          Supervisor.stop pool)
         (fun () ->
           let secs = cell_secs () in
           let writes = Array.init clients (fun _ -> lats ())

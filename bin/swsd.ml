@@ -518,15 +518,16 @@ let cmd_fsck dir salvage =
    a Unix domain socket or TCP.  SIGTERM/SIGINT drain gracefully:
    in-flight requests finish, dirty sessions are snapshotted, locks
    released.  With --shards N (N >= 2) this process becomes a
-   variant-hashing router over a supervised pool of worker processes
-   (each a plain single-process `swsd serve` on its own Unix socket).
+   variant-hashing router over supervised worker processes (each a plain
+   single-process `swsd serve` on its own Unix socket).
 
    Replication (DESIGN.md §14): --replicate accepts follower streams;
    --follow ADDR serves this directory as a read-only replica of the
    leader at ADDR; --replicas N supervises a leader plus N followers and
    promotes a follower if the leader dies; --promote-from DIR recovers a
    dead leader's directory into this one and fences the old era before
-   serving (what the supervisor passes to the follower it promotes). *)
+   serving (what the supervisor passes to the follower it promotes).
+   The decisions live in [Server.Serve]; this is flags and banners. *)
 let cmd_serve dir socket listen shards shard_id shard_total no_obs
     flush_linger_ms flush_max_batch fsync_delay_ms replicate repl_ring follow
     replicas promote_from era =
@@ -540,21 +541,63 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
              | Some p -> p
              | None -> Filename.concat dir "swsd.sock"))
   in
-  match listen_spec with
+  let module Sup = Server.Supervisor in
+  match
+    Result.bind listen_spec (fun listen ->
+        Result.map
+          (fun topology -> (listen, topology))
+          (Server.Serve.topology ~shards ~replicas ~replicate ~follow
+             ~promote_from))
+  with
   | Error m ->
       prerr_endline m;
       1
-  | Ok listen when
-      shards >= 2
-      && (replicate || follow <> None || replicas > 0 || promote_from <> None)
-    ->
-      ignore listen;
-      prerr_endline
-        "serve: --shards cannot be combined with \
-         --replicate/--follow/--replicas/--promote-from (shard stores are \
-         replicated individually)";
-      1
-  | Ok listen -> (
+  | Ok (listen, Some topology) -> (
+      let workers =
+        Sup.create ~exe:Sys.executable_name ~dir topology
+          ~worker_args:
+            (Server.Serve.worker_flags ~no_obs ~flush_linger_ms
+               ~flush_max_batch ~repl_ring ~fsync_delay_ms)
+      in
+      let fail m =
+        Sup.stop workers;
+        prerr_endline m;
+        1
+      in
+      match (Sup.start workers, topology) with
+      | Error m, _ -> fail m
+      | Ok (), Sup.Sharded n -> (
+          let obs = if no_obs then Obs.noop else Obs.create () in
+          match Server.Router.create ~obs ~listen workers with
+          | Error m -> fail m
+          | Ok router ->
+              Server.Transport.on_stop_signals (fun () ->
+                  Server.Router.stop router);
+              Printf.printf "serving %s on %s (%d shards)\n%!" dir
+                (Server.Protocol.address_to_string
+                   (Server.Router.listen_address router))
+                n;
+              Server.Router.run router;
+              Sup.stop workers;
+              print_endline "server stopped";
+              0)
+      | Ok (), Sup.Replicated k ->
+          let stopping = Atomic.make false in
+          Server.Transport.on_stop_signals (fun () -> Atomic.set stopping true);
+          Printf.printf "serving %s on %s (leader, %d replicas)\n" dir
+            (Sup.socket workers Sup.Leader)
+            k;
+          for j = 0 to k - 1 do
+            Printf.printf "replica %d (readonly) on %s\n%!" j
+              (Sup.socket workers (Sup.Follower j))
+          done;
+          while not (Atomic.get stopping) do
+            Thread.delay 0.2
+          done;
+          Sup.stop workers;
+          print_endline "pool stopped";
+          0)
+  | Ok (listen, None) -> (
       let obs = if no_obs then Obs.noop else Obs.create () in
       let fsync_delay = Float.max 0.0 fsync_delay_ms /. 1000.0 in
       (* benchmarks model a slower disk by stretching fsync; everything
@@ -572,230 +615,110 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
                   Thread.delay fsync_delay);
             }
       in
-      let serve_flags =
-        (if no_obs then [ "--no-obs" ] else [])
-        @ [
-            "--flush-linger-ms";
-            string_of_float flush_linger_ms;
-            "--flush-max-batch";
-            string_of_int flush_max_batch;
-          ]
-        @ (if repl_ring <> 1024 then
-             [ "--repl-ring"; string_of_int repl_ring ]
-           else [])
-        @
-        if fsync_delay_ms > 0.0 then
-          [ "--fsync-delay-ms"; string_of_float fsync_delay_ms ]
-        else []
+      let instance_notes =
+        (match shard_id with
+        | Some k -> [ ("instance.shard", string_of_int k) ]
+        | None -> [])
+        @ [ ("instance.listen", Server.Protocol.address_to_string listen) ]
       in
-      if shards >= 2 then begin
-        (* router mode: fork+exec one worker per shard, then route.  Each
-           worker learns the pool size so [@query all] fan-out partitions:
-           a worker answers only for the variants the router's hash sends
-           its way. *)
-        let pool =
-          Server.Shard_pool.create ~worker_args:serve_flags
-            ~exe:Sys.executable_name ~dir ~shards ()
-        in
-        match Server.Shard_pool.start pool with
-        | Error m ->
-            Server.Shard_pool.stop pool;
+      let shard_span =
+        match (shard_id, shard_total) with
+        | Some k, Some n when n >= 2 -> Some (k, n)
+        | _ -> None
+      in
+      let base_config extra_notes =
+        {
+          Server.Service.default_config with
+          flush_linger = Float.max 0.0 flush_linger_ms /. 1000.0;
+          flush_max_batch = max 1 flush_max_batch;
+          instance_notes = extra_notes @ instance_notes;
+          shard_span;
+        }
+      in
+      let serve_one ~banner make_server cleanup =
+        match make_server () with
+        | Result.Error m ->
             prerr_endline m;
             1
-        | Ok () -> (
-            match Server.Router.create ~obs ~listen pool with
-            | Error m ->
-                Server.Shard_pool.stop pool;
-                prerr_endline m;
-                1
-            | Ok router ->
-                Server.Router.install_signal_handlers router;
-                Printf.printf "serving %s on %s (%d shards)\n%!" dir
-                  (Server.Protocol.address_to_string
-                     (Server.Router.listen_address router))
-                  shards;
-                Server.Router.run router;
-                Server.Shard_pool.stop pool;
-                print_endline "server stopped";
-                0)
-      end
-      else if replicas > 0 then begin
-        (* replication pool: one leader plus N follower processes under a
-           supervisor that respawns dead followers and promotes a follower
-           over the leader's socket when the leader dies *)
-        let pool =
-          Server.Replication.Pool.create ~worker_args:serve_flags
-            ~exe:Sys.executable_name ~dir ~replicas ()
-        in
-        match Server.Replication.Pool.start pool with
-        | Error m ->
-            Server.Replication.Pool.stop pool;
-            prerr_endline m;
-            1
-        | Ok () ->
-            let stopping = Atomic.make false in
-            let handle _ = Atomic.set stopping true in
-            (try Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-             with Invalid_argument _ | Sys_error _ -> ());
-            (try Sys.set_signal Sys.sigint (Sys.Signal_handle handle)
-             with Invalid_argument _ | Sys_error _ -> ());
-            Printf.printf "serving %s on %s (leader, %d replicas)\n" dir
-              (Server.Replication.Pool.leader_socket pool)
-              replicas;
-            for k = 0 to replicas - 1 do
-              Printf.printf "replica %d (readonly) on %s\n%!" k
-                (Server.Replication.Pool.follower_socket pool k)
-            done;
-            while not (Atomic.get stopping) do
-              Thread.delay 0.2
-            done;
-            Server.Replication.Pool.stop pool;
-            print_endline "pool stopped";
+        | Result.Ok server ->
+            Server.Transport.on_stop_signals (fun () -> Server.stop server);
+            Printf.printf "%s on %s\n%!" banner
+              (Server.Protocol.address_to_string
+                 (Server.listen_address server));
+            let failures = Server.run server in
+            cleanup ();
+            List.iter
+              (fun (variant, reason) ->
+                Printf.eprintf
+                  "warning: %s: snapshot failed (%s); journal remains \
+                   authoritative\n"
+                  variant reason)
+              failures;
+            print_endline "server stopped";
             0
-      end
-      else begin
-        let instance_notes =
-          (match shard_id with
-          | Some k -> [ ("instance.shard", string_of_int k) ]
-          | None -> [])
-          @ [ ("instance.listen", Server.Protocol.address_to_string listen) ]
-        in
-        let shard_span =
-          match (shard_id, shard_total) with
-          | Some k, Some n when n >= 2 -> Some (k, n)
-          | _ -> None
-        in
-        let base_config extra_notes =
-          {
-            Server.Service.default_config with
-            flush_linger = Float.max 0.0 flush_linger_ms /. 1000.0;
-            flush_max_batch = max 1 flush_max_batch;
-            instance_notes = extra_notes @ instance_notes;
-            shard_span;
-          }
-        in
-        let serve_one ~banner make_server cleanup =
-          match make_server () with
-          | Result.Error m ->
+      in
+      match follow with
+      | Some leader_spec -> (
+          (* follower: replicate the leader's repository into [dir] and
+             serve it read-only; reconnects and re-bootstraps on its own *)
+          match Server.Protocol.parse_address leader_spec with
+          | Error m ->
               prerr_endline m;
               1
-          | Result.Ok server ->
-              Server.install_signal_handlers server;
-              Printf.printf "%s on %s\n%!" banner
-                (Server.Protocol.address_to_string
-                   (Server.listen_address server));
-              let failures = Server.run server in
-              cleanup ();
-              List.iter
-                (fun (variant, reason) ->
-                  Printf.eprintf
-                    "warning: %s: snapshot failed (%s); journal remains \
-                     authoritative\n"
-                    variant reason)
-                failures;
-              print_endline "server stopped";
-              0
-        in
-        match follow with
-        | Some leader_spec -> (
-            (* follower: replicate the leader's repository into [dir] and
-               serve it read-only; reconnects and re-bootstraps on its own *)
-            match Server.Protocol.parse_address leader_spec with
-            | Error m ->
-                prerr_endline m;
-                1
-            | Ok leader -> (
-                let config =
-                  base_config [ ("instance.role", "follower") ]
-                in
-                match
-                  Server.Replication.Follower.create ~config ?io ~obs ~leader
-                    dir
-                with
-                | Error m ->
-                    prerr_endline m;
-                    1
-                | Ok follower ->
-                    serve_one
-                      ~banner:
-                        (Printf.sprintf "following %s into %s" leader_spec dir)
-                      (fun () ->
-                        Server.of_service ~listen
-                          (Server.Replication.Follower.service follower))
-                      (fun () -> Server.Replication.Follower.stop follower)))
-        | None -> (
-            (* leader (or plain single server).  --promote-from recovers a
-               dead leader's directory into this one first and fences the
-               old era; the era the store carries afterwards is what this
-               writer must present at session load. *)
-            let promoted =
-              match promote_from with
-              | None -> Result.Ok 0
-              | Some src -> (
-                  match Server.Replication.promote ~src ~dst:dir () with
-                  | Error m -> Result.Error m
-                  | Ok (new_era, outcomes) ->
-                      List.iter
-                        (fun (v, r) ->
-                          match r with
-                          | Ok () ->
-                              Printf.printf "promoted variant %s from %s\n" v
-                                src
-                          | Error m ->
-                              Printf.eprintf
-                                "warning: variant %s not recovered during \
-                                 promotion: %s\n"
-                                v m)
-                        outcomes;
-                      Printf.printf "promotion complete: era %d\n%!" new_era;
-                      Result.Ok new_era)
-            in
-            match promoted with
-            | Error m ->
-                prerr_endline ("promotion failed: " ^ m);
-                1
-            | Ok promoted_era ->
-                (* A fresh writer adopts the era its store already carries:
-                   fencing exists to refuse a *still-running* stale writer
-                   (whose config keeps the era it started with), not the
-                   next clean restart of this directory — without adoption
-                   a once-promoted repository would refuse `swsd serve`
-                   until the operator guessed --era by hand. *)
-                let stored_era =
-                  match Repository.Repo.open_dir ?io dir with
-                  | Error _ | (exception _) -> 0
-                  | Ok repo ->
-                      List.fold_left
-                        (fun acc v ->
-                          match
-                            Repository.Store.stored_era
-                              (Repository.Repo.variant_store repo v)
-                          with
-                          | e -> max acc e
-                          | exception _ -> acc)
-                        0
-                        (Repository.Repo.variant_names repo)
-                in
-                if stored_era > max era promoted_era then
-                  Printf.printf "adopting write era %d from the store\n%!"
-                    stored_era;
-                let era = max (max era promoted_era) stored_era in
-                let replicate = replicate || promote_from <> None in
-                let config =
-                  base_config
-                    ((if replicate then [ ("instance.role", "leader") ]
-                      else [])
-                    @ if era > 0 then [ ("instance.era", string_of_int era) ]
-                      else [])
-                in
-                let config = { config with era } in
-                serve_one
-                  ~banner:(Printf.sprintf "serving %s" dir)
-                  (fun () ->
-                    Server.create ~config ~obs ?io ~replicate
-                      ~repl_ring ~listen dir)
-                  (fun () -> ()))
-      end)
+          | Ok leader -> (
+              let config = base_config [ ("instance.role", "follower") ] in
+              match
+                Server.Replication.Follower.create ~config ?io ~obs ~leader dir
+              with
+              | Error m ->
+                  prerr_endline m;
+                  1
+              | Ok follower ->
+                  serve_one
+                    ~banner:
+                      (Printf.sprintf "following %s into %s" leader_spec dir)
+                    (fun () ->
+                      Server.of_service ~listen
+                        (Server.Replication.Follower.service follower))
+                    (fun () -> Server.Replication.Follower.stop follower)))
+      | None -> (
+          (* leader (or plain single server) *)
+          match Server.Serve.writer ?io ?promote_from ~replicate ~era dir with
+          | Error m ->
+              prerr_endline ("promotion failed: " ^ m);
+              1
+          | Ok w ->
+              (match (w.promoted, promote_from) with
+              | Some (new_era, outcomes), Some src ->
+                  List.iter
+                    (function
+                      | v, Ok () ->
+                          Printf.printf "promoted variant %s from %s\n" v src
+                      | v, Error m ->
+                          Printf.eprintf
+                            "warning: variant %s not recovered during \
+                             promotion: %s\n"
+                            v m)
+                    outcomes;
+                  Printf.printf "promotion complete: era %d\n%!" new_era
+              | _ -> ());
+              Option.iter
+                (Printf.printf "adopting write era %d from the store\n%!")
+                w.adopted;
+              let config =
+                base_config
+                  ((if w.replicate then [ ("instance.role", "leader") ]
+                    else [])
+                  @
+                  if w.era > 0 then [ ("instance.era", string_of_int w.era) ]
+                  else [])
+              in
+              serve_one
+                ~banner:(Printf.sprintf "serving %s" dir)
+                (fun () ->
+                  Server.create ~config:{ config with era = w.era } ~obs ?io
+                    ~replicate:w.replicate ~repl_ring ~listen dir)
+                (fun () -> ())))
 
 (* Send request lines to a running server in one session and print the
    last reply's body: stdout and exit 0 on [!ok]; otherwise the error (a

@@ -75,6 +75,17 @@ let variant_names t =
 
 let mem_variant t name = List.mem name (variant_names t)
 
+(** The highest write era any variant's store carries (0 for none).  Only
+    existing variants are probed, so no variant directory is created, and
+    an unreadable store counts as 0. *)
+let max_era t =
+  List.fold_left
+    (fun acc v ->
+      match Store.stored_era (variant_store t v) with
+      | e -> max acc e
+      | exception _ -> acc)
+    0 (variant_names t)
+
 type open_error =
   | No_variant of string
   | Load of Store.load_error

@@ -24,6 +24,11 @@ val variant_names : t -> string list
 val mem_variant : t -> string -> bool
 val variant_store : t -> string -> Store.t
 
+val max_era : t -> int
+(** The highest write era ({!Store.stored_era}) over the existing
+    variants; 0 when there are none.  Never creates a variant directory;
+    an unreadable store counts as 0. *)
+
 val variants_dir : t -> string
 val variant_dir : t -> string -> string
 (** Paths under the repository; the service keeps its advisory lock file

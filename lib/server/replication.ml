@@ -616,20 +616,7 @@ let promote ?(src_io = Io.unix) ?(dst_io = Io.unix) ~src ~dst () =
       | Error m -> Error ("cannot open the replica repository: " ^ m)
       | Ok dst_repo ->
           let variants = Repo.variant_names src_repo in
-          (* membership-checked so probing one side's era never creates
-             an empty variant directory on the other *)
-          let era_of repo v =
-            if Repo.mem_variant repo v then
-              Store.stored_era (Repo.variant_store repo v)
-            else 0
-          in
-          let high_water =
-            List.fold_left
-              (fun acc v -> max acc (max (era_of src_repo v) (era_of dst_repo v)))
-              0
-              (variants @ Repo.variant_names dst_repo)
-          in
-          let era = high_water + 1 in
+          let era = 1 + max (Repo.max_era src_repo) (Repo.max_era dst_repo) in
           let results =
             List.map
               (fun v ->
@@ -663,257 +650,3 @@ let promote ?(src_io = Io.unix) ?(dst_io = Io.unix) ~src ~dst () =
                 Store.fence (Repo.variant_store dst_repo v) ~era)
             (Repo.variant_names dst_repo);
           Ok (era, results))
-
-(* --- the pool: leader + replicas under one supervisor ---------------------- *)
-
-(** A supervised leader + N follower processes sharing one socket
-    namespace.  The leader serves (and replicates) the repository at
-    [dir] on [leader_socket]; follower [k] bootstraps its own repository
-    at [dir/replica-k] and serves read-only on [replica-k.sock].
-
-    Failure policy, each supervisor tick:
-    - a dead {e follower} is respawned in place (it re-bootstraps from
-      the leader — the stream is self-seeding);
-    - a dead {e leader} triggers promotion: the first live follower is
-      stopped, restarted with [--promote-from <old leader dir>] {e on
-      the leader's socket} (the stale-socket probe in {!Transport.bind}
-      reclaims it), and becomes the new leader; the remaining followers
-      simply reconnect to the same address and re-bootstrap from it.
-      With no live follower the leader is respawned in place (plain
-      restart, no era bump needed — nobody else ever wrote). *)
-module Pool = struct
-  type t = {
-    exe : string;
-    replicas : int;
-    worker_args : string list;
-    leader_socket : string;
-    follower_sockets : string array;
-    replica_dirs : string array;
-    mutable leader_dir : string;
-    mutable leader_pid : int;  (** guarded by [mu] *)
-    follower_pids : int array;  (** guarded by [mu]; -1 gone, -2 promoted *)
-    mu : Mutex.t;
-    promotions : int Atomic.t;
-    restarts : int Atomic.t;
-    mutable supervising : bool;
-    mutable supervisor : Thread.t option;
-  }
-
-  let create ?(worker_args = []) ?sockets_dir ~exe ~dir ~replicas () =
-    let sdir = match sockets_dir with Some d -> d | None -> dir in
-    {
-      exe;
-      replicas;
-      worker_args;
-      leader_socket = Filename.concat sdir "leader.sock";
-      follower_sockets =
-        Array.init replicas (fun k ->
-            Filename.concat sdir (Printf.sprintf "replica-%d.sock" k));
-      replica_dirs =
-        Array.init replicas (fun k ->
-            Filename.concat dir (Printf.sprintf "replica-%d" k));
-      leader_dir = dir;
-      leader_pid = -1;
-      follower_pids = Array.make replicas (-1);
-      mu = Mutex.create ();
-      promotions = Atomic.make 0;
-      restarts = Atomic.make 0;
-      supervising = false;
-      supervisor = None;
-    }
-
-  let leader_socket t = t.leader_socket
-  let follower_socket t k = t.follower_sockets.(k)
-  let leader_dir t = t.leader_dir
-  let promotions t = Atomic.get t.promotions
-
-  let leader_pid t =
-    Mutex.lock t.mu;
-    let p = t.leader_pid in
-    Mutex.unlock t.mu;
-    p
-
-  let spawn t args =
-    let argv = Array.of_list ((t.exe :: args) @ t.worker_args) in
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        try Unix.close devnull with Unix.Unix_error _ -> ())
-      (fun () -> Unix.create_process t.exe argv devnull devnull Unix.stderr)
-
-  let spawn_leader ?promote_from t =
-    spawn t
-      ([ "serve"; t.leader_dir; "--socket"; t.leader_socket; "--replicate" ]
-      @
-      match promote_from with
-      | Some d -> [ "--promote-from"; d ]
-      | None -> [])
-
-  let spawn_follower t k =
-    spawn t
-      [
-        "serve";
-        t.replica_dirs.(k);
-        "--follow";
-        t.leader_socket;
-        "--socket";
-        t.follower_sockets.(k);
-      ]
-
-  let probe_pid pid =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ -> `Alive
-    | _, _ -> `Dead
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Alive
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> `Dead
-
-  let signal_pid signum p =
-    if p >= 0 then try Unix.kill p signum with Unix.Unix_error _ -> ()
-
-  let reap ?(grace = 10.) p =
-    if p >= 0 then begin
-      let deadline = Unix.gettimeofday () +. grace in
-      let rec go () =
-        match probe_pid p with
-        | `Dead -> ()
-        | `Alive ->
-            if Unix.gettimeofday () > deadline then begin
-              signal_pid Sys.sigkill p;
-              try ignore (Unix.waitpid [] p) with Unix.Unix_error _ -> ()
-            end
-            else begin
-              Thread.delay 0.02;
-              go ()
-            end
-      in
-      go ()
-    end
-
-  let leader_alive t =
-    let p = leader_pid t in
-    p >= 0 && probe_pid p = `Alive
-
-  (* One supervision pass; holds [mu] across the whole decision so stop
-     and the tick never race a half-updated pid table. *)
-  let supervise_tick t =
-    Mutex.lock t.mu;
-    if t.supervising then begin
-      if t.leader_pid >= 0 && probe_pid t.leader_pid = `Dead then begin
-        (* promote the first live follower; fall back to a plain restart *)
-        let candidate = ref (-1) in
-        Array.iteri
-          (fun k p ->
-            if !candidate < 0 && p >= 0 && probe_pid p = `Alive then
-              candidate := k)
-          t.follower_pids;
-        if !candidate >= 0 then begin
-          let k = !candidate in
-          let fp = t.follower_pids.(k) in
-          signal_pid Sys.sigterm fp;
-          reap ~grace:5. fp;
-          t.follower_pids.(k) <- -2;
-          let old_dir = t.leader_dir in
-          t.leader_dir <- t.replica_dirs.(k);
-          t.leader_pid <- spawn_leader ~promote_from:old_dir t;
-          Atomic.incr t.promotions
-        end
-        else begin
-          (* no live follower: restart in place, self-promoting so the
-             journal is fsck-recovered and — if this leader was once
-             fenced out by a promotion — the era moves past the fence *)
-          t.leader_pid <- spawn_leader ~promote_from:t.leader_dir t;
-          Atomic.incr t.restarts
-        end
-      end;
-      Array.iteri
-        (fun k p ->
-          if p >= 0 && probe_pid p = `Dead then begin
-            t.follower_pids.(k) <- spawn_follower t k;
-            Atomic.incr t.restarts
-          end)
-        t.follower_pids
-    end;
-    Mutex.unlock t.mu
-
-  let wait_ready socket ~deadline =
-    let rec go () =
-      match
-        Transport.Client.connect_to ~retry_for:0.3 (Protocol.Unix_path socket)
-      with
-      | Ok c ->
-          ignore (Transport.Client.read_response c);
-          Transport.Client.close c;
-          Ok ()
-      | Error m ->
-          if Unix.gettimeofday () > deadline then
-            Error (socket ^ " not ready: " ^ m)
-          else go ()
-    in
-    go ()
-
-  (** Spawn the leader, wait for it to serve, then the followers; start
-      the supervisor once everything accepts connections. *)
-  let start ?(wait_for = 20.) t =
-    let deadline = Unix.gettimeofday () +. wait_for in
-    Mutex.lock t.mu;
-    if t.leader_pid < 0 then t.leader_pid <- spawn_leader t;
-    Mutex.unlock t.mu;
-    match wait_ready t.leader_socket ~deadline with
-    | Error _ as e -> e
-    | Ok () -> (
-        Mutex.lock t.mu;
-        Array.iteri
-          (fun k p -> if p = -1 then t.follower_pids.(k) <- spawn_follower t k)
-          t.follower_pids;
-        Mutex.unlock t.mu;
-        let rec followers k =
-          if k >= t.replicas then Ok ()
-          else
-            match wait_ready t.follower_sockets.(k) ~deadline with
-            | Ok () -> followers (k + 1)
-            | Error _ as e -> e
-        in
-        match followers 0 with
-        | Error _ as e -> e
-        | Ok () ->
-            t.supervising <- true;
-            t.supervisor <-
-              Some
-                (Thread.create
-                   (fun () ->
-                     while t.supervising do
-                       supervise_tick t;
-                       Thread.delay 0.05
-                     done)
-                   ());
-            Ok ())
-
-  (** Kill the leader the hard way (the chaos/bench scenario) and wait
-      until the supervisor has promoted a follower in its place. *)
-  let kill_leader ?(wait_for = 20.) t =
-    let before = promotions t in
-    signal_pid Sys.sigkill (leader_pid t);
-    let deadline = Unix.gettimeofday () +. wait_for in
-    let rec go () =
-      if promotions t > before && leader_alive t then Ok ()
-      else if Unix.gettimeofday () > deadline then
-        Error "no promotion within the wait budget"
-      else begin
-        Thread.delay 0.02;
-        go ()
-      end
-    in
-    go ()
-
-  let stop ?(grace = 10.) t =
-    t.supervising <- false;
-    (match t.supervisor with Some th -> Thread.join th | None -> ());
-    t.supervisor <- None;
-    Mutex.lock t.mu;
-    let pids = t.leader_pid :: Array.to_list t.follower_pids in
-    t.leader_pid <- -1;
-    Array.fill t.follower_pids 0 t.replicas (-1);
-    Mutex.unlock t.mu;
-    List.iter (signal_pid Sys.sigterm) pids;
-    List.iter (reap ~grace) pids
-end

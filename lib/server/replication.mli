@@ -137,38 +137,3 @@ val promote :
     [src = dst] (self-recovery after a crash with no replica).  Returns
     the new era and per-variant outcomes; a variant whose base schema is
     unrecoverable is reported, not silently dropped. *)
-
-(** {1 The supervised pool (leader + replicas)} *)
-
-(** A leader plus N follower processes under one supervisor: dead
-    followers respawn in place (the stream is self-seeding); a dead
-    leader triggers promotion of the first live follower onto the
-    leader's socket ([--promote-from], stale-socket reclaim), and the
-    remaining followers reconnect and re-bootstrap from it. *)
-module Pool : sig
-  type t
-
-  val create :
-    ?worker_args:string list ->
-    ?sockets_dir:string ->
-    exe:string ->
-    dir:string ->
-    replicas:int ->
-    unit ->
-    t
-
-  val start : ?wait_for:float -> t -> (unit, string) result
-  val stop : ?grace:float -> t -> unit
-
-  val leader_socket : t -> string
-  val follower_socket : t -> int -> string
-  val leader_dir : t -> string
-  (** The current leader's repository directory (moves on promotion). *)
-
-  val leader_pid : t -> int
-  val promotions : t -> int
-
-  val kill_leader : ?wait_for:float -> t -> (unit, string) result
-  (** SIGKILL the leader and wait until the supervisor has promoted a
-      follower in its place (the chaos/bench scenario). *)
-end

@@ -1,5 +1,5 @@
 (** The sharding front end: accept client connections, consistent-hash
-    variant names onto a {!Shard_pool} of worker processes, and forward
+    variant names onto the shard workers of a {!Supervisor}, and forward
     the line protocol verbatim.
 
     {b Hashing.} {!shard_of} is rendezvous (highest-random-weight) hashing
@@ -86,7 +86,8 @@ let make_instruments obs shards =
   }
 
 type t = {
-  pool : Shard_pool.t;
+  workers : Supervisor.t;
+  shards : int;
   listen : Protocol.address;
   listen_fd : Unix.file_descr;
   connect_retry : float;
@@ -107,13 +108,14 @@ type conn_state = {
 }
 
 let create ?(backlog = 64) ?(obs = Obs.noop) ?(connect_retry = 5.0)
-    ?(retry_after_ms = 200) ~listen pool =
+    ?(retry_after_ms = 200) ~listen workers =
   match Transport.bind ~backlog listen with
   | Error m -> Error m
   | Ok fd ->
       Ok
         {
-          pool;
+          workers;
+          shards = Supervisor.shards workers;
           listen = Transport.bound_address fd listen;
           listen_fd = fd;
           connect_retry;
@@ -122,11 +124,10 @@ let create ?(backlog = 64) ?(obs = Obs.noop) ?(connect_retry = 5.0)
           mu = Mutex.create ();
           clients = Hashtbl.create 16;
           next_id = Atomic.make 0;
-          i = make_instruments obs (Shard_pool.shards pool);
+          i = make_instruments obs (Supervisor.shards workers);
         }
 
 let listen_address t = t.listen
-let pool t = t.pool
 
 (* --- backend management ---------------------------------------------------- *)
 
@@ -163,7 +164,7 @@ let backend t (st : conn_state) shard =
   | None -> (
       match
         Transport.Client.connect_to ~retry_for:t.connect_retry
-          (Protocol.Unix_path (Shard_pool.socket t.pool shard))
+          (Protocol.Unix_path (Supervisor.socket t.workers (Supervisor.Shard shard)))
       with
       | Result.Error m -> Result.Error (`Conn m)
       | Result.Ok c -> (
@@ -175,7 +176,7 @@ let backend t (st : conn_state) shard =
               let replay =
                 match st.attached with
                 | Some (v, ro)
-                  when shard_of ~shards:(Shard_pool.shards t.pool) v = shard
+                  when shard_of ~shards:(t.shards) v = shard
                   -> (
                     Obs.Metrics.incr t.i.c_replays;
                     match send_on c (open_line v ro) with
@@ -267,7 +268,7 @@ let strip_body lines =
 (* [@list]: the pool shares one repository directory, so any healthy
    shard serves the complete list; walk the shards until one answers. *)
 let do_list t st line =
-  let shards = Shard_pool.shards t.pool in
+  let shards = t.shards in
   let rec go k last_err =
     if k >= shards then unavailable t (max 0 (shards - 1)) last_err
     else
@@ -296,8 +297,8 @@ let router_snapshot t =
   Obs.snapshot
     ~notes:
       [
-        ("router.shards", string_of_int (Shard_pool.shards t.pool));
-        ("router.restarts", string_of_int (Shard_pool.restarts t.pool));
+        ("router.shards", string_of_int (t.shards));
+        ("router.restarts", string_of_int (Supervisor.restarts t.workers));
         ("router.listen", Protocol.address_to_string t.listen);
       ]
     t.i.obs
@@ -309,7 +310,7 @@ let do_stats t st fmt line =
     Protocol.to_lines
       (Protocol.err "observability is disabled (server started with --no-obs)")
   else begin
-    let shards = Shard_pool.shards t.pool in
+    let shards = t.shards in
     let rec collect k acc =
       if k >= shards then Result.Ok (List.rev acc)
       else
@@ -356,7 +357,7 @@ let do_stats t st fmt line =
    single-process answer already emits blocks in sorted-variant order, so
    the merged bytes are identical to what one unsharded server says. *)
 let do_query_all t st line =
-  let shards = Shard_pool.shards t.pool in
+  let shards = t.shards in
   let rec collect k acc =
     if k >= shards then Result.Ok (List.rev acc)
     else
@@ -400,7 +401,7 @@ let do_query_all t st line =
 
 let handle_request t st line =
   Obs.Metrics.incr t.i.c_requests;
-  let shards = Shard_pool.shards t.pool in
+  let shards = t.shards in
   match Protocol.parse_request line with
   | Result.Error m -> Protocol.to_lines (Protocol.err m)
   | Result.Ok Protocol.Ping -> Protocol.to_lines (Protocol.ok [ "pong" ])
@@ -522,17 +523,9 @@ let stop t =
     List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
   end
 
-let install_signal_handlers t =
-  let handle _ = stop t in
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-   with Invalid_argument _ | Sys_error _ -> ());
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle handle)
-   with Invalid_argument _ | Sys_error _ -> ());
-  Transport.ignore_sigpipe ()
-
 (** Accept and route until {!stop}.  Blocks the calling thread; spawns
-    one thread per client connection.  Does not manage the pool: callers
-    start/stop the {!Shard_pool} around this. *)
+    one thread per client connection.  Does not manage the workers:
+    callers start/stop the {!Supervisor} around this. *)
 let run t =
   Transport.ignore_sigpipe ();
   (try Unix.set_nonblock t.listen_fd with Unix.Unix_error _ -> ());

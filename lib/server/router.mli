@@ -1,6 +1,6 @@
 (** The sharding front end: accepts client connections (Unix socket or
-    TCP), consistent-hashes variant names onto a {!Shard_pool} of worker
-    processes, forwards the line protocol verbatim, and merges [@stats]
+    TCP), consistent-hashes variant names onto the shard workers of a
+    {!Supervisor}, forwards the line protocol verbatim, and merges [@stats]
     across shards.  Mutating designer commands are never silently resent
     after a backend failure — a lost ack must not become a double apply. *)
 
@@ -18,7 +18,7 @@ val create :
   ?connect_retry:float ->
   ?retry_after_ms:int ->
   listen:Protocol.address ->
-  Shard_pool.t ->
+  Supervisor.t ->
   (t, string) result
 (** Bind the front-end listener.  [connect_retry] (default 5 s) bounds
     how long a request waits for a backend worker to accept — long
@@ -28,14 +28,10 @@ val create :
 val listen_address : t -> Protocol.address
 (** Effective listen address (TCP port 0 resolved to the bound port). *)
 
-val pool : t -> Shard_pool.t
-
 val run : t -> unit
 (** Accept and route until {!stop}; blocks.  The caller starts/stops the
-    {!Shard_pool} around this. *)
+    {!Supervisor} around this. *)
 
 val stop : t -> unit
 (** Safe from a signal handler; also closes live client connections. *)
 
-val install_signal_handlers : t -> unit
-(** SIGTERM/SIGINT → {!stop}; SIGPIPE ignored. *)

@@ -19,7 +19,8 @@ module Publish = Publish
 module Service = Service
 module Transport = Transport
 module Router = Router
-module Shard_pool = Shard_pool
+module Supervisor = Supervisor
+module Serve = Serve
 module Replication = Replication
 module Io = Repository.Io
 
@@ -75,15 +76,6 @@ let stop t =
   if not (Atomic.exchange t.stop_requested true) then
     try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
 
-let install_signal_handlers t =
-  let handle _ = stop t in
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-   with Invalid_argument _ | Sys_error _ -> ());
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle handle)
-   with Invalid_argument _ | Sys_error _ -> ());
-  (* a client vanishing mid-write must be an EPIPE error, not death *)
-  Transport.ignore_sigpipe ()
-
 (* --- per-connection worker ------------------------------------------------ *)
 
 let handle_client t fd =
@@ -128,12 +120,12 @@ let handle_client t fd =
 (* --- main loop ------------------------------------------------------------ *)
 
 (** Accept connections until {!stop} (or SIGTERM via
-    {!install_signal_handlers}), then drain and snapshot through
+    {!Transport.on_stop_signals}), then drain and snapshot through
     {!Service.shutdown}.  Blocks the calling thread; spawns one thread per
     connection plus the idle reaper. *)
 let run ?(reap_every = 1.0) t =
-  (* embedded servers (tests, benches) never call
-     [install_signal_handlers]; they still must survive client hangups *)
+  (* embedded servers (tests, benches) never install stop signals; they
+     still must survive client hangups *)
   Transport.ignore_sigpipe ();
   let reaper =
     Thread.create

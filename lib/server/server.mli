@@ -1,9 +1,10 @@
 (** Socket front end for {!Service} — Unix-domain or TCP
     ({!Protocol.address}): one thread per connection, a periodic
     idle-session reaper, and graceful drain on SIGTERM/SIGINT.  The
-    sharding pieces live alongside: {!Transport} (bind/connect/IO),
-    {!Shard_pool} (supervised worker processes), {!Router} (the
-    variant-hashing front end). *)
+    multi-process pieces live alongside: {!Transport} (bind/connect/IO),
+    {!Supervisor} (the shard and replica worker processes), {!Router}
+    (the variant-hashing front end), {!Replication} (journal shipping,
+    promotion) and {!Serve} (the [swsd serve] topology and era policy). *)
 
 module Retry = Retry
 module Breaker = Breaker
@@ -14,7 +15,8 @@ module Publish = Publish
 module Service = Service
 module Transport = Transport
 module Router = Router
-module Shard_pool = Shard_pool
+module Supervisor = Supervisor
+module Serve = Serve
 module Replication = Replication
 
 type t
@@ -63,9 +65,6 @@ val run : ?reap_every:float -> t -> (string * string) list
 
 val stop : t -> unit
 (** Request shutdown; safe from a signal handler or another thread. *)
-
-val install_signal_handlers : t -> unit
-(** SIGTERM/SIGINT → {!stop} (graceful drain); SIGPIPE ignored. *)
 
 (** Blocking line-protocol client used by the CLI, tests, and bench; see
     {!Transport.Client}.  [connect ?retry_for path] accepts a socket path

@@ -3,7 +3,7 @@
     loops, a buffered line reader, and the blocking protocol client.
 
     This lives below [server.ml] (the library interface module) so that
-    {!Router} and {!Shard_pool} can use the same plumbing without a
+    {!Router} and {!Supervisor} can use the same plumbing without a
     dependency cycle through [Server]. *)
 
 module Io = Repository.Io
@@ -14,10 +14,19 @@ exception Bind_error of string
    never as a process-killing SIGPIPE.  Process-wide, idempotent; called
    by every accept loop ([Server.run], [Router.run]) so embedded servers
    (tests, benches) are covered too, not only [swsd serve] which installs
-   full signal handlers. *)
+   full signal handlers ({!on_stop_signals}). *)
 let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Sys_error _ -> ()
+
+let on_stop_signals stop =
+  let handle _ = stop () in
+  List.iter
+    (fun signum ->
+      try Sys.set_signal signum (Sys.Signal_handle handle)
+      with Invalid_argument _ | Sys_error _ -> ())
+    [ Sys.sigterm; Sys.sigint ];
+  ignore_sigpipe ()
 
 let sockaddr_of = function
   | Protocol.Unix_path p -> Unix.ADDR_UNIX p

@@ -6,6 +6,10 @@ val ignore_sigpipe : unit -> unit
 (** Process-wide, idempotent: a peer hanging up mid-write must surface as
     EPIPE, never kill the process.  Called by every accept loop. *)
 
+val on_stop_signals : (unit -> unit) -> unit
+(** SIGTERM and SIGINT run the callback (from a signal handler, so it
+    must only request a stop); SIGPIPE is ignored ({!ignore_sigpipe}). *)
+
 val bind :
   ?backlog:int -> Protocol.address -> (Unix.file_descr, string) result
 (** Bind + listen.  Unix: probes the path first — a stale socket file from

@@ -55,6 +55,7 @@ let () =
       ("server", Test_server.tests);
       ("replication", Test_replication.tests);
       ("router", Test_router.tests);
+      ("supervisor", Test_supervisor.tests);
       ("group-commit", Test_group_commit.tests);
       ("server-restore", Test_restore.tests);
       ("obs", Test_obs.tests);

@@ -395,6 +395,26 @@ let socket_clients () =
                   Alcotest.(check string) "refused stats stderr"
                     "!retry-after 50\n" stderr))))
 
+(* A worker that exits while the front process waits for it to accept
+   fails startup at once, naming the worker, instead of running out the
+   readiness budget: a directory with no repository in it. *)
+let serve_worker_dies_at_startup () =
+  List.iter
+    (fun (flag, n, who) ->
+      let dir = Util.tmp_dir () in
+      Unix.mkdir dir 0o700;
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let code, _, err = run_split [ "serve"; dir; flag; n ] in
+          let secs = Unix.gettimeofday () -. t0 in
+          Alcotest.(check int) (flag ^ " exit code") 1 code;
+          if secs > 5.0 then Alcotest.failf "serve %s took %.1f s to fail" flag secs;
+          if not (Str_contains.contains err (who ^ " exited during startup")) then
+            Alcotest.failf "serve %s stderr does not name %s:\n%s" flag who err))
+    [ ("--replicas", "1", "leader"); ("--shards", "2", "shard 0") ]
+
 let tests =
   [
     test "examples" examples_cmd;
@@ -420,4 +440,5 @@ let tests =
     test "data commands" data_commands;
     test "oql command" oql_command;
     test "socket clients: stats, query, branch, merge" socket_clients;
+    test "serve: a worker dying at startup fails fast" serve_worker_dies_at_startup;
   ]

@@ -1,7 +1,7 @@
 (* The sharding front end: rendezvous-hash properties, a two-shard
    end-to-end pass through a real {!Server.Router} over real worker
    processes, and the kill -9 chaos criterion run over both transports
-   (Unix socket and TCP).  Worker pids come from {!Server.Shard_pool.pid}
+   (Unix socket and TCP).  Worker pids come from {!Server.Supervisor.pid}
    — never from pattern-matching process listings. *)
 
 module Io = Repository.Io
@@ -9,7 +9,7 @@ module Store = Repository.Store
 module Repo = Repository.Repo
 module Protocol = Server.Protocol
 module Router = Server.Router
-module Shard_pool = Server.Shard_pool
+module Supervisor = Server.Supervisor
 module Client = Server.Client
 
 let test = Util.test
@@ -107,7 +107,7 @@ let with_watchdog ~secs ~name f =
 
 type cluster = {
   dir : string;
-  pool : Shard_pool.t;
+  pool : Supervisor.t;
   router : Router.t;
   runner : Thread.t;
   addr : Protocol.address;
@@ -121,11 +121,11 @@ let start_cluster ?(shards = 2) transport =
   (match Repo.init dir (tiny ()) with
   | Result.Ok _ -> ()
   | Result.Error e -> Alcotest.fail e);
-  let pool = Shard_pool.create ~exe ~dir ~shards () in
-  (match Shard_pool.start pool with
+  let pool = Supervisor.create ~exe ~dir (Supervisor.Sharded shards) in
+  (match Supervisor.start pool with
   | Result.Ok () -> ()
   | Result.Error m ->
-      Shard_pool.stop ~grace:2.0 pool;
+      Supervisor.stop ~grace:2.0 pool;
       Alcotest.fail m);
   let listen =
     match transport with
@@ -134,7 +134,7 @@ let start_cluster ?(shards = 2) transport =
   in
   match Router.create ~obs:(Obs.create ()) ~connect_retry:10.0 ~listen pool with
   | Result.Error m ->
-      Shard_pool.stop ~grace:2.0 pool;
+      Supervisor.stop ~grace:2.0 pool;
       Alcotest.fail m
   | Result.Ok router ->
       let runner = Thread.create (fun () -> Router.run router) () in
@@ -143,7 +143,7 @@ let start_cluster ?(shards = 2) transport =
 let stop_cluster cl =
   Router.stop cl.router;
   Thread.join cl.runner;
-  Shard_pool.stop ~grace:5.0 cl.pool
+  Supervisor.stop ~grace:5.0 cl.pool
 
 let connect cl =
   match Client.connect_to ~retry_for:10.0 cl.addr with
@@ -539,15 +539,15 @@ let chaos_kill9 transport () =
             (fun round shard ->
               wait_until "mid-load ack threshold" (fun () ->
                   total () >= (round + 1) * 4);
-              let pid = Shard_pool.pid cl.pool shard in
+              let pid = Supervisor.pid cl.pool (Supervisor.Shard shard) in
               if pid > 0 then Unix.kill pid Sys.sigkill
               else record_error (Printf.sprintf "shard %d had no pid to kill" shard);
               wait_until "supervisor respawn" (fun () ->
-                  Shard_pool.restarts cl.pool >= round + 1))
+                  Supervisor.restarts cl.pool >= round + 1))
             [ 0; 1 ];
           List.iter Thread.join clients;
           Alcotest.(check bool) "supervisor respawned both kills" true
-            (Shard_pool.restarts cl.pool >= 2);
+            (Supervisor.restarts cl.pool >= 2);
           (match Atomic.get first_error with
           | Some m -> Alcotest.fail m
           | None -> ());
