@@ -6,24 +6,19 @@
    (every instrument a load-and-branch no-op) — serve the P11 workload
    (8 sessions, 2:1 mutate:read) in small alternating batches.
 
-   Two things make the comparison honest on a noisy shared machine:
+   The sides alternate every ~100 ms (order flipping each pair, which
+   cancels linear drift), so ambient load hits both alike.  Only one side
+   runs at a time, so the process CPU time (user + sys) spent in a batch
+   is that side's: the score is CPU seconds per request, enabled against
+   disabled.  Instrumentation costs CPU work, and CPU time does not count
+   the time a thread sits descheduled — on a small shared box request
+   latency is mostly that wait (8 writers on 2 cores), and its median
+   moves by several percent between runs, more than the budget.  Median
+   request latency is still measured and reported, unscored.
 
-   - Fine-grained interleaving and a robust estimator.  Ambient load
-     swings throughput far more between moments than instrumentation could
-     ever cost, so the sides alternate every ~100 ms (order flipping each
-     pair, which cancels linear drift), every request is timed
-     individually, and the score compares the sides' median request
-     latencies — scheduler stalls and GC pauses land in the tail, which a
-     median never sees.
-   - Hook hygiene.  The session/journal observation hooks are process-wide
-     globals; with both services in one process the enabled side's hooks
-     would fire during the disabled side's batches and bias the overhead
-     toward zero.  Each batch re-arms or disarms them explicitly
-     ({!Service.rearm_hooks} / {!Service.disarm_hooks}).
-
-   The budget is 3%: if enabling observability costs more than that in
-   aggregate throughput, the instrumentation is too hot for production
-   defaults. *)
+   The budget is 3%: the run FAILS (exit 1) if enabling observability
+   costs more than that in CPU per request — the instrumentation would
+   be too hot for production defaults. *)
 
 module Io = Repository.Io
 module Repo = Repository.Repo
@@ -39,6 +34,7 @@ let parse text = Odl.Parser.parse_schema text
 let sessions = 8
 let per_batch = 25  (* requests per session per batch *)
 let pairs = 40
+let budget_pct = 3.0
 
 let config = { Service.default_config with Service.use_file_locks = false }
 
@@ -66,13 +62,13 @@ let must t c line =
 type side = {
   svc : Service.t;
   conns : Service.conn array;  (* one per session, kept open throughout *)
-  enabled : bool;
   lat : float array;  (* per-request latencies of the scored batches *)
   mutable filled : int;
   mutable elapsed : float;  (* summed scored batch time, seconds *)
+  mutable cpu : float;  (* summed scored batch process CPU, seconds *)
 }
 
-let make_side ~enabled obs =
+let make_side obs =
   let svc = fresh_service obs in
   let conns =
     Array.init sessions (fun i ->
@@ -84,10 +80,10 @@ let make_side ~enabled obs =
   {
     svc;
     conns;
-    enabled;
     lat = Array.make (pairs * sessions * per_batch) 0.0;
     filled = 0;
     elapsed = 0.0;
+    cpu = 0.0;
   }
 
 (* Batches draw attribute names from one process-wide sequence, so the two
@@ -95,13 +91,17 @@ let make_side ~enabled obs =
    within a side. *)
 let serial = ref 0
 
-(* One batch; [scored] batches record per-request latencies. *)
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+(* One batch; [scored] batches record per-request latencies and the
+   batch's process CPU time. *)
 let batch ?(scored = true) side =
   incr serial;
   let s = !serial in
-  if side.enabled then Service.rearm_hooks side.svc
-  else Service.disarm_hooks ();
   let base = side.filled in
+  let c0 = cpu_seconds () in
   let t0 = Unix.gettimeofday () in
   let threads =
     List.init sessions (fun i ->
@@ -125,7 +125,8 @@ let batch ?(scored = true) side =
   List.iter Thread.join threads;
   if scored then begin
     side.filled <- base + (sessions * per_batch);
-    side.elapsed <- side.elapsed +. (Unix.gettimeofday () -. t0)
+    side.elapsed <- side.elapsed +. (Unix.gettimeofday () -. t0);
+    side.cpu <- side.cpu +. (cpu_seconds () -. c0)
   end
 
 let run ~json_path () =
@@ -133,8 +134,8 @@ let run ~json_path () =
     "P12: observability overhead (%d sessions, %d paired batches of %d \
      requests/session)\n"
     sessions pairs per_batch;
-  let on = make_side ~enabled:true (Obs.create ()) in
-  let off = make_side ~enabled:false Obs.noop in
+  let on = make_side (Obs.create ()) in
+  let off = make_side Obs.noop in
   (* a discarded warmup pair gets lazy init and page faults out of the way *)
   batch ~scored:false on;
   batch ~scored:false off;
@@ -155,12 +156,24 @@ let run ~json_path () =
     side.lat.(requests / 2)
   in
   let m_on = median on and m_off = median off in
-  let overhead_pct = (m_on -. m_off) /. m_off *. 100.0 in
-  Printf.printf "  enabled:  median %8.1f us/req   (%8.0f req/s aggregate)\n"
-    (m_on *. 1e6) (rate on.elapsed);
-  Printf.printf "  disabled: median %8.1f us/req   (%8.0f req/s aggregate)\n"
-    (m_off *. 1e6) (rate off.elapsed);
-  Printf.printf "  median-latency overhead: %+.2f%% (budget 3%%)\n" overhead_pct;
+  let cpu_per_req side = side.cpu /. float_of_int requests in
+  let pct a b = (a -. b) /. b *. 100.0 in
+  let overhead_pct = pct (cpu_per_req on) (cpu_per_req off) in
+  let latency_pct = pct m_on m_off in
+  let row name side m =
+    Printf.printf
+      "  %-9s %8.1f us CPU/req   median %8.1f us/req   (%8.0f req/s \
+       aggregate)\n"
+      name
+      (cpu_per_req side *. 1e6)
+      (m *. 1e6) (rate side.elapsed)
+  in
+  row "enabled:" on m_on;
+  row "disabled:" off m_off;
+  let passed = overhead_pct <= budget_pct in
+  Printf.printf "  median-latency difference: %+.2f%% (unscored)\n" latency_pct;
+  Printf.printf "  CPU-per-request overhead: %+.2f%% (budget %.0f%%)\n"
+    overhead_pct budget_pct;
   ignore (Service.shutdown on.svc);
   ignore (Service.shutdown off.svc);
   let json =
@@ -171,15 +184,21 @@ let run ~json_path () =
         Printf.sprintf
           "  \"setup\": \"%d sessions, 2:1 mutate:read mix, in-memory fs, \
            %d interleaved enabled/disabled batch pairs (order alternating) \
-           after a warmup, scored on median request latency\","
+           after a warmup, scored on process CPU seconds per request\","
           sessions pairs;
         Printf.sprintf "  \"requests_per_side\": %d," requests;
+        Printf.sprintf "  \"enabled_cpu_us_per_req\": %.1f,"
+          (cpu_per_req on *. 1e6);
+        Printf.sprintf "  \"disabled_cpu_us_per_req\": %.1f,"
+          (cpu_per_req off *. 1e6);
         Printf.sprintf "  \"enabled_median_us\": %.1f," (m_on *. 1e6);
         Printf.sprintf "  \"disabled_median_us\": %.1f," (m_off *. 1e6);
         Printf.sprintf "  \"enabled_req_per_s\": %.1f," (rate on.elapsed);
         Printf.sprintf "  \"disabled_req_per_s\": %.1f," (rate off.elapsed);
+        Printf.sprintf "  \"latency_difference_pct\": %.2f," latency_pct;
         Printf.sprintf "  \"overhead_pct\": %.2f," overhead_pct;
-        "  \"budget_pct\": 3.0";
+        Printf.sprintf "  \"budget_pct\": %.1f," budget_pct;
+        Printf.sprintf "  \"passed\": %b" passed;
         "}";
         "";
       ]
@@ -187,4 +206,9 @@ let run ~json_path () =
   let oc = open_out json_path in
   output_string oc json;
   close_out oc;
-  Printf.printf "\nwrote %s\n" json_path
+  Printf.printf "\nwrote %s\n" json_path;
+  if not passed then begin
+    Printf.printf "FAIL: observability overhead %.2f%% exceeds the %.0f%% budget\n"
+      overhead_pct budget_pct;
+    exit 1
+  end

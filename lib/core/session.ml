@@ -54,33 +54,6 @@ exception Divergence of string
 
 let divergence fmt = Printf.ksprintf (fun m -> raise (Divergence m)) fmt
 
-(* --- observation hooks ---------------------------------------------------- *)
-
-type hooks = {
-  h_now : unit -> float;
-      (** clock for [h_check] timing — supplied by the installer so this
-          library stays clock-free (core does not link unix) *)
-  h_op_applied : kind:Concept.kind -> dirty:int -> unit;
-      (** a committed operation, with the size of the neighbourhood the
-          incremental checker re-examined for it *)
-  h_check : seconds:float -> findings:int -> unit;
-      (** a consistency report was served: wall time and finding count *)
-}
-
-(* Process-wide rather than per-session: sessions are immutable values
-   copied on every apply, so per-value hooks would have to be re-threaded
-   through replay/undo/redo and serialized alongside.  The observability
-   layer is a singleton anyway.  [None] (the default) costs one load. *)
-let hooks : hooks option ref = ref None
-let set_hooks h = hooks := h
-
-let observe_apply ~kind ~index ~subject =
-  match !hooks with
-  | None -> ()
-  | Some h ->
-      h.h_op_applied ~kind
-        ~dirty:(List.length (Schema_index.affected_by index [ subject ]))
-
 (* Differential cross-check of one operation: the indexed outcome must match
    the naive engine's exactly — acceptance, workspace, events, and the full
    diagnostics list (the error messages embed the first diagnostic, so
@@ -158,7 +131,6 @@ let indexed_apply t ~kind op =
   outcome
 
 let commit t ~kind op (index, events) ~future =
-  observe_apply ~kind ~index ~subject:(Modop.subject op);
   ( {
       t with
       workspace = Schema_index.schema index;
@@ -263,14 +235,7 @@ let restore_aliases t aliases = { t with aliases; version = t.version + 1 }
     operations preserve validity — so this surfaces the warnings).  Served
     from the index's diagnostics cache: only checks invalidated since the
     last report are recomputed. *)
-let consistency_report t =
-  match !hooks with
-  | None -> Schema_index.diagnostics t.index
-  | Some h ->
-      let t0 = h.h_now () in
-      let ds = Schema_index.diagnostics t.index in
-      h.h_check ~seconds:(h.h_now () -. t0) ~findings:(List.length ds);
-      ds
+let consistency_report t = Schema_index.diagnostics t.index
 
 let mapping t = Mapping.compute ~original:t.original ~custom:t.workspace
 

@@ -24,25 +24,6 @@ exception Divergence of string
     resulting workspace, impact events, or diagnostics.  Indicates a bug in
     the index; the operation is not committed. *)
 
-(** {1 Observation hooks}
-
-    Process-wide, installed once by the serving layer; [None] (the default)
-    reduces every instrumentation point to a single load.  The hooks run on
-    the applying thread and must be fast and non-raising. *)
-
-type hooks = {
-  h_now : unit -> float;
-      (** clock for [h_check] timing — supplied by the installer, since this
-          library links no clock source *)
-  h_op_applied : kind:Concept.kind -> dirty:int -> unit;
-      (** a committed operation (apply or redo), with the size of the
-          neighbourhood the incremental checker re-examines for it *)
-  h_check : seconds:float -> findings:int -> unit;
-      (** a consistency report was served: wall time and finding count *)
-}
-
-val set_hooks : hooks option -> unit
-
 val create : ?paranoid:bool -> schema -> (t, Odl.Validate.diagnostic list) result
 (** Start a session; an invalid shrink wrap schema is rejected with its
     error diagnostics.  Operations run on the indexed engine; with

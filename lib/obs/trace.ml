@@ -1,13 +1,11 @@
 (** Request tracing: spans with named phases over a monotonic clock, kept
     in a fixed-size ring buffer of recent traces.
 
-    A worker thread opens a span per request ({!start}), marks it current
-    for the thread, and accumulates phase durations — directly
-    ({!add_phase}) or from code that has no reference to the span
-    ({!add_phase_current}, used by the lock manager and the consistency
-    checker deep inside the stack).  {!finish} stamps the total and pushes
-    the completed trace into the ring under a mutex; recording durations on
-    the span itself needs no lock because a span belongs to one thread.
+    A worker thread opens a span per request ({!start}) and passes it
+    explicitly to every site that records a phase ({!add_phase},
+    {!phase}).  {!finish} stamps the total and pushes the completed trace
+    into the ring under a mutex; recording durations on the span itself
+    needs no lock because a span belongs to one request.
 
     The ring holds the most recent [capacity] traces; older ones are
     overwritten.  Disabled tracers ([~on:false]) hand out a dead span and
@@ -37,13 +35,12 @@ type t = {
   on : bool;
   clock : unit -> float;  (** monotonic; durations only *)
   capacity : int;
-  mu : Mutex.t;  (** guards [ring], [next], [current] *)
+  mu : Mutex.t;  (** guards [ring] and [next] *)
   ring : trace option array;
   mutable next : int;
-  current : (int, span) Hashtbl.t;  (** thread id → its open span *)
 }
 
-let dead_span =
+let none =
   {
     sp_live = false;
     sp_label = "";
@@ -62,31 +59,23 @@ let create ?(on = true) ?(capacity = 64) ?(clock = Clock.now) () =
     mu = Mutex.create ();
     ring = Array.make capacity None;
     next = 0;
-    current = Hashtbl.create 8;
   }
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(** Open a span and make it the calling thread's current one. *)
 let start t ~label ?(detail = "") () =
-  if not t.on then dead_span
-  else begin
-    let sp =
-      {
-        sp_live = true;
-        sp_label = label;
-        sp_detail = detail;
-        sp_wall = Clock.wall ();
-        sp_t0 = t.clock ();
-        sp_phases = [];
-      }
-    in
-    locked t (fun () ->
-        Hashtbl.replace t.current (Thread.id (Thread.self ())) sp);
-    sp
-  end
+  if not t.on then none
+  else
+    {
+      sp_live = true;
+      sp_label = label;
+      sp_detail = detail;
+      sp_wall = Clock.wall ();
+      sp_t0 = t.clock ();
+      sp_phases = [];
+    }
 
 let set_detail sp detail = if sp.sp_live then sp.sp_detail <- detail
 
@@ -104,19 +93,7 @@ let phase t sp name f =
       f
   end
 
-(** Add a phase to the calling thread's current span, if any — lets code
-    far from the request loop (locks, the consistency checker) contribute
-    without threading the span through every signature. *)
-let add_phase_current t name seconds =
-  if t.on then
-    let sp =
-      locked t (fun () ->
-          Hashtbl.find_opt t.current (Thread.id (Thread.self ())))
-    in
-    match sp with Some sp -> add_phase sp name seconds | None -> ()
-
-(** Close the span: drop it as the thread's current span and push the
-    completed trace into the ring. *)
+(** Close the span: push the completed trace into the ring. *)
 let finish t sp ~status =
   if sp.sp_live then begin
     let tr =
@@ -130,10 +107,6 @@ let finish t sp ~status =
       }
     in
     locked t (fun () ->
-        (match Hashtbl.find_opt t.current (Thread.id (Thread.self ())) with
-        | Some cur when cur == sp ->
-            Hashtbl.remove t.current (Thread.id (Thread.self ()))
-        | _ -> ());
         t.ring.(t.next mod t.capacity) <- Some tr;
         t.next <- t.next + 1)
   end

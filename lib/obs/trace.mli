@@ -1,5 +1,6 @@
-(** Request tracing: per-thread spans with named phases over a monotonic
-    clock, retained in a fixed-size lock-protected ring buffer. *)
+(** Request tracing: per-request spans with named phases over a monotonic
+    clock, retained in a fixed-size lock-protected ring buffer.  A span is
+    a value the request passes to wherever it records a phase. *)
 
 type phase = { ph_name : string; ph_seconds : float }
 
@@ -19,17 +20,18 @@ val create : ?on:bool -> ?capacity:int -> ?clock:(unit -> float) -> unit -> t
 (** [capacity] traces are retained (default 64); [clock] must be monotonic
     (default {!Clock.now}).  With [~on:false] every operation is a no-op. *)
 
+val none : span
+(** A dead span: every operation on it is a no-op.  For work that runs
+    outside any request, such as a replication snapshot. *)
+
 val start : t -> label:string -> ?detail:string -> unit -> span
-(** Open a span and make it the calling thread's current span. *)
+(** Open a span (a dead one when the tracer is off). *)
 
 val set_detail : span -> string -> unit
 val add_phase : span -> string -> float -> unit
 
 val phase : t -> span -> string -> (unit -> 'a) -> 'a
 (** Time the thunk as a named phase (recorded even if it raises). *)
-
-val add_phase_current : t -> string -> float -> unit
-(** Add a phase to the calling thread's current span, if one is open. *)
 
 val finish : t -> span -> status:string -> unit
 (** Stamp the total duration and push the trace into the ring. *)

@@ -119,29 +119,11 @@ let resolve entries =
 
 (* --- file operations ----------------------------------------------------- *)
 
-(* One process-wide observer rather than a parameter on every call: the
-   journal is written from deep inside the repository layer, and threading
-   an observer through [Store]/[Session] signatures would couple those
-   layers to observability for the sake of two timing points.  The server
-   installs its hook at startup; [None] (the default) costs one load. *)
-let observer : (op:string -> seconds:float -> unit) option ref = ref None
-let set_observer f = observer := f
-
-let timed op f =
-  match !observer with
-  | None -> f ()
-  | Some record ->
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      record ~op ~seconds:(Unix.gettimeofday () -. t0);
-      r
-
 let encode entry = entry_to_line entry ^ "\n"
 
 let append_raw (io : Io.t) path data =
-  timed "append" (fun () ->
-      io.append path data;
-      io.fsync path)
+  io.append path data;
+  io.fsync path
 
 let append io path entry = append_raw io path (encode entry)
 
@@ -149,8 +131,7 @@ let read (io : Io.t) path =
   if io.file_exists path then parse (io.read_file path)
   else { entries = []; damage = None }
 
-let rewrite io path entries =
-  timed "rewrite" (fun () -> Io.atomic_write io path (to_string entries))
+let rewrite io path entries = Io.atomic_write io path (to_string entries)
 
 (* --- replication stream framing ------------------------------------------ *)
 

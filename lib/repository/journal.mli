@@ -55,12 +55,6 @@ val resolve : entry list -> ((Core.Concept.kind * Core.Modop.t) list, string) re
 
 (** {1 File operations} *)
 
-val set_observer : (op:string -> seconds:float -> unit) option -> unit
-(** Install a process-wide hook timing whole journal writes: [op] is
-    ["append"] (record + fsync, the commit-latency path) or ["rewrite"]
-    (atomic snapshot/repair replace).  [None] (the default) disables it.
-    The hook runs on the writer's thread and must be fast and non-raising. *)
-
 val encode : entry -> string
 (** One record, newline-terminated — the exact bytes {!append} writes. *)
 
@@ -70,8 +64,7 @@ val append : Io.t -> string -> entry -> unit
 val append_raw : Io.t -> string -> string -> unit
 (** Append pre-encoded record bytes — a concatenation of {!encode}
     results, i.e. a group-commit batch — and fsync {e once}; every record
-    in the batch is durable on return.  Timed as ["append"] by the
-    {!set_observer} hook, like {!append}. *)
+    in the batch is durable on return. *)
 
 val read : Io.t -> string -> parsed
 (** Read and {!parse} the journal; an absent file is an empty journal. *)

@@ -368,10 +368,13 @@ module Apply = struct
             (* append the exact leader bytes (fsync'd by [append_raw]) so
                the follower's journal stays promotion-ready, then replay
                them in memory — ack only after both *)
-            if data <> "" then
+            if data <> "" then begin
+              let t0 = svc.config.now () in
               Journal.append_raw io
                 (Store.log_file (Repo.variant_store svc.repo variant))
                 data;
+              Obs.Histo.observe svc.i.h_journal_append (svc.config.now () -. t0)
+            end;
             let parsed = Journal.parse data in
             (match parsed.Journal.damage with
             | Some d ->

@@ -83,32 +83,6 @@ type conn = Service_types.conn
 
 open Service_types
 
-(* The session/journal observation hooks are process-wide globals (see
-   their doc comments for why); install them only for an enabled registry,
-   so opening an [Obs.noop] service for a quick test does not silence a
-   live one's hooks. *)
-let install_hooks (i : instruments) ~now =
-  Core.Session.set_hooks
-    (Some
-       {
-         Core.Session.h_now = now;
-         h_op_applied =
-           (fun ~kind:_ ~dirty ->
-             Obs.Metrics.incr i.c_ops;
-             Obs.Histo.observe i.h_dirty (float_of_int dirty));
-         h_check =
-           (fun ~seconds ~findings:_ ->
-             Obs.Trace.add_phase_current i.tracer "check" seconds;
-             Obs.Histo.observe i.h_check seconds);
-       });
-  Repository.Journal.set_observer
-    (Some
-       (fun ~op ~seconds ->
-         Obs.Trace.add_phase_current i.tracer "journal" seconds;
-         Obs.Histo.observe
-           (if op = "append" then i.h_journal_append else i.h_journal_rewrite)
-           seconds))
-
 let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
   let i = make_instruments obs in
   let io = match io with Some io -> io | None -> Io.unix in
@@ -126,7 +100,6 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
             seconds)
         io
   in
-  if Obs.enabled obs then install_hooks i ~now:config.now;
   (* The group-commit coordinator's flush runs on the flusher thread: it
      gets its own jitter stream (the service's [rand] is only touched
      under variant locks) and a deadline so a failing disk cannot pin the
@@ -147,7 +120,10 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
             ~deadline:(config.now () +. config.request_deadline)
             ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Metrics.incr i.c_retries)
             config.retry
-            (fun () -> Repository.Journal.append_raw io path data)
+            (fun () ->
+              let t0 = config.now () in
+              Repository.Journal.append_raw io path data;
+              Obs.Histo.observe i.h_journal_append (config.now () -. t0))
         with
         | Ok () -> ()
         | Error e -> raise e)
@@ -182,15 +158,7 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
 
 let obs (t : t) = t.i.obs
 
-(* The global hooks are last-writer-wins, so in a multi-service process
-   (tests, the overhead benchmark) the most recently opened enabled service
-   owns them.  These let such a process hand them around explicitly. *)
-let rearm_hooks (t : t) =
-  if Obs.enabled t.i.obs then install_hooks t.i ~now:t.config.now
-
-let disarm_hooks () =
-  Core.Session.set_hooks None;
-  Repository.Journal.set_observer None
+let disarm_hooks () = ()
 
 let connect (t : t) =
   { id = Atomic.fetch_and_add t.conn_ids 1; variant = None; readonly = false }
@@ -201,7 +169,7 @@ let session_count (t : t) =
   Mutex.unlock t.mu;
   n
 
-let disconnect = Service_admin.disconnect
+let disconnect t conn = Service_admin.disconnect t conn
 let reap_idle = Service_admin.reap_idle
 let shutdown = Service_admin.shutdown
 
@@ -235,19 +203,20 @@ let request (t : t) (conn : conn) line =
             | Ok Ping -> Protocol.ok [ "pong" ]
             | Ok (Stats fmt) -> Service_admin.do_stats t fmt
             | Ok (Open { variant; readonly }) ->
-                Service_admin.do_open t conn variant ~create:false ~readonly
+                Service_admin.do_open t ~sp conn variant ~create:false ~readonly
             | Ok (New v) ->
-                Service_admin.do_open t conn v ~create:true ~readonly:false
-            | Ok Close -> Service_admin.do_close t conn
+                Service_admin.do_open t ~sp conn v ~create:true ~readonly:false
+            | Ok Close -> Service_admin.do_close t ~sp conn
             | Ok Quit ->
-                Service_admin.disconnect t conn;
+                Service_admin.disconnect ~sp t conn;
                 Protocol.ok [ "bye" ]
-            | Ok (Query q) -> Service_query.do_query t conn q
+            | Ok (Query q) -> Service_query.do_query t ~sp conn q
             | Ok (Branch { parent; child; at }) ->
-                Service_branch.do_branch t ~parent ~child ~at ~line
+                Service_branch.do_branch t ~sp ~parent ~child ~at ~line
             | Ok (Merge { source; dest; dry_run }) ->
-                Service_branch.do_merge t conn ~source ~dest ~dry_run ~line
-            | Ok (Command c) -> Service_read.do_command t conn c
+                Service_branch.do_merge t ~sp conn ~source ~dest ~dry_run
+                  ~line
+            | Ok (Command c) -> Service_read.do_command t ~sp conn c
           with
           | response -> response
           (* no request may kill its worker thread: locks were released on

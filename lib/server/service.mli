@@ -78,20 +78,16 @@ val open_service :
     [obs] (default: a fresh enabled registry) receives the service's
     counters, latency histograms, and request traces, served back over the
     protocol's [@stats] request; pass [Obs.noop] to disable every
-    instrumentation point ([--no-obs]). Opening with an enabled registry
-    installs the process-wide session/journal observation hooks. *)
+    instrumentation point ([--no-obs]).  Every instrument is a value this
+    service holds and each request's trace span is passed explicitly, so
+    several services in one process each record only their own work. *)
 
 val obs : t -> Obs.t
 (** The registry the service records into. *)
 
-val rearm_hooks : t -> unit
-(** Re-install the process-wide session/journal hooks pointing at [t]
-    (no-op for a disabled registry).  The hooks are last-writer-wins, so a
-    process juggling several services — tests, the overhead benchmark —
-    uses this to hand them to the service about to run. *)
-
 val disarm_hooks : unit -> unit
-(** Uninstall the process-wide session/journal hooks entirely. *)
+(** A no-op.  There are no process-wide observation hooks any more; this
+    stays only for existing callers and will be deleted with them. *)
 
 val connect : t -> conn
 (** A fresh connection context (one per client). *)

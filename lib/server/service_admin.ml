@@ -105,7 +105,7 @@ let attach t (s : session) (conn : conn) ~readonly =
   conn.readonly <- readonly;
   s.last_used <- t.config.now ()
 
-let do_open t (conn : conn) variant ~create ~readonly =
+let do_open t ~sp (conn : conn) variant ~create ~readonly =
   match conn.variant with
   | Some v when v = variant ->
       Protocol.ok
@@ -134,7 +134,7 @@ let do_open t (conn : conn) variant ~create ~readonly =
               Protocol.err ("variant " ^ variant ^ " is not yet replicated; retry shortly")
             else Protocol.err ("no variant named " ^ variant))
   | None ->
-      with_writer t variant (fun () ->
+      with_writer ~sp t variant (fun () ->
           let created =
             if not create then Ok false
             else
@@ -192,11 +192,11 @@ let release t (s : session) (conn : conn) ~snapshot_on_free =
   end
   else []
 
-let do_close t (conn : conn) =
+let do_close t ~sp (conn : conn) =
   match conn.variant with
   | None -> Protocol.err "no open session"
   | Some variant ->
-      with_writer t variant (fun () ->
+      with_writer ~sp t variant (fun () ->
           match find_session t variant with
           | None ->
               (* reaped underneath us; nothing left to release *)
@@ -207,11 +207,11 @@ let do_close t (conn : conn) =
               let warn = release t s conn ~snapshot_on_free:true in
               Protocol.ok (warn @ [ "closed" ]))
 
-let disconnect t (conn : conn) =
+let disconnect ?sp t (conn : conn) =
   match conn.variant with
   | None -> ()
   | Some variant ->
-      with_writer t variant (fun () ->
+      with_writer ?sp t variant (fun () ->
           (match find_session t variant with
           | None ->
               conn.variant <- None;

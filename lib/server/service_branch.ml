@@ -21,11 +21,11 @@
 
 open Service_types
 
-let do_branch t ~parent ~child ~at ~line =
+let do_branch t ~sp ~parent ~child ~at ~line =
   if t.config.follower then
     Protocol.err "this server is a follower; branch variants on the leader"
   else
-    with_writer t child (fun () ->
+    with_writer ~sp t child (fun () ->
         (match t.config.chaos_hook with
         | Some hook -> hook ~variant:child ~line
         | None -> ());
@@ -55,13 +55,13 @@ let do_branch t ~parent ~child ~at ~line =
                   ~version:(Publish.seq t.pub child)
                   [ Printf.sprintf "branched %s from %s@%d" child parent fork ]))
 
-let do_merge t (conn : conn) ~source ~dest ~dry_run ~line =
+let do_merge t ~sp (conn : conn) ~source ~dest ~dry_run ~line =
   if t.config.follower then
     Protocol.err "this server is a follower; merge variants on the leader"
   else if source = dest then
     Protocol.err "cannot merge a variant into itself"
   else
-    Service_write.execute ~load_if_absent:true t conn dest
+    Service_write.execute ~load_if_absent:true t ~sp conn dest
       ~mutating:(not dry_run)
       ~exec:(fun before ->
         (* the source branch is read lock-free: another shard may own it
@@ -82,7 +82,7 @@ let do_merge t (conn : conn) ~source ~dest ~dry_run ~line =
             let t0 = t.config.now () in
             let report = Core.Oplog.rebase ~base ~branch_ops in
             let rebase_seconds = t.config.now () -. t0 in
-            Obs.Trace.add_phase_current t.i.tracer "rebase" rebase_seconds;
+            Obs.Trace.add_phase sp "rebase" rebase_seconds;
             Obs.Metrics.add t.i.c_merge_clean report.Core.Oplog.r_clean;
             Obs.Metrics.add t.i.c_merge_auto report.Core.Oplog.r_auto;
             Obs.Metrics.add t.i.c_merge_conflict report.Core.Oplog.r_conflict;

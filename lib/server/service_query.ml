@@ -54,9 +54,9 @@ let do_branches t name =
 (* Load a variant through the writer path so something is published; the
    caller retries its lock-free read afterwards.  The same load as
    [@open], but attaches no connection. *)
-let ensure_loaded t variant =
+let ensure_loaded t ~sp variant =
   match
-    try_writer t variant (fun () ->
+    try_writer ~sp t variant (fun () ->
         match find_session t variant with
         | Some s ->
             (* a session is always published while it lives; re-publish to
@@ -72,7 +72,7 @@ let ensure_loaded t variant =
 
 (* The variant's view at (at least) its current publication stamp;
    [Error] carries a user-facing reason. *)
-let rec query_view ?(retried = false) t variant =
+let rec query_view ?(retried = false) t ~sp variant =
   match Publish.read t.pub variant with
   | Some (state, stamp) -> (
       Obs.Metrics.incr t.i.c_query_lockfree;
@@ -95,13 +95,13 @@ let rec query_view ?(retried = false) t variant =
         Error ("no variant named " ^ variant)
       else begin
         Obs.Metrics.incr t.i.c_query_fallback;
-        match ensure_loaded t variant with
-        | Ok () -> query_view ~retried:true t variant
+        match ensure_loaded t ~sp variant with
+        | Ok () -> query_view ~retried:true t ~sp variant
         | Error m -> Error m
       end
 
-let single t variant (q : Query.Ast.t) =
-  match query_view t variant with
+let single t ~sp variant (q : Query.Ast.t) =
+  match query_view t ~sp variant with
   | Error m -> Protocol.err m
   | Ok view -> (
       let version = Query.View.stamp view in
@@ -117,14 +117,14 @@ let owned t variant =
   | None -> true
   | Some (shard, shards) -> Router.shard_of ~shards variant = shard
 
-let all_scope t (q : Query.Ast.t) =
+let all_scope t ~sp (q : Query.Ast.t) =
   let variants =
     Repo.variant_names t.repo |> List.filter (owned t)
     |> List.sort String.compare
   in
   let block variant =
     let lines =
-      match query_view t variant with
+      match query_view t ~sp variant with
       | Error m -> [ "# " ^ m ]
       | Ok view -> (
           match Query.Eval.run view q.q_atom with
@@ -135,7 +135,7 @@ let all_scope t (q : Query.Ast.t) =
   in
   Protocol.ok (List.concat_map block variants)
 
-let do_query t (conn : conn) text =
+let do_query t ~sp (conn : conn) text =
   let i = t.i in
   Obs.Metrics.incr i.c_query;
   let t0 = t.config.now () in
@@ -148,10 +148,10 @@ let do_query t (conn : conn) text =
     | Error m -> Protocol.err ~body:[ usage ] m
     | Ok q when q.Query.Ast.q_explain -> Protocol.ok (Query.Eval.explain q.q_atom)
     | Ok { Query.Ast.q_atom = Query.Ast.Branches name; _ } -> do_branches t name
-    | Ok q when q.q_all -> all_scope t q
+    | Ok q when q.q_all -> all_scope t ~sp q
     | Ok q -> (
         match conn.variant with
         | None ->
             Protocol.err
               "no open session; use: @open <variant> (or: @query all ...)"
-        | Some variant -> single t variant q))
+        | Some variant -> single t ~sp variant q))

@@ -39,7 +39,7 @@ let refusal (cmd : Designer.Command.t) =
 let try_lockfree t variant (cmd : Designer.Command.t) =
   match
     Publish.with_snapshot t.pub variant (fun (st, stamp) ->
-        let after, feedback = Engine.exec st cmd in
+        let after, feedback = exec_command t st cmd in
         if after != st then None  (* misclassified: must not lose the change *)
         else begin
           Publish.touch t.pub variant ~now:(t.config.now ());
@@ -52,7 +52,7 @@ let try_lockfree t variant (cmd : Designer.Command.t) =
   | Some (Some response) -> Some response
   | Some None | None -> None
 
-let do_command t (conn : conn) line =
+let do_command t ~sp (conn : conn) line =
   match conn.variant with
   | None -> Protocol.err "no open session; use: @open <variant>"
   | Some variant -> (
@@ -84,14 +84,18 @@ let do_command t (conn : conn) line =
                     match try_lockfree t variant cmd with
                     | Some response ->
                         Obs.Metrics.incr i.c_read_lockfree;
-                        Obs.Trace.add_phase_current i.tracer "read"
+                        Obs.Trace.add_phase sp
+                          (match cmd with
+                          | Designer.Command.Check -> "check"
+                          | _ -> "read")
                           (t.config.now () -. t0);
                         finish i.h_read response
                     | None ->
                         Obs.Metrics.incr i.c_read_fallback;
                         finish i.h_read
-                          (Service_write.do_command t conn variant cmd ~line))
+                          (Service_write.do_command t ~sp conn variant cmd
+                             ~line))
                 | Designer.Command.Write ->
                     Obs.Metrics.incr i.c_write;
                     finish i.h_write
-                      (Service_write.do_command t conn variant cmd ~line))))
+                      (Service_write.do_command t ~sp conn variant cmd ~line))))

@@ -151,13 +151,13 @@ type instruments = {
   h_lock_hold : Obs.Histo.t;
   h_queue_depth : Obs.Histo.t;  (** waiters seen at admission *)
   h_apply : Obs.Histo.t;  (** engine execution of a command line *)
-  h_check : Obs.Histo.t;  (** incremental consistency report *)
+  h_check : Obs.Histo.t;  (** a [check] command on the engine *)
   h_dirty : Obs.Histo.t;  (** dirty-set size per committed op *)
   h_respond : Obs.Histo.t;  (** feedback rendering *)
   h_commit_batch : Obs.Histo.t;  (** records per group-commit flush *)
   h_commit_flush : Obs.Histo.t;  (** one batch append + fsync *)
   h_journal_append : Obs.Histo.t;  (** record + fsync, the commit path *)
-  h_journal_rewrite : Obs.Histo.t;  (** snapshot / repair replace *)
+  h_journal_rewrite : Obs.Histo.t;  (** one whole snapshot save *)
   h_io_write : Obs.Histo.t;
   h_io_append : Obs.Histo.t;
   h_io_fsync : Obs.Histo.t;
@@ -313,8 +313,9 @@ let shed t (failure : Locks.failure) =
     does.  {!with_writer} is the common wrapper that renders the failure
     as [!busy]; the write path uses [try_writer] directly because it
     must keep working {e after} the lock is released (awaiting its
-    ticket) before it has a response. *)
-let try_writer t variant f =
+    ticket) before it has a response.  The lock wait is recorded as the
+    [wait] phase of [sp], the request's span. *)
+let try_writer ?(sp = Obs.Trace.none) t variant f =
   let i = t.i in
   let deadline = t.config.now () +. t.config.request_deadline in
   let arrived = t.config.now () in
@@ -331,7 +332,7 @@ let try_writer t variant f =
      after release) so trace phases read in execution order *)
   let g () =
     if Obs.enabled i.obs then
-      Obs.Trace.add_phase_current i.tracer "wait" (t.config.now () -. arrived);
+      Obs.Trace.add_phase sp "wait" (t.config.now () -. arrived);
     f ()
   in
   match
@@ -345,8 +346,8 @@ let try_writer t variant f =
       | Locks.Timed_out -> Obs.Metrics.incr i.c_shed_deadline);
       Error failure
 
-let with_writer t variant f =
-  match try_writer t variant f with
+let with_writer ?sp t variant f =
+  match try_writer ?sp t variant f with
   | Ok r -> r
   | Error failure -> shed t failure
 
@@ -450,7 +451,10 @@ let snapshot t (s : session) =
       Retry.with_retries ~rand:t.rand ~sleep:t.config.sleep
         ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Metrics.incr t.i.c_retries)
         t.config.retry
-        (fun () -> Store.save_session s.store s.state.Engine.session)
+        (fun () ->
+          let t0 = t.config.now () in
+          Store.save_session s.store s.state.Engine.session;
+          Obs.Histo.observe t.i.h_journal_rewrite (t.config.now () -. t0))
     with
     | Ok () ->
         s.dirty <- false;
@@ -466,6 +470,17 @@ let snapshot t (s : session) =
   end
 
 let feedback_body feedback = List.map Designer.Feedback.to_string feedback
+
+(* Run a designer command on the engine, on either path.  A [check] is
+   timed into [swsd.engine.check_seconds] wherever it runs. *)
+let exec_command t state (cmd : Designer.Command.t) =
+  match cmd with
+  | Designer.Command.Check ->
+      let t0 = t.config.now () in
+      let r = Engine.exec state cmd in
+      Obs.Histo.observe t.i.h_check (t.config.now () -. t0);
+      r
+  | _ -> Engine.exec state cmd
 
 (* --- journal persistence -------------------------------------------------- *)
 
@@ -522,9 +537,9 @@ let journal_delta ~before ~after =
   let popped, added = trim (popped, added) in
   (List.length popped, List.map step_op added)
 
-(** The delta as one pre-encoded byte run: the record count and the exact
-    bytes the group-commit lane appends — undo records first, then the
-    fresh steps, each newline-terminated. *)
+(** The delta as one pre-encoded byte run: the record count, the fresh
+    steps, and the exact bytes the group-commit lane appends — undo
+    records first, then the fresh steps, each newline-terminated. *)
 let encoded_delta ~before ~after =
   let undos, adds = journal_delta ~before ~after in
   let buf = Buffer.create 128 in
@@ -536,4 +551,4 @@ let encoded_delta ~before ~after =
       Buffer.add_string buf
         (Repository.Journal.encode (Repository.Journal.Op (kind, op))))
     adds;
-  (undos + List.length adds, Buffer.contents buf)
+  (undos + List.length adds, adds, Buffer.contents buf)

@@ -61,12 +61,12 @@ let degrade t variant =
     Obs.Metrics.incr t.i.c_breaker_trips
 
 (* Render the feedback as the response, stamped with [version]. *)
-let respond t ~version feedback =
+let respond t ~sp ~version feedback =
   let t_respond = t.config.now () in
   let body = feedback_body feedback in
   let respond_seconds = t.config.now () -. t_respond in
   Obs.Histo.observe t.i.h_respond respond_seconds;
-  Obs.Trace.add_phase_current t.i.tracer "respond" respond_seconds;
+  Obs.Trace.add_phase sp "respond" respond_seconds;
   if List.exists Designer.Feedback.is_error feedback then
     Protocol.err ~body ~version "command rejected"
   else Protocol.ok ~version body
@@ -102,12 +102,15 @@ let fail_staged t (st : staged) e =
 (* Phase 2: wait out the batch fsync.  The stall gauge tracks how many
    writers are parked on tickets right now (set from a shared atomic, so
    concurrent updates may briefly show a stale count — it is a gauge, not
-   an invariant). *)
-let complete t (st : staged) =
+   an invariant).  The wait is the request's [journal] phase: the
+   durable wait its ack pays for. *)
+let complete t ~sp (st : staged) =
   let i = t.i in
   Obs.Metrics.set i.g_commit_stalled
     (Atomic.fetch_and_add t.commit_waiting 1 + 1);
+  let t0 = t.config.now () in
   let settled = Group_commit.await st.st_ticket in
+  Obs.Trace.add_phase sp "journal" (t.config.now () -. t0);
   Obs.Metrics.set i.g_commit_stalled
     (Atomic.fetch_and_add t.commit_waiting (-1) - 1);
   match settled with
@@ -121,7 +124,25 @@ let complete t (st : staged) =
          off the variant lock (phase 1 released it) and off the flusher
          (whose batches must not wait on view maintenance) *)
       advance_view t st.st_variant st.st_after !(st.st_version);
-      respond t ~version:!(st.st_version) st.st_feedback
+      respond t ~sp ~version:!(st.st_version) st.st_feedback
+
+(* Count the op steps a write commits, each with the size of the
+   neighbourhood the incremental checker re-examines for it.  Runs in
+   phase 1, under the writer lock; the dirty set is taken on the
+   committed index, so a multi-op delta (a merge) sizes every op against
+   the final state. *)
+let observe_committed t (session : Core.Session.t) ops =
+  if Obs.enabled t.i.obs then begin
+    let idx = Core.Session.index session in
+    List.iter
+      (fun (_, op) ->
+        Obs.Metrics.incr t.i.c_ops;
+        Obs.Histo.observe t.i.h_dirty
+          (float_of_int
+             (List.length
+                (Core.Schema_index.affected_by idx [ Core.Modop.subject op ]))))
+      ops
+  end
 
 (** The generic single-writer pipeline: run [exec] on the variant's engine
     state under its writer lock, journal the session delta, publish, and
@@ -134,10 +155,10 @@ let complete t (st : staged) =
     [load_if_absent] loads the session from disk first when nothing is live
     (merge targets a variant no connection has open); the default answers
     "session expired" like a designer command does. *)
-let execute ?(load_if_absent = false) t (conn : conn) variant ~mutating ~exec
-    ~line =
+let execute ?(load_if_absent = false) t ~sp (conn : conn) variant ~mutating
+    ~exec ~line =
   let phase1 =
-    try_writer t variant (fun () ->
+    try_writer ~sp t variant (fun () ->
         let found =
           match find_session t variant with
           | Some s -> Ok s
@@ -183,11 +204,12 @@ let execute ?(load_if_absent = false) t (conn : conn) variant ~mutating ~exec
                 let after, feedback = exec before in
                 let apply_seconds = t.config.now () -. t_apply in
                 Obs.Histo.observe i.h_apply apply_seconds;
-                Obs.Trace.add_phase_current i.tracer "apply" apply_seconds;
-                let n, data =
+                Obs.Trace.add_phase sp "apply" apply_seconds;
+                let n, ops, data =
                   encoded_delta ~before:before.Engine.session
                     ~after:after.Engine.session
                 in
+                observe_committed t after.Engine.session ops;
                 s.last_used <- t.config.now ();
                 let path = log_path s in
                 s.state <- after;
@@ -240,7 +262,7 @@ let execute ?(load_if_absent = false) t (conn : conn) variant ~mutating ~exec
                     end
                     else Publish.seq t.pub variant
                   in
-                  `Respond (respond t ~version feedback)
+                  `Respond (respond t ~sp ~version feedback)
               in
               (match run () with
               | r -> r
@@ -253,9 +275,9 @@ let execute ?(load_if_absent = false) t (conn : conn) variant ~mutating ~exec
   match phase1 with
   | Error failure -> shed t failure
   | Ok (`Respond response) -> response
-  | Ok (`Staged st) -> complete t st
+  | Ok (`Staged st) -> complete t ~sp st
 
-let do_command t (conn : conn) variant (cmd : Designer.Command.t) ~line =
-  execute t conn variant ~mutating:(Designer.Command.mutates cmd)
-    ~exec:(fun before -> Engine.exec before cmd)
+let do_command t ~sp (conn : conn) variant (cmd : Designer.Command.t) ~line =
+  execute t ~sp conn variant ~mutating:(Designer.Command.mutates cmd)
+    ~exec:(fun before -> exec_command t before cmd)
     ~line

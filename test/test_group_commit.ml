@@ -336,8 +336,8 @@ let tiny_text =
 
 (* Four writers, max_batch = 4, idle flush off, linger long: the flusher
    cannot depart before the fourth record boards, so the four concurrent
-   applies produce exactly ONE journal append (counted through the global
-   journal observer) where the per-op path would have made four. *)
+   applies produce exactly ONE journal append (counted on the service's
+   io) where the per-op path would have made four. *)
 let service_amortizes_appends () =
   with_watchdog ~secs:60.0 ~name:"service amortizes appends" (fun () ->
       let module Io = Repository.Io in
@@ -362,55 +362,53 @@ let service_amortizes_appends () =
           max_waiters = 16;
         }
       in
+      let appends = Atomic.make 0 in
+      let io =
+        Io.observed ~now:Unix.gettimeofday
+          ~record:(fun op _ -> if op = "append" then Atomic.incr appends)
+          io
+      in
       let t =
         match Service.open_service ~config ~obs:Obs.noop ~io "/repo" with
         | Ok t -> t
         | Error e -> Alcotest.fail e
       in
-      let appends = Atomic.make 0 in
-      Repository.Journal.set_observer
-        (Some
-           (fun ~op ~seconds:_ ->
-             if op = "append" then Atomic.incr appends));
-      Fun.protect
-        ~finally:(fun () -> Repository.Journal.set_observer None)
-        (fun () ->
-          let ok c line =
-            let r = Service.request t c line in
-            match r.Protocol.status with
-            | Protocol.Ok -> ()
-            | _ ->
-                Alcotest.failf "%s should succeed: %s" line
-                  (Protocol.to_string r)
-          in
-          (* barrier between focus and apply: a focus on a busy lane rides
-             it as an empty ordering record, which would let a batch ripen
-             on fewer than four real applies — all four focuses run while
-             the lane is quiescent (direct publish, no submit), so exactly
-             the four applies board the one batch *)
-          let focused = Atomic.make 0 in
-          let threads =
-            List.init 4 (fun w ->
-                Thread.create
-                  (fun () ->
-                    let c = Service.connect t in
-                    ok c "@open v";
-                    ok c "focus ww:Person";
-                    Atomic.incr focused;
-                    while Atomic.get focused < 4 do
-                      Thread.yield ()
-                    done;
-                    ok c
-                      (Printf.sprintf
-                         "apply add_attribute(Person, string, 8, w%d)" w);
-                    Service.disconnect t c)
-                  ())
-          in
-          List.iter Thread.join threads;
-          Alcotest.(check int)
-            "four concurrent applies, one fsync'd append" 1
-            (Atomic.get appends);
-          ignore (Service.shutdown t)))
+      let ok c line =
+        let r = Service.request t c line in
+        match r.Protocol.status with
+        | Protocol.Ok -> ()
+        | _ ->
+            Alcotest.failf "%s should succeed: %s" line
+              (Protocol.to_string r)
+      in
+      (* barrier between focus and apply: a focus on a busy lane rides
+         it as an empty ordering record, which would let a batch ripen
+         on fewer than four real applies — all four focuses run while
+         the lane is quiescent (direct publish, no submit), so exactly
+         the four applies board the one batch *)
+      let focused = Atomic.make 0 in
+      let threads =
+        List.init 4 (fun w ->
+            Thread.create
+              (fun () ->
+                let c = Service.connect t in
+                ok c "@open v";
+                ok c "focus ww:Person";
+                Atomic.incr focused;
+                while Atomic.get focused < 4 do
+                  Thread.yield ()
+                done;
+                ok c
+                  (Printf.sprintf
+                     "apply add_attribute(Person, string, 8, w%d)" w);
+                Service.disconnect t c)
+              ())
+      in
+      List.iter Thread.join threads;
+      Alcotest.(check int)
+        "four concurrent applies, one fsync'd append" 1
+        (Atomic.get appends);
+      ignore (Service.shutdown t))
 
 let tests =
   [

@@ -910,8 +910,12 @@ let follower_survives_leader_restart () =
                   await "follower reconnected and applied the new leader's \
                          write" (fun () ->
                       follower_journal_has "after_restart");
-                  Alcotest.(check bool) "follower is live again" true
-                    (Replication.Follower.live follower)))))
+                  (* the bootstrap ships each variant's files (the journal
+                     among them) before the final [Live] frame, so the
+                     write can be on disk while the stream is still
+                     bootstrapping: wait for liveness too *)
+                  await "follower is live again" (fun () ->
+                      Replication.Follower.live follower)))))
 
 let tests =
   [

@@ -2122,6 +2122,81 @@ let stats_snapshot () =
     (Str_contains.contains json "\"p99\"");
   ignore (Service.shutdown t)
 
+(* Two enabled services in one process each record only their own work:
+   every instrument is a value its service holds, so opening B after A
+   must not redirect A's engine, journal, or check figures into B. *)
+let stats_per_service () =
+  let _, io_a = mem_repo () and _, io_b = mem_repo () in
+  let obs_a = Obs.create () and obs_b = Obs.create () in
+  let a = service ~config:(quick_config ()) ~obs:obs_a io_a in
+  let b = service ~config:(quick_config ()) ~obs:obs_b io_b in
+  let c = Service.connect a in
+  ignore (req_ok a c "@open v");
+  ignore (req_ok a c "focus ww:Person");
+  ignore (req_ok a c (apply_line "nickname"));
+  ignore (req_ok a c "check");
+  let figures obs =
+    let sn = Obs.snapshot obs in
+    let histo_count n =
+      match List.assoc_opt n sn.Obs.sn_histos with
+      | Some h -> h.Obs.Histo.s_count
+      | None -> 0
+    in
+    [
+      ( "swsd.engine.ops_total",
+        Option.value ~default:0
+          (List.assoc_opt "swsd.engine.ops_total" sn.Obs.sn_counters) );
+      ("swsd.journal.append_seconds", histo_count "swsd.journal.append_seconds");
+      ("swsd.engine.check_seconds", histo_count "swsd.engine.check_seconds");
+    ]
+  in
+  List.iter
+    (fun (n, v) -> Alcotest.(check bool) ("A records " ^ n) true (v > 0))
+    (figures obs_a);
+  List.iter
+    (fun (n, v) -> Alcotest.(check int) ("B records no " ^ n) 0 v)
+    (figures obs_b);
+  ignore (Service.shutdown a);
+  ignore (Service.shutdown b)
+
+(* A request's trace is explained by its phases: an acknowledged apply
+   reads parse → wait → apply → journal (the durable wait) → respond, and a
+   lock-free check records one [check] phase, not a [read] around it.  The
+   phases are disjoint intervals inside the span, so they sum to at most
+   its total (measured on one clock; 1 ns absorbs float rounding). *)
+let trace_phases_add_up () =
+  let _, io = mem_repo () in
+  let obs = Obs.create () in
+  let t = service ~config:(quick_config ~now:Obs.Clock.now ()) ~obs io in
+  let c = Service.connect t in
+  ignore (req_ok t c "@open v");
+  ignore (req_ok t c "focus ww:Person");
+  ignore (req_ok t c (apply_line "nickname"));
+  ignore (req_ok t c "check");
+  let traces = Obs.Trace.recent (Obs.tracer obs) in
+  let trace detail =
+    match List.find_opt (fun tr -> tr.Obs.Trace.tr_detail = detail) traces with
+    | Some tr -> tr
+    | None -> Alcotest.failf "no trace for %s" detail
+  in
+  let check_trace detail expected =
+    let tr = trace detail in
+    Alcotest.(check (list string))
+      (detail ^ ": phases in order") expected
+      (List.map (fun p -> p.Obs.Trace.ph_name) tr.Obs.Trace.tr_phases);
+    let sum =
+      List.fold_left (fun acc p -> acc +. p.Obs.Trace.ph_seconds) 0.0
+        tr.Obs.Trace.tr_phases
+    in
+    if sum > tr.Obs.Trace.tr_seconds +. 1e-9 then
+      Alcotest.failf "%s: phases sum to %.6f s > total %.6f s" detail sum
+        tr.Obs.Trace.tr_seconds
+  in
+  check_trace (apply_line "nickname")
+    [ "parse"; "wait"; "apply"; "journal"; "respond" ];
+  check_trace "check" [ "parse"; "check" ];
+  ignore (Service.shutdown t)
+
 let stats_disabled () =
   let _, io = mem_repo () in
   let t = service ~config:(quick_config ()) ~obs:Obs.noop io in
@@ -2212,6 +2287,10 @@ let tests =
       "service: a failed batch flush fails every writer aboard; a @merge \
        load heals"
       (group_batch_failure_fails_all ~reload:reload_merge);
+    test "stats: two services in one process record only their own work"
+      stats_per_service;
+    test "stats: request phases are complete, ordered, and add up"
+      trace_phases_add_up;
   ]
 
 let soak_tests = [ Alcotest.test_case "bounded chaos soak" `Slow soak ]
