@@ -17,7 +17,9 @@
     - P9 migrate: instance migration through a customization
     - P10 journal: appending one durable record to an n-record operation
       journal vs rewriting the whole log (the persistence cost per accepted
-      operation before and after incremental persistence)
+      operation before and after incremental persistence), and a cold
+      [Store.load_session] across history length, opened from the
+      checkpoint vs by a full replay
 *)
 
 open Bechamel
@@ -310,8 +312,77 @@ let run_index ~json_path () =
     exit 1
   end
 
+(* P10, recovery: a cold [Store.load_session] of a variant with [h] ops of
+   history on a 400-interface schema, plus a [recovery_suffix]-op journal
+   tail appended after the last snapshot — opened from the checkpoint, and
+   by a full replay (the same store with its checkpoint removed).
+   In-memory Io, so the figures are CPU, not disk.  The history is
+   add/delete pairs spread over every interface, as in perfbench's
+   long-history. *)
+let recovery_n = 400
+let recovery_sizes = [ 100; 1000; 10000 ]
+let recovery_suffix = 10
+let recovery_growth_ceiling = 2.0
+
+let history_op n k =
+  let i = k / 2 * 7919 mod n in
+  ( Core.Concept.Wagon_wheel,
+    Core.Op_parser.parse
+      (if k mod 2 = 0 then Printf.sprintf "add_attribute(T%d, string, 8, h%d)" i (k / 2)
+       else Printf.sprintf "delete_attribute(T%d, h%d)" i (k / 2)) )
+
+let median_ms runs f =
+  let a =
+    Array.init runs (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        (Unix.gettimeofday () -. t0) *. 1000.)
+  in
+  Array.sort compare a;
+  a.(runs / 2)
+
+(* (history, checkpointed ms, full-replay ms) *)
+let recovery_row h =
+  let module Store = Repository.Store in
+  let schema = schema_of recovery_n in
+  let io = Repository.Io.mem_io (Repository.Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let session =
+    Result.get_ok (Core.Oplog.replay schema (List.init h (history_op recovery_n)))
+  in
+  Store.save_session store session;
+  List.iter
+    (fun k -> Store.append_step store (history_op recovery_n k))
+    (List.init recovery_suffix (fun i -> h + i));
+  let load () =
+    match Store.load_session ~repair:false store with
+    | Ok s -> assert (Core.Session.step_count s = h + recovery_suffix)
+    | Error e -> failwith (Store.load_error_to_string e)
+  in
+  let checkpointed = median_ms 5 load in
+  io.Repository.Io.remove (Store.checkpoint_file store);
+  let full = median_ms 3 load in
+  (h, checkpointed, full)
+
+let run_recovery () =
+  let rows = List.map recovery_row recovery_sizes in
+  print_endline "\nP10: cold load_session, checkpoint + suffix vs full replay (ms)";
+  List.iter
+    (fun (h, c, f) ->
+      Printf.printf "  %6d ops  checkpoint %8.1f  full replay %8.1f\n" h c f)
+    rows;
+  let ckpt h = List.find_map (fun (h', c, _) -> if h' = h then Some c else None) rows in
+  let growth =
+    Option.get (ckpt (List.fold_left max 0 recovery_sizes))
+    /. Option.get (ckpt (List.fold_left min max_int recovery_sizes))
+  in
+  (rows, growth)
+
 (* P10 baseline: journal append vs whole-log rewrite, recorded as JSON so
-   the O(1)-ish append per accepted operation stays an auditable claim. *)
+   the O(1)-ish append per accepted operation stays an auditable claim;
+   plus the recovery curve above.  The run FAILS (exit 1) if the
+   checkpointed open grows more than [recovery_growth_ceiling] times from
+   the shortest to the longest history. *)
 let run_journal ~json_path () =
   let dirs = ref [] in
   let rows =
@@ -325,6 +396,8 @@ let run_journal ~json_path () =
       Sys.rmdir d)
     !dirs;
   print_rows "P10: journal append vs whole-log rewrite (ns/run)" rows;
+  let recovery, growth = run_recovery () in
+  let passed = growth <= recovery_growth_ceiling in
   let strip name =
     match String.index_opt name '/' with
     | Some i -> String.sub name (i + 1) (String.length name - i - 1)
@@ -333,6 +406,11 @@ let run_journal ~json_path () =
   let entry (name, ns) =
     Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }" (strip name)
       ns
+  in
+  let recovery_entry (h, c, f) =
+    Printf.sprintf
+      "      { \"history\": %d, \"checkpoint_ms\": %.1f, \"full_replay_ms\": %.1f }"
+      h c f
   in
   let json =
     String.concat "\n"
@@ -346,7 +424,21 @@ let run_journal ~json_path () =
         "  \"unit\": \"ns/run\",";
         "  \"results\": [";
         String.concat ",\n" (List.map entry rows);
-        "  ]";
+        "  ],";
+        "  \"recovery\": {";
+        Printf.sprintf
+          "    \"setup\": \"cold Store.load_session, Synth n = %d, history ops + a \
+           %d-op journal suffix, in-memory Io; median of 5 (checkpoint) / 3 \
+           (full replay) loads\","
+          recovery_n recovery_suffix;
+        "    \"unit\": \"ms\",";
+        "    \"results\": [";
+        String.concat ",\n" (List.map recovery_entry recovery);
+        "    ],";
+        Printf.sprintf
+          "    \"growth_gate\": { \"growth\": %.2f, \"ceiling\": %.1f, \"passed\": %b }"
+          growth recovery_growth_ceiling passed;
+        "  }";
         "}";
         "";
       ]
@@ -354,4 +446,14 @@ let run_journal ~json_path () =
   let oc = open_out json_path in
   output_string oc json;
   close_out oc;
-  Printf.printf "\nwrote %s\n" json_path
+  Printf.printf "\nwrote %s\n" json_path;
+  if not passed then begin
+    Printf.printf
+      "FAIL: the checkpointed open grew %.2fx from %d to %d ops of history \
+       (ceiling %.1fx) — recovery is not bounded by the journal suffix\n"
+      growth
+      (List.fold_left min max_int recovery_sizes)
+      (List.fold_left max 0 recovery_sizes)
+      recovery_growth_ceiling;
+    exit 1
+  end

@@ -215,10 +215,11 @@ let cmd_repl arg save_dir paranoid readonly =
         ^ if readonly then " (readonly)" else "");
       let final = loop state in
       (* a full save on exit snapshots the final state (not the initial
-         session) and regenerates the derived artifacts *)
+         session) and renders the deliverables *)
       (match repo with
       | Some repo ->
-          Repository.Store.save_session repo final.Designer.Engine.session
+          Repository.Store.save_session repo final.Designer.Engine.session;
+          Repository.Store.save_reports repo final.Designer.Engine.session
       | None -> ());
       Option.iter Server.Locks.unlock_file flock;
       0)
@@ -457,9 +458,11 @@ let cmd_variants_affinity dir =
 (* Check (and optionally salvage) a repository directory: a plain session
    store, or a multi-variant repository (every variant is checked).
    Exit codes: 0 clean, 1 damage found and salvaged (--salvage repaired
-   everything it found), 2 corrupt (damage present and not repaired, or
-   the directory is not a repository at all).  Multi-variant repositories
-   aggregate by max, so one unsalvageable variant makes the whole run 2. *)
+   everything it found) or found only in derived artifacts (custom.odl,
+   the checkpoint — recovery does not depend on them), 2 corrupt (damage
+   present and not repaired, or the directory is not a repository at
+   all).  Multi-variant repositories aggregate by max, so one
+   unsalvageable variant makes the whole run 2. *)
 let cmd_fsck dir salvage =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     prerr_endline (dir ^ ": not a directory");
@@ -476,11 +479,12 @@ let cmd_fsck dir salvage =
       match report with
       | { fsck_issues = []; _ } -> 0
       | { fsck_session = None; _ } -> 2
-      | { fsck_session = Some _; _ } ->
+      | { fsck_session = Some _; fsck_derived_only; _ } ->
           if salvage then begin
             Printf.printf "%s: salvaged\n" label;
             1
           end
+          else if fsck_derived_only then 1
           else 2
     in
     let variants_dir = Filename.concat dir "variants" in

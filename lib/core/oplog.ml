@@ -16,26 +16,26 @@ type entry = {
   e_events : Change.event list;
 }
 
-type t = { entries : entry list; sealed_at : int }
+type t = { ops : (Concept.kind * Modop.t) list; sealed_at : int }
 
 let entry_of_step (st : Session.step) =
-  { e_kind = st.st_kind; e_op = st.st_op; e_events = st.st_events }
+  { e_kind = st.st_kind; e_op = st.st_op; e_events = Session.step_events st }
 
 let of_session s =
   {
-    entries = List.map entry_of_step (Session.log s);
+    ops =
+      List.map (fun (st : Session.step) -> (st.st_kind, st.st_op)) (Session.log s);
     sealed_at = Session.version s;
   }
 
-let pairs t = List.map (fun e -> (e.e_kind, e.e_op)) t.entries
-let length t = List.length t.entries
+let pairs t = t.ops
+let length t = List.length t.ops
 
 let render t =
-  t.entries
-  |> List.map (fun e ->
-         Printf.sprintf "// in %s\n%s;"
-           (Concept.kind_name e.e_kind)
-           (Op_printer.to_string e.e_op))
+  t.ops
+  |> List.map (fun (kind, op) ->
+         Printf.sprintf "// in %s\n%s;" (Concept.kind_name kind)
+           (Op_printer.to_string op))
   |> String.concat "\n"
 
 let replay ?paranoid shrink_wrap steps =

@@ -38,15 +38,17 @@ type entry = {
 }
 
 type t = {
-  entries : entry list;  (** application order (oldest first) *)
+  ops : (Concept.kind * Modop.t) list;  (** application order (oldest first) *)
   sealed_at : int;  (** {!Session.version} stamp the log was taken at *)
 }
 
 val of_session : Session.t -> t
 (** The committed (not undone) steps of [s], oldest first, stamped with the
-    session's current version. *)
+    session's current version.  Reads no impact events, so it never forces
+    a checkpointed session's prefix replay. *)
 
 val entry_of_step : Session.step -> entry
+(** The step with its impact events ({!Session.step_events}). *)
 val pairs : t -> (Concept.kind * Modop.t) list
 val length : t -> int
 

@@ -7,6 +7,14 @@
     shrink-wrap → custom mapping.  Sessions are immutable values: applying
     an operation returns a new session, and undo is structural.
 
+    A session resumed from a repository checkpoint ({!of_checkpoint}) holds
+    the checkpointed workspace but not the per-step record of the log
+    prefix it covers: the impact events and old index versions of those
+    steps come from one replay of the prefix, run the first time anything
+    asks for them and shared by every session derived from it.  The same
+    replay serves undo past the newest {!undo_depth} index versions, the
+    only ones a session keeps.
+
     Operations run on the {e indexed} engine ({!Apply.Indexed} over
     {!Schema_index}): per-op constraint checking and propagation touch only
     the affected neighbourhood, and the consistency report is served from
@@ -18,10 +26,33 @@
 open Odl.Types
 module Validate = Odl.Validate
 
+(* Undo keeps this many shelved index versions; deeper undos replay. *)
+let undo_depth = 32
+
+type impact = Recorded of Change.event list | Replayed of history * int
+
+(* A memoized replay of a fixed op sequence — the first
+   [Array.length h_ops] steps of the log it was taken from — on the shrink
+   wrap schema.  Published sessions are read from several threads, so the
+   replay runs under [h_lock] (OCaml's [Lazy] raises on a concurrent
+   force). *)
+and history = {
+  h_original : Schema_index.t;
+  h_ops : (Concept.kind * Modop.t) array;
+  h_lock : Mutex.t;
+  mutable h_replay : replayed option;
+}
+
+and replayed = {
+  r_events : Change.event list array;  (** per op *)
+  r_marks : Schema_index.shelved array;
+      (** [r_marks.(i)]: the index after [i * undo_depth] ops *)
+}
+
 type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
   st_op : Modop.t;
-  st_events : Change.event list;  (** direct + propagated impact *)
+  st_impact : impact;  (** direct + propagated impact, see {!step_events} *)
 }
 
 type t = {
@@ -30,10 +61,14 @@ type t = {
   workspace : schema;  (** the schema under design; equals [schema index] *)
   index : Schema_index.t;  (** the workspace's index, updated per op *)
   past_indexes : Schema_index.shelved list;
-      (** index versions before each step, newest first (parallels
-          [rev_log]), shelved so that history costs O(log n) words per
-          step rather than a workspace list each; undo restores from here
-          in O(n log n) *)
+      (** index versions before the newest steps, newest first (parallels
+          the head of [rev_log], at most [undo_depth] of them), shelved so
+          that each costs O(log n) words rather than a workspace list;
+          undo restores from here in O(n log n), and past them from
+          [history] *)
+  history : history;  (** replay of a log prefix, see {!history} *)
+  history_valid : int;
+      (** leading steps of the log that still equal [history.h_ops] *)
   rev_log : step list;
       (** applied steps, {e newest} first: apply conses and undo pops, so
           the spine below any point is shared physically across every
@@ -84,6 +119,9 @@ let check_divergence t ~kind op indexed_outcome =
       divergence "%s: indexed engine rejected (%s) what the naive engine accepts"
         ctx (Apply.error_to_string e)
 
+let new_history original ops =
+  { h_original = original; h_ops = ops; h_lock = Mutex.create (); h_replay = None }
+
 (** Start a session on [shrink_wrap].  The shrink wrap schema must be valid;
     otherwise its error diagnostics are returned so the designer can fix the
     repository copy first.  [paranoid] turns on per-operation differential
@@ -105,6 +143,8 @@ let create ?(paranoid = false) shrink_wrap =
           workspace = shrink_wrap;
           index;
           past_indexes = [];
+          history = new_history index [||];
+          history_valid = 0;
           rev_log = [];
           nlog = 0;
           aliases = Aliases.empty;
@@ -125,6 +165,94 @@ let version t = t.version
 
 let find_concept t id = Decompose.Indexed.concept t.original_index id
 
+(* --- the memoized prefix replay ------------------------------------------ *)
+
+let apply_replayed original index (kind, op) =
+  match Apply.Indexed.apply ~original ~kind index op with
+  | Ok r -> r
+  | Error e ->
+      (* a history is only ever taken from ops that applied in this order *)
+      failwith
+        ("Session: logged operation no longer replays: "
+        ^ Apply.error_to_string e)
+
+let replay_history h =
+  let n = Array.length h.h_ops in
+  let r_events = Array.make n [] in
+  let marks = ref [ Schema_index.shelve h.h_original ] in
+  ignore
+    (Array.fold_left
+       (fun (index, i) step ->
+         let index, events = apply_replayed h.h_original index step in
+         r_events.(i) <- events;
+         if (i + 1) mod undo_depth = 0 then
+           marks := Schema_index.shelve index :: !marks;
+         (index, i + 1))
+       (h.h_original, 0) h.h_ops);
+  { r_events; r_marks = Array.of_list (List.rev !marks) }
+
+let replayed h =
+  Mutex.protect h.h_lock (fun () ->
+      match h.h_replay with
+      | Some r -> r
+      | None ->
+          let r = replay_history h in
+          h.h_replay <- Some r;
+          r)
+
+let step_events st =
+  match st.st_impact with
+  | Recorded events -> events
+  | Replayed (h, i) -> (replayed h).r_events.(i)
+
+(* The index after [m] ops of [h] ([m <= Array.length h.h_ops]), and the
+   shelved versions before the ops between the nearest mark and [m],
+   newest first: fewer than [undo_depth] applies. *)
+let index_at h m =
+  let r = replayed h in
+  let from = m / undo_depth * undo_depth in
+  let index = ref (Schema_index.unshelve r.r_marks.(m / undo_depth)) in
+  let past = ref [] in
+  for i = from to m - 1 do
+    past := Schema_index.shelve !index :: !past;
+    index := fst (apply_replayed h.h_original !index h.h_ops.(i))
+  done;
+  (!index, !past)
+
+(** Resume [t] — fresh from {!create} — at a checkpoint: [workspace] is the
+    state after the [prefix] ops, taken on trust (the repository validates
+    the checkpoint against its journal).  Only the workspace is indexed and
+    checked; the prefix's impact events and old index versions are
+    replayed when first needed.  The result equals [t] with [prefix]
+    applied step by step, version stamp included. *)
+let of_checkpoint t ~workspace prefix =
+  if t.nlog <> 0 then invalid_arg "Session.of_checkpoint: the log is not empty";
+  let index = Schema_index.build workspace in
+  match Schema_index.errors index with
+  | _ :: _ as errors -> Error errors
+  | [] ->
+      let ops = Array.of_list prefix in
+      let n = Array.length ops in
+      let history = new_history t.original_index ops in
+      let rev_log = ref [] in
+      Array.iteri
+        (fun i (kind, op) ->
+          rev_log :=
+            { st_kind = kind; st_op = op; st_impact = Replayed (history, i) }
+            :: !rev_log)
+        ops;
+      Ok
+        {
+          t with
+          workspace = Schema_index.schema index;
+          index;
+          history;
+          history_valid = n;
+          rev_log = !rev_log;
+          nlog = n;
+          version = t.version + n;
+        }
+
 let indexed_apply t ~kind op =
   let outcome = Apply.Indexed.apply ~original:t.original_index ~kind t.index op in
   if t.paranoid then check_divergence t ~kind op outcome;
@@ -135,11 +263,13 @@ let commit t ~kind op (index, events) ~future =
       t with
       workspace = Schema_index.schema index;
       index;
-      past_indexes = Schema_index.shelve t.index :: t.past_indexes;
+      past_indexes =
+        Schema_index.shelve t.index
+        :: List.filteri (fun i _ -> i < undo_depth - 1) t.past_indexes;
       future;
       version = t.version + 1;
       rev_log =
-        { st_kind = kind; st_op = op; st_events = events } :: t.rev_log;
+        { st_kind = kind; st_op = op; st_impact = Recorded events } :: t.rev_log;
       nlog = t.nlog + 1;
     },
     events )
@@ -172,20 +302,39 @@ let preview t ~kind op =
 
 (** Undo the most recent step; [None] when the log is empty.  The undone
     operation becomes redoable until the next fresh application.  The index
-    version recorded at apply time is restored. *)
+    version recorded at apply time is restored; past the newest
+    [undo_depth], it is rebuilt from the memoized replay of the log (taken
+    now if the session's history does not reach this far). *)
 let undo t =
-  match (t.rev_log, t.past_indexes) with
-  | [], _ | _, [] -> None
-  | last :: rest, shelved :: past_indexes ->
-      let index = Schema_index.unshelve shelved in
+  match t.rev_log with
+  | [] -> None
+  | last :: rest ->
+      let m = t.nlog - 1 in
+      let index, past_indexes, history, history_valid =
+        match t.past_indexes with
+        | shelved :: past ->
+            (Schema_index.unshelve shelved, past, t.history, min t.history_valid m)
+        | [] ->
+            let history =
+              if m <= t.history_valid then t.history
+              else
+                new_history t.original_index
+                  (Array.of_list
+                     (List.rev_map (fun st -> (st.st_kind, st.st_op)) rest))
+            in
+            let index, past = index_at history m in
+            (index, past, history, m)
+      in
       Some
         {
           t with
           workspace = Schema_index.schema index;
           index;
           past_indexes;
+          history;
+          history_valid;
           rev_log = rest;
-          nlog = t.nlog - 1;
+          nlog = m;
           future = (last.st_kind, last.st_op) :: t.future;
           version = t.version + 1;
         }
@@ -253,7 +402,7 @@ let pp_step ppf (idx, s) =
   Fmt.pf ppf "@[<v 2>%d. [%s] %a" (idx + 1)
     (Concept.kind_name s.st_kind)
     Op_printer.pp s.st_op;
-  List.iter (fun e -> Fmt.pf ppf "@,%s" (Change.event_to_string e)) s.st_events;
+  List.iter (fun e -> Fmt.pf ppf "@,%s" (Change.event_to_string e)) (step_events s);
   Fmt.pf ppf "@]"
 
 (** The impact report: every applied operation with its direct and

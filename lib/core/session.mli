@@ -10,11 +10,25 @@
 
 open Odl.Types
 
+type impact
+(** A step's impact events: recorded when it committed, or — for the steps
+    a checkpoint covers ({!of_checkpoint}) — recomputed on first demand. *)
+
 type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
   st_op : Modop.t;
-  st_events : Change.event list;  (** direct + propagated impact *)
+  st_impact : impact;  (** read through {!step_events} *)
 }
+
+val step_events : step -> Change.event list
+(** Direct + propagated impact of the step.  For a checkpointed step the
+    first call replays the checkpoint's log prefix once (thread-safe,
+    shared by every session derived from the resumed one). *)
+
+val undo_depth : int
+(** How many old index versions a session keeps for undo.  Undoing past
+    them rebuilds the index from a memoized replay of the log — correct,
+    not fast. *)
 
 type t
 
@@ -29,6 +43,19 @@ val create : ?paranoid:bool -> schema -> (t, Odl.Validate.diagnostic list) resul
     error diagnostics.  Operations run on the indexed engine; with
     [~paranoid:true] (default [false]) every operation is additionally run
     through the naive engine and compared (see {!Divergence}). *)
+
+val of_checkpoint :
+  t ->
+  workspace:schema ->
+  (Concept.kind * Modop.t) list ->
+  (t, Odl.Validate.diagnostic list) result
+(** [of_checkpoint t ~workspace prefix] — [t] fresh from {!create} — is the
+    session [prefix] replayed on [t] would give (same workspace, log,
+    version stamp, undo/redo behaviour), built by indexing [workspace]
+    instead of replaying: [workspace] must be the state after [prefix],
+    which the caller vouches for (the repository checkpoint is validated
+    against the journal).  [Error] when [workspace] has error diagnostics.
+    @raise Invalid_argument when [t] has a log. *)
 
 val original : t -> schema
 (** The shrink wrap schema; never modified. *)

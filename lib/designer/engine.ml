@@ -349,6 +349,7 @@ let rec exec state (cmd : Command.t) =
   | Save dir ->
       let repo = Repository.Store.open_dir dir in
       Repository.Store.save_session repo state.session;
+      Repository.Store.save_reports repo state.session;
       (match state.store with
       | Some store ->
           Out_channel.with_open_text (Filename.concat dir "data.objs")

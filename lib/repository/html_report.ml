@@ -91,7 +91,7 @@ let log session =
                   (tag "strong" (string_of_int (idx + 1) ^ "."))
                   (escape (Core.Op_printer.to_string s.st_op))
                   (escape (Core.Concept.kind_name s.st_kind))
-               ^ tag "ul" (String.concat "" (List.map event_html s.st_events))))
+               ^ tag "ul" (String.concat "" (List.map event_html (Session.step_events s)))))
       |> String.concat "\n"
       |> tag "ol"
 

@@ -31,7 +31,7 @@ let valid_variant_name n = n <> "" && Odl.Names.is_valid n
 (** Initialize a repository for [shrink_wrap] at [dir].  The shrink wrap
     schema must be valid. *)
 let init ?(io = Io.unix) dir shrink_wrap =
-  match Odl.Validate.errors shrink_wrap with
+  match Core.Schema_index.errors (Core.Schema_index.build shrink_wrap) with
   | _ :: _ -> Error "the shrink wrap schema is not valid"
   | [] ->
       Io.mkdir_p io dir;

@@ -10,15 +10,22 @@
     <dir>/log.ops            operation journal:  @ww add_...(...);  @undo;
     <dir>/aliases.map        local names:  Canonical = local
     <dir>/custom.odl         the generated custom schema
+    <dir>/checkpoint.odl     the workspace at the end of the saved log, with
+                             digests of the shrink wrap and log prefix it covers
     <dir>/manifest           format version, generation, ops watermark
-    <dir>/reports/*.txt      generated deliverables
+    <dir>/reports/*          deliverables, written only on request
     v}
 
     Durability protocol: whole-file artifacts go through {!Io.atomic_write}
     (write-to-temp, fsync, rename), the journal is append-only with a
     per-record fsync, and the manifest is written last so it witnesses a
     completed save.  All syscalls go through the injectable {!Io.t} the
-    store was opened with. *)
+    store was opened with.
+
+    Recovery opens from the checkpoint and replays only the journal records
+    appended after it; the checkpoint is derived data, so whenever it is
+    missing, damaged or does not match, a full replay of the journal —
+    the reference — takes over. *)
 
 type t = { dir : string; io : Io.t }
 
@@ -28,15 +35,14 @@ let shrinkwrap_file t = Filename.concat t.dir "shrinkwrap.odl"
 let aliases_file t = Filename.concat t.dir "aliases.map"
 let log_file t = Filename.concat t.dir "log.ops"
 let custom_file t = Filename.concat t.dir "custom.odl"
+let checkpoint_file t = Filename.concat t.dir "checkpoint.odl"
 let manifest_file t = Filename.concat t.dir "manifest"
 let reports_dir t = Filename.concat t.dir "reports"
 
 (** Open (creating if needed) a repository rooted at [dir]. *)
 let open_dir ?(io = Io.unix) dir =
-  let t = { dir; io } in
   Io.mkdir_p io dir;
-  Io.mkdir_p io (reports_dir t);
-  t
+  { dir; io }
 
 let write_file t path contents = Io.atomic_write t.io path contents
 let read_file t path = t.io.Io.read_file path
@@ -73,10 +79,6 @@ let save_shrinkwrap t schema =
 let load_shrinkwrap t =
   Odl.Parser.parse_schema (read_file t (shrinkwrap_file t))
 
-let save_log t steps =
-  Journal.rewrite t.io (log_file t)
-    (List.map (fun (kind, op) -> Journal.Op (kind, op)) steps)
-
 let load_log t =
   if t.io.Io.file_exists (log_file t) then
     let { Journal.entries; damage } = Journal.read t.io (log_file t) in
@@ -94,6 +96,7 @@ let save_custom t schema =
 let load_custom t = Odl.Parser.parse_schema (read_file t (custom_file t))
 
 let save_report t name contents =
+  Io.mkdir_p t.io (reports_dir t);
   write_file t (Filename.concat (reports_dir t) (name ^ ".txt")) contents
 
 let save_aliases t aliases =
@@ -212,6 +215,112 @@ let set_lineage t ~parent ~fork =
   in
   save_manifest t m
 
+(* --- checkpoint ------------------------------------------------------------
+
+   One header line, then the workspace in ODL (so the file still parses as
+   a schema):
+   {v
+   // checkpoint 1 ops <n> bytes <b> log <md5> shrinkwrap <md5> body <md5>
+   schema ... v}
+   — the first [n] journal records, [b] bytes of [log.ops] with digest
+   [log], taken on the shrink wrap text with digest [shrinkwrap]; [body]
+   is the digest of everything after the header line.  The header is
+   checked before the workspace is parsed, so a checkpoint that cannot
+   serve costs a digest, not a parse. *)
+
+type checkpoint = {
+  c_ops : int;  (** journal records covered, all operations *)
+  c_bytes : int;  (** their length in bytes *)
+  c_log : string;  (** hex digest of those bytes *)
+  c_shrinkwrap : string;  (** hex digest of the shrink wrap text *)
+  c_body : string;  (** the state after them, in ODL; parsed last *)
+}
+
+let hex s = Digest.to_hex (Digest.string s)
+
+let checkpoint_to_string ~shrink_text ~log_text ~ops workspace =
+  let body = Odl.Printer.schema_to_string workspace in
+  Printf.sprintf
+    "// checkpoint 1 ops %d bytes %d log %s shrinkwrap %s body %s\n%s" ops
+    (String.length log_text) (hex log_text) (hex shrink_text) (hex body) body
+
+let checkpoint_of_string text =
+  let header, body =
+    match String.index_opt text '\n' with
+    | Some i ->
+        (String.sub text 0 i, String.sub text (i + 1) (String.length text - i - 1))
+    | None -> (text, "")
+  in
+  match
+    Scanf.sscanf_opt header
+      "// checkpoint 1 ops %d bytes %d log %s shrinkwrap %s body %s%!"
+      (fun o b l s d -> (o, b, l, s, d))
+  with
+  | None -> Error "malformed header"
+  | Some (c_ops, c_bytes, c_log, c_shrinkwrap, digest) ->
+      if hex body <> digest then Error "workspace does not match its digest"
+      else Ok { c_ops; c_bytes; c_log; c_shrinkwrap; c_body = body }
+
+let checkpoint_workspace c =
+  match Odl.Parser.parse_schema c.c_body with
+  | workspace -> Ok workspace
+  | exception Odl.Parser.Parse_error (m, line, _) ->
+      Error (Printf.sprintf "line %d: %s" line m)
+  | exception Odl.Lexer.Lex_error (m, line, _) ->
+      Error (Printf.sprintf "line %d: %s" line m)
+
+(* [None] when there is no checkpoint. *)
+let load_checkpoint t =
+  if t.io.Io.file_exists (checkpoint_file t) then
+    Some
+      (match read_file t (checkpoint_file t) with
+      | text -> checkpoint_of_string text
+      | exception Sys_error m -> Error m)
+  else None
+
+(* The first [c_ops] journal entries, when the checkpoint was taken on this
+   shrink wrap and these log bytes. *)
+let covered_prefix c ~shrink_text ~log_text entries =
+  let rec ops n acc = function
+    | _ when n = 0 -> Some (List.rev acc)
+    | Journal.Op (kind, op) :: rest -> ops (n - 1) ((kind, op) :: acc) rest
+    | Journal.Undo :: _ | [] -> None
+  in
+  if
+    hex shrink_text = c.c_shrinkwrap
+    && c.c_bytes <= String.length log_text
+    && Digest.to_hex (Digest.substring log_text 0 c.c_bytes) = c.c_log
+  then ops c.c_ops [] entries
+  else None
+
+(* The session the journal [entries] replay to, opened from the checkpoint
+   plus the resolved suffix; [None] whenever the checkpoint cannot serve
+   (absent, empty, damaged, stale, invalid, or undone into), leaving the
+   full replay to the caller. *)
+let resume_from_checkpoint t shrink_wrap ~shrink_text ~log_text entries =
+  let ( let* ) = Option.bind in
+  let* c = Option.bind (load_checkpoint t) Result.to_option in
+  let* prefix =
+    if c.c_ops = 0 then None
+    else covered_prefix c ~shrink_text ~log_text entries
+  in
+  (* resolving the records after the checkpoint on their own fails
+     exactly when an [@undo;] pops into the covered prefix *)
+  let* suffix =
+    Result.to_option
+      (Journal.resolve (List.filteri (fun i _ -> i >= c.c_ops) entries))
+  in
+  let* workspace = Result.to_option (checkpoint_workspace c) in
+  let* fresh = Result.to_option (Core.Session.create shrink_wrap) in
+  let* session =
+    Result.to_option (Core.Session.of_checkpoint fresh ~workspace prefix)
+  in
+  List.fold_left
+    (fun acc (kind, op) ->
+      let* s = acc in
+      Option.map fst (Result.to_option (Core.Session.apply s ~kind op)))
+    (Some session) suffix
+
 (* --- whole sessions ------------------------------------------------------ *)
 
 let session_steps session =
@@ -219,9 +328,11 @@ let session_steps session =
     (fun (s : Core.Session.step) -> (s.st_kind, s.st_op))
     (Core.Session.log session)
 
-(** Persist a whole session: shrink wrap schema, operation journal, local
-    names, custom schema, the deliverable reports, and last the manifest —
-    each atomically, so a crash anywhere leaves every artifact whole. *)
+(** Persist what recovery needs: shrink wrap schema, operation journal,
+    local names, custom schema, a checkpoint of the workspace at the end of
+    the journal, and last the manifest — each atomically, so a crash
+    anywhere leaves every artifact whole.  The deliverable reports are
+    {!save_reports}'s. *)
 let save_session t session =
   let steps = session_steps session in
   let generation, era, lineage =
@@ -229,16 +340,17 @@ let save_session t session =
     | Some m -> (m.m_generation + 1, m.m_era, m.m_lineage)
     | None -> (1, 0, None)
   in
-  save_shrinkwrap t (Core.Session.original session);
-  save_log t steps;
+  let shrink_text =
+    Odl.Printer.schema_to_string (Core.Session.original session)
+  in
+  let log_text = log_to_string steps in
+  write_file t (shrinkwrap_file t) shrink_text;
+  write_file t (log_file t) log_text;
   save_aliases t (Core.Session.aliases session);
   save_custom t (Core.Session.custom_schema session);
-  save_report t "impact" (Core.Session.impact_report session);
-  save_report t "consistency" (Core.Session.consistency_report_text session);
-  save_report t "mapping" (Core.Session.mapping_report session);
-  write_file t
-    (Filename.concat (reports_dir t) "deliverables.html")
-    (Html_report.render session);
+  write_file t (checkpoint_file t)
+    (checkpoint_to_string ~shrink_text ~log_text ~ops:(List.length steps)
+       (Core.Session.workspace session));
   save_manifest t
     {
       m_generation = generation;
@@ -246,6 +358,16 @@ let save_session t session =
       m_era = era;
       m_lineage = lineage;
     }
+
+(** Render the designer deliverables into [reports/]: the impact,
+    consistency and mapping reports and [deliverables.html]. *)
+let save_reports t session =
+  save_report t "impact" (Core.Session.impact_report session);
+  save_report t "consistency" (Core.Session.consistency_report_text session);
+  save_report t "mapping" (Core.Session.mapping_report session);
+  write_file t
+    (Filename.concat (reports_dir t) "deliverables.html")
+    (Html_report.render session)
 
 type load_error =
   | Damaged of { file : string; reason : string }
@@ -258,23 +380,31 @@ let load_error_to_string = function
 
 let damaged file reason = Error (Damaged { file; reason })
 
-(* Read and parse one ODL artifact, mapping every failure mode to
+(* Read one ODL artifact, text and schema, mapping every failure mode to
    [Damaged]. *)
 let read_schema_artifact t file path =
   if not (t.io.Io.file_exists path) then damaged file "missing"
   else
-    match Odl.Parser.parse_schema (read_file t path) with
-    | schema -> Ok schema
-    | exception Odl.Parser.Parse_error (m, line, _) ->
-        damaged file (Printf.sprintf "line %d: %s" line m)
-    | exception Odl.Lexer.Lex_error (m, line, _) ->
-        damaged file (Printf.sprintf "line %d: %s" line m)
+    match read_file t path with
     | exception Sys_error m -> damaged file m
+    | text -> (
+        match Odl.Parser.parse_schema text with
+        | schema -> Ok (text, schema)
+        | exception Odl.Parser.Parse_error (m, line, _) ->
+            damaged file (Printf.sprintf "line %d: %s" line m)
+        | exception Odl.Lexer.Lex_error (m, line, _) ->
+            damaged file (Printf.sprintf "line %d: %s" line m))
 
-(** Rebuild a session by replaying the journal on the stored shrink wrap
-    schema, then restoring its local names.  A torn journal tail — the
-    crash artifact of an append that was never acknowledged — is truncated
-    and forgotten; interior corruption is an error.  No exception escapes.
+let read_log t =
+  if t.io.Io.file_exists (log_file t) then read_file t (log_file t) else ""
+
+(** Rebuild a session from the stored shrink wrap schema and journal, then
+    restore its local names.  When the checkpoint covers a prefix of the
+    journal, the session opens from it and only the records appended after
+    it are applied; otherwise the whole journal is replayed.  Both give the
+    same session.  A torn journal tail — the crash artifact of an append
+    that was never acknowledged — is truncated and forgotten; interior
+    corruption is an error.  No exception escapes.
 
     [repair] (default [true]) rewrites a torn tail in place so the next
     append lands on a clean file.  Pass [~repair:false] when reading a
@@ -285,10 +415,11 @@ let read_schema_artifact t file path =
 let load_session ?(repair = true) t =
   let ( let* ) = Result.bind in
   try
-    let* shrink_wrap =
+    let* shrink_text, shrink_wrap =
       read_schema_artifact t "shrinkwrap.odl" (shrinkwrap_file t)
     in
-    let { Journal.entries; damage } = Journal.read t.io (log_file t) in
+    let log_text = read_log t in
+    let { Journal.entries; damage } = Journal.parse log_text in
     let* entries =
       match damage with
       | None -> Ok entries
@@ -304,9 +435,14 @@ let load_session ?(repair = true) t =
       | Error m -> damaged "log.ops" m
     in
     let* session =
-      Result.map_error
-        (fun e -> Replay e)
-        (Core.Oplog.replay shrink_wrap steps)
+      match
+        resume_from_checkpoint t shrink_wrap ~shrink_text ~log_text entries
+      with
+      | Some session -> Ok session
+      | None ->
+          Result.map_error
+            (fun e -> Replay e)
+            (Core.Oplog.replay shrink_wrap steps)
     in
     let* aliases =
       if t.io.Io.file_exists (aliases_file t) then
@@ -324,14 +460,26 @@ let load_session ?(repair = true) t =
 type fsck_report = {
   fsck_issues : string list;
   fsck_session : Core.Session.t option;
+  fsck_derived_only : bool;
 }
 
 (** Inspect every artifact of the repository, reporting damage; with
     [~salvage:true] rewrite it from the best recoverable session (longest
     replayable journal prefix) and sweep stale temporary files. *)
 let fsck ?(salvage = false) t =
-  let issues = ref [] in
-  let issue fmt = Printf.ksprintf (fun m -> issues := m :: !issues) fmt in
+  let issues = ref [] and damaged = ref false in
+  let issue fmt =
+    Printf.ksprintf (fun m -> damaged := true; issues := m :: !issues) fmt
+  in
+  (* damage to an artifact recovery does not depend on *)
+  let derived file fmt =
+    Printf.ksprintf
+      (fun m ->
+        issues :=
+          Printf.sprintf "%s: %s (derived; regenerated by salvage)" file m
+          :: !issues)
+      fmt
+  in
   let tmp_files =
     let under d =
       if t.io.Io.is_directory d then
@@ -358,7 +506,11 @@ let fsck ?(salvage = false) t =
       | Some s when !issues <> [] -> save_session t s
       | _ -> ()
     end;
-    { fsck_issues = List.rev !issues; fsck_session = session }
+    {
+      fsck_issues = List.rev !issues;
+      fsck_session = session;
+      fsck_derived_only = not !damaged;
+    }
   in
   match read_schema_artifact t "shrinkwrap.odl" (shrinkwrap_file t) with
   | Error (Damaged { reason; _ }) | (exception Sys_error reason) ->
@@ -368,21 +520,23 @@ let fsck ?(salvage = false) t =
         reason;
       finish None
   | Error (Replay _) -> assert false
-  | Ok shrink_wrap -> (
+  | Ok (shrink_text, shrink_wrap) -> (
       (* journal: longest valid, resolvable, replayable prefix *)
-      let entries =
-        match Journal.read t.io (log_file t) with
-        | { Journal.entries; damage = None } -> entries
-        | { entries; damage = Some (Journal.Torn_tail _ as d) } ->
-            issue "log.ops: %s" (Journal.damage_to_string d);
-            entries
-        | { entries; damage = Some (Journal.Corrupt _ as d) } ->
-            issue "log.ops: %s; kept the valid prefix (%d record(s))"
-              (Journal.damage_to_string d) (List.length entries);
-            entries
+      let log_text, entries =
+        match read_log t with
         | exception Sys_error m ->
             issue "log.ops: %s; treating the journal as empty" m;
-            []
+            ("", [])
+        | log_text -> (
+            match Journal.parse log_text with
+            | { Journal.entries; damage = None } -> (log_text, entries)
+            | { entries; damage = Some (Journal.Torn_tail _ as d) } ->
+                issue "log.ops: %s" (Journal.damage_to_string d);
+                (log_text, entries)
+            | { entries; damage = Some (Journal.Corrupt _ as d) } ->
+                issue "log.ops: %s; kept the valid prefix (%d record(s))"
+                  (Journal.damage_to_string d) (List.length entries);
+                (log_text, entries))
       in
       let steps =
         let rec go stack kept = function
@@ -437,24 +591,37 @@ let fsck ?(salvage = false) t =
             else session
           in
           (if not (t.io.Io.file_exists (custom_file t)) then
-             issue "custom.odl: missing (derived; regenerated by salvage)"
+             derived "custom.odl" "missing"
            else
              match Odl.Parser.parse_schema (read_file t (custom_file t)) with
              | _ -> ()
              | exception Odl.Parser.Parse_error (m, line, _) ->
-                 issue "custom.odl: line %d: %s (derived; regenerated by \
-                        salvage)" line m
+                 derived "custom.odl" "line %d: %s" line m
              | exception Odl.Lexer.Lex_error (m, line, _) ->
-                 issue "custom.odl: line %d: %s (derived; regenerated by \
-                        salvage)" line m
-             | exception Sys_error m -> issue "custom.odl: %s" m);
-          List.iter
-            (fun r ->
-              let p = Filename.concat (reports_dir t) r in
-              if not (t.io.Io.file_exists p) then
-                issue "reports/%s: missing (derived; regenerated by salvage)" r)
-            [ "impact.txt"; "consistency.txt"; "mapping.txt";
-              "deliverables.html" ];
+                 derived "custom.odl" "line %d: %s" line m
+             | exception Sys_error m -> derived "custom.odl" "%s" m);
+          (* the checkpoint must be the replayed state at the end of the
+             log prefix it claims to cover *)
+          (let derived fmt = derived "checkpoint.odl" fmt in
+           match load_checkpoint t with
+           | None -> derived "missing"
+           | Some (Error m) -> derived "%s" m
+           | Some (Ok c) -> (
+               match covered_prefix c ~shrink_text ~log_text entries with
+               | None -> derived "does not match the log prefix"
+               | Some prefix -> (
+                   match
+                     (checkpoint_workspace c, Core.Oplog.replay shrink_wrap prefix)
+                   with
+                   | Error m, _ -> derived "%s" m
+                   | Ok _, Error _ ->
+                       derived "covers a log prefix that does not replay"
+                   | Ok workspace, Ok s ->
+                       if
+                         not
+                           (Odl.Types.equal_schema (Core.Session.workspace s)
+                              workspace)
+                       then derived "differs from the replayed log prefix")));
           (match load_manifest t with
           | None ->
               if t.io.Io.file_exists (manifest_file t) then

@@ -10,14 +10,21 @@
     <dir>/log.ops            operation journal:  @ww add_...(...);  @undo;
     <dir>/aliases.map        local names:  Canonical = local
     <dir>/custom.odl         the generated custom schema
+    <dir>/checkpoint.odl     the workspace at the end of the saved log, with
+                             digests of the shrink wrap and log prefix it covers
     <dir>/manifest           format version, generation, ops watermark
-    <dir>/reports/*.txt      generated deliverables
+    <dir>/reports/*          deliverables, written only by {!save_reports}
     v}
 
     Durability: every whole-file artifact is written via write-to-temp,
     fsync, atomic rename; the journal is append-only with a per-record
     fsync ({!Journal}); the manifest is written last so it witnesses a
-    completed save.  All syscalls go through an injectable {!Io.t}. *)
+    completed save.  All syscalls go through an injectable {!Io.t}.
+
+    Recovery cost is bounded by what was appended since the last save: a
+    load opens from the checkpoint and applies only the journal suffix.
+    The checkpoint is derived data — a missing, damaged or stale one only
+    sends the load back to a full replay of the journal. *)
 
 type t
 
@@ -30,6 +37,7 @@ val shrinkwrap_file : t -> string
 val log_file : t -> string
 val aliases_file : t -> string
 val custom_file : t -> string
+val checkpoint_file : t -> string
 val manifest_file : t -> string
 val reports_dir : t -> string
 
@@ -50,7 +58,6 @@ val log_of_string : string -> (Core.Concept.kind * Core.Modop.t) list
 
 val save_shrinkwrap : t -> Odl.Types.schema -> unit
 val load_shrinkwrap : t -> Odl.Types.schema
-val save_log : t -> (Core.Concept.kind * Core.Modop.t) list -> unit
 val load_log : t -> (Core.Concept.kind * Core.Modop.t) list
 (** The empty list when no log has been saved yet.
     @raise Bad_log on damage. *)
@@ -117,8 +124,16 @@ val fence : t -> era:int -> unit
 (** {1 Whole sessions} *)
 
 val save_session : t -> Core.Session.t -> unit
-(** Shrink wrap schema, operation journal, local names, custom schema, the
-    deliverable reports, and last the manifest — each atomically. *)
+(** What recovery needs: shrink wrap schema, operation journal (resolved),
+    local names, custom schema, a checkpoint of the workspace covering the
+    whole journal, and last the manifest — each atomically.  This is the
+    snapshot path (detach, shutdown, new variants, salvage); it renders no
+    reports. *)
+
+val save_reports : t -> Core.Session.t -> unit
+(** Render the deliverables into [reports/]: [impact.txt],
+    [consistency.txt], [mapping.txt] and [deliverables.html].  Called by
+    an explicit designer [save] and the CLI's [--save]. *)
 
 type load_error =
   | Damaged of { file : string; reason : string }
@@ -130,13 +145,18 @@ type load_error =
 val load_error_to_string : load_error -> string
 
 val load_session : ?repair:bool -> t -> (Core.Session.t, load_error) result
-(** Rebuild by replaying the journal on the stored shrink wrap schema, then
-    restoring local names.  A torn journal tail (crash artifact of an
-    unacknowledged append) is silently truncated; interior corruption is
-    {!Damaged}.  No exception escapes.  [~repair:false] (default [true])
-    suppresses the in-place rewrite of a torn tail — required when reading
-    a store another process may be appending to (merge reads the branch
-    lock-free; the longest valid prefix is the acknowledged history). *)
+(** Rebuild from the checkpoint plus the journal records appended after it,
+    or — when the checkpoint is missing, covers no operation, is damaged,
+    does not match the shrink wrap or journal prefix, has error
+    diagnostics, or is undone into by a later [@undo;] — by replaying the
+    whole journal on the stored shrink wrap schema; then restore local
+    names.  Both paths give the same session.  A torn journal tail (crash
+    artifact of an unacknowledged append) is silently truncated; interior
+    corruption is {!Damaged}.  No exception escapes.  [~repair:false]
+    (default [true]) suppresses the in-place rewrite of a torn tail —
+    required when reading a store another process may be appending to
+    (merge reads the branch lock-free; the longest valid prefix is the
+    acknowledged history). *)
 
 (** {1 Integrity checking} *)
 
@@ -145,10 +165,16 @@ type fsck_report = {
   fsck_session : Core.Session.t option;
       (** best recoverable session; [None] only when the base schema
           itself is lost *)
+  fsck_derived_only : bool;
+      (** every issue concerns a derived artifact ([custom.odl], the
+          checkpoint): nothing recovery depends on is damaged *)
 }
 
 val fsck : ?salvage:bool -> t -> fsck_report
-(** Inspect every artifact and report damage.  With [~salvage:true],
-    rewrite the repository from the best recoverable session (longest
-    replayable journal prefix), regenerating derived artifacts and
-    removing stale temporary files. *)
+(** Inspect every artifact and report damage.  The checkpoint is checked
+    against the replayed journal prefix it claims to cover; a missing,
+    damaged or mismatched one is reported as derived (it never makes the
+    store unrecoverable).  Reports are not checked: they are rendered on
+    request.  With [~salvage:true], rewrite the repository from the best
+    recoverable session (longest replayable journal prefix), regenerating
+    derived artifacts and removing stale temporary files. *)

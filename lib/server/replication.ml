@@ -45,12 +45,14 @@ open Service_types
 exception Stream_error of string
 
 (* The variant artifacts a snapshot ships (and the only names a follower
-   will write): everything {!Store.load_session} needs plus the derived
-   custom schema and the manifest, so a promoted replica starts from a
-   complete store.  Never [.lock] (locks are per-process) and never
-   reports (regenerated on save). *)
+   will write): everything {!Store.load_session} needs — the checkpoint
+   included, so bootstrap and a promoted replica open from it rather than
+   replaying the whole journal — plus the derived custom schema and the
+   manifest, so a promoted replica starts from a complete store.  Never
+   [.lock] (locks are per-process) and never reports (rendered on
+   request). *)
 let artifact_names =
-  [ "shrinkwrap.odl"; "log.ops"; "aliases.map"; "custom.odl"; "manifest" ]
+  [ "shrinkwrap.odl"; "log.ops"; "aliases.map"; "custom.odl"; "checkpoint.odl"; "manifest" ]
 
 (* --- the hub: leader-side fan-out ----------------------------------------- *)
 

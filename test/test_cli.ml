@@ -223,6 +223,12 @@ let repl_save_and_fsck () =
       let log = read_file (Filename.concat dir "log.ops") in
       Alcotest.(check bool) "accepted op persisted" true
         (Str_contains.contains log "add_attribute(Person, string, 12, phone)");
+      check_run [ "fsck"; dir ] 0 [ "clean" ];
+      (* --save renders the deliverables; they are not recovery state, so
+         losing one is no damage *)
+      let report = Filename.concat (Filename.concat dir "reports") "impact.txt" in
+      Alcotest.(check bool) "reports rendered" true (Sys.file_exists report);
+      Sys.remove report;
       check_run [ "fsck"; dir ] 0 [ "clean" ])
 
 let fsck_corrupt_and_salvage () =
@@ -260,6 +266,19 @@ let fsck_corrupt_and_salvage () =
       check_run [ "fsck"; "--salvage"; dir ] 1 [ "variants/site1: salvaged" ];
       check_run [ "fsck"; dir ] 0 [ "clean" ];
       check_run [ "variants"; "list"; dir ] 0 [ "site1" ];
+      (* a damaged checkpoint is derived damage: reported with exit 1,
+         never 2 (recovery falls back to the journal, so the variant
+         still opens), and salvage regenerates it *)
+      let checkpoint =
+        Filename.concat (Filename.concat (Filename.concat dir "variants") "site1")
+          "checkpoint.odl"
+      in
+      append_file checkpoint "interface Junk {};\n";
+      check_run [ "fsck"; dir ] 1
+        [ "variants/site1: checkpoint.odl"; "derived; regenerated by salvage" ];
+      check_run [ "variants"; "list"; dir ] 0 [ "site1" ];
+      check_run [ "fsck"; "--salvage"; dir ] 1 [ "variants/site1: salvaged" ];
+      check_run [ "fsck"; dir ] 0 [ "clean" ];
       (* a corrupt top-level schema is corruption too *)
       let oc = open_out (Filename.concat dir "shrinkwrap.odl") in
       output_string oc "interface {{{";

@@ -60,7 +60,7 @@ let saved_by_store () =
   let dir = Filename.temp_file "swsd_html" "" in
   Sys.remove dir;
   let repo = Repository.Store.open_dir dir in
-  Repository.Store.save_session repo (session_with_work ());
+  Repository.Store.save_reports repo (session_with_work ());
   let path = Filename.concat (Repository.Store.reports_dir repo) "deliverables.html" in
   Alcotest.(check bool) "written" true (Sys.file_exists path);
   let rec rm p =

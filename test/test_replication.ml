@@ -700,7 +700,8 @@ let prefix_replay_prop =
             let p = "/repo/variants/v/" ^ name in
             if lio.Io.file_exists p then Some (name, lio.Io.read_file p)
             else None)
-          [ "shrinkwrap.odl"; "log.ops"; "aliases.map"; "custom.odl"; "manifest" ]
+          [ "shrinkwrap.odl"; "log.ops"; "aliases.map"; "custom.odl"; "checkpoint.odl";
+            "manifest" ]
       in
       let t = service ~config:(quick_config ()) lio in
       let c = Service.connect t in

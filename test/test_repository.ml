@@ -41,6 +41,21 @@ let entry_equal a b =
   | Journal.Undo, Journal.Undo -> true
   | _ -> false
 
+(* The reference recovery: the whole resolved journal replayed on the
+   stored shrink wrap, local names restored. *)
+let same_as_full_replay store s =
+  let journal = Journal.read (Store.io store) (Store.log_file store) in
+  match Journal.resolve journal.Journal.entries with
+  | Error _ -> false
+  | Ok journal -> (
+      match Core.Oplog.replay (Store.load_shrinkwrap store) journal with
+      | Error _ -> false
+      | Ok r ->
+          let r = Core.Session.restore_aliases r (Store.load_aliases store) in
+          Odl.Types.equal_schema (Core.Session.workspace r) (Core.Session.workspace s)
+          && steps_equal (steps r) (steps s)
+          && Core.Session.version r = Core.Session.version s)
+
 let rec take n l =
   if n <= 0 then []
   else match l with [] -> [] | x :: r -> x :: take (n - 1) r
@@ -112,6 +127,9 @@ let reports_written () =
   with_repo (fun repo ->
       let s = Util.session_of (Util.university ()) in
       Store.save_session repo s;
+      Alcotest.(check bool) "a snapshot renders no reports" false
+        (Sys.file_exists (Store.reports_dir repo));
+      Store.save_reports repo s;
       List.iter
         (fun name ->
           let path = Filename.concat (Store.reports_dir repo) (name ^ ".txt") in
@@ -225,6 +243,68 @@ let fsck_clean () =
       Store.save_session repo (Util.session_of (Util.university ()));
       let report = Store.fsck repo in
       Alcotest.(check (list string)) "no issues" [] report.Store.fsck_issues)
+
+(* The checkpoint is derived: missing, damaged or stale, fsck reports it
+   as such, the session stays recoverable (salvage exits 1, never 2), and
+   salvage regenerates it.  Reports are not checked at all. *)
+let fsck_checkpoint () =
+  let damage_with f =
+    with_repo (fun repo ->
+        let s =
+          Util.apply_many (Util.session_of (Util.university ()))
+            [ "add_type_definition(Lab)"; "add_type_definition(Annex)" ]
+        in
+        Store.save_session repo s;
+        f repo;
+        let report = Store.fsck repo in
+        let flagged =
+          List.filter
+            (fun m -> Str_contains.contains m "checkpoint.odl")
+            report.Store.fsck_issues
+        in
+        Alcotest.(check int) "one checkpoint issue" 1 (List.length flagged);
+        Alcotest.(check bool) "reported as derived" true
+          (Str_contains.contains (List.hd flagged) "derived; regenerated by salvage");
+        Alcotest.(check bool) "still recoverable" true
+          (Option.is_some report.Store.fsck_session);
+        Alcotest.(check bool) "nothing recovery needs is damaged" true
+          report.Store.fsck_derived_only;
+        let report = Store.fsck ~salvage:true repo in
+        Alcotest.(check bool) "salvage recovers the session" true
+          (Option.is_some report.Store.fsck_session);
+        Alcotest.(check (list string)) "clean after salvage" []
+          (Store.fsck repo).Store.fsck_issues;
+        match Store.load_session repo with
+        | Ok loaded ->
+            Alcotest.(check bool) "reload is the journal's replay" true
+              (same_as_full_replay repo loaded)
+        | Error e -> Alcotest.fail (Store.load_error_to_string e))
+  in
+  let io repo = Store.io repo and path repo = Store.checkpoint_file repo in
+  (* missing *)
+  damage_with (fun repo -> (io repo).Io.remove (path repo));
+  (* damaged: the body no longer matches its digest *)
+  damage_with (fun repo -> (io repo).Io.append (path repo) "interface Junk {};\n");
+  (* damaged: the header is gone *)
+  damage_with (fun repo -> (io repo).Io.write (path repo) "schema s { };\n");
+  (* stale: a later snapshot rewrote the journal (the last op undone and
+     another applied) and crashed before replacing the checkpoint *)
+  damage_with (fun repo ->
+      Journal.rewrite (Store.io repo) (Store.log_file repo)
+        (List.map
+           (fun text -> Journal.Op (Core.Concept.Wagon_wheel, Util.parse_op text))
+           [ "add_type_definition(Lab)"; "add_type_definition(Wing)" ]))
+
+let fsck_ignores_reports () =
+  with_repo (fun repo ->
+      let s = Util.session_of (Util.university ()) in
+      Store.save_session repo s;
+      Alcotest.(check (list string)) "no reports, no issue" []
+        (Store.fsck repo).Store.fsck_issues;
+      Store.save_reports repo s;
+      Sys.remove (Filename.concat (Store.reports_dir repo) "mapping.txt");
+      Alcotest.(check (list string)) "a missing report is no issue" []
+        (Store.fsck repo).Store.fsck_issues)
 
 let missing_shrinkwrap () =
   with_repo (fun repo ->
@@ -355,7 +435,7 @@ let journal_torn_prefix =
 type action =
   | A_op of Core.Concept.kind * Core.Modop.t  (** apply + journal if accepted *)
   | A_undo  (** undo + journal if possible *)
-  | A_snapshot  (** full [save_session] *)
+  | A_snapshot  (** [save_session]: the lean snapshot, checkpoint included *)
 
 let action_to_string = function
   | A_op (k, o) -> Journal.entry_to_line (Journal.Op (k, o))
@@ -432,13 +512,27 @@ let mem_sweep actions =
         if not (List.exists (steps_equal (steps s)) timeline) then
           QCheck2.Test.fail_reportf
             "crash at syscall %d: recovered %d step(s), not a durable state" k
-            (List.length (steps s)));
-    match Journal.read io (Store.log_file store) with
+            (List.length (steps s));
+        (* whichever path the load took (a checkpoint may be mid-write,
+           stale or whole), it equals replaying the journal *)
+        if not (same_as_full_replay store s) then
+          QCheck2.Test.fail_reportf
+            "crash at syscall %d: reload differs from a full replay" k);
+    (match Journal.read io (Store.log_file store) with
     | { Journal.damage = None; _ } -> ()
     | { damage = Some d; _ } ->
         QCheck2.Test.fail_reportf "crash at syscall %d: journal still damaged: %s"
           k
-          (Journal.damage_to_string d)
+          (Journal.damage_to_string d));
+    (* fsck exits 0 (clean) or 1 (salvaged), never 2: a crash leaves at
+       worst derived debris — a stale checkpoint, a temporary file *)
+    match Store.fsck ~salvage:true store with
+    | { Store.fsck_session = None; fsck_issues; _ } ->
+        QCheck2.Test.fail_reportf "crash at syscall %d: fsck finds it unrecoverable: %s"
+          k (String.concat "; " fsck_issues)
+    | { fsck_session = Some _; _ } ->
+        if (Store.fsck store).Store.fsck_issues <> [] then
+          QCheck2.Test.fail_reportf "crash at syscall %d: not clean after salvage" k
   done;
   true
 
@@ -536,6 +630,8 @@ let tests =
     test "torn journal tail self-heals" torn_tail_selfheal;
     test "interior corruption detected and salvaged" interior_corruption_and_fsck;
     test "fsck on a clean repository" fsck_clean;
+    test "fsck: the checkpoint is derived, checked and regenerated" fsck_checkpoint;
+    test "fsck: reports are not checked" fsck_ignores_reports;
     test "missing shrink wrap schema" missing_shrinkwrap;
     test "manifest generations" manifest_generations;
     test "stale temporary files swept" stale_tmp_swept;

@@ -1,11 +1,24 @@
-(* Undo/redo across a session snapshot-restore boundary.
+(* Undo/redo across a session snapshot-restore boundary, and opening from
+   a checkpoint.
 
    A snapshot (save_session) collapses the journal to the *resolved* log:
    undone operations and their [@undo;] records disappear, and with them
    the redo stack — redo history is session-local by design, while the
    undo chain survives because it is recomputed from the resolved log.
    These tests pin that contract, including a torn [@undo;] crash artifact
-   at the journal tail. *)
+   at the journal tail.
+
+   The snapshot also writes a checkpoint (the workspace at the end of the
+   resolved log), and a load opens from it plus the records appended
+   since.  The full replay of the journal is the oracle: the property
+   below demands that every load — from an intact checkpoint, a damaged
+   one, one covering no operation, one undone into by later [@undo;]
+   records, or one rewritten by salvage — gives the session the full
+   replay gives: workspace, log, version stamp, local names, mapping,
+   impact report and undo/redo behaviour.  Bounded undo (only the newest
+   [Session.undo_depth] index versions are kept) is checked against the
+   same oracle.  Run with QCHECK_LONG=1 (the [fuzz-long] alias) for 10x
+   the cases. *)
 
 module Io = Repository.Io
 module Store = Repository.Store
@@ -153,6 +166,313 @@ let torn_undo_tail () =
   Alcotest.(check bool) "second stays undone" true
     (not (Str_contains.contains ops "second"))
 
+(* --- checkpoint + suffix ≡ full replay -------------------------------- *)
+
+module Session = Core.Session
+module Journal = Repository.Journal
+
+(* The reference: the whole journal replayed on the stored shrink wrap. *)
+let full_replay store =
+  let steps =
+    let journal = Journal.read (Store.io store) (Store.log_file store) in
+    match Journal.resolve journal.Journal.entries with
+    | Ok steps -> steps
+    | Error m -> Alcotest.fail m
+  in
+  match Core.Oplog.replay (Store.load_shrinkwrap store) steps with
+  | Ok s -> Session.restore_aliases s (Store.load_aliases store)
+  | Error e -> Alcotest.fail (Core.Apply.error_to_string e)
+
+let pairs s = List.map (fun (st : Session.step) -> (st.st_kind, st.st_op)) (Session.log s)
+
+let same_pairs =
+  List.equal (fun (k, o) (k', o') ->
+      Core.Concept.equal_kind k k' && Core.Modop.equal o o')
+
+(* Every observable of two sessions, then the whole undo chain and back up
+   the redo stack, state by state; [Some reason] on the first difference. *)
+let differences a b =
+  let state a b =
+    if not (Odl.Types.equal_schema (Session.workspace a) (Session.workspace b)) then
+      Some "workspace"
+    else if not (same_pairs (pairs a) (pairs b)) then Some "log"
+    else if Session.version a <> Session.version b then Some "version"
+    else if Session.redoable a <> Session.redoable b then Some "redo stack"
+    else None
+  in
+  let rec undo_all a b depth =
+    match state a b with
+    | Some what -> Some (Printf.sprintf "%s after %d undo(s)" what depth)
+    | None -> (
+        match (Session.undo a, Session.undo b) with
+        | None, None -> redo_all a b depth
+        | Some a, Some b -> undo_all a b (depth + 1)
+        | _ -> Some (Printf.sprintf "undo availability after %d undo(s)" depth))
+  and redo_all a b depth =
+    match state a b with
+    | Some what -> Some (Printf.sprintf "%s after %d redo(s)" what depth)
+    | None -> (
+        match (Session.redo a, Session.redo b) with
+        | None, None -> None
+        | Some (a, ea), Some (b, eb) ->
+            if List.equal Core.Change.equal_event ea eb then redo_all a b (depth + 1)
+            else Some "redo events"
+        | _ -> Some "redo availability")
+  in
+  match state a b with
+  | Some what -> Some what
+  | None ->
+      if Session.aliases_report a <> Session.aliases_report b then Some "local names"
+      else if Session.mapping_report a <> Session.mapping_report b then Some "mapping"
+      else if Session.impact_report a <> Session.impact_report b then Some "impact report"
+      else undo_all a b 0
+
+type action = Op of Core.Concept.kind * Core.Modop.t | Undo
+
+type damage =
+  | Intact
+  | Corrupt_checkpoint  (** a byte of its workspace flipped *)
+  | Empty_checkpoint  (** the only snapshot was taken before any op *)
+  | Salvaged  (** interior journal damage repaired by fsck before the suffix *)
+
+let damage_name = function
+  | Intact -> "intact"
+  | Corrupt_checkpoint -> "corrupt checkpoint"
+  | Empty_checkpoint -> "0-op checkpoint"
+  | Salvaged -> "salvaged log"
+
+(* Apply and journal each action as the designer does; rejected ops and
+   undos with nothing to undo are skipped. *)
+let run store session actions =
+  List.fold_left
+    (fun session -> function
+      | Op (kind, op) -> (
+          match Session.apply session ~kind op with
+          | Ok (s, _) ->
+              Store.append_step store (kind, op);
+              s
+          | Error _ -> session)
+      | Undo -> (
+          match Session.undo session with
+          | Some s ->
+              Store.append_undo store;
+              s
+          | None -> session))
+    session actions
+
+let flip_last_byte io path =
+  let text = io.Io.read_file path in
+  let n = String.length text in
+  let last = if text.[n - 2] = 'x' then "y" else "x" in
+  io.Io.write path (String.sub text 0 (n - 2) ^ last ^ String.sub text (n - 1) 1)
+
+let build (pre, post, damage) =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let fresh = Util.session_of (Util.university ()) in
+  Store.save_session store fresh;
+  let session =
+    if damage = Empty_checkpoint then run store fresh pre
+    else begin
+      let s = run store fresh pre in
+      let s =
+        match Session.add_alias s (Core.Aliases.For_interface "Person") "Human" with
+        | Ok s -> s
+        | Error _ -> s
+      in
+      Store.save_session store s;
+      s
+    end
+  in
+  let session =
+    match damage with
+    | Intact | Empty_checkpoint -> session
+    | Corrupt_checkpoint ->
+        flip_last_byte io (Store.checkpoint_file store);
+        session
+    | Salvaged -> (
+        io.Io.append (Store.log_file store)
+          "frobnicate the journal\n@ww add_type_definition(Zz);\n";
+        match (Store.fsck ~salvage:true store).Store.fsck_session with
+        | Some s -> s
+        | None -> Alcotest.fail "salvage lost the session")
+  in
+  ignore (run store session post);
+  store
+
+let action_gen =
+  let open QCheck2.Gen in
+  let u = Util.university () in
+  frequency
+    [
+      (4, map (fun (k, o) -> Op (k, o)) (pair Gen.concept_kind (Gen.plausible_op u)));
+      ( 3,
+        map
+          (fun i ->
+            Op (Core.Concept.Wagon_wheel,
+                Core.Modop.Add_attribute
+                  ("Person", Odl.Types.D_string, Some 8, Printf.sprintf "c%d" i)))
+          (int_range 0 40) );
+      (2, return Undo);
+    ]
+
+let case_gen =
+  let open QCheck2.Gen in
+  triple
+    (list_size (int_range 0 12) action_gen)
+    (list_size (int_range 0 8) action_gen)
+    (oneofl [ Intact; Intact; Corrupt_checkpoint; Empty_checkpoint; Salvaged ])
+
+let print_case (pre, post, damage) =
+  let show = function
+    | Op (k, o) -> Journal.entry_to_line (Journal.Op (k, o))
+    | Undo -> "@undo;"
+  in
+  Printf.sprintf "%s | pre: %s | post: %s" (damage_name damage)
+    (String.concat "  " (List.map show pre))
+    (String.concat "  " (List.map show post))
+
+let checkpoint_equals_replay =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"opening from checkpoint + suffix = full replay"
+       ~count:100 ~long_factor:10 ~print:print_case case_gen (fun case ->
+         let store = build case in
+         match Store.load_session store with
+         | Error e ->
+             QCheck2.Test.fail_reportf "load failed: %s" (Store.load_error_to_string e)
+         | Ok loaded -> (
+             match differences loaded (full_replay store) with
+             | None -> true
+             | Some what ->
+                 QCheck2.Test.fail_reportf "differs from the full replay: %s" what)))
+
+(* A checkpoint that validates is trusted: the load opens from it rather
+   than replaying the prefix (here it was doctored, digests recomputed, so
+   the result shows which path ran) — and fsck, which does replay, flags
+   it as derived damage that salvage regenerates. *)
+let valid_checkpoint_is_trusted () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let s = Util.apply_many (Util.session_of (tiny ())) [ "add_type_definition(Lab)" ] in
+  Store.save_session store s;
+  let path = Store.checkpoint_file store in
+  let header = List.hd (String.split_on_char '\n' (io.Io.read_file path)) in
+  let body =
+    Odl.Printer.schema_to_string
+      (Session.workspace (Util.apply_many s [ "add_type_definition(Forged)" ]))
+  in
+  (* keep every digest but the body's, which is recomputed *)
+  let header = String.sub header 0 (String.length header - 32) in
+  io.Io.write path (header ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body);
+  (match Store.load_session store with
+  | Ok loaded ->
+      Alcotest.(check bool) "opened from the checkpoint" true
+        (Odl.Schema.mem_interface (Session.workspace loaded) "Forged")
+  | Error e -> Alcotest.fail (Store.load_error_to_string e));
+  let report = Store.fsck store in
+  Alcotest.(check bool) "fsck flags the mismatch as derived" true
+    (List.exists
+       (fun m ->
+         Str_contains.contains m "checkpoint.odl"
+         && Str_contains.contains m "derived; regenerated by salvage")
+       report.Store.fsck_issues);
+  ignore (Store.fsck ~salvage:true store);
+  Alcotest.(check (list string)) "clean after salvage" []
+    (Store.fsck store).Store.fsck_issues;
+  match Store.load_session store with
+  | Ok loaded ->
+      Alcotest.(check bool) "salvage rewrote it from the journal" true
+        (Odl.Schema.mem_interface (Session.workspace loaded) "Lab")
+  | Error e -> Alcotest.fail (Store.load_error_to_string e)
+
+(* The prefix replay runs only when something needs a covered step's
+   impact.  Here the checkpoint vouches for a journal that does not replay
+   at all (its digests were forged to match), so a forced replay would
+   raise: [log] must not raise, the impact report must. *)
+let log_does_not_force_the_replay () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  Store.save_session store (Util.session_of (tiny ()));
+  let log_text = "@ww delete_type_definition(Nowhere);\n" in
+  io.Io.write (Store.log_file store) log_text;
+  let shrink_text = io.Io.read_file (Store.shrinkwrap_file store) in
+  let body = Odl.Printer.schema_to_string (tiny ()) in
+  let hex s = Digest.to_hex (Digest.string s) in
+  io.Io.write (Store.checkpoint_file store)
+    (Printf.sprintf
+       "// checkpoint 1 ops 1 bytes %d log %s shrinkwrap %s body %s\n%s"
+       (String.length log_text) (hex log_text) (hex shrink_text) (hex body) body);
+  match Store.load_session store with
+  | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  | Ok s ->
+      Alcotest.(check bool) "the log is served" true
+        (Str_contains.contains (Core.Oplog.render (Core.Oplog.of_session s)) "Nowhere");
+      Alcotest.(check bool) "an impact report forces the replay" true
+        (match Session.impact_report s with
+        | _ -> false
+        | exception Failure _ -> true)
+
+(* Published sessions are read from many threads at once; the memoized
+   prefix replay must serve them all (OCaml's [Lazy] would raise). *)
+let concurrent_impact_reports () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let ops = List.init 40 (Printf.sprintf "add_attribute(Person, string, 8, t%d)") in
+  Store.save_session store (Util.apply_many (Util.session_of (tiny ())) ops);
+  let loaded =
+    match Store.load_session store with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  in
+  let reports = Array.make 4 "" in
+  List.init 4 (fun i ->
+      Thread.create (fun () -> reports.(i) <- Session.impact_report loaded) ())
+  |> List.iter Thread.join;
+  let expected = Session.impact_report (full_replay store) in
+  Array.iter (Alcotest.(check string) "same impact report" expected) reports
+
+(* Undo past the newest [undo_depth] index versions rebuilds them from a
+   replay of the log, and a checkpointed session undoes into its prefix
+   the same way: both match a session that replayed everything. *)
+let bounded_undo () =
+  let ops =
+    List.init (Session.undo_depth + 8)
+      (Printf.sprintf "add_attribute(Person, string, 8, u%d)")
+  in
+  let live = Util.apply_many (Util.session_of (tiny ())) ops in
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  Store.save_session store live;
+  let rec undo s n = if n = 0 then s else undo (Option.get (Session.undo s)) (n - 1) in
+  let rec redo s n =
+    if n = 0 then s else redo (fst (Option.get (Session.redo s))) (n - 1)
+  in
+  let deep = Session.undo_depth + 1 in
+  (* the oracle for the state [d] undos deep: the first [n - d] ops
+     replayed from scratch *)
+  let replayed k =
+    match Core.Oplog.replay (tiny ()) (List.filteri (fun i _ -> i < k) (pairs live)) with
+    | Ok s -> Session.workspace s
+    | Error e -> Alcotest.fail (Core.Apply.error_to_string e)
+  in
+  let n = List.length ops in
+  let check label s reference =
+    for d = 0 to n do
+      Alcotest.(check bool) (Printf.sprintf "%s: %d undo(s)" label d) true
+        (Odl.Types.equal_schema (Session.workspace (undo s d)) (replayed (n - d)))
+    done;
+    Alcotest.(check bool) (label ^ ": redone state") true
+      (Odl.Types.equal_schema (Session.workspace (redo (undo s deep) deep)) (replayed n));
+    Alcotest.(check (option string)) (label ^ ": whole chain") None
+      (differences s reference)
+  in
+  (match Core.Oplog.replay (tiny ()) (pairs live) with
+  | Ok reference -> check "live session" live reference
+  | Error e -> Alcotest.fail (Core.Apply.error_to_string e));
+  match Store.load_session store with
+  | Ok loaded -> check "checkpointed session" loaded (full_replay store)
+  | Error e -> Alcotest.fail (Store.load_error_to_string e)
+
 let tests =
   [
     test "redo is lost across @close/@open (undo chain survives)"
@@ -160,4 +480,11 @@ let tests =
     test "redo is lost across shutdown/restart" redo_lost_across_shutdown;
     test "a torn @undo; tail is dropped on replay, then journalling resumes"
       torn_undo_tail;
+    checkpoint_equals_replay;
+    test "a checkpoint that validates is opened from, and fsck checks it"
+      valid_checkpoint_is_trusted;
+    test "undo past the kept index versions matches a full replay" bounded_undo;
+    test "log never forces the prefix replay; impact does"
+      log_does_not_force_the_replay;
+    test "concurrent readers share one prefix replay" concurrent_impact_reports;
   ]
