@@ -261,6 +261,11 @@ let affected_by t names =
   |> List.filter (mem_interface t)
   |> in_declaration_order t
 
+let affected_count t names =
+  SSet.fold
+    (fun n count -> if mem_interface t n then count + 1 else count)
+    (dirty_closure t names) 0
+
 (* --- updates -------------------------------------------------------------
 
    The dirty set is computed on the pre-update index; it is invariant under

@@ -12,6 +12,18 @@
     mutable fields are memoization caches only; each version owns its own,
     so divergent versions cannot corrupt one another.
 
+    Thread rule: a published version is read by many threads at once (the
+    lock-free read path, and query threads refreshing their views).  Only
+    the consistency checks — {!diagnostics}, {!errors}, {!is_valid} —
+    write the caches, and each write stores a fully computed immutable
+    value into a field of its own version (compute, then one store), so a
+    racing reader sees the old value or the new one, both correct.  Every
+    other query — lookups, {!ancestors}, {!descendants},
+    {!relationships_targeting}, {!changed_names}, and
+    {!Decompose.Indexed.wagon_wheel} over them, the whole path of a query
+    view refresh — only reads.  A new cache must keep to the same rule or
+    publish through an [Atomic].
+
     {!diagnostics} equals [Odl.Validate.check (schema t)] for {e any}
     schema, including invalid ones.  The other queries assume interface
     names are unique (duplicate names are an error-level diagnostic, and
@@ -27,6 +39,10 @@ include Schema_view.S with type t := t
 
 val is_valid : t -> bool
 (** No error-level diagnostics (cache-served where possible). *)
+
+val affected_count : t -> Odl.Types.type_name list -> int
+(** [List.length (affected_by t names)], without building, filtering or
+    sorting the list: the size of the dirty neighbourhood. *)
 
 type shelved
 (** An index version without its materialized interface list: O(log n)

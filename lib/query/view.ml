@@ -9,17 +9,21 @@
     - a bounded, newest-first history of (publication stamp, rendered op)
       pairs feeding [diff] queries.
 
-    Views are published epoch-stamped alongside the snapshot (see
-    {!Service_query} in the server): the writer {!refresh}es after each
-    committed operation, so a query never recomputes closures or wheels per
-    request.  {!refresh} is incremental in the size of the change, not the
-    schema: the dirty seed is {!Core.Schema_index.changed_names} (pointer
-    diff of the persistent index, O(changed entries)), widened to every
-    interface whose materialized row can react — the seed's old and new
-    closure neighbourhoods — and only those rows are recomputed.  The
-    equivalence [refresh* ≡ build] is the subsystem's correctness
-    foundation, differentially tested by property (500+ generated op
-    sequences) exactly like the PR 1 index-vs-naive checker. *)
+    Views are kept per variant beside the published snapshot (see
+    {!Service_query} in the server) and brought up to date lazily: the
+    first query that finds the view behind the publication stamp
+    {!refresh}es it, however many publications it trails by.  {!refresh}
+    is incremental in the size of the change, not the schema: the dirty
+    seed is {!Core.Schema_index.changed_names} (pointer diff of the
+    persistent index, O(changed entries), sound across any gap), widened
+    to every interface whose materialized row can react — the seed's old
+    and new closure neighbourhoods — and only those rows are recomputed.
+    History keeps each op under its own publication's stamp across a gap
+    through {!Marks}: each publication records the steps it added and
+    undid, and the refresh renders those in order.  The equivalences
+    [refresh* ≡ build] and [refresh over a gap ≡ one refresh per
+    publication] are the subsystem's correctness foundation,
+    differentially tested by property. *)
 
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
@@ -36,11 +40,17 @@ type entry = {
   e_wheel : Core.Concept.t;  (** materialized wagon wheel *)
 }
 
+(** One publication: its stamp and the session's step spine
+    ([steps_rev], shared structure, so O(1) to capture) with its length. *)
+type mark = {
+  m_stamp : int;
+  m_steps : Core.Session.step list;
+  m_nsteps : int;
+}
+
 type t = {
-  v_stamp : int;  (** publication stamp this view reflects *)
+  v_mark : mark;  (** the publication this view reflects *)
   v_index : Si.t;  (** the index version the entries were computed from *)
-  v_steps : Core.Session.step list;  (** captured [steps_rev] spine *)
-  v_nsteps : int;
   v_entries : entry SMap.t;
   v_attrs : SSet.t SMap.t;  (** attribute name → declaring interfaces *)
   v_history : (int * string) list;  (** newest first; feeds [diff] *)
@@ -53,7 +63,7 @@ type t = {
 
 let max_history = 512
 
-let stamp v = v.v_stamp
+let stamp v = v.v_mark.m_stamp
 let floor_stamp v = v.v_floor
 let lineage v = v.v_lineage
 let refresh_count v = v.v_refreshes
@@ -217,9 +227,126 @@ let bound_history v hist =
   | [] -> (kept, v)
   | (s, _) :: _ -> (kept, max v s)
 
+(* --- publication marks ----------------------------------------------------
+
+   A view may trail its variant by many publications, yet every op must
+   keep the stamp of the publication that made it.  So each publication
+   is recorded in the variant's {!Marks}: the steps it undid and added
+   relative to the publication before it ([spine_delta] against the
+   previous publication's spine, O(changed steps) — O(1) for one op, the
+   whole history only when a reload brings a fresh spine).  Only the
+   newest spine is kept: older spines would pin whole superseded sessions
+   across reloads.  A refresh renders the deltas in its gap, each under
+   its own stamp.  Marks are a bounded FIFO of [max_history] deltas:
+   dropping one means its ops can no longer be stamped, so a refresh
+   across it raises the view's floor instead ([diff] below the floor
+   carries the truncation note). *)
+
+let mark ~stamp (session : Core.Session.t) =
+  {
+    m_stamp = stamp;
+    m_steps = Core.Session.steps_rev session;
+    m_nsteps = Core.Session.step_count session;
+  }
+
+type delta = {
+  d_stamp : int;
+  d_undone : Core.Session.step list;  (** popped steps, oldest first *)
+  d_done : Core.Session.step list;  (** fresh steps, oldest first *)
+}
+
+module Marks = struct
+  (* the deltas form a persistent queue: [older] oldest first, [newer]
+     newest first *)
+  type t = {
+    tip : mark option;  (** the newest publication recorded *)
+    older : delta list;
+    newer : delta list;
+    count : int;
+    complete_above : int;
+        (** the deltas of every publication past this stamp are held: the
+            first publication recorded, raised as the cap drops deltas *)
+  }
+
+  let empty =
+    { tip = None; older = []; newer = []; count = 0; complete_above = 0 }
+
+  (* amortized O(1) beyond the delta itself: each delta is reversed into
+     [older] at most once *)
+  let push t d =
+    if t.count < max_history then
+      { t with newer = d :: t.newer; count = t.count + 1 }
+    else
+      let oldest, older, newer =
+        match t.older with
+        | o :: older -> (o, older, d :: t.newer)
+        | [] -> (
+            match List.rev (d :: t.newer) with
+            | o :: older -> (o, older, [])
+            | [] -> assert false)
+      in
+      { t with older; newer; complete_above = oldest.d_stamp }
+
+  let record t ~stamp session =
+    let m = mark ~stamp session in
+    match t.tip with
+    | None -> { t with tip = Some m; complete_above = stamp }
+    | Some prev ->
+        let d_undone, d_done =
+          spine_delta ~old_steps:prev.m_steps ~old_n:prev.m_nsteps
+            ~new_steps:m.m_steps ~new_n:m.m_nsteps
+        in
+        { (push t { d_stamp = stamp; d_undone; d_done }) with tip = Some m }
+
+  (* marks whose only publication is the view's own *)
+  let at m = { empty with tip = Some m; complete_above = m.m_stamp }
+
+  (* the deltas with [since < stamp <= until], oldest first *)
+  let between t ~since ~until =
+    let inside d = d.d_stamp > since && d.d_stamp <= until in
+    List.filter inside t.older
+    @ List.fold_left
+        (fun acc d -> if inside d then d :: acc else acc)
+        [] t.newer
+end
+
+(* The history of the publications in (since, stamp], newest first on top
+   of [history], each op under its own publication's stamp.  [marks] may
+   not hold the publication at [stamp] yet (its publisher marks it just
+   after publishing): then the delta from the newest mark to [session] is
+   that publication's.  Past [Marks.complete_above] nothing is lost;
+   below it the floor rises. *)
+let gap_history ~history ~floor ~since marks ~stamp session =
+  let marks =
+    match marks.Marks.tip with
+    | Some tip when tip.m_stamp >= stamp -> marks
+    | Some _ | None -> Marks.record marks ~stamp session
+  in
+  let floor =
+    if marks.Marks.complete_above > since then
+      max floor (min marks.Marks.complete_above stamp)
+    else floor
+  in
+  (* chronological event order: undos newest-popped first, then the
+     fresh steps oldest first; history is kept newest first *)
+  let history =
+    List.fold_left
+      (fun history d ->
+        let events =
+          List.rev_map (fun s -> "undo " ^ render_step s) d.d_undone
+          @ List.map render_step d.d_done
+        in
+        List.rev_append (List.map (fun e -> (d.d_stamp, e)) events) history)
+      history
+      (Marks.between marks ~since ~until:stamp)
+  in
+  bound_history floor history
+
 (* --- build and refresh ---------------------------------------------------- *)
 
-let build ?lineage ~stamp (session : Core.Session.t) =
+(* With [marks], a fresh view still carries the history the marks hold;
+   without, its history starts empty at [stamp]. *)
+let build ?lineage ?marks ~stamp (session : Core.Session.t) =
   let idx = Core.Session.index session in
   let entries =
     List.fold_left
@@ -230,23 +357,26 @@ let build ?lineage ~stamp (session : Core.Session.t) =
   let attrs =
     SMap.fold (fun name e m -> index_attrs name e m) entries SMap.empty
   in
+  let history, floor =
+    match marks with
+    | None -> ([], stamp)
+    | Some marks ->
+        let since = min marks.Marks.complete_above stamp in
+        gap_history ~history:[] ~floor:since ~since marks ~stamp session
+  in
   {
-    v_stamp = stamp;
+    v_mark = mark ~stamp session;
     v_index = idx;
-    v_steps = Core.Session.steps_rev session;
-    v_nsteps = Core.Session.step_count session;
     v_entries = entries;
     v_attrs = attrs;
-    v_history = [];
-    v_floor = stamp;
+    v_history = history;
+    v_floor = floor;
     v_refreshes = 0;
     v_lineage = lineage;
   }
 
-let refresh v ~stamp (session : Core.Session.t) =
+let refresh ?marks v ~stamp (session : Core.Session.t) =
   let idx = Core.Session.index session in
-  let new_steps = Core.Session.steps_rev session in
-  let new_n = Core.Session.step_count session in
   let seeds = Si.changed_names v.v_index idx in
   (* widen each seed to every row its change can reach: the row itself,
      everything its *old* materialized row mentioned, and everything its
@@ -280,24 +410,16 @@ let refresh v ~stamp (session : Core.Session.t) =
         else (SMap.remove name entries, attrs))
       recompute (v.v_entries, v.v_attrs)
   in
-  let popped, added =
-    spine_delta ~old_steps:v.v_steps ~old_n:v.v_nsteps ~new_steps ~new_n
+  (* without marks, the view's own spine is the one publication before
+     [stamp] *)
+  let marks = match marks with Some m -> m | None -> Marks.at v.v_mark in
+  let history, floor =
+    gap_history ~history:v.v_history ~floor:v.v_floor ~since:v.v_mark.m_stamp
+      marks ~stamp session
   in
-  (* chronological event order: undos newest-popped first, then the fresh
-     steps oldest first; history is kept newest first *)
-  let events =
-    List.rev_map (fun s -> "undo " ^ render_step s) popped
-    @ List.map render_step added
-  in
-  let history =
-    List.rev_append (List.map (fun e -> (stamp, e)) events) v.v_history
-  in
-  let history, floor = bound_history v.v_floor history in
   {
-    v_stamp = stamp;
+    v_mark = mark ~stamp session;
     v_index = idx;
-    v_steps = new_steps;
-    v_nsteps = new_n;
     v_entries = entries;
     v_attrs = attrs;
     v_history = history;
@@ -306,14 +428,14 @@ let refresh v ~stamp (session : Core.Session.t) =
     v_lineage = v.v_lineage;
   }
 
-(** Bring a (possibly absent) view to [stamp]: build from scratch when there
-    is none, keep it when it is already at or past [stamp] (a racing writer
-    advanced it first), refresh otherwise. *)
-let update ?prev ?lineage ~stamp session =
+(** Bring a (possibly absent) view to [stamp]: build when there is none,
+    keep it when it is already at or past [stamp] (a racing reader
+    advanced it first), refresh across the gap otherwise. *)
+let update ?prev ?lineage ?marks ~stamp session =
   match prev with
-  | None -> build ?lineage ~stamp session
-  | Some v when v.v_stamp >= stamp -> v
-  | Some v -> refresh v ~stamp session
+  | None -> build ?lineage ?marks ~stamp session
+  | Some v when v.v_mark.m_stamp >= stamp -> v
+  | Some v -> refresh ?marks v ~stamp session
 
 (* --- equivalence (differential testing) ----------------------------------- *)
 

@@ -358,8 +358,7 @@ module Apply = struct
             Hashtbl.replace a.a_states variant
               { a_session = session; a_stamp = stamp; a_stale = false };
             let state = Engine.start session in
-            Publish.publish_at svc.pub variant state stamp;
-            advance_view svc variant state stamp;
+            publish_at svc variant state stamp;
             ack ~variant ~stamp)
     | Frame.Records { variant; stamp; data } -> (
         match Hashtbl.find_opt a.a_states variant with
@@ -402,8 +401,7 @@ module Apply = struct
             e.a_session <- session;
             e.a_stamp <- stamp;
             let state = Engine.start session in
-            Publish.publish_at svc.pub variant state stamp;
-            advance_view svc variant state stamp;
+            publish_at svc variant state stamp;
             Obs.Metrics.incr a.ac_applied;
             ack ~variant ~stamp)
     | Frame.Live -> Atomic.set a.a_live true

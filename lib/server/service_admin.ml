@@ -87,7 +87,7 @@ let load_session t variant =
                  diffs can anchor there *)
               (match Store.lineage store with
               | Some (_, fork) when fork > Publish.seq t.pub variant ->
-                  Publish.publish_at t.pub variant s.state fork
+                  publish_at t variant s.state fork
               | Some _ | None -> ());
               (* recovery may have repaired (rewritten) the journal, so a
                  follower tracking the old bytes must re-seed *)
@@ -261,13 +261,14 @@ let do_stats t fmt =
                 ("breaker." ^ v, Breaker.describe b ^ in_state) :: acc)
               t.breakers []
           in
-          (* view freshness: how far each materialized query view trails
-             its variant's publication stamp (0 = exactly current) *)
+          (* view freshness: how many publications each materialized
+             query view trails by — none of them queried yet; the next
+             query refreshes across them (0 = exactly current) *)
           let lag = ref 0 in
           let views =
             Hashtbl.fold
-              (fun v cell acc ->
-                match Atomic.get cell with
+              (fun v slot acc ->
+                match Atomic.get slot.view with
                 | None -> acc
                 | Some view ->
                     let stamp = Query.View.stamp view in

@@ -9,11 +9,12 @@
     + [explain] queries print the plan and stop — no variant needed;
     + variant-scoped queries read the published (state, stamp) pair and
       the view cell: when the cell is already at the publication stamp
-      (the common case — the writer refreshes it after every committed
-      op) the evaluator runs straight on it; when it lags (a follower
-      racing its applier, a cold start)
-      the reader advances it itself via the same CAS loop the writer uses
-      ({!Service_types.advance_view}) — still {e no variant writer lock};
+      the evaluator runs straight on it; when it lags — writes publish
+      without touching the view, so the first query after them always
+      finds it behind — the reader refreshes it across the whole gap
+      ({!advance_view}), one CAS on the cell, still {e no variant writer
+      lock}.  The time spent is the trace's [view] phase (0 when the view
+      was current);
     + only a variant with {e nothing published at all} falls back through
       the writer path once, to load the session from disk (counted by
       [swsd.query.fallback_total]; the retry then serves lock-free);
@@ -70,21 +71,53 @@ let ensure_loaded t ~sp variant =
       Error (Printf.sprintf "variant is busy (%d request(s) queued)" n)
   | Error Locks.Timed_out -> Error "variant is busy (deadline exceeded)"
 
+(* Bring the variant's view to [stamp] (the publication stamp of [state])
+   and return it.  Lock-free: a CAS retry loop on the view cell.  The
+   refresh spans every publication since the view's own, with their marks,
+   so each op keeps its own stamp in the history.  A loser of the CAS
+   retries against the winner's view, which is usually already at or past
+   [stamp] (views are monotone per variant, like publication stamps). *)
+let advance_view t variant (state : Engine.state) stamp =
+  let slot = view_slot t variant in
+  let rec loop () =
+    match Atomic.get slot.view with
+    | Some v when Query.View.stamp v >= stamp -> v
+    | prev ->
+        let t0 = t.config.now () in
+        (* a from-scratch build caches the variant's lineage record off the
+           manifest, so the [lineage] atom answers without touching disk;
+           refreshes carry it forward *)
+        let lineage =
+          match prev with
+          | Some _ -> None
+          | None -> (
+              match Repo.variant_lineage t.repo variant with
+              | l -> l
+              | exception _ -> None)
+        in
+        let marks = Atomic.get slot.marks in
+        let v =
+          Query.View.update ?prev ?lineage ~marks ~stamp state.Engine.session
+        in
+        (match prev with
+        | None -> Obs.Metrics.incr t.i.c_view_rebuild
+        | Some _ -> Obs.Metrics.incr t.i.c_view_refresh);
+        Obs.Histo.observe t.i.h_view_maintain (t.config.now () -. t0);
+        if Atomic.compare_and_set slot.view prev (Some v) then v else loop ()
+  in
+  loop ()
+
 (* The variant's view at (at least) its current publication stamp;
    [Error] carries a user-facing reason. *)
 let rec query_view ?(retried = false) t ~sp variant =
   match Publish.read t.pub variant with
-  | Some (state, stamp) -> (
+  | Some (state, stamp) ->
       Obs.Metrics.incr t.i.c_query_lockfree;
       Publish.touch t.pub variant ~now:(t.config.now ());
-      let cell = view_cell t variant in
-      match Atomic.get cell with
-      | Some v when Query.View.stamp v >= stamp -> Ok v
-      | _ -> (
-          advance_view t variant state stamp;
-          match Atomic.get cell with
-          | Some v -> Ok v
-          | None -> Error ("variant " ^ variant ^ " is unavailable; retry")))
+      let t0 = t.config.now () in
+      let v = advance_view t variant state stamp in
+      Obs.Trace.add_phase sp "view" (t.config.now () -. t0);
+      Ok v
   | None ->
       if retried then Error ("variant " ^ variant ^ " is unavailable")
       else if t.config.follower then

@@ -5,9 +5,9 @@
 
     Concurrency invariants, stated once here and relied on everywhere:
 
-    - [t.mu] guards the [sessions] and [breakers] tables and per-session
-      bookkeeping ([conns]); it is held only for table operations, never
-      across engine or IO work.
+    - [t.mu] guards the [sessions], [breakers] and [views] tables and
+      per-session bookkeeping ([conns]); it is held only for table
+      operations, never across engine or IO work.
     - A session's [state]/[dirty]/[last_used]/[flock] fields are written
       only while holding the variant's writer lock ({!with_writer}).
     - [t.pub] is the lock-free publication table: the writer publishes the
@@ -15,7 +15,11 @@
       readers run on published snapshots with {e no} lock at all.  The
       published [Engine.state] is immutable from the reader's point of
       view (sessions are immutable values; the schema index's memoized
-      diagnostics are the one benign exception, see DESIGN.md §10). *)
+      diagnostics are the one benign exception, see DESIGN.md §10).
+    - A variant's view slot is updated only by compare-and-set:
+      publishers add a mark per publication, and the query that first
+      finds the view behind the publication stamp swaps in the refreshed
+      view.  No thread holds a lock for view work. *)
 
 module Engine = Designer.Engine
 module Store = Repository.Store
@@ -140,11 +144,13 @@ type instruments = {
   g_commit_stalled : Obs.Metrics.gauge;
       (** writers currently blocked on a group-commit ticket *)
   g_view_lag : Obs.Metrics.gauge;
-      (** max over variants of (publication stamp − view stamp), refreshed
-          at [@stats] read time: the query views' staleness bound *)
+      (** max over variants with a view of (publication stamp − view
+          stamp), refreshed at [@stats] read time: the publications no
+          query has asked for yet (the next query refreshes across them) *)
   h_request : Obs.Histo.t;  (** whole request, arrival to response *)
   h_query : Obs.Histo.t;  (** whole [@query] request, parse to response *)
-  h_view_maintain : Obs.Histo.t;  (** one view build/refresh (any path) *)
+  h_view_maintain : Obs.Histo.t;
+      (** one view build or refresh, on the query that needed it *)
   h_read : Obs.Histo.t;  (** read-class command, either path *)
   h_write : Obs.Histo.t;  (** write-class command, lock wait included *)
   h_lock_wait : Obs.Histo.t;
@@ -232,6 +238,14 @@ type replication_sink = {
   rs_invalidate : variant:string -> unit;
 }
 
+(** A variant's query view and the marks of its newest publications: each
+    cell is an immutable value swapped by compare-and-set, so publishers
+    and querying readers never take a lock for it. *)
+type view_slot = {
+  view : Query.View.t option Atomic.t;
+  marks : Query.View.Marks.t Atomic.t;
+}
+
 type session = {
   variant : string;
   store : Store.t;
@@ -252,12 +266,14 @@ type t = {
   sessions : (string, session) Hashtbl.t;
   breakers : (string, Breaker.t) Hashtbl.t;
       (** per variant, surviving session eviction *)
-  views : (string, Query.View.t option Atomic.t) Hashtbl.t;
-      (** per-variant materialized query views ({!Query.View}), published
-          epoch-stamped beside the snapshot: the writer refreshes after
-          each committed op, queries read lock-free.  The cell survives
+  views : (string, view_slot) Hashtbl.t;
+      (** per-variant materialized query views ({!Query.View}) and the
+          marks of the variant's newest publications.  Publishers only
+          record marks; the first query behind the publication stamp
+          refreshes the view ({!Service_query}).  The slot survives
           session eviction — the next refresh diffs across the reload. *)
-  mu : Mutex.t;  (** guards [sessions], [breakers], and session bookkeeping *)
+  mu : Mutex.t;
+      (** guards [sessions], [breakers], [views], and session bookkeeping *)
   inflight : int Atomic.t;
   conn_ids : int Atomic.t;
   mutable stopping : bool;
@@ -364,58 +380,51 @@ let evict t (s : session) =
   Option.iter Locks.unlock_file s.flock;
   s.flock <- None
 
-(* Publish the session's current state for lock-free readers; returns the
-   publication stamp.  Caller holds the writer lock. *)
-let publish t (s : session) = Publish.publish t.pub s.variant s.state
+(* --- publication --------------------------------------------------------- *)
 
-(* --- materialized query views --------------------------------------------- *)
-
-let view_cell t variant =
+let view_slot t variant =
   locked t (fun () ->
       match Hashtbl.find_opt t.views variant with
-      | Some c -> c
+      | Some slot -> slot
       | None ->
-          let c = Atomic.make None in
-          Hashtbl.add t.views variant c;
-          c)
+          let slot =
+            {
+              view = Atomic.make None;
+              marks = Atomic.make Query.View.Marks.empty;
+            }
+          in
+          Hashtbl.add t.views variant slot;
+          slot)
 
-(* Bring the variant's materialized query view to [stamp] (the publication
-   stamp of [state]).  Lock-free: a CAS retry loop on the view cell — a
-   loser recomputes against the winner's newer view, and a cell already at
-   or past [stamp] means a racing writer got there first, which is fine
-   (views are monotone per variant, like publication stamps).  Runs on the
-   writer's own thread (write phase 2, or phase 1 for an empty delta on a
-   quiescent lane), on the replication applier, and — self-healing — on
-   the query read path; never on the group-commit flusher, whose batches
-   must not wait on view maintenance. *)
-let advance_view t variant (state : Engine.state) stamp =
-  let cell = view_cell t variant in
-  let session = state.Engine.session in
+(* Record publication [stamp] of [state] in the variant's marks, so a later
+   query refresh can stamp each op with its own publication.  No view work
+   happens on the publishing thread: the mark is the steps the publication
+   added and undid, found by a pointer walk as short as the change (the
+   whole history only on a reload, whose spine is fresh). *)
+let mark t variant (state : Engine.state) stamp =
+  let marks = (view_slot t variant).marks in
   let rec loop () =
-    let prev = Atomic.get cell in
-    match prev with
-    | Some v when Query.View.stamp v >= stamp -> ()
-    | _ ->
-        let t0 = t.config.now () in
-        (* a from-scratch build caches the variant's lineage record off the
-           manifest, so the [lineage] atom answers without touching disk;
-           refreshes carry it forward *)
-        let lineage =
-          match prev with
-          | Some _ -> None
-          | None -> (
-              match Repo.variant_lineage t.repo variant with
-              | l -> l
-              | exception _ -> None)
-        in
-        let v = Query.View.update ?prev ?lineage ~stamp session in
-        (match prev with
-        | None -> Obs.Metrics.incr t.i.c_view_rebuild
-        | Some _ -> Obs.Metrics.incr t.i.c_view_refresh);
-        Obs.Histo.observe t.i.h_view_maintain (t.config.now () -. t0);
-        if not (Atomic.compare_and_set cell prev (Some v)) then loop ()
+    let cur = Atomic.get marks in
+    let next = Query.View.Marks.record cur ~stamp state.Engine.session in
+    if not (Atomic.compare_and_set marks cur next) then loop ()
   in
   loop ()
+
+(* Publish [state] for lock-free readers and mark it; returns the
+   publication stamp.  Every publication goes through here or
+   {!publish_at}: the write path (phase 1 or the flusher's [on_durable]),
+   a session load, and the follower applier. *)
+let publish_state t variant state =
+  let stamp = Publish.publish t.pub variant state in
+  mark t variant state stamp;
+  stamp
+
+let publish_at t variant state stamp =
+  Publish.publish_at t.pub variant state stamp;
+  mark t variant state stamp
+
+(* Publish the session's current state.  Caller holds the writer lock. *)
+let publish t (s : session) = publish_state t s.variant s.state
 
 (* Hand freshly durable journal bytes to the replication hub (no-ops
    without one).  Called with the publication stamp the bytes correspond

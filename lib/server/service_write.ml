@@ -24,6 +24,14 @@
     ack implies durability {e and} publish-before-ack gives a connection
     read-your-writes.
 
+    No query-view work is on this path.  A publication only records a
+    mark beside the variant's view: the steps it added and undid, found by
+    a pointer walk as short as the change.  The first [@query] that finds
+    the view behind the publication stamp refreshes it across every
+    publication since, the marks keeping each op under its own stamp in
+    the [diff] history ({!Service_query}).  A write-only client never
+    pays for the view.
+
     A flush failure fails the whole batch: every waiter reacquires the
     writer lock to degrade the variant's breaker and evict the session —
     which also {e retracts} the published snapshot — and the lane stays
@@ -42,7 +50,6 @@ type staged = {
   st_conn : conn;
   st_ticket : Group_commit.ticket;
   st_version : int ref;  (** written by [on_durable] on the flusher *)
-  st_after : Engine.state;  (** the state the flusher will publish *)
   st_feedback : Designer.Feedback.t list;
   st_records : int;  (** journal records in the delta *)
 }
@@ -120,10 +127,6 @@ let complete t ~sp (st : staged) =
         Breaker.record_success
           (breaker_of t st.st_variant)
           ~now:(t.config.now ());
-      (* refresh the materialized query view on the writer's own thread —
-         off the variant lock (phase 1 released it) and off the flusher
-         (whose batches must not wait on view maintenance) *)
-      advance_view t st.st_variant st.st_after !(st.st_version);
       respond t ~sp ~version:!(st.st_version) st.st_feedback
 
 (* Count the op steps a write commits, each with the size of the
@@ -139,8 +142,7 @@ let observe_committed t (session : Core.Session.t) ops =
         Obs.Metrics.incr t.i.c_ops;
         Obs.Histo.observe t.i.h_dirty
           (float_of_int
-             (List.length
-                (Core.Schema_index.affected_by idx [ Core.Modop.subject op ]))))
+             (Core.Schema_index.affected_count idx [ Core.Modop.subject op ])))
       ops
   end
 
@@ -229,7 +231,7 @@ let execute ?(load_if_absent = false) t ~sp (conn : conn) variant ~mutating
                       ~on_durable:(fun () ->
                         (* runs on the flusher in submission order, so the
                            hub receives records in stamp order *)
-                        let stamp = Publish.publish t.pub variant after in
+                        let stamp = publish_state t variant after in
                         version := stamp;
                         ship t ~variant ~stamp ~data)
                       data
@@ -241,7 +243,6 @@ let execute ?(load_if_absent = false) t ~sp (conn : conn) variant ~mutating
                       st_conn = conn;
                       st_ticket = ticket;
                       st_version = version;
-                      st_after = after;
                       st_feedback = feedback;
                       st_records = n;
                     }
@@ -257,7 +258,6 @@ let execute ?(load_if_absent = false) t ~sp (conn : conn) variant ~mutating
                     if after != before then begin
                       let stamp = publish t s in
                       ship t ~variant ~stamp ~data;
-                      advance_view t variant after stamp;
                       stamp
                     end
                     else Publish.seq t.pub variant

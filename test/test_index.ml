@@ -193,6 +193,26 @@ let shelve_roundtrip =
       in
       go orig_idx steps)
 
+(* 9. the count-only dirty set (the service's [swsd.engine.dirty_set]
+   histogram) is the length of the list the propagation engine walks, for
+   every name — declared, just removed, or never declared — and for the
+   whole name list at once *)
+let affected_count_agrees =
+  let gen = QCheck2.Gen.(pair Gen.any_synth_schema (int_range 0 9999)) in
+  prop "affected_count = length of affected_by" gen (fun (s, r) ->
+      let idx = Index.build s in
+      let names = Odl.Schema.interface_names s in
+      let victim = List.nth names (r mod List.length names) in
+      let removed = Index.remove_interface idx victim in
+      let agrees idx names =
+        Index.affected_count idx names
+        = List.length (Index.affected_by idx names)
+      in
+      List.for_all
+        (fun n -> agrees idx [ n ] && agrees removed [ n ])
+        ("No_such_interface" :: names)
+      && agrees idx names && agrees removed names)
+
 (* the near-miss kinds named one by one on a seed, plus an interface whose
    quoted name contains the id separator *)
 let concept_lookup_units () =
@@ -262,4 +282,5 @@ let tests =
       Alcotest.test_case "concept lookup near-misses" `Quick
         concept_lookup_units;
       shelve_roundtrip;
+      affected_count_agrees;
     ]

@@ -377,6 +377,127 @@ let follower_query_bounded_staleness () =
       Alcotest.(check bool) "follower name scan serves the schema" true
         (List.mem "Person" (req_ok fsvc fc "@query name \"*\"")))
 
+(* --- views refresh on the query, not the write -------------------------------
+
+   A write only marks its publication; the first query after it refreshes
+   the view across every publication since.  The [diff] history must not
+   notice: each op keeps its own stamp, byte for byte as when a query
+   followed every write. *)
+
+let gap_writes =
+  [ attr_line "gap_1"; attr_line "gap_2"; "undo"; attr_line "gap_3";
+    attr_line "gap_4"; attr_line "gap_5" ]
+
+let stamp_of t c line =
+  match (Service.request t c line).Protocol.version with
+  | Some v -> v
+  | None -> Alcotest.failf "%s must carry a stamp" line
+
+(* open v, focus, then the writes, with a query after each one when
+   [eager]; the wire lines of [@query diff 0] *)
+let diff_after_writes ~eager =
+  let _, io = mem_repo () in
+  let t = service ~config:(quick_config ()) io in
+  let c = Service.connect t in
+  ignore (req_ok t c "@open v");
+  ignore (req_ok t c "focus ww:Person");
+  List.iter
+    (fun line ->
+      ignore (req_ok t c line);
+      if eager then ignore (req_ok t c "@query name Person"))
+    gap_writes;
+  let lines = Protocol.to_lines (Service.request t c "@query diff 0") in
+  ignore (Service.shutdown t);
+  lines
+
+let lazy_diff_matches_eager () =
+  let lazy_ = diff_after_writes ~eager:false in
+  Alcotest.(check (list string)) "byte-identical to a query after every write"
+    (diff_after_writes ~eager:true) lazy_;
+  (* each acknowledged write is its own publication in the history *)
+  let stamps =
+    strip_body lazy_
+    |> List.filter_map (fun l ->
+           int_of_string_opt (List.hd (String.split_on_char ' ' l)))
+  in
+  Alcotest.(check int) "one stamp per write" (List.length gap_writes)
+    (List.length (List.sort_uniq compare stamps))
+
+let write_only_leaves_the_view () =
+  let _, io = mem_repo () in
+  let obs = Obs.create () in
+  let t = service ~config:(quick_config ()) ~obs io in
+  let c = Service.connect t in
+  let refreshes () =
+    Option.value ~default:0
+      (Obs.counter_value obs "swsd.query.view.refresh_total")
+  in
+  let lag () =
+    ignore (req_ok t c "@stats");
+    match Obs.gauge_value obs "swsd.query.view.lag" with
+    | Some n -> n
+    | None -> Alcotest.fail "lag gauge never registered"
+  in
+  ignore (req_ok t c "@open v");
+  ignore (req_ok t c "focus ww:Person");
+  ignore (req_ok t c "@query name Person");
+  let before = refreshes () in
+  Alcotest.(check int) "current after the first query" 0 (lag ());
+  List.iter (fun line -> ignore (req_ok t c line)) gap_writes;
+  Alcotest.(check int) "writes refresh nothing" before (refreshes ());
+  Alcotest.(check int) "lag counts the unqueried publications"
+    (List.length gap_writes) (lag ());
+  ignore (req_ok t c "@query attr \"gap_*\"");
+  Alcotest.(check int) "the first query catches up" 0 (lag ());
+  Alcotest.(check int) "with exactly one refresh" (before + 1) (refreshes ());
+  ignore (Service.shutdown t)
+
+(* A follower marks each applied record the same way: after k records and
+   no follower query, its diff is the leader's, byte for byte. *)
+let follower_diff_matches_leader () =
+  let _, lio = mem_repo () in
+  let lsvc = service ~config:(quick_config ()) lio in
+  let hub = Replication.hub lsvc in
+  let c = Service.connect lsvc in
+  ignore (req_ok lsvc c "@open v");
+  let base = stamp_of lsvc c "focus ww:Person" in
+  let frames = Test_replication.bootstrap_frames hub in
+  match Test_replication.open_follower frames with
+  | None -> Alcotest.fail "bootstrap stream must carry the root"
+  | Some (fsvc, _) ->
+      let apply = Replication.Apply.create fsvc in
+      let feed =
+        Replication.Apply.frame apply ~ack:(fun ~variant:_ ~stamp:_ -> ())
+      in
+      List.iter feed frames;
+      let fc = Service.connect fsvc in
+      Alcotest.(check int) "the follower starts at the leader's stamp" base
+        (stamp_of fsvc fc "@open v readonly");
+      (* the leader acks each write; the follower applies its record *)
+      let encode line =
+        let prefix = "apply " in
+        if line = "undo" then Repository.Journal.(encode Undo)
+        else
+          let op =
+            String.sub line (String.length prefix)
+              (String.length line - String.length prefix)
+          in
+          Repository.Journal.(
+            encode (Op (Core.Concept.Wagon_wheel, Core.Op_parser.parse op)))
+      in
+      List.iter
+        (fun line ->
+          let stamp = stamp_of lsvc c line in
+          feed (Frame.Records { variant = "v"; stamp; data = encode line }))
+        gap_writes;
+      let diff = Printf.sprintf "@query diff %d" base in
+      let leader = Protocol.to_lines (Service.request lsvc c diff) in
+      Alcotest.(check int) "the leader lists every write"
+        (List.length gap_writes)
+        (List.length (strip_body leader));
+      Alcotest.(check (list string)) "follower diff = leader diff" leader
+        (Protocol.to_lines (Service.request fsvc fc diff))
+
 let tests =
   [
     test "sockets: malformed @query is a structured !err on Unix and TCP"
@@ -389,4 +510,10 @@ let tests =
       shard_merge_matches_single_process;
     test "follower: @query answers at a stamp bounded by the leader's"
       follower_query_bounded_staleness;
+    test "lazy view: diff after unqueried writes = a query after each"
+      lazy_diff_matches_eager;
+    test "lazy view: writes never refresh; the first query does, once"
+      write_only_leaves_the_view;
+    test "lazy view: follower diff after unqueried records = the leader's"
+      follower_diff_matches_leader;
   ]

@@ -310,6 +310,174 @@ let incremental_equals_scratch =
           in
           ok)
 
+(* --- refreshing across a publication gap ------------------------------------
+
+   A view now refreshes on the first query after any number of
+   publications.  The property: refreshing across each gap with the gap's
+   marks gives exactly what refreshing once per publication gives — the
+   same rows, the same history (every op under its own stamp) and the
+   same floor — and both equal a from-scratch build, which given the
+   marks carries the same history too. *)
+
+(* What can happen to a variant between two queries: an accepted op, an
+   undo, a redo, or a reload — the session rebuilt from its op log, a
+   fresh step spine sharing nothing with the old one, as after eviction. *)
+type act = Op of Core.Concept.kind * Core.Modop.t | Undo | Redo | Reload
+
+let perform schema session = function
+  | Op (kind, op) -> (
+      match Core.Session.apply session ~kind op with
+      | Ok (s, _) -> Some s
+      | Error _ -> None)
+  | Undo -> Core.Session.undo session
+  | Redo -> Option.map fst (Core.Session.redo session)
+  | Reload -> (
+      match
+        Core.Oplog.replay schema
+          (Core.Oplog.pairs (Core.Oplog.of_session session))
+      with
+      | Ok s -> Some s
+      | Error _ -> None)
+
+(* acts, each with whether a query follows it; one reload is always
+   inside a gap (no query right after it) *)
+let gap_workload =
+  QCheck2.Gen.(
+    let* schema, ops = Gen.schema_and_ops in
+    let* extras =
+      list_repeat (List.length ops)
+        (frequency
+           [ (5, return []); (1, return [ Undo ]); (1, return [ Redo ]);
+             (1, return [ Reload ]); (1, return [ Undo; Undo; Redo ]) ])
+    in
+    let acts =
+      List.concat
+        (List.map2 (fun (k, op) extra -> Op (k, op) :: extra) ops extras)
+      @ [ Undo; Redo ]
+    in
+    let* reload_at = int_bound (List.length acts) in
+    let acts =
+      List.filteri (fun i _ -> i < reload_at) acts
+      @ (Reload :: List.filteri (fun i _ -> i >= reload_at) acts)
+    in
+    let* queries =
+      list_repeat (List.length acts)
+        (frequency [ (2, return true); (3, return false) ])
+    in
+    let queries = List.mapi (fun i q -> q && i <> reload_at) queries in
+    return (schema, List.combine acts queries))
+
+let same_view a b =
+  View.stamp a = View.stamp b
+  && View.equal_logical a b
+  && View.history a = View.history b
+  && View.floor_stamp a = View.floor_stamp b
+
+(* [eager] refreshes at every publication; [lazy_] only when a query
+   comes, with the marks of every publication *)
+type gap_run = {
+  session : Core.Session.t;
+  stamp : int;
+  eager : View.t;
+  lazy_ : View.t;
+  marks : View.Marks.t;
+  ok : bool;
+}
+
+let catch_up r =
+  if View.stamp r.lazy_ = r.stamp then r
+  else
+    let lazy_ = View.refresh ~marks:r.marks r.lazy_ ~stamp:r.stamp r.session in
+    {
+      r with
+      lazy_;
+      ok =
+        r.ok && same_view lazy_ r.eager
+        && View.equal_logical lazy_ (View.build ~stamp:r.stamp r.session)
+        (* a first query, with no view yet, builds with the same history *)
+        && same_view r.eager
+             (View.build ~marks:r.marks ~stamp:r.stamp r.session);
+    }
+
+let gap_refresh_equals_per_publication =
+  prop "refresh across publication gaps = one refresh per publication"
+    gap_workload (fun (schema, script) ->
+      match Core.Session.create schema with
+      | Error _ -> QCheck2.assume_fail ()
+      | Ok session ->
+          let step r (act, query) =
+            match perform schema r.session act with
+            | None -> r
+            | Some session ->
+                let stamp = r.stamp + 1 in
+                let r =
+                  {
+                    r with
+                    session;
+                    stamp;
+                    eager = View.refresh r.eager ~stamp session;
+                    marks = View.Marks.record r.marks ~stamp session;
+                  }
+                in
+                if query then catch_up r else r
+          in
+          let v0 = View.build ~stamp:1 session in
+          let start =
+            {
+              session;
+              stamp = 1;
+              eager = v0;
+              lazy_ = v0;
+              marks = View.Marks.record View.Marks.empty ~stamp:1 session;
+              ok = true;
+            }
+          in
+          (catch_up (List.fold_left step start script)).ok)
+
+(* Past [max_history] unqueried publications the oldest marks are
+   dropped: the floor rises to the newest dropped one, and every retained
+   publication still keeps its own stamp — the same history and floor as
+   refreshing once per publication. *)
+let dropped_marks_raise_the_floor () =
+  let s, v = university_view () in
+  let n = 520 (* past max_history = 512 *) in
+  let rec go s eager marks i =
+    if i > n then (s, eager, marks)
+    else
+      let s, _ =
+        Util.apply_ok s
+          (Printf.sprintf "add_attribute(Person, string, 8, b%04d)" i)
+      in
+      let stamp = i + 1 in
+      go s (View.refresh eager ~stamp s)
+        (View.Marks.record marks ~stamp s)
+        (i + 1)
+  in
+  let s, eager, marks =
+    go s v (View.Marks.record View.Marks.empty ~stamp:1 s) 1
+  in
+  let v = View.refresh ~marks v ~stamp:(n + 1) s in
+  (* ops 1..8 (stamps 2..9) fell off the queue with their marks *)
+  Alcotest.(check int) "floor at the newest dropped mark" 9
+    (View.floor_stamp v);
+  Alcotest.(check bool) "same as one refresh per publication" true
+    (same_view v eager);
+  Alcotest.(check bool) "same as a build with the marks" true
+    (same_view v (View.build ~marks ~stamp:(n + 1) s));
+  let lines = run v "diff 9" in
+  Alcotest.(check int) "one line per retained publication" 512
+    (List.length lines);
+  List.iteri
+    (fun k line ->
+      Alcotest.(check string) "each op under its own stamp"
+        (Printf.sprintf "%d @ww add_attribute(Person, string, 8, b%04d)"
+           (k + 10) (k + 9))
+        line)
+    lines;
+  match run v "diff 8" with
+  | note :: _ when Str_contains.contains note "truncated below stamp 9" -> ()
+  | _ -> Alcotest.fail "a diff below the floor carries the truncation note"
+
 (* The evaluator's other invariant: every answer except [diff] is sorted
    and duplicate-free, whatever the view holds. *)
 let answers_are_canonical =
@@ -407,7 +575,10 @@ let tests =
     test "view: update is stamp-monotone" update_is_monotone;
     test "eval: fresh build answers = materialized answers"
       fresh_equals_materialized;
+    test "view: dropped marks raise the floor, kept ones keep their stamps"
+      dropped_marks_raise_the_floor;
     incremental_equals_scratch;
+    gap_refresh_equals_per_publication;
     answers_are_canonical;
     fuzz_never_crashes;
   ]

@@ -2160,8 +2160,9 @@ let stats_per_service () =
   ignore (Service.shutdown b)
 
 (* A request's trace is explained by its phases: an acknowledged apply
-   reads parse → wait → apply → journal (the durable wait) → respond, and a
-   lock-free check records one [check] phase, not a [read] around it.  The
+   reads parse → wait → apply → journal (the durable wait) → respond, a
+   lock-free check records one [check] phase, not a [read] around it, and
+   a query records the [view] refresh it paid for.  The
    phases are disjoint intervals inside the span, so they sum to at most
    its total (measured on one clock; 1 ns absorbs float rounding). *)
 let trace_phases_add_up () =
@@ -2171,8 +2172,10 @@ let trace_phases_add_up () =
   let c = Service.connect t in
   ignore (req_ok t c "@open v");
   ignore (req_ok t c "focus ww:Person");
+  ignore (req_ok t c "@query name Person");
   ignore (req_ok t c (apply_line "nickname"));
   ignore (req_ok t c "check");
+  ignore (req_ok t c "@query attr nickname");
   let traces = Obs.Trace.recent (Obs.tracer obs) in
   let trace detail =
     match List.find_opt (fun tr -> tr.Obs.Trace.tr_detail = detail) traces with
@@ -2195,6 +2198,12 @@ let trace_phases_add_up () =
   check_trace (apply_line "nickname")
     [ "parse"; "wait"; "apply"; "journal"; "respond" ];
   check_trace "check" [ "parse"; "check" ];
+  (* the write left the query view behind; the query after it pays the
+     refresh, and its trace says so *)
+  check_trace "@query attr nickname" [ "parse"; "view" ];
+  (match (trace "@query attr nickname").Obs.Trace.tr_phases with
+  | [ _; { Obs.Trace.ph_seconds; _ } ] when ph_seconds > 0.0 -> ()
+  | _ -> Alcotest.fail "the view phase should time the refresh");
   ignore (Service.shutdown t)
 
 let stats_disabled () =
