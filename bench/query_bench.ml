@@ -37,8 +37,7 @@
 
    Knobs: SWSD_QUERY_TYPES (schema size, default 1000),
    SWSD_QUERY_OPS (committed ops, default 200),
-   SWSD_QUERY_ROUNDS (battery repetitions per path, default 20),
-   SWSD_QUERY_GAP_TRIALS (refreshes timed per gap size, default 8). *)
+   SWSD_QUERY_ROUNDS (battery repetitions per path, default 20). *)
 
 module View = Query.View
 module Eval = Query.Eval
@@ -48,7 +47,7 @@ open Util
 let n_types () = env_int "SWSD_QUERY_TYPES" 1000
 let n_ops () = env_int "SWSD_QUERY_OPS" 200
 let rounds () = env_int "SWSD_QUERY_ROUNDS" 20
-let gap_trials () = env_int "SWSD_QUERY_GAP_TRIALS" 8
+let gap_trials = 8 (* refreshes timed per gap size *)
 let gaps = [ 1; 8; 64 ]
 
 let session_of schema =
@@ -183,7 +182,7 @@ let run ~json_path () =
   (* the cost a query pays after a run of writes, per gap size *)
   let (session, view, stamp), gap_timings =
     List.fold_left_map
-      (first_query_cost ~types ~trials:(gap_trials ()))
+      (first_query_cost ~types ~trials:gap_trials)
       (!session, !view, !stamp) gaps
   in
   if not (View.equal_logical view (View.build ~stamp session)) then

@@ -19,8 +19,8 @@
     to every interface whose materialized row can react — the seed's old
     and new closure neighbourhoods — and only those rows are recomputed.
     History keeps each op under its own publication's stamp across a gap
-    through {!Marks}: each publication records the steps it added and
-    undid, and the refresh renders those in order.  The equivalences
+    through {!Marks}: each publication records its rendered lines as it
+    happens, and the refresh takes the slice of its gap.  The equivalences
     [refresh* ≡ build] and [refresh over a gap ≡ one refresh per
     publication] are the subsystem's correctness foundation,
     differentially tested by property. *)
@@ -231,16 +231,15 @@ let bound_history v hist =
 
    A view may trail its variant by many publications, yet every op must
    keep the stamp of the publication that made it.  So each publication
-   is recorded in the variant's {!Marks}: the steps it undid and added
-   relative to the publication before it ([spine_delta] against the
-   previous publication's spine, O(changed steps) — O(1) for one op, the
-   whole history only when a reload brings a fresh spine).  Only the
-   newest spine is kept: older spines would pin whole superseded sessions
-   across reloads.  A refresh renders the deltas in its gap, each under
-   its own stamp.  Marks are a bounded FIFO of [max_history] deltas:
-   dropping one means its ops can no longer be stamped, so a refresh
-   across it raises the view's floor instead ([diff] below the floor
-   carries the truncation note). *)
+   is recorded in the variant's {!Marks} as it happens: the steps it undid
+   and added relative to the publication before it ([spine_delta] against
+   the previous publication's spine — O(1) for one op, the whole history
+   only when a reload brings a fresh spine), rendered at once into
+   (stamp, line) entries.  Only the newest spine is kept, for the next
+   delta.  The entries are capped by [bound_history], the rule a refresh
+   applies to a view's history, so the marks hold exactly the lines a view
+   refreshed at every publication would hold, and a refresh across a gap
+   takes the slice of its gap. *)
 
 let mark ~stamp (session : Core.Session.t) =
   {
@@ -249,73 +248,55 @@ let mark ~stamp (session : Core.Session.t) =
     m_nsteps = Core.Session.step_count session;
   }
 
-type delta = {
-  d_stamp : int;
-  d_undone : Core.Session.step list;  (** popped steps, oldest first *)
-  d_done : Core.Session.step list;  (** fresh steps, oldest first *)
-}
+(* The lines publication [m] adds on top of [history] (newest first), each
+   under its stamp, given [prev], the publication before it.
+   Chronological event order: undos newest-popped first, then the fresh
+   steps oldest first. *)
+let publication_lines ~prev m history =
+  let undone, done_ =
+    spine_delta ~old_steps:prev.m_steps ~old_n:prev.m_nsteps
+      ~new_steps:m.m_steps ~new_n:m.m_nsteps
+  in
+  let events =
+    List.rev_map (fun s -> "undo " ^ render_step s) undone
+    @ List.map render_step done_
+  in
+  List.rev_append (List.map (fun e -> (m.m_stamp, e)) events) history
 
 module Marks = struct
-  (* the deltas form a persistent queue: [older] oldest first, [newer]
-     newest first *)
   type t = {
     tip : mark option;  (** the newest publication recorded *)
-    older : delta list;
-    newer : delta list;
-    count : int;
-    complete_above : int;
-        (** the deltas of every publication past this stamp are held: the
-            first publication recorded, raised as the cap drops deltas *)
+    lines : (int * string) list;  (** newest first, capped by [bound_history] *)
+    floor : int;  (** publications ≤ this have no retained lines *)
   }
 
-  let empty =
-    { tip = None; older = []; newer = []; count = 0; complete_above = 0 }
-
-  (* amortized O(1) beyond the delta itself: each delta is reversed into
-     [older] at most once *)
-  let push t d =
-    if t.count < max_history then
-      { t with newer = d :: t.newer; count = t.count + 1 }
-    else
-      let oldest, older, newer =
-        match t.older with
-        | o :: older -> (o, older, d :: t.newer)
-        | [] -> (
-            match List.rev (d :: t.newer) with
-            | o :: older -> (o, older, [])
-            | [] -> assert false)
-      in
-      { t with older; newer; complete_above = oldest.d_stamp }
+  let empty = { tip = None; lines = []; floor = 0 }
 
   let record t ~stamp session =
     let m = mark ~stamp session in
     match t.tip with
-    | None -> { t with tip = Some m; complete_above = stamp }
+    | None -> { tip = Some m; lines = []; floor = stamp }
+    | Some prev when prev.m_stamp >= stamp ->
+        (* a newer publication is already recorded (a follower's
+           [publish_at] may republish below its newest stamp): marks stay
+           stamp-monotone, like views *)
+        t
     | Some prev ->
-        let d_undone, d_done =
-          spine_delta ~old_steps:prev.m_steps ~old_n:prev.m_nsteps
-            ~new_steps:m.m_steps ~new_n:m.m_nsteps
+        let lines, floor =
+          bound_history t.floor (publication_lines ~prev m t.lines)
         in
-        { (push t { d_stamp = stamp; d_undone; d_done }) with tip = Some m }
+        { tip = Some m; lines; floor }
 
   (* marks whose only publication is the view's own *)
-  let at m = { empty with tip = Some m; complete_above = m.m_stamp }
-
-  (* the deltas with [since < stamp <= until], oldest first *)
-  let between t ~since ~until =
-    let inside d = d.d_stamp > since && d.d_stamp <= until in
-    List.filter inside t.older
-    @ List.fold_left
-        (fun acc d -> if inside d then d :: acc else acc)
-        [] t.newer
+  let at m = { tip = Some m; lines = []; floor = m.m_stamp }
 end
 
 (* The history of the publications in (since, stamp], newest first on top
    of [history], each op under its own publication's stamp.  [marks] may
    not hold the publication at [stamp] yet (its publisher marks it just
    after publishing): then the delta from the newest mark to [session] is
-   that publication's.  Past [Marks.complete_above] nothing is lost;
-   below it the floor rises. *)
+   that publication's.  If the marks dropped lines past [since], the floor
+   rises to theirs. *)
 let gap_history ~history ~floor ~since marks ~stamp session =
   let marks =
     match marks.Marks.tip with
@@ -323,24 +304,13 @@ let gap_history ~history ~floor ~since marks ~stamp session =
     | Some _ | None -> Marks.record marks ~stamp session
   in
   let floor =
-    if marks.Marks.complete_above > since then
-      max floor (min marks.Marks.complete_above stamp)
+    if marks.Marks.floor > since then max floor (min marks.Marks.floor stamp)
     else floor
   in
-  (* chronological event order: undos newest-popped first, then the
-     fresh steps oldest first; history is kept newest first *)
-  let history =
-    List.fold_left
-      (fun history d ->
-        let events =
-          List.rev_map (fun s -> "undo " ^ render_step s) d.d_undone
-          @ List.map render_step d.d_done
-        in
-        List.rev_append (List.map (fun e -> (d.d_stamp, e)) events) history)
-      history
-      (Marks.between marks ~since ~until:stamp)
+  let gap =
+    List.filter (fun (s, _) -> s > since && s <= stamp) marks.Marks.lines
   in
-  bound_history floor history
+  bound_history floor (gap @ history)
 
 (* --- build and refresh ---------------------------------------------------- *)
 
@@ -361,7 +331,7 @@ let build ?lineage ?marks ~stamp (session : Core.Session.t) =
     match marks with
     | None -> ([], stamp)
     | Some marks ->
-        let since = min marks.Marks.complete_above stamp in
+        let since = min marks.Marks.floor stamp in
         gap_history ~history:[] ~floor:since ~since marks ~stamp session
   in
   {

@@ -398,9 +398,9 @@ let view_slot t variant =
 
 (* Record publication [stamp] of [state] in the variant's marks, so a later
    query refresh can stamp each op with its own publication.  No view work
-   happens on the publishing thread: the mark is the steps the publication
-   added and undid, found by a pointer walk as short as the change (the
-   whole history only on a reload, whose spine is fresh). *)
+   happens on the publishing thread: the mark is the publication's ops
+   rendered as [diff] lines, found by a pointer walk as short as the
+   change (the whole history only on a reload, whose spine is fresh). *)
 let mark t variant (state : Engine.state) stamp =
   let marks = (view_slot t variant).marks in
   let rec loop () =

@@ -25,8 +25,8 @@
     read-your-writes.
 
     No query-view work is on this path.  A publication only records a
-    mark beside the variant's view: the steps it added and undid, found by
-    a pointer walk as short as the change.  The first [@query] that finds
+    mark beside the variant's view: the ops it added and undid, rendered
+    as [diff] lines and found by a pointer walk as short as the change.  The first [@query] that finds
     the view behind the publication stamp refreshes it across every
     publication since, the marks keeping each op under its own stamp in
     the [diff] history ({!Service_query}).  A write-only client never

@@ -320,9 +320,16 @@ let incremental_equals_scratch =
    marks carries the same history too. *)
 
 (* What can happen to a variant between two queries: an accepted op, an
-   undo, a redo, or a reload — the session rebuilt from its op log, a
-   fresh step spine sharing nothing with the old one, as after eviction. *)
-type act = Op of Core.Concept.kind * Core.Modop.t | Undo | Redo | Reload
+   undo, a redo, a publication that changes no step (a [focus] or an
+   alias: the designer state moves, the step spine does not), or a reload
+   — the session rebuilt from its op log, a fresh step spine sharing
+   nothing with the old one, as after eviction. *)
+type act =
+  | Op of Core.Concept.kind * Core.Modop.t
+  | Undo
+  | Redo
+  | Republish
+  | Reload
 
 let perform schema session = function
   | Op (kind, op) -> (
@@ -331,6 +338,7 @@ let perform schema session = function
       | Error _ -> None)
   | Undo -> Core.Session.undo session
   | Redo -> Option.map fst (Core.Session.redo session)
+  | Republish -> Some session
   | Reload -> (
       match
         Core.Oplog.replay schema
@@ -348,7 +356,8 @@ let gap_workload =
       list_repeat (List.length ops)
         (frequency
            [ (5, return []); (1, return [ Undo ]); (1, return [ Redo ]);
-             (1, return [ Reload ]); (1, return [ Undo; Undo; Redo ]) ])
+             (1, return [ Republish ]); (1, return [ Reload ]);
+             (1, return [ Undo; Undo; Redo ]) ])
     in
     let acts =
       List.concat
@@ -434,48 +443,51 @@ let gap_refresh_equals_per_publication =
           in
           (catch_up (List.fold_left step start script)).ok)
 
-(* Past [max_history] unqueried publications the oldest marks are
-   dropped: the floor rises to the newest dropped one, and every retained
-   publication still keeps its own stamp — the same history and floor as
-   refreshing once per publication. *)
+(* Past [max_history] unqueried lines the oldest are dropped: the floor
+   rises to the newest dropped one's stamp, and every retained op still
+   keeps its own stamp — the same history and floor as refreshing once per
+   publication.  Each op here is followed by a publication that changes
+   no step (a [focus]): it adds no line, so it must not push any op out. *)
 let dropped_marks_raise_the_floor () =
   let s, v = university_view () in
-  let n = 520 (* past max_history = 512 *) in
-  let rec go s eager marks i =
-    if i > n then (s, eager, marks)
+  let n = 520 (* ops, past max_history = 512 *) in
+  let publish (eager, marks) ~stamp s =
+    (View.refresh eager ~stamp s, View.Marks.record marks ~stamp s)
+  in
+  let rec go s acc i =
+    if i > n then (s, acc)
     else
       let s, _ =
         Util.apply_ok s
           (Printf.sprintf "add_attribute(Person, string, 8, b%04d)" i)
       in
-      let stamp = i + 1 in
-      go s (View.refresh eager ~stamp s)
-        (View.Marks.record marks ~stamp s)
-        (i + 1)
+      (* op i publishes at stamp 2i, its focus at 2i + 1 *)
+      let acc = publish acc ~stamp:(2 * i) s in
+      go s (publish acc ~stamp:((2 * i) + 1) s) (i + 1)
   in
-  let s, eager, marks =
-    go s v (View.Marks.record View.Marks.empty ~stamp:1 s) 1
+  let s, (eager, marks) =
+    go s (v, View.Marks.record View.Marks.empty ~stamp:1 s) 1
   in
-  let v = View.refresh ~marks v ~stamp:(n + 1) s in
-  (* ops 1..8 (stamps 2..9) fell off the queue with their marks *)
-  Alcotest.(check int) "floor at the newest dropped mark" 9
+  let stamp = (2 * n) + 1 in
+  let v = View.refresh ~marks v ~stamp s in
+  (* ops 1..8 (stamps 2..16) fell off with their lines *)
+  Alcotest.(check int) "floor at the newest dropped line" 16
     (View.floor_stamp v);
   Alcotest.(check bool) "same as one refresh per publication" true
     (same_view v eager);
   Alcotest.(check bool) "same as a build with the marks" true
-    (same_view v (View.build ~marks ~stamp:(n + 1) s));
-  let lines = run v "diff 9" in
-  Alcotest.(check int) "one line per retained publication" 512
-    (List.length lines);
+    (same_view v (View.build ~marks ~stamp s));
+  let lines = run v "diff 16" in
+  Alcotest.(check int) "one line per retained op" 512 (List.length lines);
   List.iteri
     (fun k line ->
       Alcotest.(check string) "each op under its own stamp"
         (Printf.sprintf "%d @ww add_attribute(Person, string, 8, b%04d)"
-           (k + 10) (k + 9))
+           (2 * (k + 9)) (k + 9))
         line)
     lines;
-  match run v "diff 8" with
-  | note :: _ when Str_contains.contains note "truncated below stamp 9" -> ()
+  match run v "diff 15" with
+  | note :: _ when Str_contains.contains note "truncated below stamp 16" -> ()
   | _ -> Alcotest.fail "a diff below the floor carries the truncation note"
 
 (* The evaluator's other invariant: every answer except [diff] is sorted
