@@ -93,6 +93,47 @@ module Make (V : Schema_view.S) = struct
     let members, edges = reach (role_edges Generic_end v) head in
     Concept.make Instance_chain head members edges
 
+  (* Direct part-of neighbours in one direction.  A part-of edge is
+     declared on either end ({!Odl.Types.role_of_relationship}): the whole
+     holds its parts ([Whole_end], target = part) or the part points at its
+     whole ([Part_end], target = whole).  A step toward the parts follows
+     [name]'s own [Whole_end] rels and the [Part_end] rels targeting it
+     ([fwd] and [bwd]); a step toward the wholes the mirror.  Dangling
+     targets are excluded. *)
+  let part_step ~fwd ~bwd v name =
+    let own =
+      match V.find_interface v name with
+      | None -> []
+      | Some i ->
+          i.i_rels
+          |> List.filter (fun r ->
+                 role_of_relationship r = fwd && V.mem_interface v r.rel_target)
+          |> List.map (fun r -> r.rel_target)
+    in
+    let declared_at_other_end =
+      V.relationships_targeting v name
+      |> List.filter (fun (_, r) -> role_of_relationship r = bwd)
+      |> List.map (fun (owner, _) -> owner.i_name)
+    in
+    own @ declared_at_other_end
+
+  (* Everything [step] reaches from [start] in one or more steps, sorted;
+     [start] itself only when a cycle leads back to it. *)
+  let part_closure step v start =
+    let rec go visited = function
+      | [] -> visited
+      | n :: rest ->
+          if SSet.mem n visited then go visited rest
+          else go (SSet.add n visited) (step v n @ rest)
+    in
+    SSet.elements (go SSet.empty (step v start))
+
+  (** The transitive parts under [name], whichever end declared each edge. *)
+  let parts = part_closure (part_step ~fwd:Whole_end ~bwd:Part_end)
+
+  (** The transitive wholes [name] is a part of. *)
+  let wholes = part_closure (part_step ~fwd:Part_end ~bwd:Whole_end)
+
   (* Membership rules: which hierarchy concept schemas exist.  Each costs
      only the named interface's neighbourhood, and both the enumerations
      and the by-id lookup below use them. *)

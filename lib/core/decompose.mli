@@ -24,6 +24,15 @@ module Make (V : Schema_view.S) : sig
   val aggregation_hierarchy : V.t -> type_name -> Concept.t
   val aggregation_roots : V.t -> type_name list
   val aggregation_hierarchies : V.t -> Concept.t list
+
+  val parts : V.t -> type_name -> type_name list
+  (** The transitive parts under a type, sorted, following part-of edges
+      declared on either end; dangling targets are skipped.  The type
+      itself is included only when a part-of cycle leads back to it. *)
+
+  val wholes : V.t -> type_name -> type_name list
+  (** The transitive wholes a type is a part of; the mirror of [parts]. *)
+
   val instance_chain : V.t -> type_name -> Concept.t
   val instance_heads : V.t -> type_name list
   val instance_chains : V.t -> Concept.t list

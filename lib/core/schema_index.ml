@@ -161,6 +161,7 @@ let get_interface t n =
   | None -> raise (Schema.Unknown_interface n)
 
 let interface_names t = List.map (fun i -> i.i_name) t.sch.s_interfaces
+let names_from t k = Seq.map fst (SMap.to_seq_from k t.by_name)
 
 let pos_of t n =
   match SMap.find_opt n t.by_name with Some (_, p) -> p | None -> max_int
@@ -371,10 +372,10 @@ let unshelve t =
 (* Because updates rebuild only the touched [by_name] entries (persistent
    maps share the rest), two versions of one lineage disagree physically on
    exactly the entries some update replaced.  Comparing entries by pointer
-   therefore recovers the changed-name set in O(n) worst case but O(changed ·
-   log n) typically, without storing any explicit changelog.  A no-op update
-   that returns the old record unchanged compares equal and is (correctly)
-   not reported. *)
+   therefore recovers the changed-name set without storing any explicit
+   changelog, but it folds both maps whole: O(n log n) for any change,
+   even a one-entry one.  A no-op update that returns the old record
+   unchanged compares equal and is (correctly) not reported. *)
 let changed_names a b =
   if a.sch == b.sch then []
   else

@@ -18,10 +18,11 @@
     write the caches, and each write stores a fully computed immutable
     value into a field of its own version (compute, then one store), so a
     racing reader sees the old value or the new one, both correct.  Every
-    other query — lookups, {!ancestors}, {!descendants},
+    other query — lookups, {!names_from}, {!ancestors}, {!descendants},
     {!relationships_targeting}, {!changed_names}, and
-    {!Decompose.Indexed.wagon_wheel} over them, the whole path of a query
-    view refresh — only reads.  A new cache must keep to the same rule or
+    {!Decompose.Indexed.wagon_wheel}, [parts] and [wholes] over them, the
+    whole path of a query view refresh and of a query's evaluation — only
+    reads.  A new cache must keep to the same rule or
     publish through an [Atomic].
 
     {!diagnostics} equals [Odl.Validate.check (schema t)] for {e any}
@@ -56,10 +57,16 @@ val unshelve : shelved -> t
     declaration order — O(n log n).  [schema (unshelve (shelve t))] equals
     [schema t]; every other query answers as on [t]. *)
 
+val names_from : t -> string -> Odl.Types.type_name Seq.t
+(** The interface names at or after a key, in ascending string order: a
+    prefix scan stops at the first name past the prefix.  Read-only. *)
+
 val changed_names : t -> t -> Odl.Types.type_name list
 (** [changed_names old new_] — the interface names whose records differ
     between two index versions of one lineage, sorted.  Detected by pointer
-    equality on the persistent [by_name] entries, so the cost is
-    proportional to what the updates actually rebuilt; sound for any two
-    versions (falls back to reporting every differing entry).  This is the
-    dirty seed the materialized query views ({!Query.View}) refresh from. *)
+    equality on the persistent [by_name] entries, which means folding both
+    versions' maps: O(n log n) in the schema size, however small the
+    change.  Sound for any two versions (unrelated versions report every
+    differing entry).  This is the dirty seed the query views
+    ({!Query.View}) refresh their attribute index from, and the whole fixed
+    cost of such a refresh. *)

@@ -22,7 +22,7 @@ type atom =
       (** transitive subtypes ([Down], default) or supertypes ([Up]) *)
   | Part of { name : string; dir : dir }
       (** transitive parts ([Down], default) or wholes ([Up]) *)
-  | Wheel of string  (** members of the materialized wagon wheel *)
+  | Wheel of string  (** members of the wagon wheel *)
   | Diff of { since : int; until : int option }
       (** operations between two publication stamps, [(since, until]];
           [until] defaults to the variant's current stamp *)

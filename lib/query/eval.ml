@@ -1,4 +1,5 @@
-(** The query evaluator: executes a {!Plan} against a materialized {!View}.
+(** The query evaluator: executes a {!Plan} against a {!View} and the
+    schema index it carries.
 
     Every answer is a list of lines.  All result forms except [diff] are
     sorted (and de-duplicated) lexicographically, so answers are canonical:
@@ -8,6 +9,8 @@
 
 module SMap = View.SMap
 module SSet = View.SSet
+module Si = Core.Schema_index
+module D = Core.Decompose.Indexed
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix
@@ -18,11 +21,12 @@ let sorted lines = List.sort_uniq String.compare lines
 (* interface.attribute lines for one matching attribute: its declarers,
    plus — under [inherited] — every descendant of a declarer that does not
    re-declare (shadow) the attribute itself *)
-let attr_lines v ~inherited attr declarers acc =
+let attr_lines idx ~inherited attr declarers acc =
   let declares i =
-    match View.find_entry v i with
+    match Si.find_interface idx i with
     | None -> false
-    | Some e -> List.exists (String.equal attr) e.View.e_attrs
+    | Some i ->
+        List.exists (fun a -> String.equal attr a.Odl.Types.attr_name) i.i_attrs
   in
   let acc =
     SSet.fold (fun i acc -> (i ^ "." ^ attr) :: acc) declarers acc
@@ -31,20 +35,17 @@ let attr_lines v ~inherited attr declarers acc =
   else
     SSet.fold
       (fun d acc ->
-        match View.find_entry v d with
-        | None -> acc
-        | Some e ->
-            SSet.fold
-              (fun i acc ->
-                if declares i then acc
-                else (i ^ "." ^ attr ^ " (from " ^ d ^ ")") :: acc)
-              e.View.e_desc acc)
+        List.fold_left
+          (fun acc i ->
+            if declares i then acc
+            else (i ^ "." ^ attr ^ " (from " ^ d ^ ")") :: acc)
+          acc (Si.descendants idx d))
       declarers acc
 
-let closure_lines v name set =
-  match View.find_entry v name with
-  | None -> Error ("no interface " ^ name)
-  | Some e -> Ok (sorted (SSet.elements (set e)))
+(* a closure or concept read of one interface, straight from the index *)
+let closure_lines idx name members =
+  if Si.mem_interface idx name then Ok (sorted (members idx name))
+  else Error ("no interface " ^ name)
 
 let diff_lines v ~since ~until =
   let current = View.stamp v in
@@ -67,51 +68,44 @@ let diff_lines v ~since ~until =
     else Ok ops
 
 let run_plan v plan =
+  let idx = View.index v in
   match plan with
-  | Plan.Name_point n ->
-      Ok (if SMap.mem n (View.entries v) then [ n ] else [])
+  | Plan.Name_point n -> Ok (if Si.mem_interface idx n then [ n ] else [])
   | Plan.Name_prefix { prefix; pat } ->
       let rec scan acc seq =
         match seq () with
         | Seq.Nil -> acc
-        | Seq.Cons ((name, _), rest) ->
+        | Seq.Cons (name, rest) ->
             if not (starts_with ~prefix name) then acc
             else scan (if Ast.matches pat name then name :: acc else acc) rest
       in
-      Ok (sorted (scan [] (SMap.to_seq_from prefix (View.entries v))))
+      Ok (sorted (scan [] (Si.names_from idx prefix)))
   | Plan.Name_scan pat ->
       Ok
         (sorted
-           (SMap.fold
-              (fun name _ acc ->
-                if Ast.matches pat name then name :: acc else acc)
-              (View.entries v) []))
+           (List.of_seq (Seq.filter (Ast.matches pat) (Si.names_from idx ""))))
   | Plan.Attr_point { attr; inherited } -> (
       match SMap.find_opt attr (View.attr_index v) with
       | None -> Ok []
       | Some declarers ->
-          Ok (sorted (attr_lines v ~inherited attr declarers [])))
+          Ok (sorted (attr_lines idx ~inherited attr declarers [])))
   | Plan.Attr_scan { pat; inherited } ->
       Ok
         (sorted
            (SMap.fold
               (fun attr declarers acc ->
                 if Ast.matches pat attr then
-                  attr_lines v ~inherited attr declarers acc
+                  attr_lines idx ~inherited attr declarers acc
                 else acc)
               (View.attr_index v) []))
-  | Plan.Isa_closure { name; dir } ->
-      closure_lines v name (fun e ->
-          match dir with Ast.Down -> e.View.e_desc | Ast.Up -> e.View.e_anc)
-  | Plan.Part_closure { name; dir } ->
-      closure_lines v name (fun e ->
-          match dir with
-          | Ast.Down -> e.View.e_parts
-          | Ast.Up -> e.View.e_wholes)
-  | Plan.Wheel name -> (
-      match View.find_entry v name with
-      | None -> Error ("no interface " ^ name)
-      | Some e -> Ok (sorted e.View.e_wheel.Core.Concept.c_members))
+  | Plan.Isa_closure { name; dir = Ast.Down } ->
+      closure_lines idx name Si.descendants
+  | Plan.Isa_closure { name; dir = Ast.Up } -> closure_lines idx name Si.ancestors
+  | Plan.Part_closure { name; dir = Ast.Down } -> closure_lines idx name D.parts
+  | Plan.Part_closure { name; dir = Ast.Up } -> closure_lines idx name D.wholes
+  | Plan.Wheel name ->
+      closure_lines idx name (fun idx name ->
+          (D.wagon_wheel idx name).Core.Concept.c_members)
   | Plan.Hist_slice { since; until } -> diff_lines v ~since ~until
   | Plan.Lineage_read -> (
       match View.lineage v with
@@ -133,7 +127,8 @@ let run v atom = run_plan v (Plan.of_atom atom)
 
 let explain atom = [ Plan.describe (Plan.of_atom atom) ]
 
-(** The naive baseline: rebuild the whole view from scratch for this one
-    request, then evaluate — what every query would cost without
-    incremental maintenance (bench P17 measures the gap). *)
+(** The naive baseline: rebuild the view (its attribute index over the
+    whole schema) from scratch for this one request, then evaluate — what
+    every query would cost without incremental maintenance (bench P17
+    measures the gap). *)
 let run_fresh ~stamp session atom = run (View.build ~stamp session) atom

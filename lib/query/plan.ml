@@ -1,9 +1,10 @@
-(** The query planner: picks, per atom, which materialized structure of the
-    {!View} answers it and how.  Trivial by design — every access path is a
-    point lookup, a bounded scan or a closure read on data the view already
-    holds — but making the choice explicit keeps the evaluator honest (it
-    executes the plan, nothing else) and gives [explain] something true to
-    print. *)
+(** The query planner: picks, per atom, which structure answers it and
+    how — the {!View}'s attribute index, history or lineage record, or a
+    walk of the schema index the view carries.  Trivial by design — every
+    access path is a point lookup, a bounded scan or a walk from one
+    interface — but making the choice explicit keeps the evaluator honest
+    (it executes the plan, nothing else) and gives [explain] something true
+    to print. *)
 
 type t =
   | Name_point of string  (** point lookup in the name index *)
@@ -51,12 +52,12 @@ let describe = function
       "plan: attribute-index scan, glob " ^ Ast.pattern_text pat
       ^ widen inherited
   | Isa_closure { name; dir } ->
-      Printf.sprintf "plan: materialized ISA closure (%s) of %s"
+      Printf.sprintf "plan: schema-index ISA walk (%s) from %s"
         (Ast.dir_name dir) name
   | Part_closure { name; dir } ->
-      Printf.sprintf "plan: materialized part-of closure (%s) of %s"
+      Printf.sprintf "plan: schema-index part-of walk (%s) from %s"
         (Ast.dir_name dir) name
-  | Wheel n -> "plan: materialized wagon wheel of " ^ n
+  | Wheel n -> "plan: schema-index wagon wheel of " ^ n ^ " from its adjacency"
   | Hist_slice { since; until } ->
       Printf.sprintf "plan: history slice (%d, %s]" since
         (match until with Some u -> string_of_int u | None -> "current")

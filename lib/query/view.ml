@@ -1,26 +1,30 @@
-(** Materialized, incrementally maintained query views over one variant.
+(** Incrementally maintained query views over one variant.
 
-    A view is an immutable value carrying everything the evaluator reads:
+    A view holds only what the variant's schema index cannot answer by
+    itself:
 
-    - per-interface entries — declared attribute names, transitive ISA
-      ancestor/descendant sets, transitive part-of whole/part sets, and the
-      materialized {!Core.Decompose} wagon wheel;
     - an attribute-name → declaring-interfaces index;
     - a bounded, newest-first history of (publication stamp, rendered op)
-      pairs feeding [diff] queries.
+      pairs feeding [diff] queries, with the floor below which it is
+      truncated;
+    - the variant's cached lineage record.
+
+    Beside them it carries the {!Core.Schema_index} version it reflects
+    ({!index}); the evaluator answers names, ISA and part-of closures and
+    wagon wheels from that index directly.
 
     Views are kept per variant beside the published snapshot (see
     {!Service_query} in the server) and brought up to date lazily: the
     first query that finds the view behind the publication stamp
     {!refresh}es it, however many publications it trails by.  {!refresh}
-    is incremental in the size of the change, not the schema: the dirty
-    seed is {!Core.Schema_index.changed_names} (pointer diff of the
-    persistent index, O(changed entries), sound across any gap), widened
-    to every interface whose materialized row can react — the seed's old
-    and new closure neighbourhoods — and only those rows are recomputed.
-    History keeps each op under its own publication's stamp across a gap
-    through {!Marks}: each publication records its rendered lines as it
-    happens, and the refresh takes the slice of its gap.  The equivalences
+    re-indexes the attributes of exactly the interfaces
+    {!Core.Schema_index.changed_names} reports between the view's index
+    and the session's (sound across any gap).  That diff folds both
+    versions' name maps, O(n log n) in the schema size whatever the
+    change, and is the whole fixed cost of a refresh.  History keeps each
+    op under its own publication's stamp across a gap through {!Marks}:
+    each publication records its rendered lines as it happens, and the
+    refresh takes the slice of its gap.  The equivalences
     [refresh* ≡ build] and [refresh over a gap ≡ one refresh per
     publication] are the subsystem's correctness foundation,
     differentially tested by property. *)
@@ -28,17 +32,6 @@
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
 module Si = Core.Schema_index
-module D = Core.Decompose.Indexed
-open Odl.Types
-
-type entry = {
-  e_attrs : string list;  (** declared attribute names, declaration order *)
-  e_anc : SSet.t;  (** transitive ISA ancestors *)
-  e_desc : SSet.t;  (** transitive ISA descendants *)
-  e_wholes : SSet.t;  (** transitive part-of wholes this type belongs to *)
-  e_parts : SSet.t;  (** transitive parts under this type *)
-  e_wheel : Core.Concept.t;  (** materialized wagon wheel *)
-}
 
 (** One publication: its stamp and the session's step spine
     ([steps_rev], shared structure, so O(1) to capture) with its length. *)
@@ -50,8 +43,7 @@ type mark = {
 
 type t = {
   v_mark : mark;  (** the publication this view reflects *)
-  v_index : Si.t;  (** the index version the entries were computed from *)
-  v_entries : entry SMap.t;
+  v_index : Si.t;  (** that publication's index version *)
   v_attrs : SSet.t SMap.t;  (** attribute name → declaring interfaces *)
   v_history : (int * string) list;  (** newest first; feeds [diff] *)
   v_floor : int;  (** stamps ≤ this have no retained history *)
@@ -67,93 +59,11 @@ let stamp v = v.v_mark.m_stamp
 let floor_stamp v = v.v_floor
 let lineage v = v.v_lineage
 let refresh_count v = v.v_refreshes
-let interface_count v = SMap.cardinal v.v_entries
-let find_entry v name = SMap.find_opt name v.v_entries
-let entries v = v.v_entries
+let index v = v.v_index
+let interface_count v = List.length (Si.interface_names v.v_index)
 let attr_index v = v.v_attrs
 
-(* --- part-of adjacency ----------------------------------------------------
-
-   A part-of edge is declared on either end ({!Odl.Types.role_of_relationship}):
-   the whole holds a collection of parts ([Whole_end], target = part) or the
-   part points at its whole ([Part_end], target = whole).  Both directions
-   are walked through the index — forward via the owner's own rels, backward
-   via [relationships_targeting] — so the closure is complete whichever end
-   declared the edge.  Dangling targets are excluded, cycles are cut by the
-   visited set. *)
-
-let direct_parts idx name =
-  let fwd =
-    match Si.find_interface idx name with
-    | None -> []
-    | Some i ->
-        List.filter_map
-          (fun r ->
-            match role_of_relationship r with
-            | Whole_end when Si.mem_interface idx r.rel_target ->
-                Some r.rel_target
-            | _ -> None)
-          i.i_rels
-  in
-  let bwd =
-    Si.relationships_targeting idx name
-    |> List.filter_map (fun (owner, r) ->
-           match role_of_relationship r with
-           | Part_end -> Some owner.i_name
-           | _ -> None)
-  in
-  fwd @ bwd
-
-let direct_wholes idx name =
-  let fwd =
-    match Si.find_interface idx name with
-    | None -> []
-    | Some i ->
-        List.filter_map
-          (fun r ->
-            match role_of_relationship r with
-            | Part_end when Si.mem_interface idx r.rel_target ->
-                Some r.rel_target
-            | _ -> None)
-          i.i_rels
-  in
-  let bwd =
-    Si.relationships_targeting idx name
-    |> List.filter_map (fun (owner, r) ->
-           match role_of_relationship r with
-           | Whole_end -> Some owner.i_name
-           | _ -> None)
-  in
-  fwd @ bwd
-
-let closure_set step start =
-  let rec go visited = function
-    | [] -> visited
-    | n :: rest ->
-        if SSet.mem n visited then go visited rest
-        else go (SSet.add n visited) (step n @ rest)
-  in
-  go SSet.empty (step start)
-
-(* --- entry computation ---------------------------------------------------- *)
-
-let compute_entry idx name =
-  let i = Si.get_interface idx name in
-  {
-    e_attrs = List.map (fun a -> a.attr_name) i.i_attrs;
-    e_anc = SSet.of_list (Si.ancestors idx name);
-    e_desc = SSet.of_list (Si.descendants idx name);
-    e_wholes = closure_set (direct_wholes idx) name;
-    e_parts = closure_set (direct_parts idx) name;
-    e_wheel = D.wagon_wheel idx name;
-  }
-
-(* Every name an entry's materialized row mentions: the set of rows that can
-   react when this interface changes. *)
-let entry_neighbourhood e =
-  SSet.union e.e_anc e.e_desc
-  |> SSet.union e.e_wholes |> SSet.union e.e_parts
-  |> SSet.union (SSet.of_list e.e_wheel.Core.Concept.c_members)
+(* --- the attribute index -------------------------------------------------- *)
 
 let multi_add key v m =
   SMap.update key
@@ -169,11 +79,15 @@ let multi_remove key v m =
           if SSet.is_empty s then None else Some s)
     m
 
-let deindex_attrs name e attrs =
-  List.fold_left (fun m a -> multi_remove a name m) attrs e.e_attrs
-
-let index_attrs name e attrs =
-  List.fold_left (fun m a -> multi_add a name m) attrs e.e_attrs
+(* [f] ([multi_add] or [multi_remove]) applied to [attrs] for each
+   attribute [name] declares in [idx] *)
+let reindex f idx name attrs =
+  match Si.find_interface idx name with
+  | None -> attrs
+  | Some i ->
+      List.fold_left
+        (fun m a -> f a.Odl.Types.attr_name name m)
+        attrs i.Odl.Types.i_attrs
 
 (* --- history -------------------------------------------------------------- *)
 
@@ -318,14 +232,10 @@ let gap_history ~history ~floor ~since marks ~stamp session =
    without, its history starts empty at [stamp]. *)
 let build ?lineage ?marks ~stamp (session : Core.Session.t) =
   let idx = Core.Session.index session in
-  let entries =
-    List.fold_left
-      (fun m name -> SMap.add name (compute_entry idx name) m)
-      SMap.empty
-      (Si.interface_names idx)
-  in
   let attrs =
-    SMap.fold (fun name e m -> index_attrs name e m) entries SMap.empty
+    List.fold_left
+      (fun m name -> reindex multi_add idx name m)
+      SMap.empty (Si.interface_names idx)
   in
   let history, floor =
     match marks with
@@ -337,7 +247,6 @@ let build ?lineage ?marks ~stamp (session : Core.Session.t) =
   {
     v_mark = mark ~stamp session;
     v_index = idx;
-    v_entries = entries;
     v_attrs = attrs;
     v_history = history;
     v_floor = floor;
@@ -347,38 +256,14 @@ let build ?lineage ?marks ~stamp (session : Core.Session.t) =
 
 let refresh ?marks v ~stamp (session : Core.Session.t) =
   let idx = Core.Session.index session in
-  let seeds = Si.changed_names v.v_index idx in
-  (* widen each seed to every row its change can reach: the row itself,
-     everything its *old* materialized row mentioned, and everything its
-     *new* neighbourhood mentions (closures and wheel recomputed fresh on
-     the new index) — then rebuild exactly those rows *)
-  let recompute =
+  (* a changed interface's old declarations leave the attribute index and
+     its new ones enter; nothing else in the view depends on it *)
+  let attrs =
     List.fold_left
-      (fun acc name ->
-        let acc = SSet.add name acc in
-        let acc =
-          match SMap.find_opt name v.v_entries with
-          | None -> acc
-          | Some e -> SSet.union (entry_neighbourhood e) acc
-        in
-        if Si.mem_interface idx name then
-          SSet.union (entry_neighbourhood (compute_entry idx name)) acc
-        else acc)
-      SSet.empty seeds
-  in
-  let entries, attrs =
-    SSet.fold
-      (fun name (entries, attrs) ->
-        let attrs =
-          match SMap.find_opt name v.v_entries with
-          | None -> attrs
-          | Some old -> deindex_attrs name old attrs
-        in
-        if Si.mem_interface idx name then
-          let e = compute_entry idx name in
-          (SMap.add name e entries, index_attrs name e attrs)
-        else (SMap.remove name entries, attrs))
-      recompute (v.v_entries, v.v_attrs)
+      (fun attrs name ->
+        reindex multi_add idx name (reindex multi_remove v.v_index name attrs))
+      v.v_attrs
+      (Si.changed_names v.v_index idx)
   in
   (* without marks, the view's own spine is the one publication before
      [stamp] *)
@@ -390,7 +275,6 @@ let refresh ?marks v ~stamp (session : Core.Session.t) =
   {
     v_mark = mark ~stamp session;
     v_index = idx;
-    v_entries = entries;
     v_attrs = attrs;
     v_history = history;
     v_floor = floor;
@@ -409,20 +293,12 @@ let update ?prev ?lineage ?marks ~stamp session =
 
 (* --- equivalence (differential testing) ----------------------------------- *)
 
-let entry_equal a b =
-  a.e_attrs = b.e_attrs
-  && SSet.equal a.e_anc b.e_anc
-  && SSet.equal a.e_desc b.e_desc
-  && SSet.equal a.e_wholes b.e_wholes
-  && SSet.equal a.e_parts b.e_parts
-  && Core.Concept.equal a.e_wheel b.e_wheel
-
-(** Logical equality: same materialized rows and attribute index.  Stamp,
-    history and refresh bookkeeping are excluded — a from-scratch [build]
-    has no history, and the property incremental ≡ from-scratch compares
-    exactly the derived data. *)
+(** Logical equality: the same attribute index over the same schema.
+    Stamp, history and refresh bookkeeping are excluded — a from-scratch
+    [build] has no history, and the property incremental ≡ from-scratch
+    compares exactly the derived data. *)
 let equal_logical a b =
-  SMap.equal entry_equal a.v_entries b.v_entries
-  && SMap.equal SSet.equal a.v_attrs b.v_attrs
+  SMap.equal SSet.equal a.v_attrs b.v_attrs
+  && (a.v_index == b.v_index || Si.schema a.v_index = Si.schema b.v_index)
 
 let history v = v.v_history

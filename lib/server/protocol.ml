@@ -22,7 +22,7 @@
     @close                detach; last detach snapshots the session
     @ping                 liveness probe
     @stats [json]         observability snapshot (text, or JSON with [json])
-    @query <expr>         read-side query over materialized views (see
+    @query <expr>         read-side query over the variant's schema (see
                           {!Query.Parser}; [@query all ...] spans variants)
     @quit                 close the connection
     focus ww:Person       ... any designer command line ...

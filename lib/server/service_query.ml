@@ -1,5 +1,5 @@
-(** The query path: serve [@query] from the variant's materialized
-    {!Query.View}, lock-free.
+(** The query path: serve [@query] from the variant's {!Query.View} and
+    the published schema index it carries, lock-free.
 
     The flow for a query line:
 

@@ -267,7 +267,7 @@ type t = {
   breakers : (string, Breaker.t) Hashtbl.t;
       (** per variant, surviving session eviction *)
   views : (string, view_slot) Hashtbl.t;
-      (** per-variant materialized query views ({!Query.View}) and the
+      (** per-variant query views ({!Query.View}) and the
           marks of the variant's newest publications.  Publishers only
           record marks; the first query behind the publication stamp
           refreshes the view ({!Service_query}).  The slot survives

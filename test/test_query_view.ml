@@ -111,7 +111,16 @@ let planner_picks_access_paths () =
       if not (Str_contains.contains d "plan:") then
         Alcotest.failf "describe %S should start with plan:" text)
     [ "name x"; "name \"x*\""; "attr \"*\" inherited"; "isa A up";
-      "partof B"; "wheel C"; "diff 1 2" ]
+      "partof B"; "wheel C"; "diff 1 2" ];
+  (* closures and wheels are walks of the schema index *)
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check string) text expected (Plan.describe (plan text)))
+    [
+      ("isa A up", "plan: schema-index ISA walk (up) from A");
+      ("partof B", "plan: schema-index part-of walk (down) from B");
+      ("wheel C", "plan: schema-index wagon wheel of C from its adjacency");
+    ]
 
 (* --- evaluation on the university schema ----------------------------------- *)
 
@@ -204,7 +213,29 @@ let refresh_after_ops () =
     "history records both steps, chronologically"
     [ "2 @ww add_attribute(Person, string, 8, badge)";
       "3 @ww delete_attribute(Person, badge)" ]
-    (run v "diff 1")
+    (run v "diff 1");
+  (* part-of answers follow the schema: an added edge shows from both
+     ends, a deleted one from neither *)
+  let s, _ =
+    Util.apply_ok s
+      "add_part_of_relationship(Course, set<Syllabus>, sections, section_of)"
+  in
+  let v = View.refresh v ~stamp:4 s in
+  Alcotest.(check (list string)) "parts" [ "Syllabus" ] (run v "partof Course");
+  Alcotest.(check (list string))
+    "wholes" [ "Course" ] (run v "partof Syllabus up");
+  let s, _ = Util.apply_ok s "delete_part_of_relationship(Course, sections)" in
+  let v = View.refresh v ~stamp:5 s in
+  Alcotest.(check (list string)) "no parts" [] (run v "partof Course");
+  Alcotest.(check (list string)) "no wholes" [] (run v "partof Syllabus up");
+  (* a re-declaration below the declarer shadows the inherited attribute *)
+  let s, _ = Util.apply_ok s "add_attribute(Graduate, float, 8, gpa)" in
+  let v = View.refresh v ~stamp:6 s in
+  let lines = run v "attr gpa inherited" in
+  Alcotest.(check bool) "re-declared" true (List.mem "Graduate.gpa" lines);
+  Alcotest.(check bool)
+    "not also inherited" false
+    (List.mem "Graduate.gpa (from Student)" lines)
 
 let refresh_sees_undo () =
   let s, v = university_view () in
@@ -265,12 +296,57 @@ let update_is_monotone () =
 
 (* --- the differential property --------------------------------------------- *)
 
+(* The answers a refreshed view gives, recomputed by the naive backend
+   over the view's schema: every interface's ISA, part-of and wagon-wheel
+   answers, and the whole inherited attribute listing. *)
+let naive_answers_agree v schema =
+  let module N = Core.Schema_view.Naive in
+  let module Dn = Core.Decompose.Naive in
+  let sorted = List.sort_uniq String.compare in
+  let agrees atom expected =
+    match Eval.run v atom with
+    | Ok lines -> lines = sorted expected
+    | Error _ -> false
+  in
+  let declares n attr =
+    match N.find_interface schema n with
+    | None -> false
+    | Some i ->
+        List.exists (fun a -> String.equal a.Odl.Types.attr_name attr) i.i_attrs
+  in
+  let inherited_attrs =
+    List.concat_map
+      (fun (i : Odl.Types.interface) ->
+        List.concat_map
+          (fun (a : Odl.Types.attribute) ->
+            let attr = a.attr_name in
+            (i.i_name ^ "." ^ attr)
+            :: List.filter_map
+                 (fun d ->
+                   if declares d attr then None
+                   else Some (d ^ "." ^ attr ^ " (from " ^ i.i_name ^ ")"))
+                 (N.descendants schema i.i_name))
+          i.i_attrs)
+      schema.Odl.Types.s_interfaces
+  in
+  agrees (Ast.Attr { pat = Ast.Glob "*"; inherited = true }) inherited_attrs
+  && List.for_all
+       (fun name ->
+         agrees (Ast.Isa { name; dir = Ast.Down }) (N.descendants schema name)
+         && agrees (Ast.Isa { name; dir = Ast.Up }) (N.ancestors schema name)
+         && agrees (Ast.Part { name; dir = Ast.Down }) (Dn.parts schema name)
+         && agrees (Ast.Part { name; dir = Ast.Up }) (Dn.wholes schema name)
+         && agrees (Ast.Wheel name)
+              (Dn.wagon_wheel schema name).Core.Concept.c_members)
+       (N.interface_names schema)
+
 (* Incremental refresh after every accepted op (and undo/redo) produces
-   exactly the rows and attribute index of a from-scratch build.  This is
-   the property the whole subsystem leans on: it exercises
+   exactly the attribute index of a from-scratch build, and every closure
+   and wheel answer the naive backend computes over the same schema.  This
+   is the property the whole subsystem leans on: it exercises
    Schema_index.changed_names (the pointer-diff dirty seed) and the
-   neighbourhood widening in View.refresh against arbitrary generated
-   schemas and workloads. *)
+   index-served closures against arbitrary generated schemas and
+   workloads. *)
 let incremental_equals_scratch =
   prop "incremental view refresh = from-scratch build" Gen.schema_and_ops
     (fun (schema, steps) ->
@@ -279,6 +355,8 @@ let incremental_equals_scratch =
       | Ok session ->
           let check stamp session v =
             View.equal_logical v (View.build ~stamp session)
+            && naive_answers_agree v
+                 (Core.Schema_index.schema (Core.Session.index session))
           in
           let step (session, v, stamp, ok) act =
             if not ok then (session, v, stamp, false)
