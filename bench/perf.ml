@@ -102,11 +102,15 @@ let ablations_for n =
 (* P8: the schema index — one interface of a warm-indexed schema is
    modified, then consistency is re-established.  check-full pays a naive
    whole-schema check; check-incremental pays the index update plus the
-   dirty-set re-check.  apply vs apply-indexed measures the same contrast
-   through the full operation engine (constraint check + propagation).
-   current-concepts vs find-concept is the designer's per-op lookup of
-   the focused concept schema: decompose the whole workspace and search
-   it, or build just that concept schema from the index. *)
+   full diagnostics list, re-checking the dirty set and walking the rest
+   from the memo; errors-incremental pays the same update plus what
+   [Apply] asks after every op, [errors], which on a valid schema
+   re-checks only the dirty set.  apply vs apply-indexed measures the
+   same contrast through the full operation engine (constraint check +
+   propagation).  current-concepts vs find-concept is the designer's
+   per-op lookup of the focused concept schema: decompose the whole
+   workspace and search it, or build just that concept schema from the
+   index. *)
 let index_checks_for n =
   let schema = schema_of n in
   let probe i =
@@ -133,6 +137,11 @@ let index_checks_for n =
       (Staged.stage (fun () ->
            let idx = Core.Schema_index.update_interface warm "T0" probe in
            ignore (Core.Schema_index.diagnostics idx)));
+    Test.make
+      ~name:(Printf.sprintf "errors-incremental/%d" n)
+      (Staged.stage (fun () ->
+           let idx = Core.Schema_index.update_interface warm "T0" probe in
+           ignore (Core.Schema_index.errors idx)));
     Test.make
       ~name:(Printf.sprintf "apply-indexed/%d" n)
       (Staged.stage (fun () ->

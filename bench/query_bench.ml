@@ -2,14 +2,14 @@
 
    The claim under test: keeping each variant's {!Query.View} up to date
    incrementally makes [@query] answers cheap.  A view keeps only what
-   the schema index cannot answer — the attribute → declarers index, the
-   [diff] history and the lineage record; names, ISA and part-of
-   closures and wagon wheels are walks of the index it carries.  So the
-   maintain cost per refresh is re-indexing the attributes of the
-   interfaces {!Core.Schema_index.changed_names} reports, and its floor
-   is that diff itself, which folds both index versions whole (O(n log n)
-   in the schema).  The naive alternative ({!Query.Eval.run_fresh})
-   rebuilds the attribute index over the whole schema per request — a
+   the schema index cannot answer — the [diff] history and the lineage
+   record; names, attributes, ISA and part-of closures and wagon wheels
+   are probes, scans and walks of the index it carries, whose attribute
+   → declarers map each index update maintains.  So a refresh no longer
+   diffs index versions: it takes the session's index and extends the
+   history from the publication marks, a cost that does not grow with
+   the schema.  The naive alternative ({!Query.Eval.run_fresh}) indexes
+   the whole workspace anew ({!Core.Schema_index.build}) per request — a
    cost proportional to the schema, paid on every query.
 
    Setup: one synthetic schema (default 1000 interfaces, the paper-scale
@@ -133,8 +133,8 @@ let run ~json_path () =
   let schema = Schemas.Synth.(generate (default_params ~n_types:types)) in
   let session = ref (session_of schema) in
   let view = ref (View.build ~stamp:1 !session) in
-  (* one refresh per committed op: re-index the changed interfaces'
-     attributes; this is the price of keeping queries cheap *)
+  (* one refresh per committed op: take the new index version and the
+     op's history line; this is the price of keeping queries cheap *)
   let maintain_total = ref 0.0 in
   let stamp = ref 1 in
   for k = 1 to ops do
@@ -225,7 +225,7 @@ let run ~json_path () =
         "  \"setup\": \"synthetic schema; per-op incremental refresh, the \
          first-query refresh across gaps of 1/8/64 publications, then a \
          query battery evaluated on the maintained view vs a \
-         from-scratch rebuild per request\",";
+         from-scratch index build per request\",";
         Printf.sprintf "  \"n_types\": %d," types;
         Printf.sprintf "  \"ops\": %d," ops;
         Printf.sprintf "  \"rounds\": %d," reps;

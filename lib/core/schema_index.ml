@@ -10,16 +10,22 @@
       anywhere (supertype list, relationship target, attribute domain,
       operation signature).  This is the reverse dependency relation the
       dirty-set is computed from;
-    - a per-interface diagnostics cache plus a cache of the schema-global
-      check results.
+    - [attrs] — attribute name → set of interfaces declaring it (what the
+      [@query attr] atom reads);
+    - the validity memo: per-interface diagnostics, the names pending a
+      re-check, the names whose diagnostics hold an error, and the
+      schema-global block.
 
     The index is {e persistent}: updates return a new value and old values
     stay usable, which is what lets {!Session} implement undo by keeping
     old index versions.  For that reason the maps are balanced trees
     ([Map.Make (String)]) rather than mutable hashtables — a hashtable
-    would be shared across versions and corrupted by divergence (the caches
-    are mutable, but they are {e per-version} fields holding persistent
-    maps, so mutation is only ever memoization).
+    would be shared across versions and corrupted by divergence (the memo
+    is mutable, but it is a {e per-version} field holding a persistent
+    record, so mutation is only ever memoization).  An update re-files an
+    interface in a reverse map only under the keys it gained or lost, so
+    an update that leaves its supertypes, mentions or attribute names alone
+    shares that map whole with the version before.
 
     Incrementality: when interface [x] changes, the set of interfaces whose
     per-interface check results (or propagation-rule firings) can change is
@@ -28,17 +34,19 @@
 
     — descendants because inherited visibility flows down the ISA graph,
     mentions because every cross-interface check first names the interface
-    it depends on.  {!update_interface} invalidates exactly that
-    neighbourhood, so a later {!diagnostics} recomputes O(degree) interface
-    checks instead of O(schema).  The schema-global checks (duplicate
-    names, hierarchy shape, duplicate extents) are cached as a block and
-    invalidated only by updates that touch names, supertypes, relationships
-    or extents.
+    it depends on.  {!update_interface} moves exactly that neighbourhood
+    from the memo's diagnostics into its pending set, so {!is_valid}
+    re-checks O(degree) interfaces instead of O(schema), and the schema is
+    valid when the global block and the error set are both clear.  The
+    schema-global checks (duplicate names, hierarchy shape, duplicate
+    extents) are cached as a block and invalidated only by updates that
+    touch names, supertypes, relationships or extents.
 
     Degenerate schemas with duplicate interface names (always an error, and
     rejected by {!Session.create}) are handled by falling back to a full
     rebuild on update and bypassing the cache for the duplicated names, so
-    {!diagnostics} still equals the naive checker's output exactly. *)
+    {!diagnostics} still equals the naive checker's output exactly; their
+    validity is always decided by the full walk. *)
 
 open Odl.Types
 module Schema = Odl.Schema
@@ -59,17 +67,32 @@ type global_diags = {
   g_dups : SSet.t;  (** duplicated interface names (cache-bypass set) *)
 }
 
+(* Invariant (schemas without duplicate names): every declared name is
+   either pending, or has current diagnostics in [diags] and is in
+   [failing] exactly when they hold an error. *)
+type memo = {
+  diags : iface_diags SMap.t;  (** per-interface diagnostics, current *)
+  pending : SSet.t option;
+      (** names whose diagnostics await a re-check; [None] while cold,
+          meaning every name *)
+  failing : SSet.t;  (** names whose diagnostics in [diags] hold an error *)
+  global : global_diags option;  (** the schema-global block, once checked *)
+}
+
 type t = {
   sch : schema;
   by_name : (interface * int) SMap.t;
       (** position = declaration order; not contiguous after removals *)
   subs : SSet.t SMap.t;
   mentions : SSet.t SMap.t;
+  attrs : SSet.t SMap.t;
   next_pos : int;
   has_dups : bool;
-  mutable cache : iface_diags SMap.t;
-  mutable g_cache : global_diags option;
+  mutable memo : memo;
 }
+
+let cold =
+  { diags = SMap.empty; pending = None; failing = SSet.empty; global = None }
 
 (* --- reverse-reference maintenance -------------------------------------- *)
 
@@ -91,6 +114,9 @@ let mentioned_names i =
         (add_domain o.op_return acc) o.op_args)
     acc i.i_ops
 
+let attr_names i =
+  List.fold_left (fun s a -> SSet.add a.attr_name s) SSet.empty i.i_attrs
+
 let multi_add key v m =
   SMap.update key
     (function None -> Some (SSet.singleton v) | Some s -> Some (SSet.add v s))
@@ -105,45 +131,58 @@ let multi_remove key v m =
           if SSet.is_empty s then None else Some s)
     m
 
-let index_refs name i (subs, mentions) =
-  let subs = List.fold_left (fun m s -> multi_add s name m) subs i.i_supertypes in
-  let mentions =
-    SSet.fold (fun m acc -> multi_add m name acc) (mentioned_names i) mentions
-  in
-  (subs, mentions)
+(* The keys an interface is filed under in [subs], [mentions] and
+   [attrs]; [no_refs] for an absent one. *)
+type refs = { r_supers : SSet.t; r_mentions : SSet.t; r_attrs : SSet.t }
 
-let deindex_refs name i (subs, mentions) =
-  let subs =
-    List.fold_left (fun m s -> multi_remove s name m) subs i.i_supertypes
-  in
-  let mentions =
-    SSet.fold (fun m acc -> multi_remove m name acc) (mentioned_names i) mentions
-  in
-  (subs, mentions)
+let no_refs =
+  { r_supers = SSet.empty; r_mentions = SSet.empty; r_attrs = SSet.empty }
+
+let refs_of i =
+  {
+    r_supers = SSet.of_list i.i_supertypes;
+    r_mentions = mentioned_names i;
+    r_attrs = attr_names i;
+  }
+
+(* [name] leaves the keys of [old_keys] it is no longer under and joins the
+   new ones: a map whose keys did not change comes back physically *)
+let refile name old_keys new_keys m =
+  SSet.fold (fun k m -> multi_add k name m) (SSet.diff new_keys old_keys) m
+  |> SSet.fold (fun k m -> multi_remove k name m) (SSet.diff old_keys new_keys)
+
+let reindex t name old_refs new_refs =
+  {
+    t with
+    subs = refile name old_refs.r_supers new_refs.r_supers t.subs;
+    mentions = refile name old_refs.r_mentions new_refs.r_mentions t.mentions;
+    attrs = refile name old_refs.r_attrs new_refs.r_attrs t.attrs;
+  }
 
 let build sch =
-  let by_name, subs, mentions, next_pos, has_dups =
-    List.fold_left
-      (fun (by, subs, mentions, pos, dups) i ->
-        let dups = dups || SMap.mem i.i_name by in
-        let by =
-          if SMap.mem i.i_name by then by else SMap.add i.i_name (i, pos) by
-        in
-        let subs, mentions = index_refs i.i_name i (subs, mentions) in
-        (by, subs, mentions, pos + 1, dups))
-      (SMap.empty, SMap.empty, SMap.empty, 0, false)
-      sch.s_interfaces
+  let empty =
+    {
+      sch;
+      by_name = SMap.empty;
+      subs = SMap.empty;
+      mentions = SMap.empty;
+      attrs = SMap.empty;
+      next_pos = 0;
+      has_dups = false;
+      memo = cold;
+    }
   in
-  {
-    sch;
-    by_name;
-    subs;
-    mentions;
-    next_pos;
-    has_dups;
-    cache = SMap.empty;
-    g_cache = None;
-  }
+  List.fold_left
+    (fun t i ->
+      let t = reindex t i.i_name no_refs (refs_of i) in
+      if SMap.mem i.i_name t.by_name then { t with has_dups = true }
+      else
+        {
+          t with
+          by_name = SMap.add i.i_name (i, t.next_pos) t.by_name;
+          next_pos = t.next_pos + 1;
+        })
+    empty sch.s_interfaces
 
 (* --- queries -------------------------------------------------------------
 
@@ -274,7 +313,15 @@ let affected_count t names =
    [mentions] of that region only ever change in ways already covered by the
    seed), so pre- and post-computation agree. *)
 
-let prune dirty cache = SSet.fold SMap.remove dirty cache
+(* The memo after an update dirtying [dirty]: their diagnostics leave it
+   and they join the pending set (a cold memo stays cold). *)
+let invalidate m dirty ~keep_global =
+  {
+    diags = SSet.fold SMap.remove dirty m.diags;
+    pending = Option.map (SSet.union dirty) m.pending;
+    failing = SSet.diff m.failing dirty;
+    global = (if keep_global then m.global else None);
+  }
 
 (* Schema-global checks survive an interface update that leaves names,
    supertype links, relationship ends and extents untouched. *)
@@ -293,17 +340,12 @@ let update_interface t name f =
         build (Schema.update_interface t.sch name f)
       else
         let dirty = dirty_closure t [ name ] in
-        let refs = deindex_refs name old_i (t.subs, t.mentions) in
-        let subs, mentions = index_refs name new_i refs in
         {
-          t with
+          (reindex t name (refs_of old_i) (refs_of new_i)) with
           sch = Schema.update_interface t.sch name (fun _ -> new_i);
           by_name = SMap.add name (new_i, p) t.by_name;
-          subs;
-          mentions;
-          cache = prune dirty t.cache;
-          g_cache =
-            (if globals_survive old_i new_i then t.g_cache else None);
+          memo =
+            invalidate t.memo dirty ~keep_global:(globals_survive old_i new_i);
         }
 
 let add_interface t i =
@@ -312,16 +354,12 @@ let add_interface t i =
     build (Schema.add_interface t.sch i)
   else
     let dirty = dirty_closure t [ name ] in
-    let subs, mentions = index_refs name i (t.subs, t.mentions) in
     {
-      t with
+      (reindex t name no_refs (refs_of i)) with
       sch = Schema.add_interface t.sch i;
       by_name = SMap.add name (i, t.next_pos) t.by_name;
-      subs;
-      mentions;
       next_pos = t.next_pos + 1;
-      cache = prune dirty t.cache;
-      g_cache = None;
+      memo = invalidate t.memo dirty ~keep_global:false;
     }
 
 let remove_interface t name =
@@ -331,15 +369,11 @@ let remove_interface t name =
     | None -> t  (* naive removal of an absent name is a no-op *)
     | Some (old_i, _) ->
         let dirty = dirty_closure t [ name ] in
-        let subs, mentions = deindex_refs name old_i (t.subs, t.mentions) in
         {
-          t with
+          (reindex t name (refs_of old_i) no_refs) with
           sch = Schema.remove_interface t.sch name;
           by_name = SMap.remove name t.by_name;
-          subs;
-          mentions;
-          cache = prune dirty t.cache;
-          g_cache = None;
+          memo = invalidate t.memo dirty ~keep_global:false;
         }
 
 (* --- shelved versions ------------------------------------------------------
@@ -367,33 +401,6 @@ let unshelve t =
     in
     { t with sch = { t.sch with s_interfaces } }
 
-(* --- version deltas ------------------------------------------------------ *)
-
-(* Because updates rebuild only the touched [by_name] entries (persistent
-   maps share the rest), two versions of one lineage disagree physically on
-   exactly the entries some update replaced.  Comparing entries by pointer
-   therefore recovers the changed-name set without storing any explicit
-   changelog, but it folds both maps whole: O(n log n) for any change,
-   even a one-entry one.  A no-op update that returns the old record
-   unchanged compares equal and is (correctly) not reported. *)
-let changed_names a b =
-  if a.sch == b.sch then []
-  else
-    let s =
-      SMap.fold
-        (fun n (ia, _) acc ->
-          match SMap.find_opt n b.by_name with
-          | Some (ib, _) when ia == ib -> acc
-          | _ -> SSet.add n acc)
-        a.by_name SSet.empty
-    in
-    let s =
-      SMap.fold
-        (fun n _ acc -> if SMap.mem n a.by_name then acc else SSet.add n acc)
-        b.by_name s
-    in
-    SSet.elements s
-
 (* --- incremental consistency checking ------------------------------------ *)
 
 module Lookup = struct
@@ -410,61 +417,107 @@ end
 
 module C = Validate.Checks (Lookup)
 
-let globals t =
-  match t.g_cache with
+let is_error (d : Validate.diagnostic) = d.severity = Validate.Error
+
+let global_block t =
+  match t.memo.global with
   | Some g -> g
   | None ->
       let g_naming = C.naming_global t in
-      let g =
-        {
-          g_naming;
-          g_hierarchy = C.hierarchy t;
-          g_extents = C.semantic_global t;
-          g_dups =
-            List.fold_left
-              (fun s (d : Validate.diagnostic) -> SSet.add d.subject s)
-              SSet.empty g_naming;
-        }
-      in
-      t.g_cache <- Some g;
-      g
+      {
+        g_naming;
+        g_hierarchy = C.hierarchy t;
+        g_extents = C.semantic_global t;
+        g_dups =
+          List.fold_left
+            (fun s (d : Validate.diagnostic) -> SSet.add d.subject s)
+            SSet.empty g_naming;
+      }
 
-let interface_diags t ~bypass i =
-  let compute () =
-    {
-      d_naming = C.naming_interface i;
-      d_structural = C.structural_interface t i;
-      d_semantic = C.semantic_interface t i;
-    }
+let check_interface t i =
+  {
+    d_naming = C.naming_interface i;
+    d_structural = C.structural_interface t i;
+    d_semantic = C.semantic_interface t i;
+  }
+
+let has_error d =
+  List.exists is_error d.d_naming
+  || List.exists is_error d.d_structural
+  || List.exists is_error d.d_semantic
+
+let flag name d failing = if has_error d then SSet.add name failing else failing
+
+(* [name]'s fresh diagnostics [d] entered into the memo's maps *)
+let note name d (diags, failing) = (SMap.add name d diags, flag name d failing)
+
+(* Every interface's diagnostics in declaration order, served from the memo
+   where it has them; the memo, settled, is stored back in one write.
+   Duplicated names share one memo slot, so each of their records bypasses
+   it and is checked individually, exactly as the naive checker does. *)
+let walk t =
+  let m = t.memo in
+  let g = global_block t in
+  let (diags, failing), per =
+    List.fold_left_map
+      (fun acc i ->
+        if t.has_dups && SSet.mem i.i_name g.g_dups then
+          (acc, check_interface t i)
+        else
+          let diags, failing = acc in
+          match SMap.find_opt i.i_name diags with
+          | Some d -> ((diags, flag i.i_name d failing), d)
+          | None ->
+              let d = check_interface t i in
+              (note i.i_name d acc, d))
+      (m.diags, SSet.empty) t.sch.s_interfaces
   in
-  if bypass then compute ()
-  else
-    match SMap.find_opt i.i_name t.cache with
-    | Some d -> d
-    | None ->
-        let d = compute () in
-        t.cache <- SMap.add i.i_name d t.cache;
-        d
+  t.memo <- { diags; pending = Some SSet.empty; failing; global = Some g };
+  (g, failing, per)
 
 let diagnostics t =
-  let g = globals t in
-  let per =
-    List.map
-      (fun i ->
-        (* duplicated names share one cache slot; bypass it so each record
-           is checked individually, exactly as the naive checker does *)
-        interface_diags t ~bypass:(t.has_dups && SSet.mem i.i_name g.g_dups) i)
-      t.sch.s_interfaces
-  in
+  let g, _, per = walk t in
   g.g_naming
   @ List.concat_map (fun d -> d.d_naming) per
   @ List.concat_map (fun d -> d.d_structural) per
   @ g.g_hierarchy @ g.g_extents
   @ List.concat_map (fun d -> d.d_semantic) per
 
-let errors t =
-  List.filter
-    (fun (d : Validate.diagnostic) -> d.severity = Validate.Error)
-    (diagnostics t)
+(* The global block and the error set with nothing pending: a cold memo
+   pays the full walk, a warm one re-checks only its pending names. *)
+let settle t =
+  let m = t.memo in
+  match (m.pending, m.global) with
+  | None, _ ->
+      let g, failing, _ = walk t in
+      (g, failing)
+  | Some p, Some g when SSet.is_empty p -> (g, m.failing)
+  | Some p, _ ->
+      let g = global_block t in
+      let diags, failing =
+        SSet.fold
+          (fun n acc ->
+            match find_interface t n with
+            | None -> acc
+            | Some i -> note n (check_interface t i) acc)
+          p (m.diags, m.failing)
+      in
+      t.memo <- { diags; pending = Some SSet.empty; failing; global = Some g };
+      (g, failing)
 
-let is_valid t = errors t = []
+let is_valid t =
+  if t.has_dups then not (List.exists is_error (diagnostics t))
+  else
+    let g, failing = settle t in
+    SSet.is_empty failing
+    && not
+         (List.exists is_error g.g_naming
+         || List.exists is_error g.g_hierarchy
+         || List.exists is_error g.g_extents)
+
+let errors t = if is_valid t then [] else List.filter is_error (diagnostics t)
+
+let declarers t attr =
+  Option.value (SMap.find_opt attr t.attrs) ~default:SSet.empty
+
+let attrs_from t k = SMap.to_seq_from k t.attrs

@@ -1,6 +1,6 @@
 (** Indexed schema backend: map-backed name→interface lookup, reverse ISA /
-    reverse-mention adjacency, and incremental consistency checking with a
-    dirty-set diagnostics cache.
+    reverse-mention adjacency, the attribute → declarers map, and
+    incremental consistency checking through a per-version validity memo.
 
     Implements {!Schema_view.S}, so the functorized engine ({!Apply.Make},
     {!Propagate.Make}, {!Decompose.Make}) runs unchanged over it; the naive
@@ -8,22 +8,27 @@
     differentially tested against.
 
     The index is persistent: every update returns a new value and old values
-    remain usable (undo in {!Session} keeps superseded versions).  The
-    mutable fields are memoization caches only; each version owns its own,
-    so divergent versions cannot corrupt one another.
+    remain usable (undo in {!Session} keeps superseded versions).  The one
+    mutable field is the validity memo: one immutable record holding the
+    per-interface diagnostics, the names still pending a re-check, the
+    names whose diagnostics hold an error, and the schema-global block.
+    Each version owns its own, so divergent versions cannot corrupt one
+    another.  An update moves its dirty neighbourhood from the memo's
+    diagnostics and error set into the pending set, so {!is_valid} and
+    {!errors} on a valid schema re-check only those names: O(change), not
+    O(schema).
 
     Thread rule: a published version is read by many threads at once (the
-    lock-free read path, and query threads refreshing their views).  Only
+    lock-free read path, and query threads evaluating against it).  Only
     the consistency checks — {!diagnostics}, {!errors}, {!is_valid} —
-    write the caches, and each write stores a fully computed immutable
-    value into a field of its own version (compute, then one store), so a
-    racing reader sees the old value or the new one, both correct.  Every
-    other query — lookups, {!names_from}, {!ancestors}, {!descendants},
-    {!relationships_targeting}, {!changed_names}, and
+    write the memo, and each write stores a fully computed memo record
+    into its own version's field (compute, then one store), so a racing
+    reader sees the old record or the new one, both correct.  Every other
+    query — lookups, {!names_from}, {!declarers}, {!attrs_from},
+    {!ancestors}, {!descendants}, {!relationships_targeting}, and
     {!Decompose.Indexed.wagon_wheel}, [parts] and [wholes] over them, the
-    whole path of a query view refresh and of a query's evaluation — only
-    reads.  A new cache must keep to the same rule or
-    publish through an [Atomic].
+    whole path of a query's evaluation — only reads.  A new cache must
+    keep to the same rule or publish through an [Atomic].
 
     {!diagnostics} equals [Odl.Validate.check (schema t)] for {e any}
     schema, including invalid ones.  The other queries assume interface
@@ -33,13 +38,16 @@
 type t
 
 val build : Odl.Types.schema -> t
-(** Index a schema from scratch; O(size of schema).  The diagnostics cache
-    starts cold — the first {!diagnostics} call pays full-check cost. *)
+(** Index a schema from scratch; O(size of schema).  The validity memo
+    starts cold — the first consistency check pays full-check cost. *)
 
 include Schema_view.S with type t := t
 
 val is_valid : t -> bool
-(** No error-level diagnostics (cache-served where possible). *)
+(** No error-level diagnostics: the pending names are re-checked, then the
+    global block and the memo's error set decide.  {!errors} is [[]] on
+    that path and the error-level part of the full {!diagnostics}
+    otherwise.  A schema with duplicate names takes the full walk. *)
 
 val affected_count : t -> Odl.Types.type_name list -> int
 (** [List.length (affected_by t names)], without building, filtering or
@@ -61,12 +69,11 @@ val names_from : t -> string -> Odl.Types.type_name Seq.t
 (** The interface names at or after a key, in ascending string order: a
     prefix scan stops at the first name past the prefix.  Read-only. *)
 
-val changed_names : t -> t -> Odl.Types.type_name list
-(** [changed_names old new_] — the interface names whose records differ
-    between two index versions of one lineage, sorted.  Detected by pointer
-    equality on the persistent [by_name] entries, which means folding both
-    versions' maps: O(n log n) in the schema size, however small the
-    change.  Sound for any two versions (unrelated versions report every
-    differing entry).  This is the dirty seed the query views
-    ({!Query.View}) refresh their attribute index from, and the whole fixed
-    cost of such a refresh. *)
+val declarers : t -> string -> Set.Make(String).t
+(** The interfaces declaring an attribute of this name (empty when none):
+    one map lookup.  Read-only. *)
+
+val attrs_from : t -> string -> (string * Set.Make(String).t) Seq.t
+(** The attribute names at or after a key, in ascending string order, each
+    with its declarers: a prefix scan stops at the first name past the
+    prefix.  Read-only. *)

@@ -8,7 +8,7 @@
       is the reference implementation and the oracle for differential
       testing.
     - {!Schema_index} — an incrementally-maintained index with O(log n)
-      lookups, adjacency maps and a dirty-set diagnostics cache.
+      lookups, adjacency maps and a dirty-set validity memo.
 
     Both backends must answer every query identically, {e including result
     order} (declaration order unless documented otherwise): check results,

@@ -18,7 +18,7 @@
     Operations run on the {e indexed} engine ({!Apply.Indexed} over
     {!Schema_index}): per-op constraint checking and propagation touch only
     the affected neighbourhood, and the consistency report is served from
-    the index's dirty-set cache.  The plain [workspace] schema is kept in
+    the index's validity memo.  The plain [workspace] schema is kept in
     lock-step for callers that want the value.  In {e paranoid} mode every
     operation is additionally run through the naive reference engine and
     the two outcomes compared — a mismatch raises {!Divergence}. *)
@@ -382,8 +382,8 @@ let restore_aliases t aliases = { t with aliases; version = t.version + 1 }
 
 (** Consistency report over the workspace (errors cannot occur — accepted
     operations preserve validity — so this surfaces the warnings).  Served
-    from the index's diagnostics cache: only checks invalidated since the
-    last report are recomputed. *)
+    from the index's validity memo: only checks invalidated since the last
+    consistency check are recomputed. *)
 let consistency_report t = Schema_index.diagnostics t.index
 
 let mapping t = Mapping.compute ~original:t.original ~custom:t.workspace

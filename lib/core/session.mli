@@ -129,7 +129,7 @@ val restore_aliases : t -> Aliases.t -> t
 
 val consistency_report : t -> Odl.Validate.diagnostic list
 (** Equal to [Odl.Validate.check (workspace t)], served incrementally from
-    the index's dirty-set diagnostics cache. *)
+    the index's dirty-set validity memo. *)
 val consistency_report_text : t -> string
 val mapping : t -> Mapping.t
 val mapping_report : t -> string

@@ -7,7 +7,6 @@
     byte-identical, and tests can pin digests.  [diff] is chronological —
     order is its meaning — but equally deterministic. *)
 
-module SMap = View.SMap
 module SSet = View.SSet
 module Si = Core.Schema_index
 module D = Core.Decompose.Indexed
@@ -67,37 +66,43 @@ let diff_lines v ~since ~until =
       Ok (Printf.sprintf "# history truncated below stamp %d" floor :: ops)
     else Ok ops
 
-let run_plan v plan =
-  let idx = View.index v in
+(* an index scan from [prefix], cut at the first key past the prefix *)
+let rec take_prefixed ~prefix key seq () =
+  match seq () with
+  | Seq.Cons (x, rest) when starts_with ~prefix (key x) ->
+      Seq.Cons (x, take_prefixed ~prefix key rest)
+  | Seq.Cons _ | Seq.Nil -> Seq.Nil
+
+let attr_scan idx ~inherited pat seq =
+  Ok
+    (sorted
+       (Seq.fold_left
+          (fun acc (attr, declarers) ->
+            if Ast.matches pat attr then
+              attr_lines idx ~inherited attr declarers acc
+            else acc)
+          [] seq))
+
+(* [idx] is the view's index, except for the from-scratch reference *)
+let run_plan idx v plan =
   match plan with
   | Plan.Name_point n -> Ok (if Si.mem_interface idx n then [ n ] else [])
   | Plan.Name_prefix { prefix; pat } ->
-      let rec scan acc seq =
-        match seq () with
-        | Seq.Nil -> acc
-        | Seq.Cons (name, rest) ->
-            if not (starts_with ~prefix name) then acc
-            else scan (if Ast.matches pat name then name :: acc else acc) rest
-      in
-      Ok (sorted (scan [] (Si.names_from idx prefix)))
+      Si.names_from idx prefix
+      |> take_prefixed ~prefix Fun.id
+      |> Seq.filter (Ast.matches pat)
+      |> List.of_seq |> sorted |> Result.ok
   | Plan.Name_scan pat ->
       Ok
         (sorted
            (List.of_seq (Seq.filter (Ast.matches pat) (Si.names_from idx ""))))
-  | Plan.Attr_point { attr; inherited } -> (
-      match SMap.find_opt attr (View.attr_index v) with
-      | None -> Ok []
-      | Some declarers ->
-          Ok (sorted (attr_lines idx ~inherited attr declarers [])))
+  | Plan.Attr_point { attr; inherited } ->
+      Ok (sorted (attr_lines idx ~inherited attr (Si.declarers idx attr) []))
+  | Plan.Attr_prefix { prefix; pat; inherited } ->
+      attr_scan idx ~inherited pat
+        (take_prefixed ~prefix fst (Si.attrs_from idx prefix))
   | Plan.Attr_scan { pat; inherited } ->
-      Ok
-        (sorted
-           (SMap.fold
-              (fun attr declarers acc ->
-                if Ast.matches pat attr then
-                  attr_lines idx ~inherited attr declarers acc
-                else acc)
-              (View.attr_index v) []))
+      attr_scan idx ~inherited pat (Si.attrs_from idx "")
   | Plan.Isa_closure { name; dir = Ast.Down } ->
       closure_lines idx name Si.descendants
   | Plan.Isa_closure { name; dir = Ast.Up } -> closure_lines idx name Si.ancestors
@@ -123,12 +128,15 @@ let run_plan v plan =
          (every shard identically); a bare view cannot *)
       Error "branches is repository-scoped; ask the server"
 
-let run v atom = run_plan v (Plan.of_atom atom)
+let run v atom = run_plan (View.index v) v (Plan.of_atom atom)
 
 let explain atom = [ Plan.describe (Plan.of_atom atom) ]
 
-(** The naive baseline: rebuild the view (its attribute index over the
-    whole schema) from scratch for this one request, then evaluate — what
-    every query would cost without incremental maintenance (bench P17
-    measures the gap). *)
-let run_fresh ~stamp session atom = run (View.build ~stamp session) atom
+(** The from-scratch reference: index the workspace anew for this one
+    request ({!Core.Schema_index.build}: names, adjacency and attribute
+    maps), then evaluate — what every query would cost without an index
+    kept up to date op by op (bench P17 measures the gap). *)
+let run_fresh ~stamp session atom =
+  run_plan
+    (Si.build (Core.Session.workspace session))
+    (View.build ~stamp session) (Plan.of_atom atom)

@@ -1,10 +1,10 @@
 (** The query planner: picks, per atom, which structure answers it and
-    how — the {!View}'s attribute index, history or lineage record, or a
-    walk of the schema index the view carries.  Trivial by design — every
-    access path is a point lookup, a bounded scan or a walk from one
-    interface — but making the choice explicit keeps the evaluator honest
-    (it executes the plan, nothing else) and gives [explain] something true
-    to print. *)
+    how — the {!View}'s history or lineage record, or a probe, scan or
+    walk of the schema index the view carries (its name, attribute and
+    adjacency maps).  Trivial by design — every access path is a point
+    lookup, a bounded scan or a walk from one interface — but making the
+    choice explicit keeps the evaluator honest (it executes the plan,
+    nothing else) and gives [explain] something true to print. *)
 
 type t =
   | Name_point of string  (** point lookup in the name index *)
@@ -13,6 +13,9 @@ type t =
   | Name_scan of Ast.pattern  (** full scan of the name index *)
   | Attr_point of { attr : string; inherited : bool }
       (** probe of the attribute index *)
+  | Attr_prefix of { prefix : string; pat : Ast.pattern; inherited : bool }
+      (** bounded scan of the attribute index from the pattern's literal
+          prefix *)
   | Attr_scan of { pat : Ast.pattern; inherited : bool }
   | Isa_closure of { name : string; dir : Ast.dir }
   | Part_closure of { name : string; dir : Ast.dir }
@@ -30,7 +33,10 @@ let of_atom = function
       if String.length prefix = 0 then Name_scan p
       else Name_prefix { prefix; pat = p }
   | Ast.Attr { pat = Ast.Exact a; inherited } -> Attr_point { attr = a; inherited }
-  | Ast.Attr { pat; inherited } -> Attr_scan { pat; inherited }
+  | Ast.Attr { pat = Ast.Glob g as pat; inherited } ->
+      let prefix = Ast.literal_prefix g in
+      if String.length prefix = 0 then Attr_scan { pat; inherited }
+      else Attr_prefix { prefix; pat; inherited }
   | Ast.Isa { name; dir } -> Isa_closure { name; dir }
   | Ast.Part { name; dir } -> Part_closure { name; dir }
   | Ast.Wheel n -> Wheel n
@@ -48,6 +54,11 @@ let describe = function
   | Name_scan p -> "plan: full name-index scan, glob " ^ Ast.pattern_text p
   | Attr_point { attr; inherited } ->
       "plan: attribute-index probe at " ^ attr ^ widen inherited
+  | Attr_prefix { prefix; pat; inherited } ->
+      Printf.sprintf
+        "plan: bounded attribute-index scan from prefix %S, glob %s" prefix
+        (Ast.pattern_text pat)
+      ^ widen inherited
   | Attr_scan { pat; inherited } ->
       "plan: attribute-index scan, glob " ^ Ast.pattern_text pat
       ^ widen inherited

@@ -3,33 +3,29 @@
     A view holds only what the variant's schema index cannot answer by
     itself:
 
-    - an attribute-name → declaring-interfaces index;
     - a bounded, newest-first history of (publication stamp, rendered op)
       pairs feeding [diff] queries, with the floor below which it is
       truncated;
     - the variant's cached lineage record.
 
     Beside them it carries the {!Core.Schema_index} version it reflects
-    ({!index}); the evaluator answers names, ISA and part-of closures and
-    wagon wheels from that index directly.
+    ({!index}); the evaluator answers names, attributes, ISA and part-of
+    closures and wagon wheels from that index directly — the attribute →
+    declarers map is maintained by the index's own updates.
 
     Views are kept per variant beside the published snapshot (see
     {!Service_query} in the server) and brought up to date lazily: the
     first query that finds the view behind the publication stamp
-    {!refresh}es it, however many publications it trails by.  {!refresh}
-    re-indexes the attributes of exactly the interfaces
-    {!Core.Schema_index.changed_names} reports between the view's index
-    and the session's (sound across any gap).  That diff folds both
-    versions' name maps, O(n log n) in the schema size whatever the
-    change, and is the whole fixed cost of a refresh.  History keeps each
-    op under its own publication's stamp across a gap through {!Marks}:
-    each publication records its rendered lines as it happens, and the
-    refresh takes the slice of its gap.  The equivalences
+    {!refresh}es it, however many publications it trails by.  A refresh
+    takes the session's index version and extends the history from the
+    publication marks: nothing in it grows with the schema.  History keeps
+    each op under its own publication's stamp across a gap through
+    {!Marks}: each publication records its rendered lines as it happens,
+    and the refresh takes the slice of its gap.  The equivalences
     [refresh* ≡ build] and [refresh over a gap ≡ one refresh per
     publication] are the subsystem's correctness foundation,
     differentially tested by property. *)
 
-module SMap = Map.Make (String)
 module SSet = Set.Make (String)
 module Si = Core.Schema_index
 
@@ -44,7 +40,6 @@ type mark = {
 type t = {
   v_mark : mark;  (** the publication this view reflects *)
   v_index : Si.t;  (** that publication's index version *)
-  v_attrs : SSet.t SMap.t;  (** attribute name → declaring interfaces *)
   v_history : (int * string) list;  (** newest first; feeds [diff] *)
   v_floor : int;  (** stamps ≤ this have no retained history *)
   v_refreshes : int;  (** incremental refreshes since [build] *)
@@ -61,33 +56,6 @@ let lineage v = v.v_lineage
 let refresh_count v = v.v_refreshes
 let index v = v.v_index
 let interface_count v = List.length (Si.interface_names v.v_index)
-let attr_index v = v.v_attrs
-
-(* --- the attribute index -------------------------------------------------- *)
-
-let multi_add key v m =
-  SMap.update key
-    (function None -> Some (SSet.singleton v) | Some s -> Some (SSet.add v s))
-    m
-
-let multi_remove key v m =
-  SMap.update key
-    (function
-      | None -> None
-      | Some s ->
-          let s = SSet.remove v s in
-          if SSet.is_empty s then None else Some s)
-    m
-
-(* [f] ([multi_add] or [multi_remove]) applied to [attrs] for each
-   attribute [name] declares in [idx] *)
-let reindex f idx name attrs =
-  match Si.find_interface idx name with
-  | None -> attrs
-  | Some i ->
-      List.fold_left
-        (fun m a -> f a.Odl.Types.attr_name name m)
-        attrs i.Odl.Types.i_attrs
 
 (* --- history -------------------------------------------------------------- *)
 
@@ -231,12 +199,6 @@ let gap_history ~history ~floor ~since marks ~stamp session =
 (* With [marks], a fresh view still carries the history the marks hold;
    without, its history starts empty at [stamp]. *)
 let build ?lineage ?marks ~stamp (session : Core.Session.t) =
-  let idx = Core.Session.index session in
-  let attrs =
-    List.fold_left
-      (fun m name -> reindex multi_add idx name m)
-      SMap.empty (Si.interface_names idx)
-  in
   let history, floor =
     match marks with
     | None -> ([], stamp)
@@ -246,8 +208,7 @@ let build ?lineage ?marks ~stamp (session : Core.Session.t) =
   in
   {
     v_mark = mark ~stamp session;
-    v_index = idx;
-    v_attrs = attrs;
+    v_index = Core.Session.index session;
     v_history = history;
     v_floor = floor;
     v_refreshes = 0;
@@ -255,16 +216,6 @@ let build ?lineage ?marks ~stamp (session : Core.Session.t) =
   }
 
 let refresh ?marks v ~stamp (session : Core.Session.t) =
-  let idx = Core.Session.index session in
-  (* a changed interface's old declarations leave the attribute index and
-     its new ones enter; nothing else in the view depends on it *)
-  let attrs =
-    List.fold_left
-      (fun attrs name ->
-        reindex multi_add idx name (reindex multi_remove v.v_index name attrs))
-      v.v_attrs
-      (Si.changed_names v.v_index idx)
-  in
   (* without marks, the view's own spine is the one publication before
      [stamp] *)
   let marks = match marks with Some m -> m | None -> Marks.at v.v_mark in
@@ -274,8 +225,7 @@ let refresh ?marks v ~stamp (session : Core.Session.t) =
   in
   {
     v_mark = mark ~stamp session;
-    v_index = idx;
-    v_attrs = attrs;
+    v_index = Core.Session.index session;
     v_history = history;
     v_floor = floor;
     v_refreshes = v.v_refreshes + 1;
@@ -293,12 +243,16 @@ let update ?prev ?lineage ?marks ~stamp session =
 
 (* --- equivalence (differential testing) ----------------------------------- *)
 
-(** Logical equality: the same attribute index over the same schema.
+(** Logical equality: the same schema with the same attribute index.
     Stamp, history and refresh bookkeeping are excluded — a from-scratch
     [build] has no history, and the property incremental ≡ from-scratch
     compares exactly the derived data. *)
 let equal_logical a b =
-  SMap.equal SSet.equal a.v_attrs b.v_attrs
-  && (a.v_index == b.v_index || Si.schema a.v_index = Si.schema b.v_index)
+  a.v_index == b.v_index
+  || Si.schema a.v_index = Si.schema b.v_index
+     && Seq.equal
+          (fun (x, s) (y, s') -> String.equal x y && SSet.equal s s')
+          (Si.attrs_from a.v_index "")
+          (Si.attrs_from b.v_index "")
 
 let history v = v.v_history

@@ -168,28 +168,50 @@ let concept_lookup_agrees =
       in
       lookups_agree orig_idx && go orig_idx steps)
 
+(* the attribute map the index maintains equals a from-scratch fold of
+   its schema's declarations *)
+let attrs_agree idx =
+  let module SMap = Map.Make (String) in
+  let module SSet = Set.Make (String) in
+  let scratch =
+    List.fold_left
+      (fun m i ->
+        List.fold_left
+          (fun m a ->
+            SMap.update a.attr_name
+              (fun s ->
+                Some (SSet.add i.i_name (Option.value s ~default:SSet.empty)))
+              m)
+          m i.i_attrs)
+      SMap.empty (Index.schema idx).s_interfaces
+  in
+  List.equal
+    (fun (a, s) (b, s') -> String.equal a b && SSet.equal s s')
+    (List.of_seq (Index.attrs_from idx ""))
+    (SMap.bindings scratch)
+
 (* 8. a shelved version (what the undo history keeps) comes back equal:
-   same schema, same diagnostics, same decomposition, and the same
-   changed-name delta against its successor *)
+   same schema, same diagnostics, same decomposition, and an attribute
+   map equal to a from-scratch fold *)
 let shelve_roundtrip =
   prop "unshelve (shelve idx) = idx" Gen.schema_and_ops
     (fun (schema, steps) ->
       let orig_idx = Index.build schema in
-      let same idx next =
+      let same idx =
         let back = Index.unshelve (Index.shelve idx) in
         equal_schema (Index.schema back) (Index.schema idx)
         && diags_equal (Index.diagnostics back) (Index.diagnostics idx)
         && List.equal Core.Concept.equal
              (Core.Decompose.Indexed.decompose back)
              (Core.Decompose.Indexed.decompose idx)
-        && Index.changed_names back next = Index.changed_names idx next
+        && attrs_agree back
       in
       let rec go idx = function
-        | [] -> same idx idx
+        | [] -> same idx
         | (kind, op) :: rest -> (
             match Apply.Indexed.apply ~original:orig_idx ~kind idx op with
             | Error _ -> go idx rest
-            | Ok (idx', _) -> same idx idx' && go idx' rest)
+            | Ok (idx', _) -> same idx && go idx' rest)
       in
       go orig_idx steps)
 
@@ -212,6 +234,71 @@ let affected_count_agrees =
         (fun n -> agrees idx [ n ] && agrees removed [ n ])
         ("No_such_interface" :: names)
       && agrees idx names && agrees removed names)
+
+(* 10. the validity memo: [is_valid] and [errors] equal the naive checker
+   on every version a session passes through — after each accepted op,
+   undo and redo, on a shelved copy brought back, and on the invalid
+   intermediate a rejected op would leave (its primary effect alone,
+   before propagation repairs it), whose memo still holds the names the
+   update left pending *)
+let validity_agrees idx =
+  let naive = Validate.errors (Index.schema idx) in
+  Index.is_valid idx = (naive = []) && diags_equal (Index.errors idx) naive
+
+let memo_agrees_over_sessions =
+  prop "is_valid/errors = naive errors across a session" Gen.schema_and_ops
+    (fun (schema, steps) ->
+      match Core.Session.create schema with
+      | Error _ -> false (* synthetic schemas are valid *)
+      | Ok session ->
+          let original = Index.build schema in
+          let agrees s =
+            let idx = Core.Session.index s in
+            validity_agrees (Index.unshelve (Index.shelve idx))
+            && validity_agrees idx
+          in
+          let step (s, ok) (kind, op) =
+            let raw_ok =
+              let idx = Core.Session.index s in
+              match Apply.Indexed.primary ~original idx op with
+              | Error _ -> true
+              | Ok (raw, _) ->
+                  validity_agrees (Index.unshelve (Index.shelve raw))
+                  && validity_agrees raw
+            in
+            let s =
+              match Core.Session.apply s ~kind op with
+              | Ok (s', _) -> s'
+              | Error _ -> s
+            in
+            (s, ok && raw_ok && agrees s)
+          in
+          let s, ok = List.fold_left step (session, agrees session) steps in
+          let undone = Core.Session.undo s in
+          let redone = Option.bind undone Core.Session.redo in
+          ok
+          && Option.fold ~none:true ~some:agrees undone
+          && Option.fold ~none:true ~some:(fun (s, _) -> agrees s) redone)
+
+(* 11. the same on broken schemas (the generator of property 3): each raw
+   update is checked against the naive checker on a memo warmed by the
+   version before, so error sets are entered, pruned and re-entered —
+   including by re-adding the removed interface *)
+let memo_agrees_on_broken =
+  let gen = QCheck2.Gen.(pair Gen.any_synth_schema (int_range 0 9999)) in
+  prop "is_valid/errors after raw index updates" gen (fun (s, r) ->
+      let idx = Index.build s in
+      let names = Odl.Schema.interface_names s in
+      let victim = List.nth names (r mod List.length names) in
+      let dup =
+        Index.update_interface idx victim (fun i ->
+            { i with i_attrs = i.i_attrs @ i.i_attrs })
+      in
+      let removed = Index.remove_interface idx victim in
+      validity_agrees idx && validity_agrees dup && validity_agrees removed
+      && validity_agrees (Index.remove_interface dup victim)
+      && validity_agrees
+           (Index.add_interface removed (Index.get_interface idx victim)))
 
 (* the near-miss kinds named one by one on a seed, plus an interface whose
    quoted name contains the id separator *)
@@ -283,4 +370,6 @@ let tests =
         concept_lookup_units;
       shelve_roundtrip;
       affected_count_agrees;
+      memo_agrees_over_sessions;
+      memo_agrees_on_broken;
     ]

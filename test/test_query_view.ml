@@ -105,6 +105,12 @@ let planner_picks_access_paths () =
   (match plan "attr gpa" with
   | Plan.Attr_point { attr = "gpa"; inherited = false } -> ()
   | _ -> Alcotest.fail "exact attr should probe the attribute index");
+  (match plan "attr \"gp*\" inherited" with
+  | Plan.Attr_prefix { prefix = "gp"; inherited = true; _ } -> ()
+  | _ -> Alcotest.fail "prefixed attr glob should be a bounded scan");
+  (match plan "attr \"*a\"" with
+  | Plan.Attr_scan _ -> ()
+  | _ -> Alcotest.fail "prefixless attr glob should be a full scan");
   List.iter
     (fun text ->
       let d = Plan.describe (plan text) in
@@ -112,7 +118,8 @@ let planner_picks_access_paths () =
         Alcotest.failf "describe %S should start with plan:" text)
     [ "name x"; "name \"x*\""; "attr \"*\" inherited"; "isa A up";
       "partof B"; "wheel C"; "diff 1 2" ];
-  (* closures and wheels are walks of the schema index *)
+  (* closures and wheels are walks of the schema index; attribute globs
+     scan its attribute map *)
   List.iter
     (fun (text, expected) ->
       Alcotest.(check string) text expected (Plan.describe (plan text)))
@@ -120,6 +127,10 @@ let planner_picks_access_paths () =
       ("isa A up", "plan: schema-index ISA walk (up) from A");
       ("partof B", "plan: schema-index part-of walk (down) from B");
       ("wheel C", "plan: schema-index wagon wheel of C from its adjacency");
+      ( "attr \"gp*\" inherited",
+        "plan: bounded attribute-index scan from prefix \"gp\", glob \"gp*\" \
+         + descendant-closure widening" );
+      ("attr \"*a\"", "plan: attribute-index scan, glob \"*a\"");
     ]
 
 (* --- evaluation on the university schema ----------------------------------- *)
@@ -343,8 +354,8 @@ let naive_answers_agree v schema =
 (* Incremental refresh after every accepted op (and undo/redo) produces
    exactly the attribute index of a from-scratch build, and every closure
    and wheel answer the naive backend computes over the same schema.  This
-   is the property the whole subsystem leans on: it exercises
-   Schema_index.changed_names (the pointer-diff dirty seed) and the
+   is the property the whole subsystem leans on: it exercises the
+   schema index's attribute map (maintained by each update) and the
    index-served closures against arbitrary generated schemas and
    workloads. *)
 let incremental_equals_scratch =
