@@ -167,9 +167,11 @@ let cmd_repl arg save_dir paranoid readonly =
             Stdlib.exit 2)
   in
   with_session ~paranoid arg (fun session ->
-      (* With --save the session is persisted up front and then journalled
-         incrementally: one durable record per accepted operation, so a
-         crash loses at most the operation in flight. *)
+      (* With --save the session is persisted up front, then each command's
+         session delta from the last session journalled durably is appended
+         (one fsync) before the command's feedback prints, so a crash loses
+         at most the command in flight.  A failed append leaves [durable]
+         as it was: the next append carries the missing records too. *)
       let repo =
         Option.map
           (fun dir ->
@@ -178,42 +180,63 @@ let cmd_repl arg save_dir paranoid readonly =
             repo)
           save_dir
       in
-      let rec loop state =
+      let same_dir a b =
+        try Unix.realpath a = Unix.realpath b with Unix.Unix_error _ -> false
+      in
+      let journal durable cmd after =
+        match (repo, cmd) with
+        | None, _ -> (durable, [])
+        | Some repo, Some (Designer.Command.Save d)
+          when same_dir d (Repository.Store.dir repo) ->
+            (* the save rewrote the journal with [after]'s log *)
+            (after, [])
+        | Some repo, _ -> (
+            match Repository.Store.append_delta repo ~before:durable ~after with
+            | () -> (after, [])
+            | exception Sys_error m ->
+                ( durable,
+                  [ Designer.Feedback.caution ("persistence failed: " ^ m) ] ))
+      in
+      let rec loop durable state =
         if state.Designer.Engine.finished then state
         else begin
           print_string "swsd> ";
           match In_channel.input_line stdin with
           | None -> state
           | Some line ->
-              if String.trim line = "" then loop state
+              if String.trim line = "" then loop durable state
               else begin
                 (* Mirror the server's [!readonly] refusal: parse first so
                    syntax errors read the same either way, then classify. *)
-                let state, feedback =
+                let cmd, (state, feedback) =
                   match Designer.Command.parse line with
                   | cmd when readonly && Designer.Command.mutates cmd ->
-                      ( state,
-                        [
-                          Designer.Feedback.error
-                            "readonly session; restart without --readonly to \
-                             modify";
-                        ] )
-                  | cmd -> Designer.Engine.exec state cmd
+                      ( Some cmd,
+                        ( state,
+                          [
+                            Designer.Feedback.error
+                              "readonly session; restart without --readonly \
+                               to modify";
+                          ] ) )
+                  | cmd -> (Some cmd, Designer.Engine.exec state cmd)
                   | exception Designer.Command.Bad_command m ->
-                      (state, [ Designer.Feedback.error m ])
+                      (None, (state, [ Designer.Feedback.error m ]))
+                in
+                let durable, caution =
+                  journal durable cmd state.Designer.Engine.session
                 in
                 List.iter
                   (fun f -> print_endline (Designer.Feedback.to_string f))
-                  feedback;
-                loop state
+                  (feedback @ caution);
+                loop durable state
               end
         end
       in
-      let state = Designer.Engine.start ?repo session in
+      let state = Designer.Engine.start session in
       print_endline
         ("shrink wrap schema designer; 'help' lists commands"
         ^ if readonly then " (readonly)" else "");
-      let final = loop state in
+      let final = loop session state in
       (* a full save on exit snapshots the final state (not the initial
          session) and renders the deliverables *)
       (match repo with
@@ -533,8 +556,8 @@ let cmd_fsck dir salvage =
    serving (what the supervisor passes to the follower it promotes).
    The decisions live in [Server.Serve]; this is flags and banners. *)
 let cmd_serve dir socket listen shards shard_id shard_total no_obs
-    flush_linger_ms flush_max_batch fsync_delay_ms replicate repl_ring follow
-    replicas promote_from era =
+    flush_linger_ms flush_max_batch fsync_delay_ms replicate follow replicas
+    promote_from era =
   let listen_spec =
     match listen with
     | Some s -> Server.Protocol.parse_address s
@@ -561,7 +584,7 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
         Sup.create ~exe:Sys.executable_name ~dir topology
           ~worker_args:
             (Server.Serve.worker_flags ~no_obs ~flush_linger_ms
-               ~flush_max_batch ~repl_ring ~fsync_delay_ms)
+               ~flush_max_batch ~fsync_delay_ms)
       in
       let fail m =
         Sup.stop workers;
@@ -721,7 +744,7 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
                 ~banner:(Printf.sprintf "serving %s" dir)
                 (fun () ->
                   Server.create ~config:{ config with era = w.era } ~obs ?io
-                    ~replicate:w.replicate ~repl_ring ~listen dir)
+                    ~replicate:w.replicate ~listen dir)
                 (fun () -> ())))
 
 (* Send request lines to a running server in one session and print the
@@ -1116,8 +1139,8 @@ let serve_cmd =
           / --follow / --replicas, ship acked journal records to read-only \
           follower processes and promote one if the leader dies.")
     Term.(
-      const (fun d s l sh sid st n lm mb fd rep rr fo nrep pf er ->
-          Stdlib.exit (cmd_serve d s l sh sid st n lm mb fd rep rr fo nrep pf er))
+      const (fun d s l sh sid st n lm mb fd rep fo nrep pf er ->
+          Stdlib.exit (cmd_serve d s l sh sid st n lm mb fd rep fo nrep pf er))
       $ repo_dir_arg
       $ Arg.(
           value
@@ -1189,14 +1212,6 @@ let serve_cmd =
                  $(b,@follow) receives the acked journal stream (bootstrap \
                  snapshots, then every durable record in stamp order) \
                  instead of the line protocol.")
-      $ Arg.(
-          value & opt int 1024
-          & info [ "repl-ring" ] ~docv:"N"
-              ~doc:
-                "Replication hub event-ring size (default 1024, clamped to \
-                 [2, 1048576]): a follower that falls more than N events \
-                 behind is re-seeded from a fresh snapshot instead of \
-                 stalling the leader.")
       $ Arg.(
           value
           & opt (some string) None

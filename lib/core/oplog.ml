@@ -56,12 +56,9 @@ let replay_log ?paranoid shrink_wrap t = replay ?paranoid shrink_wrap (pairs t)
 
 (* --- fork-point arithmetic ------------------------------------------------ *)
 
-let same_step (a : Session.step) (b : Session.step) =
-  Concept.equal_kind a.st_kind b.st_kind && Modop.equal a.st_op b.st_op
-
 let common_prefix ~base ~branch =
   let rec go n = function
-    | a :: xs, b :: ys when same_step a b -> go (n + 1) (xs, ys)
+    | a :: xs, b :: ys when Session.equal_step a b -> go (n + 1) (xs, ys)
     | _ -> n
   in
   go 0 (Session.log base, Session.log branch)

@@ -18,10 +18,10 @@
     Operations run on the {e indexed} engine ({!Apply.Indexed} over
     {!Schema_index}): per-op constraint checking and propagation touch only
     the affected neighbourhood, and the consistency report is served from
-    the index's validity memo.  The plain [workspace] schema is kept in
-    lock-step for callers that want the value.  In {e paranoid} mode every
-    operation is additionally run through the naive reference engine and
-    the two outcomes compared — a mismatch raises {!Divergence}. *)
+    the index's validity memo, and the workspace value is the index's own
+    schema.  In {e paranoid} mode every operation is additionally run
+    through the naive reference engine and the two outcomes compared — a
+    mismatch raises {!Divergence}. *)
 
 open Odl.Types
 module Validate = Odl.Validate
@@ -56,10 +56,11 @@ type step = {
 }
 
 type t = {
-  original : schema;  (** the shrink wrap schema, never modified *)
-  original_index : Schema_index.t;  (** index of [original] (stability checks) *)
-  workspace : schema;  (** the schema under design; equals [schema index] *)
-  index : Schema_index.t;  (** the workspace's index, updated per op *)
+  original_index : Schema_index.t;
+      (** index of the shrink wrap schema, never modified (stability
+          checks) *)
+  index : Schema_index.t;
+      (** the index of the schema under design, updated per op *)
   past_indexes : Schema_index.shelved list;
       (** index versions before the newest steps, newest first (parallels
           the head of [rev_log], at most [undo_depth] of them), shelved so
@@ -72,9 +73,9 @@ type t = {
   rev_log : step list;
       (** applied steps, {e newest} first: apply conses and undo pops, so
           the spine below any point is shared physically across every
-          session derived from it — {!steps_rev} exposes this so the
-          journal layer can diff two lineage-related sessions in
-          O(changed steps) instead of walking both full logs *)
+          session derived from it — {!delta} relies on this to diff two
+          lineage-related sessions in O(changed steps) instead of walking
+          both full logs *)
   nlog : int;  (** [List.length rev_log], maintained for O(1) counting *)
   aliases : Aliases.t;  (** local names (presentation-level renaming) *)
   future : (Concept.kind * Modop.t) list;  (** undone steps, for redo *)
@@ -87,6 +88,9 @@ type t = {
 
 exception Divergence of string
 
+let original t = Schema_index.schema t.original_index
+let workspace t = Schema_index.schema t.index
+
 let divergence fmt = Printf.ksprintf (fun m -> raise (Divergence m)) fmt
 
 (* Differential cross-check of one operation: the indexed outcome must match
@@ -94,7 +98,7 @@ let divergence fmt = Printf.ksprintf (fun m -> raise (Divergence m)) fmt
    diagnostics list (the error messages embed the first diagnostic, so
    diagnostic equality also pins error-message equality). *)
 let check_divergence t ~kind op indexed_outcome =
-  let naive = Apply.apply ~original:t.original ~kind t.workspace op in
+  let naive = Apply.apply ~original:(original t) ~kind (workspace t) op in
   let ctx = Fmt.str "%a" Op_printer.pp op in
   match (indexed_outcome, naive) with
   | Ok (idx, evs), Ok (ws, evs') ->
@@ -138,9 +142,7 @@ let create ?(paranoid = false) shrink_wrap =
   | [] ->
       Ok
         {
-          original = shrink_wrap;
           original_index = index;
-          workspace = shrink_wrap;
           index;
           past_indexes = [];
           history = new_history index [||];
@@ -154,14 +156,52 @@ let create ?(paranoid = false) shrink_wrap =
         }
   | errors -> Error errors
 
-let original t = t.original
-let workspace t = t.workspace
 let index t = t.index
 let concepts t = Decompose.Indexed.decompose t.original_index
 let log t = List.rev t.rev_log
 let steps_rev t = t.rev_log
 let step_count t = t.nlog
 let version t = t.version
+
+(* --- the spine delta ------------------------------------------------------ *)
+
+type spine = { sp_steps : step list; sp_n : int }
+
+let spine t = { sp_steps = t.rev_log; sp_n = t.nlog }
+
+let equal_step a b =
+  Concept.equal_kind a.st_kind b.st_kind && Modop.equal a.st_op b.st_op
+
+(* Walk the longer spine down to the shorter's length, then both in
+   lockstep until they are pointer equal: below the divergence point two
+   spines of one lineage are the same list, so everything popped on the way
+   is the delta — O(changed steps).  Both lists come out oldest first. *)
+let delta before after =
+  let rec chop n popped l =
+    if n = 0 then (popped, l)
+    else
+      match l with
+      | s :: rest -> chop (n - 1) (s :: popped) rest
+      | [] -> (popped, [])
+  in
+  let undone, b = chop (max 0 (before.sp_n - after.sp_n)) [] before.sp_steps in
+  let added, a = chop (max 0 (after.sp_n - before.sp_n)) [] after.sp_steps in
+  (* equal lengths now; [] == [] terminates the walk *)
+  let rec sync undone added b a =
+    if b == a then (undone, added)
+    else
+      match (b, a) with
+      | sb :: b', sa :: a' -> sync (sb :: undone) (sa :: added) b' a'
+      | _ -> (undone, added)
+  in
+  (* an undone-then-reapplied step is structurally unchanged even though
+     its spine node is fresh: trim such pairs rather than emit an undo and
+     a re-add for it *)
+  let rec trim = function
+    | u :: u', a :: a' when equal_step u a -> trim (u', a')
+    | rest -> rest
+  in
+  trim (sync undone added b a)
 
 let find_concept t id = Decompose.Indexed.concept t.original_index id
 
@@ -244,7 +284,6 @@ let of_checkpoint t ~workspace prefix =
       Ok
         {
           t with
-          workspace = Schema_index.schema index;
           index;
           history;
           history_valid = n;
@@ -261,7 +300,6 @@ let indexed_apply t ~kind op =
 let commit t ~kind op (index, events) ~future =
   ( {
       t with
-      workspace = Schema_index.schema index;
       index;
       past_indexes =
         Schema_index.shelve t.index
@@ -328,7 +366,6 @@ let undo t =
       Some
         {
           t with
-          workspace = Schema_index.schema index;
           index;
           past_indexes;
           history;
@@ -355,8 +392,8 @@ let redoable t = List.length t.future
 
 (** The customized user schema: the current workspace, renamed. *)
 let custom_schema ?name t =
-  let name = Option.value name ~default:(t.original.s_name ^ "_custom") in
-  { t.workspace with s_name = name }
+  let name = Option.value name ~default:((original t).s_name ^ "_custom") in
+  { (workspace t) with s_name = name }
 
 (* --- local names (paper section 5 extension) ----------------------------- *)
 
@@ -364,7 +401,7 @@ let custom_schema ?name t =
 let add_alias t target local =
   Result.map
     (fun aliases -> { t with aliases; version = t.version + 1 })
-    (Aliases.add t.workspace t.aliases target local)
+    (Aliases.add (workspace t) t.aliases target local)
 
 (** Remove a construct's local name. *)
 let remove_alias t target =
@@ -372,7 +409,7 @@ let remove_alias t target =
 
 (** The live bindings: stale ones (whose construct was deleted since) are
     pruned on read. *)
-let aliases t = fst (Aliases.prune t.workspace t.aliases)
+let aliases t = fst (Aliases.prune (workspace t) t.aliases)
 
 let aliases_report t = Aliases.report (aliases t)
 
@@ -386,7 +423,7 @@ let restore_aliases t aliases = { t with aliases; version = t.version + 1 }
     consistency check are recomputed. *)
 let consistency_report t = Schema_index.diagnostics t.index
 
-let mapping t = Mapping.compute ~original:t.original ~custom:t.workspace
+let mapping t = Mapping.compute ~original:(original t) ~custom:(workspace t)
 
 (** Refresh the concept schemas against the workspace (after modifications,
     the decomposition of the workspace shows the customized concepts). *)
@@ -408,7 +445,7 @@ let pp_step ppf (idx, s) =
 (** The impact report: every applied operation with its direct and
     propagated changes. *)
 let impact_report t =
-  Fmt.str "@[<v>impact report for %s@,%a@]" t.original.s_name
+  Fmt.str "@[<v>impact report for %s@,%a@]" (original t).s_name
     Fmt.(list ~sep:(any "@,") pp_step)
     (List.mapi (fun i s -> (i, s)) (log t))
 
@@ -428,7 +465,7 @@ let deliverables t =
   String.concat "\n"
     [
       "== shrink wrap schema ==";
-      Render.summary t.original;
+      Render.summary (original t);
       "";
       "== custom schema ==";
       Render.summary (custom_schema t);

@@ -61,9 +61,10 @@ val original : t -> schema
 (** The shrink wrap schema; never modified. *)
 
 val workspace : t -> schema
+(** The schema under design: [Schema_index.schema (index t)]. *)
 
 val index : t -> Schema_index.t
-(** The workspace's schema index (kept in lock-step with {!workspace}). *)
+(** The workspace's schema index. *)
 val concepts : t -> Concept.t list
 (** The decomposition of the original schema (built on each call; a single
     id is {!find_concept}). *)
@@ -75,12 +76,31 @@ val log : t -> step list
 val steps_rev : t -> step list
 (** The applied steps, {e newest} first — the session's internal spine.
     Apply conses onto it and undo pops it, so two sessions of one lineage
-    share the spine below their divergence point {e physically}; callers
-    (the service's journal delta) exploit this to diff logs by pointer
-    equality in O(changed steps). *)
+    share the spine below their divergence point {e physically}; {!delta}
+    diffs two logs by pointer equality on it in O(changed steps). *)
 
 val step_count : t -> int
 (** [List.length (log t)]: committed (not undone) steps.  O(1). *)
+
+(** {1 Log deltas} *)
+
+type spine
+(** A session's step spine ({!steps_rev}) with its length, captured in
+    O(1).  Holding one keeps that log alive, not the session. *)
+
+val spine : t -> spine
+
+val equal_step : step -> step -> bool
+(** Same concept schema type and structurally equal operation (impact
+    ignored). *)
+
+val delta : spine -> spine -> step list * step list
+(** [delta before after] is [(undone, added)], both oldest first: undoing
+    the [undone] steps from [before]'s log, newest first, then applying
+    the [added] steps gives [after]'s log.  Pairs undone and re-added
+    unchanged are trimmed, so [delta s s = ([], [])].  O(changed steps)
+    between spines of one lineage — the one walk behind every journal
+    delta and every [diff] history line. *)
 
 val version : t -> int
 (** Monotonic change stamp: [0] at {!create}, bumped by every state

@@ -1,7 +1,8 @@
 (** The interactive schema designer's engine: interprets commands against a
     design session and produces feedback.  The REPL in [bin/swsd.ml] is a
     thin loop around {!exec}; keeping the engine pure makes the designer
-    fully testable. *)
+    fully testable.  The engine journals nothing: whoever runs it persists
+    the session delta of each command ([Repository.Store.append_delta]). *)
 
 module Session = Core.Session
 
@@ -11,30 +12,11 @@ type state = {
   reviewed : string list;  (** concept schemas already considered *)
   store : Objects.Store.t option;
       (** instance data under the shrink wrap schema, for data impact *)
-  repo : Repository.Store.t option;
-      (** when set, every accepted operation (and undo) is journalled
-          durably before it is acknowledged *)
   finished : bool;
 }
 
-let start ?repo session =
-  { session; focus = None; reviewed = []; store = None; repo; finished = false }
-
-(* Journal one durable record; a persistence failure never loses the
-   in-memory state, it only warns. *)
-let persist state entry =
-  match state.repo with
-  | None -> []
-  | Some repo -> (
-      match entry repo with
-      | () -> []
-      | exception Sys_error m ->
-          [ Feedback.caution ("persistence failed: " ^ m) ])
-
-let persist_step state kind op =
-  persist state (fun repo -> Repository.Store.append_step repo (kind, op))
-
-let persist_undo state = persist state Repository.Store.append_undo
+let start session =
+  { session; focus = None; reviewed = []; store = None; finished = false }
 
 (* what migrating the loaded data onto [schema] would drop *)
 let data_impact state schema =
@@ -117,7 +99,7 @@ let do_apply state op =
       | Ok (session, events) ->
           ( { state with session },
             Feedback.info ("applied " ^ Core.Op_printer.to_string op)
-            :: (persist_step state kind op @ cautions @ apply_feedback events
+            :: (cautions @ apply_feedback events
                @ data_impact state (Session.workspace session)) )
       | Error e ->
           let suggestions =
@@ -217,22 +199,17 @@ let rec exec state (cmd : Command.t) =
       match Session.undo state.session with
       | Some session ->
           ( { state with session },
-            Feedback.info
-              (Printf.sprintf "reverted last operation (%d redoable)"
-                 (Session.redoable session))
-            :: persist_undo state )
+            [
+              Feedback.info
+                (Printf.sprintf "reverted last operation (%d redoable)"
+                   (Session.redoable session));
+            ] )
       | None -> (state, [ Feedback.error "nothing to undo" ]))
   | Redo -> (
       match Session.redo state.session with
       | Some (session, events) ->
-          let persisted =
-            (* the redone step is the most recent entry of the log *)
-            match Session.steps_rev session with
-            | (s : Session.step) :: _ -> persist_step state s.st_kind s.st_op
-            | [] -> []
-          in
           ( { state with session },
-            Feedback.info "re-applied" :: (persisted @ apply_feedback events) )
+            Feedback.info "re-applied" :: apply_feedback events )
       | None -> (state, [ Feedback.error "nothing to redo" ]))
   | Source path -> (
       match In_channel.with_open_text path In_channel.input_all with

@@ -1,7 +1,10 @@
 (** The interactive schema designer's engine: interprets commands against a
     design session and produces feedback.  The REPL in [bin/swsd.ml] is a
     thin loop around {!exec_line}; keeping the engine pure makes the
-    designer fully testable. *)
+    designer fully testable.  The engine journals nothing: a durable
+    caller appends each command's session delta itself
+    ([Repository.Store.append_delta] from the last session it journalled),
+    before it shows the command's feedback. *)
 
 type state = {
   session : Core.Session.t;
@@ -11,14 +14,10 @@ type state = {
   store : Objects.Store.t option;
       (** instance data under the shrink wrap schema; applies report their
           data impact and [migrate] carries them onto the workspace *)
-  repo : Repository.Store.t option;
-      (** when set, every accepted operation (and undo/redo) is journalled
-          durably before it is acknowledged, so a crash loses at most the
-          operation in flight *)
   finished : bool;  (** set by the [quit] command *)
 }
 
-val start : ?repo:Repository.Store.t -> Core.Session.t -> state
+val start : Core.Session.t -> state
 
 val exec : state -> Command.t -> state * Feedback.t list
 (** Execute one parsed command. *)

@@ -21,7 +21,10 @@
     publication marks: nothing in it grows with the schema.  History keeps
     each op under its own publication's stamp across a gap through
     {!Marks}: each publication records its rendered lines as it happens,
-    and the refresh takes the slice of its gap.  The equivalences
+    and the refresh takes the slice of its gap.  Those lines come from
+    {!Core.Session.delta} between consecutive publications' spines — the
+    walk that also encodes the journal records, so a [diff] line and the
+    record that made it durable always agree.  The equivalences
     [refresh* ≡ build] and [refresh over a gap ≡ one refresh per
     publication] are the subsystem's correctness foundation,
     differentially tested by property. *)
@@ -29,13 +32,9 @@
 module SSet = Set.Make (String)
 module Si = Core.Schema_index
 
-(** One publication: its stamp and the session's step spine
-    ([steps_rev], shared structure, so O(1) to capture) with its length. *)
-type mark = {
-  m_stamp : int;
-  m_steps : Core.Session.step list;
-  m_nsteps : int;
-}
+(** One publication: its stamp and the session's step spine (shared
+    structure, so O(1) to capture). *)
+type mark = { m_stamp : int; m_spine : Core.Session.spine }
 
 type t = {
   v_mark : mark;  (** the publication this view reflects *)
@@ -65,40 +64,6 @@ let render_step (s : Core.Session.step) =
   ^ " "
   ^ Core.Op_printer.to_string s.Core.Session.st_op
 
-(* The steps turning the captured spine into the session's: undos for the
-   popped tail, then the fresh steps — the same pointer-equality walk as the
-   service's journal delta (see Service_types.journal_delta), O(changed
-   steps) because both spines share structure below the divergence point.
-   Both results are oldest first; structurally equal pairs (undone then
-   reapplied unchanged) are trimmed as noise. *)
-let spine_delta ~old_steps ~old_n ~new_steps ~new_n =
-  let rec chop n popped l =
-    if n = 0 then (popped, l)
-    else
-      match l with
-      | s :: rest -> chop (n - 1) (s :: popped) rest
-      | [] -> (popped, [])
-  in
-  let popped, o = chop (max 0 (old_n - new_n)) [] old_steps in
-  let added, a = chop (max 0 (new_n - old_n)) [] new_steps in
-  let rec sync popped added o a =
-    if o == a then (popped, added)
-    else
-      match (o, a) with
-      | so :: o', sa :: a' -> sync (so :: popped) (sa :: added) o' a'
-      | _ -> (popped, added)
-  in
-  let popped, added = sync popped added o a in
-  let step_eq (s1 : Core.Session.step) (s2 : Core.Session.step) =
-    s1.Core.Session.st_kind = s2.Core.Session.st_kind
-    && Core.Modop.equal s1.st_op s2.st_op
-  in
-  let rec trim = function
-    | pb :: p', aa :: a' when step_eq pb aa -> trim (p', a')
-    | rest -> rest
-  in
-  trim (popped, added)
-
 let bound_history v hist =
   let rec take n acc = function
     | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
@@ -114,31 +79,24 @@ let bound_history v hist =
    A view may trail its variant by many publications, yet every op must
    keep the stamp of the publication that made it.  So each publication
    is recorded in the variant's {!Marks} as it happens: the steps it undid
-   and added relative to the publication before it ([spine_delta] against
-   the previous publication's spine — O(1) for one op, the whole history
-   only when a reload brings a fresh spine), rendered at once into
+   and added relative to the publication before it ({!Core.Session.delta}
+   against the previous publication's spine — O(1) for one op, the whole
+   history only when a reload brings a fresh spine), rendered at once into
    (stamp, line) entries.  Only the newest spine is kept, for the next
    delta.  The entries are capped by [bound_history], the rule a refresh
    applies to a view's history, so the marks hold exactly the lines a view
    refreshed at every publication would hold, and a refresh across a gap
    takes the slice of its gap. *)
 
-let mark ~stamp (session : Core.Session.t) =
-  {
-    m_stamp = stamp;
-    m_steps = Core.Session.steps_rev session;
-    m_nsteps = Core.Session.step_count session;
-  }
+let mark ~stamp session =
+  { m_stamp = stamp; m_spine = Core.Session.spine session }
 
 (* The lines publication [m] adds on top of [history] (newest first), each
    under its stamp, given [prev], the publication before it.
    Chronological event order: undos newest-popped first, then the fresh
    steps oldest first. *)
 let publication_lines ~prev m history =
-  let undone, done_ =
-    spine_delta ~old_steps:prev.m_steps ~old_n:prev.m_nsteps
-      ~new_steps:m.m_steps ~new_n:m.m_nsteps
-  in
+  let undone, done_ = Core.Session.delta prev.m_spine m.m_spine in
   let events =
     List.rev_map (fun s -> "undo " ^ render_step s) undone
     @ List.map render_step done_

@@ -127,6 +127,16 @@ let append_raw (io : Io.t) path data =
 
 let append io path entry = append_raw io path (encode entry)
 
+let encoded_delta ~before ~after =
+  let undone, added = Core.Session.(delta (spine before) (spine after)) in
+  let buf = Buffer.create 128 in
+  List.iter (fun _ -> Buffer.add_string buf (encode Undo)) undone;
+  List.iter
+    (fun (st : Core.Session.step) ->
+      Buffer.add_string buf (encode (Op (st.st_kind, st.st_op))))
+    added;
+  (List.length undone + List.length added, added, Buffer.contents buf)
+
 let read (io : Io.t) path =
   if io.file_exists path then parse (io.read_file path)
   else { entries = []; damage = None }

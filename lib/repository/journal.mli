@@ -66,6 +66,16 @@ val append_raw : Io.t -> string -> string -> unit
     results, i.e. a group-commit batch — and fsync {e once}; every record
     in the batch is durable on return. *)
 
+val encoded_delta :
+  before:Core.Session.t ->
+  after:Core.Session.t ->
+  int * Core.Session.step list * string
+(** The records turning [before]'s log into [after]'s ({!Core.Session.delta}):
+    their count, the added steps (oldest first), and their bytes — an
+    {!Undo} per undone step, then an {!Op} per added one, each
+    {!encode}d — ready for one {!append_raw}.  O(changed steps) between
+    sessions of one lineage. *)
+
 val read : Io.t -> string -> parsed
 (** Read and {!parse} the journal; an absent file is an empty journal. *)
 

@@ -112,7 +112,9 @@ let load_aliases t =
 let append_step t (kind, op) =
   Journal.append t.io (log_file t) (Journal.Op (kind, op))
 
-let append_undo t = Journal.append t.io (log_file t) Journal.Undo
+let append_delta t ~before ~after =
+  let n, _, data = Journal.encoded_delta ~before ~after in
+  if n > 0 then Journal.append_raw t.io (log_file t) data
 
 (* --- manifest ------------------------------------------------------------ *)
 

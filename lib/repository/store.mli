@@ -70,14 +70,19 @@ val save_report : t -> string -> string -> unit
 
 (** {1 Incremental persistence}
 
-    The designer appends one durable journal record per accepted operation,
-    so a crash loses at most the operation in flight (never acknowledged). *)
+    The designer journals each command's delta before acknowledging it, so
+    a crash loses at most the command in flight (never acknowledged). *)
 
 val append_step : t -> Core.Concept.kind * Core.Modop.t -> unit
 (** Journal one accepted operation; durable on return. *)
 
-val append_undo : t -> unit
-(** Journal an undo of the most recent unresolved operation. *)
+val append_delta : t -> before:Core.Session.t -> after:Core.Session.t -> unit
+(** Journal the records turning [before]'s log into [after]'s
+    ({!Journal.encoded_delta}) with one fsync; nothing when the logs are
+    equal.  [before] must be the session the journal already holds — the
+    last one journalled durably — so that after a failed append the next
+    call carries the missing records too.
+    @raise Sys_error when the append or fsync fails. *)
 
 (** {1 Manifest} *)
 

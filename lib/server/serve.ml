@@ -11,8 +11,7 @@ let topology ~shards ~replicas ~replicate ~follow ~promote_from =
   else if replicas > 0 then Ok (Some (Supervisor.Replicated replicas))
   else Ok None
 
-let worker_flags ~no_obs ~flush_linger_ms ~flush_max_batch ~repl_ring
-    ~fsync_delay_ms =
+let worker_flags ~no_obs ~flush_linger_ms ~flush_max_batch ~fsync_delay_ms =
   (if no_obs then [ "--no-obs" ] else [])
   @ [
       "--flush-linger-ms";
@@ -20,8 +19,6 @@ let worker_flags ~no_obs ~flush_linger_ms ~flush_max_batch ~repl_ring
       "--flush-max-batch";
       string_of_int flush_max_batch;
     ]
-  @ (if repl_ring <> 1024 then [ "--repl-ring"; string_of_int repl_ring ]
-     else [])
   @
   if fsync_delay_ms > 0.0 then
     [ "--fsync-delay-ms"; string_of_float fsync_delay_ms ]

@@ -17,7 +17,6 @@ val worker_flags :
   no_obs:bool ->
   flush_linger_ms:float ->
   flush_max_batch:int ->
-  repl_ring:int ->
   fsync_delay_ms:float ->
   string list
 (** The [swsd serve] flags the front process passes on to its workers. *)

@@ -56,13 +56,12 @@ let of_service ?(backlog = 64) ?hub ~listen service =
         }
 
 let create ?(config = Service.default_config) ?(backlog = 64) ?obs ?io
-    ?(replicate = false) ?repl_ring ~listen dir =
+    ?(replicate = false) ~listen dir =
   match Service.open_service ~config ?io ?obs dir with
   | Error m -> Error m
   | Ok service ->
       let hub =
-        if replicate then Some (Replication.hub ?ring:repl_ring service)
-        else None
+        if replicate then Some (Replication.hub service) else None
       in
       of_service ~backlog ?hub ~listen service
 

@@ -27,7 +27,6 @@ val create :
   ?obs:Obs.t ->
   ?io:Repository.Io.t ->
   ?replicate:bool ->
-  ?repl_ring:int ->
   listen:Protocol.address ->
   string ->
   (t, string) result
@@ -39,8 +38,7 @@ val create :
     ([--no-obs]).  [io] overrides the repository IO (benchmarks inject
     fsync latency through it).  [replicate] (default [false]) installs a
     {!Replication.hub}: connections that send [@follow] become follower
-    streams instead of protocol clients.  [repl_ring] sizes the hub's
-    event ring ([--repl-ring], default 1024). *)
+    streams instead of protocol clients. *)
 
 val of_service :
   ?backlog:int ->

@@ -490,74 +490,3 @@ let exec_command t state (cmd : Designer.Command.t) =
       Obs.Histo.observe t.i.h_check (t.config.now () -. t0);
       r
   | _ -> Engine.exec state cmd
-
-(* --- journal persistence -------------------------------------------------- *)
-
-let step_op (st : Core.Session.step) = (st.Core.Session.st_kind, st.st_op)
-
-let step_eq s1 s2 =
-  let k1, o1 = step_op s1 and k2, o2 = step_op s2 in
-  k1 = k2 && Core.Modop.equal o1 o2
-
-(** The journal records turning [before]'s log into [after]'s: undos for
-    the popped tail, then the fresh steps.  Ops only push/pop at the tail,
-    so the common prefix characterizes the delta exactly.
-
-    Cost is O(changed steps), not O(log): [after] derives from [before] by
-    applies (cons) and undos (pop) on the session's newest-first spine
-    ({!Core.Session.steps_rev}), so below the divergence point the two
-    spines are {e physically} the same list.  Walk the longer spine down
-    to the shorter's length, then both in lockstep until they are pointer
-    equal — everything popped on the way is the delta.  This matters under
-    group commit: the delta runs once per accepted op with the variant
-    lock held, and an O(log) walk there makes a long-lived session's
-    write throughput decay with its own history. *)
-let journal_delta ~before ~after =
-  let rec chop n popped l =
-    if n = 0 then (popped, l)
-    else
-      match l with
-      | s :: rest -> chop (n - 1) (s :: popped) rest
-      | [] -> (popped, [])
-  in
-  let nb = Core.Session.step_count before
-  and na = Core.Session.step_count after in
-  let popped, b =
-    chop (max 0 (nb - na)) [] (Core.Session.steps_rev before)
-  in
-  let added, a = chop (max 0 (na - nb)) [] (Core.Session.steps_rev after) in
-  (* equal lengths now; [] == [] terminates the walk *)
-  let rec sync popped added b a =
-    if b == a then (popped, added)
-    else
-      match (b, a) with
-      | sb :: b', sa :: a' -> sync (sb :: popped) (sa :: added) b' a'
-      | _ -> assert false
-  in
-  let popped, added = sync popped added b a in
-  (* an undone-then-reapplied step is structurally unchanged even though
-     its spine node is fresh: emitting undo + re-add for it would be
-     correct but noisy, so trim matching pairs (both lists are oldest
-     first, mirroring the old full-log common-prefix semantics) *)
-  let rec trim = function
-    | pb :: p', aa :: a' when step_eq pb aa -> trim (p', a')
-    | rest -> rest
-  in
-  let popped, added = trim (popped, added) in
-  (List.length popped, List.map step_op added)
-
-(** The delta as one pre-encoded byte run: the record count, the fresh
-    steps, and the exact bytes the group-commit lane appends — undo
-    records first, then the fresh steps, each newline-terminated. *)
-let encoded_delta ~before ~after =
-  let undos, adds = journal_delta ~before ~after in
-  let buf = Buffer.create 128 in
-  for _ = 1 to undos do
-    Buffer.add_string buf (Repository.Journal.encode Repository.Journal.Undo)
-  done;
-  List.iter
-    (fun (kind, op) ->
-      Buffer.add_string buf
-        (Repository.Journal.encode (Repository.Journal.Op (kind, op))))
-    adds;
-  (undos + List.length adds, adds, Buffer.contents buf)

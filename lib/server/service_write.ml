@@ -7,7 +7,8 @@
 
     {b Phase 1 — under the variant's writer lock} ({!Service_types.try_writer}):
     refuse mutations while the variant's breaker is open, execute on the
-    engine, encode the journal delta (undo records, then fresh steps), and
+    engine, encode the journal delta ({!Repository.Journal.encoded_delta}:
+    undo records, then fresh steps), and
     {!Group_commit.submit} the bytes to the journal's lane, capturing the
     new engine state in the ticket's [on_durable] hook.  The session
     commits to the new state {e before the lock is released} — per-variant
@@ -134,16 +135,17 @@ let complete t ~sp (st : staged) =
    phase 1, under the writer lock; the dirty set is taken on the
    committed index, so a multi-op delta (a merge) sizes every op against
    the final state. *)
-let observe_committed t (session : Core.Session.t) ops =
+let observe_committed t (session : Core.Session.t) steps =
   if Obs.enabled t.i.obs then begin
     let idx = Core.Session.index session in
     List.iter
-      (fun (_, op) ->
+      (fun (st : Core.Session.step) ->
         Obs.Metrics.incr t.i.c_ops;
         Obs.Histo.observe t.i.h_dirty
           (float_of_int
-             (Core.Schema_index.affected_count idx [ Core.Modop.subject op ])))
-      ops
+             (Core.Schema_index.affected_count idx
+                [ Core.Modop.subject st.st_op ])))
+      steps
   end
 
 (** The generic single-writer pipeline: run [exec] on the variant's engine
@@ -207,11 +209,11 @@ let execute ?(load_if_absent = false) t ~sp (conn : conn) variant ~mutating
                 let apply_seconds = t.config.now () -. t_apply in
                 Obs.Histo.observe i.h_apply apply_seconds;
                 Obs.Trace.add_phase sp "apply" apply_seconds;
-                let n, ops, data =
-                  encoded_delta ~before:before.Engine.session
-                    ~after:after.Engine.session
+                let n, steps, data =
+                  Repository.Journal.encoded_delta
+                    ~before:before.Engine.session ~after:after.Engine.session
                 in
-                observe_committed t after.Engine.session ops;
+                observe_committed t after.Engine.session steps;
                 s.last_used <- t.config.now ();
                 let path = log_path s in
                 s.state <- after;

@@ -168,7 +168,7 @@ let incremental_appends () =
         (Core.Concept.Wagon_wheel, Util.parse_op "add_type_definition(Lab)");
       Store.append_step repo
         (Core.Concept.Generalization, Util.parse_op "add_supertype(Lab, Person)");
-      Store.append_undo repo;
+      Journal.append (Store.io repo) (Store.log_file repo) Journal.Undo;
       let text = (Store.io repo).Io.read_file (Store.log_file repo) in
       Alcotest.(check bool) "undo journalled, not rewritten" true
         (Str_contains.contains text "@undo;");
@@ -362,25 +362,93 @@ let mkdir_p_nested () =
       Io.mkdir_p Io.unix deep;
       Alcotest.(check bool) "still there" true (Sys.is_directory deep))
 
+(* The REPL's durable loop: run a command line, then journal the session
+   delta from the last session journalled durably.  A failed append keeps
+   that session, so the next append carries the missing records too. *)
+let repl_step repo (durable, st) line =
+  let st, _ = Designer.Engine.exec_line st line in
+  let after = st.Designer.Engine.session in
+  match Store.append_delta repo ~before:durable ~after with
+  | () -> (after, st)
+  | exception Sys_error _ -> (durable, st)
+
+let check_reloads repo st =
+  match Store.load_session repo with
+  | Ok loaded ->
+      let s = st.Designer.Engine.session in
+      Alcotest.(check int) "journal tracks the designer"
+        (Core.Session.step_count s)
+        (Core.Session.step_count loaded);
+      Alcotest.check Util.schema_testable "workspace restored"
+        (Core.Session.workspace s)
+        (Core.Session.workspace loaded)
+  | Error e -> Alcotest.fail (Store.load_error_to_string e)
+
+let repl_from repo session lines =
+  Store.save_session repo session;
+  List.fold_left
+    (fun acc line ->
+      let acc = repl_step repo acc line in
+      check_reloads repo (snd acc);
+      acc)
+    (session, Designer.Engine.start session)
+    lines
+
 let engine_persists_incrementally () =
   with_repo (fun repo ->
-      let session = Util.session_of (Util.university ()) in
-      Store.save_session repo session;
-      let run st line = fst (Designer.Engine.exec_line st line) in
-      let st = Designer.Engine.start ~repo session in
-      let st = run st "focus ww:Person" in
-      let st = run st "apply add_attribute(Person, string, 12, phone)" in
-      let st = run st "undo" in
-      let st = run st "redo" in
-      match Store.load_session repo with
-      | Ok loaded ->
-          Alcotest.(check int) "journal tracks the designer"
-            (Core.Session.step_count st.Designer.Engine.session)
-            (Core.Session.step_count loaded);
-          Alcotest.check Util.schema_testable "workspace restored"
-            (Core.Session.workspace st.Designer.Engine.session)
-            (Core.Session.workspace loaded)
-      | Error e -> Alcotest.fail (Store.load_error_to_string e))
+      let script = Filename.temp_file "swsd_source" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove script)
+        (fun () ->
+          Out_channel.with_open_text script (fun oc ->
+              Out_channel.output_string oc
+                "apply add_attribute(Person, string, 12, fax)\n\
+                 undo\n\
+                 undo\n\
+                 redo\n\
+                 apply add_attribute(Person, string, 12, pager)\n\
+                 undo\n");
+          ignore
+            (repl_from repo
+               (Util.session_of (Util.university ()))
+               [
+                 "focus ww:Person";
+                 "apply add_attribute(Person, string, 12, phone)";
+                 "undo";
+                 "redo";
+                 "apply add_attribute(Person, string, 12, email)";
+                 "source " ^ script;
+                 "redo";
+               ])))
+
+(* One failed append, then a successful one: the reloaded repository is the
+   workspace the designer had, not one missing the failed command's op. *)
+let engine_journal_survives_failed_append () =
+  let mem = Io.mem_io (Io.mem_create ()) in
+  let fail_next = ref false in
+  let append path data =
+    if !fail_next then begin
+      fail_next := false;
+      raise (Sys_error (path ^ ": No space left on device"))
+    end
+    else mem.Io.append path data
+  in
+  let repo = Store.open_dir ~io:{ mem with Io.append } "/repo" in
+  let session = Util.session_of (Util.university ()) in
+  let acc = repl_from repo session [ "focus ww:Person" ] in
+  fail_next := true;
+  let durable, st =
+    repl_step repo acc "apply add_attribute(Person, string, 12, phone)"
+  in
+  Alcotest.(check bool) "the failed append journalled nothing" true
+    (durable == session);
+  let _, st =
+    repl_step repo (durable, st)
+      "apply add_attribute(Person, string, 12, email)"
+  in
+  Alcotest.(check int) "both ops live" 2
+    (Core.Session.step_count st.Designer.Engine.session);
+  check_reloads repo st
 
 (* --- round-trip properties (pathological names included) ------------------ *)
 
@@ -461,7 +529,8 @@ let run_actions store session actions =
       | A_undo -> (
           match Core.Session.undo session with
           | Some s ->
-              Store.append_undo store;
+              Journal.append (Store.io store) (Store.log_file store)
+                Journal.Undo;
               (s, steps s :: states)
           | None -> (session, states))
       | A_snapshot ->
@@ -637,6 +706,8 @@ let tests =
     test "stale temporary files swept" stale_tmp_swept;
     test "mkdir_p nests and tolerates EEXIST" mkdir_p_nested;
     test "designer persists incrementally" engine_persists_incrementally;
+    test "designer journal survives a failed append"
+      engine_journal_survives_failed_append;
     log_roundtrip_prop;
     journal_entry_roundtrip;
     journal_torn_prefix;

@@ -134,7 +134,8 @@ let torn_undo_tail () =
   in
   Store.append_step store (step "first");
   Store.append_step store (step "second");
-  Store.append_undo store;
+  Repository.Journal.append io (Store.log_file store)
+    Repository.Journal.Undo;
   (* a complete undo resolves: first only *)
   Alcotest.(check int) "complete @undo; resolves" 1
     (List.length (ops_of_log io));
@@ -255,7 +256,8 @@ let run store session actions =
       | Undo -> (
           match Session.undo session with
           | Some s ->
-              Store.append_undo store;
+              Journal.append (Store.io store) (Store.log_file store)
+                Journal.Undo;
               s
           | None -> session))
     session actions

@@ -196,8 +196,92 @@ let current_concepts_follow_workspace () =
   Alcotest.(check bool) "original decomposition fixed" true
     (Option.is_none (Session.find_concept s "ww:Lab"))
 
+(* --- the log delta ---------------------------------------------------------- *)
+
+(* Apply [ops], each followed by a scripted undo/redo move, and return every
+   session of the run, oldest first.  Move 4 undoes a step and applies it
+   afresh: the same step on a new spine node, which [delta] trims. *)
+let run_with_moves session ops moves =
+  let move s = function
+    | 1 -> Option.value (Session.undo s) ~default:s
+    | 2 ->
+        let s = Option.value (Session.undo s) ~default:s in
+        let s = Option.value (Session.undo s) ~default:s in
+        Option.fold ~none:s ~some:fst (Session.redo s)
+    | 3 -> Option.fold ~none:s ~some:fst (Session.redo s)
+    | 4 -> (
+        match (Session.steps_rev s, Session.undo s) with
+        | st :: _, Some u -> (
+            match Session.apply u ~kind:st.Session.st_kind st.st_op with
+            | Ok (s', _) -> s'
+            | Error _ -> u)
+        | _ -> s)
+    | _ -> s
+  in
+  let states, _ =
+    List.fold_left
+      (fun (states, moves) (kind, op) ->
+        let s = List.hd states in
+        let s =
+          match Session.apply s ~kind op with Ok (s', _) -> s' | Error _ -> s
+        in
+        let m, moves = match moves with m :: r -> (m, r) | [] -> (0, []) in
+        (move s m :: s :: states, moves))
+      ([ session ], moves) ops
+  in
+  List.rev states
+
+(* [before] with [delta (spine before) (spine after)] replayed on it: one
+   undo per undone step, then each added step applied. *)
+let replay_delta before after =
+  let undone, added =
+    Session.delta (Session.spine before) (Session.spine after)
+  in
+  let s =
+    List.fold_left
+      (fun s _ ->
+        match Session.undo s with Some s -> s | None -> failwith "undo")
+      before undone
+  in
+  List.fold_left
+    (fun s (st : Session.step) ->
+      match Session.apply s ~kind:st.st_kind st.st_op with
+      | Ok (s, _) -> s
+      | Error e -> failwith (Core.Apply.error_to_string e))
+    s added
+
+let delta_replays =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~long_factor:10
+       ~name:"delta (spine si) (spine sj) replayed on si gives sj"
+       QCheck2.Gen.(
+         pair Gen.schema_and_ops (list_size (int_range 0 10) (int_range 0 4)))
+       (fun ((schema, ops), moves) ->
+         match Session.create schema with
+         | Error _ -> false (* synthetic schemas are valid *)
+         | Ok session ->
+             let states = run_with_moves session ops moves in
+             let rec pairs = function
+               | [] -> true
+               | si :: later ->
+                   (match Session.delta (Session.spine si) (Session.spine si) with
+                   | [], [] -> true
+                   | _ -> false)
+                   && List.for_all
+                        (fun sj ->
+                          let r = replay_delta si sj in
+                          List.equal Session.equal_step (Session.log r)
+                            (Session.log sj)
+                          && Odl.Types.equal_schema (Session.workspace r)
+                               (Session.workspace sj))
+                        (si :: later)
+                   && pairs later
+             in
+             pairs states))
+
 let tests =
   [
+    delta_replays;
     test "create rejects invalid shrink wrap" create_rejects_invalid;
     test "original is never modified" create_keeps_original;
     test "undo restores" undo_restores;

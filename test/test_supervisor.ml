@@ -49,7 +49,7 @@ let worker_flags () =
     "defaults"
     [ "--flush-linger-ms"; "2."; "--flush-max-batch"; "64" ]
     (Serve.worker_flags ~no_obs:false ~flush_linger_ms:2.0 ~flush_max_batch:64
-       ~repl_ring:1024 ~fsync_delay_ms:0.0);
+       ~fsync_delay_ms:0.0);
   Alcotest.(check (list string))
     "every flag passed on"
     [
@@ -58,13 +58,11 @@ let worker_flags () =
       "0.5";
       "--flush-max-batch";
       "8";
-      "--repl-ring";
-      "16";
       "--fsync-delay-ms";
       "2.";
     ]
     (Serve.worker_flags ~no_obs:true ~flush_linger_ms:0.5 ~flush_max_batch:8
-       ~repl_ring:16 ~fsync_delay_ms:2.0)
+       ~fsync_delay_ms:2.0)
 
 (* DESIGN §14: the next clean start of a writer adopts the era its store
    already carries, so a once-promoted repository is not fenced against
