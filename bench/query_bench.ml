@@ -1,44 +1,36 @@
-(* P17: incrementally maintained query views vs from-scratch evaluation.
+(* P17: query answers on the published view vs from-scratch evaluation.
 
-   The claim under test: keeping each variant's {!Query.View} up to date
-   incrementally makes [@query] answers cheap.  A view keeps only what
-   the schema index cannot answer — the [diff] history and the lineage
-   record; names, attributes, ISA and part-of closures and wagon wheels
-   are probes, scans and walks of the index it carries, whose attribute
-   → declarers map each index update maintains.  So a refresh no longer
-   diffs index versions: it takes the session's index and extends the
-   history from the publication marks, a cost that does not grow with
-   the schema.  The naive alternative ({!Query.Eval.run_fresh}) indexes
-   the whole workspace anew ({!Core.Schema_index.build}) per request — a
-   cost proportional to the schema, paid on every query.
+   The claim under test: publishing each variant's {!Query.View} with its
+   state makes [@query] answers cheap.  A view is the published session
+   plus the little its schema index cannot answer — the [diff] lines and
+   the lineage record; names, attributes, ISA and part-of closures and
+   wagon wheels are probes, scans and walks of the session's index, which
+   each op keeps up to date.  So a view's whole price is paid once per
+   publication ({!Query.View.refresh}: render the publication's ops as
+   [diff] lines), a cost that does not grow with the schema.  The naive
+   alternative ({!Query.Eval.run_fresh}) indexes the whole workspace anew
+   ({!Core.Schema_index.build}) per request — a cost proportional to the
+   schema, paid on every query.
 
    Setup: one synthetic schema (default 1000 interfaces, the paper-scale
-   stress point), 200 committed ops each followed by an incremental
-   refresh ([maintain_us_per_op]: the refresh cost per publication), then
-   a battery of representative queries — point and glob name lookups,
-   attribute search with inheritance, ISA and part-of closures, a wagon
-   wheel — evaluated both ways over identical state.  ([diff] is absent:
-   history slices only exist on a maintained view — a from-scratch
-   rebuild has no stamps to slice, which is its own argument for the
-   views.)
+   stress point), 200 committed ops each followed by a publication
+   ([maintain_us_per_op]: the view cost per publication, which the
+   service pays on the publishing thread), then a battery of
+   representative queries — point and glob name lookups, attribute search
+   with inheritance, ISA and part-of closures, a wagon wheel — evaluated
+   both ways over identical state.  ([diff] is absent: history slices
+   only exist on a published view — a from-scratch rebuild has no stamps
+   to slice, which is its own argument for publishing them.)
 
-   The service refreshes a view on the first query after a run of
-   writes, not on each write, so the cost a query actually pays is a
-   refresh across a gap of publications.  [first_query] reports it for
-   gaps of 1, 8 and 64 publications (each recorded as a mark, as the
-   service does), beside the per-publication cost — neither hides the
-   other.
+   Reported: the per-publication view cost, per-query latency for both
+   paths (the published path's JSON keys keep their earlier name,
+   [materialized_us]), and the aggregate speedup = naive / published.
+   The run FAILS (exit 1) below 5x: at that point the views would not be
+   paying for their cost at publication.
 
-   Reported: per-op maintain cost, first-query refresh cost per gap,
-   per-query latency for both paths (the maintained path's JSON keys keep
-   their earlier name, [materialized_us]), and the aggregate speedup =
-   naive / maintained.  The run FAILS (exit 1) below 5x: at that point the
-   views would not be paying for their maintenance.
-
-   Both paths produce answers over the same view/session, and the bench
+   Both paths produce answers over the same session, and the bench
    asserts they are line-identical before timing anything — a speedup
-   over wrong answers would be worthless; the view refreshed across the
-   gaps must equal a from-scratch build.
+   over wrong answers would be worthless.
 
    Knobs: SWSD_QUERY_TYPES (schema size, default 1000),
    SWSD_QUERY_OPS (committed ops, default 200),
@@ -52,8 +44,6 @@ open Util
 let n_types () = env_int "SWSD_QUERY_TYPES" 1000
 let n_ops () = env_int "SWSD_QUERY_OPS" 200
 let rounds () = env_int "SWSD_QUERY_ROUNDS" 20
-let gap_trials = 8 (* refreshes timed per gap size *)
-let gaps = [ 1; 8; 64 ]
 
 let session_of schema =
   match Core.Session.create schema with
@@ -93,48 +83,16 @@ let lines_of = function
   | Error m -> [ "error: " ^ m ]
 
 type timing = { query : string; mat_us : float; naive_us : float }
-type gap_timing = { gap : int; trials : int; refresh_us : float }
-
-(* The first query after [gap] unqueried publications: apply [gap] ops,
-   marking each publication, then time the one refresh that catches the
-   view up.  Returns the session and view it leaves, and the mean
-   refresh time over [trials] such gaps. *)
-let first_query_cost ~types ~trials (session, view, stamp) gap =
-  let total = ref 0.0 in
-  let state = ref (session, view, stamp) in
-  for trial = 1 to trials do
-    let session, view, stamp = !state in
-    let rec publish (session, stamp, marks) k =
-      if k > gap then (session, stamp, marks)
-      else
-        let target = ((stamp + k) * 7919) mod types in
-        let session =
-          apply session
-            (Printf.sprintf "add_attribute(T%d, string, 8, gap%d_%d_%d)"
-               target gap trial k)
-        in
-        let stamp = stamp + 1 in
-        publish (session, stamp, View.Marks.record marks ~stamp session) (k + 1)
-    in
-    let session, stamp, marks =
-      publish (session, stamp, View.Marks.record View.Marks.empty ~stamp session) 1
-    in
-    let t0 = Unix.gettimeofday () in
-    let view = View.refresh ~marks view ~stamp session in
-    total := !total +. (Unix.gettimeofday () -. t0);
-    state := (session, view, stamp)
-  done;
-  (!state, { gap; trials; refresh_us = !total /. float_of_int trials *. 1e6 })
 
 let run ~json_path () =
   let types = n_types () and ops = n_ops () and reps = rounds () in
-  Printf.printf "P17: maintained query views, %d interfaces, %d ops\n" types
+  Printf.printf "P17: published query views, %d interfaces, %d ops\n" types
     ops;
   let schema = Schemas.Synth.(generate (default_params ~n_types:types)) in
   let session = ref (session_of schema) in
   let view = ref (View.build ~stamp:1 !session) in
-  (* one refresh per committed op: take the new index version and the
-     op's history line; this is the price of keeping queries cheap *)
+  (* one publication per committed op: the op's history line on top of
+     the session; this is the price of keeping queries cheap *)
   let maintain_total = ref 0.0 in
   let stamp = ref 1 in
   for k = 1 to ops do
@@ -150,9 +108,7 @@ let run ~json_path () =
     maintain_total := !maintain_total +. (Unix.gettimeofday () -. t0)
   done;
   let maintain_us = !maintain_total /. float_of_int ops *. 1e6 in
-  Printf.printf "  maintain: %.1f us/op over %d ops (%d refreshes)\n"
-    maintain_us ops
-    (View.refresh_count !view);
+  Printf.printf "  publish: %.1f us/op over %d ops\n" maintain_us ops;
   (* both paths must answer identically before any timing matters *)
   List.iter
     (fun q ->
@@ -160,7 +116,7 @@ let run ~json_path () =
       let mat = lines_of (Eval.run !view a)
       and fresh = lines_of (Eval.run_fresh ~stamp:!stamp !session a) in
       if mat <> fresh then
-        failwith (Printf.sprintf "%s: maintained and fresh answers differ" q))
+        failwith (Printf.sprintf "%s: published and fresh answers differ" q))
     battery;
   let time_one f =
     let t0 = Unix.gettimeofday () in
@@ -169,7 +125,7 @@ let run ~json_path () =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e6
   in
-  Printf.printf "  %-22s %14s %14s %9s\n" "query" "mat (us)" "naive (us)"
+  Printf.printf "  %-22s %14s %14s %9s\n" "query" "pub (us)" "naive (us)"
     "speedup";
   let timings =
     List.map
@@ -184,55 +140,30 @@ let run ~json_path () =
         { query = q; mat_us; naive_us })
       battery
   in
-  (* the cost a query pays after a run of writes, per gap size *)
-  let (session, view, stamp), gap_timings =
-    List.fold_left_map
-      (first_query_cost ~types ~trials:gap_trials)
-      (!session, !view, !stamp) gaps
-  in
-  if not (View.equal_logical view (View.build ~stamp session)) then
-    failwith "a view refreshed across publication gaps differs from a build";
-  List.iter
-    (fun g ->
-      Printf.printf
-        "  first query after %2d publication(s): %.1f us (%.1f us/publication)\n"
-        g.gap g.refresh_us (g.refresh_us /. float_of_int g.gap))
-    gap_timings;
   let total which = List.fold_left (fun s t -> s +. which t) 0.0 timings in
   let mat_total = total (fun t -> t.mat_us)
   and naive_total = total (fun t -> t.naive_us) in
   let speedup = if mat_total > 0.0 then naive_total /. mat_total else 0.0 in
   let passed = speedup >= 5.0 in
-  Printf.printf "\n  battery: %.1f us maintained, %.1f us naive — %.1fx\n"
+  Printf.printf "\n  battery: %.1f us published, %.1f us naive — %.1fx\n"
     mat_total naive_total speedup;
   let entry t =
     Printf.sprintf
       "    { \"query\": %S, \"materialized_us\": %.2f, \"naive_us\": %.2f }"
       t.query t.mat_us t.naive_us
   in
-  let gap_entry g =
-    Printf.sprintf
-      "    { \"publications\": %d, \"trials\": %d, \"refresh_us\": %.2f, \
-       \"us_per_publication\": %.2f }"
-      g.gap g.trials g.refresh_us
-      (g.refresh_us /. float_of_int g.gap)
-  in
   let json =
     String.concat "\n"
       [
         "{";
-        "  \"benchmark\": \"P17 incrementally maintained query views\",";
-        "  \"setup\": \"synthetic schema; per-op incremental refresh, the \
-         first-query refresh across gaps of 1/8/64 publications, then a \
-         query battery evaluated on the maintained view vs a \
-         from-scratch index build per request\",";
+        "  \"benchmark\": \"P17 published query views\",";
+        "  \"setup\": \"synthetic schema; the view built at each op's \
+         publication, then a query battery evaluated on the published \
+         view vs a from-scratch index build per request\",";
         Printf.sprintf "  \"n_types\": %d," types;
         Printf.sprintf "  \"ops\": %d," ops;
         Printf.sprintf "  \"rounds\": %d," reps;
         Printf.sprintf "  \"maintain_us_per_op\": %.2f," maintain_us;
-        "  \"first_query\": [";
-        String.concat ",\n" (List.map gap_entry gap_timings);
-        "  ],";
         Printf.sprintf "  \"battery_materialized_us\": %.2f," mat_total;
         Printf.sprintf "  \"battery_naive_us\": %.2f," naive_total;
         Printf.sprintf
@@ -253,7 +184,7 @@ let run ~json_path () =
   if not passed then begin
     Printf.printf
       "FAIL: battery speedup %.2fx is below the 5x floor — the views are \
-       not paying for their maintenance\n"
+       not paying for their cost at publication\n"
       speedup;
     exit 1
   end

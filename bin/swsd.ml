@@ -1063,8 +1063,8 @@ let query_cmd =
        ~doc:
          "Query a running server's repository: interface names, \
           attributes, ISA/part-of reachability, wagon-wheel \
-          neighborhoods, version diffs — served lock-free from \
-          incrementally maintained views (see LANGUAGE.md)")
+          neighborhoods, version diffs — served lock-free from the \
+          view published with each snapshot (see LANGUAGE.md)")
     Term.(
       const (fun a v e -> Stdlib.exit (cmd_query a v e))
       $ Arg.(

@@ -1,5 +1,6 @@
-(** The query evaluator: executes a {!Plan} against a {!View} and the
-    schema index it carries.
+(** The query evaluator: executes a {!Plan} against a published {!View}:
+    the schema index of its session for every atom but [diff] (the view's
+    lines) and [lineage] (its cached manifest record).
 
     Every answer is a list of lines.  All result forms except [diff] are
     sorted (and de-duplicated) lexicographically, so answers are canonical:
@@ -7,7 +8,7 @@
     byte-identical, and tests can pin digests.  [diff] is chronological —
     order is its meaning — but equally deterministic. *)
 
-module SSet = View.SSet
+module SSet = Set.Make (String)
 module Si = Core.Schema_index
 module D = Core.Decompose.Indexed
 
@@ -83,7 +84,7 @@ let attr_scan idx ~inherited pat seq =
             else acc)
           [] seq))
 
-(* [idx] is the view's index, except for the from-scratch reference *)
+(* [idx] is the view's session index, except for the from-scratch reference *)
 let run_plan idx v plan =
   match plan with
   | Plan.Name_point n -> Ok (if Si.mem_interface idx n then [ n ] else [])
@@ -128,7 +129,8 @@ let run_plan idx v plan =
          (every shard identically); a bare view cannot *)
       Error "branches is repository-scoped; ask the server"
 
-let run v atom = run_plan (View.index v) v (Plan.of_atom atom)
+let run v atom =
+  run_plan (Core.Session.index (View.session v)) v (Plan.of_atom atom)
 
 let explain atom = [ Plan.describe (Plan.of_atom atom) ]
 

@@ -1,7 +1,7 @@
 (** The query planner: picks, per atom, which structure answers it and
     how — the {!View}'s history or lineage record, or a probe, scan or
-    walk of the schema index the view carries (its name, attribute and
-    adjacency maps).  Trivial by design — every access path is a point
+    walk of the schema index of the view's session (its name, attribute
+    and adjacency maps).  Trivial by design — every access path is a point
     lookup, a bounded scan or a walk from one interface — but making the
     choice explicit keeps the evaluator honest (it executes the plan,
     nothing else) and gives [explain] something true to print. *)

@@ -12,7 +12,7 @@
     <dir>/custom.odl         the generated custom schema
     <dir>/checkpoint.odl     the workspace at the end of the saved log, with
                              digests of the shrink wrap and log prefix it covers
-    <dir>/manifest           format version, generation, ops watermark
+    <dir>/manifest           format version, generation, journal watermark
     <dir>/reports/*          deliverables, written only on request
     v}
 
@@ -121,17 +121,21 @@ let append_delta t ~before ~after =
 type manifest = {
   m_generation : int;
   m_ops : int;
+  m_bytes : int option;
   m_era : int;
   m_lineage : (string * int) option;
 }
 
 let manifest_to_string m =
-  (* [era] — and now the lineage pair — ride along the tolerant key-value
-     format: manifests written before replication (or branching) existed
-     simply lack the lines and parse as era 0 / no parent, and older
-     readers ignore them. *)
-  Printf.sprintf "format 1\ngeneration %d\nops %d\nera %d\n%s" m.m_generation
-    m.m_ops m.m_era
+  (* [era], the lineage pair and the journal length ride along the
+     tolerant key-value format: manifests written before replication,
+     branching or the byte watermark existed simply lack the lines and
+     parse as era 0 / no parent / no watermark, and older readers ignore
+     them. *)
+  Printf.sprintf "format 1\ngeneration %d\nops %d\n%sera %d\n%s" m.m_generation
+    m.m_ops
+    (match m.m_bytes with None -> "" | Some b -> Printf.sprintf "bytes %d\n" b)
+    m.m_era
     (match m.m_lineage with
     | None -> ""
     | Some (parent, fork) -> Printf.sprintf "parent %s\nfork %d\n" parent fork)
@@ -167,7 +171,14 @@ let manifest_of_string text =
   in
   match (List.assoc_opt "format" fields, int_field "generation", int_field "ops") with
   | Some "1", Some g, Some o ->
-      Some { m_generation = g; m_ops = o; m_era = era; m_lineage = lineage }
+      Some
+        {
+          m_generation = g;
+          m_ops = o;
+          m_bytes = int_field "bytes";
+          m_era = era;
+          m_lineage = lineage;
+        }
   | _ -> None
 
 let load_manifest t =
@@ -194,7 +205,9 @@ let fence t ~era =
   let m =
     match load_manifest t with
     | Some m -> { m with m_era = max era m.m_era }
-    | None -> { m_generation = 0; m_ops = 0; m_era = era; m_lineage = None }
+    | None ->
+        { m_generation = 0; m_ops = 0; m_bytes = None; m_era = era;
+          m_lineage = None }
   in
   save_manifest t m
 
@@ -213,7 +226,8 @@ let set_lineage t ~parent ~fork =
     match load_manifest t with
     | Some m -> { m with m_lineage = Some (parent, fork) }
     | None ->
-        { m_generation = 0; m_ops = 0; m_era = 0; m_lineage = Some (parent, fork) }
+        { m_generation = 0; m_ops = 0; m_bytes = None; m_era = 0;
+          m_lineage = Some (parent, fork) }
   in
   save_manifest t m
 
@@ -357,6 +371,7 @@ let save_session t session =
     {
       m_generation = generation;
       m_ops = List.length steps;
+      m_bytes = Some (String.length log_text);
       m_era = era;
       m_lineage = lineage;
     }
@@ -630,8 +645,20 @@ let fsck ?(salvage = false) t =
                 issue "manifest: unreadable (rewritten by salvage)"
               else issue "manifest: missing (rewritten by salvage)"
           | Some m ->
+              (* The journal only grows between saves (an undo is a
+                 record too), so one at least as long as the save wrote
+                 lost nothing, however few ops it resolves to.  A shorter
+                 one may be the rewrite of a snapshot that crashed before
+                 its manifest: it lost a tail only if fewer ops replay as
+                 well.  A manifest without the byte watermark compares op
+                 counts alone. *)
+              let shorter =
+                match m.m_bytes with
+                | Some saved -> String.length log_text < saved
+                | None -> true
+              in
               let actual = Core.Session.step_count session in
-              if actual < m.m_ops then
+              if shorter && actual < m.m_ops then
                 issue
                   "manifest: records %d op(s) but only %d replay — a saved \
                    tail was lost"

@@ -12,7 +12,7 @@
     <dir>/custom.odl         the generated custom schema
     <dir>/checkpoint.odl     the workspace at the end of the saved log, with
                              digests of the shrink wrap and log prefix it covers
-    <dir>/manifest           format version, generation, ops watermark
+    <dir>/manifest           format version, generation, journal watermark
     <dir>/reports/*          deliverables, written only by {!save_reports}
     v}
 
@@ -89,6 +89,12 @@ val append_delta : t -> before:Core.Session.t -> after:Core.Session.t -> unit
 type manifest = {
   m_generation : int;  (** bumped by every full {!save_session} *)
   m_ops : int;  (** resolved operation count at that save *)
+  m_bytes : int option;
+      (** length of the journal that save wrote.  The journal only grows
+          until the next save, so {!fsck} reports a lost tail only when
+          the journal is shorter {e and} fewer than [m_ops] ops replay;
+          [None] for manifests written before the line existed (fsck then
+          compares op counts alone) *)
   m_era : int;
       (** write era for replication fencing; 0 for manifests written
           before replication existed (the parser tolerates the missing

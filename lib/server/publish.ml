@@ -2,26 +2,31 @@
     for the contract).
 
     Representation: a copy-on-write string map behind one [Atomic], one
-    entry per variant ever opened.  Entries are never removed — a variant
-    name is a few words of memory and keeping the entry is what lets [seq]
-    and [epoch] survive session eviction.  The published cell holds the
+    entry per variant ever opened.  Entries are never removed — keeping
+    the entry is what lets [seq], [epoch] and the kept part of the last
+    value survive session eviction.  The published cell holds the
     value {e together with} its stamp so a reader can never pair a new
     snapshot with an old stamp (or vice versa): the pair is one immutable
     allocation behind one atomic load. *)
 
 module SMap = Map.Make (String)
 
-type 'a entry = {
+type ('a, 'r) entry = {
   cell : ('a * int) option Atomic.t;  (** published (value, stamp) *)
+  kept : 'r option Atomic.t;
+      (** what the writer keeps of the newest value; survives [retract] *)
   seq : int Atomic.t;  (** last issued stamp; monotone *)
   epoch : int Atomic.t;  (** retract count; monotone *)
   readers : int Atomic.t;  (** threads inside [with_snapshot] *)
   touched : float Atomic.t;  (** last read-path activity (reaper input) *)
 }
 
-type 'a t = { entries : 'a entry SMap.t Atomic.t }
+type ('a, 'r) t = {
+  entries : ('a, 'r) entry SMap.t Atomic.t;
+  keep : 'a -> 'r;  (** the part of a value its entry keeps *)
+}
 
-let create () = { entries = Atomic.make SMap.empty }
+let create ~keep () = { entries = Atomic.make SMap.empty; keep }
 
 let find t key = SMap.find_opt key (Atomic.get t.entries)
 
@@ -36,6 +41,7 @@ let rec entry t key =
       let e =
         {
           cell = Atomic.make None;
+          kept = Atomic.make None;
           seq = Atomic.make 0;
           epoch = Atomic.make 0;
           readers = Atomic.make 0;
@@ -60,26 +66,28 @@ let with_snapshot t key f =
           | None -> None
           | Some pair -> Some (f pair)))
 
-let publish t key v =
+let publish t key ?at build =
   let e = entry t key in
-  (* single writer per key: fetch_and_add alone would do, but keep the
-     stamp stored with the value so readers see a consistent pair *)
-  let stamp = 1 + Atomic.fetch_and_add e.seq 1 in
+  let stamp =
+    match at with
+    | None -> 1 + Atomic.fetch_and_add e.seq 1
+    | Some stamp ->
+        (* pin the stamp to the caller's (the follower's replay thread
+           pins the leader's) rather than minting one; [seq] only
+           ratchets forward *)
+        let rec bump () =
+          let cur = Atomic.get e.seq in
+          if stamp > cur && not (Atomic.compare_and_set e.seq cur stamp) then
+            bump ()
+        in
+        bump ();
+        stamp
+  in
+  (* single writer per key: no other thread reads [kept] or builds *)
+  let v = build ~stamp (Atomic.get e.kept) in
+  Atomic.set e.kept (Some (t.keep v));
   Atomic.set e.cell (Some (v, stamp));
   stamp
-
-let publish_at t key v stamp =
-  let e = entry t key in
-  (* single applier per key (the follower's replay thread): pin the
-     published stamp to the leader's rather than minting a local one, so
-     a follower's #version can never run ahead of the leader that issued
-     it.  [seq] only ratchets forward. *)
-  let rec bump () =
-    let cur = Atomic.get e.seq in
-    if stamp > cur && not (Atomic.compare_and_set e.seq cur stamp) then bump ()
-  in
-  bump ();
-  Atomic.set e.cell (Some (v, stamp))
 
 let retract t key =
   match find t key with

@@ -15,7 +15,7 @@
       them durable, in publication-stamp order per variant.
     - {b Stamps are the staleness contract.}  Every shipped delta
       carries the leader's publication stamp; the follower publishes the
-      replayed state with {!Publish.publish_at} at that exact stamp, so
+      replayed state with {!Publish.publish} [~at] at that exact stamp, so
       a follower's [#version] can never exceed the leader's — a client
       that needs read-your-writes compares stamps (or stays on the
       leader), one that accepts bounded staleness reads any follower.
@@ -358,7 +358,7 @@ module Apply = struct
             Hashtbl.replace a.a_states variant
               { a_session = session; a_stamp = stamp; a_stale = false };
             let state = Engine.start session in
-            publish_at svc variant state stamp;
+            ignore (publish_state svc variant ~at:stamp state : int);
             ack ~variant ~stamp)
     | Frame.Records { variant; stamp; data } -> (
         match Hashtbl.find_opt a.a_states variant with
@@ -401,7 +401,7 @@ module Apply = struct
             e.a_session <- session;
             e.a_stamp <- stamp;
             let state = Engine.start session in
-            publish_at svc variant state stamp;
+            ignore (publish_state svc variant ~at:stamp state : int);
             Obs.Metrics.incr a.ac_applied;
             ack ~variant ~stamp)
     | Frame.Live -> Atomic.set a.a_live true

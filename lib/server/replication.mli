@@ -6,7 +6,7 @@
     same recovery path [@open] uses and serves the existing read-only
     protocol ([@open <v> readonly]) from published snapshots.  Shipped
     deltas carry the leader's publication stamp and followers publish
-    with {!Publish.publish_at}, so a follower's [#version] never exceeds
+    with {!Publish.publish} [~at], so a follower's [#version] never exceeds
     the leader's: clients demand read-your-writes by staying on the
     leader (or comparing stamps) and accept bounded staleness on any
     follower.  Snapshot shipping covers bootstrap and catch-up after a

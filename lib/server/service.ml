@@ -141,10 +141,9 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
         repo;
         config;
         locks = Locks.create ();
-        pub = Publish.create ();
+        pub = Publish.create ~keep:(fun p -> Query.View.trail p.view) ();
         sessions = Hashtbl.create 8;
         breakers = Hashtbl.create 8;
-        views = Hashtbl.create 8;
         mu = Mutex.create ();
         inflight = Atomic.make 0;
         conn_ids = Atomic.make 0;

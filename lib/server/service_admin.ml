@@ -87,7 +87,7 @@ let load_session t variant =
                  diffs can anchor there *)
               (match Store.lineage store with
               | Some (_, fork) when fork > Publish.seq t.pub variant ->
-                  publish_at t variant s.state fork
+                  ignore (publish_state t variant ~at:fork s.state : int)
               | Some _ | None -> ());
               (* recovery may have repaired (rewritten) the journal, so a
                  follower tracking the old bytes must re-seed *)
@@ -261,30 +261,7 @@ let do_stats t fmt =
                 ("breaker." ^ v, Breaker.describe b ^ in_state) :: acc)
               t.breakers []
           in
-          (* view freshness: how many publications each materialized
-             query view trails by — none of them queried yet; the next
-             query refreshes across them (0 = exactly current) *)
-          let lag = ref 0 in
-          let views =
-            Hashtbl.fold
-              (fun v slot acc ->
-                match Atomic.get slot.view with
-                | None -> acc
-                | Some view ->
-                    let stamp = Query.View.stamp view in
-                    let seq = Publish.seq t.pub v in
-                    lag := max !lag (seq - stamp);
-                    ( "view." ^ v,
-                      Printf.sprintf
-                        "stamp %d, seq %d, lag %d, interfaces %d, refreshes %d"
-                        stamp seq (seq - stamp)
-                        (Query.View.interface_count view)
-                        (Query.View.refresh_count view) )
-                    :: acc)
-              t.views []
-          in
-          Obs.Metrics.set i.g_view_lag !lag;
-          List.sort compare (sessions @ breakers @ views))
+          List.sort compare (sessions @ breakers))
     in
     let notes = t.config.instance_notes @ notes in
     let sn = Obs.snapshot ~notes i.obs in

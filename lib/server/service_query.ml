@@ -1,5 +1,5 @@
-(** The query path: serve [@query] from the variant's {!Query.View} and
-    the published schema index it carries, lock-free.
+(** The query path: serve [@query] from the variant's published
+    {!Query.View}, lock-free.
 
     The flow for a query line:
 
@@ -7,14 +7,13 @@
       with a structured [!err] — no session state is involved, nothing can
       hang or disconnect;
     + [explain] queries print the plan and stop — no variant needed;
-    + variant-scoped queries read the published (state, stamp) pair and
-      the view cell: when the cell is already at the publication stamp
-      the evaluator runs straight on it; when it lags — writes publish
-      without touching the view, so the first query after them always
-      finds it behind — the reader refreshes it across the whole gap
-      ({!advance_view}), one CAS on the cell, still {e no variant writer
-      lock}.  The time spent is the trace's [view] phase (0 when the view
-      was current);
+    + variant-scoped queries read the published value with one atomic
+      load and evaluate on its view: the session's schema index answers
+      names, attributes and closures, the view's lines answer [diff].
+      The publishing thread built the view with the state
+      ({!Service_types.publish_state}), so a query does no view work and
+      takes {e no variant writer lock}.  The evaluation is the trace's
+      [eval] phase;
     + only a variant with {e nothing published at all} falls back through
       the writer path once, to load the session from disk (counted by
       [swsd.query.fallback_total]; the retry then serves lock-free);
@@ -26,7 +25,7 @@
       and re-sort by header into the exact bytes one process would emit.
 
     The answer's [#version] is the view's stamp: on a follower that is the
-    leader-issued stamp the applier pinned ({!Publish.publish_at}), so a
+    leader-issued stamp the applier pinned ({!Publish.publish} [~at]), so a
     follower's query answer never claims a version the leader has not
     acknowledged — the bounded-staleness contract queries inherit from
     the read path. *)
@@ -59,10 +58,9 @@ let ensure_loaded t ~sp variant =
   match
     try_writer ~sp t variant (fun () ->
         match find_session t variant with
-        | Some s ->
-            (* a session is always published while it lives; re-publish to
-               close the benign race with a concurrent evict *)
-            ignore (publish t s : int);
+        | Some _ ->
+            (* a live session is published (load publishes it and
+               eviction retracts it under this lock): a racing load won *)
             Ok ()
         | None -> Result.map ignore (Service_admin.load_session t variant))
   with
@@ -71,53 +69,13 @@ let ensure_loaded t ~sp variant =
       Error (Printf.sprintf "variant is busy (%d request(s) queued)" n)
   | Error Locks.Timed_out -> Error "variant is busy (deadline exceeded)"
 
-(* Bring the variant's view to [stamp] (the publication stamp of [state])
-   and return it.  Lock-free: a CAS retry loop on the view cell.  The
-   refresh spans every publication since the view's own, with their marks,
-   so each op keeps its own stamp in the history.  A loser of the CAS
-   retries against the winner's view, which is usually already at or past
-   [stamp] (views are monotone per variant, like publication stamps). *)
-let advance_view t variant (state : Engine.state) stamp =
-  let slot = view_slot t variant in
-  let rec loop () =
-    match Atomic.get slot.view with
-    | Some v when Query.View.stamp v >= stamp -> v
-    | prev ->
-        let t0 = t.config.now () in
-        (* a from-scratch build caches the variant's lineage record off the
-           manifest, so the [lineage] atom answers without touching disk;
-           refreshes carry it forward *)
-        let lineage =
-          match prev with
-          | Some _ -> None
-          | None -> (
-              match Repo.variant_lineage t.repo variant with
-              | l -> l
-              | exception _ -> None)
-        in
-        let marks = Atomic.get slot.marks in
-        let v =
-          Query.View.update ?prev ?lineage ~marks ~stamp state.Engine.session
-        in
-        (match prev with
-        | None -> Obs.Metrics.incr t.i.c_view_rebuild
-        | Some _ -> Obs.Metrics.incr t.i.c_view_refresh);
-        Obs.Histo.observe t.i.h_view_maintain (t.config.now () -. t0);
-        if Atomic.compare_and_set slot.view prev (Some v) then v else loop ()
-  in
-  loop ()
-
-(* The variant's view at (at least) its current publication stamp;
-   [Error] carries a user-facing reason. *)
+(* The variant's published view; [Error] carries a user-facing reason. *)
 let rec query_view ?(retried = false) t ~sp variant =
   match Publish.read t.pub variant with
-  | Some (state, stamp) ->
+  | Some ({ view; _ }, _) ->
       Obs.Metrics.incr t.i.c_query_lockfree;
       Publish.touch t.pub variant ~now:(t.config.now ());
-      let t0 = t.config.now () in
-      let v = advance_view t variant state stamp in
-      Obs.Trace.add_phase sp "view" (t.config.now () -. t0);
-      Ok v
+      Ok view
   | None ->
       if retried then Error ("variant " ^ variant ^ " is unavailable")
       else if t.config.follower then
@@ -133,12 +91,20 @@ let rec query_view ?(retried = false) t ~sp variant =
         | Error m -> Error m
       end
 
+(* Evaluate on [view], timed as the request's [eval] phase (one per
+   variant under [all]). *)
+let eval t ~sp view atom =
+  let t0 = t.config.now () in
+  let r = Query.Eval.run view atom in
+  Obs.Trace.add_phase sp "eval" (t.config.now () -. t0);
+  r
+
 let single t ~sp variant (q : Query.Ast.t) =
   match query_view t ~sp variant with
   | Error m -> Protocol.err m
   | Ok view -> (
       let version = Query.View.stamp view in
-      match Query.Eval.run view q.q_atom with
+      match eval t ~sp view q.q_atom with
       | Ok lines -> Protocol.ok ~version lines
       | Error m -> Protocol.err ~version m)
 
@@ -160,7 +126,7 @@ let all_scope t ~sp (q : Query.Ast.t) =
       match query_view t ~sp variant with
       | Error m -> [ "# " ^ m ]
       | Ok view -> (
-          match Query.Eval.run view q.q_atom with
+          match eval t ~sp view q.q_atom with
           | Ok lines -> lines
           | Error m -> [ "# " ^ m ])
     in

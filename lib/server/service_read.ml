@@ -38,7 +38,7 @@ let refusal (cmd : Designer.Command.t) =
    check tripped). *)
 let try_lockfree t variant (cmd : Designer.Command.t) =
   match
-    Publish.with_snapshot t.pub variant (fun (st, stamp) ->
+    Publish.with_snapshot t.pub variant (fun ({ state = st; _ }, stamp) ->
         let after, feedback = exec_command t st cmd in
         if after != st then None  (* misclassified: must not lose the change *)
         else begin

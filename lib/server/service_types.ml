@@ -5,21 +5,19 @@
 
     Concurrency invariants, stated once here and relied on everywhere:
 
-    - [t.mu] guards the [sessions], [breakers] and [views] tables and
-      per-session bookkeeping ([conns]); it is held only for table
-      operations, never across engine or IO work.
+    - [t.mu] guards the [sessions] and [breakers] tables and per-session
+      bookkeeping ([conns]); it is held only for table operations, never
+      across engine or IO work.
     - A session's [state]/[dirty]/[last_used]/[flock] fields are written
       only while holding the variant's writer lock ({!with_writer}).
     - [t.pub] is the lock-free publication table: the writer publishes the
       committed state after every change and retracts it on eviction;
-      readers run on published snapshots with {e no} lock at all.  The
-      published [Engine.state] is immutable from the reader's point of
-      view (sessions are immutable values; the schema index's memoized
-      diagnostics are the one benign exception, see DESIGN.md §10).
-    - A variant's view slot is updated only by compare-and-set:
-      publishers add a mark per publication, and the query that first
-      finds the view behind the publication stamp swaps in the refreshed
-      view.  No thread holds a lock for view work. *)
+      readers and queries run on published snapshots with {e no} lock at
+      all.  A publication is one immutable value: the [Engine.state] and
+      the query view of its session, built together on the publishing
+      thread ({!publish_state}).  It is immutable from the reader's point
+      of view (sessions are immutable values; the schema index's memoized
+      diagnostics are the one benign exception, see DESIGN.md §10). *)
 
 module Engine = Designer.Engine
 module Store = Repository.Store
@@ -131,8 +129,6 @@ type instruments = {
   c_query_fallback : Obs.Metrics.counter;
       (** query evaluations that first had to load the variant through the
           writer path (nothing published) *)
-  c_view_refresh : Obs.Metrics.counter;  (** incremental view refreshes *)
-  c_view_rebuild : Obs.Metrics.counter;  (** from-scratch view builds *)
   c_merge_clean : Obs.Metrics.counter;
       (** rebased branch ops that applied with their recorded impact *)
   c_merge_auto : Obs.Metrics.counter;
@@ -143,14 +139,8 @@ type instruments = {
   g_inflight : Obs.Metrics.gauge;
   g_commit_stalled : Obs.Metrics.gauge;
       (** writers currently blocked on a group-commit ticket *)
-  g_view_lag : Obs.Metrics.gauge;
-      (** max over variants with a view of (publication stamp − view
-          stamp), refreshed at [@stats] read time: the publications no
-          query has asked for yet (the next query refreshes across them) *)
   h_request : Obs.Histo.t;  (** whole request, arrival to response *)
   h_query : Obs.Histo.t;  (** whole [@query] request, parse to response *)
-  h_view_maintain : Obs.Histo.t;
-      (** one view build or refresh, on the query that needed it *)
   h_read : Obs.Histo.t;  (** read-class command, either path *)
   h_write : Obs.Histo.t;  (** write-class command, lock wait included *)
   h_lock_wait : Obs.Histo.t;
@@ -195,18 +185,14 @@ let make_instruments obs =
     c_query = c "swsd.query.requests_total";
     c_query_lockfree = c "swsd.query.lockfree_total";
     c_query_fallback = c "swsd.query.fallback_total";
-    c_view_refresh = c "swsd.query.view.refresh_total";
-    c_view_rebuild = c "swsd.query.view.rebuild_total";
     c_merge_clean = c "swsd.merge.clean_total";
     c_merge_auto = c "swsd.merge.auto_total";
     c_merge_conflict = c "swsd.merge.conflict_total";
     g_sessions = g "swsd.sessions.open";
     g_inflight = g "swsd.requests.inflight";
     g_commit_stalled = g "swsd.commit.stalled";
-    g_view_lag = g "swsd.query.view.lag";
     h_request = h "swsd.request_seconds";
     h_query = h "swsd.query.seconds";
-    h_view_maintain = h "swsd.query.view.maintain_seconds";
     h_read = h "swsd.read_seconds";
     h_write = h "swsd.write_seconds";
     h_lock_wait = h "swsd.lock.wait_seconds";
@@ -238,13 +224,9 @@ type replication_sink = {
   rs_invalidate : variant:string -> unit;
 }
 
-(** A variant's query view and the marks of its newest publications: each
-    cell is an immutable value swapped by compare-and-set, so publishers
-    and querying readers never take a lock for it. *)
-type view_slot = {
-  view : Query.View.t option Atomic.t;
-  marks : Query.View.Marks.t Atomic.t;
-}
+(** What a variant publishes: the engine state the read path runs on
+    and the query view of the same session, behind one atomic load. *)
+type published = { state : Engine.state; view : Query.View.t }
 
 type session = {
   variant : string;
@@ -260,20 +242,13 @@ type t = {
   repo : Repo.t;
   config : config;
   locks : Locks.t;  (** the per-variant {e writer} locks *)
-  pub : Engine.state Publish.t;
-      (** lock-free snapshot publication, one cell per variant; stamps and
-          epochs survive session eviction *)
+  pub : (published, Query.View.trail) Publish.t;
+      (** lock-free snapshot publication, one cell per variant; stamps,
+          epochs and the last view's trail survive session eviction *)
   sessions : (string, session) Hashtbl.t;
   breakers : (string, Breaker.t) Hashtbl.t;
       (** per variant, surviving session eviction *)
-  views : (string, view_slot) Hashtbl.t;
-      (** per-variant query views ({!Query.View}) and the
-          marks of the variant's newest publications.  Publishers only
-          record marks; the first query behind the publication stamp
-          refreshes the view ({!Service_query}).  The slot survives
-          session eviction — the next refresh diffs across the reload. *)
-  mu : Mutex.t;
-      (** guards [sessions], [breakers], [views], and session bookkeeping *)
+  mu : Mutex.t;  (** guards [sessions], [breakers], and session bookkeeping *)
   inflight : int Atomic.t;
   conn_ids : int Atomic.t;
   mutable stopping : bool;
@@ -382,46 +357,29 @@ let evict t (s : session) =
 
 (* --- publication --------------------------------------------------------- *)
 
-let view_slot t variant =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.views variant with
-      | Some slot -> slot
-      | None ->
-          let slot =
-            {
-              view = Atomic.make None;
-              marks = Atomic.make Query.View.Marks.empty;
-            }
-          in
-          Hashtbl.add t.views variant slot;
-          slot)
-
-(* Record publication [stamp] of [state] in the variant's marks, so a later
-   query refresh can stamp each op with its own publication.  No view work
-   happens on the publishing thread: the mark is the publication's ops
-   rendered as [diff] lines, found by a pointer walk as short as the
-   change (the whole history only on a reload, whose spine is fresh). *)
-let mark t variant (state : Engine.state) stamp =
-  let marks = (view_slot t variant).marks in
-  let rec loop () =
-    let cur = Atomic.get marks in
-    let next = Query.View.Marks.record cur ~stamp state.Engine.session in
-    if not (Atomic.compare_and_set marks cur next) then loop ()
-  in
-  loop ()
-
-(* Publish [state] for lock-free readers and mark it; returns the
-   publication stamp.  Every publication goes through here or
-   {!publish_at}: the write path (phase 1 or the flusher's [on_durable]),
-   a session load, and the follower applier. *)
-let publish_state t variant state =
-  let stamp = Publish.publish t.pub variant state in
-  mark t variant state stamp;
-  stamp
-
-let publish_at t variant state stamp =
-  Publish.publish_at t.pub variant state stamp;
-  mark t variant state stamp
+(* Publish [state] for lock-free readers and queries; returns the stamp,
+   minted here or, with [at], the caller's (the follower pins the
+   leader's).  Every publication goes through here: the write path (phase
+   1 or the flusher's [on_durable]), a session load, and the follower
+   applier.  The query view is built in the same step: the last
+   publication's trail — kept across eviction, so [diff] history survives
+   a reload — extended by this publication's ops, found by a pointer walk
+   as short as the change (the whole history only on a reload, whose
+   spine is fresh).  A variant's first view reads its lineage off the
+   manifest, once. *)
+let publish_state t variant ?at (state : Engine.state) =
+  Publish.publish t.pub variant ?at (fun ~stamp last ->
+      let session = state.Engine.session in
+      let view =
+        match last with
+        | Some trail -> Query.View.resume trail ~stamp session
+        | None ->
+            let lineage =
+              try Repo.variant_lineage t.repo variant with _ -> None
+            in
+            Query.View.build ?lineage ~stamp session
+      in
+      { state; view })
 
 (* Publish the session's current state.  Caller holds the writer lock. *)
 let publish t (s : session) = publish_state t s.variant s.state

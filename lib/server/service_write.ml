@@ -25,13 +25,12 @@
     ack implies durability {e and} publish-before-ack gives a connection
     read-your-writes.
 
-    No query-view work is on this path.  A publication only records a
-    mark beside the variant's view: the ops it added and undid, rendered
-    as [diff] lines and found by a pointer walk as short as the change.  The first [@query] that finds
-    the view behind the publication stamp refreshes it across every
-    publication since, the marks keeping each op under its own stamp in
-    the [diff] history ({!Service_query}).  A write-only client never
-    pays for the view.
+    Each publication is one value: the new engine state and the query
+    view of its session ({!Service_types.publish_state}).  Building the
+    view costs what rendering the publication's ops as [diff] lines does —
+    a pointer walk as short as the change, a few microseconds per op — so
+    it happens right there, on the flusher (or in phase 1), and a
+    [@query] does no view work at all ({!Service_query}).
 
     A flush failure fails the whole batch: every waiter reacquires the
     writer lock to degrade the variant's breaker and evict the session —

@@ -170,15 +170,6 @@ let query_counters () =
     (counter "swsd.query.fallback_total");
   Alcotest.(check bool) "every warm query is lock-free" true
     (counter "swsd.query.lockfree_total" >= lockfree_after_cold + 5);
-  (* the write refreshed the view incrementally; nothing rebuilt it *)
-  Alcotest.(check bool) "the committed op refreshed the view" true
-    (counter "swsd.query.view.refresh_total" >= 1);
-  Alcotest.(check int) "one rebuild, at first sight of the variant" 1
-    (counter "swsd.query.view.rebuild_total");
-  (match Obs.gauge_value obs "swsd.query.view.lag" with
-  | Some 0 -> ()
-  | Some n -> Alcotest.failf "view lags publication by %d stamps" n
-  | None -> Alcotest.fail "lag gauge never registered");
   Alcotest.(check bool) "requests are counted" true
     (counter "swsd.query.requests_total" >= 6)
 
@@ -377,12 +368,12 @@ let follower_query_bounded_staleness () =
       Alcotest.(check bool) "follower name scan serves the schema" true
         (List.mem "Person" (req_ok fsvc fc "@query name \"*\"")))
 
-(* --- views refresh on the query, not the write -------------------------------
+(* --- the view is published with the write ------------------------------------
 
-   A write only marks its publication; the first query after it refreshes
-   the view across every publication since.  The [diff] history must not
-   notice: each op keeps its own stamp, byte for byte as when a query
-   followed every write. *)
+   Each publication carries its view, whether or not a query reads it.
+   The [diff] history must not notice: each op keeps its own stamp, byte
+   for byte as when a query followed every write, and across an eviction
+   too. *)
 
 let gap_writes =
   [ attr_line "gap_1"; attr_line "gap_2"; "undo"; attr_line "gap_3";
@@ -423,37 +414,35 @@ let lazy_diff_matches_eager () =
   Alcotest.(check int) "one stamp per write" (List.length gap_writes)
     (List.length (List.sort_uniq compare stamps))
 
-let write_only_leaves_the_view () =
+(* The idle reaper evicts the variant; reopened, it answers [diff] with
+   the same lines, stamps included — the publication table keeps the last
+   view's trail across the eviction. *)
+let diff_survives_eviction () =
+  let clock = ref 0.0 in
+  let config =
+    quick_config ~now:(fun () -> !clock) ~sleep:(fun d -> clock := !clock +. d)
+      ~idle:300.0 ()
+  in
   let _, io = mem_repo () in
-  let obs = Obs.create () in
-  let t = service ~config:(quick_config ()) ~obs io in
+  let t = service ~config io in
   let c = Service.connect t in
-  let refreshes () =
-    Option.value ~default:0
-      (Obs.counter_value obs "swsd.query.view.refresh_total")
-  in
-  let lag () =
-    ignore (req_ok t c "@stats");
-    match Obs.gauge_value obs "swsd.query.view.lag" with
-    | Some n -> n
-    | None -> Alcotest.fail "lag gauge never registered"
-  in
   ignore (req_ok t c "@open v");
   ignore (req_ok t c "focus ww:Person");
-  ignore (req_ok t c "@query name Person");
-  let before = refreshes () in
-  Alcotest.(check int) "current after the first query" 0 (lag ());
   List.iter (fun line -> ignore (req_ok t c line)) gap_writes;
-  Alcotest.(check int) "writes refresh nothing" before (refreshes ());
-  Alcotest.(check int) "lag counts the unqueried publications"
-    (List.length gap_writes) (lag ());
-  ignore (req_ok t c "@query attr \"gap_*\"");
-  Alcotest.(check int) "the first query catches up" 0 (lag ());
-  Alcotest.(check int) "with exactly one refresh" (before + 1) (refreshes ());
+  let before = req_ok t c "@query diff 0" in
+  Alcotest.(check int) "the history lists every write, below its note"
+    (List.length gap_writes + 1) (List.length before);
+  clock := !clock +. 301.0;
+  Alcotest.(check int) "reaped" 1 (Service.reap_idle t);
+  let c' = Service.connect t in
+  ignore (req_ok t c' "@open v");
+  Alcotest.(check (list string)) "the same diff after the reload" before
+    (req_ok t c' "@query diff 0");
   ignore (Service.shutdown t)
 
-(* A follower marks each applied record the same way: after k records and
-   no follower query, its diff is the leader's, byte for byte. *)
+(* A follower publishes each applied record's view the same way: after k
+   records and no follower query, its diff is the leader's, byte for
+   byte. *)
 let follower_diff_matches_leader () =
   let _, lio = mem_repo () in
   let lsvc = service ~config:(quick_config ()) lio in
@@ -512,8 +501,8 @@ let tests =
       follower_query_bounded_staleness;
     test "lazy view: diff after unqueried writes = a query after each"
       lazy_diff_matches_eager;
-    test "lazy view: writes never refresh; the first query does, once"
-      write_only_leaves_the_view;
+    test "eviction: diff after a reap and reopen = diff before it"
+      diff_survives_eviction;
     test "lazy view: follower diff after unqueried records = the leader's"
       follower_diff_matches_leader;
   ]

@@ -1,9 +1,10 @@
 (* The query subsystem's core: parser, planner, evaluator, and — the
-   correctness foundation — the incrementally maintained {!Query.View}.
-   The central property is differential, in the house style of the PR 1
-   index-vs-naive checker: after an arbitrary accepted op sequence (plus
-   undo/redo), the incrementally refreshed view is logically identical to
-   a from-scratch build at every step.
+   correctness foundation — the published {!Query.View}.  The central
+   property is differential, in the house style of the index-vs-naive
+   checker: along random op/undo/redo/republish/reload scripts, the view
+   refreshed at every publication answers every query exactly as a
+   from-scratch evaluation and the naive backend do, and its [diff]
+   history is the per-publication log delta.
 
    Run with QCHECK_LONG=1 (the [fuzz-long] alias) for a 10x deeper pass;
    the [query-fuzz] alias scales the never-crash fuzz property instead. *)
@@ -208,13 +209,13 @@ let pinned_digest () =
     "222e112af2ae2b3d0ced3d535602ca5e"
     (Digest.to_hex (Digest.string text))
 
-(* --- incremental maintenance ----------------------------------------------- *)
+(* --- publication ----------------------------------------------------------- *)
 
 let refresh_after_ops () =
   let s, v = university_view () in
   let s, _ = Util.apply_ok s "add_attribute(Person, string, 8, badge)" in
   let v = View.refresh v ~stamp:2 s in
-  Alcotest.(check int) "one refresh" 1 (View.refresh_count v);
+  Alcotest.(check int) "at the publication's stamp" 2 (View.stamp v);
   Alcotest.(check (list string)) "new attr indexed" [ "Person.badge" ]
     (run v "attr badge");
   let s, _ = Util.apply_ok s "delete_attribute(Person, badge)" in
@@ -292,18 +293,20 @@ let history_is_bounded () =
       Alcotest.fail "an in-window diff should not claim truncation"
   | _ -> ()
 
-let update_is_monotone () =
+let refresh_is_monotone () =
   let s, v = university_view () in
   let s', _ = Util.apply_ok s "add_attribute(Person, string, 8, badge)" in
-  let v2 = View.update ~prev:v ~stamp:2 s' in
-  (* a racing writer that lost the CAS re-updates at an older stamp: the
-     newer view must win unchanged *)
-  let v2' = View.update ~prev:v2 ~stamp:1 s in
-  if not (v2 == v2') then Alcotest.fail "update must keep a newer view";
-  match View.update ~stamp:5 s' with
-  | v5 ->
-      Alcotest.(check int) "build from nothing adopts the stamp" 5
-        (View.stamp v5)
+  let v2 = View.refresh v ~stamp:2 s' in
+  (* a publication at or below the view's stamp (a follower republishing
+     at its newest) keeps the newer view unchanged *)
+  if not (View.refresh v2 ~stamp:1 s == v2 && View.refresh v2 ~stamp:2 s == v2)
+  then Alcotest.fail "refresh must keep a newer view";
+  (* resuming from the kept trail takes the session, not the history *)
+  let r = View.resume (View.trail v2) ~stamp:2 s in
+  if not (View.trail r == View.trail v2 && View.session r == s) then
+    Alcotest.fail "a stale resume must keep the trail";
+  Alcotest.(check int) "a build adopts its stamp" 5
+    (View.stamp (View.build ~stamp:5 s'))
 
 (* --- the differential property --------------------------------------------- *)
 
@@ -351,65 +354,8 @@ let naive_answers_agree v schema =
               (Dn.wagon_wheel schema name).Core.Concept.c_members)
        (N.interface_names schema)
 
-(* Incremental refresh after every accepted op (and undo/redo) produces
-   exactly the attribute index of a from-scratch build, and every closure
-   and wheel answer the naive backend computes over the same schema.  This
-   is the property the whole subsystem leans on: it exercises the
-   schema index's attribute map (maintained by each update) and the
-   index-served closures against arbitrary generated schemas and
-   workloads. *)
-let incremental_equals_scratch =
-  prop "incremental view refresh = from-scratch build" Gen.schema_and_ops
-    (fun (schema, steps) ->
-      match Core.Session.create schema with
-      | Error _ -> QCheck2.assume_fail () (* synth schemas are valid *)
-      | Ok session ->
-          let check stamp session v =
-            View.equal_logical v (View.build ~stamp session)
-            && naive_answers_agree v
-                 (Core.Schema_index.schema (Core.Session.index session))
-          in
-          let step (session, v, stamp, ok) act =
-            if not ok then (session, v, stamp, false)
-            else
-              match act session with
-              | None -> (session, v, stamp, ok)
-              | Some session ->
-                  let stamp = stamp + 1 in
-                  let v = View.refresh v ~stamp session in
-                  (session, v, stamp, check stamp session v)
-          in
-          let acts =
-            List.map
-              (fun (kind, op) session ->
-                match Core.Session.apply session ~kind op with
-                | Ok (s, _) -> Some s
-                | Error _ -> None)
-              steps
-            @ [
-                (fun s -> Core.Session.undo s);
-                (fun s -> Core.Session.undo s);
-                (fun s -> Option.map fst (Core.Session.redo s));
-              ]
-          in
-          let _, _, _, ok =
-            List.fold_left step
-              (session, View.build ~stamp:1 session, 1, true)
-              acts
-          in
-          ok)
-
-(* --- refreshing across a publication gap ------------------------------------
-
-   A view now refreshes on the first query after any number of
-   publications.  The property: refreshing across each gap with the gap's
-   marks gives exactly what refreshing once per publication gives — the
-   same rows, the same history (every op under its own stamp) and the
-   same floor — and both equal a from-scratch build, which given the
-   marks carries the same history too. *)
-
-(* What can happen to a variant between two queries: an accepted op, an
-   undo, a redo, a publication that changes no step (a [focus] or an
+(* What can happen to a variant between two publications: an accepted op,
+   an undo, a redo, a publication that changes no step (a [focus] or an
    alias: the designer state moves, the step spine does not), or a reload
    — the session rebuilt from its op log, a fresh step spine sharing
    nothing with the old one, as after eviction. *)
@@ -436,9 +382,8 @@ let perform schema session = function
       | Ok s -> Some s
       | Error _ -> None)
 
-(* acts, each with whether a query follows it; one reload is always
-   inside a gap (no query right after it) *)
-let gap_workload =
+(* acts, each with whether a query follows it; one reload always *)
+let publication_script =
   QCheck2.Gen.(
     let* schema, ops = Gen.schema_and_ops in
     let* extras =
@@ -462,110 +407,141 @@ let gap_workload =
       list_repeat (List.length acts)
         (frequency [ (2, return true); (3, return false) ])
     in
-    let queries = List.mapi (fun i q -> q && i <> reload_at) queries in
     return (schema, List.combine acts queries))
 
-let same_view a b =
-  View.stamp a = View.stamp b
-  && View.equal_logical a b
-  && View.history a = View.history b
-  && View.floor_stamp a = View.floor_stamp b
+(* Every atom but [diff] over [schema]: the scans, and the point, closure
+   and wheel atoms of every interface and attribute. *)
+let atoms (schema : Odl.Types.schema) =
+  let attrs =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (i : Odl.Types.interface) ->
+           List.map (fun (a : Odl.Types.attribute) -> a.attr_name) i.i_attrs)
+         schema.s_interfaces)
+  in
+  Ast.
+    [ Name (Glob "*"); Name (Exact "Nobody");
+      Attr { pat = Glob "*"; inherited = false };
+      Attr { pat = Glob "*"; inherited = true }; Lineage ]
+  @ List.map (fun a -> Ast.Attr { pat = Ast.Exact a; inherited = true }) attrs
+  @ List.concat_map
+      (fun (i : Odl.Types.interface) ->
+        let name = i.i_name in
+        Ast.
+          [ Name (Exact name); Isa { name; dir = Down }; Isa { name; dir = Up };
+            Part { name; dir = Down }; Part { name; dir = Up }; Wheel name ])
+      schema.s_interfaces
 
-(* [eager] refreshes at every publication; [lazy_] only when a query
-   comes, with the marks of every publication *)
-type gap_run = {
+(* a publication's [diff] events, rendered here rather than by the view *)
+let publication_events ~before ~after =
+  let render (s : Core.Session.step) =
+    "@" ^ Core.Concept.id_prefix s.st_kind ^ " "
+    ^ Core.Op_printer.to_string s.st_op
+  in
+  let undone, added =
+    Core.Session.(delta (spine before) (spine after))
+  in
+  List.rev_map (fun s -> "undo " ^ render s) undone @ List.map render added
+
+(* [diff 0] over every (stamp, event) line so far, oldest first: the
+   newest 512 kept, the floor at the newest dropped stamp (or the first
+   publication's) *)
+let expected_diff lines =
+  let dropped = List.length lines - 512 in
+  let floor =
+    List.fold_left max 1
+      (List.filteri (fun i _ -> i < dropped) (List.map fst lines))
+  in
+  Printf.sprintf "# history truncated below stamp %d" floor
+  :: List.map
+       (fun (s, e) -> Printf.sprintf "%d %s" s e)
+       (List.filteri (fun i _ -> i >= dropped) lines)
+
+type run = {
   session : Core.Session.t;
   stamp : int;
-  eager : View.t;
-  lazy_ : View.t;
-  marks : View.Marks.t;
+  view : View.t;  (** refreshed at every publication *)
+  lines : (int * string) list;  (** every event so far, newest first *)
   ok : bool;
 }
 
-let catch_up r =
-  if View.stamp r.lazy_ = r.stamp then r
-  else
-    let lazy_ = View.refresh ~marks:r.marks r.lazy_ ~stamp:r.stamp r.session in
-    {
-      r with
-      lazy_;
-      ok =
-        r.ok && same_view lazy_ r.eager
-        && View.equal_logical lazy_ (View.build ~stamp:r.stamp r.session)
-        (* a first query, with no view yet, builds with the same history *)
-        && same_view r.eager
-             (View.build ~marks:r.marks ~stamp:r.stamp r.session);
-    }
+let published_answers_agree r =
+  let schema = Core.Schema_index.schema (Core.Session.index r.session) in
+  List.for_all
+    (fun atom ->
+      Eval.run r.view atom = Eval.run_fresh ~stamp:r.stamp r.session atom)
+    (atoms schema)
+  && naive_answers_agree r.view schema
+  && Eval.run r.view (Ast.Diff { since = 0; until = None })
+     = Ok (expected_diff (List.rev r.lines))
 
-let gap_refresh_equals_per_publication =
-  prop "refresh across publication gaps = one refresh per publication"
-    gap_workload (fun (schema, script) ->
+(* The server publishes [View.refresh] of the last view at every
+   publication, and [View.resume] of its kept trail after an eviction
+   (modelled by [Reload]). *)
+let published_view_agrees =
+  prop "published view = from-scratch, naive and per-publication answers"
+    ~count:200 publication_script (fun (schema, script) ->
       match Core.Session.create schema with
-      | Error _ -> QCheck2.assume_fail ()
+      | Error _ -> QCheck2.assume_fail () (* synth schemas are valid *)
       | Ok session ->
           let step r (act, query) =
             match perform schema r.session act with
             | None -> r
             | Some session ->
                 let stamp = r.stamp + 1 in
-                let r =
-                  {
-                    r with
-                    session;
-                    stamp;
-                    eager = View.refresh r.eager ~stamp session;
-                    marks = View.Marks.record r.marks ~stamp session;
-                  }
+                let view =
+                  match act with
+                  | Reload -> View.resume (View.trail r.view) ~stamp session
+                  | Op _ | Undo | Redo | Republish ->
+                      View.refresh r.view ~stamp session
                 in
-                if query then catch_up r else r
+                let lines =
+                  List.rev_append
+                    (List.map
+                       (fun e -> (stamp, e))
+                       (publication_events ~before:r.session ~after:session))
+                    r.lines
+                in
+                let r = { r with session; stamp; view; lines } in
+                if query then { r with ok = r.ok && published_answers_agree r }
+                else r
           in
-          let v0 = View.build ~stamp:1 session in
           let start =
             {
               session;
               stamp = 1;
-              eager = v0;
-              lazy_ = v0;
-              marks = View.Marks.record View.Marks.empty ~stamp:1 session;
+              view = View.build ~stamp:1 session;
+              lines = [];
               ok = true;
             }
           in
-          (catch_up (List.fold_left step start script)).ok)
+          let r = List.fold_left step start script in
+          r.ok && published_answers_agree r)
 
-(* Past [max_history] unqueried lines the oldest are dropped: the floor
-   rises to the newest dropped one's stamp, and every retained op still
-   keeps its own stamp — the same history and floor as refreshing once per
-   publication.  Each op here is followed by a publication that changes
-   no step (a [focus]): it adds no line, so it must not push any op out. *)
+(* Past [max_history] lines the oldest are dropped: the floor rises to
+   the newest dropped one's stamp, and every retained op keeps its own
+   stamp.  Each op here is followed by a publication that changes no step
+   (a [focus]): it adds no line, so it must not push any op out.  The
+   trail alone — what the server keeps across an eviction — carries the
+   same history over a reload. *)
 let dropped_marks_raise_the_floor () =
   let s, v = university_view () in
   let n = 520 (* ops, past max_history = 512 *) in
-  let publish (eager, marks) ~stamp s =
-    (View.refresh eager ~stamp s, View.Marks.record marks ~stamp s)
-  in
-  let rec go s acc i =
-    if i > n then (s, acc)
+  let rec go s v i =
+    if i > n then (s, v)
     else
       let s, _ =
         Util.apply_ok s
           (Printf.sprintf "add_attribute(Person, string, 8, b%04d)" i)
       in
       (* op i publishes at stamp 2i, its focus at 2i + 1 *)
-      let acc = publish acc ~stamp:(2 * i) s in
-      go s (publish acc ~stamp:((2 * i) + 1) s) (i + 1)
+      let v = View.refresh v ~stamp:(2 * i) s in
+      go s (View.refresh v ~stamp:((2 * i) + 1) s) (i + 1)
   in
-  let s, (eager, marks) =
-    go s (v, View.Marks.record View.Marks.empty ~stamp:1 s) 1
-  in
-  let stamp = (2 * n) + 1 in
-  let v = View.refresh ~marks v ~stamp s in
+  let s, v = go s v 1 in
   (* ops 1..8 (stamps 2..16) fell off with their lines *)
   Alcotest.(check int) "floor at the newest dropped line" 16
     (View.floor_stamp v);
-  Alcotest.(check bool) "same as one refresh per publication" true
-    (same_view v eager);
-  Alcotest.(check bool) "same as a build with the marks" true
-    (same_view v (View.build ~marks ~stamp s));
   let lines = run v "diff 16" in
   Alcotest.(check int) "one line per retained op" 512 (List.length lines);
   List.iteri
@@ -575,9 +551,20 @@ let dropped_marks_raise_the_floor () =
            (2 * (k + 9)) (k + 9))
         line)
     lines;
-  match run v "diff 15" with
+  (match run v "diff 15" with
   | note :: _ when Str_contains.contains note "truncated below stamp 16" -> ()
-  | _ -> Alcotest.fail "a diff below the floor carries the truncation note"
+  | _ -> Alcotest.fail "a diff below the floor carries the truncation note");
+  let reloaded =
+    match
+      Core.Oplog.replay (Util.university ())
+        (Core.Oplog.pairs (Core.Oplog.of_session s))
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "the log should replay"
+  in
+  let v' = View.resume (View.trail v) ~stamp:((2 * n) + 2) reloaded in
+  Alcotest.(check (list string)) "a reload keeps the history" (run v "diff 0")
+    (run v' "diff 0")
 
 (* The evaluator's other invariant: every answer except [diff] is sorted
    and duplicate-free, whatever the view holds. *)
@@ -673,13 +660,12 @@ let tests =
     test "view: refresh tracks adds and deletes" refresh_after_ops;
     test "view: refresh tracks undo and redo" refresh_sees_undo;
     test "view: history is bounded with an honest floor" history_is_bounded;
-    test "view: update is stamp-monotone" update_is_monotone;
+    test "view: refresh is stamp-monotone" refresh_is_monotone;
     test "eval: fresh build answers = materialized answers"
       fresh_equals_materialized;
     test "view: dropped marks raise the floor, kept ones keep their stamps"
       dropped_marks_raise_the_floor;
-    incremental_equals_scratch;
-    gap_refresh_equals_per_publication;
+    published_view_agrees;
     answers_are_canonical;
     fuzz_never_crashes;
   ]

@@ -335,6 +335,39 @@ let manifest_generations () =
           Alcotest.(check int) "ops watermark" 1 m.Store.m_ops
       | None -> Alcotest.fail "manifest missing")
 
+(* The manifest's watermark is the journal length its save wrote.  An
+   [@undo;] journalled after a snapshot resolves to fewer ops than were
+   saved, yet loses nothing; a journal cut below the saved length lost a
+   tail.  A manifest from before the byte watermark keeps the op-count
+   check. *)
+let fsck_undo_after_snapshot () =
+  with_repo (fun repo ->
+      let s = Util.session_of (Util.university ()) in
+      let s, _ = Util.apply_ok s "add_type_definition(Lab)" in
+      Store.save_session repo s;
+      Store.append_delta repo ~before:s
+        ~after:(Option.get (Core.Session.undo s));
+      Alcotest.(check (list string)) "an undo after a snapshot is clean" []
+        (Store.fsck repo).Store.fsck_issues;
+      let io = Store.io repo in
+      io.Io.write (Store.log_file repo) "";
+      let lost report =
+        List.exists
+          (fun m -> Str_contains.contains m "a saved tail was lost")
+          report.Store.fsck_issues
+        && not report.Store.fsck_derived_only
+      in
+      Alcotest.(check bool) "a cut journal lost a tail" true
+        (lost (Store.fsck repo));
+      let manifest = io.Io.read_file (Store.manifest_file repo) in
+      io.Io.write (Store.manifest_file repo)
+        (String.concat "\n"
+           (List.filter
+              (fun l -> not (String.starts_with ~prefix:"bytes " l))
+              (String.split_on_char '\n' manifest)));
+      Alcotest.(check bool) "an old manifest counts ops" true
+        (lost (Store.fsck repo)))
+
 let stale_tmp_swept () =
   with_repo (fun repo ->
       Store.save_session repo (Util.session_of (Util.university ()));
@@ -558,6 +591,12 @@ let mem_sweep actions =
       (Util.session_of (Util.university ()))
       actions
   in
+  (* run to completion, the schedule leaves nothing for fsck to report *)
+  (match (Store.fsck (Store.open_dir ~io "/repo")).Store.fsck_issues with
+  | [] -> ()
+  | issues ->
+      QCheck2.Test.fail_reportf "uncrashed run: fsck reports %s"
+        (String.concat "; " issues));
   let timeline = [] :: List.rev states in
   for k = 0 to total () - 1 do
     let mem, io = fresh () in
@@ -704,6 +743,8 @@ let tests =
     test "missing shrink wrap schema" missing_shrinkwrap;
     test "manifest generations" manifest_generations;
     test "stale temporary files swept" stale_tmp_swept;
+    test "fsck: an undo after a snapshot loses nothing"
+      fsck_undo_after_snapshot;
     test "mkdir_p nests and tolerates EEXIST" mkdir_p_nested;
     test "designer persists incrementally" engine_persists_incrementally;
     test "designer journal survives a failed append"

@@ -2162,7 +2162,7 @@ let stats_per_service () =
 (* A request's trace is explained by its phases: an acknowledged apply
    reads parse → wait → apply → journal (the durable wait) → respond, a
    lock-free check records one [check] phase, not a [read] around it, and
-   a query records the [view] refresh it paid for.  The
+   a query records its evaluation as one [eval] phase.  The
    phases are disjoint intervals inside the span, so they sum to at most
    its total (measured on one clock; 1 ns absorbs float rounding). *)
 let trace_phases_add_up () =
@@ -2198,12 +2198,12 @@ let trace_phases_add_up () =
   check_trace (apply_line "nickname")
     [ "parse"; "wait"; "apply"; "journal"; "respond" ];
   check_trace "check" [ "parse"; "check" ];
-  (* the write left the query view behind; the query after it pays the
-     refresh, and its trace says so *)
-  check_trace "@query attr nickname" [ "parse"; "view" ];
+  (* the write published the view with its state; the query after it
+     only evaluates, and its trace attributes that *)
+  check_trace "@query attr nickname" [ "parse"; "eval" ];
   (match (trace "@query attr nickname").Obs.Trace.tr_phases with
   | [ _; { Obs.Trace.ph_seconds; _ } ] when ph_seconds > 0.0 -> ()
-  | _ -> Alcotest.fail "the view phase should time the refresh");
+  | _ -> Alcotest.fail "the eval phase should time the evaluation");
   ignore (Service.shutdown t)
 
 let stats_disabled () =
