@@ -17,9 +17,11 @@
     - P9 migrate: instance migration through a customization
     - P10 journal: appending one durable record to an n-record operation
       journal vs rewriting the whole log (the persistence cost per accepted
-      operation before and after incremental persistence), and a cold
+      operation before and after incremental persistence), a cold
       [Store.load_session] across history length, opened from the
-      checkpoint vs by a full replay
+      checkpoint vs by a full replay, the same open through
+      [Repo.open_variant] on the repository's base, and the
+      [Store.save_session] snapshot across history length
 *)
 
 open Bechamel
@@ -321,10 +323,13 @@ let run_index ~json_path () =
     exit 1
   end
 
-(* P10, recovery: a cold [Store.load_session] of a variant with [h] ops of
-   history on a 400-interface schema, plus a [recovery_suffix]-op journal
-   tail appended after the last snapshot — opened from the checkpoint, and
-   by a full replay (the same store with its checkpoint removed).
+(* P10, recovery and snapshot: a variant with [h] ops of history on a
+   400-interface schema, plus a [recovery_suffix]-op journal tail appended
+   after the last snapshot.  A cold open: [Store.load_session] from the
+   checkpoint, [Repo.open_variant] (the same, on the repository's base
+   session), and a full replay (the same store with its checkpoint
+   removed).  A snapshot: [Store.save_session] of the session built op by
+   op, and of one just opened from the checkpoint, into a scratch store.
    In-memory Io, so the figures are CPU, not disk.  The history is
    add/delete pairs spread over every interface, as in perfbench's
    long-history. *)
@@ -350,48 +355,91 @@ let median_ms runs f =
   Array.sort compare a;
   a.(runs / 2)
 
-(* (history, checkpointed ms, full-replay ms) *)
+type recovery = {
+  history : int;
+  checkpoint_ms : float;  (** [Store.load_session], no base *)
+  repo_open_ms : float;  (** [Repo.open_variant], on the base *)
+  full_replay_ms : float;
+  snapshot_ms : float;  (** [Store.save_session], session built op by op *)
+  reopened_snapshot_ms : float;
+      (** [Store.save_session] right after a checkpoint open *)
+}
+
 let recovery_row h =
   let module Store = Repository.Store in
+  let module Repo = Repository.Repo in
   let schema = schema_of recovery_n in
   let io = Repository.Io.mem_io (Repository.Io.mem_create ()) in
-  let store = Store.open_dir ~io "/v" in
+  let repo = Result.get_ok (Repo.init ~io "/r" schema) in
   let session =
     Result.get_ok (Core.Oplog.replay schema (List.init h (history_op recovery_n)))
   in
-  Store.save_session store session;
+  Result.get_ok (Repo.save_variant repo "v" session);
+  let store = Repo.variant_store repo "v" in
   List.iter
     (fun k -> Store.append_step store (history_op recovery_n k))
     (List.init recovery_suffix (fun i -> h + i));
-  let load () =
-    match Store.load_session ~repair:false store with
+  let opened = function
     | Ok s -> assert (Core.Session.step_count s = h + recovery_suffix)
-    | Error e -> failwith (Store.load_error_to_string e)
+    | Error e -> failwith e
   in
+  let load () =
+    opened
+      (Result.map_error Store.load_error_to_string
+         (Store.load_session ~repair:false store))
+  in
+  let scratch = Store.open_dir ~io "/scratch" in
+  let snapshot_ms s = median_ms 5 (fun () -> Store.save_session scratch s) in
+  let snapshot = snapshot_ms session in
+  let reopened =
+    Result.get_ok (Store.load_session ~repair:false store)
+  in
+  let reopened_snapshot = snapshot_ms reopened in
   let checkpointed = median_ms 5 load in
+  let repo_open =
+    median_ms 5 (fun () ->
+        opened
+          (Result.map_error Repo.open_error_to_string (Repo.open_variant repo "v")))
+  in
   io.Repository.Io.remove (Store.checkpoint_file store);
   let full = median_ms 3 load in
-  (h, checkpointed, full)
+  {
+    history = h;
+    checkpoint_ms = checkpointed;
+    repo_open_ms = repo_open;
+    full_replay_ms = full;
+    snapshot_ms = snapshot;
+    reopened_snapshot_ms = reopened_snapshot;
+  }
+
+(* [field] at the longest history over [field] at the shortest *)
+let growth rows field =
+  let at h = field (List.find (fun r -> r.history = h) rows) in
+  at (List.fold_left max 0 recovery_sizes)
+  /. at (List.fold_left min max_int recovery_sizes)
 
 let run_recovery () =
   let rows = List.map recovery_row recovery_sizes in
-  print_endline "\nP10: cold load_session, checkpoint + suffix vs full replay (ms)";
+  print_endline
+    "\nP10: cold open (checkpoint + suffix; Repo.open_variant on the base; \
+     full replay) and snapshot (built op by op; right after a checkpoint \
+     open), ms";
   List.iter
-    (fun (h, c, f) ->
-      Printf.printf "  %6d ops  checkpoint %8.1f  full replay %8.1f\n" h c f)
+    (fun r ->
+      Printf.printf
+        "  %6d ops  checkpoint %8.1f  repo open %8.1f  full replay %8.1f  \
+         snapshot %8.1f  after open %8.1f\n"
+        r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
+        r.reopened_snapshot_ms)
     rows;
-  let ckpt h = List.find_map (fun (h', c, _) -> if h' = h then Some c else None) rows in
-  let growth =
-    Option.get (ckpt (List.fold_left max 0 recovery_sizes))
-    /. Option.get (ckpt (List.fold_left min max_int recovery_sizes))
-  in
-  (rows, growth)
+  rows
 
 (* P10 baseline: journal append vs whole-log rewrite, recorded as JSON so
    the O(1)-ish append per accepted operation stays an auditable claim;
-   plus the recovery curve above.  The run FAILS (exit 1) if the
-   checkpointed open grows more than [recovery_growth_ceiling] times from
-   the shortest to the longest history. *)
+   plus the recovery and snapshot curves above.  The run FAILS (exit 1) if
+   the checkpointed open or the snapshot of the session built op by op
+   grows more than [recovery_growth_ceiling] times from the shortest to
+   the longest history. *)
 let run_journal ~json_path () =
   let dirs = ref [] in
   let rows =
@@ -405,8 +453,11 @@ let run_journal ~json_path () =
       Sys.rmdir d)
     !dirs;
   print_rows "P10: journal append vs whole-log rewrite (ns/run)" rows;
-  let recovery, growth = run_recovery () in
-  let passed = growth <= recovery_growth_ceiling in
+  let recovery = run_recovery () in
+  let open_growth = growth recovery (fun r -> r.checkpoint_ms) in
+  let snapshot_growth = growth recovery (fun r -> r.snapshot_ms) in
+  let gate g = g <= recovery_growth_ceiling in
+  let passed = gate open_growth && gate snapshot_growth in
   let strip name =
     match String.index_opt name '/' with
     | Some i -> String.sub name (i + 1) (String.length name - i - 1)
@@ -416,10 +467,18 @@ let run_journal ~json_path () =
     Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }" (strip name)
       ns
   in
-  let recovery_entry (h, c, f) =
+  let recovery_entry r =
     Printf.sprintf
-      "      { \"history\": %d, \"checkpoint_ms\": %.1f, \"full_replay_ms\": %.1f }"
-      h c f
+      "      { \"history\": %d, \"checkpoint_ms\": %.1f, \"repo_open_ms\": \
+       %.1f, \"full_replay_ms\": %.1f, \"snapshot_ms\": %.1f, \
+       \"reopened_snapshot_ms\": %.1f }"
+      r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
+      r.reopened_snapshot_ms
+  in
+  let gate_entry name g =
+    Printf.sprintf
+      "    \"%s\": { \"growth\": %.2f, \"ceiling\": %.1f, \"passed\": %b }"
+      name g recovery_growth_ceiling (gate g)
   in
   let json =
     String.concat "\n"
@@ -436,17 +495,19 @@ let run_journal ~json_path () =
         "  ],";
         "  \"recovery\": {";
         Printf.sprintf
-          "    \"setup\": \"cold Store.load_session, Synth n = %d, history ops + a \
-           %d-op journal suffix, in-memory Io; median of 5 (checkpoint) / 3 \
-           (full replay) loads\","
+          "    \"setup\": \"Synth n = %d, history ops + a %d-op journal \
+           suffix, in-memory Io.  Cold open: Store.load_session from the \
+           checkpoint, Repo.open_variant (the same on the repository's base), \
+           full replay; snapshot: Store.save_session of the session built op \
+           by op, and of one just opened from the checkpoint, into a scratch \
+           store; median of 5 (3 for the full replay)\","
           recovery_n recovery_suffix;
         "    \"unit\": \"ms\",";
         "    \"results\": [";
         String.concat ",\n" (List.map recovery_entry recovery);
         "    ],";
-        Printf.sprintf
-          "    \"growth_gate\": { \"growth\": %.2f, \"ceiling\": %.1f, \"passed\": %b }"
-          growth recovery_growth_ceiling passed;
+        gate_entry "growth_gate" open_growth ^ ",";
+        gate_entry "snapshot_growth_gate" snapshot_growth;
         "  }";
         "}";
         "";
@@ -456,13 +517,15 @@ let run_journal ~json_path () =
   output_string oc json;
   close_out oc;
   Printf.printf "\nwrote %s\n" json_path;
-  if not passed then begin
-    Printf.printf
-      "FAIL: the checkpointed open grew %.2fx from %d to %d ops of history \
-       (ceiling %.1fx) — recovery is not bounded by the journal suffix\n"
-      growth
-      (List.fold_left min max_int recovery_sizes)
-      (List.fold_left max 0 recovery_sizes)
-      recovery_growth_ceiling;
-    exit 1
-  end
+  let fail what g =
+    if not (gate g) then
+      Printf.printf "FAIL: %s grew %.2fx from %d to %d ops of history (ceiling %.1fx)\n"
+        what g
+        (List.fold_left min max_int recovery_sizes)
+        (List.fold_left max 0 recovery_sizes)
+        recovery_growth_ceiling
+  in
+  fail "the checkpointed open (recovery is not bounded by the journal suffix)"
+    open_growth;
+  fail "the snapshot (it reprints the op log)" snapshot_growth;
+  if not passed then exit 1

@@ -16,41 +16,38 @@ type entry = {
   e_events : Change.event list;
 }
 
-type t = { ops : (Concept.kind * Modop.t) list; sealed_at : int }
+type t = { steps : Session.step list; sealed_at : int }
 
 let entry_of_step (st : Session.step) =
   { e_kind = st.st_kind; e_op = st.st_op; e_events = Session.step_events st }
 
-let of_session s =
-  {
-    ops =
-      List.map (fun (st : Session.step) -> (st.st_kind, st.st_op)) (Session.log s);
-    sealed_at = Session.version s;
-  }
+let of_session s = { steps = Session.log s; sealed_at = Session.version s }
 
-let pairs t = t.ops
-let length t = List.length t.ops
+let pairs t = List.map (fun (st : Session.step) -> (st.st_kind, st.st_op)) t.steps
+let length t = List.length t.steps
 
 let render t =
-  t.ops
-  |> List.map (fun (kind, op) ->
-         Printf.sprintf "// in %s\n%s;" (Concept.kind_name kind)
-           (Op_printer.to_string op))
+  t.steps
+  |> List.map (fun (st : Session.step) ->
+         "// in " ^ Concept.kind_name st.st_kind ^ "\n" ^ st.st_text ^ ";")
   |> String.concat "\n"
+
+let replay_on session steps =
+  List.fold_left
+    (fun acc (kind, op) ->
+      Result.bind acc (fun s -> Result.map fst (Session.apply s ~kind op)))
+    (Ok session) steps
+
+let invalid_shrink_wrap ds =
+  Apply.Violation
+    (Fmt.str "shrink wrap schema invalid: %a"
+       Fmt.(list ~sep:(any "; ") Odl.Validate.pp_diagnostic_line)
+       ds)
 
 let replay ?paranoid shrink_wrap steps =
   match Session.create ?paranoid shrink_wrap with
-  | Error ds ->
-      Error
-        (Apply.Violation
-           (Fmt.str "shrink wrap schema invalid: %a"
-              Fmt.(list ~sep:(any "; ") Odl.Validate.pp_diagnostic_line)
-              ds))
-  | Ok session ->
-      List.fold_left
-        (fun acc (kind, op) ->
-          Result.bind acc (fun s -> Result.map fst (Session.apply s ~kind op)))
-        (Ok session) steps
+  | Error ds -> Error (invalid_shrink_wrap ds)
+  | Ok session -> replay_on session steps
 
 let replay_log ?paranoid shrink_wrap t = replay ?paranoid shrink_wrap (pairs t)
 

@@ -38,7 +38,7 @@ type entry = {
 }
 
 type t = {
-  ops : (Concept.kind * Modop.t) list;  (** application order (oldest first) *)
+  steps : Session.step list;  (** application order (oldest first) *)
   sealed_at : int;  (** {!Session.version} stamp the log was taken at *)
 }
 
@@ -54,8 +54,9 @@ val length : t -> int
 
 val render : t -> string
 (** The log in the modification language (replayable via {!replay}); one
-    [// in <concept schema>] comment line per op.  This is the text the
-    repository stores as [oplog.txt]. *)
+    [// in <concept schema>] comment line per op.  This is the designer's
+    [log] reply.  It joins the steps' {!Session.field-st_text}s and prints
+    no op. *)
 
 val replay :
   ?paranoid:bool ->
@@ -64,6 +65,15 @@ val replay :
   (Session.t, Apply.error) result
 (** Rebuild a session by replaying a [(kind, op)] log on a shrink wrap
     schema.  (Moved here from [Session.replay].) *)
+
+val invalid_shrink_wrap : Odl.Validate.diagnostic list -> Apply.error
+(** The error {!replay} gives when {!Session.create} refuses the shrink
+    wrap with these diagnostics. *)
+
+val replay_on :
+  Session.t -> (Concept.kind * Modop.t) list -> (Session.t, Apply.error) result
+(** {!replay} onto a given session — a fresh one the caller already holds,
+    such as a repository's base session. *)
 
 val replay_log : ?paranoid:bool -> schema -> t -> (Session.t, Apply.error) result
 

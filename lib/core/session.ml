@@ -52,6 +52,9 @@ and replayed = {
 type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
   st_op : Modop.t;
+  st_text : string;
+      (** [Op_printer.to_string st_op], printed once when the step was
+          made; every rendering of the log reads it *)
   st_impact : impact;  (** direct + propagated impact, see {!step_events} *)
 }
 
@@ -78,7 +81,7 @@ type t = {
           both full logs *)
   nlog : int;  (** [List.length rev_log], maintained for O(1) counting *)
   aliases : Aliases.t;  (** local names (presentation-level renaming) *)
-  future : (Concept.kind * Modop.t) list;  (** undone steps, for redo *)
+  future : step list;  (** undone steps, newest first, for redo *)
   paranoid : bool;  (** cross-check every op against the naive engine *)
   version : int;
       (** monotonic change stamp: bumped by every state transition (apply,
@@ -261,33 +264,38 @@ let index_at h m =
 
 (** Resume [t] — fresh from {!create} — at a checkpoint: [workspace] is the
     state after the [prefix] ops, taken on trust (the repository validates
-    the checkpoint against its journal).  Only the workspace is indexed and
-    checked; the prefix's impact events and old index versions are
-    replayed when first needed.  The result equals [t] with [prefix]
-    applied step by step, version stamp included. *)
+    the checkpoint against its journal), and so is each op's text.  Only
+    the workspace is indexed and checked; the prefix's impact events and
+    old index versions are replayed when first needed.  The result equals
+    [t] with [prefix] applied step by step, version stamp included. *)
 let of_checkpoint t ~workspace prefix =
   if t.nlog <> 0 then invalid_arg "Session.of_checkpoint: the log is not empty";
   let index = Schema_index.build workspace in
   match Schema_index.errors index with
   | _ :: _ as errors -> Error errors
   | [] ->
-      let ops = Array.of_list prefix in
+      let ops =
+        Array.of_list (List.map (fun (kind, op, _) -> (kind, op)) prefix)
+      in
       let n = Array.length ops in
       let history = new_history t.original_index ops in
-      let rev_log = ref [] in
-      Array.iteri
-        (fun i (kind, op) ->
-          rev_log :=
-            { st_kind = kind; st_op = op; st_impact = Replayed (history, i) }
-            :: !rev_log)
-        ops;
+      let rev_log =
+        List.fold_left
+          (fun (i, acc) (kind, op, text) ->
+            ( i + 1,
+              { st_kind = kind; st_op = op; st_text = text;
+                st_impact = Replayed (history, i) }
+              :: acc ))
+          (0, []) prefix
+        |> snd
+      in
       Ok
         {
           t with
           index;
           history;
           history_valid = n;
-          rev_log = !rev_log;
+          rev_log;
           nlog = n;
           version = t.version + n;
         }
@@ -297,7 +305,7 @@ let indexed_apply t ~kind op =
   if t.paranoid then check_divergence t ~kind op outcome;
   outcome
 
-let commit t ~kind op (index, events) ~future =
+let commit t ~kind op ~text (index, events) ~future =
   ( {
       t with
       index;
@@ -307,7 +315,8 @@ let commit t ~kind op (index, events) ~future =
       future;
       version = t.version + 1;
       rev_log =
-        { st_kind = kind; st_op = op; st_impact = Recorded events } :: t.rev_log;
+        { st_kind = kind; st_op = op; st_text = text; st_impact = Recorded events }
+        :: t.rev_log;
       nlog = t.nlog + 1;
     },
     events )
@@ -317,7 +326,10 @@ let commit t ~kind op (index, events) ~future =
 let apply t ~kind op =
   match indexed_apply t ~kind op with
   | Error _ as e -> e
-  | Ok (index, events) -> Ok (commit t ~kind op (index, events) ~future:[])
+  | Ok (index, events) ->
+      Ok
+        (commit t ~kind op ~text:(Op_printer.to_string op) (index, events)
+           ~future:[])
 
 (** Apply [op] from the concept schema identified by [concept_id]; the
     operation must also mention only interfaces that concept schema covers
@@ -372,7 +384,7 @@ let undo t =
           history_valid;
           rev_log = rest;
           nlog = m;
-          future = (last.st_kind, last.st_op) :: t.future;
+          future = last :: t.future;
           version = t.version + 1;
         }
 
@@ -382,11 +394,11 @@ let undo t =
 let redo t =
   match t.future with
   | [] -> None
-  | (kind, op) :: rest -> (
+  | { st_kind = kind; st_op = op; st_text = text; _ } :: rest -> (
       match indexed_apply t ~kind op with
       | Error _ -> None  (* unreachable by construction; be defensive *)
       | Ok (index, events) ->
-          Some (commit t ~kind op (index, events) ~future:rest))
+          Some (commit t ~kind op ~text (index, events) ~future:rest))
 
 let redoable t = List.length t.future
 
@@ -436,9 +448,9 @@ let find_current_concept t id = Decompose.Indexed.concept t.index id
 (* --- deliverables -------------------------------------------------------- *)
 
 let pp_step ppf (idx, s) =
-  Fmt.pf ppf "@[<v 2>%d. [%s] %a" (idx + 1)
+  Fmt.pf ppf "@[<v 2>%d. [%s] %s" (idx + 1)
     (Concept.kind_name s.st_kind)
-    Op_printer.pp s.st_op;
+    s.st_text;
   List.iter (fun e -> Fmt.pf ppf "@,%s" (Change.event_to_string e)) (step_events s);
   Fmt.pf ppf "@]"
 

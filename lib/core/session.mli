@@ -17,6 +17,12 @@ type impact
 type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
   st_op : Modop.t;
+  st_text : string;
+      (** the op in the modification language, [Op_printer.to_string st_op]:
+          printed once when {!apply} or {!redo} made the step, or — for a
+          checkpointed step — taken from the journal bytes the checkpoint
+          covers.  The [log] reply, the journal records, the snapshot, the
+          [diff] lines and the reports all read it instead of printing. *)
   st_impact : impact;  (** read through {!step_events} *)
 }
 
@@ -42,19 +48,31 @@ val create : ?paranoid:bool -> schema -> (t, Odl.Validate.diagnostic list) resul
 (** Start a session; an invalid shrink wrap schema is rejected with its
     error diagnostics.  Operations run on the indexed engine; with
     [~paranoid:true] (default [false]) every operation is additionally run
-    through the naive engine and compared (see {!Divergence}). *)
+    through the naive engine and compared (see {!Divergence}).
+
+    Cost: one {!Schema_index.build} of the schema (map inserts, O(n log n)
+    in its size) and the validity of every name — the index's cold
+    consistency walk, one index-backed check per interface plus the
+    schema-global block.  Only [~paranoid:true] also runs the naive
+    [Odl.Validate.check], whose list scans are quadratic in the number of
+    interfaces.  A repository pays it once for its shrink wrap, not once
+    per variant open: its variants open on one base session. *)
 
 val of_checkpoint :
   t ->
   workspace:schema ->
-  (Concept.kind * Modop.t) list ->
+  (Concept.kind * Modop.t * string) list ->
   (t, Odl.Validate.diagnostic list) result
 (** [of_checkpoint t ~workspace prefix] — [t] fresh from {!create} — is the
     session [prefix] replayed on [t] would give (same workspace, log,
     version stamp, undo/redo behaviour), built by indexing [workspace]
     instead of replaying: [workspace] must be the state after [prefix],
     which the caller vouches for (the repository checkpoint is validated
-    against the journal).  [Error] when [workspace] has error diagnostics.
+    against the journal).  Each prefix op comes with its text, which
+    becomes the step's {!field-st_text} unprinted: the caller vouches that
+    it is [Op_printer.to_string] of the op (the repository takes it from
+    the digest-checked journal bytes its own snapshot printed).  [Error]
+    when [workspace] has error diagnostics.
     @raise Invalid_argument when [t] has a log. *)
 
 val original : t -> schema

@@ -97,8 +97,10 @@ let do_apply state op =
       in
       match Session.apply state.session ~kind op with
       | Ok (session, events) ->
+          (* the step the apply just pushed carries the op's text *)
+          let applied = List.hd (Session.steps_rev session) in
           ( { state with session },
-            Feedback.info ("applied " ^ Core.Op_printer.to_string op)
+            Feedback.info ("applied " ^ applied.Session.st_text)
             :: (cautions @ apply_feedback events
                @ data_impact state (Session.workspace session)) )
       | Error e ->

@@ -52,7 +52,7 @@ let render_step (s : Core.Session.step) =
   "@"
   ^ Core.Concept.id_prefix s.Core.Session.st_kind
   ^ " "
-  ^ Core.Op_printer.to_string s.Core.Session.st_op
+  ^ s.Core.Session.st_text
 
 (* Keep the newest [max_history] lines; the floor rises to the newest
    stamp dropped. *)

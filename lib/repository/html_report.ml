@@ -89,7 +89,7 @@ let log session =
              tag "li"
                (Printf.sprintf "%s <code>%s</code> <em>in the %s</em>"
                   (tag "strong" (string_of_int (idx + 1) ^ "."))
-                  (escape (Core.Op_printer.to_string s.st_op))
+                  (escape s.st_text)
                   (escape (Core.Concept.kind_name s.st_kind))
                ^ tag "ul" (String.concat "" (List.map event_html (Session.step_events s)))))
       |> String.concat "\n"

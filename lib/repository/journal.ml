@@ -38,9 +38,10 @@ let undo_line = "@undo;"
 
 (* --- serialization ------------------------------------------------------- *)
 
+let op_line kind text = kind_tag kind ^ " " ^ text ^ ";"
+
 let entry_to_line = function
-  | Op (kind, op) ->
-      Printf.sprintf "%s %s;" (kind_tag kind) (Core.Op_printer.to_string op)
+  | Op (kind, op) -> op_line kind (Core.Op_printer.to_string op)
   | Undo -> undo_line
 
 let to_string entries =
@@ -121,6 +122,34 @@ let resolve entries =
 
 let encode entry = entry_to_line entry ^ "\n"
 
+let encode_step (st : Core.Session.step) = op_line st.st_kind st.st_text ^ "\n"
+let steps_to_string steps = String.concat "" (List.map encode_step steps)
+
+(* The op text between a record's concept tag and its closing [;], when
+   [line] is exactly [op_line kind text]. *)
+let text_of_line kind line =
+  let prefix = kind_tag kind ^ " " in
+  let p = String.length prefix and n = String.length line in
+  if n > p + 1 && String.starts_with ~prefix line && line.[n - 1] = ';' then
+    Some (String.sub line p (n - p - 1))
+  else None
+
+let op_texts text ops =
+  let lines = String.split_on_char '\n' text in
+  let rec go acc lines ops =
+    match (lines, ops) with
+    | ([] | [ "" ]), [] -> Some (List.rev acc)
+    | line :: lines, (kind, op) :: ops -> (
+        match text_of_line kind line with
+        | Some t -> go ((kind, op, t) :: acc) lines ops
+        | None -> None)
+    | _ -> None
+  in
+  match go [] lines ops with
+  | Some texts -> texts
+  | None ->
+      List.map (fun (kind, op) -> (kind, op, Core.Op_printer.to_string op)) ops
+
 let append_raw (io : Io.t) path data =
   io.append path data;
   io.fsync path
@@ -131,10 +160,7 @@ let encoded_delta ~before ~after =
   let undone, added = Core.Session.(delta (spine before) (spine after)) in
   let buf = Buffer.create 128 in
   List.iter (fun _ -> Buffer.add_string buf (encode Undo)) undone;
-  List.iter
-    (fun (st : Core.Session.step) ->
-      Buffer.add_string buf (encode (Op (st.st_kind, st.st_op))))
-    added;
+  List.iter (fun st -> Buffer.add_string buf (encode_step st)) added;
   (List.length undone + List.length added, added, Buffer.contents buf)
 
 let read (io : Io.t) path =

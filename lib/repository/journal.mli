@@ -66,6 +66,21 @@ val append_raw : Io.t -> string -> string -> unit
     results, i.e. a group-commit batch — and fsync {e once}; every record
     in the batch is durable on return. *)
 
+val steps_to_string : Core.Session.step list -> string
+(** The steps as records, each newline-terminated: the bytes {!to_string}
+    gives for their [Op]s, joined from the steps' own
+    {!Core.Session.field-st_text}s with no op printed. *)
+
+val op_texts :
+  string ->
+  (Core.Concept.kind * Core.Modop.t) list ->
+  (Core.Concept.kind * Core.Modop.t * string) list
+(** [op_texts text ops] pairs each op with its text, cut from [text] —
+    journal bytes holding exactly [ops], one record a line, as
+    {!steps_to_string} writes them.  When [text] is not of that shape
+    (blank or comment lines, another concept tag, a line count that
+    differs) every op is printed instead. *)
+
 val encoded_delta :
   before:Core.Session.t ->
   after:Core.Session.t ->
@@ -74,7 +89,8 @@ val encoded_delta :
     their count, the added steps (oldest first), and their bytes — an
     {!Undo} per undone step, then an {!Op} per added one, each
     {!encode}d — ready for one {!append_raw}.  O(changed steps) between
-    sessions of one lineage. *)
+    sessions of one lineage; the records use the steps' texts, so no op
+    is printed. *)
 
 val read : Io.t -> string -> parsed
 (** Read and {!parse} the journal; an absent file is an empty journal. *)

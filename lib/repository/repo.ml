@@ -12,17 +12,56 @@
     {v
     <dir>/shrinkwrap.odl
     <dir>/variants/<name>/     one Store repository per variant
-    v} *)
+    v}
+
+    The shrink wrap is printed and indexed once per [t]: its base
+    ({!Store.base}) is built on first use, under [base_lock], and every
+    variant opened, created or branched through [t] starts from its
+    session instead of parsing and indexing [shrinkwrap.odl] again. *)
 
 type t = {
   dir : string;
   io : Io.t;
   shrink_wrap : Odl.Types.schema;
+  base_lock : Mutex.t;
+  mutable base : Store.base option option;
+      (** [None] until built; [Some None] when the shrink wrap is invalid *)
 }
+
+let make ?base dir io shrink_wrap =
+  { dir; io; shrink_wrap; base_lock = Mutex.create (); base }
+
+let base t =
+  Mutex.protect t.base_lock (fun () ->
+      match t.base with
+      | Some b -> b
+      | None ->
+          let b =
+            Result.to_option (Core.Session.create t.shrink_wrap)
+            |> Option.map (fun b_session ->
+                   {
+                     Store.b_text = Odl.Printer.schema_to_string t.shrink_wrap;
+                     b_session;
+                   })
+          in
+          t.base <- Some b;
+          b)
 
 let variants_dir t = Filename.concat t.dir "variants"
 let variant_dir t name = Filename.concat (variants_dir t) name
 let variant_store t name = Store.open_dir ~io:t.io (variant_dir t name)
+
+(* every load, save and replay of a variant goes through the base *)
+let load t ?repair name =
+  Store.load_session ?base:(base t) ?repair (variant_store t name)
+
+let save t store session = Store.save_session ?base:(base t) store session
+
+let replay t steps =
+  match base t with
+  | Some b -> Core.Oplog.replay_on b.b_session steps
+  | None -> Core.Oplog.replay t.shrink_wrap steps
+
 let io t = t.io
 let dir t = t.dir
 
@@ -31,16 +70,15 @@ let valid_variant_name n = n <> "" && Odl.Names.is_valid n
 (** Initialize a repository for [shrink_wrap] at [dir].  The shrink wrap
     schema must be valid. *)
 let init ?(io = Io.unix) dir shrink_wrap =
-  match Core.Schema_index.errors (Core.Schema_index.build shrink_wrap) with
-  | _ :: _ -> Error "the shrink wrap schema is not valid"
-  | [] ->
+  match Core.Session.create shrink_wrap with
+  | Error _ -> Error "the shrink wrap schema is not valid"
+  | Ok b_session ->
       Io.mkdir_p io dir;
       Io.mkdir_p io (Filename.concat dir "variants");
-      let t = { dir; io; shrink_wrap } in
-      Io.atomic_write io
-        (Filename.concat dir "shrinkwrap.odl")
-        (Odl.Printer.schema_to_string shrink_wrap);
-      Ok t
+      let b_text = Odl.Printer.schema_to_string shrink_wrap in
+      Io.atomic_write io (Filename.concat dir "shrinkwrap.odl") b_text;
+      (* the validation build is the base *)
+      Ok (make ~base:(Some { Store.b_text; b_session }) dir io shrink_wrap)
 
 (** Open an existing repository; every failure mode is an [Error] naming
     the damaged file, never an exception. *)
@@ -50,7 +88,7 @@ let open_dir ?(io = Io.unix) dir =
     Error (dir ^ " has no shrinkwrap.odl")
   else
     match Odl.Parser.parse_schema (io.Io.read_file path) with
-    | shrink_wrap -> Ok { dir; io; shrink_wrap }
+    | shrink_wrap -> Ok (make dir io shrink_wrap)
     | exception Odl.Parser.Parse_error (m, line, _) ->
         Error (Printf.sprintf "%s is damaged: line %d: %s" path line m)
     | exception Odl.Lexer.Lex_error (m, line, _) ->
@@ -102,11 +140,11 @@ let create_variant t name =
   else if mem_variant t name then
     Error (Printf.sprintf "variant %s already exists" name)
   else
-    match Core.Session.create t.shrink_wrap with
-    | Error _ -> Error "the shrink wrap schema is not valid"
-    | Ok session ->
-        Store.save_session (variant_store t name) session;
-        Ok session
+    match base t with
+    | None -> Error "the shrink wrap schema is not valid"
+    | Some b ->
+        save t (variant_store t name) b.b_session;
+        Ok b.b_session
 
 (** Branch [child] off [parent]: persist a copy of the parent's session
     under the child's name with a lineage record (parent, fork stamp) in
@@ -129,7 +167,7 @@ let branch_variant t ~parent ~child ?at () =
   else
     (* read-only parent load: the parent may be live on another shard,
        so a torn tail is tolerated but never repaired in place *)
-    match Store.load_session ~repair:false (variant_store t parent) with
+    match load t ~repair:false parent with
     | Error e -> Error (Store.load_error_to_string e)
     | Ok session -> (
         let forked =
@@ -150,7 +188,7 @@ let branch_variant t ~parent ~child ?at () =
                   Error
                     ("parent log does not replay: "
                     ^ Core.Apply.error_to_string e))
-                (Core.Oplog.replay t.shrink_wrap prefix)
+                (replay t prefix)
         in
         match forked with
         | Error _ as e -> e
@@ -161,7 +199,7 @@ let branch_variant t ~parent ~child ?at () =
             (* leftovers of a crashed earlier attempt are simply
                overwritten: save_session rewrites every artifact *)
             let st = Store.open_dir ~io:t.io staging in
-            Store.save_session st child_session;
+            save t st child_session;
             Store.set_lineage st ~parent ~fork;
             t.io.Io.rename staging (variant_dir t child);
             Ok child_session)
@@ -193,7 +231,7 @@ let open_variant t name =
   else
     Result.map_error
       (fun e -> Load e)
-      (Store.load_session (variant_store t name))
+      (load t name)
 
 (** Like {!open_variant}, but strictly read-only: a torn journal tail is
     tolerated (its longest valid prefix replays) and {e never} repaired in
@@ -205,14 +243,14 @@ let open_variant_ro t name =
   else
     Result.map_error
       (fun e -> Load e)
-      (Store.load_session ~repair:false (variant_store t name))
+      (load t ~repair:false name)
 
 (** Persist a session as (a new state of) the named variant. *)
 let save_variant t name session =
   if not (valid_variant_name name) then
     Error (Printf.sprintf "%s is not a valid variant name" name)
   else begin
-    Store.save_session (variant_store t name) session;
+    save t (variant_store t name) session;
     Ok ()
   end
 

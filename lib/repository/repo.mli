@@ -1,7 +1,12 @@
 (** A multi-variant design repository: one shrink wrap schema, many derived
     designs (the ACEDB situation as a subsystem).  Each variant is a full
     persisted session; the repository compares variants pairwise by affinity
-    and by interoperation over their common objects. *)
+    and by interoperation over their common objects.
+
+    As in the paper, the shrink wrap is published once and each variant is
+    that schema plus its op log: a [t] prints and indexes the shrink wrap
+    once ({!base}), and every variant it opens, creates or branches starts
+    from that one session. *)
 
 type t
 
@@ -15,6 +20,15 @@ val open_dir : ?io:Io.t -> string -> (t, string) result
     message names the damaged file. *)
 
 val shrink_wrap : t -> Odl.Types.schema
+
+val base : t -> Store.base option
+(** The shrink wrap printed and opened as a fresh session, built on the
+    first call (under a mutex, so concurrent callers build it once) —
+    {!init}'s validation build when [t] came from {!init}.  [None] when the
+    shrink wrap is not valid.  {!open_variant}, {!open_variant_ro},
+    {!create_variant}, {!branch_variant} and {!save_variant} pass it to
+    {!Store.load_session} and {!Store.save_session}; so does the design
+    service's detach snapshot. *)
 
 val variant_names : t -> string list
 (** Subdirectories of [variants/], sorted (deterministic regardless of the

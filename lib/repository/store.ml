@@ -295,7 +295,8 @@ let load_checkpoint t =
   else None
 
 (* The first [c_ops] journal entries, when the checkpoint was taken on this
-   shrink wrap and these log bytes. *)
+   shrink wrap and these log bytes.  Only their digest is compared: the
+   bytes are the ones {!save_session} printed. *)
 let covered_prefix c ~shrink_text ~log_text entries =
   let rec ops n acc = function
     | _ when n = 0 -> Some (List.rev acc)
@@ -310,10 +311,12 @@ let covered_prefix c ~shrink_text ~log_text entries =
   else None
 
 (* The session the journal [entries] replay to, opened from the checkpoint
-   plus the resolved suffix; [None] whenever the checkpoint cannot serve
-   (absent, empty, damaged, stale, invalid, or undone into), leaving the
-   full replay to the caller. *)
-let resume_from_checkpoint t shrink_wrap ~shrink_text ~log_text entries =
+   plus the resolved suffix on [fresh] (a session just created on the
+   shrink wrap); [None] whenever the checkpoint cannot serve (absent,
+   empty, damaged, stale, invalid, or undone into), leaving the full
+   replay to the caller.  The prefix steps take their texts from the
+   digest-checked journal bytes, so resuming prints no op. *)
+let resume_from_checkpoint t fresh ~shrink_text ~log_text entries =
   let ( let* ) = Option.bind in
   let* c = Option.bind (load_checkpoint t) Result.to_option in
   let* prefix =
@@ -327,7 +330,8 @@ let resume_from_checkpoint t shrink_wrap ~shrink_text ~log_text entries =
       (Journal.resolve (List.filteri (fun i _ -> i >= c.c_ops) entries))
   in
   let* workspace = Result.to_option (checkpoint_workspace c) in
-  let* fresh = Result.to_option (Core.Session.create shrink_wrap) in
+  let* fresh = Result.to_option (fresh ()) in
+  let prefix = Journal.op_texts (String.sub log_text 0 c.c_bytes) prefix in
   let* session =
     Result.to_option (Core.Session.of_checkpoint fresh ~workspace prefix)
   in
@@ -339,28 +343,43 @@ let resume_from_checkpoint t shrink_wrap ~shrink_text ~log_text entries =
 
 (* --- whole sessions ------------------------------------------------------ *)
 
-let session_steps session =
-  List.map
-    (fun (s : Core.Session.step) -> (s.st_kind, s.st_op))
-    (Core.Session.log session)
+type base = { b_text : string; b_session : Core.Session.t }
+
+(* [base]'s text, when [session] was derived from [base]'s session: every
+   session derived from one shares its shrink wrap value physically. *)
+let base_text base session =
+  match base with
+  | Some b
+    when Core.Session.original session == Core.Session.original b.b_session ->
+      Some b.b_text
+  | _ -> None
+
+let holds t path text =
+  try t.io.Io.file_exists path && read_file t path = text
+  with Sys_error _ -> false
 
 (** Persist what recovery needs: shrink wrap schema, operation journal,
     local names, custom schema, a checkpoint of the workspace at the end of
     the journal, and last the manifest — each atomically, so a crash
     anywhere leaves every artifact whole.  The deliverable reports are
-    {!save_reports}'s. *)
-let save_session t session =
-  let steps = session_steps session in
+    {!save_reports}'s.  With a [base] the session was derived from, the
+    shrink wrap text is the base's, and a [shrinkwrap.odl] read back with
+    exactly those bytes is left as it is. *)
+let save_session ?base t session =
+  let steps = Core.Session.log session in
   let generation, era, lineage =
     match load_manifest t with
     | Some m -> (m.m_generation + 1, m.m_era, m.m_lineage)
     | None -> (1, 0, None)
   in
-  let shrink_text =
-    Odl.Printer.schema_to_string (Core.Session.original session)
+  let shrink_text, rewrite_shrinkwrap =
+    match base_text base session with
+    | Some text -> (text, not (holds t (shrinkwrap_file t) text))
+    | None ->
+        (Odl.Printer.schema_to_string (Core.Session.original session), true)
   in
-  let log_text = log_to_string steps in
-  write_file t (shrinkwrap_file t) shrink_text;
+  let log_text = Journal.steps_to_string steps in
+  if rewrite_shrinkwrap then write_file t (shrinkwrap_file t) shrink_text;
   write_file t (log_file t) log_text;
   save_aliases t (Core.Session.aliases session);
   save_custom t (Core.Session.custom_schema session);
@@ -397,20 +416,26 @@ let load_error_to_string = function
 
 let damaged file reason = Error (Damaged { file; reason })
 
-(* Read one ODL artifact, text and schema, mapping every failure mode to
-   [Damaged]. *)
-let read_schema_artifact t file path =
+(* Read one ODL artifact's text, mapping every failure mode to [Damaged]. *)
+let read_artifact t file path =
   if not (t.io.Io.file_exists path) then damaged file "missing"
   else
     match read_file t path with
     | exception Sys_error m -> damaged file m
-    | text -> (
-        match Odl.Parser.parse_schema text with
-        | schema -> Ok (text, schema)
-        | exception Odl.Parser.Parse_error (m, line, _) ->
-            damaged file (Printf.sprintf "line %d: %s" line m)
-        | exception Odl.Lexer.Lex_error (m, line, _) ->
-            damaged file (Printf.sprintf "line %d: %s" line m))
+    | text -> Ok text
+
+let parse_artifact file text =
+  match Odl.Parser.parse_schema text with
+  | schema -> Ok schema
+  | exception Odl.Parser.Parse_error (m, line, _) ->
+      damaged file (Printf.sprintf "line %d: %s" line m)
+  | exception Odl.Lexer.Lex_error (m, line, _) ->
+      damaged file (Printf.sprintf "line %d: %s" line m)
+
+(* Read one ODL artifact, text and schema. *)
+let read_schema_artifact t file path =
+  Result.bind (read_artifact t file path) (fun text ->
+      Result.map (fun schema -> (text, schema)) (parse_artifact file text))
 
 let read_log t =
   if t.io.Io.file_exists (log_file t) then read_file t (log_file t) else ""
@@ -428,12 +453,27 @@ let read_log t =
     store another process may be appending to right now — a branch being
     merged, a sibling shard's variant: the longest valid prefix is exactly
     the acknowledged history, and the reader must not truncate an append
-    in flight. *)
-let load_session ?(repair = true) t =
+    in flight.
+
+    With a [base] whose text equals the stored [shrinkwrap.odl] bytes, the
+    session starts from the base session: the shrink wrap is neither
+    parsed nor indexed again.  Any other bytes load as without it. *)
+let load_session ?base ?(repair = true) t =
   let ( let* ) = Result.bind in
   try
-    let* shrink_text, shrink_wrap =
-      read_schema_artifact t "shrinkwrap.odl" (shrinkwrap_file t)
+    let* shrink_text = read_artifact t "shrinkwrap.odl" (shrinkwrap_file t) in
+    (* [fresh ()]: a session just created on the shrink wrap *)
+    let* fresh =
+      match base with
+      | Some b when String.equal b.b_text shrink_text ->
+          Ok (fun () -> Ok b.b_session)
+      | _ ->
+          let* shrink_wrap = parse_artifact "shrinkwrap.odl" shrink_text in
+          Ok
+            (fun () ->
+              Result.map_error
+                (fun ds -> Replay (Core.Oplog.invalid_shrink_wrap ds))
+                (Core.Session.create shrink_wrap))
     in
     let log_text = read_log t in
     let { Journal.entries; damage } = Journal.parse log_text in
@@ -452,14 +492,13 @@ let load_session ?(repair = true) t =
       | Error m -> damaged "log.ops" m
     in
     let* session =
-      match
-        resume_from_checkpoint t shrink_wrap ~shrink_text ~log_text entries
-      with
+      match resume_from_checkpoint t fresh ~shrink_text ~log_text entries with
       | Some session -> Ok session
       | None ->
+          let* fresh = fresh () in
           Result.map_error
             (fun e -> Replay e)
-            (Core.Oplog.replay shrink_wrap steps)
+            (Core.Oplog.replay_on fresh steps)
     in
     let* aliases =
       if t.io.Io.file_exists (aliases_file t) then

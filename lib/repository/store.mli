@@ -35,7 +35,6 @@ val dir : t -> string
 val io : t -> Io.t
 val shrinkwrap_file : t -> string
 val log_file : t -> string
-val aliases_file : t -> string
 val custom_file : t -> string
 val checkpoint_file : t -> string
 val manifest_file : t -> string
@@ -62,11 +61,8 @@ val load_log : t -> (Core.Concept.kind * Core.Modop.t) list
 (** The empty list when no log has been saved yet.
     @raise Bad_log on damage. *)
 
-val save_aliases : t -> Core.Aliases.t -> unit
 val load_aliases : t -> Core.Aliases.t
-val save_custom : t -> Odl.Types.schema -> unit
 val load_custom : t -> Odl.Types.schema
-val save_report : t -> string -> string -> unit
 
 (** {1 Incremental persistence}
 
@@ -134,12 +130,23 @@ val fence : t -> era:int -> unit
 
 (** {1 Whole sessions} *)
 
-val save_session : t -> Core.Session.t -> unit
+type base = {
+  b_text : string;  (** the shrink wrap, printed as {!save_session} stores it *)
+  b_session : Core.Session.t;  (** a session just created on it *)
+}
+(** A repository's shrink wrap, printed and indexed once
+    ({!Repo}): the session every variant of the repository starts from. *)
+
+val save_session : ?base:base -> t -> Core.Session.t -> unit
 (** What recovery needs: shrink wrap schema, operation journal (resolved),
     local names, custom schema, a checkpoint of the workspace covering the
     whole journal, and last the manifest — each atomically.  This is the
     snapshot path (detach, shutdown, new variants, salvage); it renders no
-    reports. *)
+    reports.  The journal is joined from the steps' texts
+    ({!Journal.steps_to_string}); no op is printed.  When the session
+    was derived from [base]'s session, the shrink wrap is not printed
+    again, and [shrinkwrap.odl] is rewritten only if reading it back
+    gives other bytes than [base]'s text. *)
 
 val save_reports : t -> Core.Session.t -> unit
 (** Render the deliverables into [reports/]: [impact.txt],
@@ -155,7 +162,8 @@ type load_error =
 
 val load_error_to_string : load_error -> string
 
-val load_session : ?repair:bool -> t -> (Core.Session.t, load_error) result
+val load_session :
+  ?base:base -> ?repair:bool -> t -> (Core.Session.t, load_error) result
 (** Rebuild from the checkpoint plus the journal records appended after it,
     or — when the checkpoint is missing, covers no operation, is damaged,
     does not match the shrink wrap or journal prefix, has error
@@ -167,7 +175,9 @@ val load_session : ?repair:bool -> t -> (Core.Session.t, load_error) result
     (default [true]) suppresses the in-place rewrite of a torn tail —
     required when reading a store another process may be appending to
     (merge reads the branch lock-free; the longest valid prefix is the
-    acknowledged history). *)
+    acknowledged history).  When [shrinkwrap.odl] holds exactly [base]'s
+    text, the session starts from [base]'s session instead of parsing
+    and indexing the shrink wrap again; the result is the same. *)
 
 (** {1 Integrity checking} *)
 

@@ -420,7 +420,8 @@ let snapshot t (s : session) =
         t.config.retry
         (fun () ->
           let t0 = t.config.now () in
-          Store.save_session s.store s.state.Engine.session;
+          Store.save_session ?base:(Repo.base t.repo) s.store
+            s.state.Engine.session;
           Obs.Histo.observe t.i.h_journal_rewrite (t.config.now () -. t0))
     with
     | Ok () ->

@@ -89,6 +89,45 @@ let synth_schema_hierarchical =
 let any_synth_schema =
   frequency [ (2, synth_schema); (1, synth_schema_hierarchical) ]
 
+(** A synthetic schema with one to four extra part-of relationships, each
+    declared at one end only — by the whole ([set] cardinality) or by the
+    part (single) — with no inverse.  Invalid as a shrink wrap (the inverse
+    is missing), but the one shape where only the end that did {e not}
+    declare an edge can find it: generated schemas declare both ends, so
+    each end sees the edge among its own relationships. *)
+let one_sided_part_of =
+  let* schema = any_synth_schema in
+  let names = Odl.Schema.interface_names schema in
+  let* edges =
+    list_size (int_range 1 4) (triple (oneofl names) (oneofl names) bool)
+  in
+  let half k (owner, target, whole_end) =
+    ( owner,
+      {
+        rel_kind = Part_of;
+        rel_name = Printf.sprintf "half%d" k;
+        rel_target = target;
+        rel_inverse = "undeclared";
+        rel_card = (if whole_end then Some Set else None);
+        rel_order_by = [];
+      } )
+  in
+  let halves = List.mapi half edges in
+  return
+    {
+      schema with
+      s_interfaces =
+        List.map
+          (fun i ->
+            let own =
+              List.filter_map
+                (fun (owner, r) -> if owner = i.i_name then Some r else None)
+                halves
+            in
+            { i with i_rels = i.i_rels @ own })
+          schema.s_interfaces;
+    }
+
 let concept_kind =
   oneofl
     Core.Concept.[ Wagon_wheel; Generalization; Aggregation; Instance_chain ]

@@ -231,6 +231,125 @@ let repl_save_and_fsck () =
       Sys.remove report;
       check_run [ "fsck"; dir ] 0 [ "clean" ])
 
+(* Occurrences of [sub] in [s]. *)
+let count_sub s sub =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* A designer [save] into the [--save] directory rewrites the journal with
+   the session's whole log, so the repl counts that session as journalled
+   instead of appending its delta on top.  The delta is only non-empty
+   after a failed append left the journalled session behind, so [log.ops]
+   is pointed at /dev/full (where the system has one) for the second
+   apply: the [save] that follows must leave every op in the journal
+   exactly once, and so must the apply after it. *)
+let repl_save_into_save_dir () =
+  let dir = Util.tmp_dir () in
+  let ops =
+    [
+      "add_attribute(Person, string, 12, phone)";
+      "add_attribute(Person, string, 20, fax)";
+      "add_attribute(Person, string, 30, email)";
+    ]
+  in
+  let log_path = Filename.concat dir "log.ops" in
+  let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
+  let stdout_r, stdout_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process swsd
+      [| swsd; "repl"; "university"; "--save"; dir |]
+      stdin_r stdout_w stdout_w
+  in
+  Unix.close stdin_r;
+  Unix.close stdout_w;
+  let seen = Buffer.create 4096 in
+  let send line =
+    let b = Bytes.of_string (line ^ "\n") in
+    ignore (Unix.write stdin_w b 0 (Bytes.length b))
+  in
+  (* read the repl's output until [fragment] shows up past [from] *)
+  let expect fragment =
+    let from = Buffer.length seen in
+    let chunk = Bytes.create 4096 in
+    let rec go () =
+      let out = Buffer.sub seen from (Buffer.length seen - from) in
+      if not (Str_contains.contains out fragment) then
+        match Unix.select [ stdout_r ] [] [] 30.0 with
+        | [], _, _ ->
+            Alcotest.failf "repl: no %S within 30 s:\n%s" fragment
+              (Buffer.contents seen)
+        | _ ->
+            let n = Unix.read stdout_r chunk 0 (Bytes.length chunk) in
+            if n = 0 then
+              Alcotest.failf "repl exited before %S:\n%s" fragment
+                (Buffer.contents seen);
+            Buffer.add_subbytes seen chunk 0 n;
+            go ()
+    in
+    go ()
+  in
+  let each_once label expected =
+    let log = read_file log_path in
+    List.iter
+      (fun op ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s journalled once" label op)
+          (if List.mem op expected then 1 else 0)
+          (count_sub log op))
+      ops
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      Unix.close stdin_w;
+      Unix.close stdout_r;
+      rm_rf dir)
+    (fun () ->
+      let op1, op2, op3 =
+        match ops with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      send "focus ww:Person";
+      send ("apply " ^ op1);
+      expect ("applied " ^ op1);
+      if Sys.file_exists "/dev/full" then begin
+        Sys.remove log_path;
+        Unix.symlink "/dev/full" log_path;
+        send ("apply " ^ op2);
+        expect "persistence failed"
+      end
+      else begin
+        send ("apply " ^ op2);
+        expect ("applied " ^ op2)
+      end;
+      send ("save " ^ dir);
+      expect "session saved to";
+      each_once "after save" [ op1; op2 ];
+      send ("apply " ^ op3);
+      expect ("applied " ^ op3);
+      each_once "after the next apply" ops;
+      send "quit";
+      expect "bye";
+      Alcotest.(check bool) "repl exit" true
+        (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+      each_once "after quit" ops;
+      check_run [ "fsck"; dir ] 0 [ "clean" ];
+      match
+        Repository.Store.load_session (Repository.Store.open_dir dir)
+      with
+      | Error e ->
+          Alcotest.fail (Repository.Store.load_error_to_string e)
+      | Ok s ->
+          Alcotest.(check (list string)) "reopened log = the script's ops" ops
+            (List.map
+               (fun (st : Core.Session.step) -> st.st_text)
+               (Core.Session.log s)))
+
 let fsck_corrupt_and_salvage () =
   let dir = Util.tmp_dir () in
   let append_file path text =
@@ -454,6 +573,8 @@ let tests =
     test "graph" graph_cmd;
     test "variants workflow" variants_workflow;
     test "repl --save persists and fsck is clean" repl_save_and_fsck;
+    test "repl --save: a save into the --save directory journals nothing twice"
+      repl_save_into_save_dir;
     test "fsck reports, refuses, and salvages corruption" fsck_corrupt_and_salvage;
     test "fsck on a non-directory" fsck_not_a_directory;
     test "data commands" data_commands;

@@ -452,12 +452,41 @@ let store_mutations_sound =
              Str_contains.contains p.Objects.Check.p_message "exactly one"
              || Str_contains.contains p.Objects.Check.p_message "duplicate key"))
 
+(* 1c. a part-of edge is found from both of its ends, whichever end
+   declares it: the whole's transitive parts hold the part and the part's
+   transitive wholes hold the whole — on the naive and the indexed
+   decomposer alike.  The one-sided schemas make the undeclaring end find
+   the edge only through the relationships targeting it. *)
+let part_of_from_either_end =
+  prop "part-of closures follow an edge declared at one end only"
+    Gen.one_sided_part_of (fun schema ->
+      let index = Core.Schema_index.build schema in
+      let holds owner (r : Odl.Types.relationship) =
+        let whole, part =
+          match Odl.Types.role_of_relationship r with
+          | Odl.Types.Whole_end -> (owner, r.rel_target)
+          | _ -> (r.rel_target, owner)
+        in
+        List.mem part (Core.Decompose.Naive.parts schema whole)
+        && List.mem whole (Core.Decompose.Naive.wholes schema part)
+        && List.mem part (Core.Decompose.Indexed.parts index whole)
+        && List.mem whole (Core.Decompose.Indexed.wholes index part)
+      in
+      List.for_all
+        (fun (i : Odl.Types.interface) ->
+          List.for_all
+            (fun (r : Odl.Types.relationship) ->
+              r.rel_kind <> Odl.Types.Part_of || holds i.i_name r)
+            i.i_rels)
+        schema.Odl.Types.s_interfaces)
+
 let tests =
   [
     synth_always_valid;
     union_reconstructs;
     union_reconstructs_under_ops;
     union_reconstructs_seeds;
+    part_of_from_either_end;
     print_parse_roundtrip;
     op_roundtrip;
     apply_preserves_validity;

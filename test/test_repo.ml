@@ -128,6 +128,67 @@ let catalog_and_affinity () =
       Alcotest.(check bool) "matrix has diagonal" true
         (Str_contains.contains matrix "1.000"))
 
+(* The repository prints and indexes its shrink wrap once: variants open
+   on the base session while their [shrinkwrap.odl] holds the base's
+   bytes, and load as before when it does not.  A snapshot on the base
+   leaves an equal [shrinkwrap.odl] alone and rewrites one that differs. *)
+let variants_open_on_the_base () =
+  let module Io = Repository.Io in
+  let module Store = Repository.Store in
+  let module Session = Core.Session in
+  let writes = ref [] in
+  let mem = Io.mem_io (Io.mem_create ()) in
+  let io =
+    { mem with Io.write = (fun p c -> writes := p :: !writes; mem.Io.write p c) }
+  in
+  let repo =
+    match Repo.init ~io "/r" (Util.university ()) with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  let base =
+    match Repo.base repo with
+    | Some b -> b
+    | None -> Alcotest.fail "a valid shrink wrap has a base"
+  in
+  let on_base s = Session.original s == Session.original base.b_session in
+  let open_v () =
+    match Repo.open_variant repo "v" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Repo.open_error_to_string e)
+  in
+  let created =
+    match Repo.create_variant repo "v" with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check bool) "a new variant starts from the base" true (on_base created);
+  let s = Util.apply_many created [ "add_attribute(Person, string, 8, nick)" ] in
+  ignore (Repo.save_variant repo "v" s);
+  let opened = open_v () in
+  Alcotest.(check bool) "the variant opens on the base" true (on_base opened);
+  let store = Repo.variant_store repo "v" in
+  let shrink_path = Store.shrinkwrap_file store in
+  let shrink_writes () =
+    List.length (List.filter (String.equal (shrink_path ^ Io.tmp_suffix)) !writes)
+  in
+  let before = shrink_writes () in
+  Store.save_session ~base store opened;
+  Alcotest.(check int) "an equal shrinkwrap.odl is not rewritten" before
+    (shrink_writes ());
+  (* the same schema in other bytes: parsed as without a base *)
+  io.Io.write shrink_path ("// edited\n" ^ base.b_text);
+  let reopened = open_v () in
+  Alcotest.(check bool) "other bytes are parsed again" false (on_base reopened);
+  Alcotest.check Util.schema_testable "same workspace" (Session.workspace opened)
+    (Session.workspace reopened);
+  let log s = Core.Oplog.(render (of_session s)) in
+  Alcotest.(check string) "same log" (log opened) (log reopened);
+  Store.save_session ~base store opened;
+  Alcotest.(check string) "a differing shrinkwrap.odl is rewritten" base.b_text
+    (io.Io.read_file shrink_path);
+  Alcotest.(check bool) "and opens on the base again" true (on_base (open_v ()))
+
 let tests =
   [
     test "init rejects invalid shrink wrap" init_rejects_invalid;
@@ -138,4 +199,5 @@ let tests =
     test "variant names skip dangling symlinks" variant_names_skip_dangling;
     test "two variants interoperate" two_variants_interop;
     test "catalog and affinity" catalog_and_affinity;
+    test "variants open on the repository's base" variants_open_on_the_base;
   ]

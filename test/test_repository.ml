@@ -723,11 +723,33 @@ let disk_crash_sweep () =
               (List.exists (steps_equal (steps s)) timeline))
   done
 
+(* A checkpoint's prefix steps take their op text from the journal bytes
+   it covers: cut from each record as written; printed instead when the
+   bytes are not exactly one record a line. *)
+let op_texts_cut_from_records () =
+  let ww = Core.Concept.Wagon_wheel and gh = Core.Concept.Generalization in
+  let a = Util.parse_op "add_type_definition(Lab)"
+  and b = Util.parse_op "add_supertype(Lab, Person)" in
+  let texts text ops = List.map (fun (_, _, t) -> t) (Journal.op_texts text ops) in
+  Alcotest.(check (list string)) "cut as written"
+    [ "add_type_definition( Lab )"; "add_supertype(Lab, Person)" ]
+    (texts "@ww add_type_definition( Lab );\n@gh add_supertype(Lab, Person);\n"
+       [ (ww, a); (gh, b) ]);
+  let printed = [ Core.Op_printer.to_string a; Core.Op_printer.to_string b ] in
+  Alcotest.(check (list string)) "a comment line: printed" printed
+    (texts "// note\n@ww add_type_definition(Lab);\n@gh add_supertype(Lab, Person);\n"
+       [ (ww, a); (gh, b) ]);
+  Alcotest.(check (list string)) "another concept tag: printed" printed
+    (texts "@ww add_type_definition(Lab);\n@ww add_supertype(Lab, Person);\n"
+       [ (ww, a); (gh, b) ])
+
 let tests =
   [
     test "schema round trip" schema_roundtrip;
     test "log round trip" log_roundtrip;
     test "log comments and blanks" log_comments_and_blanks;
+    test "checkpoint op texts are cut from the journal records"
+      op_texts_cut_from_records;
     test "bad logs rejected" bad_logs;
     test "session round trip" session_roundtrip;
     test "reports written" reports_written;

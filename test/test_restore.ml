@@ -185,6 +185,7 @@ let full_replay store =
   | Error e -> Alcotest.fail (Core.Apply.error_to_string e)
 
 let pairs s = List.map (fun (st : Session.step) -> (st.st_kind, st.st_op)) (Session.log s)
+let texts s = List.map (fun (st : Session.step) -> st.st_text) (Session.log s)
 
 let same_pairs =
   List.equal (fun (k, o) (k', o') ->
@@ -197,6 +198,7 @@ let differences a b =
     if not (Odl.Types.equal_schema (Session.workspace a) (Session.workspace b)) then
       Some "workspace"
     else if not (same_pairs (pairs a) (pairs b)) then Some "log"
+    else if texts a <> texts b then Some "op texts"
     else if Session.version a <> Session.version b then Some "version"
     else if Session.redoable a <> Session.redoable b then Some "redo stack"
     else None
@@ -334,19 +336,212 @@ let print_case (pre, post, damage) =
     (String.concat "  " (List.map show pre))
     (String.concat "  " (List.map show post))
 
+(* A repository's base for the university schema: what {!Repo.base} holds. *)
+let university_base () =
+  let u = Util.university () in
+  { Store.b_text = Odl.Printer.schema_to_string u; b_session = Util.session_of u }
+
 let checkpoint_equals_replay =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"opening from checkpoint + suffix = full replay"
        ~count:100 ~long_factor:10 ~print:print_case case_gen (fun case ->
          let store = build case in
-         match Store.load_session store with
-         | Error e ->
-             QCheck2.Test.fail_reportf "load failed: %s" (Store.load_error_to_string e)
-         | Ok loaded -> (
-             match differences loaded (full_replay store) with
-             | None -> true
-             | Some what ->
-                 QCheck2.Test.fail_reportf "differs from the full replay: %s" what)))
+         let reference = full_replay store in
+         (* without a base, and on the repository's base session *)
+         List.for_all
+           (fun (label, base) ->
+             match Store.load_session ?base store with
+             | Error e ->
+                 QCheck2.Test.fail_reportf "load %s failed: %s" label
+                   (Store.load_error_to_string e)
+             | Ok loaded -> (
+                 match differences loaded reference with
+                 | None -> true
+                 | Some what ->
+                     QCheck2.Test.fail_reportf
+                       "load %s differs from the full replay: %s" label what))
+           [ ("without a base", None); ("on the base", Some (university_base ())) ]))
+
+(* --- op texts: printed once, rendered byte for byte as the printer --- *)
+
+(* The reference: each log rendering printed from the ops with
+   [Op_printer].  The code joins the steps' texts instead and must give
+   the same bytes. *)
+module Printed = struct
+  let op = Core.Op_printer.to_string
+
+  let log s =
+    Session.log s
+    |> List.map (fun (st : Session.step) ->
+           Printf.sprintf "// in %s\n%s;" (Core.Concept.kind_name st.st_kind)
+             (op st.st_op))
+    |> String.concat "\n"
+
+  let records s =
+    Journal.to_string
+      (List.map (fun (k, o) -> Journal.Op (k, o)) (pairs s))
+
+  let delta ~before ~after =
+    let undone, added = Session.(delta (spine before) (spine after)) in
+    String.concat ""
+      (List.map (fun _ -> Journal.encode Journal.Undo) undone
+      @ List.map
+          (fun (st : Session.step) ->
+            Journal.encode (Journal.Op (st.st_kind, st.st_op)))
+          added)
+
+  let diff_line (st : Session.step) =
+    "@" ^ Core.Concept.id_prefix st.st_kind ^ " " ^ op st.st_op
+
+  let impact s =
+    let pp_step ppf (idx, (st : Session.step)) =
+      Fmt.pf ppf "@[<v 2>%d. [%s] %a" (idx + 1)
+        (Core.Concept.kind_name st.st_kind)
+        Core.Op_printer.pp st.st_op;
+      List.iter
+        (fun e -> Fmt.pf ppf "@,%s" (Core.Change.event_to_string e))
+        (Session.step_events st);
+      Fmt.pf ppf "@]"
+    in
+    Fmt.str "@[<v>impact report for %s@,%a@]" (Session.original s).s_name
+      Fmt.(list ~sep:(any "@,") pp_step)
+      (List.mapi (fun i st -> (i, st)) (Session.log s))
+end
+
+type text_action =
+  | T_op of Core.Concept.kind * Core.Modop.t
+  | T_undo
+  | T_redo
+  | T_snapshot of bool  (** with the base? *)
+  | T_reopen of bool
+
+let text_action_gen =
+  let open QCheck2.Gen in
+  let u = Util.university () in
+  frequency
+    [
+      (4, map (fun (k, o) -> T_op (k, o)) (pair Gen.concept_kind (Gen.plausible_op u)));
+      ( 3,
+        map
+          (fun a ->
+            T_op
+              ( Core.Concept.Wagon_wheel,
+                Core.Modop.Add_attribute ("Person", Odl.Types.D_string, Some 8, a) ))
+          (oneof [ Gen.ident; Gen.pathological_name ]) );
+      (2, return T_undo);
+      (1, return T_redo);
+      (1, map (fun b -> T_snapshot b) bool);
+      (1, map (fun b -> T_reopen b) bool);
+    ]
+
+let show_text_action = function
+  | T_op (k, o) -> Journal.entry_to_line (Journal.Op (k, o))
+  | T_undo -> "undo"
+  | T_redo -> "redo"
+  | T_snapshot b -> if b then "snapshot on the base" else "snapshot"
+  | T_reopen b -> if b then "reopen on the base" else "reopen"
+
+(* Drive the designer's durable loop — journal each action's delta, take
+   snapshots, reopen from the checkpoint — and after every action compare
+   each rendering with the printer's. *)
+let texts_are_printed actions =
+  let base = university_base () in
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  let check_session s =
+    List.iter
+      (fun (st : Session.step) ->
+        if st.st_text <> Printed.op st.st_op then
+          fail "step text %S, printer %S" st.st_text (Printed.op st.st_op))
+      (Session.log s);
+    let log = Core.Oplog.render (Core.Oplog.of_session s) in
+    if log <> Printed.log s then fail "log reply differs:\n%s" log;
+    let impact = Session.impact_report s in
+    if impact <> Printed.impact s then fail "impact report differs:\n%s" impact
+  in
+  let journal ~before ~after =
+    let _, added, data = Journal.encoded_delta ~before ~after in
+    if data <> Printed.delta ~before ~after then fail "journal delta %S" data;
+    List.iter
+      (fun st ->
+        if Query.View.render_step st <> Printed.diff_line st then
+          fail "diff line %S" (Query.View.render_step st))
+      added;
+    Journal.append_raw io (Store.log_file store) data
+  in
+  let reopen on_base =
+    match Store.load_session ?base:(if on_base then Some base else None) store with
+    | Ok s -> s
+    | Error e -> fail "reopen: %s" (Store.load_error_to_string e)
+  in
+  let snapshot on_base s =
+    Store.save_session ?base:(if on_base then Some base else None) store s;
+    let bytes = io.Io.read_file (Store.log_file store) in
+    if bytes <> Printed.records s then fail "log.ops after a snapshot: %S" bytes
+  in
+  Store.save_session store base.b_session;
+  let final =
+    List.fold_left
+      (fun s action ->
+        let s' =
+          match action with
+          | T_op (kind, op) -> (
+              match Session.apply s ~kind op with Ok (s', _) -> s' | Error _ -> s)
+          | T_undo -> Option.value (Session.undo s) ~default:s
+          | T_redo -> Option.fold ~none:s ~some:fst (Session.redo s)
+          | T_snapshot b ->
+              snapshot b s;
+              s
+          | T_reopen b -> reopen b
+        in
+        (match action with
+        | T_op _ | T_undo | T_redo -> journal ~before:s ~after:s'
+        | T_snapshot _ | T_reopen _ -> ());
+        check_session s';
+        s')
+      (reopen false) actions
+  in
+  snapshot true final;
+  check_session (reopen true);
+  true
+
+let op_texts_are_printed =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"log, log.ops, journal delta, diff and impact = the printer's bytes"
+       ~count:100 ~long_factor:10
+       ~print:(fun a -> String.concat " | " (List.map show_text_action a))
+       QCheck2.Gen.(list_size (int_range 0 25) text_action_gen)
+       texts_are_printed)
+
+(* Steps opened from a checkpoint carry their text from the journal: two
+   threads rendering the log of a freshly opened session get the same
+   text, and neither raises. *)
+let concurrent_log_renders () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let ops = List.init 40 (Printf.sprintf "add_attribute(Person, string, 8, t%d)") in
+  Store.save_session store (Util.apply_many (Util.session_of (tiny ())) ops);
+  let loaded =
+    match Store.load_session store with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  in
+  let logs = Array.make 2 (Error "not run") in
+  List.init 2 (fun i ->
+      Thread.create
+        (fun () ->
+          logs.(i) <-
+            (match Core.Oplog.(render (of_session loaded)) with
+            | text -> Ok text
+            | exception e -> Error (Printexc.to_string e)))
+        ())
+  |> List.iter Thread.join;
+  let expected = Printed.log (full_replay store) in
+  Array.iter
+    (Alcotest.(check (result string string)) "same log" (Ok expected))
+    logs
 
 (* A checkpoint that validates is trusted: the load opens from it rather
    than replaying the prefix (here it was doctored, digests recomputed, so
@@ -489,4 +684,6 @@ let tests =
     test "log never forces the prefix replay; impact does"
       log_does_not_force_the_replay;
     test "concurrent readers share one prefix replay" concurrent_impact_reports;
+    op_texts_are_printed;
+    test "two threads render a freshly opened log alike" concurrent_log_renders;
   ]
