@@ -21,7 +21,9 @@
       [Store.load_session] across history length, opened from the
       checkpoint vs by a full replay, the same open through
       [Repo.open_variant] on the repository's base, and the
-      [Store.save_session] snapshot across history length
+      [Store.save_session] snapshot across history length; and (ungated)
+      the open and the snapshot by interfaces differing from the shrink
+      wrap
 *)
 
 open Bechamel
@@ -332,11 +334,15 @@ let run_index ~json_path () =
    op, and of one just opened from the checkpoint, into a scratch store.
    In-memory Io, so the figures are CPU, not disk.  The history is
    add/delete pairs spread over every interface, as in perfbench's
-   long-history. *)
+   long-history.  Each figure is a median of [recovery_runs] after a full
+   major collection and one untimed run (3, with no warm-up, for the full
+   replay), so the 2x growth gates compare settled figures, not a cold
+   first run. *)
 let recovery_n = 400
 let recovery_sizes = [ 100; 1000; 10000 ]
 let recovery_suffix = 10
 let recovery_growth_ceiling = 2.0
+let recovery_runs = 21
 
 let history_op n k =
   let i = k / 2 * 7919 mod n in
@@ -345,7 +351,10 @@ let history_op n k =
       (if k mod 2 = 0 then Printf.sprintf "add_attribute(T%d, string, 8, h%d)" i (k / 2)
        else Printf.sprintf "delete_attribute(T%d, h%d)" i (k / 2)) )
 
-let median_ms runs f =
+let median_ms ?(warm = true) runs f =
+  (* every series starts from a settled heap, then one untimed run *)
+  Gc.full_major ();
+  if warm then f ();
   let a =
     Array.init runs (fun _ ->
         let t0 = Unix.gettimeofday () in
@@ -389,20 +398,22 @@ let recovery_row h =
          (Store.load_session ~repair:false store))
   in
   let scratch = Store.open_dir ~io "/scratch" in
-  let snapshot_ms s = median_ms 5 (fun () -> Store.save_session scratch s) in
+  let snapshot_ms s =
+    median_ms recovery_runs (fun () -> Store.save_session scratch s)
+  in
   let snapshot = snapshot_ms session in
   let reopened =
     Result.get_ok (Store.load_session ~repair:false store)
   in
   let reopened_snapshot = snapshot_ms reopened in
-  let checkpointed = median_ms 5 load in
+  let checkpointed = median_ms recovery_runs load in
   let repo_open =
-    median_ms 5 (fun () ->
+    median_ms recovery_runs (fun () ->
         opened
           (Result.map_error Repo.open_error_to_string (Repo.open_variant repo "v")))
   in
   io.Repository.Io.remove (Store.checkpoint_file store);
-  let full = median_ms 3 load in
+  let full = median_ms ~warm:false 3 load in
   {
     history = h;
     checkpoint_ms = checkpointed;
@@ -418,6 +429,44 @@ let growth rows field =
   at (List.fold_left max 0 recovery_sizes)
   /. at (List.fold_left min max_int recovery_sizes)
 
+(* P10, the changed-interface axis (ungated): the open and the snapshot
+   cost what the variant changed, so at a fixed history they grow with the
+   interfaces that differ from the shrink wrap.  [k] of the [recovery_n]
+   interfaces get one attribute each, in a [recovery_n]-op history for
+   every row; [Repo.open_variant] and [Repo.save_variant] on the base. *)
+let differing_counts = [ 0; 40; 400 ]
+
+type differing = { differ : int; diff_open_ms : float; diff_snapshot_ms : float }
+
+let differing_row k =
+  let module Repo = Repository.Repo in
+  let schema = schema_of recovery_n in
+  let io = Repository.Io.mem_io (Repository.Io.mem_create ()) in
+  let repo = Result.get_ok (Repo.init ~io "/r" schema) in
+  let base = Result.get_ok (Repo.create_variant repo "v") in
+  (* [k] attributes on [k] interfaces, then add/delete pairs on one more
+     that leave it as the shrink wrap has it *)
+  let ops =
+    List.init recovery_n (fun j ->
+        ( Core.Concept.Wagon_wheel,
+          Core.Op_parser.parse
+            (if j < k then Printf.sprintf "add_attribute(T%d, string, 8, d%d)" j j
+             else if (j - k) mod 2 = 0 then
+               Printf.sprintf "add_attribute(T%d, string, 8, e%d)" (k mod recovery_n) j
+             else
+               Printf.sprintf "delete_attribute(T%d, e%d)" (k mod recovery_n) (j - 1)) ))
+  in
+  let session = Result.get_ok (Core.Oplog.replay_on base ops) in
+  Result.get_ok (Repo.save_variant repo "v" session);
+  let opened () = Result.get_ok (Repo.open_variant repo "v") in
+  let diff_open_ms = median_ms recovery_runs (fun () -> ignore (opened ())) in
+  let reopened = opened () in
+  let diff_snapshot_ms =
+    median_ms recovery_runs (fun () ->
+        Result.get_ok (Repo.save_variant repo "v" reopened))
+  in
+  { differ = k; diff_open_ms; diff_snapshot_ms }
+
 let run_recovery () =
   let rows = List.map recovery_row recovery_sizes in
   print_endline
@@ -432,7 +481,17 @@ let run_recovery () =
         r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
         r.reopened_snapshot_ms)
     rows;
-  rows
+  let differing = List.map differing_row differing_counts in
+  Printf.printf
+    "\nP10: Repo.open_variant and Repo.save_variant by interfaces differing \
+     from the shrink wrap (n = %d, %d ops), ms\n"
+    recovery_n recovery_n;
+  List.iter
+    (fun d ->
+      Printf.printf "  %6d differ  open %8.1f  snapshot %8.1f\n" d.differ
+        d.diff_open_ms d.diff_snapshot_ms)
+    differing;
+  (rows, differing)
 
 (* P10 baseline: journal append vs whole-log rewrite, recorded as JSON so
    the O(1)-ish append per accepted operation stays an auditable claim;
@@ -453,7 +512,7 @@ let run_journal ~json_path () =
       Sys.rmdir d)
     !dirs;
   print_rows "P10: journal append vs whole-log rewrite (ns/run)" rows;
-  let recovery = run_recovery () in
+  let recovery, differing = run_recovery () in
   let open_growth = growth recovery (fun r -> r.checkpoint_ms) in
   let snapshot_growth = growth recovery (fun r -> r.snapshot_ms) in
   let gate g = g <= recovery_growth_ceiling in
@@ -474,6 +533,11 @@ let run_journal ~json_path () =
        \"reopened_snapshot_ms\": %.1f }"
       r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
       r.reopened_snapshot_ms
+  in
+  let differing_entry d =
+    Printf.sprintf
+      "      { \"differing\": %d, \"open_ms\": %.1f, \"snapshot_ms\": %.1f }"
+      d.differ d.diff_open_ms d.diff_snapshot_ms
   in
   let gate_entry name g =
     Printf.sprintf
@@ -500,14 +564,28 @@ let run_journal ~json_path () =
            checkpoint, Repo.open_variant (the same on the repository's base), \
            full replay; snapshot: Store.save_session of the session built op \
            by op, and of one just opened from the checkpoint, into a scratch \
-           store; median of 5 (3 for the full replay)\","
-          recovery_n recovery_suffix;
+           store; median of %d after a full major collection and an untimed \
+           run (3, unwarmed, for the full replay)\","
+          recovery_n recovery_suffix recovery_runs;
         "    \"unit\": \"ms\",";
         "    \"results\": [";
         String.concat ",\n" (List.map recovery_entry recovery);
         "    ],";
         gate_entry "growth_gate" open_growth ^ ",";
         gate_entry "snapshot_growth_gate" snapshot_growth;
+        "  },";
+        "  \"differing\": {";
+        Printf.sprintf
+          "    \"setup\": \"Synth n = %d, a %d-op history whose workspace \
+           differs from the shrink wrap in k interfaces (one attribute each), \
+           in-memory Io; Repo.open_variant and Repo.save_variant on the \
+           repository's base; median of %d after a full major collection \
+           and an untimed run; ungated\","
+          recovery_n recovery_n recovery_runs;
+        "    \"unit\": \"ms\",";
+        "    \"results\": [";
+        String.concat ",\n" (List.map differing_entry differing);
+        "    ]";
         "  }";
         "}";
         "";

@@ -19,11 +19,17 @@ type entry = {
 type t = { steps : Session.step list; sealed_at : int }
 
 let entry_of_step (st : Session.step) =
-  { e_kind = st.st_kind; e_op = st.st_op; e_events = Session.step_events st }
+  {
+    e_kind = st.st_kind;
+    e_op = Session.step_op st;
+    e_events = Session.step_events st;
+  }
 
 let of_session s = { steps = Session.log s; sealed_at = Session.version s }
 
-let pairs t = List.map (fun (st : Session.step) -> (st.st_kind, st.st_op)) t.steps
+let pairs t =
+  List.map (fun (st : Session.step) -> (st.st_kind, Session.step_op st)) t.steps
+
 let length t = List.length t.steps
 
 let render t =
@@ -90,7 +96,8 @@ type report = {
 let already_applied session e =
   List.exists
     (fun (st : Session.step) ->
-      Concept.equal_kind st.st_kind e.e_kind && Modop.equal st.st_op e.e_op)
+      Concept.equal_kind st.st_kind e.e_kind
+      && Modop.equal (Session.step_op st) e.e_op)
     (Session.steps_rev session)
 
 let rebase_one session e =

@@ -376,6 +376,91 @@ let remove_interface t name =
           memo = invalidate t.memo dirty ~keep_global:false;
         }
 
+(* --- patching a whole schema ------------------------------------------------
+
+   [patch t sch] indexes [sch] starting from [t]: an interface of [sch]
+   physically equal to [t]'s interface of that name is unchanged, every
+   other one is changed, added or (absent from [sch]) removed.  Survivors
+   keep their positions and new names take fresh ones after them, as
+   [add_interface] gives them; when [sch]'s order is not that — survivors
+   reordered, a name inserted before a survivor, a duplicate — the schema
+   is built from scratch.
+
+   The memo is invalidated on the touched names' dirty closure on [t].
+   Applying the same changes one update at a time would take the closure
+   on each intermediate index instead; an edge there is filed under an
+   interface that is either untouched (the edge is in [t] too) or touched
+   (and itself a seed), and so is a mention, so every name those closures
+   reach is in the closure on [t]. *)
+
+let patch t sch =
+  (* each interface of [sch] with its position: a survivor's own, or the
+     next fresh one *)
+  let placed =
+    List.fold_left
+      (fun acc i ->
+        Option.bind acc (fun (prev, next, rev) ->
+            match SMap.find_opt i.i_name t.by_name with
+            | Some (old_i, p) when p > prev ->
+                Some (p, next, (i, Some old_i, p) :: rev)
+            | Some _ -> None
+            | None -> Some (next, next + 1, (i, None, next) :: rev)))
+      (Some (-1, t.next_pos, []))
+      sch.s_interfaces
+  in
+  match placed with
+  | None -> build sch
+  | Some _ when t.has_dups -> build sch
+  | Some (_, next_pos, rev) ->
+      (* the survivors' positions, to find the removed names *)
+      let alive = Bytes.make t.next_pos '\000' and touched = ref [] in
+      let globals = ref true and twice = ref false in
+      let t', by_name =
+        List.fold_left
+          (fun (t', by_name) (i, old, p) ->
+            let name = i.i_name in
+            match old with
+            | Some old_i ->
+                Bytes.set alive p '\001';
+                if old_i == i then (t', by_name)
+                else begin
+                  touched := name :: !touched;
+                  globals := !globals && globals_survive old_i i;
+                  ( reindex t' name (refs_of old_i) (refs_of i),
+                    SMap.add name (i, p) by_name )
+                end
+            | None ->
+                (* a new name already filed was added earlier in this walk *)
+                twice := !twice || SMap.mem name by_name;
+                touched := name :: !touched;
+                globals := false;
+                ( reindex t' name no_refs (refs_of i),
+                  SMap.add name (i, p) by_name ))
+          (t, t.by_name) rev
+      in
+      let t', by_name =
+        SMap.fold
+          (fun name (old_i, p) (t', by_name) ->
+            if Bytes.get alive p = '\001' then (t', by_name)
+            else begin
+              touched := name :: !touched;
+              globals := false;
+              (reindex t' name (refs_of old_i) no_refs, SMap.remove name by_name)
+            end)
+          t.by_name (t', by_name)
+      in
+      if !twice then build sch
+      else if !touched = [] then { t with sch }
+      else
+        {
+          t' with
+          sch;
+          by_name;
+          next_pos;
+          memo =
+            invalidate t.memo (dirty_closure t !touched) ~keep_global:!globals;
+        }
+
 (* --- shelved versions ------------------------------------------------------
 
    An index version keeps its schema's interface list materialized, and

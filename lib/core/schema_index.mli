@@ -43,6 +43,19 @@ val build : Odl.Types.schema -> t
 
 include Schema_view.S with type t := t
 
+val patch : t -> Odl.Types.schema -> t
+(** [patch t s] answers every query as [build s] does, reusing [t]: an
+    interface of [s] physically equal to [t]'s interface of the same name
+    is taken as unchanged, and only the others — changed, added, or absent
+    from [s] (removed) — are re-filed and put in the dirty neighbourhood
+    the next consistency check re-examines.  Cost: a pointer comparison
+    per interface, map work for the touched ones, and (at the next
+    {!errors}) a re-check of their dirty closure instead of a cold walk.
+    Survivors keep their declaration positions and new names follow them,
+    as {!add_interface} appends; any other order of [s] — survivors
+    reordered, a name inserted before a survivor, duplicated names — is
+    {!build}. *)
+
 val is_valid : t -> bool
 (** No error-level diagnostics: the pending names are re-checked, then the
     global block and the memo's error set decide.  {!errors} is [[]] on

@@ -8,10 +8,11 @@
     an operation returns a new session, and undo is structural.
 
     A session resumed from a repository checkpoint ({!of_checkpoint}) holds
-    the checkpointed workspace but not the per-step record of the log
-    prefix it covers: the impact events and old index versions of those
-    steps come from one replay of the prefix, run the first time anything
-    asks for them and shared by every session derived from it.  The same
+    the checkpointed workspace and the texts of the log prefix it covers,
+    but not their per-step record: the ops are parsed from the texts, and
+    the impact events and old index versions come from one replay of the
+    prefix, each run the first time anything asks for it and shared by
+    every session derived from it.  The same
     replay serves undo past the newest {!undo_depth} index versions, the
     only ones a session keeps.
 
@@ -29,21 +30,25 @@ module Validate = Odl.Validate
 (* Undo keeps this many shelved index versions; deeper undos replay. *)
 let undo_depth = 32
 
-type impact = Recorded of Change.event list | Replayed of history * int
+type source =
+  | Recorded of Modop.t * Change.event list
+  | Replayed of history * int
 
-(* A memoized replay of a fixed op sequence — the first
-   [Array.length h_ops] steps of the log it was taken from — on the shrink
-   wrap schema.  Published sessions are read from several threads, so the
-   replay runs under [h_lock] (OCaml's [Lazy] raises on a concurrent
+(* A memoized replay of a fixed op sequence — the first steps of the log
+   it was taken from — on the shrink wrap schema.  A checkpoint's
+   history holds its ops as text, parsed on first demand.  Published
+   sessions are read from several threads, so [h_ops] is forced and the
+   replay runs only under [h_lock] (OCaml's [Lazy] raises on a concurrent
    force). *)
 and history = {
   h_original : Schema_index.t;
-  h_ops : (Concept.kind * Modop.t) array;
+  h_ops : (Concept.kind * Modop.t) array Lazy.t;  (** forced under [h_lock] *)
   h_lock : Mutex.t;
   mutable h_replay : replayed option;
 }
 
 and replayed = {
+  r_ops : (Concept.kind * Modop.t) array;
   r_events : Change.event list array;  (** per op *)
   r_marks : Schema_index.shelved array;
       (** [r_marks.(i)]: the index after [i * undo_depth] ops *)
@@ -51,11 +56,10 @@ and replayed = {
 
 type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
-  st_op : Modop.t;
   st_text : string;
-      (** [Op_printer.to_string st_op], printed once when the step was
+      (** [Op_printer.to_string] of the op, printed once when the step was
           made; every rendering of the log reads it *)
-  st_impact : impact;  (** direct + propagated impact, see {!step_events} *)
+  st_src : source;  (** the op and its impact, see {!step_op} *)
 }
 
 type t = {
@@ -148,7 +152,7 @@ let create ?(paranoid = false) shrink_wrap =
           original_index = index;
           index;
           past_indexes = [];
-          history = new_history index [||];
+          history = new_history index (Lazy.from_val [||]);
           history_valid = 0;
           rev_log = [];
           nlog = 0;
@@ -172,8 +176,10 @@ type spine = { sp_steps : step list; sp_n : int }
 
 let spine t = { sp_steps = t.rev_log; sp_n = t.nlog }
 
+(* The printer is injective (the op parser inverts it), so equal texts are
+   equal ops: no checkpointed op is parsed to compare it. *)
 let equal_step a b =
-  Concept.equal_kind a.st_kind b.st_kind && Modop.equal a.st_op b.st_op
+  Concept.equal_kind a.st_kind b.st_kind && String.equal a.st_text b.st_text
 
 (* Walk the longer spine down to the shorter's length, then both in
    lockstep until they are pointer equal: below the divergence point two
@@ -220,8 +226,8 @@ let apply_replayed original index (kind, op) =
         ^ Apply.error_to_string e)
 
 let replay_history h =
-  let n = Array.length h.h_ops in
-  let r_events = Array.make n [] in
+  let ops = Lazy.force h.h_ops in
+  let r_events = Array.make (Array.length ops) [] in
   let marks = ref [ Schema_index.shelve h.h_original ] in
   ignore
     (Array.fold_left
@@ -231,8 +237,8 @@ let replay_history h =
          if (i + 1) mod undo_depth = 0 then
            marks := Schema_index.shelve index :: !marks;
          (index, i + 1))
-       (h.h_original, 0) h.h_ops);
-  { r_events; r_marks = Array.of_list (List.rev !marks) }
+       (h.h_original, 0) ops);
+  { r_ops = ops; r_events; r_marks = Array.of_list (List.rev !marks) }
 
 let replayed h =
   Mutex.protect h.h_lock (fun () ->
@@ -243,9 +249,15 @@ let replayed h =
           h.h_replay <- Some r;
           r)
 
+let step_op st =
+  match st.st_src with
+  | Recorded (op, _) -> op
+  | Replayed (h, i) ->
+      Mutex.protect h.h_lock (fun () -> snd (Lazy.force h.h_ops).(i))
+
 let step_events st =
-  match st.st_impact with
-  | Recorded events -> events
+  match st.st_src with
+  | Recorded (_, events) -> events
   | Replayed (h, i) -> (replayed h).r_events.(i)
 
 (* The index after [m] ops of [h] ([m <= Array.length h.h_ops]), and the
@@ -258,33 +270,42 @@ let index_at h m =
   let past = ref [] in
   for i = from to m - 1 do
     past := Schema_index.shelve !index :: !past;
-    index := fst (apply_replayed h.h_original !index h.h_ops.(i))
+    index := fst (apply_replayed h.h_original !index r.r_ops.(i))
   done;
   (!index, !past)
 
+(* A checkpoint's op texts, parsed; the caller vouched for them. *)
+let parse_texts texts =
+  Array.map
+    (fun (kind, text) ->
+      match Op_parser.parse text with
+      | op -> (kind, op)
+      | exception (Op_parser.Parse_error _ | Odl.Lexer.Lex_error _) ->
+          failwith ("Session: checkpointed operation does not parse: " ^ text))
+    texts
+
 (** Resume [t] — fresh from {!create} — at a checkpoint: [workspace] is the
     state after the [prefix] ops, taken on trust (the repository validates
-    the checkpoint against its journal), and so is each op's text.  Only
-    the workspace is indexed and checked; the prefix's impact events and
-    old index versions are replayed when first needed.  The result equals
-    [t] with [prefix] applied step by step, version stamp included. *)
+    the checkpoint against its journal), and so is each op's text.  The
+    workspace index is [t]'s patched with the interfaces [workspace] does
+    not share with it, and only their neighbourhood is re-checked; the
+    prefix's ops are parsed, and their impact events and old index
+    versions replayed, when first needed.  The result equals [t] with
+    [prefix] applied step by step, version stamp included. *)
 let of_checkpoint t ~workspace prefix =
   if t.nlog <> 0 then invalid_arg "Session.of_checkpoint: the log is not empty";
-  let index = Schema_index.build workspace in
+  let index = Schema_index.patch t.index workspace in
   match Schema_index.errors index with
   | _ :: _ as errors -> Error errors
   | [] ->
-      let ops =
-        Array.of_list (List.map (fun (kind, op, _) -> (kind, op)) prefix)
-      in
-      let n = Array.length ops in
-      let history = new_history t.original_index ops in
+      let texts = Array.of_list prefix in
+      let n = Array.length texts in
+      let history = new_history t.original_index (lazy (parse_texts texts)) in
       let rev_log =
         List.fold_left
-          (fun (i, acc) (kind, op, text) ->
+          (fun (i, acc) (kind, text) ->
             ( i + 1,
-              { st_kind = kind; st_op = op; st_text = text;
-                st_impact = Replayed (history, i) }
+              { st_kind = kind; st_text = text; st_src = Replayed (history, i) }
               :: acc ))
           (0, []) prefix
         |> snd
@@ -315,7 +336,7 @@ let commit t ~kind op ~text (index, events) ~future =
       future;
       version = t.version + 1;
       rev_log =
-        { st_kind = kind; st_op = op; st_text = text; st_impact = Recorded events }
+        { st_kind = kind; st_text = text; st_src = Recorded (op, events) }
         :: t.rev_log;
       nlog = t.nlog + 1;
     },
@@ -369,8 +390,11 @@ let undo t =
               if m <= t.history_valid then t.history
               else
                 new_history t.original_index
-                  (Array.of_list
-                     (List.rev_map (fun st -> (st.st_kind, st.st_op)) rest))
+                  (Lazy.from_val
+                     (Array.of_list
+                        (List.rev_map
+                           (fun st -> (st.st_kind, step_op st))
+                           rest)))
             in
             let index, past = index_at history m in
             (index, past, history, m)
@@ -394,7 +418,8 @@ let undo t =
 let redo t =
   match t.future with
   | [] -> None
-  | { st_kind = kind; st_op = op; st_text = text; _ } :: rest -> (
+  | ({ st_kind = kind; st_text = text; _ } as st) :: rest -> (
+      let op = step_op st in
       match indexed_apply t ~kind op with
       | Error _ -> None  (* unreachable by construction; be defensive *)
       | Ok (index, events) ->

@@ -10,21 +10,31 @@
 
 open Odl.Types
 
-type impact
-(** A step's impact events: recorded when it committed, or — for the steps
-    a checkpoint covers ({!of_checkpoint}) — recomputed on first demand. *)
+type source
+(** Where a step's op and impact events come from: recorded when it
+    committed, or — for the steps a checkpoint covers ({!of_checkpoint}) —
+    parsed from their texts and replayed on first demand. *)
 
 type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
-  st_op : Modop.t;
   st_text : string;
-      (** the op in the modification language, [Op_printer.to_string st_op]:
-          printed once when {!apply} or {!redo} made the step, or — for a
-          checkpointed step — taken from the journal bytes the checkpoint
-          covers.  The [log] reply, the journal records, the snapshot, the
-          [diff] lines and the reports all read it instead of printing. *)
-  st_impact : impact;  (** read through {!step_events} *)
+      (** the op in the modification language, [Op_printer.to_string] of
+          {!step_op}: printed once when {!apply} or {!redo} made the step,
+          or — for a checkpointed step — cut from the journal bytes the
+          checkpoint covers.  The [log] reply, the journal records, the
+          snapshot, the [diff] lines and the reports all read it instead of
+          printing. *)
+  st_src : source;  (** read through {!step_op} and {!step_events} *)
 }
+
+val step_op : step -> Modop.t
+(** The step's operation.  For a checkpointed step the first call parses
+    the texts of the checkpoint's whole log prefix once (thread-safe,
+    shared by every session derived from the resumed one); undo into the
+    prefix, the impact events, rebase, merge and {!Oplog.pairs} need it,
+    the log's renderings and the journal do not.
+    @raise Failure when a checkpointed text does not parse — the caller of
+    {!of_checkpoint} vouched that it does. *)
 
 val step_events : step -> Change.event list
 (** Direct + propagated impact of the step.  For a checkpointed step the
@@ -61,18 +71,27 @@ val create : ?paranoid:bool -> schema -> (t, Odl.Validate.diagnostic list) resul
 val of_checkpoint :
   t ->
   workspace:schema ->
-  (Concept.kind * Modop.t * string) list ->
+  (Concept.kind * string) list ->
   (t, Odl.Validate.diagnostic list) result
 (** [of_checkpoint t ~workspace prefix] — [t] fresh from {!create} — is the
     session [prefix] replayed on [t] would give (same workspace, log,
-    version stamp, undo/redo behaviour), built by indexing [workspace]
-    instead of replaying: [workspace] must be the state after [prefix],
-    which the caller vouches for (the repository checkpoint is validated
-    against the journal).  Each prefix op comes with its text, which
-    becomes the step's {!field-st_text} unprinted: the caller vouches that
-    it is [Op_printer.to_string] of the op (the repository takes it from
-    the digest-checked journal bytes its own snapshot printed).  [Error]
-    when [workspace] has error diagnostics.
+    version stamp, undo/redo behaviour), built without replaying:
+    [workspace] must be the state after [prefix], which the caller vouches
+    for (the repository checkpoint is validated against the journal).
+    Each prefix op is given as its text, which becomes the step's
+    {!field-st_text}: the caller vouches that it is [Op_printer.to_string]
+    of an op (the repository cuts it from the digest-checked journal bytes
+    its own snapshot wrote).  [Error] when [workspace] has error
+    diagnostics.
+
+    Cost: O(interfaces of [workspace] not physically shared with [t]'s
+    shrink wrap + steps).  The workspace index is [t]'s
+    ({!Schema_index.patch}): the interfaces [workspace] shares with the
+    shrink wrap are kept, the others re-filed, and validity re-checked on
+    their dirty neighbourhood alone.  No op is parsed: the prefix texts
+    are parsed the first time anything asks for an op ({!step_op}), so a
+    text that does not parse is not noticed here — that first
+    {!step_op}, and every later one into the prefix, raises [Failure].
     @raise Invalid_argument when [t] has a log. *)
 
 val original : t -> schema
@@ -109,8 +128,8 @@ type spine
 val spine : t -> spine
 
 val equal_step : step -> step -> bool
-(** Same concept schema type and structurally equal operation (impact
-    ignored). *)
+(** Same concept schema type and equal operation (impact ignored),
+    compared by text: no checkpointed op is parsed. *)
 
 val delta : spine -> spine -> step list * step list
 (** [delta before after] is [(undone, added)], both oldest first: undoing

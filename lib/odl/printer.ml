@@ -68,5 +68,77 @@ let pp_schema ppf s =
   List.iter (fun i -> Fmt.pf ppf "@,%a" pp_interface i) s.s_interfaces;
   Fmt.pf ppf "@]@,};@."
 
-let schema_to_string s = Fmt.str "%a" pp_schema s
 let interface_to_string i = Fmt.str "@[<v>%a@]" pp_interface i
+
+(* --- per-interface chunks --------------------------------------------------
+
+   [pp_schema] lays a schema out as its header line, one block per
+   interface, each opened by a newline and indented by two, and the closing
+   line.  A block depends on its interface alone, so the schema text is the
+   header, the blocks and the trailer concatenated: a caller holding the
+   blocks of unchanged interfaces prints only the others. *)
+
+let chunk_lead = "\n  interface "
+let trailer = "\n};\n"
+let header name = "schema " ^ name ^ " {"
+
+let interface_chunk i = Fmt.str "@[<v 2>@,%a@]" pp_interface i
+
+let schema_of_chunks name chunks =
+  (* one allocation of the exact size: the text of a wide schema is large *)
+  let parts = (header name :: chunks) @ [ trailer ] in
+  let b =
+    Bytes.create (List.fold_left (fun n c -> n + String.length c) 0 parts)
+  in
+  ignore
+    (List.fold_left
+       (fun at c ->
+         Bytes.blit_string c 0 b at (String.length c);
+         at + String.length c)
+       0 parts);
+  Bytes.unsafe_to_string b
+
+let schema_to_string s =
+  schema_of_chunks s.s_name (List.map interface_chunk s.s_interfaces)
+
+let split_chunks text =
+  let n = String.length text and tl = String.length trailer in
+  let ll = String.length chunk_lead in
+  let lead_at i = i + ll <= n && String.sub text i ll = chunk_lead in
+  match String.index_opt text '\n' with
+  | None -> None
+  | Some h ->
+      let stop = n - tl in
+      if
+        stop < h
+        || not
+             (String.starts_with ~prefix:"schema " text
+             && h >= 9
+             && String.sub text (h - 2) 2 = " {"
+             && String.ends_with ~suffix:trailer text)
+      then None
+      else
+        (* a block starts at every [chunk_lead] between the header and the
+           trailer; the first must follow the header directly *)
+        let named start j =
+          (* the name runs from the lead to the space before the
+             supertypes or the brace *)
+          let name_end =
+            match String.index_from_opt text (start + ll) ' ' with
+            | Some e when e < j -> e
+            | _ -> start + ll
+          in
+          ( String.sub text (start + ll) (name_end - start - ll),
+            String.sub text start (j - start) )
+        in
+        let rec cut acc start i =
+          match String.index_from_opt text i '\n' with
+          | Some j when j < stop ->
+              if lead_at j then cut (named start j :: acc) j (j + 1)
+              else cut acc start (j + 1)
+          | _ -> List.rev (named start stop :: acc)
+        in
+        let name = String.sub text 7 (h - 9) in
+        if stop = h then Some (name, [])
+        else if lead_at h then Some (name, cut [] h (h + 1))
+        else None

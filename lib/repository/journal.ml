@@ -123,32 +123,49 @@ let resolve entries =
 let encode entry = entry_to_line entry ^ "\n"
 
 let encode_step (st : Core.Session.step) = op_line st.st_kind st.st_text ^ "\n"
-let steps_to_string steps = String.concat "" (List.map encode_step steps)
 
-(* The op text between a record's concept tag and its closing [;], when
-   [line] is exactly [op_line kind text]. *)
-let text_of_line kind line =
-  let prefix = kind_tag kind ^ " " in
-  let p = String.length prefix and n = String.length line in
-  if n > p + 1 && String.starts_with ~prefix line && line.[n - 1] = ';' then
-    Some (String.sub line p (n - p - 1))
-  else None
-
-let op_texts text ops =
-  let lines = String.split_on_char '\n' text in
-  let rec go acc lines ops =
-    match (lines, ops) with
-    | ([] | [ "" ]), [] -> Some (List.rev acc)
-    | line :: lines, (kind, op) :: ops -> (
-        match text_of_line kind line with
-        | Some t -> go ((kind, op, t) :: acc) lines ops
-        | None -> None)
-    | _ -> None
+(* One allocation of the exact size: a record is its 3-byte tag, a
+   space, the text and ";\n". *)
+let steps_to_string steps =
+  let b =
+    Bytes.create
+      (List.fold_left
+         (fun n (st : Core.Session.step) -> n + String.length st.st_text + 6)
+         0 steps)
   in
-  match go [] lines ops with
-  | Some texts -> texts
-  | None ->
-      List.map (fun (kind, op) -> (kind, op, Core.Op_printer.to_string op)) ops
+  ignore
+    (List.fold_left
+       (fun at (st : Core.Session.step) ->
+         let len = String.length st.st_text in
+         Bytes.blit_string (kind_tag st.st_kind) 0 b at 3;
+         Bytes.set b (at + 3) ' ';
+         Bytes.blit_string st.st_text 0 b (at + 4) len;
+         Bytes.blit_string ";\n" 0 b (at + 4 + len) 2;
+         at + len + 6)
+       0 steps);
+  Bytes.unsafe_to_string b
+
+let op_records ?len text =
+  let n = Option.value len ~default:(String.length text) in
+  (* the record on the line at [i], ending at its newline [j] *)
+  let record i j =
+    if j - i > 5 && text.[i + 3] = ' ' && text.[j - 1] = ';' then
+      Option.map
+        (fun kind -> (kind, String.sub text (i + 4) (j - i - 5)))
+        (kind_of_tag (String.sub text i 3))
+    else None
+  in
+  let rec go acc i =
+    if i = n then Some (List.rev acc)
+    else
+      match String.index_from_opt text i '\n' with
+      | Some j when j < n -> (
+          match record i j with
+          | Some r -> go (r :: acc) (j + 1)
+          | None -> None)
+      | _ -> None
+  in
+  go [] 0
 
 let append_raw (io : Io.t) path data =
   io.append path data;

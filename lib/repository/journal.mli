@@ -69,17 +69,15 @@ val append_raw : Io.t -> string -> string -> unit
 val steps_to_string : Core.Session.step list -> string
 (** The steps as records, each newline-terminated: the bytes {!to_string}
     gives for their [Op]s, joined from the steps' own
-    {!Core.Session.field-st_text}s with no op printed. *)
+    {!Core.Session.field-st_text}s into one buffer, with no op printed. *)
 
-val op_texts :
-  string ->
-  (Core.Concept.kind * Core.Modop.t) list ->
-  (Core.Concept.kind * Core.Modop.t * string) list
-(** [op_texts text ops] pairs each op with its text, cut from [text] —
-    journal bytes holding exactly [ops], one record a line, as
-    {!steps_to_string} writes them.  When [text] is not of that shape
-    (blank or comment lines, another concept tag, a line count that
-    differs) every op is printed instead. *)
+val op_records : ?len:int -> string -> (Core.Concept.kind * string) list option
+(** The records of [text]'s first [len] bytes (default: all of it) with
+    their op texts, cut and not parsed, when those bytes are exactly a run
+    of op records one a line, each
+    newline-terminated — the shape {!steps_to_string} writes; [None] for
+    anything else (blank or comment lines, [@undo;], an unknown tag, an
+    unterminated last line).  The texts are not checked to parse. *)
 
 val encoded_delta :
   before:Core.Session.t ->

@@ -38,11 +38,7 @@ let base t =
       | None ->
           let b =
             Result.to_option (Core.Session.create t.shrink_wrap)
-            |> Option.map (fun b_session ->
-                   {
-                     Store.b_text = Odl.Printer.schema_to_string t.shrink_wrap;
-                     b_session;
-                   })
+            |> Option.map Store.base
           in
           t.base <- Some b;
           b)
@@ -72,13 +68,13 @@ let valid_variant_name n = n <> "" && Odl.Names.is_valid n
 let init ?(io = Io.unix) dir shrink_wrap =
   match Core.Session.create shrink_wrap with
   | Error _ -> Error "the shrink wrap schema is not valid"
-  | Ok b_session ->
+  | Ok session ->
       Io.mkdir_p io dir;
       Io.mkdir_p io (Filename.concat dir "variants");
-      let b_text = Odl.Printer.schema_to_string shrink_wrap in
-      Io.atomic_write io (Filename.concat dir "shrinkwrap.odl") b_text;
       (* the validation build is the base *)
-      Ok (make ~base:(Some { Store.b_text; b_session }) dir io shrink_wrap)
+      let base = Store.base session in
+      Io.atomic_write io (Filename.concat dir "shrinkwrap.odl") base.b_text;
+      Ok (make ~base:(Some base) dir io shrink_wrap)
 
 (** Open an existing repository; every failure mode is an [Error] naming
     the damaged file, never an exception. *)

@@ -90,17 +90,11 @@ let load_log t =
     | Error m -> raise (Bad_log m)
   else []
 
-let save_custom t schema =
-  write_file t (custom_file t) (Odl.Printer.schema_to_string schema)
-
 let load_custom t = Odl.Parser.parse_schema (read_file t (custom_file t))
 
 let save_report t name contents =
   Io.mkdir_p t.io (reports_dir t);
   write_file t (Filename.concat (reports_dir t) (name ^ ".txt")) contents
-
-let save_aliases t aliases =
-  write_file t (aliases_file t) (Core.Aliases.to_string aliases)
 
 let load_aliases t =
   if t.io.Io.file_exists (aliases_file t) then
@@ -241,24 +235,29 @@ let set_lineage t ~parent ~fork =
    — the first [n] journal records, [b] bytes of [log.ops] with digest
    [log], taken on the shrink wrap text with digest [shrinkwrap]; [body]
    is the digest of everything after the header line.  The header is
-   checked before the workspace is parsed, so a checkpoint that cannot
-   serve costs a digest, not a parse. *)
+   checked before the workspace is read, so a checkpoint that cannot
+   serve costs a digest, not a parse.
+
+   The body is the printer's layout, one chunk per interface
+   ({!Odl.Printer.interface_chunk}).  A chunk byte-identical to the shrink
+   wrap's chunk for that interface is that interface: the snapshot copies
+   it instead of printing, and the open takes the shrink wrap's interface
+   value instead of parsing. *)
 
 type checkpoint = {
   c_ops : int;  (** journal records covered, all operations *)
   c_bytes : int;  (** their length in bytes *)
   c_log : string;  (** hex digest of those bytes *)
   c_shrinkwrap : string;  (** hex digest of the shrink wrap text *)
-  c_body : string;  (** the state after them, in ODL; parsed last *)
+  c_body : string;  (** the state after them, in ODL; read last *)
 }
 
 let hex s = Digest.to_hex (Digest.string s)
 
-let checkpoint_to_string ~shrink_text ~log_text ~ops workspace =
-  let body = Odl.Printer.schema_to_string workspace in
-  Printf.sprintf
-    "// checkpoint 1 ops %d bytes %d log %s shrinkwrap %s body %s\n%s" ops
-    (String.length log_text) (hex log_text) (hex shrink_text) (hex body) body
+let checkpoint_to_string ~shrink_digest ~log_text ~ops body =
+  Printf.sprintf "// checkpoint 1 ops %d bytes %d log %s shrinkwrap %s body %s\n"
+    ops (String.length log_text) (hex log_text) shrink_digest (hex body)
+  ^ body
 
 let checkpoint_of_string text =
   let header, body =
@@ -277,8 +276,8 @@ let checkpoint_of_string text =
       if hex body <> digest then Error "workspace does not match its digest"
       else Ok { c_ops; c_bytes; c_log; c_shrinkwrap; c_body = body }
 
-let checkpoint_workspace c =
-  match Odl.Parser.parse_schema c.c_body with
+let parse_workspace body =
+  match Odl.Parser.parse_schema body with
   | workspace -> Ok workspace
   | exception Odl.Parser.Parse_error (m, line, _) ->
       Error (Printf.sprintf "line %d: %s" line m)
@@ -294,77 +293,140 @@ let load_checkpoint t =
       | exception Sys_error m -> Error m)
   else None
 
-(* The first [c_ops] journal entries, when the checkpoint was taken on this
-   shrink wrap and these log bytes.  Only their digest is compared: the
-   bytes are the ones {!save_session} printed. *)
-let covered_prefix c ~shrink_text ~log_text entries =
-  let rec ops n acc = function
-    | _ when n = 0 -> Some (List.rev acc)
-    | Journal.Op (kind, op) :: rest -> ops (n - 1) ((kind, op) :: acc) rest
-    | Journal.Undo :: _ | [] -> None
-  in
-  if
-    hex shrink_text = c.c_shrinkwrap
-    && c.c_bytes <= String.length log_text
-    && Digest.to_hex (Digest.substring log_text 0 c.c_bytes) = c.c_log
-  then ops c.c_ops [] entries
-  else None
+(* Whether the checkpoint was taken on the shrink wrap text with hex
+   digest [shrink_digest] and on a journal whose first [c_bytes] bytes are
+   these: digests only, no parse. *)
+let covers c ~shrink_digest ~log_text =
+  shrink_digest = c.c_shrinkwrap
+  && c.c_bytes <= String.length log_text
+  && Digest.to_hex (Digest.substring log_text 0 c.c_bytes) = c.c_log
 
-(* The session the journal [entries] replay to, opened from the checkpoint
-   plus the resolved suffix on [fresh] (a session just created on the
-   shrink wrap); [None] whenever the checkpoint cannot serve (absent,
-   empty, damaged, stale, invalid, or undone into), leaving the full
-   replay to the caller.  The prefix steps take their texts from the
-   digest-checked journal bytes, so resuming prints no op. *)
-let resume_from_checkpoint t fresh ~shrink_text ~log_text entries =
-  let ( let* ) = Option.bind in
-  let* c = Option.bind (load_checkpoint t) Result.to_option in
-  let* prefix =
-    if c.c_ops = 0 then None
-    else covered_prefix c ~shrink_text ~log_text entries
-  in
-  (* resolving the records after the checkpoint on their own fails
-     exactly when an [@undo;] pops into the covered prefix *)
-  let* suffix =
-    Result.to_option
-      (Journal.resolve (List.filteri (fun i _ -> i >= c.c_ops) entries))
-  in
-  let* workspace = Result.to_option (checkpoint_workspace c) in
-  let* fresh = Result.to_option (fresh ()) in
-  let prefix = Journal.op_texts (String.sub log_text 0 c.c_bytes) prefix in
-  let* session =
-    Result.to_option (Core.Session.of_checkpoint fresh ~workspace prefix)
-  in
-  List.fold_left
-    (fun acc (kind, op) ->
-      let* s = acc in
-      Option.map fst (Result.to_option (Core.Session.apply s ~kind op)))
-    (Some session) suffix
+(* --- the shrink wrap's chunks ---------------------------------------------- *)
+
+module SMap = Map.Make (String)
+
+(* Each shrink wrap interface with its chunk, by name. *)
+type chunks = (Odl.Types.interface * string) SMap.t
+
+let chunk_map interfaces chunks =
+  List.fold_left2
+    (fun m (i : Odl.Types.interface) c -> SMap.add i.i_name (i, c) m)
+    SMap.empty interfaces chunks
+
+(* The chunks of a shrink wrap text the printer laid out, paired with the
+   interfaces it parsed to; none when it is not of that shape. *)
+let chunks_of_text text (schema : Odl.Types.schema) =
+  match Odl.Printer.split_chunks text with
+  | Some (_, chunks)
+    when List.compare_lengths chunks schema.s_interfaces = 0 ->
+      chunk_map schema.s_interfaces (List.map snd chunks)
+  | _ -> SMap.empty
+
+(* The checkpoint body's workspace, sharing with the shrink wrap every
+   interface whose chunk is byte-identical to the shrink wrap's: only the
+   other chunks are parsed.  Each parsed chunk must print back to its own
+   bytes, so the body is exactly the printing of the result and parsing
+   it whole would give the same schema.  [Error] for a body not laid out
+   so — every body a snapshot writes is — which the caller treats as a
+   checkpoint that cannot serve. *)
+let checkpoint_workspace (chunks : chunks) body =
+  match Odl.Printer.split_chunks body with
+  | None -> Error "not laid out in interface chunks"
+  | Some (name, body_chunks) ->
+      let slots =
+        List.map
+          (fun (n, c) ->
+            match SMap.find_opt n chunks with
+            | Some (i, c') when String.equal c c' -> (c, Some i)
+            | _ -> (c, None))
+          body_chunks
+      in
+      let own =
+        List.filter_map
+          (fun (c, i) -> if Option.is_none i then Some c else None)
+          slots
+      in
+      Result.bind (parse_workspace (Odl.Printer.schema_of_chunks name own))
+        (fun parsed ->
+          if
+            List.compare_lengths parsed.s_interfaces own = 0
+            && List.for_all2
+                 (fun i c -> String.equal (Odl.Printer.interface_chunk i) c)
+                 parsed.s_interfaces own
+          then
+            let rec fill acc parsed = function
+              | [] -> List.rev acc
+              | (_, Some i) :: rest -> fill (i :: acc) parsed rest
+              | (_, None) :: rest -> (
+                  match parsed with
+                  | p :: parsed -> fill (p :: acc) parsed rest
+                  | [] -> assert false)
+            in
+            Ok
+              {
+                Odl.Types.s_name = name;
+                s_interfaces = fill [] parsed.s_interfaces slots;
+              }
+          else Error "a chunk is not laid out as the printer lays it out")
 
 (* --- whole sessions ------------------------------------------------------ *)
 
-type base = { b_text : string; b_session : Core.Session.t }
+type base = {
+  b_text : string;
+  b_digest : string;
+  b_session : Core.Session.t;
+  b_chunks : chunks;
+}
 
-(* [base]'s text, when [session] was derived from [base]'s session: every
+let base session =
+  let schema = Core.Session.original session in
+  let chunks = List.map Odl.Printer.interface_chunk schema.s_interfaces in
+  let text = Odl.Printer.schema_of_chunks schema.s_name chunks in
+  {
+    b_text = text;
+    b_digest = hex text;
+    b_session = session;
+    b_chunks = chunk_map schema.s_interfaces chunks;
+  }
+
+(* [base], when [session] was derived from [base]'s session: every
    session derived from one shares its shrink wrap value physically. *)
-let base_text base session =
+let base_of base session =
   match base with
   | Some b
     when Core.Session.original session == Core.Session.original b.b_session ->
-      Some b.b_text
+      Some b
   | _ -> None
 
 let holds t path text =
   try t.io.Io.file_exists path && read_file t path = text
   with Sys_error _ -> false
 
+(* An artifact whose bytes are already on disk is not written again: the
+   read back costs less than a write's fsync. *)
+let write_changed t path text =
+  if not (holds t path text) then write_file t path text
+
+(* The workspace's chunks: the shrink wrap's for an interface equal to the
+   shrink wrap's one of that name, printed for the others. *)
+let workspace_chunks (chunks : chunks) (workspace : Odl.Types.schema) =
+  List.map
+    (fun (i : Odl.Types.interface) ->
+      match SMap.find_opt i.i_name chunks with
+      | Some (i', c) when i == i' || Odl.Types.equal_interface i i' -> c
+      | _ -> Odl.Printer.interface_chunk i)
+    workspace.s_interfaces
+
 (** Persist what recovery needs: shrink wrap schema, operation journal,
     local names, custom schema, a checkpoint of the workspace at the end of
     the journal, and last the manifest — each atomically, so a crash
     anywhere leaves every artifact whole.  The deliverable reports are
     {!save_reports}'s.  With a [base] the session was derived from, the
-    shrink wrap text is the base's, and a [shrinkwrap.odl] read back with
-    exactly those bytes is left as it is. *)
+    shrink wrap text is the base's, and every workspace interface equal to
+    the shrink wrap's takes the base's chunk; the others are printed once,
+    for both the custom schema and the checkpoint.  [shrinkwrap.odl],
+    [aliases.map] and [custom.odl] are written only when their bytes
+    changed. *)
 let save_session ?base t session =
   let steps = Core.Session.log session in
   let generation, era, lineage =
@@ -372,20 +434,26 @@ let save_session ?base t session =
     | Some m -> (m.m_generation + 1, m.m_era, m.m_lineage)
     | None -> (1, 0, None)
   in
-  let shrink_text, rewrite_shrinkwrap =
-    match base_text base session with
-    | Some text -> (text, not (holds t (shrinkwrap_file t) text))
+  let shrink_text, shrink_digest, chunks =
+    match base_of base session with
+    | Some b -> (b.b_text, b.b_digest, b.b_chunks)
     | None ->
-        (Odl.Printer.schema_to_string (Core.Session.original session), true)
+        let text = Odl.Printer.schema_to_string (Core.Session.original session) in
+        (text, hex text, SMap.empty)
   in
+  let workspace = Core.Session.workspace session in
+  let ws_chunks = workspace_chunks chunks workspace in
   let log_text = Journal.steps_to_string steps in
-  if rewrite_shrinkwrap then write_file t (shrinkwrap_file t) shrink_text;
+  write_changed t (shrinkwrap_file t) shrink_text;
   write_file t (log_file t) log_text;
-  save_aliases t (Core.Session.aliases session);
-  save_custom t (Core.Session.custom_schema session);
+  write_changed t (aliases_file t)
+    (Core.Aliases.to_string (Core.Session.aliases session));
+  write_changed t (custom_file t)
+    (Odl.Printer.schema_of_chunks
+       (Core.Session.custom_schema session).s_name ws_chunks);
   write_file t (checkpoint_file t)
-    (checkpoint_to_string ~shrink_text ~log_text ~ops:(List.length steps)
-       (Core.Session.workspace session));
+    (checkpoint_to_string ~shrink_digest ~log_text ~ops:(List.length steps)
+       (Odl.Printer.schema_of_chunks workspace.s_name ws_chunks));
   save_manifest t
     {
       m_generation = generation;
@@ -440,13 +508,51 @@ let read_schema_artifact t file path =
 let read_log t =
   if t.io.Io.file_exists (log_file t) then read_file t (log_file t) else ""
 
+(* The checkpoint and the op records of the journal prefix it covers, when
+   it covers at least one and matches this shrink wrap and journal:
+   digests only, the records cut and not parsed. *)
+let covered_prefix t ~shrink_digest ~log_text =
+  let ( let* ) = Option.bind in
+  let* c = Option.bind (load_checkpoint t) Result.to_option in
+  let* records =
+    if c.c_ops > 0 && covers c ~shrink_digest ~log_text then
+      Journal.op_records ~len:c.c_bytes log_text
+    else None
+  in
+  if List.length records = c.c_ops then Some (c, records) else None
+
+(* The session opened from checkpoint [c] — [records] the journal prefix
+   it covers — plus the journal [entries] after it, on [fresh ()] (a
+   session just created on the shrink wrap, with the shrink wrap's
+   chunks); [None] whenever the checkpoint cannot serve (its workspace
+   does not reconstruct or is invalid, or an [@undo;] after it pops into
+   the prefix) or an entry does not apply, leaving the full replay — and
+   its error report — to the caller. *)
+let resume fresh (c, records) entries =
+  let ( let* ) = Option.bind in
+  (* resolving the records after the checkpoint on their own fails
+     exactly when an [@undo;] pops into the covered prefix *)
+  let* suffix = Result.to_option (Journal.resolve entries) in
+  let* fresh, chunks = Result.to_option (fresh ()) in
+  let* workspace = Result.to_option (checkpoint_workspace chunks c.c_body) in
+  let* session =
+    Result.to_option (Core.Session.of_checkpoint fresh ~workspace records)
+  in
+  List.fold_left
+    (fun acc (kind, op) ->
+      let* s = acc in
+      Option.map fst (Result.to_option (Core.Session.apply s ~kind op)))
+    (Some session) suffix
+
 (** Rebuild a session from the stored shrink wrap schema and journal, then
     restore its local names.  When the checkpoint covers a prefix of the
     journal, the session opens from it and only the records appended after
-    it are applied; otherwise the whole journal is replayed.  Both give the
-    same session.  A torn journal tail — the crash artifact of an append
-    that was never acknowledged — is truncated and forgotten; interior
-    corruption is an error.  No exception escapes.
+    it are parsed and applied; otherwise the whole journal is replayed.
+    Both give the same session.  A torn journal tail — the crash artifact
+    of an append that was never acknowledged — is truncated and forgotten;
+    interior corruption is an error.  No exception escapes the load; a
+    covered record whose text does not parse surfaces later (see the
+    interface).
 
     [repair] (default [true]) rewrites a torn tail in place so the next
     append lands on a clean file.  Pass [~repair:false] when reading a
@@ -456,46 +562,70 @@ let read_log t =
     in flight.
 
     With a [base] whose text equals the stored [shrinkwrap.odl] bytes, the
-    session starts from the base session: the shrink wrap is neither
-    parsed nor indexed again.  Any other bytes load as without it. *)
+    session starts from the base session, its digest and its chunks: the
+    shrink wrap is neither parsed, indexed nor digested again.  Any other
+    bytes load as without it. *)
 let load_session ?base ?(repair = true) t =
   let ( let* ) = Result.bind in
   try
     let* shrink_text = read_artifact t "shrinkwrap.odl" (shrinkwrap_file t) in
-    (* [fresh ()]: a session just created on the shrink wrap *)
-    let* fresh =
+    (* [fresh ()]: a session just created on the shrink wrap, with its
+       chunks *)
+    let* shrink_digest, fresh =
       match base with
       | Some b when String.equal b.b_text shrink_text ->
-          Ok (fun () -> Ok b.b_session)
+          Ok (b.b_digest, fun () -> Ok (b.b_session, b.b_chunks))
       | _ ->
           let* shrink_wrap = parse_artifact "shrinkwrap.odl" shrink_text in
           Ok
-            (fun () ->
-              Result.map_error
-                (fun ds -> Replay (Core.Oplog.invalid_shrink_wrap ds))
-                (Core.Session.create shrink_wrap))
+            ( hex shrink_text,
+              fun () ->
+                Result.map
+                  (fun s -> (s, chunks_of_text shrink_text shrink_wrap))
+                  (Result.map_error
+                     (fun ds -> Replay (Core.Oplog.invalid_shrink_wrap ds))
+                     (Core.Session.create shrink_wrap)) )
     in
     let log_text = read_log t in
-    let { Journal.entries; damage } = Journal.parse log_text in
+    let covered = covered_prefix t ~shrink_digest ~log_text in
+    (* Only the records after the covered prefix are parsed here; the
+       prefix holds one record a line. *)
+    let start, skipped =
+      match covered with Some (c, _) -> (c.c_bytes, c.c_ops) | None -> (0, 0)
+    in
+    let { Journal.entries; damage } =
+      Journal.parse (String.sub log_text start (String.length log_text - start))
+    in
     let* entries =
       match damage with
       | None -> Ok entries
       | Some (Journal.Torn_tail _) ->
-          if repair then Journal.rewrite t.io (log_file t) entries;
+          if repair then
+            Io.atomic_write t.io (log_file t)
+              (String.sub log_text 0 start ^ Journal.to_string entries);
           Ok entries
-      | Some (Journal.Corrupt _ as d) ->
-          damaged "log.ops" (Journal.damage_to_string d)
-    in
-    let* steps =
-      match Journal.resolve entries with
-      | Ok steps -> Ok steps
-      | Error m -> damaged "log.ops" m
+      | Some (Journal.Corrupt { line; reason }) ->
+          damaged "log.ops"
+            (Journal.damage_to_string
+               (Journal.Corrupt { line = line + skipped; reason }))
     in
     let* session =
-      match resume_from_checkpoint t fresh ~shrink_text ~log_text entries with
+      match Option.bind covered (fun cov -> resume fresh cov entries) with
       | Some session -> Ok session
       | None ->
-          let* fresh = fresh () in
+          (* the full replay: the covered prefix is parsed too *)
+          let* prefix =
+            match Journal.parse (String.sub log_text 0 start) with
+            | { Journal.entries; damage = None } -> Ok entries
+            | { damage = Some d; _ } ->
+                damaged "log.ops" (Journal.damage_to_string d)
+          in
+          let* steps =
+            match Journal.resolve (prefix @ entries) with
+            | Ok steps -> Ok steps
+            | Error m -> damaged "log.ops" m
+          in
+          let* fresh, _ = fresh () in
           Result.map_error
             (fun e -> Replay e)
             (Core.Oplog.replay_on fresh steps)
@@ -663,11 +793,23 @@ let fsck ?(salvage = false) t =
            | None -> derived "missing"
            | Some (Error m) -> derived "%s" m
            | Some (Ok c) -> (
-               match covered_prefix c ~shrink_text ~log_text entries with
+               (* the first [c_ops] entries, all operations *)
+               let rec first n acc = function
+                 | _ when n = 0 -> Some (List.rev acc)
+                 | Journal.Op (kind, op) :: rest ->
+                     first (n - 1) ((kind, op) :: acc) rest
+                 | Journal.Undo :: _ | [] -> None
+               in
+               match
+                 if covers c ~shrink_digest:(hex shrink_text) ~log_text then
+                   first c.c_ops [] entries
+                 else None
+               with
                | None -> derived "does not match the log prefix"
                | Some prefix -> (
                    match
-                     (checkpoint_workspace c, Core.Oplog.replay shrink_wrap prefix)
+                     ( parse_workspace c.c_body,
+                       Core.Oplog.replay shrink_wrap prefix )
                    with
                    | Error m, _ -> derived "%s" m
                    | Ok _, Error _ ->

@@ -21,8 +21,10 @@
     fsync ({!Journal}); the manifest is written last so it witnesses a
     completed save.  All syscalls go through an injectable {!Io.t}.
 
-    Recovery cost is bounded by what was appended since the last save: a
-    load opens from the checkpoint and applies only the journal suffix.
+    Recovery cost is bounded by what changed: a load opens from the
+    checkpoint, parses only the interfaces that differ from the shrink
+    wrap and only the journal suffix (reading and digesting the files
+    stays linear in their size, at memory speed).
     The checkpoint is derived data — a missing, damaged or stale one only
     sends the load back to a full replay of the journal. *)
 
@@ -130,12 +132,22 @@ val fence : t -> era:int -> unit
 
 (** {1 Whole sessions} *)
 
-type base = {
+type chunks
+(** The shrink wrap's interfaces, each with its printed chunk
+    ({!Odl.Printer.interface_chunk}). *)
+
+type base = private {
   b_text : string;  (** the shrink wrap, printed as {!save_session} stores it *)
+  b_digest : string;  (** [b_text]'s hex digest, as a checkpoint records it *)
   b_session : Core.Session.t;  (** a session just created on it *)
+  b_chunks : chunks;  (** [b_text]'s per-interface chunks *)
 }
 (** A repository's shrink wrap, printed and indexed once
     ({!Repo}): the session every variant of the repository starts from. *)
+
+val base : Core.Session.t -> base
+(** The base of a session just created on a shrink wrap: its schema
+    printed and digested once, chunk by chunk. *)
 
 val save_session : ?base:base -> t -> Core.Session.t -> unit
 (** What recovery needs: shrink wrap schema, operation journal (resolved),
@@ -143,10 +155,18 @@ val save_session : ?base:base -> t -> Core.Session.t -> unit
     whole journal, and last the manifest — each atomically.  This is the
     snapshot path (detach, shutdown, new variants, salvage); it renders no
     reports.  The journal is joined from the steps' texts
-    ({!Journal.steps_to_string}); no op is printed.  When the session
-    was derived from [base]'s session, the shrink wrap is not printed
-    again, and [shrinkwrap.odl] is rewritten only if reading it back
-    gives other bytes than [base]'s text. *)
+    ({!Journal.steps_to_string}); no op is printed.
+
+    [shrinkwrap.odl], [aliases.map] and [custom.odl] are rewritten only
+    when reading them back gives other bytes (a read costs less than an
+    fsync).  When the session was derived from [base]'s session, the shrink
+    wrap is not printed again and every workspace interface equal to the
+    shrink wrap's takes [base]'s chunk: only the interfaces the variant
+    changed or added are printed, once for both the custom schema and the
+    checkpoint.  Cost: O(changed interfaces) printing, plus O(schema +
+    journal) at memory speed — the journal and the two schema texts
+    joined, the checkpoint's digests, and the read-back of
+    [shrinkwrap.odl] and [custom.odl] — and the writes. *)
 
 val save_reports : t -> Core.Session.t -> unit
 (** Render the deliverables into [reports/]: [impact.txt],
@@ -167,17 +187,38 @@ val load_session :
 (** Rebuild from the checkpoint plus the journal records appended after it,
     or — when the checkpoint is missing, covers no operation, is damaged,
     does not match the shrink wrap or journal prefix, has error
-    diagnostics, or is undone into by a later [@undo;] — by replaying the
-    whole journal on the stored shrink wrap schema; then restore local
-    names.  Both paths give the same session.  A torn journal tail (crash
-    artifact of an unacknowledged append) is silently truncated; interior
-    corruption is {!Damaged}.  No exception escapes.  [~repair:false]
-    (default [true]) suppresses the in-place rewrite of a torn tail —
-    required when reading a store another process may be appending to
-    (merge reads the branch lock-free; the longest valid prefix is the
-    acknowledged history).  When [shrinkwrap.odl] holds exactly [base]'s
-    text, the session starts from [base]'s session instead of parsing
-    and indexing the shrink wrap again; the result is the same. *)
+    diagnostics, is undone into by a later [@undo;], or the records after
+    it are corrupt — by replaying the whole journal on the stored shrink
+    wrap schema; then restore local names.  Both paths give the same
+    session.  A torn journal tail (crash artifact of an unacknowledged
+    append) is silently truncated; interior corruption is {!Damaged}.  No
+    exception escapes the load.  One damage is not seen at the load: a
+    covered record whose text does not parse — possible only when
+    [log.ops] and the checkpoint header were altered together so the
+    digests still match.  It raises [Failure] later, from the first
+    {!Core.Session.step_op} into the covered prefix (deep undo, impact,
+    rebase, merge); {!fsck} reports it as [log.ops] damage.  [~repair:false] (default [true]) suppresses the
+    in-place rewrite of a torn tail — required when reading a store
+    another process may be appending to (merge reads the branch lock-free;
+    the longest valid prefix is the acknowledged history).  When
+    [shrinkwrap.odl] holds exactly [base]'s text, the session starts from
+    [base]'s session, digest and chunks instead of parsing, indexing and
+    digesting the shrink wrap again; the result is the same.
+
+    Cost from the checkpoint: O(interfaces that differ from the shrink
+    wrap + journal suffix), plus O(schema + journal) at memory speed: the
+    files read, the shrink wrap compared with [base]'s text, the digests
+    of the checkpoint body and the covered journal bytes, and the cut of
+    the covered records.
+    The covered journal prefix is digest-checked and its op texts cut,
+    not parsed ({!Core.Session.of_checkpoint} parses them on first
+    demand).  The checkpoint body is split into its per-interface chunks:
+    a chunk byte-identical to the shrink wrap's takes the shrink wrap's
+    interface value, only the others are parsed, and the workspace index
+    is the shrink wrap session's patched with them
+    ({!Core.Schema_index.patch}).  A body not laid out in the printer's
+    chunks cannot serve and the journal is replayed.  Without a [base] the
+    shrink wrap is parsed and indexed first, O(schema). *)
 
 (** {1 Integrity checking} *)
 

@@ -160,26 +160,54 @@ let parse_request line =
 
 let body_prefix = ". "
 
-(* One logical body entry may span lines (a rendered schema); each physical
-   line gets the prefix. *)
-let body_lines body =
-  List.concat_map (String.split_on_char '\n') body
-  |> List.map (fun l -> body_prefix ^ l)
-
-let status_lines = function
-  | Ok -> [ "!ok" ]
-  | Err m -> [ "!err " ^ m ]
-  | Readonly m -> [ "!readonly " ^ m ]
+(* Every line of the response in order, as [emit ~body s off len]: the
+   line is [len] bytes of [s] from [off], and [body] says whether it takes
+   the body prefix.  One logical body entry may span lines (a rendered
+   schema); each physical line is cut straight from it, with no list in
+   between. *)
+let iter_lines emit r =
+  List.iter
+    (fun entry ->
+      let rec go i =
+        match String.index_from_opt entry i '\n' with
+        | Some j ->
+            emit ~body:true entry i (j - i);
+            go (j + 1)
+        | None -> emit ~body:true entry i (String.length entry - i)
+      in
+      go 0)
+    r.body;
+  let meta l = emit ~body:false l 0 (String.length l) in
+  Option.iter (fun v -> meta (Printf.sprintf "#version %d" v)) r.version;
+  match r.status with
+  | Ok -> meta "!ok"
+  | Err m -> meta ("!err " ^ m)
+  | Readonly m -> meta ("!readonly " ^ m)
   | Busy { reason; retry_after_ms } ->
-      [ "!busy " ^ reason; Printf.sprintf "!retry-after %d" retry_after_ms ]
+      meta ("!busy " ^ reason);
+      meta (Printf.sprintf "!retry-after %d" retry_after_ms)
 
-let version_lines = function
-  | None -> []
-  | Some v -> [ Printf.sprintf "#version %d" v ]
+let to_lines r =
+  let lines = ref [] in
+  iter_lines
+    (fun ~body s off len ->
+      let line = String.sub s off len in
+      lines := (if body then body_prefix ^ line else line) :: !lines)
+    r;
+  List.rev !lines
 
-let to_lines r = body_lines r.body @ version_lines r.version @ status_lines r.status
-
-let to_string r = String.concat "\n" (to_lines r) ^ "\n"
+let to_string r =
+  (* room for the body, its prefixes at a line per 16 bytes, and the
+     status: a long reply is not copied as the buffer grows *)
+  let size = List.fold_left (fun n e -> n + String.length e) 64 r.body in
+  let b = Buffer.create (size + (size / 8)) in
+  iter_lines
+    (fun ~body s off len ->
+      if body then Buffer.add_string b body_prefix;
+      Buffer.add_substring b s off len;
+      Buffer.add_char b '\n')
+    r;
+  Buffer.contents b
 
 let is_terminator line =
   let starts p =

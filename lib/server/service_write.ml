@@ -143,7 +143,7 @@ let observe_committed t (session : Core.Session.t) steps =
         Obs.Histo.observe t.i.h_dirty
           (float_of_int
              (Core.Schema_index.affected_count idx
-                [ Core.Modop.subject st.st_op ])))
+                [ Core.Modop.subject (Core.Session.step_op st) ])))
       steps
   end
 

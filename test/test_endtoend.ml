@@ -113,7 +113,7 @@ let long_session_with_undo () =
   Util.check_valid "still valid" (Core.Session.workspace session);
   let steps =
     List.map
-      (fun (st : Core.Session.step) -> (st.st_kind, st.st_op))
+      (fun (st : Core.Session.step) -> (st.st_kind, (Core.Session.step_op st)))
       (Core.Session.log session)
   in
   match Core.Oplog.replay schema steps with

@@ -300,6 +300,110 @@ let memo_agrees_on_broken =
       && validity_agrees
            (Index.add_interface removed (Index.get_interface idx victim)))
 
+(* 12. [patch]: the index of an edited schema, patched from the index of
+   the schema before the edits, answers every query as a from-scratch
+   [build] of it.  The edits add, remove, rename, reorder and change
+   interfaces; unchanged ones stay physically shared, as they are in a
+   checkpoint reconstructed from the shrink wrap's chunks.  Half the
+   cases start from a warm memo (the base session's), half from a cold
+   one; the patched index is then updated once more. *)
+let edit s (what, r) =
+  let is = s.s_interfaces in
+  let n = List.length is in
+  let nth k = List.nth is (k mod max 1 n) in
+  let fresh = Printf.sprintf "Zz%d" r in
+  let is =
+    match what with
+    | 0 ->
+        (* add, at the end or in the middle, referring to an existing name *)
+        let i =
+          if n = 0 then empty_interface fresh
+          else
+            let model = nth r in
+            { model with i_name = fresh; i_supertypes = [ model.i_name ] }
+        in
+        if r mod 2 = 0 then is @ [ i ]
+        else List.concat (List.mapi (fun k j -> if k = n / 2 then [ i; j ] else [ j ]) is)
+    | 1 -> List.filteri (fun k _ -> n = 0 || k <> r mod n) is
+    | 2 ->
+        (* rename in place; references to the old name dangle *)
+        List.mapi (fun k i -> if n > 0 && k = r mod n then { i with i_name = fresh } else i) is
+    | 3 ->
+        (* swap two *)
+        if n < 2 then is
+        else
+          let a = r mod n and b = (r / n) mod n in
+          List.mapi (fun k i -> if k = a then nth b else if k = b then nth a else i) is
+    | _ ->
+        List.mapi
+          (fun k i ->
+            if n > 0 && k = r mod n then
+              { i with
+                i_attrs = i.i_attrs @ [ { attr_name = "p" ^ fresh; attr_type = D_int; attr_size = None } ];
+                i_supertypes = (if r mod 3 = 0 then [] else i.i_supertypes) }
+            else i)
+          is
+  in
+  { s with s_interfaces = is }
+
+let views_agree a b =
+  let names = "No_such_interface" :: Index.interface_names b in
+  let some = List.filteri (fun k _ -> k < 6) names in
+  let sorted xs = List.sort compare xs in
+  equal_schema (Index.schema a) (Index.schema b)
+  && diags_equal (Index.errors a) (Index.errors b)
+  && Index.is_valid a = Index.is_valid b
+  && diags_equal (Index.diagnostics a) (Index.diagnostics b)
+  && Index.interface_names a = Index.interface_names b
+  && List.of_seq (Index.names_from a "") = List.of_seq (Index.names_from b "")
+  && attrs_agree a
+  && List.for_all
+       (fun n ->
+         Index.find_interface a n = Index.find_interface b n
+         && Index.mem_interface a n = Index.mem_interface b n
+         && Index.direct_supertypes a n = Index.direct_supertypes b n
+         && Index.direct_subtypes a n = Index.direct_subtypes b n
+         && Index.ancestors a n = Index.ancestors b n
+         && Index.descendants a n = Index.descendants b n
+         && Index.visible_attrs a n = Index.visible_attrs b n
+         && Index.relationships_targeting a n = Index.relationships_targeting b n
+         && Index.affected_by a [ n ] = Index.affected_by b [ n ]
+         && Index.affected_count a [ n ] = Index.affected_count b [ n ]
+         && List.for_all (fun m -> Index.same_isa_line a n m = Index.same_isa_line b n m) some)
+       names
+  && List.for_all
+       (fun i ->
+         List.for_all
+           (fun at ->
+             let module SSet = Set.Make (String) in
+             SSet.equal (Index.declarers a at.attr_name) (Index.declarers b at.attr_name))
+           i.i_attrs)
+       (Index.schema b).s_interfaces
+  && sorted (Index.affected_by a names) = sorted (Index.affected_by b names)
+  && List.equal Core.Concept.equal
+       (Core.Decompose.Indexed.decompose a)
+       (Core.Decompose.Indexed.decompose b)
+
+let patch_equals_build =
+  let gen =
+    QCheck2.Gen.(
+      triple Gen.any_synth_schema bool
+        (list_size (int_range 0 6) (pair (int_range 0 4) (int_range 0 9999))))
+  in
+  prop "patched index = build, over add/remove/rename/reorder edits" ~count:300
+    gen (fun (s, warm, edits) ->
+      let base = Index.build s in
+      if warm then ignore (Index.errors base);
+      let s' = List.fold_left edit s edits in
+      let patched = Index.patch base s' and built = Index.build s' in
+      views_agree patched built
+      &&
+      match Index.interface_names built with
+      | [] -> true
+      | n :: _ ->
+          let bump i = { i with i_attrs = i.i_attrs @ [ { attr_name = "bump"; attr_type = D_int; attr_size = None } ] } in
+          views_agree (Index.update_interface patched n bump) (Index.update_interface built n bump))
+
 (* the near-miss kinds named one by one on a seed, plus an interface whose
    quoted name contains the id separator *)
 let concept_lookup_units () =
@@ -372,4 +476,5 @@ let tests =
       affected_count_agrees;
       memo_agrees_over_sessions;
       memo_agrees_on_broken;
+      patch_equals_build;
     ]

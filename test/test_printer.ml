@@ -64,6 +64,56 @@ let operation_raises_printed () =
   Alcotest.(check bool) "raises" true
     (Str_contains.contains printed "raises (Bad)")
 
+(* The schema text is the concatenation of per-interface chunks: the
+   chunked printer gives pp_schema's bytes, and splitting the text gives
+   the chunks back. *)
+let chunks_concatenate name schema =
+  let chunks =
+    List.map
+      (fun (i : Odl.Types.interface) -> (i.i_name, Odl.Printer.interface_chunk i))
+      schema.Odl.Types.s_interfaces
+  in
+  let text = Odl.Printer.schema_to_string schema in
+  Alcotest.(check string) (name ^ ": chunks = pp_schema")
+    (Fmt.str "%a" Odl.Printer.pp_schema schema) text;
+  Alcotest.(check (option (pair string (list (pair string string)))))
+    (name ^ ": split gives the chunks back")
+    (Some (schema.Odl.Types.s_name, chunks))
+    (Odl.Printer.split_chunks text)
+
+let chunked_examples () =
+  chunks_concatenate "university" (Util.university ());
+  chunks_concatenate "emsl" (Util.emsl ());
+  chunks_concatenate "acedb" (Schemas.Genome.acedb_v ());
+  chunks_concatenate "empty" { Odl.Types.s_name = "e"; s_interfaces = [] };
+  List.iter
+    (fun n ->
+      chunks_concatenate (Printf.sprintf "synth%d" n)
+        (Schemas.Synth.generate (Schemas.Synth.default_params ~n_types:n)))
+    [ 1; 60; 400 ]
+
+let chunked_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"chunked printing = pp_schema, split inverts it"
+       ~count:200 ~long_factor:10 Gen.any_synth_schema (fun s ->
+         let text = Odl.Printer.schema_to_string s in
+         text = Fmt.str "%a" Odl.Printer.pp_schema s
+         && Odl.Printer.split_chunks text
+            = Some
+                (s.s_name,
+                 List.map
+                   (fun (i : Odl.Types.interface) ->
+                     (i.i_name, Odl.Printer.interface_chunk i))
+                   s.s_interfaces)))
+
+let split_rejects_foreign_text () =
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (Printf.sprintf "%S" text) true
+        (Odl.Printer.split_chunks text = None))
+    [ ""; "schema s {"; "interface A { };\n"; "schema s { interface A { }; };\n";
+      "schema s {\ninterface A {\n};\n" ]
+
 let tests =
   [
     test "example schemas round trip" examples;
@@ -73,4 +123,7 @@ let tests =
     test "part-of keyword" part_of_keyword;
     test "order_by" order_by_printed;
     test "operation raises" operation_raises_printed;
+    test "chunked printing of the example schemas" chunked_examples;
+    chunked_property;
+    test "split refuses text the printer did not lay out" split_rejects_foreign_text;
   ]

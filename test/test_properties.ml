@@ -179,7 +179,7 @@ let replay_reproduces =
           in
           let steps =
             List.map
-              (fun (st : Core.Session.step) -> (st.st_kind, st.st_op))
+              (fun (st : Core.Session.step) -> (st.st_kind, (Core.Session.step_op st)))
               (Core.Session.log session)
           in
           (match Core.Oplog.replay schema steps with

@@ -436,7 +436,7 @@ let atoms (schema : Odl.Types.schema) =
 let publication_events ~before ~after =
   let render (s : Core.Session.step) =
     "@" ^ Core.Concept.id_prefix s.st_kind ^ " "
-    ^ Core.Op_printer.to_string s.st_op
+    ^ Core.Op_printer.to_string (Core.Session.step_op s)
   in
   let undone, added =
     Core.Session.(delta (spine before) (spine after))

@@ -633,7 +633,7 @@ let chaos_one rng =
         | Result.Ok s ->
             List.map
               (fun (st : Session.step) ->
-                Core.Op_printer.to_string st.Session.st_op)
+                Core.Op_printer.to_string (Session.step_op st))
               (Session.log s)
         | Result.Error e -> Alcotest.fail (Store.load_error_to_string e)
       in
@@ -747,7 +747,7 @@ let prefix_replay_prop =
               let got =
                 List.rev_map
                   (fun (st : Session.step) ->
-                    Core.Op_printer.to_string st.Session.st_op)
+                    Core.Op_printer.to_string (Session.step_op st))
                   (Session.log s)
               in
               got = expect)

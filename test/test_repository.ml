@@ -29,7 +29,7 @@ let with_repo f =
 
 let steps s =
   List.map
-    (fun (st : Core.Session.step) -> (st.st_kind, st.st_op))
+    (fun (st : Core.Session.step) -> (st.st_kind, (Core.Session.step_op st)))
     (Core.Session.log s)
 
 let steps_equal =
@@ -724,24 +724,41 @@ let disk_crash_sweep () =
   done
 
 (* A checkpoint's prefix steps take their op text from the journal bytes
-   it covers: cut from each record as written; printed instead when the
-   bytes are not exactly one record a line. *)
+   it covers: cut from each record as written, unparsed; no texts at all
+   (the open then replays the whole journal) when the bytes are not
+   exactly one op record a line. *)
 let op_texts_cut_from_records () =
   let ww = Core.Concept.Wagon_wheel and gh = Core.Concept.Generalization in
-  let a = Util.parse_op "add_type_definition(Lab)"
-  and b = Util.parse_op "add_supertype(Lab, Person)" in
-  let texts text ops = List.map (fun (_, _, t) -> t) (Journal.op_texts text ops) in
-  Alcotest.(check (list string)) "cut as written"
-    [ "add_type_definition( Lab )"; "add_supertype(Lab, Person)" ]
-    (texts "@ww add_type_definition( Lab );\n@gh add_supertype(Lab, Person);\n"
-       [ (ww, a); (gh, b) ]);
-  let printed = [ Core.Op_printer.to_string a; Core.Op_printer.to_string b ] in
-  Alcotest.(check (list string)) "a comment line: printed" printed
-    (texts "// note\n@ww add_type_definition(Lab);\n@gh add_supertype(Lab, Person);\n"
-       [ (ww, a); (gh, b) ]);
-  Alcotest.(check (list string)) "another concept tag: printed" printed
-    (texts "@ww add_type_definition(Lab);\n@ww add_supertype(Lab, Person);\n"
-       [ (ww, a); (gh, b) ])
+  let records = Alcotest.(option (list (pair string string))) in
+  let cut text =
+    Option.map
+      (List.map (fun (k, t) -> (Core.Concept.kind_name k, t)))
+      (Journal.op_records text)
+  in
+  let named = List.map (fun (k, t) -> (Core.Concept.kind_name k, t)) in
+  Alcotest.(check records) "cut as written"
+    (Some (named [ (ww, "add_type_definition( Lab )"); (gh, "add_supertype(Lab, Person)") ]))
+    (cut "@ww add_type_definition( Lab );\n@gh add_supertype(Lab, Person);\n");
+  Alcotest.(check records) "no records" (Some []) (cut "");
+  let two = "@ww add_type_definition(Lab);\n@gh add_supertype(Lab, Person);\n" in
+  let first = String.index two '\n' + 1 in
+  Alcotest.(check records) "the first [len] bytes"
+    (Some (named [ (ww, "add_type_definition(Lab)") ]))
+    (Option.map
+       (List.map (fun (k, t) -> (Core.Concept.kind_name k, t)))
+       (Journal.op_records ~len:first two));
+  Alcotest.(check bool) "a [len] inside a record" true
+    (Journal.op_records ~len:(first + 3) two = None);
+  List.iter
+    (fun (what, text) -> Alcotest.(check records) what None (cut text))
+    [
+      ("a comment line", "// note\n@ww add_type_definition(Lab);\n");
+      ("a blank line", "\n@ww add_type_definition(Lab);\n");
+      ("an undo record", "@ww add_type_definition(Lab);\n@undo;\n");
+      ("an unknown tag", "@zz add_type_definition(Lab);\n");
+      ("an unterminated line", "@ww add_type_definition(Lab);");
+      ("no semicolon", "@ww add_type_definition(Lab)\n");
+    ]
 
 let tests =
   [

@@ -75,7 +75,7 @@ let ops_of_log io =
   | Result.Ok s ->
       List.map
         (fun (st : Core.Session.step) ->
-          Core.Op_printer.to_string st.Core.Session.st_op)
+          Core.Op_printer.to_string (Core.Session.step_op st))
         (Core.Session.log s)
   | Result.Error e -> Alcotest.fail (Store.load_error_to_string e)
 
@@ -184,7 +184,7 @@ let full_replay store =
   | Ok s -> Session.restore_aliases s (Store.load_aliases store)
   | Error e -> Alcotest.fail (Core.Apply.error_to_string e)
 
-let pairs s = List.map (fun (st : Session.step) -> (st.st_kind, st.st_op)) (Session.log s)
+let pairs s = List.map (fun (st : Session.step) -> (st.st_kind, (Session.step_op st))) (Session.log s)
 let texts s = List.map (fun (st : Session.step) -> st.st_text) (Session.log s)
 
 let same_pairs =
@@ -237,12 +237,17 @@ type damage =
   | Corrupt_checkpoint  (** a byte of its workspace flipped *)
   | Empty_checkpoint  (** the only snapshot was taken before any op *)
   | Salvaged  (** interior journal damage repaired by fsck before the suffix *)
+  | Reformatted_chunk of int
+      (** one interface's chunk of the checkpoint body re-spaced (it parses
+          to the same interface, but no longer byte-matches the shrink
+          wrap's or the printer's), the body digest recomputed *)
 
 let damage_name = function
   | Intact -> "intact"
   | Corrupt_checkpoint -> "corrupt checkpoint"
   | Empty_checkpoint -> "0-op checkpoint"
   | Salvaged -> "salvaged log"
+  | Reformatted_chunk k -> Printf.sprintf "chunk %d re-spaced" k
 
 (* Apply and journal each action as the designer does; rejected ops and
    undos with nothing to undo are skipped. *)
@@ -270,6 +275,22 @@ let flip_last_byte io path =
   let last = if text.[n - 2] = 'x' then "y" else "x" in
   io.Io.write path (String.sub text 0 (n - 2) ^ last ^ String.sub text (n - 1) 1)
 
+(* Re-space the [k]th interface chunk (mod their count) of the checkpoint
+   body, keeping every digest but the body's, which is recomputed. *)
+let respace_chunk io path k =
+  let text = io.Io.read_file path in
+  let i = String.index text '\n' in
+  let header = String.sub text 0 i
+  and body = String.sub text (i + 1) (String.length text - i - 1) in
+  match Odl.Printer.split_chunks body with
+  | Some (name, (_ :: _ as chunks)) ->
+      let k = k mod List.length chunks in
+      let chunks = List.mapi (fun j (_, c) -> if j = k then c ^ " " else c) chunks in
+      let body = Odl.Printer.schema_of_chunks name chunks in
+      let header = String.sub header 0 (String.length header - 32) in
+      io.Io.write path (header ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body)
+  | _ -> Alcotest.fail "checkpoint body is not laid out in chunks"
+
 let build (pre, post, damage) =
   let io = Io.mem_io (Io.mem_create ()) in
   let store = Store.open_dir ~io "/v" in
@@ -293,6 +314,9 @@ let build (pre, post, damage) =
     | Intact | Empty_checkpoint -> session
     | Corrupt_checkpoint ->
         flip_last_byte io (Store.checkpoint_file store);
+        session
+    | Reformatted_chunk k ->
+        respace_chunk io (Store.checkpoint_file store) k;
         session
     | Salvaged -> (
         io.Io.append (Store.log_file store)
@@ -320,12 +344,44 @@ let action_gen =
       (2, return Undo);
     ]
 
+(* Workspaces whose interfaces differ from the shrink wrap's: one added, one
+   removed, one removed and declared again (it moves to the end: the
+   interface order is no longer the shrink wrap's), each as a run of
+   actions. *)
+let shape_gen =
+  let open QCheck2.Gen in
+  let ww = Core.Concept.Wagon_wheel in
+  let names = Odl.Schema.interface_names (Util.university ()) in
+  oneof
+    [
+      map
+        (fun i -> [ Op (ww, Core.Modop.Add_type_definition (Printf.sprintf "Zq%d" i)) ])
+        (int_range 0 5);
+      map (fun n -> [ Op (ww, Core.Modop.Delete_type_definition n) ]) (oneofl names);
+      map
+        (fun n ->
+          [ Op (ww, Core.Modop.Delete_type_definition n);
+            Op (ww, Core.Modop.Add_type_definition n) ])
+        (oneofl names);
+    ]
+
+let actions_gen size =
+  let open QCheck2.Gen in
+  map List.concat
+    (list_size size
+       (frequency [ (5, map (fun a -> [ a ]) action_gen); (1, shape_gen) ]))
+
 let case_gen =
   let open QCheck2.Gen in
-  triple
-    (list_size (int_range 0 12) action_gen)
-    (list_size (int_range 0 8) action_gen)
-    (oneofl [ Intact; Intact; Corrupt_checkpoint; Empty_checkpoint; Salvaged ])
+  triple (actions_gen (int_range 0 12)) (actions_gen (int_range 0 8))
+    (frequency
+       [
+         (2, return Intact);
+         (1, return Corrupt_checkpoint);
+         (1, return Empty_checkpoint);
+         (1, return Salvaged);
+         (1, map (fun k -> Reformatted_chunk k) (int_range 0 20));
+       ])
 
 let print_case (pre, post, damage) =
   let show = function
@@ -336,10 +392,45 @@ let print_case (pre, post, damage) =
     (String.concat "  " (List.map show pre))
     (String.concat "  " (List.map show post))
 
+(* What needs the ops of a checkpointed session's prefix, against the same
+   on the replayed session: the op pairs, and a rebase of the reference's
+   whole log onto each (every op is already applied: found by comparing
+   the base's ops) and onto a fresh session. *)
+let ops_differences loaded reference =
+  let verdicts (r : Core.Oplog.report) =
+    List.map
+      (fun (v : Core.Oplog.verdict) ->
+        match v.v_outcome with
+        | Clean _ -> "clean"
+        | Auto_merged (why, _) -> why
+        | Conflict _ -> "conflict")
+      r.r_verdicts
+  in
+  let fresh = Util.session_of (Util.university ()) in
+  let branch_ops = Core.Oplog.branch_entries ~base:fresh ~branch:reference in
+  let rebase base = Core.Oplog.rebase ~base ~branch_ops in
+  if not (same_pairs (Core.Oplog.pairs (Core.Oplog.of_session loaded))
+            (Core.Oplog.pairs (Core.Oplog.of_session reference)))
+  then Some "op pairs"
+  else if verdicts (rebase loaded) <> verdicts (rebase reference) then
+    Some "rebase verdicts"
+  else if
+    not
+      (Odl.Types.equal_schema
+         (Session.workspace (rebase loaded).r_session)
+         (Session.workspace (rebase reference).r_session))
+  then Some "rebased workspace"
+  else if
+    Core.Oplog.branch_entries ~base:fresh ~branch:loaded
+    |> List.map (fun (e : Core.Oplog.entry) -> (e.e_kind, e.e_op))
+    |> fun l -> not (same_pairs l (List.map (fun (e : Core.Oplog.entry) -> (e.e_kind, e.e_op)) branch_ops))
+  then Some "branch entries"
+  else None
+
 (* A repository's base for the university schema: what {!Repo.base} holds. *)
 let university_base () =
   let u = Util.university () in
-  { Store.b_text = Odl.Printer.schema_to_string u; b_session = Util.session_of u }
+  Store.base (Util.session_of u)
 
 let checkpoint_equals_replay =
   QCheck_alcotest.to_alcotest
@@ -356,10 +447,15 @@ let checkpoint_equals_replay =
                    (Store.load_error_to_string e)
              | Ok loaded -> (
                  match differences loaded reference with
-                 | None -> true
                  | Some what ->
                      QCheck2.Test.fail_reportf
-                       "load %s differs from the full replay: %s" label what))
+                       "load %s differs from the full replay: %s" label what
+                 | None -> (
+                     match ops_differences loaded reference with
+                     | None -> true
+                     | Some what ->
+                         QCheck2.Test.fail_reportf
+                           "load %s differs from the full replay: %s" label what)))
            [ ("without a base", None); ("on the base", Some (university_base ())) ]))
 
 (* --- op texts: printed once, rendered byte for byte as the printer --- *)
@@ -374,7 +470,7 @@ module Printed = struct
     Session.log s
     |> List.map (fun (st : Session.step) ->
            Printf.sprintf "// in %s\n%s;" (Core.Concept.kind_name st.st_kind)
-             (op st.st_op))
+             (op (Session.step_op st)))
     |> String.concat "\n"
 
   let records s =
@@ -387,17 +483,17 @@ module Printed = struct
       (List.map (fun _ -> Journal.encode Journal.Undo) undone
       @ List.map
           (fun (st : Session.step) ->
-            Journal.encode (Journal.Op (st.st_kind, st.st_op)))
+            Journal.encode (Journal.Op (st.st_kind, (Session.step_op st))))
           added)
 
   let diff_line (st : Session.step) =
-    "@" ^ Core.Concept.id_prefix st.st_kind ^ " " ^ op st.st_op
+    "@" ^ Core.Concept.id_prefix st.st_kind ^ " " ^ op (Session.step_op st)
 
   let impact s =
     let pp_step ppf (idx, (st : Session.step)) =
       Fmt.pf ppf "@[<v 2>%d. [%s] %a" (idx + 1)
         (Core.Concept.kind_name st.st_kind)
-        Core.Op_printer.pp st.st_op;
+        Core.Op_printer.pp (Session.step_op st);
       List.iter
         (fun e -> Fmt.pf ppf "@,%s" (Core.Change.event_to_string e))
         (Session.step_events st);
@@ -452,8 +548,8 @@ let texts_are_printed actions =
   let check_session s =
     List.iter
       (fun (st : Session.step) ->
-        if st.st_text <> Printed.op st.st_op then
-          fail "step text %S, printer %S" st.st_text (Printed.op st.st_op))
+        if st.st_text <> Printed.op (Session.step_op st) then
+          fail "step text %S, printer %S" st.st_text (Printed.op (Session.step_op st)))
       (Session.log s);
     let log = Core.Oplog.render (Core.Oplog.of_session s) in
     if log <> Printed.log s then fail "log reply differs:\n%s" log;
@@ -670,6 +766,195 @@ let bounded_undo () =
   | Ok loaded -> check "checkpointed session" loaded (full_replay store)
   | Error e -> Alcotest.fail (Store.load_error_to_string e)
 
+(* Published sessions are read from many threads at once; the prefix ops,
+   parsed on first demand, must serve them all (OCaml's [Lazy] would
+   raise on a concurrent force). *)
+let concurrent_prefix_ops () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let ops = List.init 60 (Printf.sprintf "add_attribute(Person, string, 8, t%d)") in
+  Store.save_session store (Util.apply_many (Util.session_of (tiny ())) ops);
+  let loaded =
+    match Store.load_session store with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  in
+  let got = Array.make 4 [] in
+  List.init 4 (fun i ->
+      Thread.create
+        (fun () -> got.(i) <- Core.Oplog.pairs (Core.Oplog.of_session loaded))
+        ())
+  |> List.iter Thread.join;
+  let expected = pairs (full_replay store) in
+  Array.iter
+    (fun p -> Alcotest.(check bool) "same op pairs" true (same_pairs expected p))
+    got
+
+(* The open reads only what differs from the shrink wrap: every workspace
+   interface the variant left alone is the shrink wrap's own value, with
+   and without a base, and the session answers as the full replay. *)
+let open_shares_unchanged_interfaces () =
+  let u = Util.university () in
+  let live =
+    Util.apply_many (Util.session_of u)
+      [ "add_attribute(Person, string, 8, nick)"; "add_type_definition(Lab)" ]
+  in
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  Store.save_session store live;
+  List.iter
+    (fun (label, base) ->
+      match Store.load_session ?base store with
+      | Error e -> Alcotest.fail (Store.load_error_to_string e)
+      | Ok loaded ->
+          let shrink = Session.original loaded in
+          List.iter
+            (fun (i : Odl.Types.interface) ->
+              let shared =
+                List.exists (fun j -> j == i) shrink.Odl.Types.s_interfaces
+              in
+              let expected = i.i_name <> "Person" && i.i_name <> "Lab" in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s shared" label i.i_name) expected shared)
+            (Session.workspace loaded).s_interfaces;
+          Alcotest.(check (option string)) (label ^ ": = full replay") None
+            (differences loaded (full_replay store)))
+    [ ("without a base", None); ("on the base", Some (university_base ())) ]
+
+(* A snapshot writes [shrinkwrap.odl], [aliases.map] and [custom.odl] only
+   when their bytes changed: a second detach of an unchanged session
+   rewrites the journal, the checkpoint and the manifest alone, and the
+   repository stays fsck-clean. *)
+let snapshot_skips_unchanged_artifacts () =
+  let m = Io.mem_create () in
+  let written = ref [] in
+  let base_io = Io.mem_io m in
+  let io =
+    { base_io with
+      Io.rename =
+        (fun src dst ->
+          written := Filename.basename dst :: !written;
+          base_io.Io.rename src dst) }
+  in
+  let repo =
+    match Repo.init ~io "/repo" (Util.university ()) with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let session =
+    Util.apply_many (Util.session_of (Util.university ()))
+      [ "add_attribute(Person, string, 8, nick)" ]
+  in
+  let session =
+    match Session.add_alias session (Core.Aliases.For_interface "Person") "Human" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let save () =
+    written := [];
+    (match Repo.save_variant repo "v" session with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    List.sort compare !written
+  in
+  Alcotest.(check (list string)) "first snapshot writes every artifact"
+    [ "aliases.map"; "checkpoint.odl"; "custom.odl"; "log.ops"; "manifest";
+      "shrinkwrap.odl" ]
+    (save ());
+  Alcotest.(check (list string)) "an unchanged snapshot skips three"
+    [ "checkpoint.odl"; "log.ops"; "manifest" ] (save ());
+  let store = Repo.variant_store repo "v" in
+  Alcotest.(check (list string)) "fsck clean" [] (Store.fsck store).Store.fsck_issues;
+  match Repo.open_variant repo "v" with
+  | Ok s ->
+      Alcotest.(check (option string)) "reopens as saved" None (differences s session)
+  | Error e -> Alcotest.fail (Repo.open_error_to_string e)
+
+(* The open does not parse the records its checkpoint covers: one whose
+   text does not parse (log.ops and the checkpoint header altered
+   together, digests recomputed) is not seen at the load.  The log is
+   served from the texts; the first op asked of the prefix raises, and
+   fsck, which parses the whole journal, reports the record. *)
+let unparsable_prefix_record_surfaces_later () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  Store.save_session store
+    (Util.apply_many (Util.session_of (tiny ()))
+       [ "add_type_definition(Lab)"; "add_type_definition(Room)" ]);
+  let log_text = io.Io.read_file (Store.log_file store) in
+  let log_text =
+    "@ww frobnicate(Lab;\n"
+    ^ String.concat "\n" (List.tl (String.split_on_char '\n' log_text))
+  in
+  io.Io.write (Store.log_file store) log_text;
+  let path = Store.checkpoint_file store in
+  let text = io.Io.read_file path in
+  let i = String.index text '\n' in
+  let hex s = Digest.to_hex (Digest.string s) in
+  let header =
+    Scanf.sscanf (String.sub text 0 i)
+      "// checkpoint 1 ops %d bytes %d log %s shrinkwrap %s body %s"
+      (fun ops _ _ shrink body ->
+        Printf.sprintf "// checkpoint 1 ops %d bytes %d log %s shrinkwrap %s body %s"
+          ops (String.length log_text) (hex log_text) shrink body)
+  in
+  io.Io.write path (header ^ String.sub text i (String.length text - i));
+  (match Store.load_session store with
+  | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  | Ok s ->
+      Alcotest.(check bool) "the log is served from the texts" true
+        (Str_contains.contains (Core.Oplog.render (Core.Oplog.of_session s))
+           "frobnicate");
+      let raises f = match f () with _ -> false | exception Failure _ -> true in
+      Alcotest.(check bool) "the first op asked of the prefix raises" true
+        (raises (fun () -> Session.step_op (List.hd (Session.log s))));
+      Alcotest.(check bool) "and so does the impact report" true
+        (raises (fun () -> Session.impact_report s)));
+  let report = Store.fsck store in
+  Alcotest.(check bool) "fsck reports log.ops damage" true
+    ((not report.Store.fsck_derived_only)
+    && List.exists
+         (fun m -> String.starts_with ~prefix:"log.ops: line 1" m)
+         report.Store.fsck_issues)
+
+(* The load parses the journal once, from the checkpoint's offset, and
+   repairs a torn tail there before it knows whether the checkpoint
+   serves: here an [@undo;] after the checkpoint pops into its prefix, so
+   the journal is replayed, and log.ops is still written back once.  A
+   corrupt record after the checkpoint is reported at its journal line. *)
+let journal_after_checkpoint_parsed_once () =
+  let m = Io.mem_create () in
+  let base_io = Io.mem_io m in
+  let log_writes = ref 0 in
+  let io =
+    { base_io with
+      Io.rename =
+        (fun src dst ->
+          if Filename.basename dst = "log.ops" then incr log_writes;
+          base_io.Io.rename src dst) }
+  in
+  let store = Store.open_dir ~io "/v" in
+  Store.save_session store
+    (Util.apply_many (Util.session_of (tiny ()))
+       [ "add_type_definition(Lab)"; "add_type_definition(Room)" ]);
+  let saved = io.Io.read_file (Store.log_file store) in
+  io.Io.append (Store.log_file store) "@undo;\n@ww add_type_defin";
+  log_writes := 0;
+  (match Store.load_session store with
+  | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  | Ok loaded ->
+      Alcotest.(check int) "log.ops written back once" 1 !log_writes;
+      Alcotest.(check string) "the surviving records" (saved ^ "@undo;\n")
+        (io.Io.read_file (Store.log_file store));
+      Alcotest.(check (option string)) "= full replay" None
+        (differences loaded (full_replay store)));
+  io.Io.append (Store.log_file store) "frobnicate the journal\n";
+  match Store.load_session store with
+  | Ok _ -> Alcotest.fail "a corrupt record loaded"
+  | Error e ->
+      Alcotest.(check bool) "reported at its journal line" true
+        (Str_contains.contains (Store.load_error_to_string e) "log.ops is damaged: line 4:")
+
 let tests =
   [
     test "redo is lost across @close/@open (undo chain survives)"
@@ -686,4 +971,13 @@ let tests =
     test "concurrent readers share one prefix replay" concurrent_impact_reports;
     op_texts_are_printed;
     test "two threads render a freshly opened log alike" concurrent_log_renders;
+    test "four threads force the prefix ops alike" concurrent_prefix_ops;
+    test "the open shares the interfaces the variant left alone"
+      open_shares_unchanged_interfaces;
+    test "a snapshot writes only the artifacts whose bytes changed"
+      snapshot_skips_unchanged_artifacts;
+    test "a covered record that does not parse surfaces at its first op"
+      unparsable_prefix_record_surfaces_later;
+    test "the journal after a checkpoint is parsed and repaired once"
+      journal_after_checkpoint_parsed_once;
   ]

@@ -121,6 +121,55 @@ let render_responses () =
       (". body", false);
     ]
 
+(* The framing, written the direct way: split every body entry at its
+   newlines, prefix each line, then the meta and status lines, joined.
+   [to_lines] and [to_string] must give exactly these bytes. *)
+let reference_lines (r : Protocol.response) =
+  List.concat_map (String.split_on_char '\n') r.body
+  |> List.map (fun l -> Protocol.body_prefix ^ l)
+  |> Fun.flip ( @ )
+       (Option.fold ~none:[] ~some:(fun v -> [ Printf.sprintf "#version %d" v ])
+          r.version)
+  |> Fun.flip ( @ )
+       (match r.status with
+       | Protocol.Ok -> [ "!ok" ]
+       | Err m -> [ "!err " ^ m ]
+       | Readonly m -> [ "!readonly " ^ m ]
+       | Busy { reason; retry_after_ms } ->
+           [ "!busy " ^ reason; Printf.sprintf "!retry-after %d" retry_after_ms ])
+
+let framing_matches_reference =
+  let open QCheck2.Gen in
+  (* entries with empty lines, multi-line items and leading/trailing
+     newlines *)
+  let entry =
+    map (String.concat "\n")
+      (list_size (int_range 0 4) (string_size ~gen:(oneofl [ 'a'; ' '; '.'; '!' ]) (int_range 0 5)))
+  in
+  let response =
+    let* body = list_size (int_range 0 6) entry in
+    let* version = opt (int_range 0 1000) in
+    let* status =
+      oneof
+        [
+          return Protocol.Ok;
+          map (fun m -> Protocol.Err m) (string_size ~gen:printable (int_range 0 8));
+          map (fun m -> Protocol.Readonly m) (string_size ~gen:printable (int_range 0 8));
+          map2
+            (fun reason retry_after_ms -> Protocol.Busy { reason; retry_after_ms })
+            (string_size ~gen:printable (int_range 0 8))
+            (int_range 0 5000);
+        ]
+    in
+    return { Protocol.body; status; version }
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"protocol: framing = split, prefix and join"
+       ~count:500 response (fun r ->
+         let lines = reference_lines r in
+         Protocol.to_lines r = lines
+         && Protocol.to_string r = String.concat "\n" lines ^ "\n"))
+
 (* --- retry ---------------------------------------------------------------- *)
 
 let retry_policy =
@@ -409,7 +458,7 @@ let recovered_steps io =
   | Result.Ok s ->
       List.map
         (fun (st : Core.Session.step) ->
-          Core.Op_printer.to_string st.Core.Session.st_op)
+          Core.Op_printer.to_string (Core.Session.step_op st))
         (Core.Session.log s)
   | Result.Error e -> Alcotest.fail (Store.load_error_to_string e)
 
@@ -1913,7 +1962,7 @@ let merge_recovered_steps io variant =
   | Result.Ok s ->
       List.map
         (fun (st : Core.Session.step) ->
-          Core.Op_printer.to_string st.Core.Session.st_op)
+          Core.Op_printer.to_string (Core.Session.step_op st))
         (Core.Session.log s)
   | Result.Error e -> Alcotest.fail (Store.load_error_to_string e)
 
@@ -2300,6 +2349,7 @@ let tests =
       stats_per_service;
     test "stats: request phases are complete, ordered, and add up"
       trace_phases_add_up;
+    framing_matches_reference;
   ]
 
 let soak_tests = [ Alcotest.test_case "bounded chaos soak" `Slow soak ]

@@ -142,7 +142,7 @@ let replay_matches_session () =
       [ "add_type_definition(Lab)"; "delete_type_definition(Book)" ]
   in
   let steps =
-    List.map (fun (st : Session.step) -> (st.st_kind, st.st_op)) (Session.log s)
+    List.map (fun (st : Session.step) -> (st.st_kind, (Session.step_op st))) (Session.log s)
   in
   match Core.Oplog.replay (Util.university ()) steps with
   | Ok replayed ->
@@ -212,7 +212,7 @@ let run_with_moves session ops moves =
     | 4 -> (
         match (Session.steps_rev s, Session.undo s) with
         | st :: _, Some u -> (
-            match Session.apply u ~kind:st.Session.st_kind st.st_op with
+            match Session.apply u ~kind:st.Session.st_kind (Session.step_op st) with
             | Ok (s', _) -> s'
             | Error _ -> u)
         | _ -> s)
@@ -245,7 +245,7 @@ let replay_delta before after =
   in
   List.fold_left
     (fun s (st : Session.step) ->
-      match Session.apply s ~kind:st.st_kind st.st_op with
+      match Session.apply s ~kind:st.st_kind (Session.step_op st) with
       | Ok (s, _) -> s
       | Error e -> failwith (Core.Apply.error_to_string e))
     s added
