@@ -13,7 +13,9 @@
     - P6 diff: operation-log inference between two schemas
     - P7 affinity: semantic affinity between two schemas
     - P8 index: incremental (dirty-set) consistency re-check vs a full
-      naive check, and the indexed vs naive apply engine
+      naive check, and the indexed vs naive apply engine; and (ungated)
+      the shrink wrap's cold path by stage: parse, index build, the cold
+      consistency walk, print, and [Session.create]
     - P9 migrate: instance migration through a customization
     - P10 journal: appending one durable record to an n-record operation
       journal vs rewriting the whole log (the persistence cost per accepted
@@ -264,6 +266,50 @@ let journal_benches_for ~dirs n =
       (Staged.stage (fun () -> Repository.Journal.rewrite io log_path entries));
   ]
 
+(* [setup] runs untimed before each run of [f], which gets its result *)
+let median_ms_of ?(warm = true) runs ~setup f =
+  (* every series starts from a settled heap, then one untimed run *)
+  Gc.full_major ();
+  if warm then f (setup ());
+  let a =
+    Array.init runs (fun _ ->
+        let x = setup () in
+        let t0 = Unix.gettimeofday () in
+        f x;
+        (Unix.gettimeofday () -. t0) *. 1000.)
+  in
+  Array.sort compare a;
+  a.(runs / 2)
+
+let median_ms ?warm runs f = median_ms_of ?warm runs ~setup:ignore f
+
+(* P8, cold: what a repository pays for its shrink wrap before any
+   variant opens, stage by stage, on Synth schemas to n = 6400.  parse is
+   [Odl.Parser.parse_schema] of the printed text; build is
+   [Schema_index.build]; walk is the first [Schema_index.errors] of a
+   fresh index (the whole consistency walk, every interface checked);
+   print is [Odl.Printer.schema_to_string]; create is [Session.create]
+   (build + walk).  Medians of [cold_runs] after a settled heap and one
+   untimed run; not gated. *)
+let cold_sizes = [ 400; 1600; 3200; 6400 ]
+let cold_runs = 5
+
+let cold_rows n =
+  let schema = schema_of n in
+  let text = Odl.Printer.schema_to_string schema in
+  [
+    ("parse", median_ms cold_runs (fun () -> ignore (Odl.Parser.parse_schema text)));
+    ("build", median_ms cold_runs (fun () -> ignore (Core.Schema_index.build schema)));
+    (* each run walks a fresh index: the walk fills the index's memo *)
+    ( "walk",
+      median_ms_of cold_runs
+        ~setup:(fun () -> Core.Schema_index.build schema)
+        (fun idx -> ignore (Core.Schema_index.errors idx)) );
+    ("print", median_ms cold_runs (fun () -> ignore (Odl.Printer.schema_to_string schema)));
+    ("create", median_ms cold_runs (fun () -> ignore (Core.Session.create schema)));
+  ]
+  |> List.map (fun (stage, ms) -> (Printf.sprintf "%s/%d" stage n, ms))
+
 (* P8 baseline: incremental vs full checking, recorded as JSON so later
    work can compare against a committed reference.  The run FAILS (exit 1)
    unless find-concept at the largest size is at least [lookup_floor] times
@@ -288,6 +334,9 @@ let run_index ~json_path () =
     List.assoc name (List.map (fun (n, ns) -> (strip n, ns)) rows)
   in
   let speedup = ns_of "current-concepts" /. ns_of "find-concept" in
+  let cold = List.concat_map cold_rows cold_sizes in
+  Printf.printf "\nP8, cold: the shrink wrap's stages (ms, median of %d)\n" cold_runs;
+  List.iter (fun (name, ms) -> Printf.printf "%-32s %10.2f\n" name ms) cold;
   let passed = speedup >= lookup_floor in
   let entry (name, ns) =
     Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }" (strip name)
@@ -308,7 +357,22 @@ let run_index ~json_path () =
           largest speedup lookup_floor passed;
         "  \"results\": [";
         String.concat ",\n" (List.map entry rows);
-        "  ]";
+        "  ],";
+        "  \"cold\": {";
+        "    \"what\": \"the shrink wrap's cold path by stage: parse, \
+         Schema_index.build, the first errors walk of a fresh index, \
+         schema_to_string, Session.create; ungated\",";
+        Printf.sprintf "    \"sizes\": [%s],"
+          (String.concat ", " (List.map string_of_int cold_sizes));
+        Printf.sprintf "    \"unit\": \"ms (median of %d)\"," cold_runs;
+        "    \"rows\": [";
+        String.concat ",\n"
+          (List.map
+             (fun (name, ms) ->
+               Printf.sprintf "      { \"name\": \"%s\", \"ms\": %.2f }" name ms)
+             cold);
+        "    ]";
+        "  }";
         "}";
         "";
       ]
@@ -350,19 +414,6 @@ let history_op n k =
     Core.Op_parser.parse
       (if k mod 2 = 0 then Printf.sprintf "add_attribute(T%d, string, 8, h%d)" i (k / 2)
        else Printf.sprintf "delete_attribute(T%d, h%d)" i (k / 2)) )
-
-let median_ms ?(warm = true) runs f =
-  (* every series starts from a settled heap, then one untimed run *)
-  Gc.full_major ();
-  if warm then f ();
-  let a =
-    Array.init runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  Array.sort compare a;
-  a.(runs / 2)
 
 type recovery = {
   history : int;

@@ -68,10 +68,12 @@ type global_diags = {
 }
 
 (* Invariant (schemas without duplicate names): every declared name is
-   either pending, or has current diagnostics in [diags] and is in
-   [failing] exactly when they hold an error. *)
+   either pending, or has current diagnostics, which are in [diags] unless
+   empty, and is in [failing] exactly when they hold an error. *)
 type memo = {
-  diags : iface_diags SMap.t;  (** per-interface diagnostics, current *)
+  diags : iface_diags SMap.t;
+      (** per-interface diagnostics, current; a settled name absent from it
+          has none, as most names of a valid schema *)
   pending : SSet.t option;
       (** names whose diagnostics await a re-check; [None] while cold,
           meaning every name *)
@@ -236,27 +238,26 @@ let descendants t n = closure (direct_subtypes t) (direct_subtypes t n)
 let same_isa_line t a b =
   String.equal a b || List.mem b (ancestors t a) || List.mem b (descendants t a)
 
-let topo_ancestors t name = List.rev (name :: ancestors t name)
-
-let dedup_by key xs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun x ->
+(* [xs] less every element whose key appears again later in it: each
+   key's last occurrence, in order. *)
+let keep_last key xs =
+  List.fold_left
+    (fun (seen, acc) x ->
       let k = key x in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    xs
+      if SSet.mem k seen then (seen, acc) else (SSet.add k seen, x :: acc))
+    (SSet.empty, []) (List.rev xs)
+  |> snd
+
+let attrs_of t n = match find_interface t n with None -> [] | Some i -> i.i_attrs
 
 let visible_attrs t name =
-  topo_ancestors t name
-  |> List.concat_map (fun n ->
-         match find_interface t n with None -> [] | Some i -> i.i_attrs)
-  |> List.rev
-  |> dedup_by (fun a -> a.attr_name)
-  |> List.rev
+  let own = attrs_of t name in
+  match ancestors t name with
+  | [] -> keep_last (fun a -> a.attr_name) own
+  | line ->
+      keep_last
+        (fun a -> a.attr_name)
+        (List.fold_left (fun acc n -> attrs_of t n @ acc) own line)
 
 let relationships_targeting t name =
   (match SMap.find_opt name t.mentions with
@@ -382,9 +383,11 @@ let remove_interface t name =
    physically equal to [t]'s interface of that name is unchanged, every
    other one is changed, added or (absent from [sch]) removed.  Survivors
    keep their positions and new names take fresh ones after them, as
-   [add_interface] gives them; when [sch]'s order is not that — survivors
-   reordered, a name inserted before a survivor, a duplicate — the schema
-   is built from scratch.
+   [add_interface] gives them.  From the first survivor out of that order
+   on — a survivor moved, a name inserted before one, an interface deleted
+   and declared again (the engine appends it) — every interface takes a
+   fresh position, a survivor among them counting as removed from its old
+   one and added again.  Only a duplicated name is built from scratch.
 
    The memo is invalidated on the touched names' dirty closure on [t].
    Applying the same changes one update at a time would take the closure
@@ -394,54 +397,47 @@ let remove_interface t name =
    reach is in the closure on [t]. *)
 
 let patch t sch =
-  (* each interface of [sch] with its position: a survivor's own, or the
-     next fresh one *)
-  let placed =
-    List.fold_left
-      (fun acc i ->
-        Option.bind acc (fun (prev, next, rev) ->
-            match SMap.find_opt i.i_name t.by_name with
-            | Some (old_i, p) when p > prev ->
-                Some (p, next, (i, Some old_i, p) :: rev)
-            | Some _ -> None
-            | None -> Some (next, next + 1, (i, None, next) :: rev)))
-      (Some (-1, t.next_pos, []))
-      sch.s_interfaces
+  let exception Rebuild in
+  (* [t]'s positions: 0 removed, 1 kept in place, 2 left for a fresh one *)
+  let alive = Bytes.make t.next_pos '\000' in
+  let touched = ref [] and globals = ref true in
+  let refile_to (t', by_name) i old_refs p =
+    touched := i.i_name :: !touched;
+    ( reindex t' i.i_name old_refs (refs_of i),
+      SMap.add i.i_name (i, p) by_name )
   in
-  match placed with
-  | None -> build sch
-  | Some _ when t.has_dups -> build sch
-  | Some (_, next_pos, rev) ->
-      (* the survivors' positions, to find the removed names *)
-      let alive = Bytes.make t.next_pos '\000' and touched = ref [] in
-      let globals = ref true and twice = ref false in
-      let t', by_name =
-        List.fold_left
-          (fun (t', by_name) (i, old, p) ->
-            let name = i.i_name in
-            match old with
-            | Some old_i ->
-                Bytes.set alive p '\001';
-                if old_i == i then (t', by_name)
-                else begin
-                  touched := name :: !touched;
-                  globals := !globals && globals_survive old_i i;
-                  ( reindex t' name (refs_of old_i) (refs_of i),
-                    SMap.add name (i, p) by_name )
-                end
-            | None ->
-                (* a new name already filed was added earlier in this walk *)
-                twice := !twice || SMap.mem name by_name;
-                touched := name :: !touched;
-                globals := false;
-                ( reindex t' name no_refs (refs_of i),
-                  SMap.add name (i, p) by_name ))
-          (t, t.by_name) rev
-      in
+  (* [prev]: the last position kept in place; [fresh]: whether the walk
+     has left [t]'s order *)
+  let place (acc, prev, next, fresh) i =
+    match SMap.find_opt i.i_name t.by_name with
+    | Some (old_i, p) when (not fresh) && p > prev ->
+        Bytes.set alive p '\001';
+        if old_i == i then (acc, p, next, fresh)
+        else begin
+          globals := !globals && globals_survive old_i i;
+          (refile_to acc i (refs_of old_i) p, p, next, fresh)
+        end
+    | Some (old_i, p) ->
+        (* a name placed twice is a duplicate *)
+        if Bytes.get alive p <> '\000' then raise Rebuild;
+        Bytes.set alive p '\002';
+        globals := false;
+        (refile_to acc i (refs_of old_i) next, prev, next + 1, true)
+    | None ->
+        if SMap.mem i.i_name (snd acc) then raise Rebuild;
+        globals := false;
+        (refile_to acc i no_refs next, prev, next + 1, true)
+  in
+  match
+    if t.has_dups then raise Rebuild
+    else List.fold_left place ((t, t.by_name), -1, t.next_pos, false) sch.s_interfaces
+  with
+  | exception Rebuild -> build sch
+  | (t', by_name), _, next_pos, _ ->
       let t', by_name =
         SMap.fold
           (fun name (old_i, p) (t', by_name) ->
-            if Bytes.get alive p = '\001' then (t', by_name)
+            if Bytes.get alive p <> '\000' then (t', by_name)
             else begin
               touched := name :: !touched;
               globals := false;
@@ -449,8 +445,7 @@ let patch t sch =
             end)
           t.by_name (t', by_name)
       in
-      if !twice then build sch
-      else if !touched = [] then { t with sch }
+      if !touched = [] then { t with sch }
       else
         {
           t' with
@@ -495,7 +490,6 @@ module Lookup = struct
   let find_interface = find_interface
   let mem_interface = mem_interface
   let direct_supertypes = direct_supertypes
-  let direct_subtypes = direct_subtypes
   let ancestors = ancestors
   let visible_attrs = visible_attrs
 end
@@ -533,8 +527,13 @@ let has_error d =
 
 let flag name d failing = if has_error d then SSet.add name failing else failing
 
-(* [name]'s fresh diagnostics [d] entered into the memo's maps *)
-let note name d (diags, failing) = (SMap.add name d diags, flag name d failing)
+let no_diags = { d_naming = []; d_structural = []; d_semantic = [] }
+
+(* [name]'s fresh diagnostics [d] entered into the memo's maps; [name] is
+   not in them yet *)
+let note name d (diags, failing) =
+  if d = no_diags then (diags, failing)
+  else (SMap.add name d diags, flag name d failing)
 
 (* Every interface's diagnostics in declaration order, served from the memo
    where it has them; the memo, settled, is stored back in one write.
@@ -543,6 +542,9 @@ let note name d (diags, failing) = (SMap.add name d diags, flag name d failing)
 let walk t =
   let m = t.memo in
   let g = global_block t in
+  let settled n =
+    match m.pending with None -> false | Some p -> not (SSet.mem n p)
+  in
   let (diags, failing), per =
     List.fold_left_map
       (fun acc i ->
@@ -552,6 +554,7 @@ let walk t =
           let diags, failing = acc in
           match SMap.find_opt i.i_name diags with
           | Some d -> ((diags, flag i.i_name d failing), d)
+          | None when settled i.i_name -> (acc, no_diags)
           | None ->
               let d = check_interface t i in
               (note i.i_name d acc, d))

@@ -52,9 +52,11 @@ val patch : t -> Odl.Types.schema -> t
     per interface, map work for the touched ones, and (at the next
     {!errors}) a re-check of their dirty closure instead of a cold walk.
     Survivors keep their declaration positions and new names follow them,
-    as {!add_interface} appends; any other order of [s] — survivors
-    reordered, a name inserted before a survivor, duplicated names — is
-    {!build}. *)
+    as {!add_interface} appends.  From the first survivor out of that
+    order on (survivors reordered, a name inserted before a survivor, an
+    interface deleted and declared again), every interface takes a fresh
+    position and a survivor among them is touched, as if removed and
+    added again.  Only duplicated names are {!build}. *)
 
 val is_valid : t -> bool
 (** No error-level diagnostics: the pending names are re-checked, then the

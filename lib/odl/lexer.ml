@@ -43,8 +43,18 @@ let token_to_string = function
   | Comma -> ","
   | Eof -> "<eof>"
 
-(** Tokenize [src] into a list of located tokens ending with [Eof]. *)
-let tokenize src =
+(* The tokens of a text in three parallel arrays, the last token [Eof];
+   the arrays may be longer than [count]. *)
+type tokens = {
+  count : int;
+  toks : token array;
+  lines : int array;
+  cols : int array;
+}
+
+(** Lex [src] whole, so a lexical error anywhere in it is raised before
+    any parsing. *)
+let lex src =
   let n = String.length src in
   let line = ref 1 and bol = ref 0 in
   let col pos = pos - !bol + 1 in
@@ -66,11 +76,17 @@ let tokenize src =
       skip_block_comment (pos + 1)
     end
   in
+  (* the scans below read [src] unchecked behind an explicit [pos < n] *)
   let rec ident_end pos =
-    if pos < n && Names.is_ident_char src.[pos] then ident_end (pos + 1) else pos
+    if pos < n && Names.is_ident_char (String.unsafe_get src pos) then
+      ident_end (pos + 1)
+    else pos
   in
   let rec int_end pos =
-    if pos < n && src.[pos] >= '0' && src.[pos] <= '9' then int_end (pos + 1)
+    if pos < n then
+      match String.unsafe_get src pos with
+      | '0' .. '9' -> int_end (pos + 1)
+      | _ -> pos
     else pos
   in
   (* scan a quoted identifier starting after the opening double quote; raw
@@ -110,43 +126,72 @@ let tokenize src =
     in
     go start
   in
-  let rec go pos acc =
-    if pos >= n then List.rev ({ tok = Eof; line = !line; col = col pos } :: acc)
-    else
-      let c = src.[pos] in
-      let emit tok len =
-        go (pos + len) ({ tok; line = !line; col = col pos } :: acc)
+  (* printed ODL has a token every six bytes or so; the arrays double
+     when that guess is short *)
+  let cap = ref ((n / 5) + 16) in
+  let toks = ref (Array.make !cap Eof)
+  and lines = ref (Array.make !cap 0)
+  and cols = ref (Array.make !cap 0) in
+  let count = ref 0 in
+  let push tok line col =
+    if !count = !cap then begin
+      let grow a fill =
+        let b = Array.make (2 * !cap) fill in
+        Array.blit a 0 b 0 !cap;
+        b
       in
-      match c with
-      | ' ' | '\t' | '\r' -> go (pos + 1) acc
+      toks := grow !toks Eof;
+      lines := grow !lines 0;
+      cols := grow !cols 0;
+      cap := 2 * !cap
+    end;
+    Array.unsafe_set !toks !count tok;
+    Array.unsafe_set !lines !count line;
+    Array.unsafe_set !cols !count col;
+    incr count
+  in
+  let rec go pos =
+    if pos >= n then push Eof !line (col pos)
+    else
+      match String.unsafe_get src pos with
+      | ' ' | '\t' | '\r' -> go (pos + 1)
       | '\n' ->
           newline pos;
-          go (pos + 1) acc
-      | '/' when pos + 1 < n && src.[pos + 1] = '/' ->
-          go (skip_line_comment pos) acc
+          go (pos + 1)
+      | '/' when pos + 1 < n && src.[pos + 1] = '/' -> go (skip_line_comment pos)
       | '/' when pos + 1 < n && src.[pos + 1] = '*' ->
-          go (skip_block_comment (pos + 2)) acc
+          go (skip_block_comment (pos + 2))
       | '"' ->
           let s, e = quoted_end (pos + 1) in
-          go e ({ tok = Quoted s; line = !line; col = col pos } :: acc)
-      | '{' -> emit Lbrace 1
-      | '}' -> emit Rbrace 1
-      | '(' -> emit Lparen 1
-      | ')' -> emit Rparen 1
-      | '<' -> emit Langle 1
-      | '>' -> emit Rangle 1
-      | ';' -> emit Semi 1
-      | ',' -> emit Comma 1
-      | ':' when pos + 1 < n && src.[pos + 1] = ':' -> emit Coloncolon 2
-      | ':' -> emit Colon 1
+          push (Quoted s) !line (col pos);
+          go e
+      | '{' -> emit pos Lbrace 1
+      | '}' -> emit pos Rbrace 1
+      | '(' -> emit pos Lparen 1
+      | ')' -> emit pos Rparen 1
+      | '<' -> emit pos Langle 1
+      | '>' -> emit pos Rangle 1
+      | ';' -> emit pos Semi 1
+      | ',' -> emit pos Comma 1
+      | ':' when pos + 1 < n && src.[pos + 1] = ':' -> emit pos Coloncolon 2
+      | ':' -> emit pos Colon 1
       | c when Names.is_ident_start c ->
-          let e = ident_end pos in
-          emit (Ident (String.sub src pos (e - pos))) (e - pos)
-      | c when c >= '0' && c <= '9' ->
-          let e = int_end pos in
-          emit (Int (int_of_string (String.sub src pos (e - pos)))) (e - pos)
+          let e = ident_end (pos + 1) in
+          emit pos (Ident (String.sub src pos (e - pos))) (e - pos)
+      | '0' .. '9' ->
+          let e = int_end (pos + 1) in
+          emit pos (Int (int_of_string (String.sub src pos (e - pos)))) (e - pos)
       | c ->
           raise
             (Lex_error (Printf.sprintf "unexpected character %C" c, !line, col pos))
+  and emit pos tok len =
+    push tok !line (col pos);
+    go (pos + len)
   in
-  go 0 []
+  go 0;
+  { count = !count; toks = !toks; lines = !lines; cols = !cols }
+
+(** The tokens of [src] as a list of located tokens ending with [Eof]. *)
+let tokenize src =
+  let t = lex src in
+  List.init t.count (fun k -> { tok = t.toks.(k); line = t.lines.(k); col = t.cols.(k) })

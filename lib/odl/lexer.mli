@@ -26,7 +26,19 @@ exception Lex_error of string * int * int
 
 val token_to_string : token -> string
 
-val tokenize : string -> located list
-(** Tokenize a source string; the result always ends with {!Eof}.  Comments
-    are [// ...] to end of line and non-nesting [/* ... */].
+type tokens = private {
+  count : int;  (** the number of tokens, the last {!Eof} *)
+  toks : token array;
+  lines : int array;
+  cols : int array;  (** token [k] is [toks.(k)] at [lines.(k)], [cols.(k)] *)
+}
+(** A text's tokens in parallel arrays, which may run past [count]. *)
+
+val lex : string -> tokens
+(** Tokenize a source string whole, so a lexical error anywhere in it is
+    raised first.  Comments are [// ...] to end of line and non-nesting
+    [/* ... */].
     @raise Lex_error on invalid characters or unterminated comments. *)
+
+val tokenize : string -> located list
+(** {!lex} as a list; it always ends with {!Eof}. *)

@@ -21,7 +21,12 @@ let odl_keywords =
     "char"; "boolean"; "void";
   ]
 
-let is_keyword s = List.mem s odl_keywords
+let keyword_table =
+  let t = Hashtbl.create 32 in
+  List.iter (fun k -> Hashtbl.replace t k ()) odl_keywords;
+  t
+
+let is_keyword s = Hashtbl.mem keyword_table s
 
 (** Whether [s] must be printed as a quoted identifier to survive a
     print/parse round trip: not a plain identifier (empty, or containing

@@ -189,21 +189,31 @@ let parse_interface t =
   let name = T.ident t in
   let supers = if T.eat t Colon then T.comma_list t T.ident else [] in
   T.expect t Lbrace;
-  let rec members acc =
-    if T.eat t Rbrace then List.rev acc else members (parse_member t :: acc)
+  (* each kind of member in reverse declaration order; the last extent
+     wins *)
+  let rec members (extent, keys, attrs, rels, ops) =
+    if T.eat t Rbrace then
+      {
+        (empty_interface name) with
+        i_supertypes = supers;
+        i_extent = extent;
+        i_keys = List.rev keys;
+        i_attrs = List.rev attrs;
+        i_rels = List.rev rels;
+        i_ops = List.rev ops;
+      }
+    else
+      members
+        (match parse_member t with
+        | M_extent e -> (Some e, keys, attrs, rels, ops)
+        | M_key k -> (extent, k :: keys, attrs, rels, ops)
+        | M_attr a -> (extent, keys, a :: attrs, rels, ops)
+        | M_rel r -> (extent, keys, attrs, r :: rels, ops)
+        | M_op o -> (extent, keys, attrs, rels, o :: ops))
   in
-  let ms = members [] in
+  let i = members (None, [], [], [], []) in
   ignore (T.eat t Semi);
-  let init = { (empty_interface name) with i_supertypes = supers } in
-  List.fold_left
-    (fun i m ->
-      match m with
-      | M_extent e -> { i with i_extent = Some e }
-      | M_key k -> { i with i_keys = i.i_keys @ [ k ] }
-      | M_attr a -> { i with i_attrs = i.i_attrs @ [ a ] }
-      | M_rel r -> { i with i_rels = i.i_rels @ [ r ] }
-      | M_op o -> { i with i_ops = i.i_ops @ [ o ] })
-    init ms
+  i
 
 let parse_schema_stream t =
   let named = T.eat_ident t "schema" in

@@ -4,85 +4,161 @@
 
 open Types
 
-let rec pp_domain ppf = function
-  | D_int -> Fmt.string ppf "int"
-  | D_float -> Fmt.string ppf "float"
-  | D_string -> Fmt.string ppf "string"
-  | D_char -> Fmt.string ppf "char"
-  | D_boolean -> Fmt.string ppf "boolean"
-  | D_void -> Fmt.string ppf "void"
-  | D_named n -> Fmt.string ppf (Names.to_source n)
-  | D_collection (k, t) ->
-      Fmt.pf ppf "%s<%a>" (collection_kind_name k) pp_domain t
+(* One printer: every text is written into a buffer by the [add_*]
+   functions below, and the [pp_*] formatters print those texts.  An
+   interface is laid out at an indentation [ind]: its header line, then
+   each member on a line of its own two further in, then its closing
+   line back at [ind]. *)
 
-let pp_attribute ppf a =
-  match a.attr_size with
-  | Some n -> Fmt.pf ppf "attribute %a<%d> %s;" pp_domain a.attr_type n a.attr_name
-  | None -> Fmt.pf ppf "attribute %a %s;" pp_domain a.attr_type a.attr_name
+let rec add_domain b = function
+  | D_int -> Buffer.add_string b "int"
+  | D_float -> Buffer.add_string b "float"
+  | D_string -> Buffer.add_string b "string"
+  | D_char -> Buffer.add_string b "char"
+  | D_boolean -> Buffer.add_string b "boolean"
+  | D_void -> Buffer.add_string b "void"
+  | D_named n -> Buffer.add_string b (Names.to_source n)
+  | D_collection (k, t) ->
+      Buffer.add_string b (collection_kind_name k);
+      Buffer.add_char b '<';
+      add_domain b t;
+      Buffer.add_char b '>'
+
+let add_sep b add = function
+  | [] -> ()
+  | x :: xs ->
+      add b x;
+      List.iter
+        (fun x ->
+          Buffer.add_string b ", ";
+          add b x)
+        xs
+
+let add_names b names = add_sep b Buffer.add_string names
+
+let add_attribute b a =
+  Buffer.add_string b "attribute ";
+  add_domain b a.attr_type;
+  Option.iter
+    (fun n ->
+      Buffer.add_char b '<';
+      Buffer.add_string b (string_of_int n);
+      Buffer.add_char b '>')
+    a.attr_size;
+  Buffer.add_char b ' ';
+  Buffer.add_string b a.attr_name;
+  Buffer.add_char b ';'
 
 let rel_keyword = function
-  | Association -> "relationship"
-  | Part_of -> "part_of relationship"
-  | Instance_of -> "instance_of relationship"
+  | Association -> "relationship "
+  | Part_of -> "part_of relationship "
+  | Instance_of -> "instance_of relationship "
 
-let pp_target ppf (r : relationship) =
-  match r.rel_card with
-  | None -> Fmt.string ppf r.rel_target
-  | Some k -> Fmt.pf ppf "%s<%s>" (collection_kind_name k) r.rel_target
+let add_relationship b r =
+  Buffer.add_string b (rel_keyword r.rel_kind);
+  (match r.rel_card with
+  | None -> Buffer.add_string b r.rel_target
+  | Some k ->
+      Buffer.add_string b (collection_kind_name k);
+      Buffer.add_char b '<';
+      Buffer.add_string b r.rel_target;
+      Buffer.add_char b '>');
+  Buffer.add_char b ' ';
+  Buffer.add_string b r.rel_name;
+  Buffer.add_string b " inverse ";
+  Buffer.add_string b r.rel_target;
+  Buffer.add_string b "::";
+  Buffer.add_string b r.rel_inverse;
+  if r.rel_order_by <> [] then begin
+    Buffer.add_string b " order_by (";
+    add_names b r.rel_order_by;
+    Buffer.add_char b ')'
+  end;
+  Buffer.add_char b ';'
 
-let pp_relationship ppf r =
-  Fmt.pf ppf "%s %a %s inverse %s::%s" (rel_keyword r.rel_kind) pp_target r
-    r.rel_name r.rel_target r.rel_inverse;
-  if r.rel_order_by <> [] then
-    Fmt.pf ppf " order_by (%a)" Fmt.(list ~sep:(any ", ") string) r.rel_order_by;
-  Fmt.string ppf ";"
+let add_argument b a =
+  add_domain b a.arg_type;
+  Buffer.add_char b ' ';
+  Buffer.add_string b a.arg_name
 
-let pp_argument ppf a = Fmt.pf ppf "%a %s" pp_domain a.arg_type a.arg_name
+let add_operation b o =
+  add_domain b o.op_return;
+  Buffer.add_char b ' ';
+  Buffer.add_string b o.op_name;
+  Buffer.add_char b '(';
+  add_sep b add_argument o.op_args;
+  Buffer.add_char b ')';
+  if o.op_raises <> [] then begin
+    Buffer.add_string b " raises (";
+    add_names b o.op_raises;
+    Buffer.add_char b ')'
+  end;
+  Buffer.add_char b ';'
 
-let pp_operation ppf o =
-  Fmt.pf ppf "%a %s(%a)" pp_domain o.op_return o.op_name
-    Fmt.(list ~sep:(any ", ") pp_argument)
-    o.op_args;
-  if o.op_raises <> [] then
-    Fmt.pf ppf " raises (%a)" Fmt.(list ~sep:(any ", ") string) o.op_raises;
-  Fmt.string ppf ";"
+let add_key b = function
+  | [ single ] ->
+      Buffer.add_string b "key ";
+      Buffer.add_string b single;
+      Buffer.add_char b ';'
+  | parts ->
+      Buffer.add_string b "key (";
+      add_names b parts;
+      Buffer.add_string b ");"
 
-let pp_key ppf = function
-  | [ single ] -> Fmt.pf ppf "key %s;" single
-  | parts -> Fmt.pf ppf "key (%a);" Fmt.(list ~sep:(any ", ") string) parts
+(* [ind] is the indentation of the interface's first and last lines; the
+   first is not preceded by it, the caller has placed the cursor *)
+let add_interface b ind i =
+  let member add x =
+    Buffer.add_char b '\n';
+    Buffer.add_string b ind;
+    Buffer.add_string b "  ";
+    add b x
+  in
+  Buffer.add_string b "interface ";
+  Buffer.add_string b i.i_name;
+  if i.i_supertypes <> [] then begin
+    Buffer.add_string b " : ";
+    add_names b i.i_supertypes
+  end;
+  Buffer.add_string b " {";
+  Option.iter
+    (member (fun b e ->
+         Buffer.add_string b "extent ";
+         Buffer.add_string b e;
+         Buffer.add_char b ';'))
+    i.i_extent;
+  List.iter (member add_key) i.i_keys;
+  List.iter (member add_attribute) i.i_attrs;
+  List.iter (member add_relationship) i.i_rels;
+  List.iter (member add_operation) i.i_ops;
+  Buffer.add_char b '\n';
+  Buffer.add_string b ind;
+  Buffer.add_string b "};"
 
-let pp_interface ppf i =
-  Fmt.pf ppf "@[<v 2>interface %s" i.i_name;
-  if i.i_supertypes <> [] then
-    Fmt.pf ppf " : %a" Fmt.(list ~sep:(any ", ") string) i.i_supertypes;
-  Fmt.pf ppf " {";
-  Option.iter (fun e -> Fmt.pf ppf "@,extent %s;" e) i.i_extent;
-  List.iter (fun k -> Fmt.pf ppf "@,%a" pp_key k) i.i_keys;
-  List.iter (fun a -> Fmt.pf ppf "@,%a" pp_attribute a) i.i_attrs;
-  List.iter (fun r -> Fmt.pf ppf "@,%a" pp_relationship r) i.i_rels;
-  List.iter (fun o -> Fmt.pf ppf "@,%a" pp_operation o) i.i_ops;
-  Fmt.pf ppf "@]@,};"
+let to_string size add x =
+  let b = Buffer.create size in
+  add b x;
+  Buffer.contents b
 
-let pp_schema ppf s =
-  Fmt.pf ppf "@[<v 2>schema %s {" s.s_name;
-  List.iter (fun i -> Fmt.pf ppf "@,%a" pp_interface i) s.s_interfaces;
-  Fmt.pf ppf "@]@,};@."
-
-let interface_to_string i = Fmt.str "@[<v>%a@]" pp_interface i
+let interface_to_string = to_string 256 (fun b i -> add_interface b "" i)
 
 (* --- per-interface chunks --------------------------------------------------
 
-   [pp_schema] lays a schema out as its header line, one block per
-   interface, each opened by a newline and indented by two, and the closing
-   line.  A block depends on its interface alone, so the schema text is the
-   header, the blocks and the trailer concatenated: a caller holding the
-   blocks of unchanged interfaces prints only the others. *)
+   A schema is laid out as its header line, one block per interface, each
+   opened by a newline and indented by two, and the closing line.  A block
+   depends on its interface alone, so the schema text is the header, the
+   blocks and the trailer concatenated: a caller holding the blocks of
+   unchanged interfaces prints only the others. *)
 
 let chunk_lead = "\n  interface "
 let trailer = "\n};\n"
 let header name = "schema " ^ name ^ " {"
 
-let interface_chunk i = Fmt.str "@[<v 2>@,%a@]" pp_interface i
+let add_chunk b i =
+  Buffer.add_string b "\n  ";
+  add_interface b "  " i
+
+let interface_chunk = to_string 256 add_chunk
 
 let schema_of_chunks name chunks =
   (* one allocation of the exact size: the text of a wide schema is large *)
@@ -99,7 +175,17 @@ let schema_of_chunks name chunks =
   Bytes.unsafe_to_string b
 
 let schema_to_string s =
-  schema_of_chunks s.s_name (List.map interface_chunk s.s_interfaces)
+  to_string
+    (64 + (512 * List.length s.s_interfaces))
+    (fun b s ->
+      Buffer.add_string b (header s.s_name);
+      List.iter (add_chunk b) s.s_interfaces;
+      Buffer.add_string b trailer)
+    s
+
+let pp_domain ppf d = Fmt.string ppf (to_string 16 add_domain d)
+let pp_interface ppf i = Fmt.string ppf (interface_to_string i)
+let pp_schema ppf s = Fmt.string ppf (schema_to_string s)
 
 let split_chunks text =
   let n = String.length text and tl = String.length trailer in

@@ -2,22 +2,26 @@
 
     Output parses back through {!Parser.parse_schema}; the round trip is the
     identity on well-formed schemas and the printing is stable (printing the
-    reparse reproduces the text). *)
+    reparse reproduces the text).  There is one layout: every text is
+    written straight into a buffer, and the formatters print those texts. *)
 
 open Types
 
 val pp_domain : Format.formatter -> domain_type -> unit
-val pp_attribute : Format.formatter -> attribute -> unit
-val pp_relationship : Format.formatter -> relationship -> unit
-val pp_operation : Format.formatter -> operation -> unit
+
 val pp_interface : Format.formatter -> interface -> unit
+(** Prints {!interface_to_string}. *)
+
 val pp_schema : Format.formatter -> schema -> unit
+(** Prints {!schema_to_string}. *)
 
 val schema_to_string : schema -> string
-(** Built from {!interface_chunk}s by {!schema_of_chunks}; byte for byte
-    the text {!pp_schema} prints. *)
+(** The header line, the {!interface_chunk} of every interface and the
+    closing line, written into one buffer. *)
 
 val interface_to_string : interface -> string
+(** The interface unindented: its members two in, its closing line at the
+    margin. *)
 
 (** {1 Per-interface chunks}
 

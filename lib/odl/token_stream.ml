@@ -1,25 +1,27 @@
-(** Imperative cursor over a token list, shared by the ODL parser and the
-    modification-language parser. *)
+(** Imperative cursor over a lexed text, shared by the ODL, modification-
+    language and query parsers: an index into the lexer's arrays.  Past
+    the final [Eof] it reads [Eof] at position (0, 0). *)
 
 open Lexer
 
-type t = { mutable toks : located list }
+type t = { tokens : tokens; mutable at : int }
 
 exception Parse_error of string * int * int
 (** [Parse_error (message, line, col)] *)
 
-let of_string src = { toks = tokenize src }
+let of_string src = { tokens = lex src; at = 0 }
 
-let peek t = match t.toks with [] -> Eof | { tok; _ } :: _ -> tok
+let peek t = if t.at < t.tokens.count then t.tokens.toks.(t.at) else Eof
 
 let pos t =
-  match t.toks with [] -> (0, 0) | { line; col; _ } :: _ -> (line, col)
+  if t.at < t.tokens.count then (t.tokens.lines.(t.at), t.tokens.cols.(t.at))
+  else (0, 0)
 
 let error t msg =
   let line, col = pos t in
   raise (Parse_error (msg, line, col))
 
-let advance t = match t.toks with [] -> () | _ :: rest -> t.toks <- rest
+let advance t = if t.at < t.tokens.count then t.at <- t.at + 1
 
 let next t =
   let tok = peek t in

@@ -1,6 +1,7 @@
-(** Imperative cursor over a token list, shared by the ODL parser and the
-    modification-language parser.  All [expect]/[ident]/[int] failures report
-    the position of the offending token, not the one after it. *)
+(** Imperative cursor over a lexed text ({!Lexer.lex}), shared by the ODL,
+    modification-language and query parsers.  All [expect]/[ident]/[int]
+    failures report the position of the offending token, not the one after
+    it. *)
 
 type t
 

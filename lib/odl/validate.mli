@@ -39,15 +39,14 @@ module type LOOKUP = sig
   type t
 
   val schema : t -> Types.schema
+  (** The interfaces in declaration order, duplicates included: the
+      hierarchy checks walk them, and their results follow this order. *)
+
   val find_interface : t -> Types.type_name -> Types.interface option
   val mem_interface : t -> Types.type_name -> bool
 
   val direct_supertypes : t -> Types.type_name -> Types.type_name list
   (** Declared supertypes that exist, in declaration order. *)
-
-  val direct_subtypes : t -> Types.type_name -> Types.type_name list
-  (** Interfaces listing the name as a supertype, in schema declaration
-      order (check results depend on this order). *)
 
   val ancestors : t -> Types.type_name -> Types.type_name list
   val visible_attrs : t -> Types.type_name -> Types.attribute list
@@ -63,6 +62,9 @@ module Checks (L : LOOKUP) : sig
 
   val structural_interface : L.t -> Types.interface -> diagnostic list
   val hierarchy : L.t -> diagnostic list
+  (** ISA, part-of and instance-of cycles, multi-root generalization
+      hierarchies and branching instance-of chains, over the declared
+      names numbered once: O(schema) after one lookup per name. *)
 
   val semantic_global : L.t -> diagnostic list
   (** Duplicate extent names (the only schema-global semantic check). *)
@@ -72,10 +74,6 @@ module Checks (L : LOOKUP) : sig
   val check : L.t -> diagnostic list
   (** [naming_global @ naming_interface* @ structural_interface* @ hierarchy
       @ semantic_global @ semantic_interface*], the canonical order. *)
-
-  val part_of_children : L.t -> Types.type_name -> Types.type_name list
-  val instance_of_children : L.t -> Types.type_name -> Types.type_name list
-  val isa_components : L.t -> Types.type_name list list
 end
 
 val check : Types.schema -> diagnostic list
@@ -86,10 +84,3 @@ val warnings : Types.schema -> diagnostic list
 
 val is_valid : Types.schema -> bool
 (** No error-level diagnostics. *)
-
-(**/**)
-
-(* Exposed for the decomposition algorithms. *)
-val part_of_children : Types.schema -> Types.type_name -> Types.type_name list
-val instance_of_children : Types.schema -> Types.type_name -> Types.type_name list
-val isa_components : Types.schema -> Types.type_name list list

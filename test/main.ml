@@ -12,6 +12,7 @@ let () =
       ("printer", Test_printer.tests);
       ("schema", Test_schema.tests);
       ("validate", Test_validate.tests);
+      ("golden", Test_golden.tests);
       ("concept", Test_concept.tests);
       ("modop", Test_modop.tests);
       ("permission", Test_permission.tests);

@@ -334,6 +334,17 @@ let edit s (what, r) =
         else
           let a = r mod n and b = (r / n) mod n in
           List.mapi (fun k i -> if k = a then nth b else if k = b then nth a else i) is
+    | 5 ->
+        (* delete one and declare it again, as the engine does: at the
+           end, changed or not *)
+        if n = 0 then is
+        else
+          let victim = nth r in
+          let again =
+            if r mod 2 = 0 then victim
+            else { victim with i_attrs = victim.i_attrs @ [ { attr_name = "p" ^ fresh; attr_type = D_int; attr_size = None } ] }
+          in
+          List.filter (fun i -> i != victim) is @ [ again ]
     | _ ->
         List.mapi
           (fun k i ->
@@ -388,7 +399,7 @@ let patch_equals_build =
   let gen =
     QCheck2.Gen.(
       triple Gen.any_synth_schema bool
-        (list_size (int_range 0 6) (pair (int_range 0 4) (int_range 0 9999))))
+        (list_size (int_range 0 6) (pair (int_range 0 5) (int_range 0 9999))))
   in
   prop "patched index = build, over add/remove/rename/reorder edits" ~count:300
     gen (fun (s, warm, edits) ->
@@ -403,6 +414,50 @@ let patch_equals_build =
       | n :: _ ->
           let bump i = { i with i_attrs = i.i_attrs @ [ { attr_name = "bump"; attr_type = D_int; attr_size = None } ] } in
           views_agree (Index.update_interface patched n bump) (Index.update_interface built n bump))
+
+(* A shrink wrap interface deleted and declared again (the engine appends
+   it) leaves the survivors after it out of order.  The patch gives those
+   fresh positions instead of building the index again: the attribute
+   sets no edit touched are still the base's own, which a build would
+   allocate afresh. *)
+let patch_keeps_order_without_build () =
+  let s = Schemas.Synth.generate (Schemas.Synth.default_params ~n_types:400) in
+  let base = Index.build s in
+  ignore (Index.errors base);
+  let victim = Index.get_interface base "T390" in
+  let s' =
+    { s with s_interfaces = List.filter (fun i -> i != victim) s.s_interfaces @ [ victim ] }
+  in
+  let patched = Index.patch base s' in
+  Alcotest.(check bool) "shared, not rebuilt" true
+    (Index.declarers patched "a0_0" == Index.declarers base "a0_0");
+  Alcotest.(check bool) "answers as a build" true (views_agree patched (Index.build s'));
+  Alcotest.(check (list string)) "declaration order"
+    (Odl.Schema.interface_names s') (Index.interface_names (Index.unshelve (Index.shelve patched)))
+
+(* A deep ISA chain whose attributes shadow one another: the index's
+   visible attributes, last declarations kept along a long line of
+   ancestors, must be the naive scan's. *)
+let deep_chain_visible_attrs () =
+  let attr k j = { attr_name = Printf.sprintf "a%d" (((k * 3) + j) mod 50); attr_type = (if k mod 2 = 0 then D_int else D_string); attr_size = None } in
+  let s =
+    {
+      s_name = "chain";
+      s_interfaces =
+        List.init 24 (fun k ->
+            {
+              (empty_interface (Printf.sprintf "C%d" k)) with
+              i_supertypes = (if k = 0 then [] else [ Printf.sprintf "C%d" (k - 1) ]);
+              i_attrs = List.init 3 (attr k);
+            });
+    }
+  in
+  let idx = Index.build s in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) n true
+        (Index.visible_attrs idx n = Odl.Schema.visible_attrs s n))
+    ("Nowhere" :: Odl.Schema.interface_names s)
 
 (* the near-miss kinds named one by one on a seed, plus an interface whose
    quoted name contains the id separator *)
@@ -477,4 +532,8 @@ let tests =
       memo_agrees_over_sessions;
       memo_agrees_on_broken;
       patch_equals_build;
+      Alcotest.test_case "a re-declared interface is patched, not rebuilt" `Quick
+        patch_keeps_order_without_build;
+      Alcotest.test_case "visible attributes along a deep chain" `Quick
+        deep_chain_visible_attrs;
     ]
