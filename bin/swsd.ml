@@ -198,11 +198,11 @@ let cmd_repl arg save_dir paranoid readonly =
                   [ Designer.Feedback.caution ("persistence failed: " ^ m) ] ))
       in
       let rec loop durable state =
-        if state.Designer.Engine.finished then state
+        if state.Designer.Engine.finished then (durable, state)
         else begin
           print_string "swsd> ";
           match In_channel.input_line stdin with
-          | None -> state
+          | None -> (durable, state)
           | Some line ->
               if String.trim line = "" then loop durable state
               else begin
@@ -236,13 +236,19 @@ let cmd_repl arg save_dir paranoid readonly =
       print_endline
         ("shrink wrap schema designer; 'help' lists commands"
         ^ if readonly then " (readonly)" else "");
-      let final = loop session state in
-      (* a full save on exit snapshots the final state (not the initial
-         session) and renders the deliverables *)
+      let durable, final = loop session state in
+      let final = final.Designer.Engine.session in
+      (* the exit save snapshots the final state (not the initial session)
+         and renders the deliverables.  When every command was journalled
+         the journal holds the final session and is checkpointed as it
+         stands; after a failed append it is rewritten, unread. *)
       (match repo with
       | Some repo ->
-          Repository.Store.save_session repo final.Designer.Engine.session;
-          Repository.Store.save_reports repo final.Designer.Engine.session
+          if durable == final then
+            ignore (Repository.Store.save_checkpoint repo final
+                     : Repository.Store.saved)
+          else Repository.Store.save_session repo final;
+          Repository.Store.save_reports repo final
       | None -> ());
       Option.iter Server.Locks.unlock_file flock;
       0)

@@ -141,14 +141,52 @@ let atomic_write io path contents =
 
 (* --- in-memory filesystem with write-back-cache semantics ---------------- *)
 
+(* A file's contents: [len] bytes of [buf], or [text] alone — the string a
+   write stored, or the last read's copy.  An append grows [buf] by
+   doubling, so a journal appended to record by record costs amortised
+   O(record), not a copy of the whole file per append.  A file value is
+   only ever appended to: a write makes a new one. *)
+type file = {
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable text : string option;  (** the contents, when known as a string *)
+}
+
+let file_of_string c = { buf = Bytes.empty; len = String.length c; text = Some c }
+
+let contents f =
+  match f.text with
+  | Some c -> c
+  | None ->
+      let c = Bytes.sub_string f.buf 0 f.len in
+      f.text <- Some c;
+      c
+
+let file_append f c =
+  let n = String.length c in
+  if f.len + n > Bytes.length f.buf then begin
+    let buf = Bytes.create (max 64 (2 * (f.len + n))) in
+    (match f.text with
+    | Some t when Bytes.length f.buf < f.len -> Bytes.blit_string t 0 buf 0 f.len
+    | _ -> Bytes.blit f.buf 0 buf 0 f.len);
+    f.buf <- buf
+  end;
+  Bytes.blit_string c 0 f.buf f.len n;
+  f.len <- f.len + n;
+  f.text <- None
+
 type mem = {
-  files : (string, string) Hashtbl.t;  (** current (volatile) view *)
-  synced : (string, string) Hashtbl.t;  (** what survives a crash *)
+  files : (string, file) Hashtbl.t;  (** current (volatile) view *)
+  synced : (string, file * int) Hashtbl.t;
+      (** what survives a crash: the first [n] bytes of that file value,
+          which appends never change *)
   dirs : (string, unit) Hashtbl.t;
 }
 
 let mem_create () =
   { files = Hashtbl.create 16; synced = Hashtbl.create 16; dirs = Hashtbl.create 4 }
+
+let synced_text (f, n) = String.sub (contents f) 0 n
 
 let mem_io (m : mem) : t =
   let get tbl p = Hashtbl.find_opt tbl p in
@@ -156,16 +194,18 @@ let mem_io (m : mem) : t =
     read_file =
       (fun p ->
         match get m.files p with
-        | Some c -> c
+        | Some f -> contents f
         | None -> raise (Sys_error (p ^ ": No such file or directory")));
-    write = (fun p c -> Hashtbl.replace m.files p c);
+    write = (fun p c -> Hashtbl.replace m.files p (file_of_string c));
     append =
       (fun p c ->
-        Hashtbl.replace m.files p (Option.value ~default:"" (get m.files p) ^ c));
+        match get m.files p with
+        | Some f -> file_append f c
+        | None -> Hashtbl.replace m.files p (file_of_string c));
     fsync =
       (fun p ->
         match get m.files p with
-        | Some c -> Hashtbl.replace m.synced p c
+        | Some f -> Hashtbl.replace m.synced p (f, f.len)
         | None -> raise (Sys_error (p ^ ": No such file or directory")));
     rename =
       (fun a b ->
@@ -252,7 +292,8 @@ let mem_crash ?(flush = 0) (m : mem) =
   let survivors =
     Hashtbl.fold
       (fun p cur acc ->
-        let syn = Hashtbl.find_opt m.synced p in
+        let cur = contents cur in
+        let syn = Option.map synced_text (Hashtbl.find_opt m.synced p) in
         if syn = Some cur then (p, cur) :: acc
         else
           match keep cur syn with
@@ -264,8 +305,9 @@ let mem_crash ?(flush = 0) (m : mem) =
   Hashtbl.reset m.synced;
   List.iter
     (fun (p, c) ->
-      Hashtbl.replace m.files p c;
-      Hashtbl.replace m.synced p c)
+      let f = file_of_string c in
+      Hashtbl.replace m.files p f;
+      Hashtbl.replace m.synced p (f, f.len))
     survivors
 
 (* --- concurrency wrappers ------------------------------------------------- *)

@@ -145,27 +145,49 @@ let steps_to_string steps =
        0 steps);
   Bytes.unsafe_to_string b
 
-let op_records ?len text =
-  let n = Option.value len ~default:(String.length text) in
-  (* the record on the line at [i], ending at its newline [j] *)
-  let record i j =
-    if j - i > 5 && text.[i + 3] = ' ' && text.[j - 1] = ';' then
-      Option.map
-        (fun kind -> (kind, String.sub text (i + 4) (j - i - 5)))
-        (kind_of_tag (String.sub text i 3))
-    else None
+(* The op records [text]'s first [n] bytes resolve to, newest first, each
+   [@undo;] popping the newest: each record's kind and the span
+   [(start, length)] of its line, newline included.  [None] unless those
+   bytes are exactly records one a line, each newline-terminated. *)
+let resolved_lines n text =
+  let is_undo i j =
+    j - i = String.length undo_line
+    && String.equal (String.sub text i (j - i)) undo_line
   in
+  (* the line at [i] ends at its newline [j] *)
   let rec go acc i =
-    if i = n then Some (List.rev acc)
+    if i = n then Some acc
     else
       match String.index_from_opt text i '\n' with
       | Some j when j < n -> (
-          match record i j with
-          | Some r -> go (r :: acc) (j + 1)
-          | None -> None)
+          if is_undo i j then
+            match acc with _ :: acc -> go acc (j + 1) | [] -> None
+          else if j - i > 5 && text.[i + 3] = ' ' && text.[j - 1] = ';' then
+            match kind_of_tag (String.sub text i 3) with
+            | Some kind -> go ((kind, i, j + 1 - i) :: acc) (j + 1)
+            | None -> None
+          else None)
       | _ -> None
   in
   go [] 0
+
+let op_records ?len text =
+  Option.map
+    (* the op text sits between the tag's space and the [;\n] *)
+    (List.rev_map (fun (kind, i, l) -> (kind, String.sub text (i + 4) (l - 6))))
+    (resolved_lines (Option.value len ~default:(String.length text)) text)
+
+let holds text steps =
+  (* a journal with nothing undone is byte for byte the steps' records *)
+  let expected = steps_to_string steps in
+  String.equal text expected
+  ||
+  match resolved_lines (String.length text) text with
+  | None -> false
+  | Some lines ->
+      String.equal expected
+        (String.concat ""
+           (List.rev_map (fun (_, i, l) -> String.sub text i l) lines))
 
 let append_raw (io : Io.t) path data =
   io.append path data;

@@ -3,8 +3,8 @@
     The journal is the durability backbone of a repository: one line per
     accepted operation, appended and fsync'd before the operation is
     acknowledged.  Undo is journalled as its own record rather than by
-    rewriting history, so the file is strictly append-only between
-    snapshots.
+    rewriting history, so the file is strictly append-only between full
+    saves ({!Store.save_session}); a snapshot checkpoints it as it stands.
 
     Line format (the modification language, prefixed with a concept tag):
     {v
@@ -72,12 +72,22 @@ val steps_to_string : Core.Session.step list -> string
     {!Core.Session.field-st_text}s into one buffer, with no op printed. *)
 
 val op_records : ?len:int -> string -> (Core.Concept.kind * string) list option
-(** The records of [text]'s first [len] bytes (default: all of it) with
-    their op texts, cut and not parsed, when those bytes are exactly a run
-    of op records one a line, each
-    newline-terminated — the shape {!steps_to_string} writes; [None] for
-    anything else (blank or comment lines, [@undo;], an unknown tag, an
-    unterminated last line).  The texts are not checked to parse. *)
+(** The resolved records of [text]'s first [len] bytes (default: all of
+    it) with their op texts, cut and not parsed, when those bytes are
+    exactly a run of records one a line, each newline-terminated — the
+    shape {!steps_to_string} and the appends write.  Each [@undo;] record
+    pops the newest op record, as {!resolve} does.  [None] for anything
+    else (blank or comment lines, an unknown tag, an unterminated last
+    line, an undo with nothing to undo).  The texts are not checked to
+    parse. *)
+
+val holds : string -> Core.Session.step list -> bool
+(** Whether [text]'s records — exactly one a line, as {!op_records} reads
+    them — resolve to exactly these steps, oldest first: their kinds and
+    op texts.  No op is parsed: the resolved records are joined and
+    compared with {!steps_to_string} of the steps, which a journal with
+    nothing undone equals as it stands.  A full save's journal holds its
+    session, and so does one the session's deltas were appended to. *)
 
 val encoded_delta :
   before:Core.Session.t ->
@@ -94,8 +104,8 @@ val read : Io.t -> string -> parsed
 (** Read and {!parse} the journal; an absent file is an empty journal. *)
 
 val rewrite : Io.t -> string -> entry list -> unit
-(** Atomically replace the journal with exactly [entries] (snapshot or
-    repair); crash-safe via {!Io.atomic_write}. *)
+(** Atomically replace the journal with exactly [entries]; crash-safe via
+    {!Io.atomic_write}. *)
 
 (** {1 Concept tags} *)
 
@@ -127,9 +137,10 @@ module Frame : sig
             empty, for publishes with no journal delta), publish at
             [stamp] *)
     | Reset of { variant : string }
-        (** the leader rewrote this variant's journal (snapshot, repair,
-            or re-open); byte continuity is broken — ignore [Records]
-            until the next [Start] *)
+        (** the leader's files for this variant changed other than by an
+            append (a re-open, a repair, a snapshot that rewrote the
+            journal or changed the local names); byte continuity is broken
+            — ignore [Records] until the next [Start] *)
     | Live  (** bootstrap complete; the stream is now tailing *)
     | Ack of { variant : string; stamp : int }
         (** follower → leader: applied and durable through [stamp] *)

@@ -51,7 +51,8 @@ let variant_store t name = Store.open_dir ~io:t.io (variant_dir t name)
 let load t ?repair name =
   Store.load_session ?base:(base t) ?repair (variant_store t name)
 
-let save t store session = Store.save_session ?base:(base t) store session
+let save ?lineage t store session =
+  Store.save_session ?base:(base t) ?lineage store session
 
 let replay t steps =
   match base t with
@@ -193,10 +194,10 @@ let branch_variant t ~parent ~child ?at () =
               Filename.concat (variants_dir t) (".tmp-" ^ child)
             in
             (* leftovers of a crashed earlier attempt are simply
-               overwritten: save_session rewrites every artifact *)
+               overwritten: the full save rewrites or removes every
+               artifact; the lineage rides in its one manifest *)
             let st = Store.open_dir ~io:t.io staging in
-            save t st child_session;
-            Store.set_lineage st ~parent ~fork;
+            save ~lineage:(parent, fork) t st child_session;
             t.io.Io.rename staging (variant_dir t child);
             Ok child_session)
 

@@ -8,19 +8,26 @@
     {v
     <dir>/shrinkwrap.odl     the original shrink wrap schema
     <dir>/log.ops            operation journal:  @ww add_...(...);  @undo;
+                             (absent while the history is empty)
     <dir>/aliases.map        local names:  Canonical = local
+                             (absent while there are none)
     <dir>/custom.odl         the generated custom schema
-    <dir>/checkpoint.odl     the workspace at the end of the saved log, with
-                             digests of the shrink wrap and log prefix it covers
+    <dir>/checkpoint.odl     the workspace at the end of a journal prefix,
+                             with digests of the shrink wrap and that prefix
+                             (absent until a save covers an operation)
     <dir>/manifest           format version, generation, journal watermark
     <dir>/reports/*          deliverables, written only on request
     v}
 
     Durability protocol: whole-file artifacts go through {!Io.atomic_write}
-    (write-to-temp, fsync, rename), the journal is append-only with a
-    per-record fsync, and the manifest is written last so it witnesses a
-    completed save.  All syscalls go through the injectable {!Io.t} the
-    store was opened with.
+    (write-to-temp, fsync, rename); the journal is append-only with a
+    per-record fsync, and only a full save ({!save_session}: a new
+    variant, a branch, [save DIR], a promotion, salvage) rewrites it — its
+    one compaction, dropping undone records.  The snapshot
+    ({!save_checkpoint}) takes the journal as it stands and checkpoints all
+    of it.  Each save writes only what recovery reads and whose bytes
+    changed, and the manifest last, so it witnesses a completed save.  All
+    syscalls go through the injectable {!Io.t} the store was opened with.
 
     Recovery opens from the checkpoint and replays only the journal records
     appended after it; the checkpoint is derived data, so whenever it is
@@ -89,6 +96,9 @@ let load_log t =
     | Ok steps -> steps
     | Error m -> raise (Bad_log m)
   else []
+
+let read_log t =
+  if t.io.Io.file_exists (log_file t) then read_file t (log_file t) else ""
 
 let load_custom t = Odl.Parser.parse_schema (read_file t (custom_file t))
 
@@ -212,19 +222,6 @@ let fence t ~era =
 let lineage t =
   match load_manifest t with Some m -> m.m_lineage | None -> None
 
-(** Record that this store was branched off [parent] at version stamp
-    [fork].  Preserves the rest of the manifest; like {!fence} it tolerates
-    a missing manifest (the save that follows rewrites it anyway). *)
-let set_lineage t ~parent ~fork =
-  let m =
-    match load_manifest t with
-    | Some m -> { m with m_lineage = Some (parent, fork) }
-    | None ->
-        { m_generation = 0; m_ops = 0; m_bytes = None; m_era = 0;
-          m_lineage = Some (parent, fork) }
-  in
-  save_manifest t m
-
 (* --- checkpoint ------------------------------------------------------------
 
    One header line, then the workspace in ODL (so the file still parses as
@@ -232,8 +229,9 @@ let set_lineage t ~parent ~fork =
    {v
    // checkpoint 1 ops <n> bytes <b> log <md5> shrinkwrap <md5> body <md5>
    schema ... v}
-   — the first [n] journal records, [b] bytes of [log.ops] with digest
-   [log], taken on the shrink wrap text with digest [shrinkwrap]; [body]
+   — the first [b] bytes of [log.ops], with digest [log], whose records
+   ([@undo;] included) resolve to [n] operations, taken on the shrink
+   wrap text with digest [shrinkwrap]; [body]
    is the digest of everything after the header line.  The header is
    checked before the workspace is read, so a checkpoint that cannot
    serve costs a digest, not a parse.
@@ -245,7 +243,7 @@ let set_lineage t ~parent ~fork =
    value instead of parsing. *)
 
 type checkpoint = {
-  c_ops : int;  (** journal records covered, all operations *)
+  c_ops : int;  (** the operations the covered records resolve to *)
   c_bytes : int;  (** their length in bytes *)
   c_log : string;  (** hex digest of those bytes *)
   c_shrinkwrap : string;  (** hex digest of the shrink wrap text *)
@@ -403,9 +401,14 @@ let holds t path text =
   with Sys_error _ -> false
 
 (* An artifact whose bytes are already on disk is not written again: the
-   read back costs less than a write's fsync. *)
+   read back costs less than a write's fsync.  Whether it was written. *)
 let write_changed t path text =
-  if not (holds t path text) then write_file t path text
+  let changed = not (holds t path text) in
+  if changed then write_file t path text;
+  changed
+
+let remove_if_exists t path =
+  if t.io.Io.file_exists path then t.io.Io.remove path
 
 (* The workspace's chunks: the shrink wrap's for an interface equal to the
    shrink wrap's one of that name, printed for the others. *)
@@ -417,22 +420,37 @@ let workspace_chunks (chunks : chunks) (workspace : Odl.Types.schema) =
       | _ -> Odl.Printer.interface_chunk i)
     workspace.s_interfaces
 
-(** Persist what recovery needs: shrink wrap schema, operation journal,
-    local names, custom schema, a checkpoint of the workspace at the end of
-    the journal, and last the manifest — each atomically, so a crash
-    anywhere leaves every artifact whole.  The deliverable reports are
-    {!save_reports}'s.  With a [base] the session was derived from, the
-    shrink wrap text is the base's, and every workspace interface equal to
-    the shrink wrap's takes the base's chunk; the others are printed once,
-    for both the custom schema and the checkpoint.  [shrinkwrap.odl],
-    [aliases.map] and [custom.odl] are written only when their bytes
-    changed. *)
-let save_session ?base t session =
-  let steps = Core.Session.log session in
+(* The journal text, when it holds the session's history: its records,
+   [@undo;]s included, resolve to the session's steps. *)
+let held_journal t session =
+  let text = read_log t in
+  if Journal.holds text (Core.Session.log session) then Some text
+  else None
+
+(* The journal rewritten as the resolved [steps]; an empty history is no
+   journal at all (a missing one reads as empty, and the first append
+   creates it). *)
+let rewrite_journal t steps =
+  let text = Journal.steps_to_string steps in
+  if text = "" then remove_if_exists t (log_file t)
+  else write_file t (log_file t) text;
+  text
+
+type saved = { journal_rewritten : bool; aliases_changed : bool }
+
+(* The one save.  [keep_journal]: take the journal as it stands when it
+   holds the session's history, else rewrite it.  Artifacts go in the
+   order recovery trusts them — shrink wrap, journal, local names, custom
+   schema, checkpoint — and the manifest last. *)
+let persist ?base ?lineage ?(era = 0) ~keep_journal t session =
+  let ops = Core.Session.step_count session in
   let generation, era, lineage =
     match load_manifest t with
-    | Some m -> (m.m_generation + 1, m.m_era, m.m_lineage)
-    | None -> (1, 0, None)
+    | Some m ->
+        ( m.m_generation + 1,
+          max era m.m_era,
+          match lineage with Some _ -> lineage | None -> m.m_lineage )
+    | None -> (1, era, lineage)
   in
   let shrink_text, shrink_digest, chunks =
     match base_of base session with
@@ -443,25 +461,48 @@ let save_session ?base t session =
   in
   let workspace = Core.Session.workspace session in
   let ws_chunks = workspace_chunks chunks workspace in
-  let log_text = Journal.steps_to_string steps in
-  write_changed t (shrinkwrap_file t) shrink_text;
-  write_file t (log_file t) log_text;
-  write_changed t (aliases_file t)
-    (Core.Aliases.to_string (Core.Session.aliases session));
-  write_changed t (custom_file t)
-    (Odl.Printer.schema_of_chunks
-       (Core.Session.custom_schema session).s_name ws_chunks);
-  write_file t (checkpoint_file t)
-    (checkpoint_to_string ~shrink_digest ~log_text ~ops:(List.length steps)
-       (Odl.Printer.schema_of_chunks workspace.s_name ws_chunks));
+  ignore (write_changed t (shrinkwrap_file t) shrink_text : bool);
+  let log_text, journal_rewritten =
+    match if keep_journal then held_journal t session else None with
+    | Some text -> (text, false)
+    | None -> (rewrite_journal t (Core.Session.log session), true)
+  in
+  let aliases_changed =
+    (* no local names, no file — unless there is one to empty *)
+    let text = Core.Aliases.to_string (Core.Session.aliases session) in
+    (text <> "" || t.io.Io.file_exists (aliases_file t))
+    && write_changed t (aliases_file t) text
+  in
+  ignore
+    (write_changed t (custom_file t)
+       (Odl.Printer.schema_of_chunks
+          (Core.Session.custom_schema session).s_name ws_chunks)
+      : bool);
+  (* a checkpoint covering no op could never serve: none is written, and
+     an earlier one — stale after a rewrite, undone into otherwise — goes *)
+  if ops = 0 then remove_if_exists t (checkpoint_file t)
+  else
+    write_file t (checkpoint_file t)
+      (checkpoint_to_string ~shrink_digest ~log_text ~ops
+         (Odl.Printer.schema_of_chunks workspace.s_name ws_chunks));
   save_manifest t
     {
       m_generation = generation;
-      m_ops = List.length steps;
+      m_ops = ops;
       m_bytes = Some (String.length log_text);
       m_era = era;
       m_lineage = lineage;
-    }
+    };
+  { journal_rewritten; aliases_changed }
+
+(** Persist what recovery needs, the journal rewritten as the session's
+    resolved log: see the interface. *)
+let save_session ?base ?lineage ?era t session =
+  ignore (persist ?base ?lineage ?era ~keep_journal:false t session : saved)
+
+(** Checkpoint a session whose history the journal already holds: see the
+    interface. *)
+let save_checkpoint ?base t session = persist ?base ~keep_journal:true t session
 
 (** Render the designer deliverables into [reports/]: the impact,
     consistency and mapping reports and [deliverables.html]. *)
@@ -504,9 +545,6 @@ let parse_artifact file text =
 let read_schema_artifact t file path =
   Result.bind (read_artifact t file path) (fun text ->
       Result.map (fun schema -> (text, schema)) (parse_artifact file text))
-
-let read_log t =
-  if t.io.Io.file_exists (log_file t) then read_file t (log_file t) else ""
 
 (* The checkpoint and the op records of the journal prefix it covers, when
    it covers at least one and matches this shrink wrap and journal:
@@ -590,9 +628,7 @@ let load_session ?base ?(repair = true) t =
     let covered = covered_prefix t ~shrink_digest ~log_text in
     (* Only the records after the covered prefix are parsed here; the
        prefix holds one record a line. *)
-    let start, skipped =
-      match covered with Some (c, _) -> (c.c_bytes, c.c_ops) | None -> (0, 0)
-    in
+    let start = match covered with Some (c, _) -> c.c_bytes | None -> 0 in
     let { Journal.entries; damage } =
       Journal.parse (String.sub log_text start (String.length log_text - start))
     in
@@ -605,6 +641,12 @@ let load_session ?base ?(repair = true) t =
               (String.sub log_text 0 start ^ Journal.to_string entries);
           Ok entries
       | Some (Journal.Corrupt { line; reason }) ->
+          (* the line in the whole journal: after the covered prefix's *)
+          let skipped =
+            String.fold_left
+              (fun n ch -> if ch = '\n' then n + 1 else n)
+              0 (String.sub log_text 0 start)
+          in
           damaged "log.ops"
             (Journal.damage_to_string
                (Journal.Corrupt { line = line + skipped; reason }))
@@ -786,23 +828,27 @@ let fsck ?(salvage = false) t =
              | exception Odl.Lexer.Lex_error (m, line, _) ->
                  derived "custom.odl" "line %d: %s" line m
              | exception Sys_error m -> derived "custom.odl" "%s" m);
+          let manifest = load_manifest t in
           (* the checkpoint must be the replayed state at the end of the
              log prefix it claims to cover *)
           (let derived fmt = derived "checkpoint.odl" fmt in
            match load_checkpoint t with
-           | None -> derived "missing"
+           | None -> (
+               (* only a save that covered an op leaves one *)
+               match manifest with
+               | Some m when m.m_ops > 0 -> derived "missing"
+               | Some _ | None -> ())
            | Some (Error m) -> derived "%s" m
            | Some (Ok c) -> (
-               (* the first [c_ops] entries, all operations *)
-               let rec first n acc = function
-                 | _ when n = 0 -> Some (List.rev acc)
-                 | Journal.Op (kind, op) :: rest ->
-                     first (n - 1) ((kind, op) :: acc) rest
-                 | Journal.Undo :: _ | [] -> None
-               in
+               (* the covered records, [@undo;] resolved as the open does *)
                match
                  if covers c ~shrink_digest:(hex shrink_text) ~log_text then
-                   first c.c_ops [] entries
+                   match Journal.parse (String.sub log_text 0 c.c_bytes) with
+                   | { Journal.entries; damage = None } -> (
+                       match Journal.resolve entries with
+                       | Ok steps when List.length steps = c.c_ops -> Some steps
+                       | Ok _ | Error _ -> None)
+                   | { damage = Some _; _ } -> None
                  else None
                with
                | None -> derived "does not match the log prefix"
@@ -820,7 +866,7 @@ let fsck ?(salvage = false) t =
                            (Odl.Types.equal_schema (Core.Session.workspace s)
                               workspace)
                        then derived "differs from the replayed log prefix")));
-          (match load_manifest t with
+          (match manifest with
           | None ->
               if t.io.Io.file_exists (manifest_file t) then
                 issue "manifest: unreadable (rewritten by salvage)"

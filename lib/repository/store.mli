@@ -8,18 +8,24 @@
     {v
     <dir>/shrinkwrap.odl     the original shrink wrap schema
     <dir>/log.ops            operation journal:  @ww add_...(...);  @undo;
+                             (absent while the history is empty)
     <dir>/aliases.map        local names:  Canonical = local
+                             (absent while there are none)
     <dir>/custom.odl         the generated custom schema
-    <dir>/checkpoint.odl     the workspace at the end of the saved log, with
-                             digests of the shrink wrap and log prefix it covers
+    <dir>/checkpoint.odl     the workspace at the end of a journal prefix,
+                             with digests of the shrink wrap and that prefix
+                             (absent until a save covers an operation)
     <dir>/manifest           format version, generation, journal watermark
     <dir>/reports/*          deliverables, written only by {!save_reports}
     v}
 
     Durability: every whole-file artifact is written via write-to-temp,
     fsync, atomic rename; the journal is append-only with a per-record
-    fsync ({!Journal}); the manifest is written last so it witnesses a
-    completed save.  All syscalls go through an injectable {!Io.t}.
+    fsync ({!Journal}) and rewritten only by a full {!save_session}; the
+    snapshot, {!save_checkpoint}, takes it as it stands.  A save writes
+    only what recovery reads and whose bytes changed, and the manifest
+    last, so it witnesses a completed save.  All syscalls go through an
+    injectable {!Io.t}.
 
     Recovery cost is bounded by what changed: a load opens from the
     checkpoint, parses only the interfaces that differ from the shrink
@@ -85,22 +91,27 @@ val append_delta : t -> before:Core.Session.t -> after:Core.Session.t -> unit
 (** {1 Manifest} *)
 
 type manifest = {
-  m_generation : int;  (** bumped by every full {!save_session} *)
-  m_ops : int;  (** resolved operation count at that save *)
+  m_generation : int;
+      (** bumped by every {!save_session} and {!save_checkpoint} *)
+  m_ops : int;
+      (** resolved operation count at that save; {!fsck} asks for a
+          checkpoint only when it is positive *)
   m_bytes : int option;
-      (** length of the journal that save wrote.  The journal only grows
-          until the next save, so {!fsck} reports a lost tail only when
-          the journal is shorter {e and} fewer than [m_ops] ops replay;
-          [None] for manifests written before the line existed (fsck then
-          compares op counts alone) *)
+      (** length of the journal at that save.  The journal only grows
+          until the next full save, so {!fsck} reports a lost tail only
+          when the journal is shorter {e and} fewer than [m_ops] ops
+          replay; [None] for manifests written before the line existed
+          (fsck then compares op counts alone) *)
   m_era : int;
       (** write era for replication fencing; 0 for manifests written
           before replication existed (the parser tolerates the missing
-          line). Preserved by {!save_session}, raised by {!fence}. *)
+          line).  Preserved by every save, raised by {!fence} and by
+          {!save_session}'s [era]. *)
   m_lineage : (string * int) option;
       (** [(parent variant, fork stamp)] recorded when this variant was
           branched; [None] for root variants and manifests written before
-          branching existed.  Preserved by {!save_session} and {!fence}. *)
+          branching existed.  Preserved by every save and {!fence}; set
+          by {!save_session}'s [lineage]. *)
 }
 
 val load_manifest : t -> manifest option
@@ -112,11 +123,6 @@ val load_manifest : t -> manifest option
 val lineage : t -> (string * int) option
 (** The (parent variant, fork stamp) recorded at branch time; [None] for
     root variants. *)
-
-val set_lineage : t -> parent:string -> fork:int -> unit
-(** Record the branch point.  Preserves the rest of the manifest; {!fsck}
-    validates the record (valid parent name, not self, non-negative
-    stamp). *)
 
 (** {1 Generation fencing} *)
 
@@ -149,24 +155,61 @@ val base : Core.Session.t -> base
 (** The base of a session just created on a shrink wrap: its schema
     printed and digested once, chunk by chunk. *)
 
-val save_session : ?base:base -> t -> Core.Session.t -> unit
-(** What recovery needs: shrink wrap schema, operation journal (resolved),
-    local names, custom schema, a checkpoint of the workspace covering the
-    whole journal, and last the manifest — each atomically.  This is the
-    snapshot path (detach, shutdown, new variants, salvage); it renders no
-    reports.  The journal is joined from the steps' texts
-    ({!Journal.steps_to_string}); no op is printed.
+val save_session :
+  ?base:base ->
+  ?lineage:string * int ->
+  ?era:int ->
+  t ->
+  Core.Session.t ->
+  unit
+(** The full save, for a directory that does not hold the session's
+    history: a new variant, a branch's staging copy, [save DIR], a
+    promotion and salvage.  It writes the journal as the session's
+    resolved log ({!Journal.steps_to_string}, no op printed), then does
+    what {!save_checkpoint} does over it: the shrink wrap, local names,
+    custom schema and checkpoint, and last the manifest — each
+    atomically.  It renders no reports.  An empty history writes no
+    [log.ops] (an old one is removed): a missing journal reads as empty
+    and the first append creates it.  [lineage] records the branch point
+    (parent variant, fork stamp) and [era] raises the write era to at
+    least it ({!fence}), both in the one manifest the save writes; without
+    them the manifest's are kept. *)
 
-    [shrinkwrap.odl], [aliases.map] and [custom.odl] are rewritten only
-    when reading them back gives other bytes (a read costs less than an
-    fsync).  When the session was derived from [base]'s session, the shrink
-    wrap is not printed again and every workspace interface equal to the
-    shrink wrap's takes [base]'s chunk: only the interfaces the variant
-    changed or added are printed, once for both the custom schema and the
+type saved = {
+  journal_rewritten : bool;
+      (** the journal did not hold the session's history and was
+          rewritten: a byte copy of it (a follower's) no longer matches *)
+  aliases_changed : bool;
+      (** [aliases.map] was rewritten; the journal does not carry local
+          names *)
+}
+
+val save_checkpoint : ?base:base -> t -> Core.Session.t -> saved
+(** Checkpoint a session whose history the journal already holds — the
+    service's snapshot after its commits drained, [repl --save]'s exit
+    when every command was journalled: the journal is taken as it stands.
+    The checkpoint covers all its bytes, with the full digest of them, and
+    the covered records may hold [@undo;]s.  When the journal's records do
+    not resolve to exactly the session's log (checked on the op texts, no
+    op parsed) it is rewritten as {!save_session} does, and
+    [journal_rewritten] says so.
+
+    Only what recovery reads and whose bytes changed is written:
+    [shrinkwrap.odl], [aliases.map] and [custom.odl] when reading them
+    back gives other bytes (a read costs less than an fsync), no
+    [aliases.map] without local names, and no checkpoint for a session
+    with no op (an old one is removed: it could never serve again).  The
+    checkpoint and the manifest are always written, so a snapshot that
+    changed neither local names nor the custom schema costs two fsyncs.
+    When the session was derived from [base]'s session, the shrink wrap
+    is not printed again and every workspace interface equal to the shrink
+    wrap's takes [base]'s chunk: only the interfaces the variant changed
+    or added are printed, once for both the custom schema and the
     checkpoint.  Cost: O(changed interfaces) printing, plus O(schema +
-    journal) at memory speed — the journal and the two schema texts
-    joined, the checkpoint's digests, and the read-back of
-    [shrinkwrap.odl] and [custom.odl] — and the writes. *)
+    journal) at memory speed — the journal read, its records cut and
+    compared with the log, the schema texts joined, the checkpoint's
+    digests, and the read-back of [shrinkwrap.odl] and [custom.odl] — and
+    the writes. *)
 
 val save_reports : t -> Core.Session.t -> unit
 (** Render the deliverables into [reports/]: [impact.txt],
@@ -212,7 +255,8 @@ val load_session :
     the covered records.
     The covered journal prefix is digest-checked and its op texts cut,
     not parsed ({!Core.Session.of_checkpoint} parses them on first
-    demand).  The checkpoint body is split into its per-interface chunks:
+    demand); its [@undo;] records are resolved as the cut goes
+    ({!Journal.op_records}).  The checkpoint body is split into its per-interface chunks:
     a chunk byte-identical to the shrink wrap's takes the shrink wrap's
     interface value, only the others are parsed, and the workspace index
     is the shrink wrap session's patched with them
@@ -234,9 +278,10 @@ type fsck_report = {
 
 val fsck : ?salvage:bool -> t -> fsck_report
 (** Inspect every artifact and report damage.  The checkpoint is checked
-    against the replayed journal prefix it claims to cover; a missing,
-    damaged or mismatched one is reported as derived (it never makes the
-    store unrecoverable).  Reports are not checked: they are rendered on
+    against the replayed journal prefix it claims to cover, [@undo;]
+    records resolved; a damaged or mismatched one is reported as derived
+    (it never makes the store unrecoverable), and so is a missing one once
+    the manifest records a save that covered an operation.  Reports are not checked: they are rendered on
     request.  With [~salvage:true], rewrite the repository from the best
     recoverable session (longest replayable journal prefix), regenerating
     derived artifacts and removing stale temporary files. *)

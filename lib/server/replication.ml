@@ -19,13 +19,16 @@
       a follower's [#version] can never exceed the leader's — a client
       that needs read-your-writes compares stamps (or stays on the
       leader), one that accepts bounded staleness reads any follower.
-    - {b Rewrites invalidate.}  Snapshots and recovery repairs rewrite
-      the journal file ({!Journal.rewrite}); byte continuity with the
-      followers is broken, so the hub re-seeds them from a fresh
-      snapshot ([Reset] + [File]* + [Start]).  Replayed {e state} is
-      unaffected — a rewrite collapses resolved undos but reproduces the
-      same session — which is why the follower can keep serving its
-      published snapshot while it catches up.
+    - {b Rewrites invalidate.}  A snapshot takes the journal as it
+      stands and leaves the shipped byte stream whole.  A recovery repair
+      rewrites the journal file, and so does a snapshot that finds the
+      journal not holding the session; a snapshot that changes the local
+      names changes a file the stream does not carry.  Either way the
+      hub re-seeds the followers from a fresh snapshot ([Reset] +
+      [File]* + [Start]).  Replayed {e state} is unaffected — a rewrite
+      collapses resolved undos but reproduces the same session — which
+      is why the follower can keep serving its published snapshot while
+      it catches up.
     - {b Promotion fences eras.}  {!promote} recovers the dead leader's
       variants through fsck, installs them in the replica's repository,
       and stamps a fresh era (1 + the highest era either directory has
@@ -596,9 +599,10 @@ end
     journal (ack-after-fsync), and a torn tail there is by construction
     unacknowledged — so each variant is recovered through fsck's
     longest-replayable-prefix rule and installed into [dst] via the
-    ordinary {!Store.save_session} path.  Both directories' manifests are
-    then fenced at a fresh era ([1 +] the highest era either side has
-    seen), so a resurrected old leader refuses writes.
+    ordinary {!Store.save_session} path, whose one manifest carries a
+    fresh era ([1 +] the highest era either side has seen); the old
+    leader's manifests are fenced at it too, so a resurrected old leader
+    refuses writes.
 
     Returns the new era and the per-variant outcomes ([Error] for a
     variant whose base schema is unrecoverable — it is skipped, not
@@ -635,8 +639,7 @@ let promote ?(src_io = Io.unix) ?(dst_io = Io.unix) ~src ~dst () =
                            | issues -> issues))
                   | Some session ->
                       let dst_store = Repo.variant_store dst_repo v in
-                      Store.save_session dst_store session;
-                      Store.fence dst_store ~era;
+                      Store.save_session ~era dst_store session;
                       Ok ()
                 in
                 (* fence the old home even when unrecoverable: whatever

@@ -131,9 +131,10 @@ val promote :
     the (dead) leader repository at [src] holds.  The leader's directory
     is authoritative — every acked write is in its journal, a torn tail
     is by construction unacknowledged — so each variant is recovered
-    through fsck's longest-replayable-prefix rule, installed into [dst]
-    via {!Store.save_session}, and {e both} manifests are fenced at a
-    fresh era (1 + the highest either side has seen).  Safe with
+    through fsck's longest-replayable-prefix rule and installed into
+    [dst] via {!Store.save_session}, whose one manifest carries a fresh
+    era (1 + the highest either side has seen); the leader's manifest is
+    fenced at it too.  Safe with
     [src = dst] (self-recovery after a crash with no replica).  Returns
     the new era and per-variant outcomes; a variant whose base schema is
     unrecoverable is reported, not silently dropped. *)

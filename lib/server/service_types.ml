@@ -216,9 +216,12 @@ let make_instruments obs =
     is called from the commit paths — after the records are durable, in
     publication-stamp order per variant — with the exact journal bytes
     that were appended.  [rs_invalidate] fires whenever the on-disk
-    journal is {e rewritten} rather than appended to (snapshot, recovery
-    repair): the shipped byte stream is no longer a suffix of the file,
-    so followers must be re-seeded from a fresh snapshot. *)
+    journal is {e rewritten} rather than appended to (a recovery repair,
+    a snapshot that found the journal not holding the session), so the
+    shipped byte stream is no longer a suffix of the file, and when a
+    snapshot changed the local names, which the stream does not carry:
+    followers must be re-seeded from a fresh snapshot.  A snapshot that
+    only checkpoints the journal as it stands re-seeds no one. *)
 type replication_sink = {
   rs_ship : variant:string -> stamp:int -> data:string -> unit;
   rs_invalidate : variant:string -> unit;
@@ -394,8 +397,9 @@ let ship t ~variant ~stamp ~data =
   | None -> ()
   | Some sink -> sink.rs_ship ~variant ~stamp ~data
 
-(* Tell the hub the variant's journal file was rewritten (snapshot,
-   repair): shipped bytes no longer extend the file, re-seed followers. *)
+(* Tell the hub the variant's files changed other than by an append (a
+   journal rewrite, new local names): shipped bytes no longer bring a
+   follower to the same store, re-seed followers. *)
 let invalidate t variant =
   match t.repl with
   | None -> ()
@@ -404,36 +408,51 @@ let invalidate t variant =
 let log_path (s : session) = Store.log_file s.store
 
 (* Wait until the session's group-commit lane is empty and no flush is in
-   flight.  Mandatory before any whole-file journal rewrite (snapshot,
-   recovery repair): the rewrite materializes pending records from the
-   in-memory state, so a batch append racing it would write them twice. *)
+   flight.  Mandatory before a snapshot and a recovery repair: the
+   snapshot's checkpoint covers the journal as it stands, so it must hold
+   every record of the session being checkpointed, and a rewrite
+   materializes pending records from the in-memory state, so a batch
+   append racing it would write them twice. *)
 let drain_commits t (s : session) = Group_commit.drain t.commit ~path:(log_path s)
 
-(* Snapshot a dirty session through the regular Store path. *)
+(* Snapshot a dirty session: checkpoint the drained journal as it stands
+   ({!Store.save_checkpoint}). *)
 let snapshot t (s : session) =
   if not s.dirty then Ok ()
   else begin
     drain_commits t s;
+    (* an attempt that failed may have rewritten the journal or the
+       local names before it did *)
+    let failed = ref false in
+    let reseed () = invalidate t s.variant in
     match
       Retry.with_retries ~rand:t.rand ~sleep:t.config.sleep
-        ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Metrics.incr t.i.c_retries)
+        ~on_retry:(fun ~attempt:_ ~delay:_ ->
+          failed := true;
+          Obs.Metrics.incr t.i.c_retries)
         t.config.retry
         (fun () ->
           let t0 = t.config.now () in
-          Store.save_session ?base:(Repo.base t.repo) s.store
-            s.state.Engine.session;
-          Obs.Histo.observe t.i.h_journal_rewrite (t.config.now () -. t0))
+          let saved =
+            Store.save_checkpoint ?base:(Repo.base t.repo) s.store
+              s.state.Engine.session
+          in
+          Obs.Histo.observe t.i.h_journal_rewrite (t.config.now () -. t0);
+          saved)
     with
-    | Ok () ->
+    | Ok { Store.journal_rewritten; aliases_changed } ->
         s.dirty <- false;
-        (* the snapshot rewrote the journal; shipped bytes no longer
-           extend the on-disk file, so followers must re-seed *)
-        invalidate t s.variant;
+        (* shipped bytes still extend the journal unless a save rewrote
+           it; new local names reach a follower only in a re-seed *)
+        if !failed || journal_rewritten || aliases_changed then reseed ();
         Ok ()
-    | Error e -> Error (Printexc.to_string e)
+    | Error e ->
+        reseed ();
+        Error (Printexc.to_string e)
     | exception e ->
         (* e.g. an injected crash: atomic whole-file writes keep every
            artifact whole, and the journal remains authoritative *)
+        reseed ();
         Error (Printexc.to_string e)
   end
 

@@ -481,6 +481,64 @@ let ring_of_two_forces_reset () =
         leader_stamp
         (Replication.Apply.stamp apply "v")
 
+(* A detach snapshot checkpoints the journal as it stands: the bytes
+   already shipped still extend it, so no follower is re-seeded.  A write
+   to another variant after the detach travels the same ring, so once its
+   records arrive, any re-seed of [v] would have arrived before them.  [v]
+   is opened before the stream starts: an open re-seeds (the journal on
+   disk may hold records no follower was shipped). *)
+let detach_does_not_reseed () =
+  let _, lio = mem_repo () in
+  let lsvc = service ~config:(quick_config ()) lio in
+  let hub = Replication.hub lsvc in
+  let c = Service.connect lsvc in
+  ignore (req_ok lsvc c "@open v");
+  ignore (req_ok lsvc c "focus ww:Person");
+  let mu = Mutex.create () and cond = Condition.create () in
+  let frames = ref [] in
+  let send f =
+    Mutex.lock mu;
+    frames := f :: !frames;
+    Condition.broadcast cond;
+    Mutex.unlock mu
+  in
+  let await p =
+    Mutex.lock mu;
+    while not (p !frames) do
+      Condition.wait cond mu
+    done;
+    Mutex.unlock mu
+  in
+  let streamer =
+    Thread.create
+      (fun () -> Replication.serve_stream hub ~send ~alive:(fun () -> true))
+      ()
+  in
+  await (List.mem Frame.Live);
+  ignore (req_ok lsvc c (apply_line "before_detach"));
+  ignore (req_ok lsvc c "@close");
+  ignore (req_ok lsvc c "@new w");
+  ignore (req_ok lsvc c "focus ww:Person");
+  ignore (req_ok lsvc c (apply_line "on_w"));
+  await
+    (List.exists (function
+      | Frame.Records { variant = "w"; _ } -> true
+      | _ -> false));
+  Replication.stop_hub hub;
+  Thread.join streamer;
+  let frames = List.rev !frames in
+  Alcotest.(check bool) "v's write was shipped" true
+    (List.exists
+       (function Frame.Records { variant = "v"; _ } -> true | _ -> false)
+       frames);
+  Alcotest.(check int) "v was seeded once, at bootstrap" 1
+    (List.length
+       (List.filter
+          (function Frame.Start { variant = "v"; _ } -> true | _ -> false)
+          frames));
+  Alcotest.(check bool) "the detach re-seeded no one" false
+    (List.mem (Frame.Reset { variant = "v" }) frames)
+
 (* the clamp: a ring below two slots (or an absurd ask) still serves *)
 let ring_size_is_clamped () =
   List.iter
@@ -937,6 +995,8 @@ let tests =
     test "hub: a stream a full ring behind is re-seeded, not replayed"
       ring_of_two_forces_reset;
     test "hub: the ring size is clamped, never refused" ring_size_is_clamped;
+    test "hub: a detach snapshot does not re-seed a follower"
+      detach_does_not_reseed;
     test "fence: an old-era writer is refused, the promoted era admitted"
       fence_refuses_old_writer;
     Alcotest.test_case

@@ -381,6 +381,46 @@ let stale_tmp_swept () =
       ignore (Store.fsck ~salvage:true repo);
       Alcotest.(check bool) "tmp swept" false (Sys.file_exists stale))
 
+(* The in-memory filesystem's crash model, file by file: what an fsync
+   made durable survives; of the rest, power loss keeps nothing, a torn
+   prefix (of an extension: the durable bytes and half the rest; of a
+   rewrite: half the new bytes) or all of it, by [flush mod 3].  Appends
+   after an fsync, a rename of a written file and an unsynced rewrite
+   each keep that rule. *)
+let mem_crash_model () =
+  let after flush =
+    let m = Io.mem_create () in
+    let io = Io.mem_io m in
+    io.Io.write "/j" "aa";
+    io.Io.fsync "/j";
+    io.Io.append "/j" "bb";
+    io.Io.append "/j" "cc";
+    io.Io.write "/t" "xyz";
+    io.Io.fsync "/t";
+    io.Io.rename "/t" "/r";
+    io.Io.write "/r" "new";
+    io.Io.append "/n" "unsynced";
+    Io.mem_crash ~flush m;
+    let read p = if io.Io.file_exists p then Some (io.Io.read_file p) else None in
+    (read "/j", read "/r", read "/n", read "/t")
+  in
+  let files = Alcotest.(testable (fun ppf (a, b, c, d) ->
+      let s = function Some s -> s | None -> "-" in
+      Fmt.pf ppf "%s %s %s %s" (s a) (s b) (s c) (s d)) ( = )) in
+  Alcotest.check files "nothing pending survives" (Some "aa", Some "xyz", None, None) (after 0);
+  Alcotest.check files "a torn prefix survives"
+    (Some "aabb", Some "n", Some "unsy", None) (after 1);
+  Alcotest.check files "everything survives"
+    (Some "aabbcc", Some "new", Some "unsynced", None) (after 2);
+  (* the survivors are durable: a second crash changes nothing *)
+  let m = Io.mem_create () in
+  let io = Io.mem_io m in
+  io.Io.append "/j" "abc";
+  Io.mem_crash ~flush:2 m;
+  io.Io.append "/j" "def";
+  Io.mem_crash ~flush:0 m;
+  Alcotest.(check string) "crash survivors are synced" "abc" (io.Io.read_file "/j")
+
 let mkdir_p_nested () =
   let base = tmp_dir () in
   Fun.protect
@@ -536,12 +576,16 @@ let journal_torn_prefix =
 type action =
   | A_op of Core.Concept.kind * Core.Modop.t  (** apply + journal if accepted *)
   | A_undo  (** undo + journal if possible *)
-  | A_snapshot  (** [save_session]: the lean snapshot, checkpoint included *)
+  | A_snapshot  (** [save_session]: the full save, checkpoint included *)
+  | A_checkpoint
+      (** [save_checkpoint]: the service's snapshot, over the journal as
+          it stands *)
 
 let action_to_string = function
   | A_op (k, o) -> Journal.entry_to_line (Journal.Op (k, o))
   | A_undo -> "@undo;"
   | A_snapshot -> "(snapshot)"
+  | A_checkpoint -> "(checkpoint)"
 
 let schedule_print actions =
   String.concat "  " (List.map action_to_string actions)
@@ -568,6 +612,9 @@ let run_actions store session actions =
           | None -> (session, states))
       | A_snapshot ->
           Store.save_session store session;
+          (session, states)
+      | A_checkpoint ->
+          ignore (Store.save_checkpoint store session : Store.saved);
           (session, states))
     (session, []) actions
 
@@ -653,6 +700,7 @@ let schedule_gen =
          (6, map (fun (k, o) -> A_op (k, o)) (pair Gen.concept_kind (Gen.plausible_op u)));
          (2, return A_undo);
          (1, return A_snapshot);
+         (1, return A_checkpoint);
        ])
 
 let crash_sweep =
@@ -724,9 +772,9 @@ let disk_crash_sweep () =
   done
 
 (* A checkpoint's prefix steps take their op text from the journal bytes
-   it covers: cut from each record as written, unparsed; no texts at all
-   (the open then replays the whole journal) when the bytes are not
-   exactly one op record a line. *)
+   it covers: cut from each record as written, unparsed, an [@undo;]
+   popping the newest; no texts at all (the open then replays the whole
+   journal) when the bytes are not exactly one record a line. *)
 let op_texts_cut_from_records () =
   let ww = Core.Concept.Wagon_wheel and gh = Core.Concept.Generalization in
   let records = Alcotest.(option (list (pair string string))) in
@@ -749,12 +797,20 @@ let op_texts_cut_from_records () =
        (Journal.op_records ~len:first two));
   Alcotest.(check bool) "a [len] inside a record" true
     (Journal.op_records ~len:(first + 3) two = None);
+  Alcotest.(check records) "an undo record pops the newest"
+    (Some (named [ (ww, "add_type_definition(Lab)"); (gh, "add_supertype(Lab, Person)") ]))
+    (cut
+       "@ww add_type_definition(Lab);\n@ww add_type_definition(Room);\n\
+        @undo;\n@gh add_supertype(Lab, Person);\n");
+  Alcotest.(check records) "everything undone" (Some [])
+    (cut "@ww add_type_definition(Lab);\n@undo;\n");
   List.iter
     (fun (what, text) -> Alcotest.(check records) what None (cut text))
     [
       ("a comment line", "// note\n@ww add_type_definition(Lab);\n");
       ("a blank line", "\n@ww add_type_definition(Lab);\n");
-      ("an undo record", "@ww add_type_definition(Lab);\n@undo;\n");
+      ("an undo with nothing to undo", "@ww add_type_definition(Lab);\n@undo;\n@undo;\n");
+      ("an undo record with a blank", "@undo; \n");
       ("an unknown tag", "@zz add_type_definition(Lab);\n");
       ("an unterminated line", "@ww add_type_definition(Lab);");
       ("no semicolon", "@ww add_type_definition(Lab)\n");
@@ -785,6 +841,8 @@ let tests =
     test "fsck: an undo after a snapshot loses nothing"
       fsck_undo_after_snapshot;
     test "mkdir_p nests and tolerates EEXIST" mkdir_p_nested;
+    test "in-memory fs: the crash model keeps synced bytes, tears the rest"
+      mem_crash_model;
     test "designer persists incrementally" engine_persists_incrementally;
     test "designer journal survives a failed append"
       engine_journal_survives_failed_append;

@@ -12,9 +12,11 @@
    resolved log), and a load opens from it plus the records appended
    since.  The full replay of the journal is the oracle: the property
    below demands that every load — from an intact checkpoint, a damaged
-   one, one covering no operation, one undone into by later [@undo;]
-   records, or one rewritten by salvage — gives the session the full
-   replay gives: workspace, log, version stamp, local names, mapping,
+   one, none (the snapshot covered no operation), one undone into by
+   later [@undo;] records, one rewritten by salvage, or one over the
+   journal as it stands with [@undo;] records in its prefix — gives the
+   session the full replay gives: workspace, log, version stamp, local
+   names, mapping,
    impact report and undo/redo behaviour.  Bounded undo (only the newest
    [Session.undo_depth] index versions are kept) is checked against the
    same oracle.  Run with QCHECK_LONG=1 (the [fuzz-long] alias) for 10x
@@ -236,6 +238,9 @@ type damage =
   | Intact
   | Corrupt_checkpoint  (** a byte of its workspace flipped *)
   | Empty_checkpoint  (** the only snapshot was taken before any op *)
+  | Held_journal
+      (** the snapshot checkpointed the journal as it stands: the covered
+          prefix keeps its [@undo;] records *)
   | Salvaged  (** interior journal damage repaired by fsck before the suffix *)
   | Reformatted_chunk of int
       (** one interface's chunk of the checkpoint body re-spaced (it parses
@@ -246,6 +251,7 @@ let damage_name = function
   | Intact -> "intact"
   | Corrupt_checkpoint -> "corrupt checkpoint"
   | Empty_checkpoint -> "0-op checkpoint"
+  | Held_journal -> "journal as it stands"
   | Salvaged -> "salvaged log"
   | Reformatted_chunk k -> Printf.sprintf "chunk %d re-spaced" k
 
@@ -269,8 +275,12 @@ let run store session actions =
           | None -> session))
     session actions
 
+(* Each damage applies to a checkpoint that is there: a snapshot of a
+   session with no op writes none. *)
+let if_exists io path f = if io.Io.file_exists path then f (io.Io.read_file path)
+
 let flip_last_byte io path =
-  let text = io.Io.read_file path in
+  if_exists io path @@ fun text ->
   let n = String.length text in
   let last = if text.[n - 2] = 'x' then "y" else "x" in
   io.Io.write path (String.sub text 0 (n - 2) ^ last ^ String.sub text (n - 1) 1)
@@ -278,7 +288,7 @@ let flip_last_byte io path =
 (* Re-space the [k]th interface chunk (mod their count) of the checkpoint
    body, keeping every digest but the body's, which is recomputed. *)
 let respace_chunk io path k =
-  let text = io.Io.read_file path in
+  if_exists io path @@ fun text ->
   let i = String.index text '\n' in
   let header = String.sub text 0 i
   and body = String.sub text (i + 1) (String.length text - i - 1) in
@@ -290,6 +300,35 @@ let respace_chunk io path k =
       let header = String.sub header 0 (String.length header - 32) in
       io.Io.write path (header ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body)
   | _ -> Alcotest.fail "checkpoint body is not laid out in chunks"
+
+(* A copy of the store's files whose checkpoint body holds one more
+   interface, [Forged], every digest recomputed: the copy's open shows
+   [Forged] only when it opened from the checkpoint. *)
+let forged_copy io store =
+  let io' = Io.mem_io (Io.mem_create ()) in
+  let copy = Store.open_dir ~io:io' "/w" in
+  List.iter
+    (fun name ->
+      let p = Filename.concat (Store.dir store) name in
+      if io.Io.file_exists p then
+        io'.Io.write (Filename.concat "/w" name) (io.Io.read_file p))
+    (io.Io.readdir (Store.dir store));
+  let path = Store.checkpoint_file copy in
+  let text = io'.Io.read_file path in
+  let i = String.index text '\n' in
+  let header = String.sub text 0 (i - 32) in
+  let body = String.sub text (i + 1) (String.length text - i - 1) in
+  let workspace = Odl.Parser.parse_schema body in
+  let forged =
+    Odl.Parser.parse_schema "interface Forged { attribute string x; };"
+  in
+  let body =
+    Odl.Printer.schema_to_string
+      { workspace with
+        s_interfaces = workspace.s_interfaces @ forged.s_interfaces }
+  in
+  io'.Io.write path (header ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body);
+  copy
 
 let build (pre, post, damage) =
   let io = Io.mem_io (Io.mem_create ()) in
@@ -305,13 +344,29 @@ let build (pre, post, damage) =
         | Ok s -> s
         | Error _ -> s
       in
-      Store.save_session store s;
+      (if damage <> Held_journal then Store.save_session store s
+       else
+         match Store.save_checkpoint store s with
+         | { Store.journal_rewritten = true; _ } ->
+             QCheck2.Test.fail_report "the journal held the session, yet was rewritten"
+         | { journal_rewritten = false; _ } -> (
+             (* a checkpoint whose prefix holds [@undo;] records serves
+                the open: no full replay *)
+             if io.Io.file_exists (Store.checkpoint_file store) then
+               match Store.load_session (forged_copy io store) with
+               | Ok s
+                 when Odl.Schema.mem_interface (Session.workspace s) "Forged" -> ()
+               | Ok _ ->
+                   QCheck2.Test.fail_report
+                     "the checkpoint over the journal as it stands did not serve"
+               | Error e ->
+                   QCheck2.Test.fail_report (Store.load_error_to_string e)));
       s
     end
   in
   let session =
     match damage with
-    | Intact | Empty_checkpoint -> session
+    | Intact | Empty_checkpoint | Held_journal -> session
     | Corrupt_checkpoint ->
         flip_last_byte io (Store.checkpoint_file store);
         session
@@ -326,6 +381,11 @@ let build (pre, post, damage) =
         | None -> Alcotest.fail "salvage lost the session")
   in
   ignore (run store session post);
+  (* fsck resolves the covered records the same way *)
+  (if damage = Held_journal then
+     match (Store.fsck store).Store.fsck_issues with
+     | [] -> ()
+     | issues -> QCheck2.Test.fail_reportf "fsck: %s" (String.concat "; " issues));
   store
 
 let action_gen =
@@ -379,6 +439,7 @@ let case_gen =
          (2, return Intact);
          (1, return Corrupt_checkpoint);
          (1, return Empty_checkpoint);
+         (2, return Held_journal);
          (1, return Salvaged);
          (1, map (fun k -> Reformatted_chunk k) (int_range 0 20));
        ])
@@ -573,7 +634,9 @@ let texts_are_printed actions =
   in
   let snapshot on_base s =
     Store.save_session ?base:(if on_base then Some base else None) store s;
-    let bytes = io.Io.read_file (Store.log_file store) in
+    (* an empty history is no journal *)
+    let path = Store.log_file store in
+    let bytes = if io.Io.file_exists path then io.Io.read_file path else "" in
     if bytes <> Printed.records s then fail "log.ops after a snapshot: %S" bytes
   in
   Store.save_session store base.b_session;
@@ -870,6 +933,111 @@ let snapshot_skips_unchanged_artifacts () =
       Alcotest.(check (option string)) "reopens as saved" None (differences s session)
   | Error e -> Alcotest.fail (Repo.open_error_to_string e)
 
+(* Fsync only what recovery needs.  A new variant fsyncs its shrink wrap,
+   custom schema and manifest — no empty journal, no empty local names, no
+   checkpoint of nothing.  A detach whose custom schema and local names
+   did not change fsyncs the checkpoint and the manifest: the journal is
+   checkpointed as it stands, [@undo;] records and all. *)
+let fsyncs_per_create_and_detach () =
+  let fsynced = ref [] in
+  let mem = Io.mem_io (Io.mem_create ()) in
+  let io =
+    Io.locked
+      { mem with
+        Io.fsync =
+          (fun p ->
+            let name = Filename.basename p in
+            fsynced :=
+              Option.value ~default:name
+                (Filename.chop_suffix_opt ~suffix:Io.tmp_suffix name)
+              :: !fsynced;
+            mem.Io.fsync p) }
+  in
+  let fsyncs f =
+    fsynced := [];
+    f ();
+    List.sort compare !fsynced
+  in
+  let repo =
+    match Repo.init ~io "/repo" (tiny ()) with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string)) "create_variant: three fsyncs"
+    [ "custom.odl"; "manifest"; "shrinkwrap.odl" ]
+    (fsyncs (fun () ->
+         match Repo.create_variant repo "v" with
+         | Ok _ -> ()
+         | Error e -> Alcotest.fail e));
+  let vdir = "/repo/variants/v" in
+  Alcotest.(check (list string)) "a fresh variant is those three files"
+    [ "custom.odl"; "manifest"; "shrinkwrap.odl" ]
+    (io.Io.readdir vdir);
+  let t = service io in
+  let c = Service.connect t in
+  ignore (req_ok t c "@open v");
+  ignore (req_ok t c "focus ww:Person");
+  ignore (req_ok t c (apply "first"));
+  Alcotest.(check (list string)) "a detach that changed the custom schema"
+    [ "checkpoint.odl"; "custom.odl"; "manifest" ]
+    (fsyncs (fun () -> ignore (req_ok t c "@close")));
+  ignore (req_ok t c "@open v");
+  ignore (req_ok t c "focus ww:Person");
+  ignore (req_ok t c (apply "second"));
+  ignore (req_ok t c "undo");
+  Alcotest.(check (list string)) "a detach with the custom schema unchanged"
+    [ "checkpoint.odl"; "manifest" ]
+    (fsyncs (fun () -> ignore (req_ok t c "@close")));
+  Alcotest.(check bool) "the covered journal keeps its undo record" true
+    (Str_contains.contains (io.Io.read_file (vdir ^ "/log.ops")) "@undo;");
+  ignore (Service.shutdown t);
+  let store = Repo.variant_store repo "v" in
+  Alcotest.(check (list string)) "fsck clean" [] (Store.fsck store).Store.fsck_issues;
+  Alcotest.(check (list string)) "reopens with the first op only" [ "add_attribute(Person, string, 8, first)" ]
+    (ops_of_log io)
+
+(* The snapshot checkpoints the journal only when it holds the session.
+   One that missed an append the session got past — here an undo and a
+   new op, the same record count as what the journal holds — is
+   rewritten as the session's log, and the snapshot says so; one that
+   holds it, an [@undo;] record included, is taken as it stands and
+   opened from. *)
+let snapshot_checks_the_journal () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let s0 = Util.session_of (tiny ()) in
+  Store.save_session store s0;
+  let s1 = Util.apply_many s0 [ "add_type_definition(Lab)" ] in
+  Store.append_delta store ~before:s0 ~after:s1;
+  let journalled = io.Io.read_file (Store.log_file store) in
+  let s2 =
+    Util.apply_many
+      (Option.get (Session.undo s1))
+      [ "add_type_definition(Room)" ]
+  in
+  let reopened () =
+    match Store.load_session store with
+    | Ok s -> texts s
+    | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  in
+  (match Store.save_checkpoint store s2 with
+  | { Store.journal_rewritten = true; _ } -> ()
+  | _ -> Alcotest.fail "a journal missing the session's records was kept");
+  Alcotest.(check (list string)) "rewritten as the session's log"
+    [ "add_type_definition(Room)" ] (reopened ());
+  Alcotest.(check bool) "the old record is gone" false
+    (String.equal journalled (io.Io.read_file (Store.log_file store)));
+  let s3 = Util.apply_many (Option.get (Session.undo s2)) [ "add_type_definition(Hall)" ] in
+  Store.append_delta store ~before:s2 ~after:s3;
+  (match Store.save_checkpoint store s3 with
+  | { Store.journal_rewritten = false; aliases_changed = false } -> ()
+  | _ -> Alcotest.fail "a journal holding the session was rewritten");
+  Alcotest.(check bool) "the undo record stays" true
+    (Str_contains.contains (io.Io.read_file (Store.log_file store)) "@undo;");
+  Alcotest.(check (list string)) "reopens as the session"
+    [ "add_type_definition(Hall)" ] (reopened ());
+  Alcotest.(check (list string)) "fsck clean" [] (Store.fsck store).Store.fsck_issues
+
 (* The open does not parse the records its checkpoint covers: one whose
    text does not parse (log.ops and the checkpoint header altered
    together, digests recomputed) is not seen at the load.  The log is
@@ -976,6 +1144,10 @@ let tests =
       open_shares_unchanged_interfaces;
     test "a snapshot writes only the artifacts whose bytes changed"
       snapshot_skips_unchanged_artifacts;
+    test "create fsyncs three files, an unchanged detach two"
+      fsyncs_per_create_and_detach;
+    test "a snapshot keeps only a journal that holds the session"
+      snapshot_checks_the_journal;
     test "a covered record that does not parse surfaces at its first op"
       unparsable_prefix_record_surfaces_later;
     test "the journal after a checkpoint is parsed and repaired once"
