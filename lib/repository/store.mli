@@ -197,10 +197,11 @@ val save_checkpoint : ?base:base -> t -> Core.Session.t -> saved
     Only what recovery reads and whose bytes changed is written:
     [shrinkwrap.odl], [aliases.map] and [custom.odl] when reading them
     back gives other bytes (a read costs less than an fsync), no
-    [aliases.map] without local names, and no checkpoint for a session
-    with no op (an old one is removed: it could never serve again).  The
-    checkpoint and the manifest are always written, so a snapshot that
-    changed neither local names nor the custom schema costs two fsyncs.
+    [aliases.map] without local names (an existing one is emptied), and
+    no checkpoint for a session with no op (an old one is removed: it
+    could never serve again).  The manifest is always written, and so is
+    the checkpoint of a session with an op, so a snapshot that changed
+    neither local names nor the custom schema costs two fsyncs.
     When the session was derived from [base]'s session, the shrink wrap
     is not printed again and every workspace interface equal to the shrink
     wrap's takes [base]'s chunk: only the interfaces the variant changed
