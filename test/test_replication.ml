@@ -995,8 +995,6 @@ let tests =
     test "hub: a stream a full ring behind is re-seeded, not replayed"
       ring_of_two_forces_reset;
     test "hub: the ring size is clamped, never refused" ring_size_is_clamped;
-    test "hub: a detach snapshot does not re-seed a follower"
-      detach_does_not_reseed;
     test "fence: an old-era writer is refused, the promoted era admitted"
       fence_refuses_old_writer;
     Alcotest.test_case
@@ -1009,4 +1007,6 @@ let tests =
       open_missing_readonly_err;
     test "follower: survives leader restart and reconnects"
       follower_survives_leader_restart;
+    test "hub: a detach snapshot does not re-seed a follower"
+      detach_does_not_reseed;
   ]
