@@ -23,9 +23,9 @@
       [Store.load_session] across history length, opened from the
       checkpoint vs by a full replay, the same open through
       [Repo.open_variant] on the repository's base, and the
-      [Store.save_checkpoint] snapshot (with the [Store.save_session] full
-      save beside it) across history length; and (ungated) the open and
-      the snapshot by interfaces differing from the shrink wrap
+      [Store.save_checkpoint] snapshot across history length; and
+      (ungated) the open and the snapshot by interfaces differing from the
+      shrink wrap
 *)
 
 open Bechamel
@@ -397,15 +397,12 @@ let run_index ~json_path () =
    removed).  A snapshot, as the service's detach takes it:
    [Store.save_checkpoint] of the session built op by op, and of one just
    opened from the checkpoint, each into a scratch store whose journal
-   holds it.  A full save: [Store.save_session] of the session built op
-   by op, which rewrites the journal as the snapshot did before it took
-   the journal as it stands.  In-memory Io, so the figures are CPU, not
-   disk.  The history is
-   add/delete pairs spread over every interface, as in perfbench's
-   long-history.  Each figure is a median of [recovery_runs] after a full
-   major collection and one untimed run (3, with no warm-up, for the full
-   replay), so the 2x growth gates compare settled figures, not a cold
-   first run. *)
+   holds it.  In-memory Io, so the figures are CPU, not disk.  The
+   history is add/delete pairs spread over every interface, as in
+   perfbench's long-history.  Each figure is a median of [recovery_runs]
+   after a full major collection and one untimed run (3, with no warm-up,
+   for the full replay), so the 2x growth gates compare settled figures,
+   not a cold first run. *)
 let recovery_n = 400
 let recovery_sizes = [ 100; 1000; 10000 ]
 let recovery_suffix = 10
@@ -427,7 +424,6 @@ type recovery = {
   snapshot_ms : float;  (** [Store.save_checkpoint], session built op by op *)
   reopened_snapshot_ms : float;
       (** [Store.save_checkpoint] right after a checkpoint open *)
-  full_save_ms : float;  (** [Store.save_session], session built op by op *)
 }
 
 let recovery_row h =
@@ -462,18 +458,13 @@ let recovery_row h =
   in
   let snapshot_ms name s =
     let st = scratch name s in
-    median_ms recovery_runs (fun () ->
-        assert (not (Store.save_checkpoint st s).journal_rewritten))
+    median_ms recovery_runs (fun () -> Store.save_checkpoint st s)
   in
   let snapshot = snapshot_ms "/scratch" session in
   let reopened =
     Result.get_ok (Store.load_session ~repair:false store)
   in
   let reopened_snapshot = snapshot_ms "/scratch-reopened" reopened in
-  let full_save =
-    let st = Store.open_dir ~io "/scratch-full" in
-    median_ms recovery_runs (fun () -> Store.save_session st session)
-  in
   let checkpointed = median_ms recovery_runs load in
   let repo_open =
     median_ms recovery_runs (fun () ->
@@ -489,7 +480,6 @@ let recovery_row h =
     full_replay_ms = full;
     snapshot_ms = snapshot;
     reopened_snapshot_ms = reopened_snapshot;
-    full_save_ms = full_save;
   }
 
 (* [field] at the longest history over [field] at the shortest *)
@@ -533,10 +523,8 @@ let differing_row k =
   let reopened = opened () in
   let diff_snapshot_ms =
     median_ms recovery_runs (fun () ->
-        ignore
-          (Repository.Store.save_checkpoint ?base:(Repo.base repo)
-             (Repo.variant_store repo "v") reopened
-            : Repository.Store.saved))
+        Repository.Store.save_checkpoint ?base:(Repo.base repo)
+          (Repo.variant_store repo "v") reopened)
   in
   { differ = k; diff_open_ms; diff_snapshot_ms }
 
@@ -544,15 +532,15 @@ let run_recovery () =
   let rows = List.map recovery_row recovery_sizes in
   print_endline
     "\nP10: cold open (checkpoint + suffix; Repo.open_variant on the base; \
-     full replay), snapshot (built op by op; right after a checkpoint \
-     open) and full save, ms";
+     full replay) and snapshot (built op by op; right after a checkpoint \
+     open), ms";
   List.iter
     (fun r ->
       Printf.printf
         "  %6d ops  checkpoint %8.1f  repo open %8.1f  full replay %8.1f  \
-         snapshot %8.1f  after open %8.1f  full save %8.1f\n"
+         snapshot %8.1f  after open %8.1f\n"
         r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
-        r.reopened_snapshot_ms r.full_save_ms)
+        r.reopened_snapshot_ms)
     rows;
   let differing = List.map differing_row differing_counts in
   Printf.printf
@@ -603,9 +591,9 @@ let run_journal ~json_path () =
     Printf.sprintf
       "      { \"history\": %d, \"checkpoint_ms\": %.1f, \"repo_open_ms\": \
        %.1f, \"full_replay_ms\": %.1f, \"snapshot_ms\": %.1f, \
-       \"reopened_snapshot_ms\": %.1f, \"full_save_ms\": %.1f }"
+       \"reopened_snapshot_ms\": %.1f }"
       r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
-      r.reopened_snapshot_ms r.full_save_ms
+      r.reopened_snapshot_ms
   in
   let differing_entry d =
     Printf.sprintf
@@ -637,10 +625,9 @@ let run_journal ~json_path () =
            checkpoint, Repo.open_variant (the same on the repository's base), \
            full replay; snapshot: Store.save_checkpoint of the session built \
            op by op, and of one just opened from the checkpoint, into a \
-           scratch store whose journal holds it; full save: \
-           Store.save_session of the session built op by op, the journal \
-           rewritten; median of %d after a full major collection and an \
-           untimed run (3, unwarmed, for the full replay)\","
+           scratch store whose journal holds it; median of %d after a \
+           full major collection and an untimed run (3, unwarmed, for the \
+           full replay)\","
           recovery_n recovery_suffix recovery_runs;
         "    \"unit\": \"ms\",";
         "    \"results\": [";

@@ -245,8 +245,7 @@ let cmd_repl arg save_dir paranoid readonly =
       (match repo with
       | Some repo ->
           if durable == final then
-            ignore (Repository.Store.save_checkpoint repo final
-                     : Repository.Store.saved)
+            Repository.Store.save_checkpoint repo final
           else Repository.Store.save_session repo final;
           Repository.Store.save_reports repo final
       | None -> ());

@@ -177,18 +177,6 @@ let op_records ?len text =
     (List.rev_map (fun (kind, i, l) -> (kind, String.sub text (i + 4) (l - 6))))
     (resolved_lines (Option.value len ~default:(String.length text)) text)
 
-let holds text steps =
-  (* a journal with nothing undone is byte for byte the steps' records *)
-  let expected = steps_to_string steps in
-  String.equal text expected
-  ||
-  match resolved_lines (String.length text) text with
-  | None -> false
-  | Some lines ->
-      String.equal expected
-        (String.concat ""
-           (List.rev_map (fun (_, i, l) -> String.sub text i l) lines))
-
 let append_raw (io : Io.t) path data =
   io.append path data;
   io.fsync path

@@ -81,14 +81,6 @@ val op_records : ?len:int -> string -> (Core.Concept.kind * string) list option
     line, an undo with nothing to undo).  The texts are not checked to
     parse. *)
 
-val holds : string -> Core.Session.step list -> bool
-(** Whether [text]'s records — exactly one a line, as {!op_records} reads
-    them — resolve to exactly these steps, oldest first: their kinds and
-    op texts.  No op is parsed: the resolved records are joined and
-    compared with {!steps_to_string} of the steps, which a journal with
-    nothing undone equals as it stands.  A full save's journal holds its
-    session, and so does one the session's deltas were appended to. *)
-
 val encoded_delta :
   before:Core.Session.t ->
   after:Core.Session.t ->

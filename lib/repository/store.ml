@@ -25,7 +25,9 @@
     variant, a branch, [save DIR], a promotion, salvage) rewrites it — its
     one compaction, dropping undone records.  The snapshot
     ({!save_checkpoint}) takes the journal as it stands and checkpoints all
-    of it.  Each save writes only what recovery reads and whose bytes
+    of it; its caller knows the journal holds the session (no failed
+    append since the load), and calls the full save when it does not.
+    Each save writes only what recovery reads and whose bytes
     changed, and the manifest last, so it witnesses a completed save.  All
     syscalls go through the injectable {!Io.t} the store was opened with.
 
@@ -401,11 +403,9 @@ let holds t path text =
   with Sys_error _ -> false
 
 (* An artifact whose bytes are already on disk is not written again: the
-   read back costs less than a write's fsync.  Whether it was written. *)
+   read back costs less than a write's fsync. *)
 let write_changed t path text =
-  let changed = not (holds t path text) in
-  if changed then write_file t path text;
-  changed
+  if not (holds t path text) then write_file t path text
 
 let remove_if_exists t path =
   if t.io.Io.file_exists path then t.io.Io.remove path
@@ -420,12 +420,12 @@ let workspace_chunks (chunks : chunks) (workspace : Odl.Types.schema) =
       | _ -> Odl.Printer.interface_chunk i)
     workspace.s_interfaces
 
-(* The journal text, when it holds the session's history: its records,
-   [@undo;]s included, resolve to the session's steps. *)
-let held_journal t session =
-  let text = read_log t in
-  if Journal.holds text (Core.Session.log session) then Some text
-  else None
+(** Whether a save would rewrite [aliases.map]: see the interface.  No
+    local names, no file — unless there is one to empty. *)
+let aliases_differ t session =
+  let text = Core.Aliases.to_string (Core.Session.aliases session) in
+  (text <> "" || t.io.Io.file_exists (aliases_file t))
+  && not (holds t (aliases_file t) text)
 
 (* The journal rewritten as the resolved [steps]; an empty history is no
    journal at all (a missing one reads as empty, and the first append
@@ -436,13 +436,11 @@ let rewrite_journal t steps =
   else write_file t (log_file t) text;
   text
 
-type saved = { journal_rewritten : bool; aliases_changed : bool }
-
-(* The one save.  [keep_journal]: take the journal as it stands when it
-   holds the session's history, else rewrite it.  Artifacts go in the
-   order recovery trusts them — shrink wrap, journal, local names, custom
-   schema, checkpoint — and the manifest last. *)
-let persist ?base ?lineage ?(era = 0) ~keep_journal t session =
+(* The one save.  Artifacts go in the order recovery trusts them — shrink
+   wrap, journal, local names, custom schema, checkpoint — and the
+   manifest last; [journal] writes or reads the journal and gives its
+   text, which the checkpoint covers. *)
+let persist ?base ?lineage ?(era = 0) t session ~journal =
   let ops = Core.Session.step_count session in
   let generation, era, lineage =
     match load_manifest t with
@@ -461,23 +459,14 @@ let persist ?base ?lineage ?(era = 0) ~keep_journal t session =
   in
   let workspace = Core.Session.workspace session in
   let ws_chunks = workspace_chunks chunks workspace in
-  ignore (write_changed t (shrinkwrap_file t) shrink_text : bool);
-  let log_text, journal_rewritten =
-    match if keep_journal then held_journal t session else None with
-    | Some text -> (text, false)
-    | None -> (rewrite_journal t (Core.Session.log session), true)
-  in
-  let aliases_changed =
-    (* no local names, no file — unless there is one to empty *)
-    let text = Core.Aliases.to_string (Core.Session.aliases session) in
-    (text <> "" || t.io.Io.file_exists (aliases_file t))
-    && write_changed t (aliases_file t) text
-  in
-  ignore
-    (write_changed t (custom_file t)
-       (Odl.Printer.schema_of_chunks
-          (Core.Session.custom_schema session).s_name ws_chunks)
-      : bool);
+  write_changed t (shrinkwrap_file t) shrink_text;
+  let log_text = journal () in
+  if aliases_differ t session then
+    write_file t (aliases_file t)
+      (Core.Aliases.to_string (Core.Session.aliases session));
+  write_changed t (custom_file t)
+    (Odl.Printer.schema_of_chunks
+       (Core.Session.custom_schema session).s_name ws_chunks);
   (* a checkpoint covering no op could never serve: none is written, and
      an earlier one — stale after a rewrite, undone into otherwise — goes *)
   if ops = 0 then remove_if_exists t (checkpoint_file t)
@@ -492,17 +481,18 @@ let persist ?base ?lineage ?(era = 0) ~keep_journal t session =
       m_bytes = Some (String.length log_text);
       m_era = era;
       m_lineage = lineage;
-    };
-  { journal_rewritten; aliases_changed }
+    }
 
 (** Persist what recovery needs, the journal rewritten as the session's
     resolved log: see the interface. *)
 let save_session ?base ?lineage ?era t session =
-  ignore (persist ?base ?lineage ?era ~keep_journal:false t session : saved)
+  persist ?base ?lineage ?era t session ~journal:(fun () ->
+      rewrite_journal t (Core.Session.log session))
 
-(** Checkpoint a session whose history the journal already holds: see the
-    interface. *)
-let save_checkpoint ?base t session = persist ?base ~keep_journal:true t session
+(** Checkpoint a session whose history the journal holds, the journal
+    read and not written: see the interface. *)
+let save_checkpoint ?base t session =
+  persist ?base t session ~journal:(fun () -> read_log t)
 
 (** Render the designer deliverables into [reports/]: the impact,
     consistency and mapping reports and [deliverables.html]. *)

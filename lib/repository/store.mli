@@ -175,24 +175,16 @@ val save_session :
     least it ({!fence}), both in the one manifest the save writes; without
     them the manifest's are kept. *)
 
-type saved = {
-  journal_rewritten : bool;
-      (** the journal did not hold the session's history and was
-          rewritten: a byte copy of it (a follower's) no longer matches *)
-  aliases_changed : bool;
-      (** [aliases.map] was rewritten; the journal does not carry local
-          names *)
-}
-
-val save_checkpoint : ?base:base -> t -> Core.Session.t -> saved
-(** Checkpoint a session whose history the journal already holds — the
-    service's snapshot after its commits drained, [repl --save]'s exit
-    when every command was journalled: the journal is taken as it stands.
-    The checkpoint covers all its bytes, with the full digest of them, and
-    the covered records may hold [@undo;]s.  When the journal's records do
-    not resolve to exactly the session's log (checked on the op texts, no
-    op parsed) it is rewritten as {!save_session} does, and
-    [journal_rewritten] says so.
+val save_checkpoint : ?base:base -> t -> Core.Session.t -> unit
+(** Checkpoint a session whose history the journal holds — its records,
+    [@undo;]s included, resolve to the session's log.  That is the
+    caller's to know, not this function's: nothing is compared.  The
+    service's snapshot after its commits drained with no failed flush
+    since the load, and [repl --save]'s exit when every command was
+    journalled, know it; a caller that cannot (a failed append, a
+    directory that does not hold the history) calls {!save_session}.  The
+    journal is read and not written, and the checkpoint covers all its
+    bytes, with the full digest of them.
 
     Only what recovery reads and whose bytes changed is written:
     [shrinkwrap.odl], [aliases.map] and [custom.odl] when reading them
@@ -207,10 +199,15 @@ val save_checkpoint : ?base:base -> t -> Core.Session.t -> saved
     wrap's takes [base]'s chunk: only the interfaces the variant changed
     or added are printed, once for both the custom schema and the
     checkpoint.  Cost: O(changed interfaces) printing, plus O(schema +
-    journal) at memory speed — the journal read, its records cut and
-    compared with the log, the schema texts joined, the checkpoint's
-    digests, and the read-back of [shrinkwrap.odl] and [custom.odl] — and
-    the writes. *)
+    journal) at memory speed — the journal read and its digest, the
+    schema texts joined, the body's digest, and the read-back of
+    [shrinkwrap.odl], [aliases.map] and [custom.odl] — and the writes. *)
+
+val aliases_differ : t -> Core.Session.t -> bool
+(** Whether a save of the session would rewrite [aliases.map]: its local
+    names are not the file's.  The journal does not carry local names, so
+    a byte copy of the store (a follower's) that only receives appended
+    records misses the change. *)
 
 val save_reports : t -> Core.Session.t -> unit
 (** Render the deliverables into [reports/]: [impact.txt],

@@ -21,10 +21,10 @@
       leader), one that accepts bounded staleness reads any follower.
     - {b Rewrites invalidate.}  A snapshot takes the journal as it
       stands and leaves the shipped byte stream whole.  A recovery repair
-      rewrites the journal file, and so does a snapshot that finds the
-      journal not holding the session; a snapshot that changes the local
-      names changes a file the stream does not carry.  Either way the
-      hub re-seeds the followers from a fresh snapshot ([Reset] +
+      rewrites the journal file, and so does a snapshot after a failed
+      flush; a snapshot that changes the local names changes a file the
+      stream does not carry.  Either way the hub re-seeds the followers
+      from a fresh snapshot ([Reset] +
       [File]* + [Start]).  Replayed {e state} is unaffected — a rewrite
       collapses resolved undos but reproduces the same session — which
       is why the follower can keep serving its published snapshot while

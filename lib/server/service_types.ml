@@ -217,11 +217,12 @@ let make_instruments obs =
     publication-stamp order per variant — with the exact journal bytes
     that were appended.  [rs_invalidate] fires whenever the on-disk
     journal is {e rewritten} rather than appended to (a recovery repair,
-    a snapshot that found the journal not holding the session), so the
-    shipped byte stream is no longer a suffix of the file, and when a
-    snapshot changed the local names, which the stream does not carry:
-    followers must be re-seeded from a fresh snapshot.  A snapshot that
-    only checkpoints the journal as it stands re-seeds no one. *)
+    a snapshot after a failed flush), so the shipped byte stream is no
+    longer a suffix of the file, and when a snapshot changed the local
+    names, which the stream does not carry: followers must be re-seeded
+    from a fresh snapshot.  A snapshot that only checkpoints the journal
+    as it stands re-seeds no one; the variant's next load still does
+    ({!Service_admin.load_session} invalidates on every load). *)
 type replication_sink = {
   rs_ship : variant:string -> stamp:int -> data:string -> unit;
   rs_invalidate : variant:string -> unit;
@@ -409,50 +410,50 @@ let log_path (s : session) = Store.log_file s.store
 
 (* Wait until the session's group-commit lane is empty and no flush is in
    flight.  Mandatory before a snapshot and a recovery repair: the
-   snapshot's checkpoint covers the journal as it stands, so it must hold
-   every record of the session being checkpointed, and a rewrite
-   materializes pending records from the in-memory state, so a batch
-   append racing it would write them twice. *)
+   snapshot's checkpoint covers the journal as it stands, so every record
+   of the session must be in it, and a rewrite materializes pending
+   records from the in-memory state, so a batch append racing it would
+   write them twice. *)
 let drain_commits t (s : session) = Group_commit.drain t.commit ~path:(log_path s)
 
-(* Snapshot a dirty session: checkpoint the drained journal as it stands
-   ({!Store.save_checkpoint}). *)
+(* Snapshot a dirty session.  Once drained, a lane no flush failed on
+   since the load (which resets it) has appended every record of the
+   session, so the journal holds it and is checkpointed as it stands
+   ({!Store.save_checkpoint}); after a failed flush its tail is unknown,
+   so it is rewritten from the session ({!Store.save_session}).  A
+   rewrite breaks the shipped byte stream and the stream does not carry
+   local names: either re-seeds the followers, and so does a failed save,
+   which may have written either. *)
 let snapshot t (s : session) =
   if not s.dirty then Ok ()
   else begin
     drain_commits t s;
-    (* an attempt that failed may have rewritten the journal or the
-       local names before it did *)
-    let failed = ref false in
-    let reseed () = invalidate t s.variant in
+    let session = s.state.Engine.session in
+    (* drained and held under the writer lock: quiescent unless poisoned *)
+    let held = Group_commit.quiescent t.commit ~path:(log_path s) in
+    let reseed = (not held) || Store.aliases_differ s.store session in
     match
       Retry.with_retries ~rand:t.rand ~sleep:t.config.sleep
-        ~on_retry:(fun ~attempt:_ ~delay:_ ->
-          failed := true;
-          Obs.Metrics.incr t.i.c_retries)
+        ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Metrics.incr t.i.c_retries)
         t.config.retry
         (fun () ->
           let t0 = t.config.now () in
-          let saved =
-            Store.save_checkpoint ?base:(Repo.base t.repo) s.store
-              s.state.Engine.session
-          in
-          Obs.Histo.observe t.i.h_journal_rewrite (t.config.now () -. t0);
-          saved)
+          let base = Repo.base t.repo in
+          if held then Store.save_checkpoint ?base s.store session
+          else Store.save_session ?base s.store session;
+          Obs.Histo.observe t.i.h_journal_rewrite (t.config.now () -. t0))
     with
-    | Ok { Store.journal_rewritten; aliases_changed } ->
+    | Ok () ->
         s.dirty <- false;
-        (* shipped bytes still extend the journal unless a save rewrote
-           it; new local names reach a follower only in a re-seed *)
-        if !failed || journal_rewritten || aliases_changed then reseed ();
+        if reseed then invalidate t s.variant;
         Ok ()
     | Error e ->
-        reseed ();
+        invalidate t s.variant;
         Error (Printexc.to_string e)
     | exception e ->
         (* e.g. an injected crash: atomic whole-file writes keep every
            artifact whole, and the journal remains authoritative *)
-        reseed ();
+        invalidate t s.variant;
         Error (Printexc.to_string e)
   end
 

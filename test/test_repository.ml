@@ -614,7 +614,7 @@ let run_actions store session actions =
           Store.save_session store session;
           (session, states)
       | A_checkpoint ->
-          ignore (Store.save_checkpoint store session : Store.saved);
+          Store.save_checkpoint store session;
           (session, states))
     (session, []) actions
 

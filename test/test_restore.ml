@@ -345,22 +345,18 @@ let build (pre, post, damage) =
         | Error _ -> s
       in
       (if damage <> Held_journal then Store.save_session store s
-       else
-         match Store.save_checkpoint store s with
-         | { Store.journal_rewritten = true; _ } ->
-             QCheck2.Test.fail_report "the journal held the session, yet was rewritten"
-         | { journal_rewritten = false; _ } -> (
-             (* a checkpoint whose prefix holds [@undo;] records serves
-                the open: no full replay *)
-             if io.Io.file_exists (Store.checkpoint_file store) then
-               match Store.load_session (forged_copy io store) with
-               | Ok s
-                 when Odl.Schema.mem_interface (Session.workspace s) "Forged" -> ()
-               | Ok _ ->
-                   QCheck2.Test.fail_report
-                     "the checkpoint over the journal as it stands did not serve"
-               | Error e ->
-                   QCheck2.Test.fail_report (Store.load_error_to_string e)));
+       else begin
+         Store.save_checkpoint store s;
+         (* a checkpoint whose prefix holds [@undo;] records serves the
+            open: no full replay *)
+         if io.Io.file_exists (Store.checkpoint_file store) then
+           match Store.load_session (forged_copy io store) with
+           | Ok s when Odl.Schema.mem_interface (Session.workspace s) "Forged" -> ()
+           | Ok _ ->
+               QCheck2.Test.fail_report
+                 "the checkpoint over the journal as it stands did not serve"
+           | Error e -> QCheck2.Test.fail_report (Store.load_error_to_string e)
+       end);
       s
     end
   in
@@ -996,47 +992,75 @@ let fsyncs_per_create_and_detach () =
   Alcotest.(check (list string)) "reopens with the first op only" [ "add_attribute(Person, string, 8, first)" ]
     (ops_of_log io)
 
-(* The snapshot checkpoints the journal only when it holds the session.
-   One that missed an append the session got past — here an undo and a
-   new op, the same record count as what the journal holds — is
-   rewritten as the session's log, and the snapshot says so; one that
-   holds it, an [@undo;] record included, is taken as it stands and
-   opened from. *)
-let snapshot_checks_the_journal () =
-  let io = Io.mem_io (Io.mem_create ()) in
-  let store = Store.open_dir ~io "/v" in
-  let s0 = Util.session_of (tiny ()) in
-  Store.save_session store s0;
-  let s1 = Util.apply_many s0 [ "add_type_definition(Lab)" ] in
-  Store.append_delta store ~before:s0 ~after:s1;
-  let journalled = io.Io.read_file (Store.log_file store) in
-  let s2 =
-    Util.apply_many
-      (Option.get (Session.undo s1))
-      [ "add_type_definition(Room)" ]
+(* A snapshot after a failed flush does not take the journal as it
+   stands: the lane's tail is unknown, and here the append that failed
+   wrote nothing while the session had already applied its op.  The
+   reaper takes the writer lock while that flush is in flight, so its
+   snapshot drains onto the poisoned lane before the failed writer can
+   evict the session.  It rewrites the journal from the session: the
+   variant fscks clean and reopens as the session, the unacknowledged op
+   durable, as the ack contract allows (ack implies durable, not the
+   reverse).  Checkpointing the journal as it stood would have left a
+   checkpoint one op ahead of the records it covers. *)
+let snapshot_after_a_failed_flush () =
+  let failing = Atomic.make false
+  and entered = Atomic.make false
+  and go = Atomic.make false in
+  let mem = Io.locked (Io.mem_io (Io.mem_create ())) in
+  let io =
+    { mem with
+      Io.append =
+        (fun p data ->
+          if Atomic.get failing && Filename.basename p = "log.ops" then begin
+            Atomic.set entered true;
+            while not (Atomic.get go) do Thread.delay 0.001 done;
+            raise (Sys_error (p ^ ": injected: the append wrote nothing"))
+          end;
+          mem.Io.append p data) }
   in
-  let reopened () =
-    match Store.load_session store with
-    | Ok s -> texts s
-    | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  (match Result.bind (Repo.init ~io "/repo" (tiny ())) (fun repo ->
+       Result.map ignore (Repo.create_variant repo "v"))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let t =
+    match
+      Service.open_service ~io "/repo"
+        ~config:
+          { config with
+            Service.idle_timeout = 0.0;
+            retry = { config.Service.retry with Server.Retry.max_attempts = 1 } }
+    with
+    | Ok t -> t
+    | Error m -> Alcotest.fail m
   in
-  (match Store.save_checkpoint store s2 with
-  | { Store.journal_rewritten = true; _ } -> ()
-  | _ -> Alcotest.fail "a journal missing the session's records was kept");
-  Alcotest.(check (list string)) "rewritten as the session's log"
-    [ "add_type_definition(Room)" ] (reopened ());
-  Alcotest.(check bool) "the old record is gone" false
-    (String.equal journalled (io.Io.read_file (Store.log_file store)));
-  let s3 = Util.apply_many (Option.get (Session.undo s2)) [ "add_type_definition(Hall)" ] in
-  Store.append_delta store ~before:s2 ~after:s3;
-  (match Store.save_checkpoint store s3 with
-  | { Store.journal_rewritten = false; aliases_changed = false } -> ()
-  | _ -> Alcotest.fail "a journal holding the session was rewritten");
-  Alcotest.(check bool) "the undo record stays" true
-    (Str_contains.contains (io.Io.read_file (Store.log_file store)) "@undo;");
-  Alcotest.(check (list string)) "reopens as the session"
-    [ "add_type_definition(Hall)" ] (reopened ());
-  Alcotest.(check (list string)) "fsck clean" [] (Store.fsck store).Store.fsck_issues
+  let c = Service.connect t in
+  ignore (req_ok t c "@open v");
+  ignore (req_ok t c "focus ww:Person");
+  ignore (req_ok t c (apply "kept"));
+  Atomic.set failing true;
+  let answer = ref "" in
+  let writer =
+    Thread.create
+      (fun () -> answer := Protocol.to_string (Service.request t c (apply "doomed")))
+      ()
+  in
+  while not (Atomic.get entered) do Thread.delay 0.001 done;
+  let releaser = Thread.create (fun () -> Thread.delay 0.2; Atomic.set go true) () in
+  let reaped = Service.reap_idle t in
+  Thread.join releaser;
+  Thread.join writer;
+  Atomic.set failing false;
+  Alcotest.(check bool) "the write was not acknowledged" true
+    (Str_contains.contains !answer "persistence failed");
+  Alcotest.(check int) "the reaper snapshotted the live session" 1 reaped;
+  ignore (Service.shutdown t);
+  Alcotest.(check (list string)) "fsck clean" []
+    (Store.fsck (Store.open_dir ~io "/repo/variants/v")).Store.fsck_issues;
+  Alcotest.(check (list string)) "reopens as the snapshotted session"
+    [ "add_attribute(Person, string, 8, kept)";
+      "add_attribute(Person, string, 8, doomed)" ]
+    (ops_of_log io)
 
 (* The open does not parse the records its checkpoint covers: one whose
    text does not parse (log.ops and the checkpoint header altered
@@ -1146,8 +1170,8 @@ let tests =
       snapshot_skips_unchanged_artifacts;
     test "create fsyncs three files, an unchanged detach two"
       fsyncs_per_create_and_detach;
-    test "a snapshot keeps only a journal that holds the session"
-      snapshot_checks_the_journal;
+    test "a snapshot after a failed flush rewrites the journal"
+      snapshot_after_a_failed_flush;
     test "a covered record that does not parse surfaces at its first op"
       unparsable_prefix_record_surfaces_later;
     test "the journal after a checkpoint is parsed and repaired once"
