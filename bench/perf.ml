@@ -15,7 +15,8 @@
     - P8 index: incremental (dirty-set) consistency re-check vs a full
       naive check, and the indexed vs naive apply engine; and (ungated)
       the shrink wrap's cold path by stage: parse, index build, the cold
-      consistency walk, print, and [Session.create]
+      consistency walk, print, and [Session.create]; and [Session.apply]
+      of one op per family
     - P9 migrate: instance migration through a customization
     - P10 journal: appending one durable record to an n-record operation
       journal vs rewriting the whole log (the persistence cost per accepted
@@ -310,6 +311,69 @@ let cold_rows n =
   ]
   |> List.map (fun (stage, ms) -> (Printf.sprintf "%s/%d" stage n, ms))
 
+(* P8, by op family (ungated): [Session.apply] of one accepted op of each
+   family on a session over a Synth schema, to n = 6400.  Each op names
+   the interface in the middle of the declaration order and, where it
+   needs a second one, the last: a type definition, a supertype link
+   (from the Generalization concept schema; the last to the middle one,
+   or to the one before it when that link exists), a key, an attribute, an
+   operation, an association, a part-of and an instance-of relationship
+   (from a wagon wheel).  The session is the same value for every run, so
+   each run applies the op afresh.  The structural families dirty the
+   full closure of what they touch; key, attribute and operation ops
+   only the local one. *)
+let family_sizes = [ 100; 400; 1600; 6400 ]
+
+let family_ops schema n =
+  let mid = Printf.sprintf "T%d" (n / 2) and last = Printf.sprintf "T%d" (n - 1) in
+  (* the supertype link goes to [mid], or next to it when [last] has it *)
+  let super =
+    let declared = (Odl.Schema.get_interface schema last).i_supertypes in
+    List.find
+      (fun s -> not (List.mem s declared))
+      (List.map (fun k -> Printf.sprintf "T%d" k) [ n / 2; (n / 2) - 1 ])
+  in
+  let rel ar_name ar_inverse =
+    {
+      Core.Modop.ar_owner = mid;
+      ar_target = last;
+      ar_card = Some Odl.Types.Set;
+      ar_name;
+      ar_inverse;
+      ar_order_by = [];
+    }
+  in
+  let ww = Core.Concept.Wagon_wheel in
+  Core.Modop.
+    [
+      ("type", ww, Add_type_definition "Bench_type");
+      ("supertype", Core.Concept.Generalization, Add_supertype (last, super));
+      ("key", ww, Add_key_list (mid, [ Printf.sprintf "a%d_1" (n / 2) ]));
+      ("attribute", ww, Add_attribute (mid, Odl.Types.D_string, Some 12, "bench_attr"));
+      ("operation", ww, Add_operation (mid, Odl.Types.D_int, "bench_op", [], []));
+      ("relationship", ww, Add_relationship (rel "bench_rel" "bench_rel_inv"));
+      ("part-of", ww, Add_part_of_relationship (rel "bench_parts" "bench_whole"));
+      ( "instance-of",
+        ww,
+        Add_instance_of_relationship (rel "bench_instances" "bench_generic") );
+    ]
+
+let family_rows_for n =
+  let schema = schema_of n in
+  let session = Result.get_ok (Core.Session.create schema) in
+  List.map
+    (fun (family, kind, op) ->
+      (* an op that does not apply would time its rejection *)
+      (match Core.Session.apply session ~kind op with
+      | Ok _ -> ()
+      | Error e ->
+          failwith
+            (Printf.sprintf "P8 %s/%d: %s" family n (Core.Apply.error_to_string e)));
+      Test.make
+        ~name:(Printf.sprintf "apply-%s/%d" family n)
+        (Staged.stage (fun () -> ignore (Core.Session.apply session ~kind op))))
+    (family_ops schema n)
+
 (* P8 baseline: incremental vs full checking, recorded as JSON so later
    work can compare against a committed reference.  The run FAILS (exit 1)
    unless find-concept at the largest size is at least [lookup_floor] times
@@ -334,6 +398,11 @@ let run_index ~json_path () =
     List.assoc name (List.map (fun (n, ns) -> (strip n, ns)) rows)
   in
   let speedup = ns_of "current-concepts" /. ns_of "find-concept" in
+  let families =
+    measure_rows
+      (Test.make_grouped ~name:"family" (List.concat_map family_rows_for family_sizes))
+  in
+  print_rows "P8: Session.apply by op family (ns/run)" families;
   let cold = List.concat_map cold_rows cold_sizes in
   Printf.printf "\nP8, cold: the shrink wrap's stages (ms, median of %d)\n" cold_runs;
   List.iter (fun (name, ms) -> Printf.printf "%-32s %10.2f\n" name ms) cold;
@@ -358,6 +427,18 @@ let run_index ~json_path () =
         "  \"results\": [";
         String.concat ",\n" (List.map entry rows);
         "  ],";
+        "  \"families\": {";
+        "    \"what\": \"Session.apply of one accepted op per family (type \
+         definition, supertype, key, attribute, operation, relationship, \
+         part-of, instance-of) on the interface in the middle of the \
+         declaration order; ungated\",";
+        Printf.sprintf "    \"sizes\": [%s],"
+          (String.concat ", " (List.map string_of_int family_sizes));
+        "    \"unit\": \"ns/run\",";
+        "    \"rows\": [";
+        String.concat ",\n" (List.map (fun r -> "  " ^ entry r) families);
+        "    ]";
+        "  },";
         "  \"cold\": {";
         "    \"what\": \"the shrink wrap's cold path by stage: parse, \
          Schema_index.build, the first errors walk of a fresh index, \

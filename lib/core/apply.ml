@@ -865,7 +865,7 @@ module Make (V : Schema_view.S) = struct
     | Ok () -> (
         let* schema', events = primary ~original schema op in
         let schema', prop_events =
-          P.repair_from schema' ~touched:(Change.touched_names events)
+          P.repair_from schema' ~primary:events
         in
         match V.errors schema' with
         | [] -> Ok (schema', events @ prop_events)

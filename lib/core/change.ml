@@ -52,6 +52,20 @@ let touched_names events =
          | Moved (c, dest) -> dest :: construct_owners c)
   |> List.sort_uniq compare
 
+(** Whether every event changes an attribute, an operation, a key or an
+    extent: such events leave every interface's name, supertypes and
+    relationships as they were, so their owners' updates are local (see
+    {!Schema_view.S.locally_affected_by}). *)
+let members_only events =
+  List.for_all
+    (fun e ->
+      match e.ev_change with
+      | Added c | Removed c | Altered (c, _) | Moved (c, _) -> (
+          match c with
+          | C_attribute _ | C_operation _ | C_key _ | C_extent _ -> true
+          | C_interface _ | C_supertype _ | C_relationship _ -> false))
+    events
+
 let construct_to_string = function
   | C_interface n -> Printf.sprintf "interface %s" n
   | C_supertype (sub, super) -> Printf.sprintf "supertype link %s : %s" sub super

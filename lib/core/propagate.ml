@@ -12,9 +12,10 @@
     frozen pre-pass state and only then applies the updates, so the emitted
     event sequence is independent of the backend: the naive backend scans
     every interface per pass, the indexed backend only the
-    [affected_by]-candidates — a sound superset of the interfaces whose
-    rules can fire, because on a rule-closed workspace a rule only fires as
-    a consequence of the change that seeded the pass. *)
+    [affected_by]-candidates (the [locally_affected_by] ones on the first
+    pass after a change of members only) — a sound superset of the
+    interfaces whose rules can fire, because on a rule-closed workspace a
+    rule only fires as a consequence of the change that seeded the pass. *)
 
 open Odl.Types
 
@@ -141,21 +142,34 @@ module Make (V : Schema_view.S) = struct
       List.concat_map (fun (_, _, evs) -> evs) updates,
       List.map (fun (name, _, _) -> name) updates )
 
-  (** Apply the propagation rules to a fixpoint, starting from the
-      interfaces that may react to a change of the [touched] ones. *)
-  let repair_from v ~touched =
-    let rec go v acc touched guard =
+  (* Passes to a fixpoint, the first over [candidates], each later one
+     over the interfaces that may react to the previous pass's repairs. *)
+  let fixpoint v candidates =
+    let rec go v acc candidates guard =
       if guard = 0 then (v, acc)  (* defensive bound; rules only remove *)
       else
-        let v', events, changed = pass v (V.affected_by v touched) in
-        if events = [] then (v, acc) else go v' (acc @ events) changed (guard - 1)
+        let v', events, changed = pass v candidates in
+        if events = [] then (v, acc)
+        else go v' (acc @ events) (V.affected_by v' changed) (guard - 1)
     in
-    go v [] touched 1000
+    go v [] candidates 1000
+
+  (** Apply the propagation rules to a fixpoint after an operation's
+      [primary] events.  The first pass examines the interfaces that may
+      react to the names they touch: the local closure when every event
+      changes an attribute, an operation, a key or an extent (rules 1–5
+      read only names, supertypes and relationships, which such a change
+      keeps, and the interface's own members; rules 6 and 7 read
+      inherited visibility), else the full one. *)
+  let repair_from v ~primary =
+    let touched = Change.touched_names primary in
+    fixpoint v
+      (if Change.members_only primary then V.locally_affected_by v touched
+       else V.affected_by v touched)
 end
 
 module Naive = Make (Schema_view.Naive)
 
 (** Apply the propagation rules to a fixpoint (over a plain schema; every
     interface is a candidate on every pass). *)
-let repair schema =
-  Naive.repair_from schema ~touched:(Odl.Schema.interface_names schema)
+let repair schema = Naive.fixpoint schema (Odl.Schema.interface_names schema)

@@ -14,12 +14,15 @@
 
 module Make (V : Schema_view.S) : sig
   val repair_from :
-    V.t -> touched:Odl.Types.type_name list -> V.t * Change.event list
-  (** Apply the propagation rules to a fixpoint, examining only interfaces
-      that may react to a change of the [touched] ones (per
-      [V.affected_by]).  On a workspace that was rule-closed before the
-      [touched] interfaces changed, this emits exactly the events a full
-      scan would, in the same order. *)
+    V.t -> primary:Change.event list -> V.t * Change.event list
+  (** Apply the propagation rules to a fixpoint after an operation whose
+      primary effect emitted the [primary] events, examining only
+      interfaces that may react to a change of the names they touch: per
+      [V.locally_affected_by] on the first pass when every event changes
+      an attribute, an operation, a key or an extent, per [V.affected_by]
+      otherwise and on every later pass.  On a workspace that was
+      rule-closed before the operation, this emits exactly the events a
+      full scan would, in the same order. *)
 end
 
 val repair : Odl.Types.schema -> Odl.Types.schema * Change.event list

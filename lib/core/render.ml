@@ -152,10 +152,18 @@ let object_type_graph schema =
     schema.s_interfaces;
   Buffer.contents buf
 
+(** The one-line inventory of a schema named [name] with these counts. *)
+let inventory name (c : Schema_index.counts) =
+  Printf.sprintf "%s: %d object types, %d attributes, %d relationship ends, %d operations"
+    name c.interfaces c.attributes c.relationship_ends c.operations
+
 (** A one-line inventory of a schema, used in reports. *)
 let summary schema =
-  let a, r, o = Schema.count_constructs schema in
-  Printf.sprintf "%s: %d object types, %d attributes, %d relationship ends, %d operations"
-    schema.s_name
-    (List.length schema.s_interfaces)
-    a r o
+  let attributes, relationship_ends, operations = Schema.count_constructs schema in
+  inventory schema.s_name
+    {
+      interfaces = List.length schema.s_interfaces;
+      attributes;
+      relationship_ends;
+      operations;
+    }

@@ -26,3 +26,7 @@ val object_type_graph : schema -> string
 val summary : schema -> string
 (** One-line inventory: interface / attribute / relationship / operation
     counts. *)
+
+val inventory : string -> Schema_index.counts -> string
+(** The line of {!summary} for a schema of this name with these counts;
+    with {!Schema_index.counts}, O(1). *)

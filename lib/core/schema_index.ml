@@ -10,8 +10,13 @@
       anywhere (supertype list, relationship target, attribute domain,
       operation signature).  This is the reverse dependency relation the
       dirty-set is computed from;
+    - [orderers] — name → set of interfaces holding a relationship with a
+      non-empty [order_by] into it: the part of [mentions] that reads the
+      target's attributes;
     - [attrs] — attribute name → set of interfaces declaring it (what the
       [@query attr] atom reads);
+    - [counts] — the interfaces, attributes, relationship ends and
+      operations of the schema, adjusted by each update's delta;
     - the validity memo: per-interface diagnostics, the names pending a
       re-check, the names whose diagnostics hold an error, and the
       schema-global block.
@@ -34,13 +39,21 @@
 
     — descendants because inherited visibility flows down the ISA graph,
     mentions because every cross-interface check first names the interface
-    it depends on.  {!update_interface} moves exactly that neighbourhood
-    from the memo's diagnostics into its pending set, so {!is_valid}
-    re-checks O(degree) interfaces instead of O(schema), and the schema is
-    valid when the global block and the error set are both clear.  The
-    schema-global checks (duplicate names, hierarchy shape, duplicate
-    extents) are cached as a block and invalidated only by updates that
-    touch names, supertypes, relationships or extents.
+    it depends on.  An update that keeps [x]'s name, supertypes and
+    relationships changes only its attributes, operations, keys or extent;
+    the only cross-interface reads of those are inherited visibility and an
+    [order_by] naming a target's attribute, so for such an update
+
+    {v affected(x) = B ∪ ⋃ {orderers(b) | b ∈ B} v}
+
+    the {e local closure}.  {!update_interface} and {!patch} classify each
+    update by these fields and move exactly that neighbourhood from the
+    memo's diagnostics into its pending set, so {!is_valid} re-checks
+    O(degree) interfaces instead of O(schema), and the schema is valid when
+    the global block and the error set are both clear.  The schema-global
+    checks (duplicate names, hierarchy shape, duplicate extents) are cached
+    as a block and invalidated only by updates that touch names,
+    supertypes, relationships or extents.
 
     Degenerate schemas with duplicate interface names (always an error, and
     rejected by {!Session.create}) are handled by falling back to a full
@@ -81,13 +94,22 @@ type memo = {
   global : global_diags option;  (** the schema-global block, once checked *)
 }
 
+type counts = {
+  interfaces : int;
+  attributes : int;
+  relationship_ends : int;
+  operations : int;
+}
+
 type t = {
   sch : schema;
   by_name : (interface * int) SMap.t;
       (** position = declaration order; not contiguous after removals *)
   subs : SSet.t SMap.t;
   mentions : SSet.t SMap.t;
+  orderers : SSet.t SMap.t;
   attrs : SSet.t SMap.t;
+  counts : counts;
   next_pos : int;
   has_dups : bool;
   mutable memo : memo;
@@ -133,17 +155,32 @@ let multi_remove key v m =
           if SSet.is_empty s then None else Some s)
     m
 
-(* The keys an interface is filed under in [subs], [mentions] and
-   [attrs]; [no_refs] for an absent one. *)
-type refs = { r_supers : SSet.t; r_mentions : SSet.t; r_attrs : SSet.t }
+(* The keys an interface is filed under in [subs], [mentions], [orderers]
+   and [attrs]; [no_refs] for an absent one. *)
+type refs = {
+  r_supers : SSet.t;
+  r_mentions : SSet.t;
+  r_ordered : SSet.t;
+  r_attrs : SSet.t;
+}
 
 let no_refs =
-  { r_supers = SSet.empty; r_mentions = SSet.empty; r_attrs = SSet.empty }
+  {
+    r_supers = SSet.empty;
+    r_mentions = SSet.empty;
+    r_ordered = SSet.empty;
+    r_attrs = SSet.empty;
+  }
 
 let refs_of i =
   {
     r_supers = SSet.of_list i.i_supertypes;
     r_mentions = mentioned_names i;
+    r_ordered =
+      List.fold_left
+        (fun acc r ->
+          if r.rel_order_by = [] then acc else SSet.add r.rel_target acc)
+        SSet.empty i.i_rels;
     r_attrs = attr_names i;
   }
 
@@ -158,7 +195,31 @@ let reindex t name old_refs new_refs =
     t with
     subs = refile name old_refs.r_supers new_refs.r_supers t.subs;
     mentions = refile name old_refs.r_mentions new_refs.r_mentions t.mentions;
+    orderers = refile name old_refs.r_ordered new_refs.r_ordered t.orderers;
     attrs = refile name old_refs.r_attrs new_refs.r_attrs t.attrs;
+  }
+
+(* [c] with interface [i] added ([sign] = 1) or taken away ([sign] = -1) *)
+let count sign i c =
+  {
+    interfaces = c.interfaces + sign;
+    attributes = c.attributes + (sign * List.length i.i_attrs);
+    relationship_ends = c.relationship_ends + (sign * List.length i.i_rels);
+    operations = c.operations + (sign * List.length i.i_ops);
+  }
+
+let no_counts =
+  { interfaces = 0; attributes = 0; relationship_ends = 0; operations = 0 }
+
+(* The counts after [old_i] is replaced by [new_i]; an unchanged member
+   list is skipped without being walked *)
+let recount old_i new_i c =
+  let delta xs ys = if xs == ys then 0 else List.length ys - List.length xs in
+  {
+    c with
+    attributes = c.attributes + delta old_i.i_attrs new_i.i_attrs;
+    relationship_ends = c.relationship_ends + delta old_i.i_rels new_i.i_rels;
+    operations = c.operations + delta old_i.i_ops new_i.i_ops;
   }
 
 let build sch =
@@ -168,7 +229,9 @@ let build sch =
       by_name = SMap.empty;
       subs = SMap.empty;
       mentions = SMap.empty;
+      orderers = SMap.empty;
       attrs = SMap.empty;
+      counts = no_counts;
       next_pos = 0;
       has_dups = false;
       memo = cold;
@@ -176,7 +239,9 @@ let build sch =
   in
   List.fold_left
     (fun t i ->
-      let t = reindex t i.i_name no_refs (refs_of i) in
+      let t =
+        { (reindex t i.i_name no_refs (refs_of i)) with counts = count 1 i t.counts }
+      in
       if SMap.mem i.i_name t.by_name then { t with has_dups = true }
       else
         {
@@ -288,31 +353,39 @@ let desc_set t seeds =
   in
   go SSet.empty seeds
 
-let dirty_closure t names =
+(* [B] — [names] and their descendants — with every interface filed under
+   a member of [B] in the reverse map [via] *)
+let closure_via t via names =
   let b = desc_set t names in
   SSet.fold
     (fun n acc ->
-      match SMap.find_opt n t.mentions with
+      match SMap.find_opt n via with
       | None -> acc
       | Some refs -> SSet.union refs acc)
     b b
 
-let affected_by t names =
-  dirty_closure t names |> SSet.elements
-  |> List.filter (mem_interface t)
-  |> in_declaration_order t
+let dirty_closure t names = closure_via t t.mentions names
+let local_closure t names = closure_via t t.orderers names
 
-let affected_count t names =
+let declared t closure =
+  closure |> SSet.elements |> List.filter (mem_interface t) |> in_declaration_order t
+
+let affected_by t names = declared t (dirty_closure t names)
+let locally_affected_by t names = declared t (local_closure t names)
+
+let affected_count ?(local = false) t names =
   SSet.fold
     (fun n count -> if mem_interface t n then count + 1 else count)
-    (dirty_closure t names) 0
+    ((if local then local_closure else dirty_closure) t names)
+    0
 
 (* --- updates -------------------------------------------------------------
 
    The dirty set is computed on the pre-update index; it is invariant under
    the update itself ([subs] entries reachable from the changed name and the
    [mentions] of that region only ever change in ways already covered by the
-   seed), so pre- and post-computation agree. *)
+   seed), so pre- and post-computation agree.  A local update changes
+   neither [subs] nor [orderers], the maps its closure reads. *)
 
 (* The memo after an update dirtying [dirty]: their diagnostics leave it
    and they join the pending set (a cold memo stays cold). *)
@@ -324,12 +397,25 @@ let invalidate m dirty ~keep_global =
     global = (if keep_global then m.global else None);
   }
 
+(* An update leaves the fields it does not touch physically shared, so
+   most comparisons end at the pointer. *)
+let same a b = a == b || a = b
+
 (* Schema-global checks survive an interface update that leaves names,
    supertype links, relationship ends and extents untouched. *)
 let globals_survive old_i new_i =
-  old_i.i_supertypes = new_i.i_supertypes
-  && old_i.i_rels = new_i.i_rels
-  && old_i.i_extent = new_i.i_extent
+  same old_i.i_supertypes new_i.i_supertypes
+  && same old_i.i_rels new_i.i_rels
+  && same old_i.i_extent new_i.i_extent
+
+(* The classification every update shares: one that keeps the name, the
+   supertypes and the relationships changes attributes, operations, keys
+   or the extent only, and dirties the local closure; any other dirties
+   the full one. *)
+let keeps_structure old_i new_i =
+  String.equal old_i.i_name new_i.i_name
+  && same old_i.i_supertypes new_i.i_supertypes
+  && same old_i.i_rels new_i.i_rels
 
 let update_interface t name f =
   match SMap.find_opt name t.by_name with
@@ -340,11 +426,15 @@ let update_interface t name f =
         (* rename or duplicated names: rare, degenerate — rebuild *)
         build (Schema.update_interface t.sch name f)
       else
-        let dirty = dirty_closure t [ name ] in
+        let dirty =
+          if keeps_structure old_i new_i then local_closure t [ name ]
+          else dirty_closure t [ name ]
+        in
         {
           (reindex t name (refs_of old_i) (refs_of new_i)) with
           sch = Schema.update_interface t.sch name (fun _ -> new_i);
           by_name = SMap.add name (new_i, p) t.by_name;
+          counts = recount old_i new_i t.counts;
           memo =
             invalidate t.memo dirty ~keep_global:(globals_survive old_i new_i);
         }
@@ -359,6 +449,7 @@ let add_interface t i =
       (reindex t name no_refs (refs_of i)) with
       sch = Schema.add_interface t.sch i;
       by_name = SMap.add name (i, t.next_pos) t.by_name;
+      counts = count 1 i t.counts;
       next_pos = t.next_pos + 1;
       memo = invalidate t.memo dirty ~keep_global:false;
     }
@@ -374,8 +465,11 @@ let remove_interface t name =
           (reindex t name (refs_of old_i) no_refs) with
           sch = Schema.remove_interface t.sch name;
           by_name = SMap.remove name t.by_name;
+          counts = count (-1) old_i t.counts;
           memo = invalidate t.memo dirty ~keep_global:false;
         }
+
+let counts t = t.counts
 
 (* --- patching a whole schema ------------------------------------------------
 
@@ -389,22 +483,34 @@ let remove_interface t name =
    fresh position, a survivor among them counting as removed from its old
    one and added again.  Only a duplicated name is built from scratch.
 
-   The memo is invalidated on the touched names' dirty closure on [t].
-   Applying the same changes one update at a time would take the closure
-   on each intermediate index instead; an edge there is filed under an
-   interface that is either untouched (the edge is in [t] too) or touched
-   (and itself a seed), and so is a mention, so every name those closures
-   reach is in the closure on [t]. *)
+   The memo is invalidated on the touched names' closures on [t]: the
+   local closure of a survivor whose update keeps its structure (the
+   classification of [update_interface]; a position only orders the
+   global block, which a moved survivor invalidates), the full closure of
+   every other touched name.  Applying the same changes one update at a
+   time would take each closure on an intermediate index instead.  An
+   edge there that [t] lacks is filed under a name touched with the full
+   closure — its supertypes or relationships changed, or it was added or
+   removed — and anything reached through it is a descendant of that name
+   or mentions one, so it is in that name's closure on [t]; every other
+   edge is in [t] too.  So every name those closures reach is in the
+   closures on [t]. *)
 
 let patch t sch =
   let exception Rebuild in
   (* [t]'s positions: 0 removed, 1 kept in place, 2 left for a fresh one *)
   let alive = Bytes.make t.next_pos '\000' in
-  let touched = ref [] and globals = ref true in
+  let touched = ref [] and local = ref [] and globals = ref true in
+  let counts = ref t.counts in
   let refile_to (t', by_name) i old_refs p =
-    touched := i.i_name :: !touched;
     ( reindex t' i.i_name old_refs (refs_of i),
       SMap.add i.i_name (i, p) by_name )
+  in
+  let survivor acc old_i i p =
+    if keeps_structure old_i i then local := i.i_name :: !local
+    else touched := i.i_name :: !touched;
+    counts := recount old_i i !counts;
+    refile_to acc i (refs_of old_i) p
   in
   (* [prev]: the last position kept in place; [fresh]: whether the walk
      has left [t]'s order *)
@@ -415,17 +521,19 @@ let patch t sch =
         if old_i == i then (acc, p, next, fresh)
         else begin
           globals := !globals && globals_survive old_i i;
-          (refile_to acc i (refs_of old_i) p, p, next, fresh)
+          (survivor acc old_i i p, p, next, fresh)
         end
     | Some (old_i, p) ->
         (* a name placed twice is a duplicate *)
         if Bytes.get alive p <> '\000' then raise Rebuild;
         Bytes.set alive p '\002';
         globals := false;
-        (refile_to acc i (refs_of old_i) next, prev, next + 1, true)
+        (survivor acc old_i i next, prev, next + 1, true)
     | None ->
         if SMap.mem i.i_name (snd acc) then raise Rebuild;
         globals := false;
+        touched := i.i_name :: !touched;
+        counts := count 1 i !counts;
         (refile_to acc i no_refs next, prev, next + 1, true)
   in
   match
@@ -441,19 +549,23 @@ let patch t sch =
             else begin
               touched := name :: !touched;
               globals := false;
+              counts := count (-1) old_i !counts;
               (reindex t' name (refs_of old_i) no_refs, SMap.remove name by_name)
             end)
           t.by_name (t', by_name)
       in
-      if !touched = [] then { t with sch }
+      if !touched = [] && !local = [] then { t with sch }
       else
         {
           t' with
           sch;
           by_name;
+          counts = !counts;
           next_pos;
           memo =
-            invalidate t.memo (dirty_closure t !touched) ~keep_global:!globals;
+            invalidate t.memo
+              (SSet.union (dirty_closure t !touched) (local_closure t !local))
+              ~keep_global:!globals;
         }
 
 (* --- shelved versions ------------------------------------------------------

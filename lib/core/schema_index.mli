@@ -64,9 +64,26 @@ val is_valid : t -> bool
     that path and the error-level part of the full {!diagnostics}
     otherwise.  A schema with duplicate names takes the full walk. *)
 
-val affected_count : t -> Odl.Types.type_name list -> int
+val affected_count : ?local:bool -> t -> Odl.Types.type_name list -> int
 (** [List.length (affected_by t names)], without building, filtering or
-    sorting the list: the size of the dirty neighbourhood. *)
+    sorting the list: the size of the dirty neighbourhood.  With
+    [~local:true], the length of [locally_affected_by t names]: the local
+    closure an update that keeps the names' supertypes and relationships
+    dirties. *)
+
+type counts = {
+  interfaces : int;
+  attributes : int;
+  relationship_ends : int;
+  operations : int;
+}
+
+val counts : t -> counts
+(** The schema's interfaces and their attributes, relationship ends and
+    operations, as {!Odl.Schema.count_constructs} and the length of the
+    interface list count them: O(1), kept up by each update's delta.  A
+    schema with duplicate names is built again on every update, and so
+    counted from its list. *)
 
 type shelved
 (** An index version without its materialized interface list: O(log n)

@@ -66,7 +66,18 @@ module type S = sig
   (** Existing interfaces (declaration order) whose checks or propagation
       rules may react to a change of the named interfaces.  A sound
       over-approximation: the naive backend returns every interface; the
-      index returns the dirty neighbourhood closure. *)
+      index returns the dirty neighbourhood closure
+      [B ∪ mentions(B)], [B] the named interfaces and their descendants. *)
+
+  val locally_affected_by : t -> type_name list -> type_name list
+  (** {!affected_by} for a change that keeps the named interfaces' names,
+      supertypes and relationships, so changes only their attributes,
+      operations, keys or extents.  Such a change is read across
+      interfaces only through inherited visibility and through an
+      [order_by] naming a target's attribute, so the index returns the
+      local closure: [B] and every interface holding a relationship with a
+      non-empty [order_by] into [B].  The naive backend returns every
+      interface. *)
 
   val diagnostics : t -> Odl.Validate.diagnostic list
   (** Equal to [Odl.Validate.check (schema t)] — possibly served from a
@@ -99,6 +110,7 @@ module Naive : S with type t = schema = struct
 
   (* No dirty tracking: everything is always (re)checked. *)
   let affected_by s _touched = Schema.interface_names s
+  let locally_affected_by s _touched = Schema.interface_names s
   let diagnostics = Odl.Validate.check
   let errors = Odl.Validate.errors
 end

@@ -92,7 +92,7 @@ let do_apply state op =
         [ Feedback.error "no concept schema focused; use: focus <concept-id>" ] )
   | Some kind -> (
       let cautions =
-        Repository.Knowledge.cautions (Session.workspace state.session) op
+        Repository.Knowledge.cautions_indexed (Session.index state.session) op
         |> List.map Feedback.caution
       in
       match Session.apply state.session ~kind op with
@@ -120,7 +120,7 @@ let do_preview state op =
         [ Feedback.error "no concept schema focused; use: focus <concept-id>" ] )
   | Some kind -> (
       let cautions =
-        Repository.Knowledge.cautions (Session.workspace state.session) op
+        Repository.Knowledge.cautions_indexed (Session.index state.session) op
         |> List.map Feedback.caution
       in
       match Session.preview state.session ~kind op with
@@ -193,7 +193,13 @@ let rec exec state (cmd : Command.t) =
       | None -> (state, [ Feedback.error ("no interface named " ^ name) ]))
   | Print_schema ->
       (state, [ Feedback.output (Odl.Printer.schema_to_string workspace) ])
-  | Summary -> (state, [ Feedback.output (Core.Render.summary workspace) ])
+  | Summary ->
+      ( state,
+        [
+          Feedback.output
+            (Core.Render.inventory workspace.s_name
+               (Core.Schema_index.counts (Session.index state.session)));
+        ] )
   | Apply op -> do_apply state op
   | Preview op -> do_preview state op
   | Plan op -> do_plan state op

@@ -130,7 +130,9 @@ let complete t ~sp (st : staged) =
       respond t ~sp ~version:!(st.st_version) st.st_feedback
 
 (* Count the op steps a write commits, each with the size of the
-   neighbourhood the incremental checker re-examines for it.  Runs in
+   neighbourhood the incremental checker re-examines for it: the closure
+   of the names its events touch, local when every event changes members
+   only (the index's own classification of the updates).  Runs in
    phase 1, under the writer lock; the dirty set is taken on the
    committed index, so a multi-op delta (a merge) sizes every op against
    the final state. *)
@@ -139,11 +141,14 @@ let observe_committed t (session : Core.Session.t) steps =
     let idx = Core.Session.index session in
     List.iter
       (fun (st : Core.Session.step) ->
+        let events = Core.Session.step_events st in
         Obs.Metrics.incr t.i.c_ops;
         Obs.Histo.observe t.i.h_dirty
           (float_of_int
-             (Core.Schema_index.affected_count idx
-                [ Core.Modop.subject (Core.Session.step_op st) ])))
+             (Core.Schema_index.affected_count
+                ~local:(Core.Change.members_only events)
+                idx
+                (Core.Change.touched_names events))))
       steps
   end
 

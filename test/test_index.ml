@@ -513,6 +513,309 @@ let seed_units =
            (Schemas.Synth.generate (Schemas.Synth.default_params ~n_types:n)))
        [ 10; 25; 50 ]
 
+(* 13. the local closure is sound.  An attribute, operation, key or
+   extent change — a generated op whose primary effect's events all name
+   such members — is applied with the naive engine to a valid schema.
+   Every interface whose naive per-interface diagnostics the primary
+   effect changes, and every interface the naive propagation rules then
+   repair, must be in the local closure of the names the events touch,
+   taken on the index before the op.  The ops favour the members other
+   interfaces read: first attributes (Synth orders relationships by
+   them), inherited names, keys, and moves along the ISA line. *)
+module Naive_checks = Validate.Checks (struct
+  type t = schema
+
+  let schema s = s
+  let find_interface = Odl.Schema.find_interface
+  let mem_interface = Odl.Schema.mem_interface
+  let direct_supertypes = Odl.Schema.direct_supertypes
+  let ancestors = Odl.Schema.ancestors
+  let visible_attrs = Odl.Schema.visible_attrs
+end)
+
+let per_interface s i =
+  ( Naive_checks.naming_interface i,
+    Naive_checks.structural_interface s i,
+    Naive_checks.semantic_interface s i )
+
+let member_op s =
+  let open QCheck2.Gen in
+  let open Core.Modop in
+  let names = Odl.Schema.interface_names s in
+  let* n = oneofl names in
+  let i = Odl.Schema.get_interface s n in
+  let line = Odl.Schema.ancestors s n @ Odl.Schema.descendants s n in
+  let* elsewhere = if line = [] then return n else oneofl line in
+  let inherited =
+    List.concat_map
+      (fun a -> (Odl.Schema.get_interface s a).i_attrs)
+      (Odl.Schema.ancestors s n)
+  in
+  let attr =
+    match i.i_attrs with
+    | [] -> Gen.ident
+    | first :: _ ->
+        frequency
+          [
+            (2, return first.attr_name);
+            (3, oneofl (List.map (fun a -> a.attr_name) i.i_attrs));
+            (1, Gen.ident);
+          ]
+  in
+  let visible =
+    match Odl.Schema.visible_attrs s n with
+    | [] -> Gen.ident
+    | vs -> oneofl (List.map (fun a -> a.attr_name) vs)
+  in
+  let new_attr =
+    match inherited with
+    | [] -> Gen.ident
+    | _ ->
+        frequency
+          [ (1, oneofl (List.map (fun a -> a.attr_name) inherited)); (1, Gen.ident) ]
+  in
+  let op_name =
+    match i.i_ops with
+    | [] -> Gen.ident
+    | ops -> oneofl (List.map (fun o -> o.op_name) ops)
+  in
+  let inherited_ops =
+    List.concat_map
+      (fun a -> (Odl.Schema.get_interface s a).i_ops)
+      (Odl.Schema.ancestors s n)
+  in
+  let new_op =
+    match inherited_ops with
+    | [] -> Gen.ident
+    | ops -> frequency [ (1, oneofl (List.map (fun o -> o.op_name) ops)); (1, Gen.ident) ]
+  in
+  let key = list_size (int_range 1 2) visible in
+  let old_key = match i.i_keys with [] -> key | ks -> oneofl ks in
+  let attr_type a =
+    match Odl.Schema.find_attr i a with Some x -> x.attr_type | None -> D_int
+  in
+  let op_return o =
+    match Odl.Schema.find_op i o with Some x -> x.op_return | None -> D_int
+  in
+  let domain = Gen.domain_type_sized 0 in
+  oneof
+    [
+      (let* d = domain and* a = new_attr in
+       return (Add_attribute (n, d, None, a)));
+      map (fun a -> Delete_attribute (n, a)) attr;
+      map (fun a -> Modify_attribute (n, a, elsewhere)) attr;
+      (let* a = attr and* d = domain in
+       return (Modify_attribute_type (n, a, attr_type a, d)));
+      (let* ret = domain and* o = new_op in
+       return (Add_operation (n, ret, o, [], [])));
+      map (fun o -> Delete_operation (n, o)) op_name;
+      map (fun o -> Modify_operation (n, o, elsewhere)) op_name;
+      (let* o = op_name and* d = domain in
+       return (Modify_operation_return_type (n, o, op_return o, d)));
+      map (fun k -> Add_key_list (n, k)) key;
+      map (fun k -> Delete_key_list (n, k)) old_key;
+      (let* k = old_key and* k' = key in
+       return (Modify_key_list (n, k, k')));
+      map (fun e -> Add_extent_name (n, e)) Gen.ident;
+      (match i.i_extent with
+      | Some e -> return (Delete_extent_name (n, e))
+      | None -> map (fun e -> Add_extent_name (n, e)) Gen.ident);
+      Gen.plausible_op s;
+    ]
+
+let local_closure_sound =
+  let gen =
+    QCheck2.Gen.(
+      let* s = Gen.any_synth_schema in
+      let* steps = list_size (int_range 1 8) (member_op s) in
+      return (s, steps))
+  in
+  prop "local closure covers every changed check and repair" gen
+    (fun (schema, ops) ->
+      let sound s op =
+        match Apply.primary ~original:schema s op with
+        | Ok (s', events) when Core.Change.members_only events ->
+            let idx = Index.build s in
+            let touched = Core.Change.touched_names events in
+            let local = Index.locally_affected_by idx touched in
+            let covered n = List.mem n local in
+            let checks_covered =
+              List.for_all
+                (fun i' ->
+                  match Odl.Schema.find_interface s i'.i_name with
+                  | Some i -> per_interface s i = per_interface s' i' || covered i.i_name
+                  | None -> false)
+                s'.s_interfaces
+            in
+            let repaired, _ = Core.Propagate.repair s' in
+            let repairs_covered =
+              List.for_all
+                (fun r ->
+                  equal_interface r (Odl.Schema.get_interface s' r.i_name)
+                  || covered r.i_name)
+                repaired.s_interfaces
+            in
+            checks_covered && repairs_covered
+            && Index.affected_count ~local:true idx touched = List.length local
+        | _ -> true
+      in
+      let rec go s = function
+        | [] -> true
+        | op :: rest ->
+            sound s op
+            &&
+            let s =
+              match Apply.apply ~original:schema ~kind:Core.Concept.Wagon_wheel s op with
+              | Ok (s', _) -> s'
+              | Error _ -> (
+                  match
+                    Apply.apply ~original:schema ~kind:Core.Concept.Generalization s op
+                  with
+                  | Ok (s', _) -> s'
+                  | Error _ -> s)
+            in
+            go s rest
+      in
+      go schema ops)
+
+(* 14. deleting attribute [A.x] where the interfaces that read it are
+   not [A]: the indexed engine, on a settled memo, against the naive one
+   on the events, the diagnostics, and the first error of the primary
+   effect alone (before propagation repairs it) *)
+let delete_attr_agrees ~expect text () =
+  let s = Util.parse text in
+  let op = Util.parse_op "delete_attribute(A, x)" in
+  let kind = Core.Concept.Wagon_wheel in
+  let idx = Index.build s in
+  Alcotest.(check bool) "valid before" true (Index.is_valid idx);
+  (match (Apply.primary ~original:s s op, Apply.Indexed.primary ~original:idx idx op) with
+  | Ok (raw, _), Ok (raw_idx, _) ->
+      Alcotest.(check (option string)) "first error"
+        (Option.map (Fmt.str "%a" Validate.pp_diagnostic_line)
+           (List.nth_opt (Validate.errors raw) 0))
+        (Option.map (Fmt.str "%a" Validate.pp_diagnostic_line)
+           (List.nth_opt (Index.errors raw_idx) 0))
+  | _ -> Alcotest.fail "the primary effect applies");
+  match (Apply.apply ~original:s ~kind s op, Apply.Indexed.apply ~original:idx ~kind idx op) with
+  | Ok (ws, evs), Ok (idx', evs') ->
+      Alcotest.(check (list string)) "events"
+        (List.map Core.Change.event_to_string evs)
+        (List.map Core.Change.event_to_string evs');
+      Alcotest.(check bool) "diagnostics" true
+        (diags_equal (Validate.check ws) (Index.diagnostics idx'));
+      Alcotest.(check bool) "the situation is exercised" true
+        (expect (evs, Validate.check s, Validate.check ws))
+  | Error e, Error e' ->
+      Alcotest.(check string) "error" (Apply.error_to_string e) (Apply.error_to_string e')
+  | _ -> Alcotest.fail "the engines disagree on acceptance"
+
+let mentions_subject subject (ds : Validate.diagnostic list) =
+  List.exists (fun (d : Validate.diagnostic) -> String.equal d.subject subject) ds
+
+let delete_attr_cases =
+  [
+    ( "a descendant's key names the deleted attribute",
+      delete_attr_agrees
+        ~expect:(fun (evs, _, _) ->
+          List.exists
+            (fun e ->
+              Core.Change.equal_change e.Core.Change.ev_change
+                (Core.Change.Removed (Core.Change.C_key ("B", [ "x" ]))))
+            evs)
+        "interface A { attribute int x; attribute int y; };\n\
+         interface B : A { key x; attribute int z; };\n\
+         interface C : B { };" );
+    ( "an order_by into a descendant names the deleted attribute",
+      delete_attr_agrees
+        ~expect:(fun (evs, _, _) ->
+          List.exists
+            (fun e ->
+              match e.Core.Change.ev_change with
+              | Core.Change.Altered (Core.Change.C_relationship ("C", "bs"), _) -> true
+              | _ -> false)
+            evs)
+        "interface A { attribute int x; };\n\
+         interface B : A { relationship C owner inverse C::bs; };\n\
+         interface C { relationship set<B> bs inverse B::owner order_by (x); };" );
+    ( "a descendant's attribute shadows the deleted one",
+      delete_attr_agrees
+        ~expect:(fun (_, before, after) ->
+          mentions_subject "B.x" before && not (mentions_subject "B.x" after))
+        "interface A { attribute int x; };\n\
+         interface B : A { attribute string x; };\n\
+         interface C : B { };" );
+    ( "a descendant overrides an operation",
+      delete_attr_agrees
+        ~expect:(fun (_, before, after) ->
+          mentions_subject "B.f" before && mentions_subject "B.f" after)
+        "interface A { attribute int x; int f(); };\n\
+         interface B : A { string f(); };\n\
+         interface C : B { };" );
+  ]
+
+(* 15. the construct counts the index keeps equal a count of its schema's
+   list: on every version a session passes through, undo and redo
+   included; on the base index patched to the last workspace; and on a
+   schema with a duplicated name, which is counted from its list *)
+let counts_agree idx =
+  let s = Index.schema idx in
+  let attributes, relationship_ends, operations =
+    Odl.Schema.count_constructs s
+  in
+  Index.counts idx
+  = {
+      Index.interfaces = List.length s.s_interfaces;
+      attributes;
+      relationship_ends;
+      operations;
+    }
+
+let counts_over_sessions =
+  prop "counts = count_constructs across a session" Gen.schema_and_ops
+    (fun (schema, steps) ->
+      match Core.Session.create schema with
+      | Error _ -> false (* synthetic schemas are valid *)
+      | Ok session ->
+          let agrees s = counts_agree (Core.Session.index s) in
+          let step (s, ok) (k, (kind, op)) =
+            let s =
+              match Core.Session.apply s ~kind op with
+              | Ok (s', _) -> s'
+              | Error _ -> s
+            in
+            (* every third step is undone, checked, and redone *)
+            let ok = ok && agrees s in
+            if k mod 3 <> 2 then (s, ok)
+            else
+              match Core.Session.undo s with
+              | None -> (s, ok)
+              | Some u -> (
+                  match Core.Session.redo u with
+                  | Some (r, _) -> (r, ok && agrees u && agrees r)
+                  | None -> (u, false))
+          in
+          let s, ok =
+            List.fold_left step (session, agrees session)
+              (List.mapi (fun k st -> (k, st)) steps)
+          in
+          let rec undo_all s ok =
+            match Core.Session.undo s with
+            | None -> ok
+            | Some u -> undo_all u (ok && agrees u)
+          in
+          let dup =
+            { schema with s_interfaces = schema.s_interfaces @ [ List.hd schema.s_interfaces ] }
+          in
+          let dup_idx = Index.build dup in
+          let first = (List.hd schema.s_interfaces).i_name in
+          ok
+          && counts_agree
+               (Index.patch (Core.Session.index session) (Core.Session.workspace s))
+          && counts_agree dup_idx
+          && counts_agree
+               (Index.update_interface dup_idx first (fun i -> { i with i_attrs = [] }))
+          && undo_all s true)
+
 let tests =
   [
     fresh_diagnostics_agree;
@@ -536,4 +839,9 @@ let tests =
         patch_keeps_order_without_build;
       Alcotest.test_case "visible attributes along a deep chain" `Quick
         deep_chain_visible_attrs;
+      local_closure_sound;
+      counts_over_sessions;
     ]
+  @ List.map
+      (fun (name, f) -> Alcotest.test_case ("delete attribute: " ^ name) `Quick f)
+      delete_attr_cases

@@ -80,6 +80,50 @@ let silent_operations () =
       "delete_type_definition(Ghost)" (* unknown: nothing to warn about *);
     ]
 
+(* The cautions over a session's index are the cautions over its
+   workspace, byte for byte, before every op of a generated workload.
+   Beside the plausible ops, the workload declares attributes whose
+   domain is another interface and deletes interfaces, so domain uses
+   are counted. *)
+let indexed_cautions_agree =
+  let gen =
+    QCheck2.Gen.(
+      let* schema = Gen.any_synth_schema in
+      let names = Odl.Schema.interface_names schema in
+      let op =
+        frequency
+          [
+            (3, Gen.plausible_op schema);
+            ( 1,
+              let* n = oneofl names and* m = oneofl names and* a = Gen.ident in
+              return (Core.Modop.Add_attribute (n, Odl.Types.D_named m, None, a)) );
+            (1, map (fun n -> Core.Modop.Delete_type_definition n) (oneofl names));
+          ]
+      in
+      let* steps = list_size (int_range 0 12) (pair Gen.concept_kind op) in
+      return (schema, steps))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"indexed cautions = schema cautions" ~count:300
+       ~long_factor:10 gen (fun (schema, steps) ->
+         match Core.Session.create schema with
+         | Error _ -> false (* synthetic schemas are valid *)
+         | Ok session ->
+             let agree s op =
+               String.equal
+                 (String.concat "\n"
+                    (Repository.Knowledge.cautions (Core.Session.workspace s) op))
+                 (String.concat "\n"
+                    (Repository.Knowledge.cautions_indexed (Core.Session.index s) op))
+             in
+             let step (s, ok) (kind, op) =
+               let ok = ok && agree s op in
+               match Core.Session.apply s ~kind op with
+               | Ok (s', _) -> (s', ok)
+               | Error _ -> (s, ok)
+             in
+             snd (List.fold_left step (session, true) steps)))
+
 let tests =
   [
     test "delete type counts dependents" delete_type_counts_dependents;
@@ -91,4 +135,5 @@ let tests =
     test "supertype cautions" supertype_cautions;
     test "delete relationship names the inverse" delete_relationship_inverse;
     test "uneventful operations are silent" silent_operations;
+    indexed_cautions_agree;
   ]
