@@ -39,13 +39,15 @@ let observe l dt =
   l.xs <- dt :: l.xs;
   l.n <- l.n + 1
 
-(** The nearest-rank 99th percentile, in milliseconds; 0 when empty. *)
-let p99_ms l =
+(** The nearest-rank [q] quantile, in milliseconds; 0 when empty. *)
+let quantile_ms q l =
   match l.xs with
   | [] -> 0.0
   | xs ->
       let a = Array.of_list xs in
       Array.sort compare a;
       let n = Array.length a in
-      a.(min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1))
+      a.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
       *. 1000.0
+
+let p99_ms = quantile_ms 0.99

@@ -93,11 +93,13 @@ type report = {
   r_conflict : int;
 }
 
+(* Equal texts are equal ops (the printer is injective), so no step of
+   the base is parsed to compare it. *)
 let already_applied session e =
+  let text = Op_printer.to_string e.e_op in
   List.exists
     (fun (st : Session.step) ->
-      Concept.equal_kind st.st_kind e.e_kind
-      && Modop.equal (Session.step_op st) e.e_op)
+      Concept.equal_kind st.st_kind e.e_kind && String.equal st.st_text text)
     (Session.steps_rev session)
 
 let rebase_one session e =

@@ -51,9 +51,10 @@
     memo's diagnostics into its pending set, so {!is_valid} re-checks
     O(degree) interfaces instead of O(schema), and the schema is valid when
     the global block and the error set are both clear.  The schema-global
-    checks (duplicate names, hierarchy shape, duplicate extents) are cached
-    as a block and invalidated only by updates that touch names,
-    supertypes, relationships or extents.
+    checks are cached in two parts: duplicate names and hierarchy shape,
+    invalidated only by updates that touch names, supertypes or
+    relationships, and duplicate extents, invalidated only by updates that
+    touch names or extents.
 
     Degenerate schemas with duplicate interface names (always an error, and
     rejected by {!Session.create}) are handled by falling back to a full
@@ -76,7 +77,6 @@ type iface_diags = {
 type global_diags = {
   g_naming : Validate.diagnostic list;
   g_hierarchy : Validate.diagnostic list;
-  g_extents : Validate.diagnostic list;
   g_dups : SSet.t;  (** duplicated interface names (cache-bypass set) *)
 }
 
@@ -91,7 +91,10 @@ type memo = {
       (** names whose diagnostics await a re-check; [None] while cold,
           meaning every name *)
   failing : SSet.t;  (** names whose diagnostics in [diags] hold an error *)
-  global : global_diags option;  (** the schema-global block, once checked *)
+  global : global_diags option;
+      (** the schema-global naming and hierarchy checks, once run *)
+  extents : Validate.diagnostic list option;
+      (** the schema-global duplicate-extent check, once run *)
 }
 
 type counts = {
@@ -116,7 +119,13 @@ type t = {
 }
 
 let cold =
-  { diags = SMap.empty; pending = None; failing = SSet.empty; global = None }
+  {
+    diags = SMap.empty;
+    pending = None;
+    failing = SSet.empty;
+    global = None;
+    extents = None;
+  }
 
 (* --- reverse-reference maintenance -------------------------------------- *)
 
@@ -389,24 +398,27 @@ let affected_count ?(local = false) t names =
 
 (* The memo after an update dirtying [dirty]: their diagnostics leave it
    and they join the pending set (a cold memo stays cold). *)
-let invalidate m dirty ~keep_global =
+let invalidate m dirty ~keep_global ~keep_extents =
   {
     diags = SSet.fold SMap.remove dirty m.diags;
     pending = Option.map (SSet.union dirty) m.pending;
     failing = SSet.diff m.failing dirty;
     global = (if keep_global then m.global else None);
+    extents = (if keep_extents then m.extents else None);
   }
 
 (* An update leaves the fields it does not touch physically shared, so
    most comparisons end at the pointer. *)
 let same a b = a == b || a = b
 
-(* Schema-global checks survive an interface update that leaves names,
-   supertype links, relationship ends and extents untouched. *)
-let globals_survive old_i new_i =
-  same old_i.i_supertypes new_i.i_supertypes
-  && same old_i.i_rels new_i.i_rels
-  && same old_i.i_extent new_i.i_extent
+(* Of the schema-global checks, an interface update that keeps its name
+   and position leaves the naming and hierarchy ones current when it
+   keeps the supertype links and relationship ends, and the duplicate
+   extent one when it keeps the extent. *)
+let hierarchy_survives old_i new_i =
+  same old_i.i_supertypes new_i.i_supertypes && same old_i.i_rels new_i.i_rels
+
+let extents_survive old_i new_i = same old_i.i_extent new_i.i_extent
 
 (* The classification every update shares: one that keeps the name, the
    supertypes and the relationships changes attributes, operations, keys
@@ -436,7 +448,9 @@ let update_interface t name f =
           by_name = SMap.add name (new_i, p) t.by_name;
           counts = recount old_i new_i t.counts;
           memo =
-            invalidate t.memo dirty ~keep_global:(globals_survive old_i new_i);
+            invalidate t.memo dirty
+              ~keep_global:(hierarchy_survives old_i new_i)
+              ~keep_extents:(extents_survive old_i new_i);
         }
 
 let add_interface t i =
@@ -451,7 +465,7 @@ let add_interface t i =
       by_name = SMap.add name (i, t.next_pos) t.by_name;
       counts = count 1 i t.counts;
       next_pos = t.next_pos + 1;
-      memo = invalidate t.memo dirty ~keep_global:false;
+      memo = invalidate t.memo dirty ~keep_global:false ~keep_extents:false;
     }
 
 let remove_interface t name =
@@ -466,7 +480,7 @@ let remove_interface t name =
           sch = Schema.remove_interface t.sch name;
           by_name = SMap.remove name t.by_name;
           counts = count (-1) old_i t.counts;
-          memo = invalidate t.memo dirty ~keep_global:false;
+          memo = invalidate t.memo dirty ~keep_global:false ~keep_extents:false;
         }
 
 let counts t = t.counts
@@ -500,7 +514,8 @@ let patch t sch =
   let exception Rebuild in
   (* [t]'s positions: 0 removed, 1 kept in place, 2 left for a fresh one *)
   let alive = Bytes.make t.next_pos '\000' in
-  let touched = ref [] and local = ref [] and globals = ref true in
+  let touched = ref [] and local = ref [] in
+  let globals = ref true and extents = ref true in
   let counts = ref t.counts in
   let refile_to (t', by_name) i old_refs p =
     ( reindex t' i.i_name old_refs (refs_of i),
@@ -520,7 +535,8 @@ let patch t sch =
         Bytes.set alive p '\001';
         if old_i == i then (acc, p, next, fresh)
         else begin
-          globals := !globals && globals_survive old_i i;
+          globals := !globals && hierarchy_survives old_i i;
+          extents := !extents && extents_survive old_i i;
           (survivor acc old_i i p, p, next, fresh)
         end
     | Some (old_i, p) ->
@@ -528,10 +544,12 @@ let patch t sch =
         if Bytes.get alive p <> '\000' then raise Rebuild;
         Bytes.set alive p '\002';
         globals := false;
+        extents := false;
         (survivor acc old_i i next, prev, next + 1, true)
     | None ->
         if SMap.mem i.i_name (snd acc) then raise Rebuild;
         globals := false;
+        extents := false;
         touched := i.i_name :: !touched;
         counts := count 1 i !counts;
         (refile_to acc i no_refs next, prev, next + 1, true)
@@ -549,6 +567,7 @@ let patch t sch =
             else begin
               touched := name :: !touched;
               globals := false;
+              extents := false;
               counts := count (-1) old_i !counts;
               (reindex t' name (refs_of old_i) no_refs, SMap.remove name by_name)
             end)
@@ -565,7 +584,7 @@ let patch t sch =
           memo =
             invalidate t.memo
               (SSet.union (dirty_closure t !touched) (local_closure t !local))
-              ~keep_global:!globals;
+              ~keep_global:!globals ~keep_extents:!extents;
         }
 
 (* --- shelved versions ------------------------------------------------------
@@ -610,20 +629,25 @@ module C = Validate.Checks (Lookup)
 
 let is_error (d : Validate.diagnostic) = d.severity = Validate.Error
 
+(* The schema-global block, each part from the memo when it has it. *)
 let global_block t =
-  match t.memo.global with
-  | Some g -> g
-  | None ->
-      let g_naming = C.naming_global t in
-      {
-        g_naming;
-        g_hierarchy = C.hierarchy t;
-        g_extents = C.semantic_global t;
-        g_dups =
-          List.fold_left
-            (fun s (d : Validate.diagnostic) -> SSet.add d.subject s)
-            SSet.empty g_naming;
-      }
+  let g =
+    match t.memo.global with
+    | Some g -> g
+    | None ->
+        let g_naming = C.naming_global t in
+        {
+          g_naming;
+          g_hierarchy = C.hierarchy t;
+          g_dups =
+            List.fold_left
+              (fun s (d : Validate.diagnostic) -> SSet.add d.subject s)
+              SSet.empty g_naming;
+        }
+  in
+  match t.memo.extents with
+  | Some e -> (g, e)
+  | None -> (g, C.semantic_global t)
 
 let check_interface t i =
   {
@@ -653,7 +677,7 @@ let note name d (diags, failing) =
    it and is checked individually, exactly as the naive checker does. *)
 let walk t =
   let m = t.memo in
-  let g = global_block t in
+  let g, e = global_block t in
   let settled n =
     match m.pending with None -> false | Some p -> not (SSet.mem n p)
   in
@@ -672,28 +696,29 @@ let walk t =
               (note i.i_name d acc, d))
       (m.diags, SSet.empty) t.sch.s_interfaces
   in
-  t.memo <- { diags; pending = Some SSet.empty; failing; global = Some g };
-  (g, failing, per)
+  t.memo <-
+    { diags; pending = Some SSet.empty; failing; global = Some g; extents = Some e };
+  (g, e, failing, per)
 
 let diagnostics t =
-  let g, _, per = walk t in
+  let g, e, _, per = walk t in
   g.g_naming
   @ List.concat_map (fun d -> d.d_naming) per
   @ List.concat_map (fun d -> d.d_structural) per
-  @ g.g_hierarchy @ g.g_extents
+  @ g.g_hierarchy @ e
   @ List.concat_map (fun d -> d.d_semantic) per
 
 (* The global block and the error set with nothing pending: a cold memo
    pays the full walk, a warm one re-checks only its pending names. *)
 let settle t =
   let m = t.memo in
-  match (m.pending, m.global) with
-  | None, _ ->
-      let g, failing, _ = walk t in
-      (g, failing)
-  | Some p, Some g when SSet.is_empty p -> (g, m.failing)
-  | Some p, _ ->
-      let g = global_block t in
+  match (m.pending, m.global, m.extents) with
+  | None, _, _ ->
+      let g, e, failing, _ = walk t in
+      (g, e, failing)
+  | Some p, Some g, Some e when SSet.is_empty p -> (g, e, m.failing)
+  | Some p, _, _ ->
+      let g, e = global_block t in
       let diags, failing =
         SSet.fold
           (fun n acc ->
@@ -702,18 +727,19 @@ let settle t =
             | Some i -> note n (check_interface t i) acc)
           p (m.diags, m.failing)
       in
-      t.memo <- { diags; pending = Some SSet.empty; failing; global = Some g };
-      (g, failing)
+      t.memo <-
+        { diags; pending = Some SSet.empty; failing; global = Some g; extents = Some e };
+      (g, e, failing)
 
 let is_valid t =
   if t.has_dups then not (List.exists is_error (diagnostics t))
   else
-    let g, failing = settle t in
+    let g, e, failing = settle t in
     SSet.is_empty failing
     && not
          (List.exists is_error g.g_naming
          || List.exists is_error g.g_hierarchy
-         || List.exists is_error g.g_extents)
+         || List.exists is_error e)
 
 let errors t = if is_valid t then [] else List.filter is_error (diagnostics t)
 

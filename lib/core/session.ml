@@ -30,8 +30,11 @@ module Validate = Odl.Validate
 (* Undo keeps this many shelved index versions; deeper undos replay. *)
 let undo_depth = 32
 
+(* A step keeps its text, not its parsed op: the printer is injective,
+   so {!step_op} parses the text back, as it does for a checkpointed
+   step. *)
 type source =
-  | Recorded of Modop.t * Change.event list
+  | Recorded of Change.event list
   | Replayed of history * int
 
 (* A memoized replay of a fixed op sequence — the first steps of the log
@@ -59,7 +62,7 @@ type step = {
   st_text : string;
       (** [Op_printer.to_string] of the op, printed once when the step was
           made; every rendering of the log reads it *)
-  st_src : source;  (** the op and its impact, see {!step_op} *)
+  st_src : source;  (** the op's impact, see {!step_events} *)
 }
 
 type t = {
@@ -251,13 +254,13 @@ let replayed h =
 
 let step_op st =
   match st.st_src with
-  | Recorded (op, _) -> op
+  | Recorded _ -> Op_parser.parse st.st_text
   | Replayed (h, i) ->
       Mutex.protect h.h_lock (fun () -> snd (Lazy.force h.h_ops).(i))
 
 let step_events st =
   match st.st_src with
-  | Recorded (_, events) -> events
+  | Recorded events -> events
   | Replayed (h, i) -> (replayed h).r_events.(i)
 
 (* The index after [m] ops of [h] ([m <= Array.length h.h_ops]), and the
@@ -326,7 +329,7 @@ let indexed_apply t ~kind op =
   if t.paranoid then check_divergence t ~kind op outcome;
   outcome
 
-let commit t ~kind op ~text (index, events) ~future =
+let commit t ~kind ~text (index, events) ~future =
   ( {
       t with
       index;
@@ -336,7 +339,7 @@ let commit t ~kind op ~text (index, events) ~future =
       future;
       version = t.version + 1;
       rev_log =
-        { st_kind = kind; st_text = text; st_src = Recorded (op, events) }
+        { st_kind = kind; st_text = text; st_src = Recorded events }
         :: t.rev_log;
       nlog = t.nlog + 1;
     },
@@ -349,7 +352,7 @@ let apply t ~kind op =
   | Error _ as e -> e
   | Ok (index, events) ->
       Ok
-        (commit t ~kind op ~text:(Op_printer.to_string op) (index, events)
+        (commit t ~kind ~text:(Op_printer.to_string op) (index, events)
            ~future:[])
 
 (** Apply [op] from the concept schema identified by [concept_id]; the
@@ -423,7 +426,7 @@ let redo t =
       match indexed_apply t ~kind op with
       | Error _ -> None  (* unreachable by construction; be defensive *)
       | Ok (index, events) ->
-          Some (commit t ~kind op ~text (index, events) ~future:rest))
+          Some (commit t ~kind ~text (index, events) ~future:rest))
 
 let redoable t = List.length t.future
 

@@ -11,9 +11,9 @@
 open Odl.Types
 
 type source
-(** Where a step's op and impact events come from: recorded when it
-    committed, or — for the steps a checkpoint covers ({!of_checkpoint}) —
-    parsed from their texts and replayed on first demand. *)
+(** Where a step's impact events come from: recorded when it committed,
+    or — for the steps a checkpoint covers ({!of_checkpoint}) — replayed
+    on first demand.  No step keeps its parsed op. *)
 
 type step = {
   st_kind : Concept.kind;  (** concept schema type the op was issued from *)
@@ -28,11 +28,13 @@ type step = {
 }
 
 val step_op : step -> Modop.t
-(** The step's operation.  For a checkpointed step the first call parses
-    the texts of the checkpoint's whole log prefix once (thread-safe,
-    shared by every session derived from the resumed one); undo into the
-    prefix, the impact events, rebase, merge and {!Oplog.pairs} need it,
-    the log's renderings and the journal do not.
+(** The step's operation, parsed from [st_text] (the printer is
+    injective).  For a checkpointed step the first call parses the texts
+    of the checkpoint's whole log prefix once (thread-safe, shared by
+    every session derived from the resumed one); a recorded step parses
+    its own text on every call.  Redo, undo into the prefix, the impact
+    events, rebase, merge and {!Oplog.pairs} need it, the log's
+    renderings and the journal do not.
     @raise Failure when a checkpointed text does not parse — the caller of
     {!of_checkpoint} vouched that it does. *)
 

@@ -10,7 +10,10 @@
 
     - a bounded, newest-first history of (publication stamp, rendered op)
       pairs feeding [diff] queries, with the floor below which it is
-      truncated;
+      truncated.  A publication only conses its lines on; the trail is
+      cut back to [max_history] lines once it holds twice that, and
+      {!history} and {!floor_stamp} cut on read, so a publication is O(its
+      lines) and the answers are those of a trail cut at every one;
     - the spine of the publication's session, from which the next
       publication finds its lines;
     - the variant's cached lineage record.
@@ -30,8 +33,13 @@
 type trail = {
   stamp : int;  (** the publication this trail ends at *)
   spine : Core.Session.spine;  (** that publication's session steps *)
-  lines : (int * string) list;  (** newest first; feeds [diff] *)
-  floor : int;  (** stamps ≤ this have no retained lines *)
+  lines : (int * string) list;
+      (** newest first; feeds [diff] through {!history}, which reads only
+          the newest [max_history] *)
+  held : int;  (** [List.length lines], at most [2 * max_history] *)
+  floor : int;
+      (** stamps ≤ this have no retained lines; {!floor_stamp} also counts
+          the lines past [max_history] as dropped *)
   lineage : (string * int) option;
       (** the variant's (parent, fork stamp) manifest record, read when
           its first view was built; feeds the [lineage] atom *)
@@ -44,8 +52,6 @@ let max_history = 512
 let stamp v = v.trail.stamp
 let session v = v.session
 let trail v = v.trail
-let history v = v.trail.lines
-let floor_stamp v = v.trail.floor
 let lineage v = v.trail.lineage
 
 let render_step (s : Core.Session.step) =
@@ -55,7 +61,8 @@ let render_step (s : Core.Session.step) =
   ^ s.Core.Session.st_text
 
 (* Keep the newest [max_history] lines; the floor rises to the newest
-   stamp dropped. *)
+   stamp dropped.  Stamps only grow, so cutting late raises the floor to
+   what cutting at every publication would have. *)
 let bound_history floor lines =
   let rec take n acc = function
     | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
@@ -66,10 +73,19 @@ let bound_history floor lines =
   | [] -> (kept, floor)
   | (s, _) :: _ -> (kept, max floor s)
 
+let history v =
+  let tr = v.trail in
+  if tr.held <= max_history then tr.lines else fst (bound_history tr.floor tr.lines)
+
+let floor_stamp v =
+  let tr = v.trail in
+  if tr.held <= max_history then tr.floor
+  else max tr.floor (fst (List.nth tr.lines max_history))
+
 (** The first view of a variant: its history starts empty at [stamp]. *)
 let build ?lineage ~stamp session =
   let spine = Core.Session.spine session in
-  { session; trail = { stamp; spine; lines = []; floor = stamp; lineage } }
+  { session; trail = { stamp; spine; lines = []; held = 0; floor = stamp; lineage } }
 
 (** Publication [stamp] of [session], continuing [tr]: the steps undone
     and added since [tr]'s publication, in chronological order (undos
@@ -85,11 +101,19 @@ let resume tr ~stamp session =
       List.rev_map (fun s -> "undo " ^ render_step s) undone
       @ List.map render_step added
     in
-    let lines, floor =
-      bound_history tr.floor
-        (List.rev_append (List.map (fun e -> (stamp, e)) events) tr.lines)
+    let tr =
+      {
+        tr with
+        stamp;
+        spine;
+        lines = List.fold_left (fun l e -> (stamp, e) :: l) tr.lines events;
+        held = tr.held + List.length events;
+      }
     in
-    { session; trail = { tr with stamp; spine; lines; floor } }
+    if tr.held <= 2 * max_history then { session; trail = tr }
+    else
+      let lines, floor = bound_history tr.floor tr.lines in
+      { session; trail = { tr with lines; held = max_history; floor } }
 
 (** {!resume} from [v]'s trail; [v] itself when [stamp <= stamp v]. *)
 let refresh v ~stamp session =

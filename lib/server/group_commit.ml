@@ -39,15 +39,21 @@ type lane = {
 
 type t = {
   mu : Mutex.t;
-  wake : Condition.t;  (** work arrived / drain / stop — wakes the flusher *)
+  wake : Condition.t;
+      (** work arrived / drain / stop / a tick elapsed — wakes the flusher *)
   settled : Condition.t;  (** a lane finished a flush — wakes drainers *)
+  alarm : Condition.t;  (** a tick was asked for — wakes the alarm thread *)
   lanes : (string, lane) Hashtbl.t;
   policy : policy;
   now : unit -> float;
   sleep : float -> unit;
   flush : path:string -> data:string -> unit;
-  on_flush : (path:string -> batch:int -> seconds:float -> unit) option;
+  on_flush :
+    (path:string -> batch:int -> linger:float -> seconds:float -> unit) option;
   mutable submitted : int;  (** total submits ever; the idle detector *)
+  mutable ticks_asked : int;  (** ticks the flusher has asked the alarm for *)
+  mutable ticks_done : int;  (** the newest asked tick that has elapsed *)
+  mutable alarm_started : bool;
   mutable stopping : bool;
   mutable flusher : Thread.t option;
 }
@@ -104,11 +110,26 @@ let lane_of t path =
       Hashtbl.add t.lanes path l;
       l
 
-(* The flusher's poll cadence while a lane lingers: a fraction of the
-   linger, floored so a tiny linger does not spin and capped so a huge
-   linger (deterministic tests) still notices idleness and drains fast. *)
+(* The alarm's cadence while a lane lingers: a fraction of the linger,
+   floored so a tiny linger does not spin and capped so a huge linger
+   (deterministic tests) still notices idleness and drains fast.  A tick
+   is the idle detector's window and the granularity of the linger bound;
+   every other departure happens on the submit, drain or stop that
+   ripened the lane. *)
 let tick t =
   Float.max 5e-5 (Float.min (t.policy.max_linger /. 4.0) 2e-3)
+
+(* A lane its count alone ripens: [max_batch] records, or a fully
+   regrouped bus — every waiter from the last flush back aboard
+   ([expected], which the next flush recalibrates), so there is nobody
+   left to linger for and waiting to "notice" that only adds dead time
+   to every cycle.  Bootstrap ([expected] still 0) falls through to the
+   idle rule of {!collect}.  Both regroup heuristics are gated on
+   [flush_on_idle]: with it off, only max_batch, linger and drain ripen a
+   lane — the deterministic contract. *)
+let full t l =
+  l.npending >= t.policy.max_batch
+  || (t.policy.flush_on_idle && l.expected > 0 && l.npending >= l.expected)
 
 (* Ripe lanes, sorted by path for deterministic flush order.  [idle_mark]
    (the [submitted] count one tick ago) makes pausing submission streams
@@ -128,7 +149,7 @@ let collect t ~idle_mark =
         acc
       end
       else if
-        l.npending >= t.policy.max_batch
+        full t l
         (* the linger clock starts at the later of the oldest record and
            the last flush's completion: records that queued {e during} a
            flush have already waited it out, but departing the instant it
@@ -138,16 +159,6 @@ let collect t ~idle_mark =
            instead of splitting the writers into two half-full cohorts *)
         || now -. Float.max l.oldest l.rested >= t.policy.max_linger
         || l.force || t.stopping
-        (* a fully regrouped bus leaves at once: when every waiter from
-           the last flush is back aboard ([expected], which the next flush
-           recalibrates), there is nobody left to linger for, and waiting
-           a tick to "notice" that only adds dead time to every cycle.
-           Bootstrap ([expected] still 0) falls through to the idle rule
-           below.  Both are heuristics about a regrouping cohort, so both
-           are gated on [flush_on_idle]: with it off, only max_batch,
-           linger and drain ripen a lane — the deterministic contract. *)
-        || (t.policy.flush_on_idle && l.expected > 0
-            && l.npending >= l.expected)
         (* idle departure is gated on a full regroup: a pause in
            submissions only means "nobody else is coming" once the last
            batch's returning writers are back aboard — otherwise a
@@ -169,13 +180,15 @@ let has_pending t =
    in submission order before any ticket settles, so a waiter observing
    [Ok] knows every earlier record in its batch is durable {e and}
    published. *)
-let write_batch t path lane batch =
+let write_batch t path lane ~oldest batch =
   let data = String.concat "" (List.map (fun e -> e.data) batch) in
   let t0 = t.now () in
   match if data = "" then () else t.flush ~path ~data with
   | () ->
       (match t.on_flush with
-      | Some f -> f ~path ~batch:(List.length batch) ~seconds:(t.now () -. t0)
+      | Some f ->
+          f ~path ~batch:(List.length batch) ~linger:(t0 -. oldest)
+            ~seconds:(t.now () -. t0)
       | None -> ());
       List.iter
         (fun e ->
@@ -203,19 +216,64 @@ let write_batch t path lane batch =
 let flush_lanes t ready =
   List.iter
     (fun (path, lane) ->
-      let batch = List.rev lane.pending in
+      let batch = List.rev lane.pending and oldest = lane.oldest in
       lane.pending <- [];
       lane.npending <- 0;
       lane.force <- false;
       lane.flushing <- true;
       Mutex.unlock t.mu;
-      write_batch t path lane batch;
+      write_batch t path lane ~oldest batch;
       Mutex.lock t.mu;
       lane.flushing <- false;
       lane.rested <- t.now ();
       lane.expected <- lane.npending + List.length batch;
       Condition.broadcast t.settled)
     ready
+
+(* The alarm thread times the flusher's ticks with the injected [sleep]
+   (so fake clocks advance exactly as they did when the flusher slept
+   itself) and signals [wake] when one elapses.  A tick asked for while it
+   sleeps out an older one, which the flusher stopped waiting for, gets a
+   full tick of its own.  It is not joined: {!stop} must not wait out a
+   tick, and the thread leaves at the end of the one in progress. *)
+let alarm_loop t =
+  Mutex.lock t.mu;
+  while not t.stopping do
+    if t.ticks_done < t.ticks_asked then begin
+      let asked = t.ticks_asked in
+      Mutex.unlock t.mu;
+      t.sleep (tick t);
+      Mutex.lock t.mu;
+      t.ticks_done <- asked;
+      Condition.signal t.wake
+    end
+    else Condition.wait t.alarm t.mu
+  done;
+  Mutex.unlock t.mu
+
+(* Nothing is ripe: linger until something is.  A submit that can ripen
+   a lane, a drain and a stop signal [wake], so the flusher re-collects
+   on each of them and a lane leaves the moment it ripens — a regrouped
+   bus as its last writer boards — instead of at the end of a tick.
+   When nobody boards, the tick ends the linger and a pause in
+   submissions counts as ripeness when the policy says so.  Called and
+   returns with [t.mu] held; the result may be empty (the tick elapsed,
+   nothing ripened). *)
+let linger t =
+  let mark = t.submitted in
+  t.ticks_asked <- t.ticks_asked + 1;
+  let asked = t.ticks_asked in
+  if not t.alarm_started then begin
+    t.alarm_started <- true;
+    ignore (Thread.create alarm_loop t)
+  end;
+  Condition.signal t.alarm;
+  let rec wait () =
+    Condition.wait t.wake t.mu;
+    if t.ticks_done >= asked then collect t ~idle_mark:(Some mark)
+    else match collect t ~idle_mark:None with [] -> wait () | ready -> ready
+  in
+  wait ()
 
 let flusher_loop t =
   Mutex.lock t.mu;
@@ -225,22 +283,9 @@ let flusher_loop t =
       Condition.wait t.wake t.mu
     done;
     if t.stopping && not (has_pending t) then running := false
-    else begin
-      let ready = collect t ~idle_mark:None in
-      let ready =
-        if ready <> [] then ready
-        else begin
-          (* nothing ripe yet: linger one tick, then reconsider — a pause
-             in submissions counts as ripeness when the policy says so *)
-          let mark = t.submitted in
-          Mutex.unlock t.mu;
-          t.sleep (tick t);
-          Mutex.lock t.mu;
-          collect t ~idle_mark:(Some mark)
-        end
-      in
-      flush_lanes t ready
-    end
+    else
+      flush_lanes t
+        (match collect t ~idle_mark:None with [] -> linger t | ready -> ready)
   done;
   Mutex.unlock t.mu
 
@@ -253,6 +298,7 @@ let create ?(policy = default_policy) ?(now = Unix.gettimeofday)
       mu = Mutex.create ();
       wake = Condition.create ();
       settled = Condition.create ();
+      alarm = Condition.create ();
       lanes = Hashtbl.create 8;
       policy =
         { policy with max_batch = max 1 policy.max_batch;
@@ -262,6 +308,9 @@ let create ?(policy = default_policy) ?(now = Unix.gettimeofday)
       flush;
       on_flush;
       submitted = 0;
+      ticks_asked = 0;
+      ticks_done = 0;
+      alarm_started = false;
       stopping = false;
       flusher = None;
     }
@@ -282,7 +331,11 @@ let submit t ~path ?on_durable data =
         if lane.npending = 0 then lane.oldest <- t.now ();
         lane.npending <- lane.npending + 1;
         t.submitted <- t.submitted + 1;
-        Condition.signal t.wake;
+        (* wake the flusher only when this record can ripen a lane: a
+           first record (the flusher may be idle, and a lone writer's lane
+           is full on it) or one that fills its lane; the timed rules are
+           the alarm's *)
+        if lane.npending = 1 || full t lane then Condition.signal t.wake;
         tk
   in
   Mutex.unlock t.mu;
@@ -337,6 +390,7 @@ let stop t =
   else begin
     t.stopping <- true;
     Condition.signal t.wake;
+    Condition.signal t.alarm;
     let th = t.flusher in
     t.flusher <- None;
     Mutex.unlock t.mu;

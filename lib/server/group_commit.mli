@@ -12,11 +12,22 @@
 
     A lane is flushed when any of these holds:
     - it has at least [max_batch] pending records;
-    - its oldest record has waited [max_linger] seconds;
-    - [flush_on_idle] is set and no new record arrived anywhere during the
-      last flusher tick (the common low-concurrency case: a lone writer is
-      not held hostage for the full linger);
+    - its oldest record has waited [max_linger] seconds, counted from the
+      later of its submission and the lane's last flush;
+    - [flush_on_idle] is set and the lane has regrouped: as many records
+      are pending as its last flush carried plus those that queued behind
+      that flush, i.e. every writer of the last batch is back aboard (a
+      lone writer's lane is regrouped on every submit, so it never
+      lingers);
+    - [flush_on_idle] is set, the lane has never flushed, and no new
+      record arrived anywhere during the last tick;
     - a {!drain} or {!stop} forces it out.
+
+    The flusher re-examines the lanes on every submit that can ripen one
+    (a lane's first record, or one that fills it) and on every drain and
+    stop, so a lane leaves on the event that ripens it.  Only the two
+    timed rules wait for a tick ([max_linger / 4], between 50 µs and
+    2 ms), which an alarm thread times with the injected [sleep].
 
     {2 Failure semantics}
 
@@ -59,13 +70,16 @@ val create :
   ?now:(unit -> float) ->
   ?sleep:(float -> unit) ->
   flush:(path:string -> data:string -> unit) ->
-  ?on_flush:(path:string -> batch:int -> seconds:float -> unit) ->
+  ?on_flush:(path:string -> batch:int -> linger:float -> seconds:float -> unit) ->
   unit ->
   t
-(** Start a coordinator (spawns the flusher thread).  [flush] must make
-    [data] durable at [path] or raise — it runs on the flusher thread and
-    owns its own retry discipline.  [on_flush] observes each successful
-    batch (record count and flush latency) for the metrics layer. *)
+(** Start a coordinator (spawns the flusher thread; the first linger
+    starts the alarm thread that times ticks with [sleep]).  [flush] must
+    make [data] durable at [path] or raise — it runs on the flusher thread
+    and owns its own retry discipline.  [on_flush] observes each
+    successful batch for the metrics layer: its record count, how long its
+    oldest record waited before the flush started ([linger]), and the
+    flush latency ([seconds]). *)
 
 val submit : t -> path:string -> ?on_durable:(unit -> unit) -> string -> ticket
 (** Enqueue pre-encoded record bytes (may be [""] to order a pure

@@ -127,8 +127,9 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
         with
         | Ok () -> ()
         | Error e -> raise e)
-      ~on_flush:(fun ~path:_ ~batch ~seconds ->
+      ~on_flush:(fun ~path:_ ~batch ~linger ~seconds ->
         Obs.Histo.observe i.h_commit_batch (float_of_int batch);
+        Obs.Histo.observe i.h_commit_linger linger;
         Obs.Histo.observe i.h_commit_flush seconds)
       ()
   in

@@ -151,6 +151,8 @@ type instruments = {
   h_dirty : Obs.Histo.t;  (** dirty-set size per committed op *)
   h_respond : Obs.Histo.t;  (** feedback rendering *)
   h_commit_batch : Obs.Histo.t;  (** records per group-commit flush *)
+  h_commit_linger : Obs.Histo.t;
+      (** a batch's oldest submit to the start of its flush *)
   h_commit_flush : Obs.Histo.t;  (** one batch append + fsync *)
   h_journal_append : Obs.Histo.t;  (** record + fsync, the commit path *)
   h_journal_rewrite : Obs.Histo.t;  (** one whole snapshot save *)
@@ -203,6 +205,7 @@ let make_instruments obs =
     h_dirty = h ~lo:1.0 ~hi:1e4 "swsd.engine.dirty_set";
     h_respond = h "swsd.respond_seconds";
     h_commit_batch = h ~lo:1.0 ~hi:1e4 "swsd.commit.batch_size";
+    h_commit_linger = h "swsd.commit.linger_seconds";
     h_commit_flush = h "swsd.commit.flush_seconds";
     h_journal_append = h "swsd.journal.append_seconds";
     h_journal_rewrite = h "swsd.journal.rewrite_seconds";

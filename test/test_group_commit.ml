@@ -250,6 +250,148 @@ let drain_and_stop () =
       Alcotest.(check string) "late record never written" "a;b;"
         (flushed s "log"))
 
+(* --- the event-driven linger ---------------------------------------------- *)
+
+(* An injected [sleep] that blocks until the test hands out a tick: with
+   no permit the tick never elapses, so whatever happens meanwhile was
+   caused by a submit, a drain or a stop. *)
+type gate = {
+  g_mu : Mutex.t;
+  g_cond : Condition.t;
+  mutable permits : int;
+  mutable asleep : int;
+}
+
+let gate () =
+  { g_mu = Mutex.create (); g_cond = Condition.create (); permits = 0; asleep = 0 }
+
+let gate_sleep g _ =
+  Mutex.lock g.g_mu;
+  g.asleep <- g.asleep + 1;
+  Condition.broadcast g.g_cond;
+  while g.permits = 0 do
+    Condition.wait g.g_cond g.g_mu
+  done;
+  g.permits <- g.permits - 1;
+  g.asleep <- g.asleep - 1;
+  Mutex.unlock g.g_mu
+
+let allow g n =
+  Mutex.lock g.g_mu;
+  g.permits <- g.permits + n;
+  Condition.broadcast g.g_cond;
+  Mutex.unlock g.g_mu
+
+(* Block until a tick is being timed: the flusher is lingering. *)
+let until_asleep g =
+  Mutex.lock g.g_mu;
+  while g.asleep = 0 do
+    Condition.wait g.g_cond g.g_mu
+  done;
+  Mutex.unlock g.g_mu
+
+(* A coordinator whose ticks pass the gate, with a linger bound no test
+   reaches; every tick is let through at the end, so nothing is left
+   blocked whatever the outcome. *)
+let with_gate ~name f =
+  with_watchdog ~secs:30.0 ~name (fun () ->
+      let g = gate () and s = sink () in
+      let t =
+        Gc.create
+          ~policy:{ Gc.max_batch = 64; max_linger = 3600.0; flush_on_idle = true }
+          ~sleep:(gate_sleep g) ~flush:(sink_flush s) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> allow g 1_000_000; Gc.stop t)
+        (fun () -> f g s t))
+
+(* The ticket's outcome if it settles within [secs], else [None]. *)
+let await_within secs tk =
+  let r = Atomic.make None in
+  ignore (Thread.create (fun () -> Atomic.set r (Some (Gc.await tk))) ());
+  let deadline = Unix.gettimeofday () +. secs in
+  while Atomic.get r = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  Atomic.get r
+
+let settles tk =
+  match await_within 5.0 tk with
+  | Some r -> ok r
+  | None -> Alcotest.fail "ticket did not settle while the tick was blocked"
+
+let still_pending tk =
+  Alcotest.(check bool) "still lingering" true (await_within 0.05 tk = None)
+
+(* Two records drained out together: the lane now expects two writers. *)
+let regroup_two g s t =
+  let a = Gc.submit t ~path:"log" "a;" and b = Gc.submit t ~path:"log" "b;" in
+  until_asleep g;
+  Gc.drain t ~path:"log";
+  ok (Gc.await a);
+  ok (Gc.await b);
+  Alcotest.(check string) "one batch of two" "a;b;" (flushed s "log")
+
+(* A regrouped bus leaves as its last writer boards, while the tick is
+   still blocked, and its publish hooks run in submission order. *)
+let regroup_departs_on_submit () =
+  with_gate ~name:"regroup departs" (fun g s t ->
+      regroup_two g s t;
+      let order = ref [] in
+      let c =
+        Gc.submit t ~path:"log" ~on_durable:(fun () -> order := 'c' :: !order) "c;"
+      in
+      still_pending c;
+      let d =
+        Gc.submit t ~path:"log" ~on_durable:(fun () -> order := 'd' :: !order) "d;"
+      in
+      settles c;
+      settles d;
+      Alcotest.(check string) "one batch for the regrouped pair" "a;b;c;d;"
+        (flushed s "log");
+      Alcotest.(check int) "two flushes" 2 (flush_count s);
+      Alcotest.(check (list char)) "publish order = submission order"
+        [ 'c'; 'd' ] (List.rev !order))
+
+(* With nobody else boarding, the tick still ends a lone lane's linger. *)
+let lone_lane_leaves_on_tick () =
+  with_gate ~name:"lone lane" (fun g s t ->
+      let solo = Gc.submit t ~path:"log" "solo;" in
+      until_asleep g;
+      still_pending solo;
+      allow g 1;
+      settles solo;
+      Alcotest.(check string) "record out" "solo;" (flushed s "log"))
+
+(* A drain or a stop ends a linger without waiting for the tick. *)
+let drain_and_stop_end_linger () =
+  with_gate ~name:"drain and stop end a linger" (fun g s t ->
+      let a = Gc.submit t ~path:"log" "a;" in
+      until_asleep g;
+      Gc.drain t ~path:"log";
+      ok (Gc.await a);
+      let b = Gc.submit t ~path:"log" "b;" in
+      Gc.stop t;
+      ok (Gc.await b);
+      Alcotest.(check string) "both out, tick still blocked" "a;b;"
+        (flushed s "log"))
+
+(* A regrouped batch whose flush fails still fails every waiter and
+   poisons the lane. *)
+let regroup_failure_poisons () =
+  with_gate ~name:"regroup failure poisons" (fun g s t ->
+      regroup_two g s t;
+      s.fail_next <- 1;
+      let c = Gc.submit t ~path:"log" "c;" and d = Gc.submit t ~path:"log" "d;" in
+      (match (await_within 5.0 c, await_within 5.0 d) with
+      | Some (Error _), Some (Error _) -> ()
+      | _ -> Alcotest.fail "both waiters must fail with their batch");
+      (match Gc.await (Gc.submit t ~path:"log" "e;") with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail "poisoned lane must refuse records");
+      Alcotest.(check string) "nothing after the failed batch" "a;b;"
+        (flushed s "log"))
+
 (* --- the property: equivalence with the per-op-fsync journal -------------- *)
 
 (* Each of W writer threads submits its records one at a time, awaiting
@@ -421,6 +563,14 @@ let tests =
     test "group commit: flush failure fails the batch and poisons the lane"
       failure_fails_batch_and_poisons;
     test "group commit: drain and stop force the remainder out" drain_and_stop;
+    test "group commit: a regrouped lane leaves as its last writer boards"
+      regroup_departs_on_submit;
+    test "group commit: a lone lane leaves when the tick elapses"
+      lone_lane_leaves_on_tick;
+    test "group commit: drain and stop end a linger at once"
+      drain_and_stop_end_linger;
+    test "group commit: a failed regrouped flush poisons the lane"
+      regroup_failure_poisons;
     prop ~count:60
       "group commit: batched journal = an order-preserving interleaving; \
        ack implies durable"

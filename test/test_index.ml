@@ -62,27 +62,29 @@ let incremental_diagnostics_agree =
    with identical workspace, events and diagnostics, or both reject with
    identical error messages.  Applies each accepted step and continues, so
    later steps run against customized workspaces. *)
+let engines_agree_on (schema, steps) =
+  let orig_idx = Index.build schema in
+  let rec go ws idx = function
+    | [] -> true
+    | (kind, op) :: rest -> (
+        let naive = Apply.apply ~original:schema ~kind ws op in
+        let indexed = Apply.Indexed.apply ~original:orig_idx ~kind idx op in
+        match (naive, indexed) with
+        | Error e, Error e' ->
+            Apply.error_to_string e = Apply.error_to_string e'
+            && go ws idx rest
+        | Ok (ws', evs), Ok (idx', evs') ->
+            equal_schema ws' (Index.schema idx')
+            && List.equal Core.Change.equal_event evs evs'
+            && diags_equal (Validate.check ws') (Index.diagnostics idx')
+            && go ws' idx' rest
+        | Ok _, Error _ | Error _, Ok _ -> false)
+  in
+  go schema orig_idx steps
+
 let engines_agree =
   prop "indexed engine = naive engine over op sequences" Gen.schema_and_ops
-    (fun (schema, steps) ->
-      let orig_idx = Index.build schema in
-      let rec go ws idx = function
-        | [] -> true
-        | (kind, op) :: rest -> (
-            let naive = Apply.apply ~original:schema ~kind ws op in
-            let indexed = Apply.Indexed.apply ~original:orig_idx ~kind idx op in
-            match (naive, indexed) with
-            | Error e, Error e' ->
-                Apply.error_to_string e = Apply.error_to_string e'
-                && go ws idx rest
-            | Ok (ws', evs), Ok (idx', evs') ->
-                equal_schema ws' (Index.schema idx')
-                && List.equal Core.Change.equal_event evs evs'
-                && diags_equal (Validate.check ws') (Index.diagnostics idx')
-                && go ws' idx' rest
-            | Ok _, Error _ | Error _, Ok _ -> false)
-      in
-      go schema orig_idx steps)
+    engines_agree_on
 
 (* 5. a paranoid session survives whole workloads (its per-op cross-check
    raises Divergence on any disagreement), including undo/redo, and its
@@ -816,6 +818,61 @@ let counts_over_sessions =
                (Index.update_interface dup_idx first (fun i -> { i with i_attrs = [] }))
           && undo_all s true)
 
+(* 16. extents: the duplicate-extent check is cached apart from the naming
+   and hierarchy checks, and an extent update drops only it.  Extents are
+   drawn from a pool of three names, so updates make and clear
+   duplicates.  Raw updates set or clear one interface's extent, each
+   version checked against the naive checker on the memo the version
+   before warmed, through [diagnostics] and [is_valid] alternately; the
+   engines run add/delete/modify_extent_name ops over the same pool. *)
+let extent_pool = [| "ex0"; "ex1"; "ex2" |]
+
+let extent_updates_agree =
+  let gen =
+    QCheck2.Gen.(
+      pair Gen.any_synth_schema
+        (list_size (int_range 1 12) (pair (int_range 0 9999) (int_range 0 3))))
+  in
+  prop "extent updates: memo = naive as duplicates come and go" gen
+    (fun (s, edits) ->
+      let names = Array.of_list (Odl.Schema.interface_names s) in
+      let step (idx, ok, k) (r, e) =
+        let extent = if e = 3 then None else Some extent_pool.(e) in
+        let idx =
+          Index.update_interface idx
+            names.(r mod Array.length names)
+            (fun i -> { i with i_extent = extent })
+        in
+        let agrees =
+          if k mod 2 = 0 then
+            diags_equal (Index.diagnostics idx) (Validate.check (Index.schema idx))
+          else validity_agrees idx
+        in
+        (idx, ok && agrees, k + 1)
+      in
+      let idx = Index.build s in
+      ignore (Index.diagnostics idx);
+      let _, ok, _ = List.fold_left step (idx, true, 0) edits in
+      ok)
+
+let extent_ops_agree =
+  let gen =
+    QCheck2.Gen.(
+      let* schema = Gen.any_synth_schema in
+      let names = Odl.Schema.interface_names schema in
+      let pool = oneofa extent_pool in
+      let op =
+        let* n = oneofl names in
+        oneof
+          [ map (fun e -> Core.Modop.Add_extent_name (n, e)) pool;
+            map (fun e -> Core.Modop.Delete_extent_name (n, e)) pool;
+            map2 (fun e e' -> Core.Modop.Modify_extent_name (n, e, e')) pool pool ]
+      in
+      let* steps = list_size (int_range 1 12) (pair Gen.concept_kind op) in
+      return (schema, steps))
+  in
+  prop "extent ops: indexed engine = naive engine" gen engines_agree_on
+
 let tests =
   [
     fresh_diagnostics_agree;
@@ -834,6 +891,8 @@ let tests =
       affected_count_agrees;
       memo_agrees_over_sessions;
       memo_agrees_on_broken;
+      extent_updates_agree;
+      extent_ops_agree;
       patch_equals_build;
       Alcotest.test_case "a re-declared interface is patched, not rebuilt" `Quick
         patch_keeps_order_without_build;

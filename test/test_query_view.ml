@@ -566,6 +566,111 @@ let dropped_marks_raise_the_floor () =
   Alcotest.(check (list string)) "a reload keeps the history" (run v "diff 0")
     (run v' "diff 0")
 
+(* --- the trail against one cut at every publication ------------------------ *)
+
+(* The trail as a publication that cut it kept it: the newest 512 lines,
+   the floor at the newest stamp dropped. *)
+type model = { m_lines : (int * string) list; m_floor : int }
+
+let model_publish m ~stamp events =
+  let lines = List.rev_append (List.map (fun e -> (stamp, e)) events) m.m_lines in
+  let rec take n acc = function
+    | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
+    | rest -> (List.rev acc, rest)
+  in
+  match take 512 [] lines with
+  | kept, [] -> { m with m_lines = kept }
+  | kept, (s, _) :: _ -> { m_lines = kept; m_floor = max m.m_floor s }
+
+let model_diff m ~since =
+  let ops =
+    List.filter (fun (s, _) -> s > since) m.m_lines
+    |> List.rev_map (fun (s, e) -> Printf.sprintf "%d %s" s e)
+  in
+  if since < m.m_floor then
+    Printf.sprintf "# history truncated below stamp %d" m.m_floor :: ops
+  else ops
+
+(* One publication: [Ops k] applies k fresh ops, [Undos k]/[Redos k] a
+   burst of up to k, [Again] changes nothing, [Evict] resumes the kept
+   trail on a session replayed from the log, as a reload after an
+   eviction does. *)
+type trail_act = Ops of int | Undos of int | Redos of int | Again | Evict
+
+let trail_agrees script =
+  let fresh = ref 0 in
+  let rec times k f s =
+    if k = 0 then s else match f s with None -> s | Some s -> times (k - 1) f s
+  in
+  let add s =
+    incr fresh;
+    let op = Printf.sprintf "add_attribute(Person, string, 8, t%d)" !fresh in
+    Some (fst (Util.apply_ok s op))
+  in
+  let step (s, v, m, ok) act =
+    let stamp = View.stamp v + 1 in
+    let s' =
+      match act with
+      | Ops k -> times k add s
+      | Undos k -> times k Core.Session.undo s
+      | Redos k -> times k (fun s -> Option.map fst (Core.Session.redo s)) s
+      | Again -> s
+      | Evict -> (
+          match
+            Core.Oplog.replay (Util.university ())
+              (Core.Oplog.pairs (Core.Oplog.of_session s))
+          with
+          | Ok s -> s
+          | Error _ -> Alcotest.fail "the log should replay")
+    in
+    let v =
+      match act with
+      | Evict -> View.resume (View.trail v) ~stamp s'
+      | _ -> View.refresh v ~stamp s'
+    in
+    let m = model_publish m ~stamp (publication_events ~before:s ~after:s') in
+    let agrees =
+      View.history v = m.m_lines
+      && View.floor_stamp v = m.m_floor
+      && List.for_all
+           (fun since ->
+             Eval.run v (Ast.Diff { since; until = None })
+             = Ok (model_diff m ~since))
+           [ 0; m.m_floor - 1; m.m_floor; stamp - 1 ]
+    in
+    (s', v, m, ok && agrees)
+  in
+  let s, v = university_view () in
+  let m = { m_lines = []; m_floor = View.floor_stamp v } in
+  let _, _, m, ok = List.fold_left step (s, v, m, true) (Ops 30 :: script) in
+  (ok, List.length m.m_lines)
+
+(* Undo bursts mostly come with a redo burst, so most scripts pass 512
+   lines and some 1024. *)
+let trail_gen =
+  QCheck2.Gen.(
+    map List.concat
+      (list_size (int_range 30 60)
+         (frequency
+            [ (2, map (fun k -> [ Ops k ]) (int_range 1 3));
+              ( 4,
+                map2
+                  (fun a b -> [ Undos a; Redos b ])
+                  (int_range 1 30) (int_range 1 30) );
+              (1, map (fun k -> [ Undos k ]) (int_range 1 30));
+              (1, return [ Again ]); (1, return [ Evict ]) ])))
+
+let trail_equals_cut_at_every_publication =
+  prop "view: history, floor and diff = a trail cut at every publication"
+    ~count:20 trail_gen (fun script -> fst (trail_agrees script))
+
+(* Past 2 x 512 lines, through undo bursts and an eviction. *)
+let long_trail_equals_cut () =
+  let bursts n = List.concat (List.init n (fun _ -> [ Undos 40; Redos 40 ])) in
+  let ok, held = trail_agrees (bursts 8 @ [ Evict; Ops 1 ] @ bursts 8) in
+  Alcotest.(check bool) "agrees with the cut trail" true ok;
+  Alcotest.(check int) "a full window" 512 held
+
 (* The evaluator's other invariant: every answer except [diff] is sorted
    and duplicate-free, whatever the view holds. *)
 let answers_are_canonical =
@@ -666,6 +771,9 @@ let tests =
     test "view: dropped marks raise the floor, kept ones keep their stamps"
       dropped_marks_raise_the_floor;
     published_view_agrees;
+    trail_equals_cut_at_every_publication;
+    test "view: a trail past 1024 lines = one cut at every publication"
+      long_trail_equals_cut;
     answers_are_canonical;
     fuzz_never_crashes;
   ]

@@ -2154,6 +2154,11 @@ let stats_snapshot () =
     (histo_count "swsd.request_seconds" > 0);
   Alcotest.(check bool) "consistency checks timed" true
     (histo_count "swsd.engine.check_seconds" > 0);
+  Alcotest.(check bool) "batches flushed" true
+    (histo_count "swsd.commit.batch_size" > 0);
+  Alcotest.(check int) "one linger observed per batch"
+    (histo_count "swsd.commit.batch_size")
+    (histo_count "swsd.commit.linger_seconds");
   (* the read/write split: "check" above was served lock-free, the focus
      and apply went through the writer lock *)
   Alcotest.(check bool) "lock-free reads counted" true

@@ -279,9 +279,49 @@ let delta_replays =
              in
              pairs states))
 
+(* A step keeps only its text: its op is that text parsed, and those ops
+   replay to the session's workspace — after undo, redo, re-application
+   and a merge alike. *)
+let step_op_is_parsed_text =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~long_factor:10
+       ~name:"step_op = the step's text parsed, across undo, redo and merge"
+       QCheck2.Gen.(
+         pair Gen.schema_and_ops (list_size (int_range 0 10) (int_range 0 4)))
+       (fun ((schema, ops), moves) ->
+         match Session.create schema with
+         | Error _ -> false (* synthetic schemas are valid *)
+         | Ok session ->
+             let states = run_with_moves session ops moves in
+             let base = List.nth states (List.length states / 2)
+             and branch = List.nth states (List.length states - 1) in
+             let merged =
+               (Core.Oplog.rebase ~base
+                  ~branch_ops:(Core.Oplog.branch_entries ~base ~branch))
+                 .Core.Oplog.r_session
+             in
+             let parsed s =
+               List.for_all
+                 (fun (st : Session.step) ->
+                   Core.Modop.equal (Session.step_op st)
+                     (Core.Op_parser.parse st.st_text))
+                 (Session.log s)
+               &&
+               match
+                 Core.Oplog.replay schema
+                   (Core.Oplog.pairs (Core.Oplog.of_session s))
+               with
+               | Ok r ->
+                   Odl.Types.equal_schema (Session.workspace r)
+                     (Session.workspace s)
+               | Error _ -> false
+             in
+             List.for_all parsed (merged :: states)))
+
 let tests =
   [
     delta_replays;
+    step_op_is_parsed_text;
     test "create rejects invalid shrink wrap" create_rejects_invalid;
     test "original is never modified" create_keeps_original;
     test "undo restores" undo_restores;
