@@ -22,92 +22,33 @@
    (The gate is aggregate across the lengths, not per length: a rebase
    pays one O(schema) constant for the report's shrink-wrap mapping,
    which dwarfs a 10-op replay but vanishes by 1000 — per-n ratios are
-   still reported for the curve.)
+   still reported for the curve.) *)
 
-   Knobs: SWSD_MERGE_TYPES (schema size, default 200),
-   SWSD_MERGE_REPS (repetitions per timing, default 5). *)
-
-module Io = Repository.Io
-module Repo = Repository.Repo
-module Service = Server.Service
-module Protocol = Server.Protocol
 module Session = Core.Session
 module Oplog = Core.Oplog
 open Util
 
-let n_types () = env_int "SWSD_MERGE_TYPES" 200
-let reps () = env_int "SWSD_MERGE_REPS" 5
-let lens = [ 10; 100; 1000 ]
-
-let session_of schema =
-  match Session.create schema with
-  | Ok s -> s
-  | Error _ -> failwith "synth schema should be valid"
-
-let apply session text =
-  match
-    Session.apply session ~kind:Core.Concept.Wagon_wheel
-      (Core.Op_parser.parse text)
-  with
-  | Ok (s, _) -> s
-  | Error e -> failwith (text ^ ": " ^ Core.Apply.error_to_string e)
+let n_types () = sized 200 20
+let reps () = sized 5 1
+let lens () = smallest [ 10; 100; 1000 ]
 
 let branch_op types k =
   Printf.sprintf "add_attribute(T%d, string, 8, m_%d)" ((k * 7919) mod types) k
 
-let time_one ~reps f =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (f ())
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e6
-
-(* --- the server-side dry run ----------------------------------------------- *)
-
-let config = { Service.default_config with Service.use_file_locks = false }
-
-let must t c line =
-  let r = Service.request t c line in
-  match r.Protocol.status with
-  | Protocol.Ok -> ()
-  | _ -> failwith (Printf.sprintf "%s failed: %s" line (Protocol.to_string r))
-
 (* A mem-fs service holding variant [v] plus a branch [w] that applied
    [n] ops since the fork; returns the mean [@merge --dry-run] latency. *)
 let dry_run_us ~schema_text ~types ~n ~reps =
-  let m = Io.mem_create () in
-  let io = Io.locked (Io.mem_io m) in
-  (match Repo.init ~io "/repo" (Odl.Parser.parse_schema schema_text) with
-  | Ok repo -> (
-      match Repo.create_variant repo "v" with
-      | Ok _ -> ()
-      | Error e -> failwith e)
-  | Error e -> failwith e);
-  let t =
-    match Service.open_service ~config ~io "/repo" with
-    | Ok t -> t
-    | Error e -> failwith e
-  in
+  let t = mem_service ~schema:(Odl.Parser.parse_schema schema_text) [ "v" ] in
   let c = Service.connect t in
-  must t c "@open v";
-  must t c "focus ww:T0";
-  must t c "@close";
-  must t c "@branch v w";
-  must t c "@open w";
-  must t c "focus ww:T0";
+  List.iter (must t c) [ "@open v"; "focus ww:T0"; "@close"; "@branch v w"; "@open w"; "focus ww:T0" ];
   for k = 1 to n do
     must t c ("apply " ^ branch_op types k)
   done;
-  must t c "@close";
-  must t c "@open v";
-  must t c "focus ww:T0";
-  must t c "apply add_type_definition(Basemovedahead)";
-  must t c "@close";
+  List.iter (must t c)
+    [ "@close"; "@open v"; "focus ww:T0"; "apply add_type_definition(Basemovedahead)"; "@close" ];
   let us = time_one ~reps (fun () -> must t c "@merge w into v --dry-run") in
   ignore (Service.shutdown t);
   us
-
-(* --- results ---------------------------------------------------------------- *)
 
 type row = {
   n : int;
@@ -124,7 +65,7 @@ let run ~json_path () =
   Printf.printf "P18: op-log rebase vs branch-log length, %d interfaces\n"
     types;
   let schema = Schemas.Synth.(generate (default_params ~n_types:types)) in
-  let schema_text = Fmt.str "%a" Odl.Printer.pp_schema schema in
+  let schema_text = Odl.Printer.schema_to_string schema in
   let root = session_of schema in
   (* the base moves ahead after the fork: fresh type definitions the
      generated branch ops can never touch *)
@@ -167,7 +108,7 @@ let run ~json_path () =
         Printf.printf "  %-6d %14.1f %14.1f %7.2fx %14.1f\n%!" n rebase_us
           sequential_us (ratio row) dry_us;
         row)
-      lens
+      (lens ())
   in
   let total which = List.fold_left (fun s r -> s +. which r) 0.0 rows in
   let rebase_total = total (fun r -> r.rebase_us)
@@ -175,45 +116,37 @@ let run ~json_path () =
   let aggregate =
     if sequential_total > 0.0 then rebase_total /. sequential_total else 0.0
   in
-  let passed = aggregate <= 2.0 in
+  let bookkeeping =
+    gate (aggregate <= 2.0)
+      "rebase is %.2fx its sequential apply — classification has stopped \
+       being bookkeeping"
+      aggregate
+  in
   Printf.printf "\n  aggregate rebase/sequential ratio: %.2fx (ceiling 2x)\n"
     aggregate;
-  let entry r =
-    Printf.sprintf
-      "    { \"branch_ops\": %d, \"rebase_us\": %.2f, \"sequential_us\": \
-       %.2f, \"ratio\": %.3f, \"dry_run_us\": %.2f }"
-      r.n r.rebase_us r.sequential_us (ratio r) r.dry_us
-  in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"P18 op-log rebase vs branch-log length\",";
-        "  \"setup\": \"synthetic schema; base moved ahead by 5 type \
-         definitions; branch applies n attribute ops; rebase vs bare \
-         sequential apply of the same entries, plus a server-side @merge \
-         --dry-run round trip over the in-memory fs\",";
-        Printf.sprintf "  \"n_types\": %d," types;
-        Printf.sprintf "  \"reps\": %d," reps;
-        Printf.sprintf
-          "  \"ratio_gate\": { \"aggregate_ratio\": %.3f, \"ceiling\": 2.0, \
-           \"passed\": %b },"
-          aggregate passed;
-        "  \"results\": [";
-        String.concat ",\n" (List.map entry rows);
-        "  ]";
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
-  if not passed then begin
-    Printf.printf
-      "FAIL: rebase is %.2fx its sequential apply — classification has \
-       stopped being bookkeeping\n"
-      aggregate;
-    exit 1
-  end
+  write_json json_path
+    [
+      ("benchmark", Str "P18 op-log rebase vs branch-log length");
+      ( "setup",
+        Str
+          "synthetic schema; base moved ahead by 5 type definitions; branch \
+           applies n attribute ops; rebase vs bare sequential apply of the \
+           same entries, plus a server-side @merge --dry-run round trip \
+           over the in-memory fs" );
+      ("n_types", Int types);
+      ("reps", Int reps);
+      ( "ratio_gate",
+        Obj
+          [ ("aggregate_ratio", num 3 aggregate); ("ceiling", num 1 2.0);
+            ("passed", Bool bookkeeping.passed) ] );
+      ( "results",
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [ ("branch_ops", Int r.n); ("rebase_us", num 2 r.rebase_us);
+                   ("sequential_us", num 2 r.sequential_us); ("ratio", num 3 (ratio r));
+                   ("dry_run_us", num 2 r.dry_us) ])
+             rows) );
+    ];
+  report [ bookkeeping ]

@@ -20,44 +20,12 @@
    costs more than that in CPU per request — the instrumentation would
    be too hot for production defaults. *)
 
-module Io = Repository.Io
-module Repo = Repository.Repo
-module Service = Server.Service
-module Protocol = Server.Protocol
-
-let schema_text =
-  "interface Person { attribute string name; attribute int age; };\n\
-   interface Course { attribute string title; attribute string code; };"
-
-let parse text = Odl.Parser.parse_schema text
+open Util
 
 let sessions = 8
-let per_batch = 25  (* requests per session per batch *)
-let pairs = 40
+let per_batch () = sized 25 5 (* requests per session per batch *)
+let pairs () = sized 40 2
 let budget_pct = 3.0
-
-let config = { Service.default_config with Service.use_file_locks = false }
-
-let fresh_service obs =
-  let m = Io.mem_create () in
-  let io = Io.locked (Io.mem_io m) in
-  (match Repo.init ~io "/repo" (parse schema_text) with
-  | Ok repo ->
-      for i = 0 to sessions - 1 do
-        match Repo.create_variant repo (Printf.sprintf "v%02d" i) with
-        | Ok _ -> ()
-        | Error e -> failwith e
-      done
-  | Error e -> failwith e);
-  match Service.open_service ~config ~io ~obs "/repo" with
-  | Ok t -> t
-  | Error e -> failwith e
-
-let must t c line =
-  let r = Service.request t c line in
-  match r.Protocol.status with
-  | Protocol.Ok -> ()
-  | _ -> failwith (Printf.sprintf "%s failed: %s" line (Protocol.to_string r))
 
 type side = {
   svc : Service.t;
@@ -68,19 +36,21 @@ type side = {
   mutable cpu : float;  (* summed scored batch process CPU, seconds *)
 }
 
+let variant i = Printf.sprintf "v%02d" i
+
 let make_side obs =
-  let svc = fresh_service obs in
+  let svc = mem_service ~obs (List.init sessions variant) in
   let conns =
     Array.init sessions (fun i ->
         let c = Service.connect svc in
-        must svc c (Printf.sprintf "@open v%02d" i);
+        must svc c ("@open " ^ variant i);
         must svc c "focus ww:Person";
         c)
   in
   {
     svc;
     conns;
-    lat = Array.make (pairs * sessions * per_batch) 0.0;
+    lat = Array.make (pairs () * sessions * per_batch ()) 0.0;
     filled = 0;
     elapsed = 0.0;
     cpu = 0.0;
@@ -99,30 +69,24 @@ let cpu_seconds () =
    batch's process CPU time. *)
 let batch ?(scored = true) side =
   incr serial;
-  let s = !serial in
+  let s = !serial and per_batch = per_batch () in
   let base = side.filled in
   let c0 = cpu_seconds () in
   let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init sessions (fun i ->
-        Thread.create
-          (fun () ->
-            for j = 0 to per_batch - 1 do
-              let line =
-                if j mod 3 = 2 then "log"
-                else
-                  Printf.sprintf
-                    "apply add_attribute(Person, string, 8, b%d_%d_%d)" s i j
-              in
-              let r0 = Unix.gettimeofday () in
-              must side.svc side.conns.(i) line;
-              if scored then
-                side.lat.(base + (i * per_batch) + j) <-
-                  Unix.gettimeofday () -. r0
-            done)
-          ())
-  in
-  List.iter Thread.join threads;
+  parallel
+    (List.init sessions (fun i () ->
+         for j = 0 to per_batch - 1 do
+           let line =
+             if j mod 3 = 2 then "log"
+             else
+               Printf.sprintf "apply add_attribute(Person, string, 8, b%d_%d_%d)"
+                 s i j
+           in
+           let r0 = Unix.gettimeofday () in
+           must side.svc side.conns.(i) line;
+           if scored then
+             side.lat.(base + (i * per_batch) + j) <- Unix.gettimeofday () -. r0
+         done));
   if scored then begin
     side.filled <- base + (sessions * per_batch);
     side.elapsed <- side.elapsed +. (Unix.gettimeofday () -. t0);
@@ -130,10 +94,11 @@ let batch ?(scored = true) side =
   end
 
 let run ~json_path () =
+  let pairs = pairs () in
   Printf.printf
     "P12: observability overhead (%d sessions, %d paired batches of %d \
      requests/session)\n"
-    sessions pairs per_batch;
+    sessions pairs (per_batch ());
   let on = make_side (Obs.create ()) in
   let off = make_side Obs.noop in
   (* a discarded warmup pair gets lazy init and page faults out of the way *)
@@ -149,7 +114,7 @@ let run ~json_path () =
       batch on
     end
   done;
-  let requests = pairs * sessions * per_batch in
+  let requests = pairs * sessions * per_batch () in
   let rate elapsed = float_of_int requests /. elapsed in
   let median side =
     Array.sort compare side.lat;
@@ -170,45 +135,36 @@ let run ~json_path () =
   in
   row "enabled:" on m_on;
   row "disabled:" off m_off;
-  let passed = overhead_pct <= budget_pct in
+  let cheap =
+    gate (overhead_pct <= budget_pct)
+      "observability overhead %.2f%% exceeds the %.0f%% budget" overhead_pct
+      budget_pct
+  in
   Printf.printf "  median-latency difference: %+.2f%% (unscored)\n" latency_pct;
   Printf.printf "  CPU-per-request overhead: %+.2f%% (budget %.0f%%)\n"
     overhead_pct budget_pct;
   ignore (Service.shutdown on.svc);
   ignore (Service.shutdown off.svc);
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"P12 observability overhead\",";
-        Printf.sprintf
-          "  \"setup\": \"%d sessions, 2:1 mutate:read mix, in-memory fs, \
-           %d interleaved enabled/disabled batch pairs (order alternating) \
-           after a warmup, scored on process CPU seconds per request\","
-          sessions pairs;
-        Printf.sprintf "  \"requests_per_side\": %d," requests;
-        Printf.sprintf "  \"enabled_cpu_us_per_req\": %.1f,"
-          (cpu_per_req on *. 1e6);
-        Printf.sprintf "  \"disabled_cpu_us_per_req\": %.1f,"
-          (cpu_per_req off *. 1e6);
-        Printf.sprintf "  \"enabled_median_us\": %.1f," (m_on *. 1e6);
-        Printf.sprintf "  \"disabled_median_us\": %.1f," (m_off *. 1e6);
-        Printf.sprintf "  \"enabled_req_per_s\": %.1f," (rate on.elapsed);
-        Printf.sprintf "  \"disabled_req_per_s\": %.1f," (rate off.elapsed);
-        Printf.sprintf "  \"latency_difference_pct\": %.2f," latency_pct;
-        Printf.sprintf "  \"overhead_pct\": %.2f," overhead_pct;
-        Printf.sprintf "  \"budget_pct\": %.1f," budget_pct;
-        Printf.sprintf "  \"passed\": %b" passed;
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" json_path;
-  if not passed then begin
-    Printf.printf "FAIL: observability overhead %.2f%% exceeds the %.0f%% budget\n"
-      overhead_pct budget_pct;
-    exit 1
-  end
+  write_json json_path
+    [
+      ("benchmark", Str "P12 observability overhead");
+      ( "setup",
+        Str
+          (Printf.sprintf
+             "%d sessions, 2:1 mutate:read mix, in-memory fs, %d \
+              interleaved enabled/disabled batch pairs (order alternating) \
+              after a warmup, scored on process CPU seconds per request"
+             sessions pairs) );
+      ("requests_per_side", Int requests);
+      ("enabled_cpu_us_per_req", num 1 (cpu_per_req on *. 1e6));
+      ("disabled_cpu_us_per_req", num 1 (cpu_per_req off *. 1e6));
+      ("enabled_median_us", num 1 (m_on *. 1e6));
+      ("disabled_median_us", num 1 (m_off *. 1e6));
+      ("enabled_req_per_s", num 1 (rate on.elapsed));
+      ("disabled_req_per_s", num 1 (rate off.elapsed));
+      ("latency_difference_pct", num 2 latency_pct);
+      ("overhead_pct", num 2 overhead_pct);
+      ("budget_pct", num 1 budget_pct);
+      ("passed", Bool cheap.passed);
+    ];
+  report [ cheap ]

@@ -31,8 +31,9 @@
 
 open Bechamel
 open Toolkit
+open Util
 
-let sizes = [ 10; 25; 50; 100 ]
+let sizes () = smallest [ 10; 25; 50; 100 ]
 
 let schema_of n = Schemas.Synth.generate (Schemas.Synth.default_params ~n_types:n)
 
@@ -199,10 +200,10 @@ let migration_bench n =
 
 let tests () =
   Test.make_grouped ~name:"swsd"
-    (List.concat_map staged_for sizes
-    @ List.concat_map ablations_for sizes
-    @ List.concat_map index_checks_for sizes
-    @ List.map migration_bench sizes)
+    (List.concat_map staged_for (sizes ())
+    @ List.concat_map ablations_for (sizes ())
+    @ List.concat_map index_checks_for (sizes ())
+    @ List.map migration_bench (sizes ()))
 
 (* Run a bechamel test tree and return (name, ns/run) rows, sorted. *)
 let measure_rows tests =
@@ -210,7 +211,7 @@ let measure_rows tests =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second (sized 0.25 0.01)) () in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   Hashtbl.fold
@@ -225,13 +226,18 @@ let measure_rows tests =
   |> List.sort compare
 
 let print_rows title rows =
-  Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '-') title
-    (String.make 78 '-');
+  Tables.heading title;
   Printf.printf "%-32s %16s %14s\n" "benchmark" "ns/run" "us/run";
   List.iter
     (fun (name, ns) ->
       Printf.printf "%-32s %16.0f %14.2f\n" name ns (ns /. 1_000.))
     rows
+
+(* "index/check-full/100" -> "check-full/100" *)
+let strip_group name =
+  match String.index_opt name '/' with
+  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+  | None -> name
 
 let run_and_print () =
   print_rows "Performance characterization (ns/run, OLS on monotonic clock)"
@@ -240,9 +246,9 @@ let run_and_print () =
 (* P10: the durable journal on the real filesystem — appending one fsync'd
    record to a log already holding [n] records vs atomically rewriting all
    [n].  Append should stay flat as [n] grows; the rewrite pays O(n). *)
-let journal_sizes = [ 10; 100; 1000 ]
+let journal_sizes () = smallest [ 10; 100; 1000 ]
 
-let journal_benches_for ~dirs n =
+let journal_benches_for ~dir n =
   let io = Repository.Io.unix in
   let op =
     Core.Modop.Add_attribute ("T0", Odl.Types.D_string, Some 12, "bench_attr")
@@ -250,11 +256,7 @@ let journal_benches_for ~dirs n =
   let entries =
     List.init n (fun _ -> Repository.Journal.Op (Core.Concept.Wagon_wheel, op))
   in
-  let dir = Filename.temp_file "swsd_bench_journal" "" in
-  Sys.remove dir;
-  Repository.Io.mkdir_p io dir;
-  dirs := dir :: !dirs;
-  let log_path = Filename.concat dir "log.ops" in
+  let log_path = Filename.concat dir (Printf.sprintf "log%d.ops" n) in
   Repository.Journal.rewrite io log_path entries;
   [
     Test.make
@@ -267,23 +269,6 @@ let journal_benches_for ~dirs n =
       (Staged.stage (fun () -> Repository.Journal.rewrite io log_path entries));
   ]
 
-(* [setup] runs untimed before each run of [f], which gets its result *)
-let median_ms_of ?(warm = true) runs ~setup f =
-  (* every series starts from a settled heap, then one untimed run *)
-  Gc.full_major ();
-  if warm then f (setup ());
-  let a =
-    Array.init runs (fun _ ->
-        let x = setup () in
-        let t0 = Unix.gettimeofday () in
-        f x;
-        (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  Array.sort compare a;
-  a.(runs / 2)
-
-let median_ms ?warm runs f = median_ms_of ?warm runs ~setup:ignore f
-
 (* P8, cold: what a repository pays for its shrink wrap before any
    variant opens, stage by stage, on Synth schemas to n = 6400.  parse is
    [Odl.Parser.parse_schema] of the printed text; build is
@@ -292,11 +277,11 @@ let median_ms ?warm runs f = median_ms_of ?warm runs ~setup:ignore f
    print is [Odl.Printer.schema_to_string]; create is [Session.create]
    (build + walk).  Medians of [cold_runs] after a settled heap and one
    untimed run; not gated. *)
-let cold_sizes = [ 400; 1600; 3200; 6400 ]
-let cold_runs = 5
+let cold_sizes () = smallest [ 400; 1600; 3200; 6400 ]
+let cold_runs () = sized 5 1
 
 let cold_rows n =
-  let schema = schema_of n in
+  let schema = schema_of n and cold_runs = cold_runs () in
   let text = Odl.Printer.schema_to_string schema in
   [
     ("parse", median_ms cold_runs (fun () -> ignore (Odl.Parser.parse_schema text)));
@@ -324,7 +309,7 @@ let cold_rows n =
    of what they touch; key, attribute, operation and extent ops only the
    local one, and an extent op re-runs only the duplicate-extent part of
    the schema-global checks. *)
-let family_sizes = [ 100; 400; 1600; 6400 ]
+let family_sizes () = smallest [ 100; 400; 1600; 6400 ]
 
 let family_ops schema n =
   let mid = Printf.sprintf "T%d" (n / 2) and last = Printf.sprintf "T%d" (n - 1) in
@@ -389,94 +374,72 @@ let family_rows_for n =
 let lookup_floor = 20.
 
 let run_index ~json_path () =
+  let sizes = sizes () and family_sizes = family_sizes () in
   let rows =
     measure_rows
       (Test.make_grouped ~name:"index" (List.concat_map index_checks_for sizes))
+    |> List.map (fun (name, ns) -> (strip_group name, ns))
   in
   print_rows "P8: incremental vs full consistency check (ns/run)" rows;
-  let strip name =
-    (* "index/check-full/100" -> "check-full/100" *)
-    match String.index_opt name '/' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
-  in
   let largest = List.fold_left max 0 sizes in
-  let ns_of bench =
-    let name = Printf.sprintf "%s/%d" bench largest in
-    List.assoc name (List.map (fun (n, ns) -> (strip n, ns)) rows)
-  in
+  let ns_of bench = List.assoc (Printf.sprintf "%s/%d" bench largest) rows in
   let speedup = ns_of "current-concepts" /. ns_of "find-concept" in
   let families =
     measure_rows
       (Test.make_grouped ~name:"family" (List.concat_map family_rows_for family_sizes))
+    |> List.map (fun (name, ns) -> (strip_group name, ns))
   in
   print_rows "P8: Session.apply by op family (ns/run)" families;
-  let cold = List.concat_map cold_rows cold_sizes in
-  Printf.printf "\nP8, cold: the shrink wrap's stages (ms, median of %d)\n" cold_runs;
+  let cold = List.concat_map cold_rows (cold_sizes ()) in
+  Printf.printf "\nP8, cold: the shrink wrap's stages (ms, median of %d)\n" (cold_runs ());
   List.iter (fun (name, ms) -> Printf.printf "%-32s %10.2f\n" name ms) cold;
-  let passed = speedup >= lookup_floor in
-  let entry (name, ns) =
-    Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }" (strip name)
-      ns
+  let lookup =
+    gate (speedup >= lookup_floor)
+      "find-concept/%d is only %.1fx faster than current-concepts/%d (floor \
+       %.0fx) — the per-op concept lookup is not O(concept)"
+      largest speedup largest lookup_floor
   in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"P8 incremental vs full consistency check\",";
-        "  \"schema\": \"Schemas.Synth.default_params, sizes below\",";
-        Printf.sprintf "  \"sizes\": [%s],"
-          (String.concat ", " (List.map string_of_int sizes));
-        "  \"unit\": \"ns/run\",";
-        Printf.sprintf
-          "  \"lookup_gate\": { \"size\": %d, \"speedup\": %.1f, \
-           \"floor\": %.1f, \"passed\": %b },"
-          largest speedup lookup_floor passed;
-        "  \"results\": [";
-        String.concat ",\n" (List.map entry rows);
-        "  ],";
-        "  \"families\": {";
-        "    \"what\": \"Session.apply of one accepted op per family (type \
-         definition, supertype, key, attribute, operation, relationship, \
-         part-of, instance-of, extent) on the interface in the middle of \
-         the declaration order; ungated\",";
-        Printf.sprintf "    \"sizes\": [%s],"
-          (String.concat ", " (List.map string_of_int family_sizes));
-        "    \"unit\": \"ns/run\",";
-        "    \"rows\": [";
-        String.concat ",\n" (List.map (fun r -> "  " ^ entry r) families);
-        "    ]";
-        "  },";
-        "  \"cold\": {";
-        "    \"what\": \"the shrink wrap's cold path by stage: parse, \
-         Schema_index.build, the first errors walk of a fresh index, \
-         schema_to_string, Session.create; ungated\",";
-        Printf.sprintf "    \"sizes\": [%s],"
-          (String.concat ", " (List.map string_of_int cold_sizes));
-        Printf.sprintf "    \"unit\": \"ms (median of %d)\"," cold_runs;
-        "    \"rows\": [";
-        String.concat ",\n"
-          (List.map
-             (fun (name, ms) ->
-               Printf.sprintf "      { \"name\": \"%s\", \"ms\": %.2f }" name ms)
-             cold);
-        "    ]";
-        "  }";
-        "}";
-        "";
-      ]
+  let named unit digits rows =
+    Arr (List.map (fun (name, x) -> Obj [ ("name", Str name); (unit, num digits x) ]) rows)
   in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" json_path;
-  if not passed then begin
-    Printf.printf
-      "FAIL: find-concept/%d is only %.1fx faster than current-concepts/%d \
-       (floor %.0fx) — the per-op concept lookup is not O(concept)\n"
-      largest speedup largest lookup_floor;
-    exit 1
-  end
+  write_json json_path
+    [
+      ("benchmark", Str "P8 incremental vs full consistency check");
+      ("schema", Str "Schemas.Synth.default_params, sizes below");
+      ("sizes", ints sizes);
+      ("unit", Str "ns/run");
+      ( "lookup_gate",
+        Obj
+          [ ("size", Int largest); ("speedup", num 1 speedup); ("floor", num 1 lookup_floor);
+            ("passed", Bool lookup.passed) ] );
+      ("results", named "ns_per_run" 1 rows);
+      ( "families",
+        Obj
+          [
+            ( "what",
+              Str
+                "Session.apply of one accepted op per family (type \
+                 definition, supertype, key, attribute, operation, \
+                 relationship, part-of, instance-of, extent) on the \
+                 interface in the middle of the declaration order; ungated" );
+            ("sizes", ints family_sizes);
+            ("unit", Str "ns/run");
+            ("rows", named "ns_per_run" 1 families);
+          ] );
+      ( "cold",
+        Obj
+          [
+            ( "what",
+              Str
+                "the shrink wrap's cold path by stage: parse, \
+                 Schema_index.build, the first errors walk of a fresh \
+                 index, schema_to_string, Session.create; ungated" );
+            ("sizes", ints (cold_sizes ()));
+            ("unit", Str (Printf.sprintf "ms (median of %d)" (cold_runs ())));
+            ("rows", named "ms" 2 cold);
+          ] );
+    ];
+  report [ lookup ]
 
 (* P10, recovery and snapshot: a variant with [h] ops of history on a
    400-interface schema, plus a [recovery_suffix]-op journal tail appended
@@ -493,10 +456,10 @@ let run_index ~json_path () =
    for the full replay), so the 2x growth gates compare settled figures,
    not a cold first run. *)
 let recovery_n = 400
-let recovery_sizes = [ 100; 1000; 10000 ]
+let recovery_sizes () = smallest [ 100; 1000; 10000 ]
 let recovery_suffix = 10
 let recovery_growth_ceiling = 2.0
-let recovery_runs = 21
+let recovery_runs () = sized 21 1
 
 let history_op n k =
   let i = k / 2 * 7919 mod n in
@@ -547,21 +510,21 @@ let recovery_row h =
   in
   let snapshot_ms name s =
     let st = scratch name s in
-    median_ms recovery_runs (fun () -> Store.save_checkpoint st s)
+    median_ms (recovery_runs ()) (fun () -> Store.save_checkpoint st s)
   in
   let snapshot = snapshot_ms "/scratch" session in
   let reopened =
     Result.get_ok (Store.load_session ~repair:false store)
   in
   let reopened_snapshot = snapshot_ms "/scratch-reopened" reopened in
-  let checkpointed = median_ms recovery_runs load in
+  let checkpointed = median_ms (recovery_runs ()) load in
   let repo_open =
-    median_ms recovery_runs (fun () ->
+    median_ms (recovery_runs ()) (fun () ->
         opened
           (Result.map_error Repo.open_error_to_string (Repo.open_variant repo "v")))
   in
   io.Repository.Io.remove (Store.checkpoint_file store);
-  let full = median_ms ~warm:false 3 load in
+  let full = median_ms ~warm:false (sized 3 1) load in
   {
     history = h;
     checkpoint_ms = checkpointed;
@@ -571,19 +534,13 @@ let recovery_row h =
     reopened_snapshot_ms = reopened_snapshot;
   }
 
-(* [field] at the longest history over [field] at the shortest *)
-let growth rows field =
-  let at h = field (List.find (fun r -> r.history = h) rows) in
-  at (List.fold_left max 0 recovery_sizes)
-  /. at (List.fold_left min max_int recovery_sizes)
-
 (* P10, the changed-interface axis (ungated): the open and the snapshot
    cost what the variant changed, so at a fixed history they grow with the
    interfaces that differ from the shrink wrap.  [k] of the [recovery_n]
    interfaces get one attribute each, in a [recovery_n]-op history for
    every row; [Repo.open_variant] and the snapshot
    ([Store.save_checkpoint]) on the base. *)
-let differing_counts = [ 0; 40; 400 ]
+let differing_counts () = smallest [ 0; 40; 400 ]
 
 type differing = { differ : int; diff_open_ms : float; diff_snapshot_ms : float }
 
@@ -608,17 +565,17 @@ let differing_row k =
   let session = Result.get_ok (Core.Oplog.replay_on base ops) in
   Result.get_ok (Repo.save_variant repo "v" session);
   let opened () = Result.get_ok (Repo.open_variant repo "v") in
-  let diff_open_ms = median_ms recovery_runs (fun () -> ignore (opened ())) in
+  let diff_open_ms = median_ms (recovery_runs ()) (fun () -> ignore (opened ())) in
   let reopened = opened () in
   let diff_snapshot_ms =
-    median_ms recovery_runs (fun () ->
+    median_ms (recovery_runs ()) (fun () ->
         Repository.Store.save_checkpoint ?base:(Repo.base repo)
           (Repo.variant_store repo "v") reopened)
   in
   { differ = k; diff_open_ms; diff_snapshot_ms }
 
 let run_recovery () =
-  let rows = List.map recovery_row recovery_sizes in
+  let rows = List.map recovery_row (recovery_sizes ()) in
   print_endline
     "\nP10: cold open (checkpoint + suffix; Repo.open_variant on the base; \
      full replay) and snapshot (built op by op; right after a checkpoint \
@@ -631,7 +588,7 @@ let run_recovery () =
         r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
         r.reopened_snapshot_ms)
     rows;
-  let differing = List.map differing_row differing_counts in
+  let differing = List.map differing_row (differing_counts ()) in
   Printf.printf
     "\nP10: Repo.open_variant and the snapshot by interfaces differing \
      from the shrink wrap (n = %d, %d ops), ms\n"
@@ -650,112 +607,107 @@ let run_recovery () =
    grows more than [recovery_growth_ceiling] times from the shortest to
    the longest history. *)
 let run_journal ~json_path () =
-  let dirs = ref [] in
+  let dir = tmp_dir () in
+  Repository.Io.mkdir_p Repository.Io.unix dir;
   let rows =
     measure_rows
       (Test.make_grouped ~name:"journal"
-         (List.concat_map (journal_benches_for ~dirs) journal_sizes))
+         (List.concat_map (journal_benches_for ~dir) (journal_sizes ())))
+    |> List.map (fun (name, ns) -> (strip_group name, ns))
   in
-  List.iter
-    (fun d ->
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      Sys.rmdir d)
-    !dirs;
+  rm_rf dir;
   print_rows "P10: journal append vs whole-log rewrite (ns/run)" rows;
   let recovery, differing = run_recovery () in
-  let open_growth = growth recovery (fun r -> r.checkpoint_ms) in
-  let snapshot_growth = growth recovery (fun r -> r.snapshot_ms) in
-  let gate g = g <= recovery_growth_ceiling in
-  let passed = gate open_growth && gate snapshot_growth in
-  let strip name =
-    match String.index_opt name '/' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
+  let shortest = List.fold_left min max_int (recovery_sizes ())
+  and longest = List.fold_left max 0 (recovery_sizes ()) in
+  (* [field] at the longest history over [field] at the shortest *)
+  let bounded what field =
+    let at h = field (List.find (fun r -> r.history = h) recovery) in
+    let g = at longest /. at shortest in
+    ( g,
+      gate (g <= recovery_growth_ceiling)
+        "%s grew %.2fx from %d to %d ops of history (ceiling %.1fx)" what g
+        shortest longest recovery_growth_ceiling )
   in
-  let entry (name, ns) =
-    Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }" (strip name)
-      ns
+  let open_gate =
+    bounded "the checkpointed open (recovery is not bounded by the journal suffix)"
+      (fun r -> r.checkpoint_ms)
+  and snapshot_gate =
+    bounded "the snapshot (more than its read and digest of the journal grows)"
+      (fun r -> r.snapshot_ms)
   in
-  let recovery_entry r =
-    Printf.sprintf
-      "      { \"history\": %d, \"checkpoint_ms\": %.1f, \"repo_open_ms\": \
-       %.1f, \"full_replay_ms\": %.1f, \"snapshot_ms\": %.1f, \
-       \"reopened_snapshot_ms\": %.1f }"
-      r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
-      r.reopened_snapshot_ms
+  let gate_json (g, (v : Util.gate)) =
+    Obj
+      [ ("growth", num 2 g); ("ceiling", num 1 recovery_growth_ceiling);
+        ("passed", Bool v.passed) ]
   in
-  let differing_entry d =
-    Printf.sprintf
-      "      { \"differing\": %d, \"open_ms\": %.1f, \"snapshot_ms\": %.1f }"
-      d.differ d.diff_open_ms d.diff_snapshot_ms
-  in
-  let gate_entry name g =
-    Printf.sprintf
-      "    \"%s\": { \"growth\": %.2f, \"ceiling\": %.1f, \"passed\": %b }"
-      name g recovery_growth_ceiling (gate g)
-  in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"P10 journal append vs whole-log rewrite\",";
-        "  \"setup\": \"one fsync'd append to an n-record log vs an atomic \
-         rewrite of all n records, real filesystem\",";
-        Printf.sprintf "  \"sizes\": [%s],"
-          (String.concat ", " (List.map string_of_int journal_sizes));
-        "  \"unit\": \"ns/run\",";
-        "  \"results\": [";
-        String.concat ",\n" (List.map entry rows);
-        "  ],";
-        "  \"recovery\": {";
-        Printf.sprintf
-          "    \"setup\": \"Synth n = %d, history ops + a %d-op journal \
-           suffix, in-memory Io.  Cold open: Store.load_session from the \
-           checkpoint, Repo.open_variant (the same on the repository's base), \
-           full replay; snapshot: Store.save_checkpoint of the session built \
-           op by op, and of one just opened from the checkpoint, into a \
-           scratch store whose journal holds it; median of %d after a \
-           full major collection and an untimed run (3, unwarmed, for the \
-           full replay)\","
-          recovery_n recovery_suffix recovery_runs;
-        "    \"unit\": \"ms\",";
-        "    \"results\": [";
-        String.concat ",\n" (List.map recovery_entry recovery);
-        "    ],";
-        gate_entry "growth_gate" open_growth ^ ",";
-        gate_entry "snapshot_growth_gate" snapshot_growth;
-        "  },";
-        "  \"differing\": {";
-        Printf.sprintf
-          "    \"setup\": \"Synth n = %d, a %d-op history whose workspace \
-           differs from the shrink wrap in k interfaces (one attribute each), \
-           in-memory Io; Repo.open_variant and Store.save_checkpoint on the \
-           repository's base; median of %d after a full major collection \
-           and an untimed run; ungated\","
-          recovery_n recovery_n recovery_runs;
-        "    \"unit\": \"ms\",";
-        "    \"results\": [";
-        String.concat ",\n" (List.map differing_entry differing);
-        "    ]";
-        "  }";
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" json_path;
-  let fail what g =
-    if not (gate g) then
-      Printf.printf "FAIL: %s grew %.2fx from %d to %d ops of history (ceiling %.1fx)\n"
-        what g
-        (List.fold_left min max_int recovery_sizes)
-        (List.fold_left max 0 recovery_sizes)
-        recovery_growth_ceiling
-  in
-  fail "the checkpointed open (recovery is not bounded by the journal suffix)"
-    open_growth;
-  fail "the snapshot (more than its read and digest of the journal grows)"
-    snapshot_growth;
-  if not passed then exit 1
+  write_json json_path
+    [
+      ("benchmark", Str "P10 journal append vs whole-log rewrite");
+      ( "setup",
+        Str
+          "one fsync'd append to an n-record log vs an atomic rewrite of \
+           all n records, real filesystem" );
+      ("sizes", ints (journal_sizes ()));
+      ("unit", Str "ns/run");
+      ( "results",
+        Arr
+          (List.map
+             (fun (name, ns) -> Obj [ ("name", Str name); ("ns_per_run", num 1 ns) ])
+             rows) );
+      ( "recovery",
+        Obj
+          [
+            ( "setup",
+              Str
+                (Printf.sprintf
+                   "Synth n = %d, history ops + a %d-op journal suffix, \
+                    in-memory Io.  Cold open: Store.load_session from the \
+                    checkpoint, Repo.open_variant (the same on the \
+                    repository's base), full replay; snapshot: \
+                    Store.save_checkpoint of the session built op by op, \
+                    and of one just opened from the checkpoint, into a \
+                    scratch store whose journal holds it; median of %d \
+                    after a full major collection and an untimed run (3, \
+                    unwarmed, for the full replay)"
+                   recovery_n recovery_suffix (recovery_runs ())) );
+            ("unit", Str "ms");
+            ( "results",
+              Arr
+                (List.map
+                   (fun r ->
+                     Obj
+                       [ ("history", Int r.history); ("checkpoint_ms", num 1 r.checkpoint_ms);
+                         ("repo_open_ms", num 1 r.repo_open_ms);
+                         ("full_replay_ms", num 1 r.full_replay_ms);
+                         ("snapshot_ms", num 1 r.snapshot_ms);
+                         ("reopened_snapshot_ms", num 1 r.reopened_snapshot_ms) ])
+                   recovery) );
+            ("growth_gate", gate_json open_gate);
+            ("snapshot_growth_gate", gate_json snapshot_gate);
+          ] );
+      ( "differing",
+        Obj
+          [
+            ( "setup",
+              Str
+                (Printf.sprintf
+                   "Synth n = %d, a %d-op history whose workspace differs \
+                    from the shrink wrap in k interfaces (one attribute \
+                    each), in-memory Io; Repo.open_variant and \
+                    Store.save_checkpoint on the repository's base; median \
+                    of %d after a full major collection and an untimed \
+                    run; ungated"
+                   recovery_n recovery_n (recovery_runs ())) );
+            ("unit", Str "ms");
+            ( "results",
+              Arr
+                (List.map
+                   (fun d ->
+                     Obj
+                       [ ("differing", Int d.differ); ("open_ms", num 1 d.diff_open_ms);
+                         ("snapshot_ms", num 1 d.diff_snapshot_ms) ])
+                   differing) );
+          ] );
+    ];
+  report [ snd open_gate; snd snapshot_gate ]

@@ -30,33 +30,15 @@
 
    Both paths produce answers over the same session, and the bench
    asserts they are line-identical before timing anything — a speedup
-   over wrong answers would be worthless.
-
-   Knobs: SWSD_QUERY_TYPES (schema size, default 1000),
-   SWSD_QUERY_OPS (committed ops, default 200),
-   SWSD_QUERY_ROUNDS (battery repetitions per path, default 20). *)
+   over wrong answers would be worthless. *)
 
 module View = Query.View
 module Eval = Query.Eval
-module Parser = Query.Parser
 open Util
 
-let n_types () = env_int "SWSD_QUERY_TYPES" 1000
-let n_ops () = env_int "SWSD_QUERY_OPS" 200
-let rounds () = env_int "SWSD_QUERY_ROUNDS" 20
-
-let session_of schema =
-  match Core.Session.create schema with
-  | Ok s -> s
-  | Error _ -> failwith "synth schema should be valid"
-
-let apply session text =
-  match
-    Core.Session.apply session ~kind:Core.Concept.Wagon_wheel
-      (Core.Op_parser.parse text)
-  with
-  | Ok (s, _) -> s
-  | Error e -> failwith (text ^ ": " ^ Core.Apply.error_to_string e)
+let n_types () = sized 1000 100
+let n_ops () = sized 200 20
+let rounds () = sized 20 2
 
 (* the battery: one of each access path, over names the generator emits *)
 let battery =
@@ -74,7 +56,7 @@ let battery =
   ]
 
 let atom q =
-  match Parser.parse q with
+  match Query.Parser.parse q with
   | Ok p -> p.Query.Ast.q_atom
   | Error m -> failwith (q ^ ": " ^ m)
 
@@ -97,11 +79,9 @@ let run ~json_path () =
   let stamp = ref 1 in
   for k = 1 to ops do
     let target = (k * 7919) mod types in
-    !session
-    |> Fun.flip apply
-         (Printf.sprintf "add_attribute(T%d, string, 8, bench_%d)" target k)
-    |> fun s ->
-    session := s;
+    session :=
+      apply !session
+        (Printf.sprintf "add_attribute(T%d, string, 8, bench_%d)" target k);
     incr stamp;
     let t0 = Unix.gettimeofday () in
     view := View.refresh !view ~stamp:!stamp !session;
@@ -118,22 +98,15 @@ let run ~json_path () =
       if mat <> fresh then
         failwith (Printf.sprintf "%s: published and fresh answers differ" q))
     battery;
-  let time_one f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e6
-  in
   Printf.printf "  %-22s %14s %14s %9s\n" "query" "pub (us)" "naive (us)"
     "speedup";
   let timings =
     List.map
       (fun q ->
         let a = atom q in
-        let mat_us = time_one (fun () -> Eval.run !view a) in
+        let mat_us = time_one ~reps (fun () -> Eval.run !view a) in
         let naive_us =
-          time_one (fun () -> Eval.run_fresh ~stamp:!stamp !session a)
+          time_one ~reps (fun () -> Eval.run_fresh ~stamp:!stamp !session a)
         in
         Printf.printf "  %-22s %14.1f %14.1f %8.1fx\n%!" q mat_us naive_us
           (if mat_us > 0.0 then naive_us /. mat_us else 0.0);
@@ -144,47 +117,37 @@ let run ~json_path () =
   let mat_total = total (fun t -> t.mat_us)
   and naive_total = total (fun t -> t.naive_us) in
   let speedup = if mat_total > 0.0 then naive_total /. mat_total else 0.0 in
-  let passed = speedup >= 5.0 in
+  let pays =
+    gate (speedup >= 5.0)
+      "battery speedup %.2fx is below the 5x floor — the views are not \
+       paying for their cost at publication"
+      speedup
+  in
   Printf.printf "\n  battery: %.1f us published, %.1f us naive — %.1fx\n"
     mat_total naive_total speedup;
-  let entry t =
-    Printf.sprintf
-      "    { \"query\": %S, \"materialized_us\": %.2f, \"naive_us\": %.2f }"
-      t.query t.mat_us t.naive_us
-  in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"P17 published query views\",";
-        "  \"setup\": \"synthetic schema; the view built at each op's \
-         publication, then a query battery evaluated on the published \
-         view vs a from-scratch index build per request\",";
-        Printf.sprintf "  \"n_types\": %d," types;
-        Printf.sprintf "  \"ops\": %d," ops;
-        Printf.sprintf "  \"rounds\": %d," reps;
-        Printf.sprintf "  \"maintain_us_per_op\": %.2f," maintain_us;
-        Printf.sprintf "  \"battery_materialized_us\": %.2f," mat_total;
-        Printf.sprintf "  \"battery_naive_us\": %.2f," naive_total;
-        Printf.sprintf
-          "  \"speedup_gate\": { \"speedup\": %.2f, \"floor\": 5.0, \
-           \"passed\": %b },"
-          speedup passed;
-        "  \"results\": [";
-        String.concat ",\n" (List.map entry timings);
-        "  ]";
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
-  if not passed then begin
-    Printf.printf
-      "FAIL: battery speedup %.2fx is below the 5x floor — the views are \
-       not paying for their cost at publication\n"
-      speedup;
-    exit 1
-  end
+  write_json json_path
+    [
+      ("benchmark", Str "P17 published query views");
+      ( "setup",
+        Str
+          "synthetic schema; the view built at each op's publication, then \
+           a query battery evaluated on the published view vs a \
+           from-scratch index build per request" );
+      ("n_types", Int types);
+      ("ops", Int ops);
+      ("rounds", Int reps);
+      ("maintain_us_per_op", num 2 maintain_us);
+      ("battery_materialized_us", num 2 mat_total);
+      ("battery_naive_us", num 2 naive_total);
+      ( "speedup_gate",
+        Obj [ ("speedup", num 2 speedup); ("floor", num 1 5.0); ("passed", Bool pays.passed) ] );
+      ( "results",
+        Arr
+          (List.map
+             (fun t ->
+               Obj
+                 [ ("query", Str t.query); ("materialized_us", num 2 t.mat_us);
+                   ("naive_us", num 2 t.naive_us) ])
+             timings) );
+    ];
+  report [ pays ]

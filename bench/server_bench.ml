@@ -11,121 +11,66 @@
 
    Reported per level: aggregate requests/sec and p99 request latency. *)
 
-module Io = Repository.Io
-module Repo = Repository.Repo
-module Service = Server.Service
-module Protocol = Server.Protocol
-
-let schema_text =
-  "interface Person { attribute string name; attribute int age; };\n\
-   interface Course { attribute string title; attribute string code; };"
-
-let parse text = Odl.Parser.parse_schema text
+open Util
 
 let levels = [ 1; 8; 32 ]
-let requests_per_client = 300
+let requests_per_client () = sized 300 20
+let variant i = Printf.sprintf "v%02d" i
 
-let config =
-  { Service.default_config with Service.use_file_locks = false }
-
-(* A service over a fresh in-memory repository with one variant per client. *)
-let fresh_service n_variants =
-  let m = Io.mem_create () in
-  let io = Io.locked (Io.mem_io m) in
-  (match Repo.init ~io "/repo" (parse schema_text) with
-  | Ok repo ->
-      for i = 0 to n_variants - 1 do
-        match Repo.create_variant repo (Printf.sprintf "v%02d" i) with
-        | Ok _ -> ()
-        | Error e -> failwith e
-      done
-  | Error e -> failwith e);
-  match Service.open_service ~config ~io "/repo" with
-  | Ok t -> t
-  | Error e -> failwith e
-
-let must t c line =
-  let r = Service.request t c line in
-  match r.Protocol.status with
-  | Protocol.Ok -> ()
-  | _ -> failwith (Printf.sprintf "%s failed: %s" line (Protocol.to_string r))
-
-(* One client's workload; returns the latency of every request (seconds). *)
-let client_run t ~client ~variant =
+(* One client's workload, every request's latency recorded in [l]. *)
+let client_run t ~client l =
   let c = Service.connect t in
-  must t c (Printf.sprintf "@open %s" variant);
+  must t c ("@open " ^ variant client);
   must t c "focus ww:Person";
-  let lat = Array.make requests_per_client 0.0 in
-  for i = 0 to requests_per_client - 1 do
+  for i = 0 to requests_per_client () - 1 do
     let line =
       if i mod 3 = 2 then "log"
       else Printf.sprintf "apply add_attribute(Person, string, 8, c%d_%d)" client i
     in
-    let t0 = Unix.gettimeofday () in
-    must t c line;
-    lat.(i) <- Unix.gettimeofday () -. t0
+    timed l (must t c) line
   done;
-  Service.disconnect t c;
-  lat
+  Service.disconnect t c
 
 type row = { sessions : int; requests : int; req_per_s : float; p99_ms : float }
 
 let measure_level sessions =
-  let t = fresh_service sessions in
-  let results = Array.make sessions [||] in
+  let t = mem_service (List.init sessions variant) in
+  let per_client = List.init sessions (fun _ -> lats ()) in
   let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init sessions (fun i ->
-        Thread.create
-          (fun () ->
-            results.(i) <- client_run t ~client:i ~variant:(Printf.sprintf "v%02d" i))
-          ())
-  in
-  List.iter Thread.join threads;
+  parallel (List.mapi (fun i l () -> client_run t ~client:i l) per_client);
   let wall = Unix.gettimeofday () -. t0 in
   ignore (Service.shutdown t);
-  let lats = Array.concat (Array.to_list results) in
-  Array.sort compare lats;
-  let n = Array.length lats in
-  let p99 = lats.(min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1)) in
+  let all = merged per_client in
   {
     sessions;
-    requests = n;
-    req_per_s = float_of_int n /. wall;
-    p99_ms = p99 *. 1000.0;
+    requests = all.n;
+    req_per_s = float_of_int all.n /. wall;
+    p99_ms = p99_ms all;
   }
 
 let run ~json_path () =
   Printf.printf
     "P11: concurrent design service (2:1 mutate:read, %d requests/client)\n"
-    requests_per_client;
+    (requests_per_client ());
   Printf.printf "  %-10s %12s %12s\n" "sessions" "req/s" "p99 (ms)";
   let rows = List.map measure_level levels in
   List.iter
     (fun r -> Printf.printf "  %-10d %12.0f %12.3f\n" r.sessions r.req_per_s r.p99_ms)
     rows;
-  let entry r =
-    Printf.sprintf
-      "    { \"sessions\": %d, \"requests\": %d, \"req_per_s\": %.1f, \
-       \"p99_ms\": %.3f }"
-      r.sessions r.requests r.req_per_s r.p99_ms
-  in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"P11 concurrent design service throughput\",";
-        "  \"setup\": \"N clients, one variant each, 2:1 mutate:read mix, \
-         in-memory fs, fsync'd journal appends acknowledged before reply\",";
-        Printf.sprintf "  \"requests_per_client\": %d," requests_per_client;
-        "  \"results\": [";
-        String.concat ",\n" (List.map entry rows);
-        "  ]";
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" json_path
+  write_json json_path
+    [
+      ("benchmark", Str "P11 concurrent design service throughput");
+      ( "setup",
+        Str
+          "N clients, one variant each, 2:1 mutate:read mix, in-memory fs, \
+           fsync'd journal appends acknowledged before reply" );
+      ("requests_per_client", Int (requests_per_client ()));
+      ( "results",
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [ ("sessions", Int r.sessions); ("requests", Int r.requests);
+                   ("req_per_s", num 1 r.req_per_s); ("p99_ms", num 3 r.p99_ms) ])
+             rows) );
+    ]

@@ -9,8 +9,8 @@
    throughput scales with N.
 
    Topology per cell: a real-filesystem repository, a {!Supervisor} of N
-   [swsd serve] shard workers (N in [1; 2; 4]) with a 5 ms injected fsync
-   (--fsync-delay-ms, the P13/P14 disk model), and an in-process
+   [swsd serve] shard workers (N in [1; 2; 4]) with an injected fsync
+   (--fsync-delay-ms {!Util.fsync_stall_ms}, the P13/P14 disk model), and an in-process
    {!Router} on a Unix socket.  8 client threads drive 8 distinct
    variants through the router in a 2:1 write:read mix (one connection,
    one in-flight op each — the protocol's limit).  Every cell, including
@@ -26,29 +26,15 @@
    Reported per cell: aggregate req/s, writes/s, write p99, read p99.
    Regression gate (exit 1): 4-shard aggregate req/s must be >= 2.5x the
    1-shard cell (the paper-facing table claims ~Nx; the gate leaves CI
-   headroom).
+   headroom). *)
 
-   Knobs: SWSD_SHARDS_SECS (seconds per cell, default 2.0),
-   SWSD_SHARDS_FSYNC_MS (injected fsync delay, default 5). *)
-
-module Io = Repository.Io
-module Repo = Repository.Repo
-module Protocol = Server.Protocol
 module Router = Server.Router
 module Supervisor = Server.Supervisor
-module Client = Server.Client
 open Util
-
-let schema_text =
-  "interface Person { attribute string name; attribute int age; };\n\
-   interface Course { attribute string title; attribute string code; };"
 
 let levels = [ 1; 2; 4 ]
 let clients = 8
 let min_speedup = 2.5
-
-let cell_secs () = env_float "SWSD_SHARDS_SECS" 2.0
-let fsync_ms () = env_float "SWSD_SHARDS_FSYNC_MS" 5.0
 
 (* distinct names, client i's hashing to shard i mod N *)
 let pick_variants ~shards =
@@ -66,11 +52,6 @@ let pick_variants ~shards =
       in
       go 0)
 
-let write_line ~w k =
-  if k land 1 = 0 then
-    Printf.sprintf "apply add_attribute(Person, string, 8, w%d)" w
-  else Printf.sprintf "apply delete_attribute(Person, w%d)" w
-
 type cell = {
   shards : int;
   requests : int;
@@ -80,12 +61,22 @@ type cell = {
   read_p99_ms : float;
 }
 
-let must c line =
-  match Client.request c line with
-  | Some lines when List.mem "!ok" lines -> ()
-  | Some lines ->
-      failwith (Printf.sprintf "%s: %s" line (String.concat " | " lines))
-  | None -> failwith (line ^ ": router hung up")
+(* Client [w] on [variant]: an untimed warmup primes the worker's session
+   and lane and leaves the schema as found, then 2:1 write:read, one op in
+   flight; the add/delete alternation keeps its own counter so the
+   interleaved reads never break its parity. *)
+let client ~front ~writes ~reads w variant run =
+  let c = dial front in
+  List.iter (must_remote c)
+    [ "@open " ^ variant; "focus ww:Person"; write_line ~w 0; write_line ~w 1; "summary" ];
+  let wk = ref 0 in
+  run (fun k ->
+      if k mod 3 = 2 then timed reads (must_remote c) "summary"
+      else begin
+        timed writes (must_remote c) (write_line ~w !wk);
+        incr wk
+      end);
+  Client.close c
 
 let measure ~shards =
   let dir = tmp_dir () in
@@ -93,19 +84,10 @@ let measure ~shards =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let variants = pick_variants ~shards in
-      (match Repo.init dir (Odl.Parser.parse_schema schema_text) with
-      | Ok repo ->
-          List.iter
-            (fun v ->
-              match Repo.create_variant repo v with
-              | Ok _ -> ()
-              | Error e -> failwith e)
-            variants
-      | Error e -> failwith e);
+      init_repo dir variants;
       let pool =
         Supervisor.create
-          ~worker_args:
-            [ "--fsync-delay-ms"; Printf.sprintf "%g" (fsync_ms ()) ]
+          ~worker_args:[ "--fsync-delay-ms"; Printf.sprintf "%g" fsync_stall_ms ]
           ~exe:(swsd_exe ()) ~dir (Supervisor.Sharded shards)
       in
       (match Supervisor.start pool with
@@ -113,9 +95,9 @@ let measure ~shards =
       | Error m ->
           Supervisor.stop pool;
           failwith m);
-      let listen = Protocol.Unix_path (Filename.concat dir "front.sock") in
+      let front = Filename.concat dir "front.sock" in
       let router =
-        match Router.create ~obs:Obs.noop ~listen pool with
+        match Router.create ~obs:Obs.noop ~listen:(Protocol.Unix_path front) pool with
         | Ok r -> r
         | Error m ->
             Supervisor.stop pool;
@@ -131,61 +113,13 @@ let measure ~shards =
           let secs = cell_secs () in
           let writes = Array.init clients (fun _ -> lats ())
           and reads = Array.init clients (fun _ -> lats ()) in
-          let ready = Atomic.make 0 and go = Atomic.make false in
-          let t_end = ref infinity in
-          let threads =
-            List.mapi
-              (fun w variant ->
-                Thread.create
-                  (fun () ->
-                    let c =
-                      match Client.connect_to ~retry_for:10.0 listen with
-                      | Ok c -> c
-                      | Error m -> failwith m
-                    in
-                    ignore (Client.read_response c);
-                    must c ("@open " ^ variant);
-                    must c "focus ww:Person";
-                    (* untimed warmup: prime the worker's session and lane,
-                       leave the schema as found *)
-                    must c (write_line ~w 0);
-                    must c (write_line ~w 1);
-                    must c "summary";
-                    Atomic.incr ready;
-                    while not (Atomic.get go) do
-                      Thread.yield ()
-                    done;
-                    let k = ref 0 and wk = ref 0 in
-                    (* 2:1 write:read, one op in flight; the add/delete
-                       alternation tracks its own counter so the
-                       interleaved reads never break its parity *)
-                    while Unix.gettimeofday () < !t_end do
-                      let line, l =
-                        if !k mod 3 = 2 then ("summary", reads.(w))
-                        else begin
-                          let line = write_line ~w !wk in
-                          incr wk;
-                          (line, writes.(w))
-                        end
-                      in
-                      let t0 = Unix.gettimeofday () in
-                      must c line;
-                      observe l (Unix.gettimeofday () -. t0);
-                      incr k
-                    done;
-                    Client.close c)
-                  ())
-              variants
-          in
-          while Atomic.get ready < clients do
-            Thread.yield ()
-          done;
-          t_end := Unix.gettimeofday () +. secs;
-          Atomic.set go true;
-          List.iter Thread.join threads;
-          let all_w = lats () and all_r = lats () in
-          Array.iter (fun l -> List.iter (observe all_w) l.xs) writes;
-          Array.iter (fun l -> List.iter (observe all_r) l.xs) reads;
+          closed_loop ~secs
+            (List.mapi
+               (fun w ->
+                 client ~front ~writes:writes.(w) ~reads:reads.(w) w)
+               variants);
+          let all_w = merged (Array.to_list writes)
+          and all_r = merged (Array.to_list reads) in
           let total = all_w.n + all_r.n in
           {
             shards;
@@ -200,7 +134,7 @@ let run ~json_path () =
   Printf.printf
     "P15: sharded service behind the router, %d clients, %d variants, 2:1 \
      write:read, %.0f ms injected fsync\n"
-    clients clients (fsync_ms ());
+    clients clients fsync_stall_ms;
   Printf.printf "  %-8s %10s %10s %15s %14s\n" "shards" "req/s" "writes/s"
     "write p99 (ms)" "read p99 (ms)";
   let cells =
@@ -217,48 +151,38 @@ let run ~json_path () =
   let s2 = speedup 2 and s4 = speedup 4 in
   Printf.printf "\n  aggregate speedup over 1 shard: %.2fx at 2, %.2fx at 4\n"
     s2 s4;
-  let failed = s4 < min_speedup in
-  let entry c =
-    Printf.sprintf
-      "    { \"shards\": %d, \"requests\": %d, \"req_per_s\": %.1f, \
-       \"writes_per_s\": %.1f, \"write_p99_ms\": %.3f, \"read_p99_ms\": \
-       %.3f }"
-      c.shards c.requests c.req_per_s c.writes_per_s c.write_p99_ms
-      c.read_p99_ms
+  let scales =
+    gate (s4 >= min_speedup)
+      "4-shard aggregate throughput is %.2fx the 1-shard cell (< %.1fx)" s4
+      min_speedup
   in
-  let json =
-    String.concat "\n"
-      [
-        "{";
-        "  \"benchmark\": \"P15 sharded service (variant-hashing router)\",";
-        "  \"setup\": \"real-fs repo; N swsd workers with injected fsync \
-         delay behind an in-process router on a unix socket; 8 clients on \
-         8 variants spread round-robin over the shards, 2:1 write:read, \
-         one op in flight per connection\",";
-        Printf.sprintf "  \"seconds_per_cell\": %.2f," (cell_secs ());
-        Printf.sprintf "  \"fsync_delay_ms\": %.1f," (fsync_ms ());
-        Printf.sprintf "  \"clients\": %d," clients;
-        Printf.sprintf "  \"speedup_2\": %.2f," s2;
-        Printf.sprintf "  \"speedup_4\": %.2f," s4;
-        Printf.sprintf
-          "  \"scaling_gate\": { \"shards\": 4, \"speedup\": %.2f, \
-           \"min_speedup\": %.1f, \"passed\": %b },"
-          s4 min_speedup (not failed);
-        "  \"results\": [";
-        String.concat ",\n" (List.map entry cells);
-        "  ]";
-        "}";
-        "";
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
-  if failed then begin
-    Printf.printf
-      "FAIL: 4-shard aggregate throughput is %.2fx the 1-shard cell (< \
-       %.1fx)\n"
-      s4 min_speedup;
-    exit 1
-  end
+  write_json json_path
+    [
+      ("benchmark", Str "P15 sharded service (variant-hashing router)");
+      ( "setup",
+        Str
+          "real-fs repo; N swsd workers with injected fsync delay behind an \
+           in-process router on a unix socket; 8 clients on 8 variants \
+           spread round-robin over the shards, 2:1 write:read, one op in \
+           flight per connection" );
+      ("seconds_per_cell", num 2 (cell_secs ()));
+      ("fsync_delay_ms", num 1 fsync_stall_ms);
+      ("clients", Int clients);
+      ("speedup_2", num 2 s2);
+      ("speedup_4", num 2 s4);
+      ( "scaling_gate",
+        Obj
+          [ ("shards", Int 4); ("speedup", num 2 s4); ("min_speedup", num 1 min_speedup);
+            ("passed", Bool scales.passed) ] );
+      ( "results",
+        Arr
+          (List.map
+             (fun c ->
+               Obj
+                 [ ("shards", Int c.shards); ("requests", Int c.requests);
+                   ("req_per_s", num 1 c.req_per_s); ("writes_per_s", num 1 c.writes_per_s);
+                   ("write_p99_ms", num 3 c.write_p99_ms);
+                   ("read_p99_ms", num 3 c.read_p99_ms) ])
+             cells) );
+    ];
+  report [ scales ]

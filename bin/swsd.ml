@@ -157,7 +157,14 @@ let cmd_repl arg save_dir paranoid readonly =
     match save_dir with
     | None -> None
     | Some dir -> (
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        let refuse m =
+          prerr_endline ("cannot save to " ^ dir ^ ": " ^ m);
+          Stdlib.exit 2
+        in
+        if Sys.file_exists dir && not (Sys.is_directory dir) then
+          refuse "not a directory";
+        (try Repository.Io.mkdir_p Repository.Io.unix dir
+         with Sys_error m -> refuse m);
         match
           Server.Locks.lock_file (Filename.concat dir Server.Locks.lock_file_name)
         with

@@ -55,8 +55,6 @@ let replay ?paranoid shrink_wrap steps =
   | Error ds -> Error (invalid_shrink_wrap ds)
   | Ok session -> replay_on session steps
 
-let replay_log ?paranoid shrink_wrap t = replay ?paranoid shrink_wrap (pairs t)
-
 (* --- fork-point arithmetic ------------------------------------------------ *)
 
 let common_prefix ~base ~branch =
@@ -141,11 +139,6 @@ let rebase ~base ~branch_ops =
     r_conflict =
       count (fun v -> match v.v_outcome with Conflict _ -> true | _ -> false);
   }
-
-let rebase_ops ?paranoid shrink_wrap ~base_ops ~branch_ops =
-  Result.map
-    (fun base -> rebase ~base ~branch_ops)
-    (replay ?paranoid shrink_wrap base_ops)
 
 let conflicts report =
   List.filter_map

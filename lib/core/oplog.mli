@@ -75,8 +75,6 @@ val replay_on :
 (** {!replay} onto a given session — a fresh one the caller already holds,
     such as a repository's base session. *)
 
-val replay_log : ?paranoid:bool -> schema -> t -> (Session.t, Apply.error) result
-
 (** {1 Fork-point arithmetic} *)
 
 val common_prefix : base:Session.t -> branch:Session.t -> int
@@ -121,14 +119,6 @@ val rebase : base:Session.t -> branch_ops:entry list -> report
 (** Replay [branch_ops] onto [base] (already moved ahead of the fork
     point), classifying each op as above.  Conflicting ops are skipped —
     the merged session contains only the clean and auto-merged ones. *)
-
-val rebase_ops :
-  ?paranoid:bool ->
-  schema ->
-  base_ops:(Concept.kind * Modop.t) list ->
-  branch_ops:entry list ->
-  (report, Apply.error) result
-(** Convenience: replay [base_ops] on [schema] first, then {!rebase}. *)
 
 val conflicts : report -> (entry * reason) list
 

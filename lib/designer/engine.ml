@@ -331,16 +331,21 @@ let rec exec state (cmd : Command.t) =
         Repository.Knowledge.rule_summaries
         |> List.map (fun (name, what) ->
                Feedback.output (Printf.sprintf "%-24s %s" name what)) )
-  | Save dir ->
-      let repo = Repository.Store.open_dir dir in
-      Repository.Store.save_session repo state.session;
-      Repository.Store.save_reports repo state.session;
-      (match state.store with
-      | Some store ->
-          Out_channel.with_open_text (Filename.concat dir "data.objs")
-            (fun oc -> Out_channel.output_string oc (Objects.Serial.to_string store))
-      | None -> ());
-      (state, [ Feedback.info ("session saved to " ^ dir) ])
+  | Save dir -> (
+      match
+        let repo = Repository.Store.open_dir dir in
+        Repository.Store.save_session repo state.session;
+        Repository.Store.save_reports repo state.session;
+        Option.iter
+          (fun store ->
+            Out_channel.with_open_text (Filename.concat dir "data.objs")
+              (fun oc ->
+                Out_channel.output_string oc (Objects.Serial.to_string store)))
+          state.store
+      with
+      | () -> (state, [ Feedback.info ("session saved to " ^ dir) ])
+      | exception Sys_error m ->
+          (state, [ Feedback.error ("could not save to " ^ dir ^ ": " ^ m) ]))
   | Help -> (state, [ Feedback.output Command.help_text ])
   | Quit -> ({ state with finished = true }, [ Feedback.info "bye" ])
 

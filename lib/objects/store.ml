@@ -99,10 +99,6 @@ let visible_rel t type_name path =
     (fun r -> String.equal r.rel_name path)
     (Schema.visible_rels t.st_schema type_name)
 
-let set_links t oid path targets =
-  update t oid (fun o ->
-      { o with o_links = (path, targets) :: List.remove_assoc path o.o_links })
-
 let add_link_end t oid path target ~to_one =
   update t oid (fun o ->
       let current = links_of o path in

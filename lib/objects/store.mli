@@ -46,9 +46,5 @@ val restore : t -> obj -> t
 val scrub_asymmetric : t -> t
 (** Drop link ends whose far end no longer links back (migration). *)
 
-val set_links : t -> Value.oid -> string -> Value.oid list -> t
-(** Raw bulk link write, bypassing inverse maintenance; callers must restore
-    symmetry (used by tests and migration plumbing). *)
-
 val dump : t -> string
 (** Deterministic text rendering of every object. *)

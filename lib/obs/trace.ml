@@ -25,7 +25,7 @@ type trace = {
 type span = {
   sp_live : bool;
   sp_label : string;
-  mutable sp_detail : string;
+  sp_detail : string;
   sp_wall : float;
   sp_t0 : float;
   mutable sp_phases : phase list;  (** reversed *)
@@ -76,8 +76,6 @@ let start t ~label ?(detail = "") () =
       sp_t0 = t.clock ();
       sp_phases = [];
     }
-
-let set_detail sp detail = if sp.sp_live then sp.sp_detail <- detail
 
 let add_phase sp name seconds =
   if sp.sp_live then

@@ -27,7 +27,6 @@ val none : span
 val start : t -> label:string -> ?detail:string -> unit -> span
 (** Open a span (a dead one when the tracer is off). *)
 
-val set_detail : span -> string -> unit
 val add_phase : span -> string -> float -> unit
 
 val phase : t -> span -> string -> (unit -> 'a) -> 'a

@@ -133,14 +133,6 @@ let visible_rels schema name =
   |> dedup_by (fun r -> r.rel_name)
   |> List.rev
 
-let visible_ops schema name =
-  topo_ancestors schema name
-  |> List.concat_map (fun n ->
-         match find_interface schema n with None -> [] | Some i -> i.i_ops)
-  |> List.rev
-  |> dedup_by (fun o -> o.op_name)
-  |> List.rev
-
 (** All [(owner, relationship)] pairs in the schema. *)
 let all_relationships schema =
   List.concat_map (fun i -> List.map (fun r -> (i, r)) i.i_rels) schema.s_interfaces

@@ -67,7 +67,6 @@ val isa_roots : schema -> type_name list
 
 val visible_attrs : schema -> type_name -> attribute list
 val visible_rels : schema -> type_name -> relationship list
-val visible_ops : schema -> type_name -> operation list
 
 (** {1 Relationship queries} *)
 

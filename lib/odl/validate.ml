@@ -33,7 +33,6 @@ type diagnostic = {
 }
 
 let equal_diagnostic (a : diagnostic) (b : diagnostic) = a = b
-let compare_diagnostic (a : diagnostic) (b : diagnostic) = compare a b
 
 let diag severity category subject message =
   { severity; category; subject; message }

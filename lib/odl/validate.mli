@@ -22,7 +22,6 @@ type diagnostic = {
 }
 
 val equal_diagnostic : diagnostic -> diagnostic -> bool
-val compare_diagnostic : diagnostic -> diagnostic -> int
 val category_name : category -> string
 
 val pp_diagnostic_line : Format.formatter -> diagnostic -> unit

@@ -48,8 +48,8 @@ let variant_dir t name = Filename.concat (variants_dir t) name
 let variant_store t name = Store.open_dir ~io:t.io (variant_dir t name)
 
 (* every load, save and replay of a variant goes through the base *)
-let load t ?repair name =
-  Store.load_session ?base:(base t) ?repair (variant_store t name)
+let load t ?repair ?on_uncovered name =
+  Store.load_session ?base:(base t) ?repair ?on_uncovered (variant_store t name)
 
 let save ?lineage t store session =
   Store.save_session ?base:(base t) ?lineage store session
@@ -223,12 +223,12 @@ let lineage_listing t =
          Printf.sprintf "%s %s era %d" name lineage (Store.stored_era st))
 
 (** Load a variant's session by replaying its journal. *)
-let open_variant t name =
+let open_variant ?on_uncovered t name =
   if not (mem_variant t name) then Error (No_variant name)
   else
     Result.map_error
       (fun e -> Load e)
-      (load t name)
+      (load t ?on_uncovered name)
 
 (** Like {!open_variant}, but strictly read-only: a torn journal tail is
     tolerated (its longest valid prefix replays) and {e never} repaired in

@@ -61,8 +61,13 @@ val open_error_to_string : open_error -> string
 val create_variant : t -> string -> (Core.Session.t, string) result
 (** Start (and persist) a fresh design session under the variant's name. *)
 
-val open_variant : t -> string -> (Core.Session.t, open_error) result
-(** Load a variant's session by replaying its stored journal. *)
+val open_variant :
+  ?on_uncovered:(unit -> unit) ->
+  t ->
+  string ->
+  (Core.Session.t, open_error) result
+(** Load a variant's session by replaying its stored journal; a torn tail
+    is repaired in place.  [on_uncovered] as in {!Store.load_session}. *)
 
 val open_variant_ro : t -> string -> (Core.Session.t, open_error) result
 (** Read-only load: tolerates a torn journal tail (longest valid prefix

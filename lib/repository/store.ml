@@ -589,11 +589,15 @@ let resume fresh (c, records) entries =
     the acknowledged history, and the reader must not truncate an append
     in flight.
 
+    [on_uncovered] is called when the journal holds bytes the checkpoint
+    does not cover: records appended since the last snapshot, or a torn
+    tail.
+
     With a [base] whose text equals the stored [shrinkwrap.odl] bytes, the
     session starts from the base session, its digest and its chunks: the
     shrink wrap is neither parsed, indexed nor digested again.  Any other
     bytes load as without it. *)
-let load_session ?base ?(repair = true) t =
+let load_session ?base ?(repair = true) ?(on_uncovered = ignore) t =
   let ( let* ) = Result.bind in
   try
     let* shrink_text = read_artifact t "shrinkwrap.odl" (shrinkwrap_file t) in
@@ -619,6 +623,7 @@ let load_session ?base ?(repair = true) t =
     (* Only the records after the covered prefix are parsed here; the
        prefix holds one record a line. *)
     let start = match covered with Some (c, _) -> c.c_bytes | None -> 0 in
+    if String.length log_text > start then on_uncovered ();
     let { Journal.entries; damage } =
       Journal.parse (String.sub log_text start (String.length log_text - start))
     in

@@ -224,7 +224,11 @@ type load_error =
 val load_error_to_string : load_error -> string
 
 val load_session :
-  ?base:base -> ?repair:bool -> t -> (Core.Session.t, load_error) result
+  ?base:base ->
+  ?repair:bool ->
+  ?on_uncovered:(unit -> unit) ->
+  t ->
+  (Core.Session.t, load_error) result
 (** Rebuild from the checkpoint plus the journal records appended after it,
     or — when the checkpoint is missing, covers no operation, is damaged,
     does not match the shrink wrap or journal prefix, has error
@@ -238,8 +242,10 @@ val load_session :
     [log.ops] and the checkpoint header were altered together so the
     digests still match.  It raises [Failure] later, from the first
     {!Core.Session.step_op} into the covered prefix (deep undo, impact,
-    rebase, merge); {!fsck} reports it as [log.ops] damage.  [~repair:false] (default [true]) suppresses the
-    in-place rewrite of a torn tail — required when reading a store
+    rebase, merge); {!fsck} reports it as [log.ops] damage.  [on_uncovered]
+    is called when the journal holds bytes the checkpoint does not cover
+    (records appended since the last snapshot, or a torn tail).  [~repair:false]
+    (default [true]) suppresses that rewrite — required when reading a store
     another process may be appending to (merge reads the branch lock-free;
     the longest valid prefix is the acknowledged history).  When
     [shrinkwrap.odl] holds exactly [base]'s text, the session starts from

@@ -379,10 +379,15 @@ let drain_all t =
 
 let reset t ~path =
   Mutex.lock t.mu;
-  (match Hashtbl.find_opt t.lanes path with
-  | None -> ()
-  | Some l -> l.poisoned <- None);
-  Mutex.unlock t.mu
+  let was =
+    match Hashtbl.find_opt t.lanes path with
+    | Some ({ poisoned = Some _; _ } as l) ->
+        l.poisoned <- None;
+        true
+    | Some _ | None -> false
+  in
+  Mutex.unlock t.mu;
+  was
 
 let stop t =
   Mutex.lock t.mu;

@@ -108,9 +108,10 @@ val quiescent : t -> path:string -> bool
     otherwise it must submit an empty record to keep publish order equal
     to journal order. *)
 
-val reset : t -> path:string -> unit
+val reset : t -> path:string -> bool
 (** Clear the lane's poison after the journal has been reloaded through
-    recovery (the on-disk tail is known-good again). *)
+    recovery (the on-disk tail is known-good again).  [true] iff the lane
+    was poisoned: a flush failed on it since the last reset. *)
 
 val stop : t -> unit
 (** Flush everything still pending, stop the flusher thread, and join it.

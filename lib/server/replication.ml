@@ -129,8 +129,6 @@ let hub ?(ring = default_ring) (svc : Service_types.t) =
       };
   h
 
-let hub_service h = h.h_svc
-
 (** Wake every stream loop so it can observe [h_stopping]; called by the
     server's accept loop on the way down. *)
 let stop_hub h =

@@ -35,8 +35,6 @@ val hub : ?ring:int -> Service.t -> hub
     falls more than [ring] events behind is re-seeded from a fresh
     snapshot ([+reset]) instead of stalling the leader. *)
 
-val hub_service : hub -> Service.t
-
 val stop_hub : hub -> unit
 (** Wake every stream loop so it can wind down; called by {!Server.run}
     on the way out. *)

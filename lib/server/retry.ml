@@ -17,10 +17,6 @@ type policy = {
 let default =
   { max_attempts = 3; base_delay = 0.01; max_delay = 0.5; jitter = 0.5 }
 
-(** No sleeping, no second chances — for tests that want the first failure
-    to surface. *)
-let no_retries = { default with max_attempts = 1 }
-
 (** Failures worth retrying: the repository's [Sys_error] wrapping of a
     syscall failure.  {!Repository.Io.Crash} (the injected power-loss
     point) and everything else is terminal. *)

@@ -10,7 +10,6 @@ type policy = {
 }
 
 val default : policy
-val no_retries : policy
 
 val is_transient : exn -> bool
 

@@ -20,8 +20,15 @@ open Service_types
    journal and may rewrite a torn tail, so no batch append may race it:
    drain {e all} commit lanes first (the journal path is known only once
    the store is open).  Recovery leaves the tail known-good, so a lane
-   poisoned by a failed flush is reset on success.  Caller holds the
-   variant writer lock. *)
+   poisoned by a failed flush is reset on success.  Followers are
+   re-seeded only when their copy of the variant may be stale: on its
+   first load in this process (they may not hold it at all: a variant
+   created or branched since they bootstrapped), after a failed flush
+   (its snapshot rewrote the journal), or when the journal holds bytes
+   the checkpoint does not cover (a torn tail this load repairs, or
+   records another process appended).  A detach checkpoints the journal
+   as it stands, so a plain close and reopen re-seeds no one.  Caller
+   holds the variant writer lock. *)
 let load_session t variant =
   Group_commit.drain_all t.commit;
   let flock =
@@ -55,7 +62,12 @@ let load_session t variant =
                 writer took over after promotion)"
                stored t.config.era)
       | _ -> (
-      match Repo.open_variant t.repo variant with
+      let first = Publish.seq t.pub variant = 0 in
+      let uncovered = ref false in
+      match
+        Repo.open_variant ~on_uncovered:(fun () -> uncovered := true) t.repo
+          variant
+      with
       | Error e ->
           Option.iter Locks.unlock_file flock;
           Error (Repo.open_error_to_string e)
@@ -89,10 +101,8 @@ let load_session t variant =
               | Some (_, fork) when fork > Publish.seq t.pub variant ->
                   ignore (publish_state t variant ~at:fork s.state : int)
               | Some _ | None -> ());
-              (* recovery may have repaired (rewritten) the journal, so a
-                 follower tracking the old bytes must re-seed *)
-              invalidate t variant;
-              Group_commit.reset t.commit ~path:(log_path s);
+              let poisoned = Group_commit.reset t.commit ~path:(log_path s) in
+              if first || poisoned || !uncovered then invalidate t variant;
               Obs.Metrics.incr t.i.c_opened;
               Ok s
           | exception e ->

@@ -224,8 +224,9 @@ let make_instruments obs =
     longer a suffix of the file, and when a snapshot changed the local
     names, which the stream does not carry: followers must be re-seeded
     from a fresh snapshot.  A snapshot that only checkpoints the journal
-    as it stands re-seeds no one; the variant's next load still does
-    ({!Service_admin.load_session} invalidates on every load). *)
+    as it stands re-seeds no one, and so does the variant's next load
+    unless the followers' copy may be stale
+    ({!Service_admin.load_session}). *)
 type replication_sink = {
   rs_ship : variant:string -> stamp:int -> data:string -> unit;
   rs_invalidate : variant:string -> unit;

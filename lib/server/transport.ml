@@ -196,7 +196,6 @@ let write_all fd text =
 type reader = { fd : Unix.file_descr; mutable buf : string }
 
 let reader fd = { fd; buf = "" }
-let reader_fd r = r.fd
 
 (** One newline-terminated line (newline stripped); [None] at EOF. *)
 let read_line r =

@@ -45,7 +45,6 @@ val write_all : Unix.file_descr -> string -> unit
 type reader
 
 val reader : Unix.file_descr -> reader
-val reader_fd : reader -> Unix.file_descr
 
 val read_line : reader -> string option
 (** One newline-terminated line (newline stripped); [None] at EOF. *)

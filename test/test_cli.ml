@@ -231,6 +231,39 @@ let repl_save_and_fsck () =
       Sys.remove report;
       check_run [ "fsck"; dir ] 0 [ "clean" ])
 
+(* [--save] creates missing parents, as the repository's own stores do;
+   a path that cannot be a directory exits 2 with the reason and no
+   backtrace. *)
+let repl_save_paths () =
+  let root = Util.tmp_dir () in
+  let file = Filename.concat root "afile" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      Sys.mkdir root 0o755;
+      Out_channel.with_open_text file (fun oc -> output_string oc "x");
+      let nested = Filename.concat root "missing/a/b" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s repl university --save %s < /dev/null > /dev/null 2>&1"
+             (Filename.quote swsd) (Filename.quote nested))
+      in
+      Alcotest.(check int) "--save under missing parents" 0 code;
+      Alcotest.(check bool) "the store was created" true
+        (Sys.file_exists (Filename.concat nested "shrinkwrap.odl"));
+      List.iter
+        (fun (dir, reason) ->
+          let code, text = run [ "repl"; "university"; "--save"; dir ] in
+          Alcotest.(check int) (dir ^ " exit code") 2 code;
+          Alcotest.(check bool) (dir ^ " names the reason") true
+            (Str_contains.contains text reason);
+          Alcotest.(check bool) (dir ^ " without a backtrace") false
+            (Str_contains.contains text "exception"))
+        [
+          (file, "not a directory");
+          (Filename.concat file "sub", "Not a directory");
+        ])
+
 (* Occurrences of [sub] in [s]. *)
 let count_sub s sub =
   let n = String.length sub in
@@ -592,6 +625,8 @@ let tests =
     test "repl --save persists and fsck is clean" repl_save_and_fsck;
     test "repl --save: a save into the --save directory journals nothing twice"
       repl_save_into_save_dir;
+    test "repl --save creates parents and refuses a non-directory"
+      repl_save_paths;
     test "fsck reports, refuses, and salvages corruption" fsck_corrupt_and_salvage;
     test "fsck on a non-directory" fsck_not_a_directory;
     test "a fresh variant is three files and fscks clean"

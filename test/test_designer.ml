@@ -330,6 +330,23 @@ let save_includes_data () =
       Alcotest.(check bool) "data persisted" true
         (Sys.file_exists (Filename.concat dir "data.objs")))
 
+(* A save to a path that cannot be a directory is an error the session
+   survives: the state, its log included, is as before the save. *)
+let save_to_unusable_path () =
+  let file = Filename.temp_file "swsd_save" ".file" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let st =
+        run_all (start ())
+          [ "focus ww:Person"; "apply add_attribute(Person, string, 8, kept)" ]
+      in
+      let st', fb = run st ("save " ^ Filename.concat file "sub") in
+      Alcotest.(check bool) "an error, not an exception" true (has_error fb);
+      Alcotest.(check bool) "the state survives" true (st' == st);
+      let _, fb = run st' "log" in
+      Alcotest.(check bool) "the session goes on" true (output_contains fb "kept"))
+
 (* Every Command constructor has a decided service classification.  The
    [expected] match below is exhaustive with no catch-all — as are
    [Command.access] and [Command.mutates] themselves — so adding a
@@ -465,6 +482,7 @@ let tests =
     test "data workflow" data_workflow;
     test "select command" select_command;
     test "save includes data" save_includes_data;
+    test "save to an unusable path keeps the session" save_to_unusable_path;
     test "show/explain a removed focus render the original"
       removed_focus_falls_back_to_original;
     test "a removed workspace-only focus is unfocused"

@@ -216,7 +216,8 @@ let failure_fails_batch_and_poisons () =
       Gc.drain t ~path:"other";
       ok (Gc.await other);
       (* recovery reloaded the journal: reset re-opens the lane *)
-      Gc.reset t ~path:"log";
+      Alcotest.(check bool) "reset reports the poison" true
+        (Gc.reset t ~path:"log");
       let d = Gc.submit t ~path:"log" "d;" in
       let e = Gc.submit t ~path:"log" "e;" in
       ok (Gc.await d);

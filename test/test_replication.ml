@@ -481,19 +481,13 @@ let ring_of_two_forces_reset () =
         leader_stamp
         (Replication.Apply.stamp apply "v")
 
-(* A detach snapshot checkpoints the journal as it stands: the bytes
-   already shipped still extend it, so no follower is re-seeded.  A write
-   to another variant after the detach travels the same ring, so once its
-   records arrive, any re-seed of [v] would have arrived before them.  [v]
-   is opened before the stream starts: an open re-seeds (the journal on
-   disk may hold records no follower was shipped). *)
-let detach_does_not_reseed () =
-  let _, lio = mem_repo () in
-  let lsvc = service ~config:(quick_config ()) lio in
-  let hub = Replication.hub lsvc in
-  let c = Service.connect lsvc in
-  ignore (req_ok lsvc c "@open v");
-  ignore (req_ok lsvc c "focus ww:Person");
+(* Run [body] while a replication stream of [hub] is live; [body] gets
+   [await], which blocks until a predicate holds of the frames sent so far
+   (newest first) and returns them.  Returns every frame sent, oldest
+   first.  Events travel one ring in order, so once a later write's
+   records arrive, anything pushed before it (a re-seed included) has
+   arrived too. *)
+let capture_stream hub body =
   let mu = Mutex.create () and cond = Condition.create () in
   let frames = ref [] in
   let send f =
@@ -507,37 +501,142 @@ let detach_does_not_reseed () =
     while not (p !frames) do
       Condition.wait cond mu
     done;
-    Mutex.unlock mu
+    let fs = !frames in
+    Mutex.unlock mu;
+    fs
   in
   let streamer =
     Thread.create
       (fun () -> Replication.serve_stream hub ~send ~alive:(fun () -> true))
       ()
   in
-  await (List.mem Frame.Live);
-  ignore (req_ok lsvc c (apply_line "before_detach"));
-  ignore (req_ok lsvc c "@close");
-  ignore (req_ok lsvc c "@new w");
-  ignore (req_ok lsvc c "focus ww:Person");
-  ignore (req_ok lsvc c (apply_line "on_w"));
-  await
-    (List.exists (function
-      | Frame.Records { variant = "w"; _ } -> true
-      | _ -> false));
+  ignore (await (List.mem Frame.Live));
+  body await;
   Replication.stop_hub hub;
   Thread.join streamer;
-  let frames = List.rev !frames in
+  List.rev !frames
+
+(* [variant]'s records carrying [marker] were shipped *)
+let shipped variant marker =
+  List.exists (function
+    | Frame.Records { variant = v; data; _ } ->
+        v = variant && Str_contains.contains data marker
+    | _ -> false)
+
+let resets variant frames =
+  List.length (List.filter (( = ) (Frame.Reset { variant })) frames)
+
+(* A detach snapshot checkpoints the journal as it stands: the bytes
+   already shipped still extend it, so no follower is re-seeded, neither
+   by the detach nor when [v] is loaded again.  [v] is first opened
+   before the stream starts: a variant's first load in a process
+   re-seeds (the followers may not hold it); so does [w]'s, created
+   while the stream is live. *)
+let detach_does_not_reseed () =
+  let _, lio = mem_repo () in
+  let lsvc = service ~config:(quick_config ()) lio in
+  let hub = Replication.hub lsvc in
+  let c = Service.connect lsvc in
+  ignore (req_ok lsvc c "@open v");
+  ignore (req_ok lsvc c "focus ww:Person");
+  let frames =
+    capture_stream hub (fun await ->
+        ignore (req_ok lsvc c (apply_line "before_detach"));
+        ignore (req_ok lsvc c "@close");
+        ignore (req_ok lsvc c "@new w");
+        ignore (req_ok lsvc c "focus ww:Person");
+        ignore (req_ok lsvc c (apply_line "on_w"));
+        ignore (await (shipped "w" "on_w"));
+        ignore (req_ok lsvc c "@close");
+        ignore (req_ok lsvc c "@open v");
+        ignore (req_ok lsvc c "focus ww:Person");
+        ignore (req_ok lsvc c (apply_line "after_reopen"));
+        ignore (await (shipped "v" "after_reopen")))
+  in
   Alcotest.(check bool) "v's write was shipped" true
-    (List.exists
-       (function Frame.Records { variant = "v"; _ } -> true | _ -> false)
-       frames);
+    (shipped "v" "before_detach" frames);
   Alcotest.(check int) "v was seeded once, at bootstrap" 1
     (List.length
        (List.filter
           (function Frame.Start { variant = "v"; _ } -> true | _ -> false)
           frames));
-  Alcotest.(check bool) "the detach re-seeded no one" false
-    (List.mem (Frame.Reset { variant = "v" }) frames)
+  Alcotest.(check int) "neither the detach nor the reopen re-seeded v" 0
+    (resets "v" frames);
+  Alcotest.(check int) "w's first load seeded it" 1 (resets "w" frames)
+
+(* A flush that fails leaves the journal's tail unknown and the detach
+   snapshot rewrites it from the session: the reopen that heals the lane
+   re-seeds.  Resets of [v] are counted at a marker written to [w] after
+   the failure, so the count after the reopen is the reopen's own. *)
+let failed_flush_reseeds_on_reopen () =
+  let raw = Io.locked (Io.mem_io (Io.mem_create ())) in
+  let failing = ref false in
+  let io =
+    {
+      raw with
+      Io.append =
+        (fun path data ->
+          if !failing then raise (Sys_error (path ^ ": injected EIO"))
+          else raw.Io.append path data);
+    }
+  in
+  (match Repo.init ~io:raw "/repo" (Test_server.tiny ()) with
+  | Result.Ok repo -> ignore (Repo.create_variant repo "v")
+  | Result.Error e -> Alcotest.fail e);
+  let lsvc = service ~config:(quick_config ()) io in
+  let hub = Replication.hub lsvc in
+  let c = Service.connect lsvc and c2 = Service.connect lsvc in
+  ignore (req_ok lsvc c "@open v");
+  ignore (req_ok lsvc c "focus ww:Person");
+  let before_reopen = ref 0 in
+  let frames =
+    capture_stream hub (fun await ->
+        failing := true;
+        ignore (req_err lsvc c (apply_line "doomed"));
+        failing := false;
+        ignore (req_ok lsvc c2 "@new w");
+        ignore (req_ok lsvc c2 "focus ww:Person");
+        ignore (req_ok lsvc c2 (apply_line "marker"));
+        before_reopen := resets "v" (await (shipped "w" "marker"));
+        ignore (req_ok lsvc c "@open v");
+        ignore (req_ok lsvc c "focus ww:Person");
+        ignore (req_ok lsvc c (apply_line "after_reopen"));
+        ignore (await (shipped "v" "after_reopen")))
+  in
+  Alcotest.(check int) "the reopen after a failed flush re-seeded v"
+    (!before_reopen + 1) (resets "v" frames);
+  Alcotest.(check bool) "the failed write was never shipped" false
+    (shipped "v" "doomed" frames)
+
+(* A torn fragment on [log.ops] between two loads: the reopen repairs it
+   in place, so the bytes the followers were seeded from changed under
+   them, and the reopen re-seeds them from the repaired file. *)
+let torn_tail_reseeds_on_reopen () =
+  let _, lio = mem_repo () in
+  let lsvc = service ~config:(quick_config ()) lio in
+  let hub = Replication.hub lsvc in
+  let c = Service.connect lsvc in
+  ignore (req_ok lsvc c "@open v");
+  ignore (req_ok lsvc c "focus ww:Person");
+  let frames =
+    capture_stream hub (fun await ->
+        ignore (req_ok lsvc c (apply_line "before_tear"));
+        ignore (req_ok lsvc c "@close");
+        lio.Io.append "/repo/variants/v/log.ops" "@ww add_attr";
+        ignore (req_ok lsvc c "@open v");
+        ignore (req_ok lsvc c "focus ww:Person");
+        ignore (req_ok lsvc c (apply_line "after_repair"));
+        ignore (await (shipped "v" "after_repair")))
+  in
+  Alcotest.(check int) "the repairing reopen re-seeded v" 1 (resets "v" frames);
+  Alcotest.(check bool) "the re-seed ships the repaired journal" true
+    (List.exists
+       (function
+         | Frame.File { variant = "v"; name = "log.ops"; data } ->
+             Str_contains.contains data "before_tear"
+             && String.ends_with ~suffix:"\n" data
+         | _ -> false)
+       frames)
 
 (* the clamp: a ring below two slots (or an absurd ask) still serves *)
 let ring_size_is_clamped () =
@@ -1009,4 +1108,8 @@ let tests =
       follower_survives_leader_restart;
     test "hub: a detach snapshot does not re-seed a follower"
       detach_does_not_reseed;
+    test "replication: the reopen after a failed flush re-seeds"
+      failed_flush_reseeds_on_reopen;
+    test "replication: a reopen that repairs a torn tail re-seeds"
+      torn_tail_reseeds_on_reopen;
   ]
