@@ -82,10 +82,7 @@ let mem_service ?(config = Service.default_config) ?obs ?schema
   let io = Io.locked (Io.mem_io (Io.mem_create ())) in
   init_repo ~io ?schema "/repo" variants;
   let io =
-    if not stall then io
-    else
-      let d = fsync_stall_ms /. 1000.0 in
-      { io with Io.fsync = (fun p -> Thread.delay d; io.Io.fsync p) }
+    if stall then Io.with_fsync_delay (fsync_stall_ms /. 1000.0) io else io
   in
   match
     Service.open_service

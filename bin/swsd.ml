@@ -16,31 +16,34 @@ let builtins =
     ("sacchdb", Schemas.Genome.sacchdb_v);
   ]
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* [let* x = r in body]: [body] on [Ok x]; on [Error m], [m] on stderr and
+   exit code 1. *)
+let ( let* ) r f =
+  match r with
+  | Ok x -> f x
+  | Error m ->
+      prerr_endline m;
+      1
+
+(* Every file the command line reads: its text, or [path: reason]. *)
+let read_text path =
+  try Ok (Repository.Io.unix.read_file path) with Sys_error m -> Error m
 
 let load_schema arg =
   match List.assoc_opt arg builtins with
   | Some f -> Ok (f ())
-  | None -> (
-      if not (Sys.file_exists arg) then
-        Error (Printf.sprintf "%s: not a file and not a built-in schema" arg)
-      else
-        try Ok (Odl.Parser.parse_schema (read_file arg)) with
-        | Odl.Parser.Parse_error (m, line, col) ->
-            Error (Printf.sprintf "%s:%d:%d: %s" arg line col m)
-        | Odl.Lexer.Lex_error (m, line, col) ->
-            Error (Printf.sprintf "%s:%d:%d: %s" arg line col m))
+  | None when not (Sys.file_exists arg) ->
+      Error (Printf.sprintf "%s: not a file and not a built-in schema" arg)
+  | None ->
+      Result.bind (read_text arg) (fun text ->
+          try Ok (Odl.Parser.parse_schema text) with
+          | Odl.Parser.Parse_error (m, line, col)
+          | Odl.Lexer.Lex_error (m, line, col) ->
+              Error (Printf.sprintf "%s:%d:%d: %s" arg line col m))
 
 let with_schema arg f =
-  match load_schema arg with
-  | Error m ->
-      prerr_endline m;
-      1
-  | Ok schema -> f schema
+  let* schema = load_schema arg in
+  f schema
 
 (* In paranoid mode the session cross-checks every operation against the
    naive reference engine; a divergence is an index bug, reported loudly. *)
@@ -63,26 +66,28 @@ let with_session ?(paranoid = false) arg f =
       | Ok session -> guard_divergence f session)
 
 let load_log path =
-  try Ok (Repository.Store.log_of_string (read_file path)) with
-  | Repository.Store.Bad_log m -> Error m
-  | Sys_error m -> Error m
+  Result.bind (read_text path) (fun text ->
+      try Ok (Repository.Store.log_of_string text)
+      with Repository.Store.Bad_log m -> Error m)
+
+(* An object store file under [schema]. *)
+let load_data schema path =
+  Result.bind (read_text path) (fun text ->
+      try Ok (Objects.Serial.of_string schema text)
+      with Objects.Serial.Bad_store m -> Error m)
 
 let with_replayed ?(paranoid = false) arg log_path f =
   with_schema arg (fun schema ->
-      match load_log log_path with
-      | Error m ->
-          prerr_endline m;
-          1
-      | Ok steps -> (
-          try
-            match Core.Oplog.replay ~paranoid schema steps with
-            | Error e ->
-                prerr_endline (Core.Apply.error_to_string e);
-                1
-            | Ok session -> guard_divergence f session
-          with Core.Session.Divergence m ->
-            prerr_endline ("engine divergence (index bug): " ^ m);
-            2))
+      let* steps = load_log log_path in
+      (* the replay is paranoid too: one handler covers it and [f] *)
+      guard_divergence
+        (fun steps ->
+          match Core.Oplog.replay ~paranoid schema steps with
+          | Error e ->
+              prerr_endline (Core.Apply.error_to_string e);
+              1
+          | Ok session -> f session)
+        steps)
 
 (* --- commands ------------------------------------------------------------ *)
 
@@ -151,113 +156,67 @@ let cmd_repl arg save_dir paranoid readonly =
     prerr_endline "--readonly cannot be combined with --save";
     Stdlib.exit 2
   end;
+  let refuse dir m =
+    prerr_endline ("cannot save to " ^ dir ^ ": " ^ m);
+    Stdlib.exit 2
+  in
   (* Fail fast if another process (a server, another repl) owns the save
      directory: a second writer would interleave journal appends. *)
   let flock =
-    match save_dir with
-    | None -> None
-    | Some dir -> (
-        let refuse m =
-          prerr_endline ("cannot save to " ^ dir ^ ": " ^ m);
-          Stdlib.exit 2
-        in
+    Option.map
+      (fun dir ->
         if Sys.file_exists dir && not (Sys.is_directory dir) then
-          refuse "not a directory";
+          refuse dir "not a directory";
         (try Repository.Io.mkdir_p Repository.Io.unix dir
-         with Sys_error m -> refuse m);
+         with Sys_error m -> refuse dir m);
         match
           Server.Locks.lock_file (Filename.concat dir Server.Locks.lock_file_name)
         with
-        | Ok l -> Some l
+        | Ok l -> l
         | Error m ->
             prerr_endline ("cannot save to locked repository: " ^ m);
             Stdlib.exit 2)
+      save_dir
   in
   with_session ~paranoid arg (fun session ->
-      (* With --save the session is persisted up front, then each command's
-         session delta from the last session journalled durably is appended
-         (one fsync) before the command's feedback prints, so a crash loses
-         at most the command in flight.  A failed append leaves [durable]
-         as it was: the next append carries the missing records too. *)
-      let repo =
+      let writer =
         Option.map
           (fun dir ->
-            let repo = Repository.Store.open_dir dir in
-            Repository.Store.save_session repo session;
-            repo)
+            match Repository.Store.writer dir session with
+            | Ok w -> w
+            | Error m -> refuse dir m)
           save_dir
       in
-      let same_dir a b =
-        try Unix.realpath a = Unix.realpath b with Unix.Unix_error _ -> false
-      in
-      let journal durable cmd after =
-        match (repo, cmd) with
-        | None, _ -> (durable, [])
-        | Some repo, Some (Designer.Command.Save d)
-          when same_dir d (Repository.Store.dir repo) ->
-            (* the save rewrote the journal with [after]'s log *)
-            (after, [])
-        | Some repo, _ -> (
-            match Repository.Store.append_delta repo ~before:durable ~after with
-            | () -> (after, [])
-            | exception Sys_error m ->
-                ( durable,
-                  [ Designer.Feedback.caution ("persistence failed: " ^ m) ] ))
-      in
-      let rec loop durable state =
-        if state.Designer.Engine.finished then (durable, state)
+      let rec loop state =
+        if state.Designer.Engine.finished then state
         else begin
           print_string "swsd> ";
           match In_channel.input_line stdin with
-          | None -> (durable, state)
+          | None -> state
+          | Some line when String.trim line = "" -> loop state
           | Some line ->
-              if String.trim line = "" then loop durable state
-              else begin
-                (* Mirror the server's [!readonly] refusal: parse first so
-                   syntax errors read the same either way, then classify. *)
-                let cmd, (state, feedback) =
-                  match Designer.Command.parse line with
-                  | cmd when readonly && Designer.Command.mutates cmd ->
-                      ( Some cmd,
-                        ( state,
-                          [
-                            Designer.Feedback.error
-                              "readonly session; restart without --readonly \
-                               to modify";
-                          ] ) )
-                  | cmd -> (Some cmd, Designer.Engine.exec state cmd)
-                  | exception Designer.Command.Bad_command m ->
-                      (None, (state, [ Designer.Feedback.error m ]))
-                in
-                let durable, caution =
-                  journal durable cmd state.Designer.Engine.session
-                in
-                List.iter
-                  (fun f -> print_endline (Designer.Feedback.to_string f))
-                  (feedback @ caution);
-                loop durable state
-              end
+              let state, feedback =
+                Designer.Engine.exec_line ~readonly ?writer state line
+              in
+              List.iter
+                (fun f -> print_endline (Designer.Feedback.to_string f))
+                feedback;
+              loop state
         end
       in
-      let state = Designer.Engine.start session in
       print_endline
         ("shrink wrap schema designer; 'help' lists commands"
         ^ if readonly then " (readonly)" else "");
-      let durable, final = loop session state in
-      let final = final.Designer.Engine.session in
-      (* the exit save snapshots the final state (not the initial session)
-         and renders the deliverables.  When every command was journalled
-         the journal holds the final session and is checkpointed as it
-         stands; after a failed append it is rewritten, unread. *)
-      (match repo with
-      | Some repo ->
-          if durable == final then
-            Repository.Store.save_checkpoint repo final
-          else Repository.Store.save_session repo final;
-          Repository.Store.save_reports repo final
-      | None -> ());
+      let final = (loop (Designer.Engine.start session)).session in
+      let code =
+        match Option.map (fun w -> Repository.Store.close w final) writer with
+        | Some (Error m) ->
+            prerr_endline ("persistence failed: " ^ m);
+            1
+        | None | Some (Ok ()) -> 0
+      in
       Option.iter Server.Locks.unlock_file flock;
-      0)
+      code)
 
 let cmd_diff arg_a arg_b =
   with_schema arg_a (fun a ->
@@ -302,20 +261,18 @@ let cmd_library dir sketch =
     (fun (path, reason) ->
       Printf.eprintf "warning: skipped %s (%s)\n" path reason)
     failures;
-  (match sketch with
-  | None -> print_endline (Repository.Library.catalog lib)
-  | Some sketch_arg -> (
-      match load_schema sketch_arg with
-      | Error m ->
-          prerr_endline m;
-          exit 1
-      | Ok sketch ->
-          print_endline "best shrink wrap schemas for the sketch:";
-          Repository.Library.search lib ~sketch
-          |> List.iter (fun (e, a) ->
-                 Printf.printf "  %-20s affinity %.3f (%s)\n"
-                   e.Repository.Library.e_schema.Odl.Types.s_name a e.e_path)));
-  0
+  match sketch with
+  | None ->
+      print_endline (Repository.Library.catalog lib);
+      0
+  | Some sketch_arg ->
+      let* sketch = load_schema sketch_arg in
+      print_endline "best shrink wrap schemas for the sketch:";
+      Repository.Library.search lib ~sketch
+      |> List.iter (fun (e, a) ->
+             Printf.printf "  %-20s affinity %.3f (%s)\n"
+               e.Repository.Library.e_schema.Odl.Types.s_name a e.e_path);
+      0
 
 let cmd_graph arg concept =
   match concept with
@@ -334,60 +291,48 @@ let cmd_graph arg concept =
               0)
 
 let cmd_data_check arg data_path =
-  with_schema arg (fun schema ->
-      match Objects.Serial.of_string schema (read_file data_path) with
-      | exception Objects.Serial.Bad_store m ->
-          prerr_endline m;
-          1
-      | store -> (
-          match Objects.Check.check store with
-          | [] ->
-              Printf.printf "%d object(s), consistent\n" (Objects.Store.count store);
-              0
-          | ps ->
-              List.iter (fun p -> print_endline (Objects.Check.to_string p)) ps;
-              1))
+  let* schema = load_schema arg in
+  let* store = load_data schema data_path in
+  match Objects.Check.check store with
+  | [] ->
+      Printf.printf "%d object(s), consistent\n" (Objects.Store.count store);
+      0
+  | ps ->
+      List.iter (fun p -> print_endline (Objects.Check.to_string p)) ps;
+      1
 
 let cmd_migrate_data arg log_path data_path =
   with_replayed arg log_path (fun session ->
       let original = Core.Session.original session in
       let custom = Core.Session.custom_schema session in
-      match Objects.Serial.of_string original (read_file data_path) with
-      | exception Objects.Serial.Bad_store m ->
-          prerr_endline m;
-          1
-      | store ->
-          let migrated, report = Objects.Migrate.migrate store ~custom in
-          List.iter
-            (fun d -> Printf.eprintf "dropped: %s\n" (Objects.Migrate.to_string d))
-            report;
-          List.iter
-            (fun p ->
-              Printf.eprintf "needs completion: %s\n" (Objects.Check.to_string p))
-            (Objects.Migrate.residual_problems migrated);
-          print_endline (Objects.Serial.to_string migrated);
-          0)
+      let* store = load_data original data_path in
+      let migrated, report = Objects.Migrate.migrate store ~custom in
+      List.iter
+        (fun d -> Printf.eprintf "dropped: %s\n" (Objects.Migrate.to_string d))
+        report;
+      List.iter
+        (fun p ->
+          Printf.eprintf "needs completion: %s\n" (Objects.Check.to_string p))
+        (Objects.Migrate.residual_problems migrated);
+      print_endline (Objects.Serial.to_string migrated);
+      0)
 
 let cmd_oql arg data_path query_text =
-  with_schema arg (fun schema ->
-      match Objects.Serial.of_string schema (read_file data_path) with
-      | exception Objects.Serial.Bad_store m ->
-          prerr_endline m;
-          1
-      | store -> (
-          match Objects.Query.query store query_text with
-          | exception Objects.Query.Bad_query m ->
-              prerr_endline m;
-              1
-          | [] ->
-              print_endline "no matches";
-              0
-          | objs ->
-              List.iter
-                (fun (o : Objects.Store.obj) ->
-                  Printf.printf "@%d : %s\n" o.o_id o.o_type)
-                objs;
-              0))
+  let* schema = load_schema arg in
+  let* store = load_data schema data_path in
+  match Objects.Query.query store query_text with
+  | exception Objects.Query.Bad_query m ->
+      prerr_endline m;
+      1
+  | [] ->
+      print_endline "no matches";
+      0
+  | objs ->
+      List.iter
+        (fun (o : Objects.Store.obj) ->
+          Printf.printf "@%d : %s\n" o.o_id o.o_type)
+        objs;
+      0
 
 let cmd_quality arg =
   with_schema arg (fun schema ->
@@ -422,14 +367,10 @@ let variant_error e =
   match e with Repository.Repo.No_variant _ -> 1 | Repository.Repo.Load _ -> 2
 
 let cmd_variants_init dir schema_arg =
-  with_schema schema_arg (fun schema ->
-      match Repository.Repo.init dir schema with
-      | Ok _ ->
-          Printf.printf "initialized %s for schema %s\n" dir schema.s_name;
-          0
-      | Error m ->
-          prerr_endline m;
-          1)
+  let* schema = load_schema schema_arg in
+  let* _ = Repository.Repo.init dir schema in
+  Printf.printf "initialized %s for schema %s\n" dir schema.s_name;
+  0
 
 let cmd_variants_list dir =
   with_variant_repo dir (fun repo ->
@@ -438,44 +379,25 @@ let cmd_variants_list dir =
 
 let cmd_variants_new dir name =
   with_variant_repo dir (fun repo ->
-      match Repository.Repo.create_variant repo name with
-      | Ok _ ->
-          Printf.printf "variant %s created\n" name;
-          0
-      | Error m ->
-          prerr_endline m;
-          1)
+      let* _ = Repository.Repo.create_variant repo name in
+      Printf.printf "variant %s created\n" name;
+      0)
 
 let cmd_variants_apply dir name log_path =
   with_variant_repo dir (fun repo ->
       match Repository.Repo.open_variant repo name with
       | Error e -> variant_error e
       | Ok session -> (
-          match load_log log_path with
-          | Error m ->
-              prerr_endline m;
+          let* steps = load_log log_path in
+          match Core.Oplog.replay_on session steps with
+          | Error e ->
+              prerr_endline (Core.Apply.error_to_string e);
               1
-          | Ok steps -> (
-              let applied =
-                List.fold_left
-                  (fun acc (kind, op) ->
-                    Result.bind acc (fun s ->
-                        Result.map fst (Core.Session.apply s ~kind op)))
-                  (Ok session) steps
-              in
-              match applied with
-              | Error e ->
-                  prerr_endline (Core.Apply.error_to_string e);
-                  1
-              | Ok session -> (
-                  match Repository.Repo.save_variant repo name session with
-                  | Ok () ->
-                      Printf.printf "%d operation(s) applied to %s\n"
-                        (List.length steps) name;
-                      0
-                  | Error m ->
-                      prerr_endline m;
-                      1))))
+          | Ok session ->
+              let* () = Repository.Repo.save_variant repo name session in
+              Printf.printf "%d operation(s) applied to %s\n"
+                (List.length steps) name;
+              0))
 
 let cmd_variants_interop dir a b =
   with_variant_repo dir (fun repo ->
@@ -490,68 +412,17 @@ let cmd_variants_affinity dir =
       print_string (Repository.Repo.affinity_matrix repo);
       0)
 
-(* Check (and optionally salvage) a repository directory: a plain session
-   store, or a multi-variant repository (every variant is checked).
-   Exit codes: 0 clean, 1 damage found and salvaged (--salvage repaired
-   everything it found) or found only in derived artifacts (custom.odl,
-   the checkpoint — recovery does not depend on them), 2 corrupt (damage
-   present and not repaired, or the directory is not a repository at
-   all).  Multi-variant repositories aggregate by max, so one
-   unsalvageable variant makes the whole run 2. *)
+(* Check (and with --salvage repair) a repository directory; the exit
+   class (0 clean, 1 salvaged or derived-only damage, 2 corrupt) and the
+   report are [Repository.Repo.fsck_dir]'s. *)
 let cmd_fsck dir salvage =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-    prerr_endline (dir ^ ": not a directory");
-    2
-  end
-  else begin
-    let fsck_store label sdir =
-      let report =
-        Repository.Store.fsck ~salvage (Repository.Store.open_dir sdir)
-      in
-      List.iter
-        (fun m -> Printf.printf "%s: %s\n" label m)
-        report.Repository.Store.fsck_issues;
-      match report with
-      | { fsck_issues = []; _ } -> 0
-      | { fsck_session = None; _ } -> 2
-      | { fsck_session = Some _; fsck_derived_only; _ } ->
-          if salvage then begin
-            Printf.printf "%s: salvaged\n" label;
-            1
-          end
-          else if fsck_derived_only then 1
-          else 2
-    in
-    let variants_dir = Filename.concat dir "variants" in
-    let code =
-      if Sys.file_exists variants_dir && Sys.is_directory variants_dir then begin
-        (* multi-variant repository: the top-level schema plus each variant *)
-        let top =
-          match Repository.Repo.open_dir dir with
-          | Ok _ -> 0
-          | Error m ->
-              print_endline ("shrinkwrap.odl: " ^ m);
-              2
-        in
-        Sys.readdir variants_dir |> Array.to_list |> List.sort compare
-        |> List.filter (fun n ->
-               (* dot-prefixed entries are hidden staging directories (a
-                  crashed @branch): not variants, never counted as damage *)
-               n <> "" && n.[0] <> '.'
-               &&
-               try Sys.is_directory (Filename.concat variants_dir n)
-               with Sys_error _ -> false)
-        |> List.fold_left
-             (fun acc n ->
-               max acc
-                 (fsck_store ("variants/" ^ n) (Filename.concat variants_dir n)))
-             top
-      end
-      else fsck_store "." dir
-    in
-    if code = 0 then print_endline (dir ^ ": clean");
-    code
-  end
+  match Repository.Repo.fsck_dir ~salvage dir with
+  | Ok (code, lines) ->
+      List.iter print_endline lines;
+      code
+  | Error m ->
+      prerr_endline m;
+      2
 
 (* Serve a multi-variant repository to concurrent designer sessions over
    a Unix domain socket or TCP.  SIGTERM/SIGINT drain gracefully:
@@ -638,21 +509,10 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
           0)
   | Ok (listen, None) -> (
       let obs = if no_obs then Obs.noop else Obs.create () in
-      let fsync_delay = Float.max 0.0 fsync_delay_ms /. 1000.0 in
-      (* benchmarks model a slower disk by stretching fsync; everything
-         else (writes, renames) keeps real speed *)
+      (* benchmarks model a slower disk *)
       let io =
-        if fsync_delay <= 0.0 then None
-        else
-          let module Io = Repository.Io in
-          Some
-            {
-              Io.unix with
-              Io.fsync =
-                (fun path ->
-                  Io.unix.Io.fsync path;
-                  Thread.delay fsync_delay);
-            }
+        Repository.Io.with_fsync_delay (fsync_delay_ms /. 1000.0)
+          Repository.Io.unix
       in
       let instance_notes =
         (match shard_id with
@@ -675,54 +535,40 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
         }
       in
       let serve_one ~banner make_server cleanup =
-        match make_server () with
-        | Result.Error m ->
-            prerr_endline m;
-            1
-        | Result.Ok server ->
-            Server.Transport.on_stop_signals (fun () -> Server.stop server);
-            Printf.printf "%s on %s\n%!" banner
-              (Server.Protocol.address_to_string
-                 (Server.listen_address server));
-            let failures = Server.run server in
-            cleanup ();
-            List.iter
-              (fun (variant, reason) ->
-                Printf.eprintf
-                  "warning: %s: snapshot failed (%s); journal remains \
-                   authoritative\n"
-                  variant reason)
-              failures;
-            print_endline "server stopped";
-            0
+        let* server = make_server () in
+        Server.Transport.on_stop_signals (fun () -> Server.stop server);
+        Printf.printf "%s on %s\n%!" banner
+          (Server.Protocol.address_to_string (Server.listen_address server));
+        let failures = Server.run server in
+        cleanup ();
+        List.iter
+          (fun (variant, reason) ->
+            Printf.eprintf
+              "warning: %s: snapshot failed (%s); journal remains \
+               authoritative\n"
+              variant reason)
+          failures;
+        print_endline "server stopped";
+        0
       in
       match follow with
-      | Some leader_spec -> (
+      | Some leader_spec ->
           (* follower: replicate the leader's repository into [dir] and
              serve it read-only; reconnects and re-bootstraps on its own *)
-          match Server.Protocol.parse_address leader_spec with
-          | Error m ->
-              prerr_endline m;
-              1
-          | Ok leader -> (
-              let config = base_config [ ("instance.role", "follower") ] in
-              match
-                Server.Replication.Follower.create ~config ?io ~obs ~leader dir
-              with
-              | Error m ->
-                  prerr_endline m;
-                  1
-              | Ok follower ->
-                  serve_one
-                    ~banner:
-                      (Printf.sprintf "following %s into %s" leader_spec dir)
-                    (fun () ->
-                      Server.of_service ~listen
-                        (Server.Replication.Follower.service follower))
-                    (fun () -> Server.Replication.Follower.stop follower)))
+          let* leader = Server.Protocol.parse_address leader_spec in
+          let config = base_config [ ("instance.role", "follower") ] in
+          let* follower =
+            Server.Replication.Follower.create ~config ~io ~obs ~leader dir
+          in
+          serve_one
+            ~banner:(Printf.sprintf "following %s into %s" leader_spec dir)
+            (fun () ->
+              Server.of_service ~listen
+                (Server.Replication.Follower.service follower))
+            (fun () -> Server.Replication.Follower.stop follower)
       | None -> (
           (* leader (or plain single server) *)
-          match Server.Serve.writer ?io ?promote_from ~replicate ~era dir with
+          match Server.Serve.writer ~io ?promote_from ~replicate ~era dir with
           | Error m ->
               prerr_endline ("promotion failed: " ^ m);
               1
@@ -755,7 +601,7 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
               serve_one
                 ~banner:(Printf.sprintf "serving %s" dir)
                 (fun () ->
-                  Server.create ~config:{ config with era = w.era } ~obs ?io
+                  Server.create ~config:{ config with era = w.era } ~obs ~io
                     ~replicate:w.replicate ~listen dir)
                 (fun () -> ())))
 
@@ -766,13 +612,9 @@ let cmd_serve dir socket listen shards shard_id shard_total no_obs
    server does the work, through its lock manager and commit pipeline, so
    concurrent designers are undisturbed. *)
 let cmd_request addr lines =
-  match Server.Client.call addr lines with
-  | Result.Ok body ->
-      List.iter print_endline body;
-      0
-  | Result.Error m ->
-      prerr_endline m;
-      1
+  let* body = Server.Client.call addr lines in
+  List.iter print_endline body;
+  0
 
 (* Ask a running server for its observability snapshot; refused under
    --no-obs.  Unlike the other socket commands, a refused reply keeps its

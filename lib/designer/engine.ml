@@ -1,8 +1,8 @@
 (** The interactive schema designer's engine: interprets commands against a
     design session and produces feedback.  The REPL in [bin/swsd.ml] is a
-    thin loop around {!exec}; keeping the engine pure makes the designer
-    fully testable.  The engine journals nothing: whoever runs it persists
-    the session delta of each command ([Repository.Store.append_delta]). *)
+    read/print loop around {!exec_line}; keeping the engine pure makes the
+    designer fully testable.  {!exec} journals nothing; {!exec_line} journals
+    each command's session delta through a [Repository.Store.writer]. *)
 
 module Session = Core.Session
 
@@ -349,8 +349,29 @@ let rec exec state (cmd : Command.t) =
   | Help -> (state, [ Feedback.output Command.help_text ])
   | Quit -> ({ state with finished = true }, [ Feedback.info "bye" ])
 
-(** Parse and execute one command line. *)
-and exec_line state line =
-  match Command.parse line with
-  | cmd -> exec state cmd
-  | exception Command.Bad_command m -> (state, [ Feedback.error m ])
+(** One command line as [swsd repl] runs it: parse, refuse a mutating
+    command on a [readonly] session, execute, then journal the session
+    through [writer] before the feedback is returned. *)
+and exec_line ?(readonly = false) ?writer state line =
+  let saved_to, (state, feedback) =
+    (* parse first, so a syntax error reads the same either way, as on
+       the server's [!readonly] path *)
+    match Command.parse line with
+    | exception Command.Bad_command m -> (None, (state, [ Feedback.error m ]))
+    | cmd when readonly && Command.mutates cmd ->
+        ( None,
+          ( state,
+            [
+              Feedback.error
+                "readonly session; restart without --readonly to modify";
+            ] ) )
+    | Save dir as cmd -> (Some dir, exec state cmd)
+    | cmd -> (None, exec state cmd)
+  in
+  match writer with
+  | None -> (state, feedback)
+  | Some w -> (
+      match Repository.Store.append ?saved_to w state.session with
+      | Ok () -> (state, feedback)
+      | Error m ->
+          (state, feedback @ [ Feedback.caution ("persistence failed: " ^ m) ]))

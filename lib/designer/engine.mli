@@ -1,10 +1,11 @@
 (** The interactive schema designer's engine: interprets commands against a
     design session and produces feedback.  The REPL in [bin/swsd.ml] is a
-    thin loop around {!exec_line}; keeping the engine pure makes the
-    designer fully testable.  The engine journals nothing: a durable
-    caller appends each command's session delta itself
-    ([Repository.Store.append_delta] from the last session it journalled),
-    before it shows the command's feedback. *)
+    read/print loop around {!exec_line}; keeping the engine pure makes the
+    designer fully testable.  {!exec} journals nothing; {!exec_line} journals
+    each command's session delta through a [Repository.Store.writer]
+    ({!Repository.Store.append}, from the last session journalled
+    durably) before it returns the command's feedback, and the caller's
+    exit save is {!Repository.Store.close}. *)
 
 type state = {
   session : Core.Session.t;
@@ -22,6 +23,15 @@ val start : Core.Session.t -> state
 val exec : state -> Command.t -> state * Feedback.t list
 (** Execute one parsed command. *)
 
-val exec_line : state -> string -> state * Feedback.t list
-(** Parse and execute one command line; parse failures become error
-    feedback. *)
+val exec_line :
+  ?readonly:bool ->
+  ?writer:Repository.Store.writer ->
+  state ->
+  string ->
+  state * Feedback.t list
+(** One command line as [swsd repl] runs it: parse it (a parse failure is
+    error feedback), refuse a {!Command.mutates} command when [readonly],
+    {!exec} it, then — with a [writer] — journal the resulting session
+    ({!Repository.Store.append}; a [save] into the writer's own
+    directory journals nothing twice).  A failed append adds a
+    [persistence failed: …] caution after the command's feedback. *)

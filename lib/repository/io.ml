@@ -373,6 +373,14 @@ let observed ~now ~record io =
     rename = (fun a b -> timed "rename" (fun () -> io.rename a b));
   }
 
+(** The device model of a slower disk: every fsync first sleeps [delay]
+    seconds, then syncs; writes, renames and reads keep their speed.  A
+    non-positive delay leaves [io] as it is.  [Unix.sleepf], not
+    [Thread.delay]: this library does not link threads. *)
+let with_fsync_delay delay io =
+  if delay <= 0.0 then io
+  else { io with fsync = (fun p -> Unix.sleepf delay; io.fsync p) }
+
 (* --- fault injection ----------------------------------------------------- *)
 
 (** Count every effectful syscall (write, append, fsync, rename, remove,

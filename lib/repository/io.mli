@@ -79,6 +79,12 @@ val observed : now:(unit -> float) -> record:(string -> float -> unit) -> t -> t
     ([op] is ["write"], ["append"], ["fsync"], or ["rename"]); reads are
     untimed.  Failed operations are not recorded. *)
 
+val with_fsync_delay : float -> t -> t
+(** [with_fsync_delay seconds io] models a slower disk: each fsync sleeps
+    [seconds], then syncs; everything else keeps its speed.  Wrapped
+    outside {!locked}, the sleep blocks only the fsyncing thread, as a
+    real fsync would.  A non-positive delay returns [io] unchanged. *)
+
 (** {1 Fault injection} *)
 
 val eintr_faulty : eintr_at:int list -> t -> t * (unit -> int)

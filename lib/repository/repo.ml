@@ -94,19 +94,21 @@ let open_dir ?(io = Io.unix) dir =
 
 let shrink_wrap t = t.shrink_wrap
 
-let variant_names t =
-  let d = variants_dir t in
-  if t.io.Io.is_directory d then
-    (match t.io.Io.readdir d with
+(* The variants under [d]: its subdirectories, sorted. *)
+let names_in io d =
+  if io.Io.is_directory d then
+    (match io.Io.readdir d with
     | names -> names
     | exception Sys_error _ -> [])
     (* is_directory is false on dangling symlinks, so they are skipped;
        dot-prefixed entries are hidden staging directories (an in-flight or
        crashed {!branch_variant}) and never count as variants *)
     |> List.filter (fun n -> n <> "" && n.[0] <> '.')
-    |> List.filter (fun n -> t.io.Io.is_directory (Filename.concat d n))
+    |> List.filter (fun n -> io.Io.is_directory (Filename.concat d n))
     |> List.sort compare
   else []
+
+let variant_names t = names_in t.io (variants_dir t)
 
 let mem_variant t name = List.mem name (variant_names t)
 
@@ -300,3 +302,40 @@ let catalog t =
              Printf.sprintf "%-16s (unreadable: %s)" name
                (open_error_to_string e))
   |> String.concat "\n"
+
+(* --- integrity checking --------------------------------------------------- *)
+
+(* One store's exit class and report lines, each prefixed with [label]. *)
+let fsck_store ~salvage label store =
+  let report = Store.fsck ~salvage store in
+  let lines = List.map (fun m -> label ^ ": " ^ m) report.fsck_issues in
+  match report with
+  | { fsck_issues = []; _ } -> (0, [])
+  | { fsck_session = None; _ } -> (2, lines)
+  | { fsck_derived_only; _ } ->
+      if salvage then (1, lines @ [ label ^ ": salvaged" ])
+      else ((if fsck_derived_only then 1 else 2), lines)
+
+(** Check, and with [salvage] repair, a session store or a multi-variant
+    repository: see the interface. *)
+let fsck_dir ?(io = Io.unix) ~salvage dir =
+  if not (io.Io.is_directory dir) then Error (dir ^ ": not a directory")
+  else
+    let variants = Filename.concat dir "variants" in
+    let results =
+      if io.Io.is_directory variants then
+        (* the top-level schema, then every variant, even when the schema
+           is damaged: each variant keeps its own copy *)
+        (match open_dir ~io dir with
+        | Ok _ -> (0, [])
+        | Error m -> (2, [ "shrinkwrap.odl: " ^ m ]))
+        :: List.map
+             (fun n ->
+               fsck_store ~salvage ("variants/" ^ n)
+                 (Store.open_dir ~io (Filename.concat variants n)))
+             (names_in io variants)
+      else [ fsck_store ~salvage "." (Store.open_dir ~io dir) ]
+    in
+    let code = List.fold_left (fun acc (c, _) -> max acc c) 0 results in
+    let lines = List.concat_map snd results in
+    Ok (code, if code = 0 then lines @ [ dir ^ ": clean" ] else lines)

@@ -108,3 +108,22 @@ val interop_report : t -> string -> string -> (string, open_error) result
 val catalog : t -> string
 (** One line per variant: inventory and mapping summary against the shrink
     wrap schema; damaged variants are listed as unreadable. *)
+
+(** {1 Integrity checking} *)
+
+val fsck_dir :
+  ?io:Io.t -> salvage:bool -> string -> (int * string list, string) result
+(** [swsd fsck]: check, and with [salvage] repair ({!Store.fsck}), a
+    session store, or a multi-variant repository — its [shrinkwrap.odl],
+    then each variant {!variant_names} would list (staging directories
+    are skipped), even when [shrinkwrap.odl] is damaged.  Returns the exit
+    class and the report lines, each naming the store ([.] or
+    [variants/<name>]) and the file:
+    - 0: clean (the one line [<dir>: clean]);
+    - 1: damage found and [salvage] repaired it ([<store>: salvaged]), or
+      found only in derived artifacts ([custom.odl], the checkpoint:
+      recovery does not depend on them);
+    - 2: corrupt — damage present and not repaired.
+    A multi-variant repository takes the worst class of its parts.
+    [Error] (class 2 as well) when the path is not a directory, so not a
+    repository at all. *)

@@ -118,10 +118,6 @@ let load_aliases t =
 let append_step t (kind, op) =
   Journal.append t.io (log_file t) (Journal.Op (kind, op))
 
-let append_delta t ~before ~after =
-  let n, _, data = Journal.encoded_delta ~before ~after in
-  if n > 0 then Journal.append_raw t.io (log_file t) data
-
 (* --- manifest ------------------------------------------------------------ *)
 
 type manifest = {
@@ -503,6 +499,41 @@ let save_reports t session =
   write_file t
     (Filename.concat (reports_dir t) "deliverables.html")
     (Html_report.render session)
+
+(* --- the designer's durable writer --------------------------------------- *)
+
+type writer = { w_store : t; mutable w_durable : Core.Session.t }
+
+let guard f = match f () with v -> Ok v | exception Sys_error m -> Error m
+
+let writer ?io dir session =
+  guard (fun () ->
+      let t = open_dir ?io dir in
+      save_session t session;
+      { w_store = t; w_durable = session })
+
+let same_dir a b =
+  a = b
+  || try Unix.realpath a = Unix.realpath b with Unix.Unix_error _ -> false
+
+let append ?saved_to w after =
+  match saved_to with
+  | Some d when same_dir d w.w_store.dir ->
+      (* that full save wrote [after]'s log as the journal *)
+      w.w_durable <- after;
+      Ok ()
+  | _ ->
+      guard (fun () ->
+          let t = w.w_store in
+          let n, _, data = Journal.encoded_delta ~before:w.w_durable ~after in
+          if n > 0 then Journal.append_raw t.io (log_file t) data;
+          w.w_durable <- after)
+
+let close w final =
+  guard (fun () ->
+      if w.w_durable == final then save_checkpoint w.w_store final
+      else save_session w.w_store final;
+      save_reports w.w_store final)
 
 type load_error =
   | Damaged of { file : string; reason : string }

@@ -72,21 +72,38 @@ val load_log : t -> (Core.Concept.kind * Core.Modop.t) list
 val load_aliases : t -> Core.Aliases.t
 val load_custom : t -> Odl.Types.schema
 
-(** {1 Incremental persistence}
-
-    The designer journals each command's delta before acknowledging it, so
-    a crash loses at most the command in flight (never acknowledged). *)
-
 val append_step : t -> Core.Concept.kind * Core.Modop.t -> unit
 (** Journal one accepted operation; durable on return. *)
 
-val append_delta : t -> before:Core.Session.t -> after:Core.Session.t -> unit
-(** Journal the records turning [before]'s log into [after]'s
-    ({!Journal.encoded_delta}) with one fsync; nothing when the logs are
-    equal.  [before] must be the session the journal already holds — the
-    last one journalled durably — so that after a failed append the next
-    call carries the missing records too.
-    @raise Sys_error when the append or fsync fails. *)
+(** {1 The designer's durable writer}
+
+    [swsd repl --save]'s persistence: the session is saved whole up
+    front, then each command's delta is journalled before its feedback
+    shows, so a crash loses at most the command in flight (never
+    acknowledged); the exit checkpoints and renders the reports. *)
+
+type writer
+
+val writer : ?io:Io.t -> string -> Core.Session.t -> (writer, string) result
+(** Open (creating) the store at the directory and {!save_session} the
+    session into it: the journal then holds its history. *)
+
+val append :
+  ?saved_to:string -> writer -> Core.Session.t -> (unit, string) result
+(** Journal the records turning the last session journalled durably into
+    this one ({!Journal.encoded_delta}) with one fsync, nothing when their
+    logs are equal; this one becomes the last.  On [Error] the last stays,
+    so the next append carries the missing records too and the journal
+    always holds a session the designer passed through.
+    [saved_to] names a directory the command just full-saved this
+    session into ([save DIR]); when it is the writer's own, that save
+    wrote the journal, and nothing is appended twice. *)
+
+val close : writer -> Core.Session.t -> (unit, string) result
+(** The exit save of the final session, then {!save_reports}: a
+    {!save_checkpoint} when the last session journalled durably is the
+    final one, the full {!save_session} otherwise (after a failed
+    append the journal's tail is not the session's). *)
 
 (** {1 Manifest} *)
 

@@ -493,6 +493,30 @@ let oql_command () =
         [ "@2 : Person" ];
       check_run [ "oql"; "university"; data; "select Person where" ] 1 [])
 
+(* A data file that cannot be read is an ordinary error: exit 1 with
+   [path: reason], never an uncaught exception. *)
+let data_file_unreadable () =
+  let missing = "/nonexistent/definitely/not.objs" in
+  let log = write_temp ".ops" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove log)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code, text = run args in
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ " exit code") 1 code;
+          Alcotest.(check bool) (what ^ " names the path and reason") true
+            (Str_contains.contains text
+               (missing ^ ": No such file or directory"));
+          Alcotest.(check bool) (what ^ " without a backtrace") false
+            (Str_contains.contains text "exception"))
+        [
+          [ "data-check"; "university"; missing ];
+          [ "oql"; "university"; missing; "select Person" ];
+          [ "migrate-data"; "university"; log; missing ];
+        ])
+
 (* The socket clients against a live [swsd serve]: on [!ok] each prints
    the reply body on stdout, nothing on stderr, and exits 0; a refused
    request or an unreachable server goes to stderr with exit 1 (except a
@@ -635,4 +659,5 @@ let tests =
     test "oql command" oql_command;
     test "socket clients: stats, query, branch, merge" socket_clients;
     test "serve: a worker dying at startup fails fast" serve_worker_dies_at_startup;
+    test "data commands on an unreadable data file" data_file_unreadable;
   ]

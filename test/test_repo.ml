@@ -189,6 +189,79 @@ let variants_open_on_the_base () =
     (io.Io.read_file shrink_path);
   Alcotest.(check bool) "and opens on the base again" true (on_base (open_v ()))
 
+(* --- fsck_dir: one case per exit class, on the in-memory filesystem --- *)
+
+module Io = Repository.Io
+
+(* A repository at /r on a fresh in-memory filesystem, with variant [v]
+   one op in (so it has a journal and a checkpoint). *)
+let mem_repo () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let repo = Result.get_ok (Repo.init ~io "/r" (Util.university ())) in
+  let s = Result.get_ok (Repo.create_variant repo "v") in
+  let s, _ = Util.apply_ok s "add_type_definition(Lab)" in
+  Result.get_ok (Repo.save_variant repo "v" s);
+  io
+
+let fsck ?(salvage = false) io dir =
+  match Repo.fsck_dir ~io ~salvage dir with
+  | Ok r -> r
+  | Error m -> Alcotest.fail m
+
+let damage io path = io.Io.append path "not a journal record\n"
+
+let check_fsck what expected_code fragments (code, lines) =
+  Alcotest.(check int) (what ^ ": exit class") expected_code code;
+  List.iter
+    (fun f ->
+      if not (List.exists (fun l -> Str_contains.contains l f) lines) then
+        Alcotest.failf "%s: no line has %S in:\n%s" what f
+          (String.concat "\n" lines))
+    fragments
+
+let fsck_dir_classes () =
+  let io = mem_repo () in
+  check_fsck "clean" 0 [ "/r: clean" ] (fsck io "/r");
+  (* a staging directory of a crashed branch is no variant, nor damage *)
+  Io.mkdir_p io "/r/variants/.tmp-x";
+  damage io "/r/variants/.tmp-x/log.ops";
+  let code, lines = fsck io "/r" in
+  check_fsck "a staging directory is skipped" 0 [ "/r: clean" ] (code, lines);
+  Alcotest.(check bool) "and not reported" false
+    (List.exists (fun l -> Str_contains.contains l ".tmp-x") lines);
+  (* derived damage alone: the checkpoint *)
+  damage io "/r/variants/v/checkpoint.odl";
+  check_fsck "checkpoint damage" 1
+    [ "variants/v: checkpoint.odl"; "derived; regenerated by salvage" ]
+    (fsck io "/r");
+  check_fsck "salvaging it" 1 [ "variants/v: salvaged" ]
+    (fsck ~salvage:true io "/r");
+  check_fsck "after salvage" 0 [ "/r: clean" ] (fsck io "/r");
+  (* interior journal damage is corruption until salvaged *)
+  damage io "/r/variants/v/log.ops";
+  check_fsck "log.ops damage" 2 [ "variants/v: log.ops" ] (fsck io "/r");
+  check_fsck "salvaging the journal" 1 [ "variants/v: salvaged" ]
+    (fsck ~salvage:true io "/r");
+  check_fsck "after the journal salvage" 0 [ "/r: clean" ] (fsck io "/r")
+
+(* A damaged top-level schema is class 2, and every variant is still
+   walked: each keeps its own copy of the shrink wrap. *)
+let fsck_dir_damaged_shrinkwrap () =
+  let io = mem_repo () in
+  io.Io.write "/r/shrinkwrap.odl" "interface {{{";
+  damage io "/r/variants/v/log.ops";
+  check_fsck "damaged shrinkwrap.odl" 2
+    [ "shrinkwrap.odl: "; "variants/v: log.ops" ]
+    (fsck io "/r")
+
+let fsck_dir_not_a_directory () =
+  let io = mem_repo () in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " is refused") true
+        (Result.is_error (Repo.fsck_dir ~io ~salvage:false path)))
+    [ "/nowhere"; "/r/shrinkwrap.odl" ]
+
 let tests =
   [
     test "init rejects invalid shrink wrap" init_rejects_invalid;
@@ -200,4 +273,9 @@ let tests =
     test "two variants interoperate" two_variants_interop;
     test "catalog and affinity" catalog_and_affinity;
     test "variants open on the repository's base" variants_open_on_the_base;
+    test "fsck_dir: clean, derived, salvaged, corrupt, staging skipped"
+      fsck_dir_classes;
+    test "fsck_dir: a damaged shrink wrap still walks the variants"
+      fsck_dir_damaged_shrinkwrap;
+    test "fsck_dir: a path that is not a directory" fsck_dir_not_a_directory;
   ]

@@ -56,6 +56,8 @@ let same_as_full_replay store s =
           && steps_equal (steps r) (steps s)
           && Core.Session.version r = Core.Session.version s)
 
+let ok_or_fail = function Ok v -> v | Error m -> Alcotest.fail m
+
 let rec take n l =
   if n <= 0 then []
   else match l with [] -> [] | x :: r -> x :: take (n - 1) r
@@ -344,9 +346,8 @@ let fsck_undo_after_snapshot () =
   with_repo (fun repo ->
       let s = Util.session_of (Util.university ()) in
       let s, _ = Util.apply_ok s "add_type_definition(Lab)" in
-      Store.save_session repo s;
-      Store.append_delta repo ~before:s
-        ~after:(Option.get (Core.Session.undo s));
+      let w = ok_or_fail (Store.writer (Store.dir repo) s) in
+      ok_or_fail (Store.append w (Option.get (Core.Session.undo s)));
       Alcotest.(check (list string)) "an undo after a snapshot is clean" []
         (Store.fsck repo).Store.fsck_issues;
       let io = Store.io repo in
@@ -435,18 +436,8 @@ let mkdir_p_nested () =
       Io.mkdir_p Io.unix deep;
       Alcotest.(check bool) "still there" true (Sys.is_directory deep))
 
-(* The REPL's durable loop: run a command line, then journal the session
-   delta from the last session journalled durably.  A failed append keeps
-   that session, so the next append carries the missing records too. *)
-let repl_step repo (durable, st) line =
-  let st, _ = Designer.Engine.exec_line st line in
-  let after = st.Designer.Engine.session in
-  match Store.append_delta repo ~before:durable ~after with
-  | () -> (after, st)
-  | exception Sys_error _ -> (durable, st)
-
-let check_reloads repo st =
-  match Store.load_session repo with
+let check_reloads store st =
+  match Store.load_session store with
   | Ok loaded ->
       let s = st.Designer.Engine.session in
       Alcotest.(check int) "journal tracks the designer"
@@ -457,15 +448,22 @@ let check_reloads repo st =
         (Core.Session.workspace loaded)
   | Error e -> Alcotest.fail (Store.load_error_to_string e)
 
-let repl_from repo session lines =
-  Store.save_session repo session;
-  List.fold_left
-    (fun acc line ->
-      let acc = repl_step repo acc line in
-      check_reloads repo (snd acc);
-      acc)
-    (session, Designer.Engine.start session)
-    lines
+let step w st line = Designer.Engine.exec_line ~writer:w st line
+
+(* The repl's durable loop: [Engine.exec_line] through a [Store.writer] on
+   [dir], the journal reloaded after every line. *)
+let repl_from ?io dir session lines =
+  let w = ok_or_fail (Store.writer ?io dir session) in
+  let st =
+    List.fold_left
+      (fun st line ->
+        let st, _ = step w st line in
+        check_reloads (Store.open_dir ?io dir) st;
+        st)
+      (Designer.Engine.start session)
+      lines
+  in
+  (w, st)
 
 let engine_persists_incrementally () =
   with_repo (fun repo ->
@@ -482,7 +480,7 @@ let engine_persists_incrementally () =
                  apply add_attribute(Person, string, 12, pager)\n\
                  undo\n");
           ignore
-            (repl_from repo
+            (repl_from (Store.dir repo)
                (Util.session_of (Util.university ()))
                [
                  "focus ww:Person";
@@ -494,34 +492,197 @@ let engine_persists_incrementally () =
                  "redo";
                ])))
 
-(* One failed append, then a successful one: the reloaded repository is the
-   workspace the designer had, not one missing the failed command's op. *)
-let engine_journal_survives_failed_append () =
-  let mem = Io.mem_io (Io.mem_create ()) in
-  let fail_next = ref false in
+(* An in-memory filesystem whose appends fail while [full] is set. *)
+let filling_io () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let full = ref false in
   let append path data =
-    if !fail_next then begin
-      fail_next := false;
-      raise (Sys_error (path ^ ": No space left on device"))
-    end
-    else mem.Io.append path data
+    if !full then raise (Sys_error (path ^ ": No space left on device"))
+    else io.Io.append path data
   in
-  let repo = Store.open_dir ~io:{ mem with Io.append } "/repo" in
+  ({ io with Io.append }, full)
+
+let persistence_failed fb =
+  List.exists
+    (fun f ->
+      Str_contains.contains (Designer.Feedback.to_string f) "persistence failed")
+    fb
+
+(* One failed append, then a successful one: the failed command's records
+   ride on the next append, so the reloaded repository is the workspace
+   the designer had, not one missing the failed command's op. *)
+let engine_journal_survives_failed_append () =
+  let io, full = filling_io () in
   let session = Util.session_of (Util.university ()) in
-  let acc = repl_from repo session [ "focus ww:Person" ] in
-  fail_next := true;
-  let durable, st =
-    repl_step repo acc "apply add_attribute(Person, string, 12, phone)"
-  in
-  Alcotest.(check bool) "the failed append journalled nothing" true
-    (durable == session);
-  let _, st =
-    repl_step repo (durable, st)
-      "apply add_attribute(Person, string, 12, email)"
-  in
+  let w, st = repl_from ~io "/repo" session [ "focus ww:Person" ] in
+  full := true;
+  let st, fb = step w st "apply add_attribute(Person, string, 12, phone)" in
+  full := false;
+  Alcotest.(check bool) "the failure is reported" true (persistence_failed fb);
+  (match Store.load_session (Store.open_dir ~io "/repo") with
+  | Ok s ->
+      Alcotest.(check int) "the failed append journalled nothing" 0
+        (Core.Session.step_count s)
+  | Error e -> Alcotest.fail (Store.load_error_to_string e));
+  let st, fb = step w st "apply add_attribute(Person, string, 12, email)" in
+  Alcotest.(check bool) "the next append succeeds" false
+    (persistence_failed fb);
   Alcotest.(check int) "both ops live" 2
     (Core.Session.step_count st.Designer.Engine.session);
-  check_reloads repo st
+  check_reloads (Store.open_dir ~io "/repo") st
+
+(* The exit after a failed append: the journal lacks the last command's
+   records, so [close] is the full save, and the store fscks clean. *)
+let writer_close_after_failed_append () =
+  let io, full = filling_io () in
+  let session = Util.session_of (Util.university ()) in
+  let w, st =
+    repl_from ~io "/repo" session
+      [ "focus ww:Person"; "apply add_attribute(Person, string, 12, phone)" ]
+  in
+  full := true;
+  let st, _ = step w st "apply add_attribute(Person, string, 12, email)" in
+  full := false;
+  ok_or_fail (Store.close w st.Designer.Engine.session);
+  let store = Store.open_dir ~io "/repo" in
+  check_reloads store st;
+  Alcotest.(check (list string)) "fsck clean" []
+    (Store.fsck store).Store.fsck_issues
+
+(* The exit after clean appends is the checkpoint: the journal already
+   holds the session, so [log.ops] is not written, and the fsyncs are the
+   custom schema's, the checkpoint's, the manifest's and the four
+   reports'. *)
+let writer_close_checkpoints () =
+  let mem = Io.mem_io (Io.mem_create ()) in
+  let counting, fsyncs = Io.counting mem in
+  let journal_writes = ref 0 in
+  let note p = if Filename.basename p = "log.ops" then incr journal_writes in
+  let io =
+    {
+      mem with
+      (* only fsync goes through [counting], so it counts fsyncs alone *)
+      Io.fsync = counting.Io.fsync;
+      write = (fun p c -> note p; mem.Io.write p c);
+      append = (fun p c -> note p; mem.Io.append p c);
+      rename = (fun a b -> note b; mem.Io.rename a b);
+    }
+  in
+  let w, st =
+    repl_from ~io "/repo"
+      (Util.session_of (Util.university ()))
+      [
+        "focus ww:Person";
+        "apply add_attribute(Person, string, 12, phone)";
+        "undo";
+        "apply add_attribute(Person, string, 12, email)";
+      ]
+  in
+  let appended = !journal_writes and synced = fsyncs () in
+  Alcotest.(check int) "one append per changing command" 3 appended;
+  ok_or_fail (Store.close w st.Designer.Engine.session);
+  Alcotest.(check int) "close does not write log.ops" appended !journal_writes;
+  Alcotest.(check int) "close fsyncs" 7 (fsyncs () - synced);
+  check_reloads (Store.open_dir ~io "/repo") st
+
+(* Open and close report a failing filesystem as [Error]: no exception
+   reaches the repl. *)
+let writer_errors_are_results () =
+  let session = Util.session_of (Util.university ()) in
+  let mem = Io.mem_io (Io.mem_create ()) in
+  let broken = ref true in
+  let io =
+    {
+      mem with
+      Io.write =
+        (fun p c ->
+          if !broken then raise (Sys_error (p ^ ": Input/output error"))
+          else mem.Io.write p c);
+    }
+  in
+  Alcotest.(check bool) "open" true
+    (Result.is_error (Store.writer ~io "/repo" session));
+  let file = Filename.temp_file "swsd_writer" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Alcotest.(check bool) "open under a file" true
+        (Result.is_error (Store.writer (Filename.concat file "sub") session)));
+  broken := false;
+  let w = ok_or_fail (Store.writer ~io "/repo" session) in
+  broken := true;
+  Alcotest.(check bool) "close" true (Result.is_error (Store.close w session))
+
+(* Crash the repl at every effectful syscall of open, appends and close,
+   and lose whatever was not fsync'd: the reload is a session the
+   designer passed through, and fsck --salvage classifies the store 0 or
+   1, then 0.  Before the open's shrink wrap lands there is no
+   repository to reload. *)
+let writer_crash_sweep () =
+  let lines =
+    [
+      "focus ww:Person";
+      "apply add_attribute(Person, string, 12, phone)";
+      "apply add_attribute(Person, string, 20, fax)";
+      "undo";
+      "apply add_attribute(Person, string, 30, email)";
+    ]
+  in
+  let session = Util.session_of (Util.university ()) in
+  let timeline =
+    List.fold_left
+      (fun (st, states) line ->
+        let st, _ = Designer.Engine.exec_line st line in
+        (st, steps st.Designer.Engine.session :: states))
+      (Designer.Engine.start session, [ [] ])
+      lines
+    |> snd
+  in
+  let run io =
+    let w = ok_or_fail (Store.writer ~io "/repo" session) in
+    let st =
+      List.fold_left
+        (fun st l -> fst (step w st l))
+        (Designer.Engine.start session)
+        lines
+    in
+    ok_or_fail (Store.close w st.Designer.Engine.session)
+  in
+  let counted, total = Io.counting (Io.mem_io (Io.mem_create ())) in
+  run counted;
+  let reloaded = ref 0 in
+  for k = 0 to total () - 1 do
+    let mem = Io.mem_create () in
+    let io = Io.mem_io mem in
+    (try run (fst (Io.faulty ~crash_at:k io)) with Io.Crash -> ());
+    Io.mem_crash ~flush:k mem;
+    if io.Io.file_exists "/repo/shrinkwrap.odl" then begin
+      (match Store.load_session (Store.open_dir ~io "/repo") with
+      | Error e ->
+          Alcotest.failf "crash at syscall %d: %s" k
+            (Store.load_error_to_string e)
+      | Ok s ->
+          if not (List.exists (steps_equal (steps s)) timeline) then
+            Alcotest.failf
+              "crash at syscall %d: %d step(s), not a state the designer \
+               passed through"
+              k (Core.Session.step_count s));
+      let fsck ~salvage =
+        fst (ok_or_fail (Repository.Repo.fsck_dir ~io ~salvage "/repo"))
+      in
+      let salvaged = fsck ~salvage:true in
+      if salvaged > 1 then
+        Alcotest.failf "crash at syscall %d: fsck --salvage exits %d" k
+          salvaged;
+      Alcotest.(check int)
+        (Printf.sprintf "crash at syscall %d: clean after salvage" k)
+        0 (fsck ~salvage:false);
+      incr reloaded
+    end
+  done;
+  (* only the open's first few syscalls precede the shrink wrap *)
+  Alcotest.(check bool) "most crash points leave a repository" true
+    (!reloaded > total () - 8)
 
 (* --- round-trip properties (pathological names included) ------------------ *)
 
@@ -851,4 +1012,12 @@ let tests =
     journal_torn_prefix;
     crash_sweep;
     test "crash at every syscall recovers (real fs)" disk_crash_sweep;
+    test "writer: close after a failed append is a full save"
+      writer_close_after_failed_append;
+    test "writer: close after clean appends only checkpoints"
+      writer_close_checkpoints;
+    test "writer: a failing open or close is an Error"
+      writer_errors_are_results;
+    test "writer: crash at every syscall of open, appends and close"
+      writer_crash_sweep;
   ]
