@@ -161,8 +161,29 @@ let do_plan state op =
                 :: List.map Feedback.info
                      (Core.Advisor.suggest_text ~original workspace kind op e) )))
 
-(** Execute one parsed command. *)
-let rec exec state (cmd : Command.t) =
+(* [save DIR]: the session, its reports and any loaded data. *)
+let save_to ?io dir state =
+  match
+    let repo = Repository.Store.open_dir ?io dir in
+    Repository.Store.save_session repo state.session;
+    Repository.Store.save_reports repo state.session;
+    Option.iter
+      (fun store ->
+        (Repository.Store.io repo).write
+          (Filename.concat dir "data.objs")
+          (Objects.Serial.to_string store))
+      state.store
+  with
+  | () -> Ok ()
+  | exception Sys_error m -> Error m
+
+let save_feedback dir = function
+  | Ok () -> [ Feedback.info ("session saved to " ^ dir) ]
+  | Error m -> [ Feedback.error ("could not save to " ^ dir ^ ": " ^ m) ]
+
+(* With a [writer], each line of a [source]d script is journalled as
+   [exec_line] journals a typed one, so a [save] among them is seen. *)
+let rec exec_with ?writer state (cmd : Command.t) =
   let workspace = Session.workspace state.session in
   match cmd with
   | Concepts ->
@@ -231,7 +252,7 @@ let rec exec state (cmd : Command.t) =
           in
           List.fold_left
             (fun (st, fb) line ->
-              let st, fb' = exec_line st line in
+              let st, fb' = exec_line ?writer st line in
               (st, fb @ (Feedback.info ("> " ^ line) :: fb')))
             (state, []) lines)
   | Check ->
@@ -331,21 +352,7 @@ let rec exec state (cmd : Command.t) =
         Repository.Knowledge.rule_summaries
         |> List.map (fun (name, what) ->
                Feedback.output (Printf.sprintf "%-24s %s" name what)) )
-  | Save dir -> (
-      match
-        let repo = Repository.Store.open_dir dir in
-        Repository.Store.save_session repo state.session;
-        Repository.Store.save_reports repo state.session;
-        Option.iter
-          (fun store ->
-            Out_channel.with_open_text (Filename.concat dir "data.objs")
-              (fun oc ->
-                Out_channel.output_string oc (Objects.Serial.to_string store)))
-          state.store
-      with
-      | () -> (state, [ Feedback.info ("session saved to " ^ dir) ])
-      | exception Sys_error m ->
-          (state, [ Feedback.error ("could not save to " ^ dir ^ ": " ^ m) ]))
+  | Save dir -> (state, save_feedback dir (save_to dir state))
   | Help -> (state, [ Feedback.output Command.help_text ])
   | Quit -> ({ state with finished = true }, [ Feedback.info "bye" ])
 
@@ -365,8 +372,13 @@ and exec_line ?(readonly = false) ?writer state line =
               Feedback.error
                 "readonly session; restart without --readonly to modify";
             ] ) )
-    | Save dir as cmd -> (Some dir, exec state cmd)
-    | cmd -> (None, exec state cmd)
+    | Save dir ->
+        (* on the writer's IO, which may be the one its directory is on *)
+        let saved =
+          save_to ?io:(Option.map Repository.Store.writer_io writer) dir state
+        in
+        (Some (dir, Result.is_ok saved), (state, save_feedback dir saved))
+    | cmd -> (None, exec_with ?writer state cmd)
   in
   match writer with
   | None -> (state, feedback)
@@ -375,3 +387,6 @@ and exec_line ?(readonly = false) ?writer state line =
       | Ok () -> (state, feedback)
       | Error m ->
           (state, feedback @ [ Feedback.caution ("persistence failed: " ^ m) ]))
+
+(** Execute one parsed command. *)
+let exec state cmd = exec_with state cmd

@@ -502,7 +502,12 @@ let save_reports t session =
 
 (* --- the designer's durable writer --------------------------------------- *)
 
-type writer = { w_store : t; mutable w_durable : Core.Session.t }
+type writer = {
+  w_store : t;
+  mutable w_durable : Core.Session.t option;
+      (** the last session journalled durably; [None] after a failed full
+          save into this directory, which leaves the journal unknown *)
+}
 
 let guard f = match f () with v -> Ok v | exception Sys_error m -> Error m
 
@@ -510,7 +515,9 @@ let writer ?io dir session =
   guard (fun () ->
       let t = open_dir ?io dir in
       save_session t session;
-      { w_store = t; w_durable = session })
+      { w_store = t; w_durable = Some session })
+
+let writer_io w = w.w_store.io
 
 let same_dir a b =
   a = b
@@ -518,21 +525,26 @@ let same_dir a b =
 
 let append ?saved_to w after =
   match saved_to with
-  | Some d when same_dir d w.w_store.dir ->
-      (* that full save wrote [after]'s log as the journal *)
-      w.w_durable <- after;
+  | Some (d, saved) when same_dir d w.w_store.dir ->
+      (* that full save wrote [after]'s log as the journal; a failed one
+         may have stopped anywhere *)
+      w.w_durable <- (if saved then Some after else None);
       Ok ()
   | _ ->
       guard (fun () ->
           let t = w.w_store in
-          let n, _, data = Journal.encoded_delta ~before:w.w_durable ~after in
-          if n > 0 then Journal.append_raw t.io (log_file t) data;
-          w.w_durable <- after)
+          (match w.w_durable with
+          | None -> save_session t after
+          | Some before ->
+              let n, _, data = Journal.encoded_delta ~before ~after in
+              if n > 0 then Journal.append_raw t.io (log_file t) data);
+          w.w_durable <- Some after)
 
 let close w final =
   guard (fun () ->
-      if w.w_durable == final then save_checkpoint w.w_store final
-      else save_session w.w_store final;
+      (match w.w_durable with
+      | Some durable when durable == final -> save_checkpoint w.w_store final
+      | _ -> save_session w.w_store final);
       save_reports w.w_store final)
 
 type load_error =

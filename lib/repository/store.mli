@@ -88,22 +88,29 @@ val writer : ?io:Io.t -> string -> Core.Session.t -> (writer, string) result
 (** Open (creating) the store at the directory and {!save_session} the
     session into it: the journal then holds its history. *)
 
+val writer_io : writer -> Io.t
+(** The IO the writer's directory lives on. *)
+
 val append :
-  ?saved_to:string -> writer -> Core.Session.t -> (unit, string) result
+  ?saved_to:string * bool -> writer -> Core.Session.t -> (unit, string) result
 (** Journal the records turning the last session journalled durably into
     this one ({!Journal.encoded_delta}) with one fsync, nothing when their
     logs are equal; this one becomes the last.  On [Error] the last stays,
     so the next append carries the missing records too and the journal
     always holds a session the designer passed through.
-    [saved_to] names a directory the command just full-saved this
-    session into ([save DIR]); when it is the writer's own, that save
-    wrote the journal, and nothing is appended twice. *)
+    [saved_to = (dir, saved)] names a directory the command just
+    full-saved this session into ([save DIR]) and whether that save
+    succeeded.  When it is the writer's own, the append writes nothing: a
+    successful save wrote the journal, so nothing is appended twice; a
+    failed one leaves the journal unknown, so the next append and the
+    {!close} are full {!save_session}s. *)
 
 val close : writer -> Core.Session.t -> (unit, string) result
 (** The exit save of the final session, then {!save_reports}: a
     {!save_checkpoint} when the last session journalled durably is the
-    final one, the full {!save_session} otherwise (after a failed
-    append the journal's tail is not the session's). *)
+    final one, the full {!save_session} otherwise (after a failed append
+    or a failed save into this directory the journal is not the
+    session's). *)
 
 (** {1 Manifest} *)
 

@@ -429,34 +429,28 @@ module Follower = struct
   (* Connect and run the replication handshake: greeting, [@follow],
      then the stream is frames.  Bounded per call; the caller loops. *)
   let dial leader =
-    match Transport.connect ~retry_for:1.0 leader with
+    match Transport.Client.connect_to ~retry_for:1.0 leader with
     | Error _ as e -> e
-    | Ok fd -> (
-        let reader = Transport.reader fd in
-        let rec greeting () =
-          match Transport.read_line reader with
-          | None -> Error "leader hung up during greeting"
-          | Some line ->
-              if Protocol.is_terminator line then Ok () else greeting ()
-        in
+    | Ok c -> (
+        let fd = Transport.Client.fd c in
         (* Total: a peer that resets mid-handshake (a server mid-restart
            during promotion churn raises ECONNRESET out of the greeting
            read) is a failed dial, never an exception — an exception here
            would escape [run] and silently kill the applier thread,
            leaving the follower serving stale state forever. *)
         match
-          match greeting () with
-          | Error _ as e -> e
-          | Ok () ->
+          match Transport.Client.read_response c with
+          | None -> Error "leader hung up during greeting"
+          | Some _greeting ->
               Transport.write_all fd "@follow\n";
-              Ok (fd, reader)
+              Ok (fd, c)
         with
         | Ok _ as r -> r
         | Error m ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
+            Transport.Client.close c;
             Error m
         | exception (Unix.Unix_error _ | Sys_error _) ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
+            Transport.Client.close c;
             Error "leader hung up during handshake")
 
   let rec dial_until_stopped stop leader =

@@ -29,8 +29,6 @@
     served by any one healthy shard — the pool shares a single repository
     directory, so each worker already sees the full variant list. *)
 
-module Io = Repository.Io
-
 (* --- consistent hashing ---------------------------------------------------- *)
 
 (* FNV-1a, 64-bit *)
@@ -88,46 +86,32 @@ let make_instruments obs shards =
 type t = {
   workers : Supervisor.t;
   shards : int;
-  listen : Protocol.address;
-  listen_fd : Unix.file_descr;
+  listener : Transport.listener;
   connect_retry : float;
-  retry_after_ms : int;
-  stop_requested : bool Atomic.t;
-  mu : Mutex.t;
-  clients : (int, Unix.file_descr) Hashtbl.t;  (** live client fds, by id *)
-  next_id : int Atomic.t;
   i : instruments;
 }
 
 (* per-client-connection forwarding state *)
 type conn_state = {
-  reader : Transport.reader;
-  fd : Unix.file_descr;
   mutable attached : (string * bool) option;  (** variant, readonly *)
   backends : (int, Transport.Client.c) Hashtbl.t;
 }
 
-let create ?(backlog = 64) ?(obs = Obs.noop) ?(connect_retry = 5.0)
-    ?(retry_after_ms = 200) ~listen workers =
-  match Transport.bind ~backlog listen with
-  | Error m -> Error m
-  | Ok fd ->
-      Ok
-        {
-          workers;
-          shards = Supervisor.shards workers;
-          listen = Transport.bound_address fd listen;
-          listen_fd = fd;
-          connect_retry;
-          retry_after_ms;
-          stop_requested = Atomic.make false;
-          mu = Mutex.create ();
-          clients = Hashtbl.create 16;
-          next_id = Atomic.make 0;
-          i = make_instruments obs (Supervisor.shards workers);
-        }
+let create ?(obs = Obs.noop) ?(connect_retry = 5.0) ~listen workers =
+  Result.map
+    (fun listener ->
+      let shards = Supervisor.shards workers in
+      {
+        workers;
+        shards;
+        listener;
+        connect_retry;
+        i = make_instruments obs shards;
+      })
+    (Transport.listen listen)
 
-let listen_address t = t.listen
+let listen_address t = Transport.listen_address t.listener
+let stop t = Transport.stop t.listener
 
 (* --- backend management ---------------------------------------------------- *)
 
@@ -139,12 +123,7 @@ let drop_backend (st : conn_state) shard =
       Transport.Client.close c
 
 let open_line v ro = "@open " ^ v ^ if ro then " readonly" else ""
-
-let status_ok lines =
-  match List.rev lines with
-  | last :: _ ->
-      String.length last >= 3 && String.sub last 0 3 = "!ok"
-  | [] -> false
+let status_ok lines = Result.is_ok (Transport.Client.outcome lines)
 
 let send_on c line =
   match Transport.Client.request c line with
@@ -175,9 +154,7 @@ let backend t (st : conn_state) shard =
           | Some _greeting -> (
               let replay =
                 match st.attached with
-                | Some (v, ro)
-                  when shard_of ~shards:(t.shards) v = shard
-                  -> (
+                | Some (v, ro) when shard_of ~shards:t.shards v = shard -> (
                     Obs.Metrics.incr t.i.c_replays;
                     match send_on c (open_line v ro) with
                     | Result.Ok lines when status_ok lines -> Result.Ok ()
@@ -192,6 +169,18 @@ let backend t (st : conn_state) shard =
               | Result.Error e ->
                   Transport.Client.close c;
                   Result.Error e)))
+
+(* One round trip to [shard]: its reply, [`Refused] when the [@open]
+   replay on a fresh connection was answered with an error (those are
+   the lines to surface), or [`Conn] when the shard cannot be reached.
+   A failed connection is dropped, so the next request reconnects and
+   replays the attachment. *)
+let ask t st shard line =
+  let outcome = Result.bind (backend t st shard) (fun c -> send_on c line) in
+  (match outcome with
+  | Result.Ok _ -> Obs.Metrics.incr t.i.c_forwarded.(shard)
+  | Result.Error _ -> drop_backend st shard);
+  outcome
 
 (* May this request line be resent on a fresh backend connection after a
    connection failure?  Mutations may have been applied and acked by a
@@ -215,7 +204,7 @@ let resend_safe line =
 let unavailable t shard m =
   Obs.Metrics.incr t.i.c_unavailable;
   Protocol.to_lines
-    (Protocol.busy ~retry_after_ms:t.retry_after_ms
+    (Protocol.busy ~retry_after_ms:200
        (Printf.sprintf "shard %d unavailable: %s" shard m))
 
 (* Forward one request line to [shard]; returns full response lines
@@ -223,83 +212,57 @@ let unavailable t shard m =
    unreachable. *)
 let forward t st shard line =
   let t0 = Unix.gettimeofday () in
-  let retryable = resend_safe line in
-  let rec go attempt =
-    let outcome =
-      match backend t st shard with
-      | Result.Error e -> Result.Error e
-      | Result.Ok c -> (
-          match send_on c line with
-          | Result.Ok _ as ok -> ok
-          | Result.Error _ as e -> e)
-    in
-    match outcome with
-    | Result.Ok lines -> lines
-    | Result.Error (`Refused lines) ->
-        (* the @open replay was answered with an error: surface it and
-           force a fresh replay on the next request *)
-        drop_backend st shard;
-        lines
-    | Result.Error (`Conn m) ->
-        drop_backend st shard;
-        if retryable && attempt = 0 then begin
-          Obs.Metrics.incr t.i.c_retries;
-          go 1
-        end
-        else unavailable t shard m
+  let rec go retried =
+    match ask t st shard line with
+    | Result.Ok lines | Result.Error (`Refused lines) -> lines
+    | Result.Error (`Conn _) when (not retried) && resend_safe line ->
+        Obs.Metrics.incr t.i.c_retries;
+        go true
+    | Result.Error (`Conn m) -> unavailable t shard m
   in
-  let lines = go 0 in
-  Obs.Metrics.incr t.i.c_forwarded.(shard);
+  let lines = go false in
   Obs.Histo.observe t.i.h_forward (Unix.gettimeofday () -. t0);
   lines
 
 (* --- per-request dispatch -------------------------------------------------- *)
 
-let strip_body lines =
-  let p = Protocol.body_prefix in
-  let pl = String.length p in
-  lines
-  |> List.filter_map (fun l ->
-         if String.length l >= pl && String.sub l 0 pl = p then
-           Some (String.sub l pl (String.length l - pl))
-         else None)
-  |> String.concat "\n"
-
 (* [@list]: the pool shares one repository directory, so any healthy
    shard serves the complete list; walk the shards until one answers. *)
 let do_list t st line =
-  let shards = t.shards in
   let rec go k last_err =
-    if k >= shards then unavailable t (max 0 (shards - 1)) last_err
+    if k >= t.shards then unavailable t (max 0 (t.shards - 1)) last_err
     else
-      match backend t st k with
+      match ask t st k line with
+      | Result.Ok lines | Result.Error (`Refused lines) -> lines
       | Result.Error (`Conn m) -> go (k + 1) m
-      | Result.Error (`Refused lines) ->
-          drop_backend st k;
-          lines
-      | Result.Ok c -> (
-          match send_on c line with
-          | Result.Ok lines ->
-              Obs.Metrics.incr t.i.c_forwarded.(k);
-              lines
-          | Result.Error (`Conn m) ->
-              drop_backend st k;
-              go (k + 1) m)
   in
   go 0 "no shards"
 
+(* Every shard's body, in shard order; the first shard that cannot answer,
+   or answers other than [!ok] (a worker running --no-obs refuses
+   [@stats]), ends the fan-out, and its reply is the [Error]. *)
+let fan_out t st line =
+  let rec collect k acc =
+    if k >= t.shards then Result.Ok (List.rev acc)
+    else
+      match ask t st k line with
+      | Result.Ok lines -> (
+          match Transport.Client.outcome lines with
+          | Result.Ok body -> collect (k + 1) (body :: acc)
+          | Result.Error _ -> Result.Error lines)
+      | Result.Error (`Refused lines) -> Result.Error lines
+      | Result.Error (`Conn m) -> Result.Error (unavailable t k m)
+  in
+  collect 0 []
+
 let router_snapshot t =
-  Obs.Metrics.set t.i.g_conns
-    (Mutex.lock t.mu;
-     let n = Hashtbl.length t.clients in
-     Mutex.unlock t.mu;
-     n);
+  Obs.Metrics.set t.i.g_conns (Transport.connections t.listener);
   Obs.snapshot
     ~notes:
       [
-        ("router.shards", string_of_int (t.shards));
+        ("router.shards", string_of_int t.shards);
         ("router.restarts", string_of_int (Supervisor.restarts t.workers));
-        ("router.listen", Protocol.address_to_string t.listen);
+        ("router.listen", Protocol.address_to_string (listen_address t));
       ]
     t.i.obs
 
@@ -309,33 +272,15 @@ let do_stats t st fmt line =
   if not (Obs.enabled t.i.obs) then
     Protocol.to_lines
       (Protocol.err "observability is disabled (server started with --no-obs)")
-  else begin
-    let shards = t.shards in
-    let rec collect k acc =
-      if k >= shards then Result.Ok (List.rev acc)
-      else
-        let label = Printf.sprintf "shard-%d" k in
-        match backend t st k with
-        | Result.Error (`Conn m) -> Result.Error (`Down (k, m))
-        | Result.Error (`Refused lines) ->
-            drop_backend st k;
-            Result.Error (`Lines lines)
-        | Result.Ok c -> (
-            match send_on c line with
-            | Result.Error (`Conn m) ->
-                drop_backend st k;
-                Result.Error (`Down (k, m))
-            | Result.Ok lines when not (status_ok lines) ->
-                (* e.g. a worker running --no-obs: propagate its refusal *)
-                Result.Error (`Lines lines)
-            | Result.Ok lines ->
-                Obs.Metrics.incr t.i.c_forwarded.(k);
-                collect (k + 1) ((label, strip_body lines) :: acc))
-    in
-    match collect 0 [] with
-    | Result.Error (`Down (k, m)) -> unavailable t k m
-    | Result.Error (`Lines lines) -> lines
-    | Result.Ok parts ->
+  else
+    match fan_out t st line with
+    | Result.Error lines -> lines
+    | Result.Ok bodies ->
+        let parts =
+          List.mapi
+            (fun k body -> (Printf.sprintf "shard-%d" k, String.concat "\n" body))
+            bodies
+        in
         let sn = router_snapshot t in
         let merged =
           match fmt with
@@ -347,7 +292,6 @@ let do_stats t st fmt line =
                 (("router", Obs.Export.to_json sn) :: parts)
         in
         Protocol.to_lines (Protocol.ok [ String.trim merged ])
-  end
 
 (* [@query all ...]: every shard answers only for the variants it owns
    (workers filter by [shard_span], the same rendezvous hash {!shard_of}
@@ -357,35 +301,9 @@ let do_stats t st fmt line =
    single-process answer already emits blocks in sorted-variant order, so
    the merged bytes are identical to what one unsharded server says. *)
 let do_query_all t st line =
-  let shards = t.shards in
-  let rec collect k acc =
-    if k >= shards then Result.Ok (List.rev acc)
-    else
-      match backend t st k with
-      | Result.Error (`Conn m) -> Result.Error (`Down (k, m))
-      | Result.Error (`Refused lines) ->
-          drop_backend st k;
-          Result.Error (`Lines lines)
-      | Result.Ok c -> (
-          match send_on c line with
-          | Result.Error (`Conn m) ->
-              drop_backend st k;
-              Result.Error (`Down (k, m))
-          | Result.Ok lines when not (status_ok lines) ->
-              Result.Error (`Lines lines)
-          | Result.Ok lines ->
-              Obs.Metrics.incr t.i.c_forwarded.(k);
-              collect (k + 1) (strip_body lines :: acc))
-  in
-  match collect 0 [] with
-  | Result.Error (`Down (k, m)) -> unavailable t k m
-  | Result.Error (`Lines lines) -> lines
-  | Result.Ok parts ->
-      let lines =
-        List.concat_map
-          (fun s -> if s = "" then [] else String.split_on_char '\n' s)
-          parts
-      in
+  match fan_out t st line with
+  | Result.Error lines -> lines
+  | Result.Ok bodies ->
       let blocks =
         List.fold_left
           (fun acc l ->
@@ -394,10 +312,24 @@ let do_query_all t st line =
               match acc with
               | b :: rest -> (l :: b) :: rest
               | [] -> [ [ l ] ] (* headerless stray: keep, never drop data *))
-          [] lines
+          [] (List.concat bodies)
         |> List.rev_map List.rev |> List.sort compare
       in
       Protocol.to_lines (Protocol.ok (List.concat blocks))
+
+(* [@open]/[@new]: one attachment per connection, mirrored here so
+   designer commands route to its shard. *)
+let attach t st line variant readonly =
+  match st.attached with
+  | Some (v, _) when v <> variant ->
+      (* same refusal the single-process service gives; forwarding
+         would attach a second variant on another shard *)
+      Protocol.to_lines
+        (Protocol.err ("already attached to " ^ v ^ "; @close first"))
+  | _ ->
+      let lines = forward t st (shard_of ~shards:t.shards variant) line in
+      if status_ok lines then st.attached <- Some (variant, readonly);
+      lines
 
 let handle_request t st line =
   Obs.Metrics.incr t.i.c_requests;
@@ -407,26 +339,9 @@ let handle_request t st line =
   | Result.Ok Protocol.Ping -> Protocol.to_lines (Protocol.ok [ "pong" ])
   | Result.Ok Protocol.List -> do_list t st line
   | Result.Ok (Protocol.Stats fmt) -> do_stats t st fmt line
-  | Result.Ok (Protocol.Open { variant; readonly }) -> (
-      match st.attached with
-      | Some (v, _) when v <> variant ->
-          (* same refusal the single-process service gives; forwarding
-             would attach a second variant on another shard *)
-          Protocol.to_lines
-            (Protocol.err ("already attached to " ^ v ^ "; @close first"))
-      | _ ->
-          let lines = forward t st (shard_of ~shards variant) line in
-          if status_ok lines then st.attached <- Some (variant, readonly);
-          lines)
-  | Result.Ok (Protocol.New variant) -> (
-      match st.attached with
-      | Some (v, _) when v <> variant ->
-          Protocol.to_lines
-            (Protocol.err ("already attached to " ^ v ^ "; @close first"))
-      | _ ->
-          let lines = forward t st (shard_of ~shards variant) line in
-          if status_ok lines then st.attached <- Some (variant, false);
-          lines)
+  | Result.Ok (Protocol.Open { variant; readonly }) ->
+      attach t st line variant readonly
+  | Result.Ok (Protocol.New variant) -> attach t st line variant false
   | Result.Ok Protocol.Close -> (
       match st.attached with
       | None -> Protocol.to_lines (Protocol.err "no open session")
@@ -475,83 +390,18 @@ let handle_request t st line =
           Protocol.to_lines (Protocol.err "no open session; use: @open <variant>")
       | Some (v, _) -> forward t st (shard_of ~shards v) line)
 
-(* --- connection loop ------------------------------------------------------- *)
-
-let handle_conn t fd =
-  let id = Atomic.fetch_and_add t.next_id 1 in
-  Mutex.lock t.mu;
-  Hashtbl.replace t.clients id fd;
-  Mutex.unlock t.mu;
-  let st =
-    { reader = Transport.reader fd; fd; attached = None; backends = Hashtbl.create 4 }
-  in
-  let finish () =
-    Hashtbl.iter (fun _ c -> Transport.Client.close c) st.backends;
-    Hashtbl.reset st.backends;
-    Mutex.lock t.mu;
-    Hashtbl.remove t.clients id;
-    Mutex.unlock t.mu;
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  (try
-     Transport.write_all fd
-       (Protocol.to_string (Protocol.ok [ "swsd design service" ]));
-     let rec loop () =
-       if not (Atomic.get t.stop_requested) then
-         match Transport.read_line st.reader with
-         | None -> ()
-         | Some line ->
-             let stop_after = String.trim line = "@quit" in
-             let lines = handle_request t st line in
-             Transport.write_all st.fd (String.concat "\n" lines ^ "\n");
-             if not stop_after then loop ()
-     in
-     loop ()
-   with
-  | Unix.Unix_error _ | Sys_error _ -> ()
-  | Io.Crash -> ());
-  finish ()
-
-(** Ask the accept loop to wind down; safe from a signal handler.  Live
-    client connections are closed so their threads exit promptly. *)
-let stop t =
-  if not (Atomic.exchange t.stop_requested true) then begin
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Mutex.lock t.mu;
-    let fds = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.clients [] in
-    Mutex.unlock t.mu;
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
-  end
+let session t _fd _reader =
+  let st = { attached = None; backends = Hashtbl.create 4 } in
+  {
+    Transport.reply =
+      (fun line -> Some (String.concat "\n" (handle_request t st line) ^ "\n"));
+    finish =
+      (fun () ->
+        Hashtbl.iter (fun _ c -> Transport.Client.close c) st.backends;
+        Hashtbl.reset st.backends);
+  }
 
 (** Accept and route until {!stop}.  Blocks the calling thread; spawns
     one thread per client connection.  Does not manage the workers:
     callers start/stop the {!Supervisor} around this. *)
-let run t =
-  Transport.ignore_sigpipe ();
-  (try Unix.set_nonblock t.listen_fd with Unix.Unix_error _ -> ());
-  let rec accept_loop () =
-    if not (Atomic.get t.stop_requested) then begin
-      match Unix.select [ t.listen_fd ] [] [] 0.2 with
-      | [], _, _ -> accept_loop ()
-      | _ -> (
-          match Unix.accept t.listen_fd with
-          | client_fd, _ ->
-              Unix.clear_nonblock client_fd;
-              ignore (Thread.create (fun () -> handle_conn t client_fd) ());
-              accept_loop ()
-          | exception
-              Unix.Unix_error
-                ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED),
-                  _,
-                  _ ) ->
-              accept_loop ()
-          | exception Unix.Unix_error _ -> Atomic.set t.stop_requested true)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | exception Unix.Unix_error _ -> Atomic.set t.stop_requested true
-    end
-  in
-  accept_loop ();
-  match t.listen with
-  | Protocol.Unix_path p -> (
-      try Unix.unlink p with Unix.Unix_error _ -> ())
-  | Protocol.Tcp _ -> ()
+let run t = Transport.serve t.listener (session t) ~wind_down:ignore

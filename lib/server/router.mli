@@ -13,25 +13,28 @@ val shard_of : shards:int -> string -> int
 type t
 
 val create :
-  ?backlog:int ->
   ?obs:Obs.t ->
   ?connect_retry:float ->
-  ?retry_after_ms:int ->
   listen:Protocol.address ->
   Supervisor.t ->
   (t, string) result
-(** Bind the front-end listener.  [connect_retry] (default 5 s) bounds
-    how long a request waits for a backend worker to accept — long
-    enough to ride out a supervisor respawn.  [obs] feeds the router's
-    own counters ([swsd.router.*]); pass [Obs.noop] for [--no-obs]. *)
+(** Bind the front-end listener ({!Transport.listen}).  [connect_retry]
+    (default 5 s) bounds how long a request waits for a backend worker to
+    accept — long enough to ride out a supervisor respawn; a request that
+    cannot be served gets [!busy] with a 200 ms retry hint.  [obs] feeds
+    the router's own counters ([swsd.router.*]); pass [Obs.noop] for
+    [--no-obs]. *)
 
 val listen_address : t -> Protocol.address
 (** Effective listen address (TCP port 0 resolved to the bound port). *)
 
 val run : t -> unit
-(** Accept and route until {!stop}; blocks.  The caller starts/stops the
-    {!Supervisor} around this. *)
+(** Accept and route until {!stop} on {!Transport.serve}; blocks.  On the
+    way out every client connection still open is ended (a reply in
+    flight is still written) and a Unix socket path is unlinked.  The
+    caller starts/stops the {!Supervisor} around this. *)
 
 val stop : t -> unit
-(** Safe from a signal handler; also closes live client connections. *)
+(** {!Transport.stop}: sets the flag and closes the listener, taking no
+    lock, so it is safe from a signal handler. *)
 

@@ -1,7 +1,8 @@
 (** Socket front end for {!Service} — Unix-domain or TCP
-    ({!Protocol.address}): one thread per connection, a periodic
-    idle-session reaper, and graceful drain on SIGTERM/SIGINT.  The
-    multi-process pieces live alongside: {!Transport} (bind/connect/IO),
+    ({!Protocol.address}): a session per connection on {!Transport}'s
+    listener, a periodic idle-session reaper, and graceful drain on
+    SIGTERM/SIGINT.  The multi-process pieces live alongside:
+    {!Transport} (the listener, connect, IO),
     {!Supervisor} (the shard and replica worker processes), {!Router}
     (the variant-hashing front end), {!Replication} (journal shipping,
     promotion) and {!Serve} (the [swsd serve] topology and era policy). *)
@@ -23,7 +24,6 @@ type t
 
 val create :
   ?config:Service.config ->
-  ?backlog:int ->
   ?obs:Obs.t ->
   ?io:Repository.Io.t ->
   ?replicate:bool ->
@@ -41,7 +41,6 @@ val create :
     streams instead of protocol clients. *)
 
 val of_service :
-  ?backlog:int ->
   ?hub:Replication.hub ->
   listen:Protocol.address ->
   Service.t ->
@@ -55,14 +54,18 @@ val service : t -> Service.t
 val listen_address : t -> Protocol.address
 (** Effective listen address (TCP port 0 resolved to the bound port). *)
 
-val run : ?reap_every:float -> t -> (string * string) list
+val run : t -> (string * string) list
 (** Accept and serve until {!stop}; then drain, snapshot, and release
-    locks via {!Service.shutdown}, returning its failures.  Blocks.
-    Ignores SIGPIPE process-wide: a client hanging up mid-response is a
-    clean per-connection teardown, never process death. *)
+    locks via {!Service.shutdown}, returning its failures; then end the
+    connections still open (a reply in flight is still written) and
+    unlink a Unix socket path.  Idle sessions are reaped every second
+    meanwhile.  Blocks.  Ignores SIGPIPE process-wide: a client hanging
+    up mid-response is a clean per-connection teardown, never process
+    death. *)
 
 val stop : t -> unit
-(** Request shutdown; safe from a signal handler or another thread. *)
+(** Request shutdown ({!Transport.stop}); safe from a signal handler or
+    another thread. *)
 
 (** Blocking line-protocol client used by the CLI, tests, and bench; see
     {!Transport.Client}.  [connect ?retry_for path] accepts a socket path

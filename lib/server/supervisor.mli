@@ -4,7 +4,7 @@
     Every worker is a fork+exec'd [EXE serve ...] on its own Unix socket,
     a direct child of the supervising process.  A supervisor thread reaps
     dead workers ([waitpid WNOHANG]) and applies the role's restart
-    policy; the stale-socket probe in {!Transport.bind} lets a restarted
+    policy; the stale-socket probe in {!Transport.listen} lets a restarted
     worker rebind the path its kill -9'd predecessor left behind. *)
 
 type topology =

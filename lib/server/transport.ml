@@ -1,6 +1,8 @@
-(** Socket plumbing shared by {!Server}, {!Router}, and the clients:
-    bind/connect over both transports ({!Protocol.address}), partial-write
-    loops, a buffered line reader, and the blocking protocol client.
+(** Socket plumbing shared by {!Server}, {!Router}, and the clients: the
+    one listener (bind, accept loop, a thread per connection, the
+    greeting and request loop, stop), connect over both transports
+    ({!Protocol.address}), partial-write loops, a buffered line reader,
+    and the blocking protocol client.
 
     This lives below [server.ml] (the library interface module) so that
     {!Router} and {!Supervisor} can use the same plumbing without a
@@ -12,9 +14,9 @@ exception Bind_error of string
 
 (* A client hanging up mid-response must surface as EPIPE on the write,
    never as a process-killing SIGPIPE.  Process-wide, idempotent; called
-   by every accept loop ([Server.run], [Router.run]) so embedded servers
-   (tests, benches) are covered too, not only [swsd serve] which installs
-   full signal handlers ({!on_stop_signals}). *)
+   by [serve] so embedded servers (tests, benches) are covered too, not
+   only [swsd serve] which installs full signal handlers
+   ({!on_stop_signals}). *)
 let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Sys_error _ -> ()
@@ -77,12 +79,12 @@ let prepare_unix_path path =
               Result.Error (path ^ ": " ^ Unix.error_message e)))
   | _ -> Result.Error (path ^ ": exists and is not a socket; refusing to replace it")
 
-(** Bind and listen on [address].  For Unix sockets, a stale socket file
-    from a crashed server is detected (probe-connect) and unlinked; a
-    path with a live listener — or holding a non-socket file — is an
-    error.  For TCP, [SO_REUSEADDR] is set; port 0 picks a free port
-    (recover it with {!bound_address}). *)
-let bind ?(backlog = 64) address =
+(* Bind and listen on [address].  For Unix sockets, a stale socket file
+   from a crashed server is detected (probe-connect) and unlinked; a path
+   with a live listener — or holding a non-socket file — is an error.  For
+   TCP, [SO_REUSEADDR] is set; port 0 picks a free port (recovered by
+   [bound_address]). *)
+let bind address =
   let prepared =
     match address with
     | Protocol.Unix_path p -> prepare_unix_path p
@@ -100,7 +102,7 @@ let bind ?(backlog = 64) address =
          with e ->
            (try Unix.close fd with Unix.Unix_error _ -> ());
            raise e);
-        Unix.listen fd backlog;
+        Unix.listen fd 64;
         fd
       with
       | fd -> Result.Ok fd
@@ -109,8 +111,8 @@ let bind ?(backlog = 64) address =
             (Protocol.address_to_string address ^ ": " ^ Unix.error_message e)
       | exception Bind_error m -> Result.Error m)
 
-(** The address a listener actually bound — resolves TCP port 0 to the
-    kernel-assigned port.  [address] is the address passed to {!bind}. *)
+(* The address a listener actually bound: TCP port 0 resolved to the
+   kernel-assigned port. *)
 let bound_address fd address =
   match address with
   | Protocol.Unix_path _ -> address
@@ -240,23 +242,142 @@ let read_exact r n =
   in
   if n = 0 then Some "" else go ()
 
+(* --- the listener ------------------------------------------------------------ *)
+
+type session = { reply : string -> string option; finish : unit -> unit }
+
+type listener = {
+  sock : Unix.file_descr;
+  address : Protocol.address;
+  stopping : bool Atomic.t;
+  mu : Mutex.t;
+  conns : (int, Unix.file_descr) Hashtbl.t;  (** open connections, by id *)
+  mutable next_id : int;  (** under [mu] *)
+}
+
+let listen address =
+  match bind address with
+  | Result.Error _ as e -> e
+  | Result.Ok fd ->
+      Result.Ok
+        {
+          sock = fd;
+          address = bound_address fd address;
+          stopping = Atomic.make false;
+          mu = Mutex.create ();
+          conns = Hashtbl.create 16;
+          next_id = 0;
+        }
+
+let listen_address l = l.address
+let stopping l = Atomic.get l.stopping
+
+(* Signal-safe: no lock is taken.  Closing the listener makes the next
+   [select] in [serve] fail, which ends the accept loop. *)
+let stop l =
+  if not (Atomic.exchange l.stopping true) then
+    try Unix.close l.sock with Unix.Unix_error _ -> ()
+
+let with_conns l f =
+  Mutex.lock l.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock l.mu) (fun () -> f l.conns)
+
+let connections l = with_conns l Hashtbl.length
+
+let greeting = Protocol.to_string (Protocol.ok [ "swsd design service" ])
+
+(* One connection, on its own thread.  A peer hanging up mid-reply
+   surfaces as EPIPE on the write (SIGPIPE is ignored): that, a read
+   error, or a crashed repository IO ends this connection only.  Only
+   this thread closes [fd], and only after taking it out of the table,
+   so [serve]'s shutdown pass never reaches a closed or reused
+   descriptor. *)
+let serve_conn l open_session id fd =
+  let r = reader fd in
+  let s = open_session fd r in
+  (try
+     write_all fd greeting;
+     let rec loop () =
+       match read_line r with
+       | None -> ()
+       | Some line -> (
+           match s.reply line with
+           | None -> ()
+           | Some text ->
+               write_all fd text;
+               if String.trim line <> "@quit" then loop ())
+     in
+     loop ()
+   with Unix.Unix_error _ | Sys_error _ | Io.Crash -> ());
+  s.finish ();
+  with_conns l (fun conns -> Hashtbl.remove conns id);
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let serve l open_session ~wind_down =
+  (* embedded servers (tests, benches) install no stop signals; they
+     still must survive client hangups *)
+  ignore_sigpipe ();
+  (* A blocked [accept] is not reliably woken by a concurrent [close], so
+     the loop polls readiness with a short select instead: [stop] lands
+     within one timeout, and a closed listener surfaces as EBADF here. *)
+  (try Unix.set_nonblock l.sock with Unix.Unix_error _ -> ());
+  let rec accept_loop () =
+    if not (stopping l) then
+      match Unix.select [ l.sock ] [] [] 0.2 with
+      | [], _, _ -> accept_loop ()
+      | _ -> (
+          match Unix.accept l.sock with
+          | fd, _ ->
+              Unix.clear_nonblock fd;
+              let id =
+                with_conns l (fun conns ->
+                    let id = l.next_id in
+                    l.next_id <- id + 1;
+                    Hashtbl.replace conns id fd;
+                    id)
+              in
+              ignore (Thread.create (serve_conn l open_session id) fd);
+              accept_loop ()
+          | exception
+              Unix.Unix_error
+                ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED),
+                  _,
+                  _ ) ->
+              accept_loop ()
+          | exception Unix.Unix_error _ -> stop l)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
+      | exception Unix.Unix_error _ ->
+          (* the listener was closed (stop/SIGTERM) or is unusable *)
+          stop l
+  in
+  accept_loop ();
+  Fun.protect wind_down ~finally:(fun () ->
+      (* Shutting the read side wakes a thread blocked in [read_line] with
+         EOF (a [close] would not), while a reply still being computed can
+         be written; each connection then ends on its own thread. *)
+      with_conns l
+        (Hashtbl.iter (fun _ fd ->
+             try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+             with Unix.Unix_error _ -> ()));
+      match l.address with
+      | Protocol.Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
+      | Protocol.Tcp _ -> ())
+
 (* --- a minimal client (CLI, tests, bench, router backends) ----------------- *)
 
 module Client = struct
-  type c = { r : reader }
+  type c = reader
 
   let connect_to ?retry_for address =
-    match connect ?retry_for address with
-    | Result.Ok fd -> Result.Ok { r = reader fd }
-    | Result.Error _ as e -> e
+    Result.map reader (connect ?retry_for address)
 
   let connect ?retry_for path =
     match Protocol.parse_address path with
     | Result.Error _ as e -> e
     | Result.Ok a -> connect_to ?retry_for a
 
-  let fd c = c.r.fd
-  let read_line c = read_line c.r
+  let fd c = c.fd
+  let read_line = read_line
 
   (** Read body lines up to and including the status; [None] on EOF. *)
   let read_response c =
@@ -270,16 +391,23 @@ module Client = struct
     go []
 
   let request c line =
-    write_all c.r.fd (line ^ "\n");
+    write_all c.fd (line ^ "\n");
     read_response c
 
-  let close c = try Unix.close c.r.fd with Unix.Unix_error _ -> ()
+  let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-  let strip line =
-    let pl = String.length Protocol.body_prefix in
-    if String.starts_with ~prefix:Protocol.body_prefix line then
-      String.sub line pl (String.length line - pl)
-    else line
+  let outcome lines =
+    let strip line =
+      let pl = String.length Protocol.body_prefix in
+      if String.starts_with ~prefix:Protocol.body_prefix line then
+        String.sub line pl (String.length line - pl)
+      else line
+    in
+    match List.rev lines with
+    | status :: rev_body when String.starts_with ~prefix:"!ok" status ->
+        Result.Ok (List.rev_map strip rev_body)
+    | status :: rev_body -> Result.Error (List.rev_map strip rev_body @ [ status ])
+    | [] -> Result.Error []
 
   (** One short session: connect (riding out a server still binding),
       consume the greeting, then send [lines] in order.  [Ok] carries the
@@ -299,15 +427,10 @@ module Client = struct
                   match request c line with
                   | None -> Result.Error (address ^ ": server hung up")
                   | Some lines -> (
-                      match List.rev lines with
-                      | status :: rev_body
-                        when String.starts_with ~prefix:"!ok" status ->
-                          go (List.rev_map strip rev_body) rest
-                      | status :: rev_body ->
-                          Result.Error
-                            (String.concat "\n"
-                               (List.rev_map strip rev_body @ [ status ]))
-                      | [] -> Result.Error "empty response"))
+                      match outcome lines with
+                      | Result.Ok body -> go body rest
+                      | Result.Error lines ->
+                          Result.Error (String.concat "\n" lines)))
             in
             match read_response c with
             | None -> Result.Error (address ^ ": server hung up before greeting")

@@ -1,6 +1,7 @@
-(** Socket plumbing shared by {!Server}, {!Router}, and the clients: bind
-    and connect over both transports ({!Protocol.address}), a partial-write
-    loop, a buffered line reader, and the blocking protocol client. *)
+(** Socket plumbing shared by {!Server}, {!Router}, and the clients: the
+    one listener both front ends serve through, connect over both
+    transports ({!Protocol.address}), a partial-write loop, a buffered
+    line reader, and the blocking protocol client. *)
 
 val ignore_sigpipe : unit -> unit
 (** Process-wide, idempotent: a peer hanging up mid-write must surface as
@@ -9,16 +10,6 @@ val ignore_sigpipe : unit -> unit
 val on_stop_signals : (unit -> unit) -> unit
 (** SIGTERM and SIGINT run the callback (from a signal handler, so it
     must only request a stop); SIGPIPE is ignored ({!ignore_sigpipe}). *)
-
-val bind :
-  ?backlog:int -> Protocol.address -> (Unix.file_descr, string) result
-(** Bind + listen.  Unix: probes the path first — a stale socket file from
-    a crashed server is unlinked and reclaimed; a live listener or a
-    non-socket file is an error.  TCP: sets [SO_REUSEADDR]; port 0 lets
-    the kernel pick (recover it with {!bound_address}). *)
-
-val bound_address : Unix.file_descr -> Protocol.address -> Protocol.address
-(** The effective listen address (resolves TCP port 0). *)
 
 val connect :
   ?retry_for:float ->
@@ -55,10 +46,59 @@ val read_exact : reader -> int -> string option
     connection — the replication stream's framing); [None] when the
     stream ends short. *)
 
+(** {1 The listener} *)
+
+type listener
+
+val listen : Protocol.address -> (listener, string) result
+(** Bind and listen.  Unix: probes the path first — a stale socket file
+    from a crashed server is unlinked and reclaimed; a live listener or a
+    non-socket file is an error.  TCP: sets [SO_REUSEADDR]; port 0 lets
+    the kernel pick. *)
+
+val listen_address : listener -> Protocol.address
+(** The effective address (TCP port 0 resolved to the bound port). *)
+
+type session = {
+  reply : string -> string option;
+      (** The reply to one request line, wire form.  [None] ends the
+          connection without a reply: the handler has taken it over (a
+          replication stream) and returned when done with it. *)
+  finish : unit -> unit;  (** Runs once, after the last line. *)
+}
+(** What a front end supplies per connection. *)
+
+val serve :
+  listener ->
+  (Unix.file_descr -> reader -> session) ->
+  wind_down:(unit -> 'a) ->
+  'a
+(** [serve l open_session ~wind_down] accepts until {!stop}, running each
+    connection on its own thread: [open_session] on the socket and its
+    reader, the greeting, then one {!session.reply} per request line until
+    EOF, [@quit] or [None].  A peer hanging up, a read error or
+    {!Repository.Io.Crash} ends that connection only.  Once the accept
+    loop exits, [wind_down] runs; then every connection still open has its
+    read side shut down, so an idle one reads EOF and ends while a reply
+    in flight is still written, and a Unix socket path is unlinked.
+    Returns [wind_down]'s result.  Only a connection's own thread closes
+    its socket.  Ignores SIGPIPE process-wide. *)
+
+val stop : listener -> unit
+(** Set the stop flag and close the listening socket.  Takes no lock, so
+    it is safe from a signal handler or any thread. *)
+
+val stopping : listener -> bool
+
+val connections : listener -> int
+(** Connections accepted and not yet ended. *)
+
+(** {1 The client} *)
+
 (** Blocking line-protocol client used by the CLI, tests, bench, and the
     router's backend connections. *)
 module Client : sig
-  type c
+  type c = reader
 
   val connect : ?retry_for:float -> string -> (c, string) result
   (** Parses the argument with {!Protocol.parse_address}: a socket path
@@ -76,6 +116,12 @@ module Client : sig
   (** Read one response without sending (e.g. the greeting). *)
 
   val close : c -> unit
+
+  val outcome : string list -> (string list, string list) result
+  (** A response's status and body: [Ok body] when the status is [!ok],
+      [Error lines] otherwise.  Either way the lines before the status
+      come with the body prefix stripped; [Error] keeps the status as its
+      last line. *)
 
   val call : string -> string list -> (string list, string) result
   (** [call address lines]: connect to a socket path or [host:port]

@@ -8,6 +8,7 @@
    Run with QCHECK_LONG=1 (the [fuzz-long] alias) for the full sweep. *)
 
 module Store = Repository.Store
+module Repo = Repository.Repo
 module Io = Repository.Io
 module Journal = Repository.Journal
 
@@ -492,15 +493,16 @@ let engine_persists_incrementally () =
                  "redo";
                ])))
 
-(* An in-memory filesystem whose appends fail while [full] is set. *)
+(* An in-memory filesystem whose appends and writes fail while [full] is
+   set. *)
 let filling_io () =
   let io = Io.mem_io (Io.mem_create ()) in
   let full = ref false in
-  let append path data =
+  let fill op path data =
     if !full then raise (Sys_error (path ^ ": No space left on device"))
-    else io.Io.append path data
+    else op path data
   in
-  ({ io with Io.append }, full)
+  ({ io with Io.append = fill io.Io.append; write = fill io.Io.write }, full)
 
 let persistence_failed fb =
   List.exists
@@ -548,6 +550,64 @@ let writer_close_after_failed_append () =
   check_reloads store st;
   Alcotest.(check (list string)) "fsck clean" []
     (Store.fsck store).Store.fsck_issues
+
+(* A failed [save] into the writer's own directory after a failed append:
+   the save may have stopped anywhere, so the journal's state is unknown
+   and the exit is the full save, not a checkpoint over a journal that
+   lacks the failed append's records. *)
+let writer_close_after_failed_self_save () =
+  let io, full = filling_io () in
+  let session = Util.session_of (Util.university ()) in
+  let w, st =
+    repl_from ~io "/repo" session
+      [ "focus ww:Person"; "apply add_attribute(Person, string, 12, phone)" ]
+  in
+  full := true;
+  let st, fb = step w st "apply add_attribute(Person, string, 12, email)" in
+  Alcotest.(check bool) "the append failed" true (persistence_failed fb);
+  let st, fb = step w st "save /repo" in
+  Alcotest.(check bool) "the save failed" true
+    (List.exists
+       (fun f ->
+         Str_contains.contains (Designer.Feedback.to_string f) "could not save")
+       fb);
+  full := false;
+  let st, _ = step w st "quit" in
+  ok_or_fail (Store.close w st.Designer.Engine.session);
+  (match Repo.fsck_dir ~io ~salvage:false "/repo" with
+  | Ok (code, lines) ->
+      Alcotest.(check int)
+        ("fsck class: " ^ String.concat "; " lines)
+        0 code
+  | Error m -> Alcotest.fail m);
+  check_reloads (Store.open_dir ~io "/repo") st
+
+(* A [save] into the writer's own directory from a [source]d script:
+   the writer sees it, so the script's later lines are appended once, not
+   the whole script again over the journal the save wrote. *)
+let writer_sourced_self_save () =
+  with_repo (fun repo ->
+      let dir = Store.dir repo in
+      let script = Filename.temp_file "swsd_source" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove script)
+        (fun () ->
+          Out_channel.with_open_text script (fun oc ->
+              Out_channel.output_string oc
+                ("apply add_attribute(Person, string, 12, fax)\nsave " ^ dir
+               ^ "\napply add_attribute(Person, string, 12, pager)\n"));
+          let w, st =
+            repl_from dir
+              (Util.session_of (Util.university ()))
+              [ "focus ww:Person"; "source " ^ script ]
+          in
+          ok_or_fail (Store.close w st.Designer.Engine.session);
+          match Repo.fsck_dir ~salvage:false dir with
+          | Ok (code, lines) ->
+              Alcotest.(check int)
+                ("fsck class: " ^ String.concat "; " lines)
+                0 code
+          | Error m -> Alcotest.fail m))
 
 (* The exit after clean appends is the checkpoint: the journal already
    holds the session, so [log.ops] is not written, and the fsyncs are the
@@ -1014,6 +1074,10 @@ let tests =
     test "crash at every syscall recovers (real fs)" disk_crash_sweep;
     test "writer: close after a failed append is a full save"
       writer_close_after_failed_append;
+    test "writer: close after a failed save into its own directory is a full save"
+      writer_close_after_failed_self_save;
+    test "writer: a save in a sourced script is journalled once"
+      writer_sourced_self_save;
     test "writer: close after clean appends only checkpoints"
       writer_close_checkpoints;
     test "writer: a failing open or close is an Error"

@@ -562,6 +562,31 @@ let chaos_kill9 transport () =
           check_clean_and_durable ~dir:cl.dir ~variant:va (List.rev !acked_a);
           check_clean_and_durable ~dir:cl.dir ~variant:vb (List.rev !acked_b)))
 
+(* [stop] with an idle client connected: [run] returns, the client is
+   hung up on, and the front socket file is gone. *)
+let stop_ends_idle_connections () =
+  with_watchdog ~secs:60.0 ~name:"router stop with an idle client" (fun () ->
+      let cl = start_cluster `Unix in
+      Fun.protect
+        ~finally:(fun () -> rm_rf cl.dir)
+        (fun () ->
+          Fun.protect
+            ~finally:(fun () -> stop_cluster cl)
+            (fun () ->
+              let c = connect cl in
+              Router.stop cl.router;
+              Thread.join cl.runner;
+              let hung_up =
+                match Unix.select [ Client.fd c ] [] [] 1.0 with
+                | [], _, _ -> false
+                | _ -> Client.read_line c = None
+              in
+              Client.close c;
+              Alcotest.(check bool) "the idle client reads EOF within 1 s" true
+                hung_up;
+              Alcotest.(check bool) "front socket removed" false
+                (Sys.file_exists (Filename.concat cl.dir "front.sock")))))
+
 let tests =
   [
     hash_total_and_stable;
@@ -578,4 +603,6 @@ let tests =
       (chaos_kill9 `Unix);
     test "router: kill -9 a worker mid-load (tcp), nothing acked lost"
       (chaos_kill9 `Tcp);
+    test "router: stop ends idle connections and removes the socket"
+      stop_ends_idle_connections;
   ]

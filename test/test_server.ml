@@ -1202,6 +1202,117 @@ let socket_end_to_end () =
           Alcotest.(check bool) "socket file removed" false
             (Sys.file_exists socket_path)))
 
+(* Does the peer hang up within [secs]?  The reader of a client that
+   sent nothing is empty, so readiness here is the EOF itself. *)
+let eof_within secs c =
+  match Unix.select [ Server.Client.fd c ] [] [] secs with
+  | [], _, _ -> false
+  | _ -> Server.Client.read_line c = None
+
+(* [stop] with an idle client connected: [run] returns, the client is
+   hung up on, and the socket file is gone. *)
+let stop_ends_idle_connections () =
+  with_watchdog ~secs:30.0 ~name:"stop ends idle connections" (fun () ->
+      let dir = tmp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          (match Repo.init dir (tiny ()) with
+          | Result.Ok _ -> ()
+          | Result.Error e -> Alcotest.fail e);
+          let path = Filename.concat dir "swsd.sock" in
+          let server =
+            match Server.create ~listen:(Protocol.Unix_path path) dir with
+            | Result.Ok s -> s
+            | Result.Error m -> Alcotest.fail m
+          in
+          let runner = Thread.create (fun () -> ignore (Server.run server)) () in
+          let client =
+            match Server.Client.connect ~retry_for:10.0 path with
+            | Result.Ok c -> c
+            | Result.Error m -> Alcotest.fail m
+          in
+          ignore (Server.Client.read_response client);
+          Server.stop server;
+          Thread.join runner;
+          Alcotest.(check bool) "the idle client reads EOF within 1 s" true
+            (eof_within 1.0 client);
+          Alcotest.(check bool) "socket file removed" false
+            (Sys.file_exists path);
+          Server.Client.close client))
+
+(* A write in flight when [stop] lands is drained, and its reply still
+   reaches the client before the connection is ended.  The write is held
+   inside its journal fsync until the stop has landed. *)
+let stop_answers_request_in_flight () =
+  with_watchdog ~secs:30.0 ~name:"stop answers the request in flight" (fun () ->
+      let dir = tmp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          (match Repo.init dir (tiny ()) with
+          | Result.Ok _ -> ()
+          | Result.Error e -> Alcotest.fail e);
+          let hold = Atomic.make false and held = Atomic.make false in
+          let io =
+            {
+              Io.unix with
+              Io.fsync =
+                (fun p ->
+                  while Atomic.get hold do
+                    Atomic.set held true;
+                    Thread.delay 0.005
+                  done;
+                  Io.unix.Io.fsync p);
+            }
+          in
+          let path = Filename.concat dir "swsd.sock" in
+          let server =
+            match Server.create ~io ~listen:(Protocol.Unix_path path) dir with
+            | Result.Ok s -> s
+            | Result.Error m -> Alcotest.fail m
+          in
+          let runner = Thread.create (fun () -> ignore (Server.run server)) () in
+          let client =
+            match Server.Client.connect ~retry_for:10.0 path with
+            | Result.Ok c -> c
+            | Result.Error m -> Alcotest.fail m
+          in
+          ignore (Server.Client.read_response client);
+          let expect_ok line =
+            match Server.Client.request client line with
+            | Some lines when List.mem "!ok" lines -> ()
+            | Some lines -> Alcotest.failf "%s: %s" line (String.concat " | " lines)
+            | None -> Alcotest.failf "%s: server hung up" line
+          in
+          expect_ok "@new v";
+          expect_ok "focus ww:Person";
+          Atomic.set hold true;
+          Server.Transport.write_all (Server.Client.fd client)
+            (apply_line "in_flight" ^ "\n");
+          while not (Atomic.get held) do
+            Thread.delay 0.005
+          done;
+          Server.stop server;
+          (* past one accept-loop poll: the listener is gone *)
+          Thread.delay 0.3;
+          Atomic.set hold false;
+          (match Server.Client.read_response client with
+          | Some lines ->
+              Alcotest.(check bool)
+                ("the write in flight is acknowledged: "
+                ^ String.concat " | " lines)
+                true (List.mem "!ok" lines)
+          | None -> Alcotest.fail "hung up on the write in flight");
+          Thread.join runner;
+          Alcotest.(check bool) "then the client reads EOF within 1 s" true
+            (eof_within 1.0 client);
+          Server.Client.close client;
+          Alcotest.(check bool) "the acknowledged write is durable" true
+            (Str_contains.contains
+               (Io.unix.Io.read_file (Filename.concat dir "variants/v/log.ops"))
+               "in_flight")))
+
 (* [swsd serve] as a child process: SIGTERM must drain gracefully (exit 0)
    and a concurrent [repl --save] on a served variant must fail fast. *)
 let sigterm_drains () =
@@ -1314,9 +1425,9 @@ let stale_socket_reclaimed () =
                 (List.mem "!ok" lines)
           | None -> Alcotest.fail "reclaimed server hung up");
           (* a LIVE listener is never stolen... *)
-          (match Server.Transport.bind (Protocol.Unix_path path) with
-          | Result.Ok fd ->
-              Unix.close fd;
+          (match Server.Transport.listen (Protocol.Unix_path path) with
+          | Result.Ok l ->
+              Server.Transport.stop l;
               Alcotest.fail "bind stole a live listener's socket"
           | Result.Error m ->
               Alcotest.(check bool) "refusal names the live listener" true
@@ -1324,9 +1435,9 @@ let stale_socket_reclaimed () =
           (* ...and a regular file at the path is never unlinked *)
           let decoy = Filename.concat dir "not_a_socket" in
           Io.unix.Io.write decoy "precious";
-          (match Server.Transport.bind (Protocol.Unix_path decoy) with
-          | Result.Ok fd ->
-              Unix.close fd;
+          (match Server.Transport.listen (Protocol.Unix_path decoy) with
+          | Result.Ok l ->
+              Server.Transport.stop l;
               Alcotest.fail "bind replaced a regular file"
           | Result.Error m ->
               Alcotest.(check bool) "refusal names the non-socket" true
@@ -2355,6 +2466,10 @@ let tests =
     test "stats: request phases are complete, ordered, and add up"
       trace_phases_add_up;
     framing_matches_reference;
+    test "server: stop ends idle connections and removes the socket"
+      stop_ends_idle_connections;
+    test "server: a request in flight at stop still gets its reply"
+      stop_answers_request_in_flight;
   ]
 
 let soak_tests = [ Alcotest.test_case "bounded chaos soak" `Slow soak ]
