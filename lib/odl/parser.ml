@@ -247,6 +247,12 @@ let parse_schema_stream t =
     @raise Parse_error on syntax errors. *)
 let parse_schema src = parse_schema_stream (T.of_string src)
 
+let parse_schema_result src =
+  match parse_schema src with
+  | schema -> Ok schema
+  | exception (Parse_error (m, line, _) | Lexer.Lex_error (m, line, _)) ->
+      Error (Printf.sprintf "line %d: %s" line m)
+
 (** Parse a single interface definition (used by tests and the designer). *)
 let parse_interface_string src =
   let t = T.of_string src in

@@ -14,6 +14,9 @@ val parse_schema : string -> Types.schema
     @raise Parse_error on syntax errors.
     @raise Lexer.Lex_error on invalid characters. *)
 
+val parse_schema_result : string -> (Types.schema, string) result
+(** {!parse_schema}, a syntax or lexical error given as ["line L: message"]. *)
+
 val parse_interface_string : string -> Types.interface
 (** Parse exactly one interface definition. *)
 

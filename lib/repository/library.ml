@@ -32,8 +32,8 @@ let load dir =
     List.fold_left
       (fun (oks, bads) f ->
         let path = Filename.concat dir f in
-        match Odl.Parser.parse_schema (read_file path) with
-        | schema ->
+        match Odl.Parser.parse_schema_result (read_file path) with
+        | Ok schema ->
             ( {
                 e_path = path;
                 e_schema = schema;
@@ -41,10 +41,7 @@ let load dir =
               }
               :: oks,
               bads )
-        | exception Odl.Parser.Parse_error (m, line, _) ->
-            (oks, (path, Printf.sprintf "line %d: %s" line m) :: bads)
-        | exception Odl.Lexer.Lex_error (m, line, _) ->
-            (oks, (path, Printf.sprintf "line %d: %s" line m) :: bads))
+        | Error m -> (oks, (path, m) :: bads))
       ([], []) files
   in
   ({ lib_dir = dir; entries = List.rev entries }, List.rev failures)

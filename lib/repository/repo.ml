@@ -84,12 +84,9 @@ let open_dir ?(io = Io.unix) dir =
   if not (io.Io.file_exists path) then
     Error (dir ^ " has no shrinkwrap.odl")
   else
-    match Odl.Parser.parse_schema (io.Io.read_file path) with
-    | shrink_wrap -> Ok (make dir io shrink_wrap)
-    | exception Odl.Parser.Parse_error (m, line, _) ->
-        Error (Printf.sprintf "%s is damaged: line %d: %s" path line m)
-    | exception Odl.Lexer.Lex_error (m, line, _) ->
-        Error (Printf.sprintf "%s is damaged: line %d: %s" path line m)
+    match Odl.Parser.parse_schema_result (io.Io.read_file path) with
+    | Ok shrink_wrap -> Ok (make dir io shrink_wrap)
+    | Error m -> Error (Printf.sprintf "%s is damaged: %s" path m)
     | exception Sys_error m -> Error (path ^ ": " ^ m)
 
 let shrink_wrap t = t.shrink_wrap

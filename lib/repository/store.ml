@@ -33,8 +33,9 @@
 
     Recovery opens from the checkpoint and replays only the journal records
     appended after it; the checkpoint is derived data, so whenever it is
-    missing, damaged or does not match, a full replay of the journal —
-    the reference — takes over. *)
+    missing, damaged or does not match, the recovery walk — the full
+    replay of the journal, the reference, which fsck runs too — takes
+    over. *)
 
 type t = { dir : string; io : Io.t }
 
@@ -87,17 +88,6 @@ let save_shrinkwrap t schema =
 
 let load_shrinkwrap t =
   Odl.Parser.parse_schema (read_file t (shrinkwrap_file t))
-
-let load_log t =
-  if t.io.Io.file_exists (log_file t) then
-    let { Journal.entries; damage } = Journal.read t.io (log_file t) in
-    (match damage with
-    | Some (Journal.Corrupt _ as d) -> raise (Bad_log (Journal.damage_to_string d))
-    | Some (Journal.Torn_tail _) | None -> ());
-    match Journal.resolve entries with
-    | Ok steps -> steps
-    | Error m -> raise (Bad_log m)
-  else []
 
 let read_log t =
   if t.io.Io.file_exists (log_file t) then read_file t (log_file t) else ""
@@ -272,14 +262,6 @@ let checkpoint_of_string text =
       if hex body <> digest then Error "workspace does not match its digest"
       else Ok { c_ops; c_bytes; c_log; c_shrinkwrap; c_body = body }
 
-let parse_workspace body =
-  match Odl.Parser.parse_schema body with
-  | workspace -> Ok workspace
-  | exception Odl.Parser.Parse_error (m, line, _) ->
-      Error (Printf.sprintf "line %d: %s" line m)
-  | exception Odl.Lexer.Lex_error (m, line, _) ->
-      Error (Printf.sprintf "line %d: %s" line m)
-
 (* [None] when there is no checkpoint. *)
 let load_checkpoint t =
   if t.io.Io.file_exists (checkpoint_file t) then
@@ -289,13 +271,24 @@ let load_checkpoint t =
       | exception Sys_error m -> Error m)
   else None
 
-(* Whether the checkpoint was taken on the shrink wrap text with hex
+(* The checkpoint and the op records of the journal prefix it covers, when
+   it covers at least one and was taken on the shrink wrap text with hex
    digest [shrink_digest] and on a journal whose first [c_bytes] bytes are
-   these: digests only, no parse. *)
-let covers c ~shrink_digest ~log_text =
-  shrink_digest = c.c_shrinkwrap
-  && c.c_bytes <= String.length log_text
-  && Digest.to_hex (Digest.substring log_text 0 c.c_bytes) = c.c_log
+   these: digests only, the records cut and not parsed.  This is what the
+   open trusts, and so what fsck checks. *)
+let covered_prefix ~shrink_digest ~log_text checkpoint =
+  let ( let* ) = Option.bind in
+  let* c = Option.bind checkpoint Result.to_option in
+  let* records =
+    if
+      c.c_ops > 0
+      && shrink_digest = c.c_shrinkwrap
+      && c.c_bytes <= String.length log_text
+      && Digest.to_hex (Digest.substring log_text 0 c.c_bytes) = c.c_log
+    then Journal.op_records ~len:c.c_bytes log_text
+    else None
+  in
+  if List.length records = c.c_ops then Some (c, records) else None
 
 (* --- the shrink wrap's chunks ---------------------------------------------- *)
 
@@ -342,7 +335,8 @@ let checkpoint_workspace (chunks : chunks) body =
           (fun (c, i) -> if Option.is_none i then Some c else None)
           slots
       in
-      Result.bind (parse_workspace (Odl.Printer.schema_of_chunks name own))
+      Result.bind
+        (Odl.Parser.parse_schema_result (Odl.Printer.schema_of_chunks name own))
         (fun parsed ->
           if
             List.compare_lengths parsed.s_interfaces own = 0
@@ -547,6 +541,15 @@ let close w final =
       | _ -> save_session w.w_store final);
       save_reports w.w_store final)
 
+(* --- recovery ----------------------------------------------------------------
+
+   One walk serves the open and fsck: the shrink wrap read, the journal
+   parsed, its [@undo;] records resolved, the ops applied and the local
+   names restored.  Each problem it meets is a [fault], in the order met,
+   that ends the part of the journal it is in, so the walk reaches the
+   longest replayable prefix.  The open turns the first fault but a torn
+   tail into its error; fsck turns each into a line of its report. *)
+
 type load_error =
   | Damaged of { file : string; reason : string }
   | Replay of Core.Apply.error
@@ -556,170 +559,225 @@ let load_error_to_string = function
   | Replay e ->
       "log.ops does not replay: " ^ Core.Apply.error_to_string e
 
-let damaged file reason = Error (Damaged { file; reason })
-
-(* Read one ODL artifact's text, mapping every failure mode to [Damaged]. *)
-let read_artifact t file path =
-  if not (t.io.Io.file_exists path) then damaged file "missing"
+(* The stored shrink wrap as a base: [base] itself when [shrinkwrap.odl]
+   holds exactly its text, so nothing is parsed, indexed or digested
+   again. *)
+let read_base ?base t =
+  let damaged reason = Error (Damaged { file = "shrinkwrap.odl"; reason }) in
+  if not (t.io.Io.file_exists (shrinkwrap_file t)) then damaged "missing"
   else
-    match read_file t path with
-    | exception Sys_error m -> damaged file m
-    | text -> Ok text
+    match (read_file t (shrinkwrap_file t), base) with
+    | exception Sys_error m -> damaged m
+    | text, Some b when String.equal b.b_text text -> Ok b
+    | text, _ -> (
+        match Odl.Parser.parse_schema_result text with
+        | Error m -> damaged m
+        | Ok schema -> (
+            match Core.Session.create schema with
+            | Error ds -> Error (Replay (Core.Oplog.invalid_shrink_wrap ds))
+            | Ok s ->
+                Ok
+                  { b_text = text; b_digest = hex text; b_session = s;
+                    b_chunks = chunks_of_text text schema }))
 
-let parse_artifact file text =
-  match Odl.Parser.parse_schema text with
-  | schema -> Ok schema
-  | exception Odl.Parser.Parse_error (m, line, _) ->
-      damaged file (Printf.sprintf "line %d: %s" line m)
-  | exception Odl.Lexer.Lex_error (m, line, _) ->
-      damaged file (Printf.sprintf "line %d: %s" line m)
+(* [kept]: the records before a corrupt line, all that is read; [later]:
+   the records, or ops, dropped after the one at fault. *)
+type fault =
+  | Torn_tail of string  (** the unterminated fragment the journal ends in *)
+  | Corrupt_line of { line : int; reason : string; kept : int }
+  | Undoes_nothing of { record : int; later : int }
+  | Rejected of { op : int; error : Core.Apply.error; later : int }
+  | Bad_aliases of string  (** local names reset *)
 
-(* Read one ODL artifact, text and schema. *)
-let read_schema_artifact t file path =
-  Result.bind (read_artifact t file path) (fun text ->
-      Result.map (fun schema -> (text, schema)) (parse_artifact file text))
+(* The walk's state at the end of a journal prefix. *)
+type split = Unread | Unreplayable | Reached of Core.Session.t
 
-(* The checkpoint and the op records of the journal prefix it covers, when
-   it covers at least one and matches this shrink wrap and journal:
-   digests only, the records cut and not parsed. *)
-let covered_prefix t ~shrink_digest ~log_text =
-  let ( let* ) = Option.bind in
-  let* c = Option.bind (load_checkpoint t) Result.to_option in
-  let* records =
-    if c.c_ops > 0 && covers c ~shrink_digest ~log_text then
-      Journal.op_records ~len:c.c_bytes log_text
-    else None
+type walk = {
+  w_session : Core.Session.t;  (** local names restored *)
+  w_faults : fault list;
+  w_at_start : unit -> split;
+}
+
+let from start text = String.sub text start (String.length text - start)
+
+let read_aliases t =
+  if t.io.Io.file_exists (aliases_file t) then
+    match Core.Aliases.of_string (read_file t (aliases_file t)) with
+    | aliases -> Ok aliases
+    | exception (Core.Aliases.Bad_aliases m | Sys_error m) -> Error m
+  else Ok Core.Aliases.empty
+
+(* The recovery walk over [log_text] from [b]'s session.  [start] ends a
+   prefix of one record a line (a checkpoint's covered prefix) and
+   [suffix] is the rest parsed; a corrupt line is reported at its line in
+   the whole journal.  [w_at_start] is the state after the prefix, with no
+   second replay: the walk's state after the [j] prefix ops the whole
+   journal keeps, then those an [@undo;] after [start] popped (usually
+   none). *)
+let walk t b ~log_text ~start (suffix : Journal.parsed) =
+  let faults = ref [] in
+  let fault f = faults := f :: !faults in
+  let prefix = Journal.parse (String.sub log_text 0 start) in
+  (* [n]: how many records precede [start]; -1 when the walk stops before *)
+  let n = if prefix.damage = None then List.length prefix.entries else -1 in
+  let journal : Journal.parsed =
+    if n < 0 then prefix
+    else
+      { entries = prefix.entries @ suffix.entries;
+        damage =
+          (match suffix.damage with
+          | Some (Journal.Corrupt c) ->
+              Some (Journal.Corrupt { c with line = c.line + n })
+          | d -> d) }
   in
-  if List.length records = c.c_ops then Some (c, records) else None
+  (match journal.damage with
+  | Some (Journal.Torn_tail fragment) -> fault (Torn_tail fragment)
+  | Some (Journal.Corrupt { line; reason }) ->
+      fault (Corrupt_line { line; reason; kept = List.length journal.entries })
+  | None -> ());
+  (* [@undo;] resolved as {!Journal.resolve} does, keeping the stack as it
+     stood after the first [n] records *)
+  let rec resolve i stack at entries =
+    let at = if i = n then Some stack else at in
+    match entries with
+    | [] -> (stack, at)
+    | Journal.Op (kind, op) :: rest ->
+        resolve (i + 1) ((kind, op) :: stack) at rest
+    | Journal.Undo :: rest -> (
+        match stack with
+        | _ :: stack -> resolve (i + 1) stack at rest
+        | [] ->
+            fault (Undoes_nothing { record = i + 1; later = List.length rest });
+            (stack, at))
+  in
+  let stack, at = resolve 0 [] None journal.entries in
+  let steps = List.rev stack in
+  (* the two stacks share their ops below the deepest undo after [start] *)
+  let j, undone =
+    let rec common j = function
+      | x :: xs, y :: ys when x == y -> common (j + 1) (xs, ys)
+      | undone, _ -> (j, undone)
+    in
+    match at with Some at -> common 0 (List.rev at, steps) | None -> (0, [])
+  in
+  let at_j = ref None in
+  let rec apply k s ops =
+    if k = j then at_j := Some s;
+    match ops with
+    | [] -> s
+    | (kind, op) :: rest -> (
+        match Core.Session.apply s ~kind op with
+        | Ok (s, _) -> apply (k + 1) s rest
+        | Error error ->
+            fault (Rejected { op = k + 1; error; later = List.length rest });
+            s)
+  in
+  let session = apply 0 b.b_session steps in
+  let session =
+    match read_aliases t with
+    | Ok aliases -> Core.Session.restore_aliases session aliases
+    | Error m ->
+        fault (Bad_aliases m);
+        session
+  in
+  let at_j = !at_j in
+  { w_session = session;
+    w_faults = List.rev !faults;
+    w_at_start =
+      (fun () ->
+        match (at, at_j) with
+        | None, _ -> Unread
+        | Some _, None -> Unreplayable
+        | Some _, Some s -> (
+            match Core.Oplog.replay_on s undone with
+            | Ok s -> Reached s
+            | Error _ -> Unreplayable)) }
+
+(* The open's error for a fault; none for a torn tail, which it repairs. *)
+let load_error_of_fault = function
+  | Torn_tail _ -> None
+  | Corrupt_line { line; reason; _ } ->
+      let reason = Journal.damage_to_string (Journal.Corrupt { line; reason }) in
+      Some (Damaged { file = "log.ops"; reason })
+  | Undoes_nothing _ ->
+      let reason = "undo record with no operation to undo" in
+      Some (Damaged { file = "log.ops"; reason })
+  | Rejected { error; _ } -> Some (Replay error)
+  | Bad_aliases reason -> Some (Damaged { file = "aliases.map"; reason })
+
+(* fsck's report line for a fault. *)
+let fault_line = function
+  | Torn_tail fragment ->
+      "log.ops: " ^ Journal.damage_to_string (Journal.Torn_tail fragment)
+  | Corrupt_line { line; reason; kept } ->
+      Printf.sprintf "log.ops: %s; kept the valid prefix (%d record(s))"
+        (Journal.damage_to_string (Journal.Corrupt { line; reason }))
+        kept
+  | Undoes_nothing { record; later } ->
+      Printf.sprintf
+        "log.ops: record %d undoes nothing; dropped it and %d later record(s)"
+        record later
+  | Rejected { op; error; later } ->
+      Printf.sprintf
+        "log.ops: operation %d rejected on replay (%s); dropped it and %d \
+         later operation(s)"
+        op (Core.Apply.error_to_string error) later
+  | Bad_aliases m -> Printf.sprintf "aliases.map: %s; local names reset" m
 
 (* The session opened from checkpoint [c] — [records] the journal prefix
-   it covers — plus the journal [entries] after it, on [fresh ()] (a
-   session just created on the shrink wrap, with the shrink wrap's
-   chunks); [None] whenever the checkpoint cannot serve (its workspace
-   does not reconstruct or is invalid, or an [@undo;] after it pops into
-   the prefix) or an entry does not apply, leaving the full replay — and
-   its error report — to the caller. *)
-let resume fresh (c, records) entries =
+   it covers — plus the journal [entries] after it; [None] whenever the
+   checkpoint cannot serve (its workspace does not reconstruct or is
+   invalid, or an [@undo;] after it pops into the prefix) or an entry does
+   not apply, leaving the walk — and its error report — to the caller. *)
+let resume b (c, records) entries =
   let ( let* ) = Option.bind in
   (* resolving the records after the checkpoint on their own fails
      exactly when an [@undo;] pops into the covered prefix *)
   let* suffix = Result.to_option (Journal.resolve entries) in
-  let* fresh, chunks = Result.to_option (fresh ()) in
-  let* workspace = Result.to_option (checkpoint_workspace chunks c.c_body) in
+  let* workspace = Result.to_option (checkpoint_workspace b.b_chunks c.c_body) in
   let* session =
-    Result.to_option (Core.Session.of_checkpoint fresh ~workspace records)
+    Result.to_option (Core.Session.of_checkpoint b.b_session ~workspace records)
   in
-  List.fold_left
-    (fun acc (kind, op) ->
-      let* s = acc in
-      Option.map fst (Result.to_option (Core.Session.apply s ~kind op)))
-    (Some session) suffix
+  Result.to_option (Core.Oplog.replay_on session suffix)
 
-(** Rebuild a session from the stored shrink wrap schema and journal, then
-    restore its local names.  When the checkpoint covers a prefix of the
-    journal, the session opens from it and only the records appended after
-    it are parsed and applied; otherwise the whole journal is replayed.
-    Both give the same session.  A torn journal tail — the crash artifact
-    of an append that was never acknowledged — is truncated and forgotten;
-    interior corruption is an error.  No exception escapes the load; a
-    covered record whose text does not parse surfaces later (see the
-    interface).
-
-    [repair] (default [true]) rewrites a torn tail in place so the next
-    append lands on a clean file.  Pass [~repair:false] when reading a
-    store another process may be appending to right now — a branch being
-    merged, a sibling shard's variant: the longest valid prefix is exactly
-    the acknowledged history, and the reader must not truncate an append
-    in flight.
-
-    [on_uncovered] is called when the journal holds bytes the checkpoint
-    does not cover: records appended since the last snapshot, or a torn
-    tail.
-
-    With a [base] whose text equals the stored [shrinkwrap.odl] bytes, the
-    session starts from the base session, its digest and its chunks: the
-    shrink wrap is neither parsed, indexed nor digested again.  Any other
-    bytes load as without it. *)
+(** Open from the checkpoint plus the records after it, or else by the
+    recovery walk: see the interface.  [repair] rewrites a torn tail in
+    place so the next append lands on a clean file; a reader of a store
+    another process may be appending to passes [~repair:false]. *)
 let load_session ?base ?(repair = true) ?(on_uncovered = ignore) t =
   let ( let* ) = Result.bind in
   try
-    let* shrink_text = read_artifact t "shrinkwrap.odl" (shrinkwrap_file t) in
-    (* [fresh ()]: a session just created on the shrink wrap, with its
-       chunks *)
-    let* shrink_digest, fresh =
-      match base with
-      | Some b when String.equal b.b_text shrink_text ->
-          Ok (b.b_digest, fun () -> Ok (b.b_session, b.b_chunks))
-      | _ ->
-          let* shrink_wrap = parse_artifact "shrinkwrap.odl" shrink_text in
-          Ok
-            ( hex shrink_text,
-              fun () ->
-                Result.map
-                  (fun s -> (s, chunks_of_text shrink_text shrink_wrap))
-                  (Result.map_error
-                     (fun ds -> Replay (Core.Oplog.invalid_shrink_wrap ds))
-                     (Core.Session.create shrink_wrap)) )
-    in
+    let* b = read_base ?base t in
     let log_text = read_log t in
-    let covered = covered_prefix t ~shrink_digest ~log_text in
+    let covered =
+      covered_prefix ~shrink_digest:b.b_digest ~log_text (load_checkpoint t)
+    in
     (* Only the records after the covered prefix are parsed here; the
        prefix holds one record a line. *)
     let start = match covered with Some (c, _) -> c.c_bytes | None -> 0 in
     if String.length log_text > start then on_uncovered ();
-    let { Journal.entries; damage } =
-      Journal.parse (String.sub log_text start (String.length log_text - start))
-    in
-    let* entries =
-      match damage with
-      | None -> Ok entries
-      | Some (Journal.Torn_tail _) ->
-          if repair then
-            Io.atomic_write t.io (log_file t)
-              (String.sub log_text 0 start ^ Journal.to_string entries);
-          Ok entries
-      | Some (Journal.Corrupt { line; reason }) ->
-          (* the line in the whole journal: after the covered prefix's *)
-          let skipped =
-            String.fold_left
-              (fun n ch -> if ch = '\n' then n + 1 else n)
-              0 (String.sub log_text 0 start)
-          in
-          damaged "log.ops"
-            (Journal.damage_to_string
-               (Journal.Corrupt { line = line + skipped; reason }))
-    in
-    let* session =
-      match Option.bind covered (fun cov -> resume fresh cov entries) with
-      | Some session -> Ok session
-      | None ->
-          (* the full replay: the covered prefix is parsed too *)
-          let* prefix =
-            match Journal.parse (String.sub log_text 0 start) with
-            | { Journal.entries; damage = None } -> Ok entries
-            | { damage = Some d; _ } ->
-                damaged "log.ops" (Journal.damage_to_string d)
-          in
-          let* steps =
-            match Journal.resolve (prefix @ entries) with
-            | Ok steps -> Ok steps
-            | Error m -> damaged "log.ops" m
-          in
-          let* fresh, _ = fresh () in
-          Result.map_error
-            (fun e -> Replay e)
-            (Core.Oplog.replay_on fresh steps)
-    in
-    let* aliases =
-      if t.io.Io.file_exists (aliases_file t) then
-        match Core.Aliases.of_string (read_file t (aliases_file t)) with
-        | aliases -> Ok aliases
-        | exception Core.Aliases.Bad_aliases m -> damaged "aliases.map" m
-        | exception Sys_error m -> damaged "aliases.map" m
-      else Ok Core.Aliases.empty
-    in
-    Ok (Core.Session.restore_aliases session aliases)
-  with Sys_error m -> damaged "repository" m
+    let suffix = Journal.parse (from start log_text) in
+    (match suffix.damage with
+    | Some (Journal.Torn_tail _) when repair ->
+        Io.atomic_write t.io (log_file t)
+          (String.sub log_text 0 start ^ Journal.to_string suffix.entries)
+    | _ -> ());
+    match
+      match (covered, suffix.damage) with
+      | Some cov, (None | Some (Journal.Torn_tail _)) ->
+          resume b cov suffix.entries
+      | _ -> None
+    with
+    | Some session -> (
+        match read_aliases t with
+        | Ok aliases -> Ok (Core.Session.restore_aliases session aliases)
+        | Error reason -> Error (Damaged { file = "aliases.map"; reason }))
+    | None -> (
+        let w = walk t b ~log_text ~start suffix in
+        match List.find_map load_error_of_fault w.w_faults with
+        | Some e -> Error e
+        | None -> Ok w.w_session)
+  with Sys_error m -> Error (Damaged { file = "repository"; reason = m })
 
 (* --- integrity checking -------------------------------------------------- *)
 
@@ -778,167 +836,97 @@ let fsck ?(salvage = false) t =
       fsck_derived_only = not !damaged;
     }
   in
-  match read_schema_artifact t "shrinkwrap.odl" (shrinkwrap_file t) with
-  | Error (Damaged { reason; _ }) | (exception Sys_error reason) ->
+  match read_base t with
+  | Error (Damaged { reason; _ }) ->
       issue
         "shrinkwrap.odl: %s (unrecoverable: the base schema roots every \
          replay)"
         reason;
       finish None
-  | Error (Replay _) -> assert false
-  | Ok (shrink_text, shrink_wrap) -> (
-      (* journal: longest valid, resolvable, replayable prefix *)
-      let log_text, entries =
+  | Error (Replay _) ->
+      issue "shrinkwrap.odl: parses but is not a valid schema (unrecoverable)";
+      finish None
+  | Ok b ->
+      let log_text =
         match read_log t with
         | exception Sys_error m ->
             issue "log.ops: %s; treating the journal as empty" m;
-            ("", [])
-        | log_text -> (
-            match Journal.parse log_text with
-            | { Journal.entries; damage = None } -> (log_text, entries)
-            | { entries; damage = Some (Journal.Torn_tail _ as d) } ->
-                issue "log.ops: %s" (Journal.damage_to_string d);
-                (log_text, entries)
-            | { entries; damage = Some (Journal.Corrupt _ as d) } ->
-                issue "log.ops: %s; kept the valid prefix (%d record(s))"
-                  (Journal.damage_to_string d) (List.length entries);
-                (log_text, entries))
+            ""
+        | log_text -> log_text
       in
-      let steps =
-        let rec go stack kept = function
-          | [] -> List.rev stack
-          | Journal.Op (kind, op) :: rest ->
-              go ((kind, op) :: stack) (kept + 1) rest
-          | Journal.Undo :: rest -> (
-              match stack with
-              | _ :: stack -> go stack (kept + 1) rest
-              | [] ->
-                  issue
-                    "log.ops: record %d undoes nothing; dropped it and %d \
-                     later record(s)"
-                    (kept + 1) (List.length rest);
-                  List.rev stack)
-        in
-        go [] 0 entries
-      in
-      match Core.Session.create shrink_wrap with
-      | Error _ ->
-          issue
-            "shrinkwrap.odl: parses but is not a valid schema (unrecoverable)";
-          finish None
-      | Ok empty_session ->
-          let session =
-            let rec go s n = function
-              | [] -> s
-              | (kind, op) :: rest -> (
-                  match Core.Session.apply s ~kind op with
-                  | Ok (s, _) -> go s (n + 1) rest
-                  | Error e ->
-                      issue
-                        "log.ops: operation %d rejected on replay (%s); \
-                         dropped it and %d later operation(s)"
-                        (n + 1)
-                        (Core.Apply.error_to_string e)
-                        (List.length rest);
-                      s)
-            in
-            go empty_session 0 steps
+      let checkpoint = load_checkpoint t in
+      let covered = covered_prefix ~shrink_digest:b.b_digest ~log_text checkpoint in
+      let start = match covered with Some (c, _) -> c.c_bytes | None -> 0 in
+      let w = walk t b ~log_text ~start (Journal.parse (from start log_text)) in
+      List.iter (fun f -> issue "%s" (fault_line f)) w.w_faults;
+      (if not (t.io.Io.file_exists (custom_file t)) then
+         derived "custom.odl" "missing"
+       else
+         match Odl.Parser.parse_schema_result (read_file t (custom_file t)) with
+         | Ok _ -> ()
+         | Error m | (exception Sys_error m) -> derived "custom.odl" "%s" m);
+      let manifest = load_manifest t in
+      (* the checkpoint must be what the open reads from it — its digests,
+         the record cut, the chunk reconstruction — and hold the state the
+         walk reached at the end of the prefix it covers *)
+      (let derived fmt = derived "checkpoint.odl" fmt in
+       match (checkpoint, covered) with
+       | None, _ -> (
+           (* only a save that covered an op leaves one *)
+           match manifest with
+           | Some m when m.m_ops > 0 -> derived "missing"
+           | Some _ | None -> ())
+       | Some (Error m), _ -> derived "%s" m
+       | Some (Ok _), None -> derived "does not match the log prefix"
+       | Some (Ok _), Some (c, _) -> (
+           match checkpoint_workspace b.b_chunks c.c_body with
+           | Error m -> derived "%s" m
+           | Ok workspace -> (
+               match w.w_at_start () with
+               | Unread -> derived "does not match the log prefix"
+               | Unreplayable ->
+                   derived "covers a log prefix that does not replay"
+               | Reached s ->
+                   if
+                     not
+                       (Odl.Types.equal_schema (Core.Session.workspace s)
+                          workspace)
+                   then derived "differs from the replayed log prefix")));
+      (match manifest with
+      | None ->
+          if t.io.Io.file_exists (manifest_file t) then
+            issue "manifest: unreadable (rewritten by salvage)"
+          else issue "manifest: missing (rewritten by salvage)"
+      | Some m ->
+          (* The journal only grows between saves (an undo is a
+             record too), so one at least as long as the save wrote
+             lost nothing, however few ops it resolves to.  A shorter
+             one may be the rewrite of a snapshot that crashed before
+             its manifest: it lost a tail only if fewer ops replay as
+             well.  A manifest without the byte watermark compares op
+             counts alone. *)
+          let shorter =
+            match m.m_bytes with
+            | Some saved -> String.length log_text < saved
+            | None -> true
           in
-          let session =
-            if t.io.Io.file_exists (aliases_file t) then
-              match Core.Aliases.of_string (read_file t (aliases_file t)) with
-              | aliases -> Core.Session.restore_aliases session aliases
-              | exception Core.Aliases.Bad_aliases m ->
-                  issue "aliases.map: %s; local names reset" m;
-                  session
-              | exception Sys_error m ->
-                  issue "aliases.map: %s; local names reset" m;
-                  session
-            else session
-          in
-          (if not (t.io.Io.file_exists (custom_file t)) then
-             derived "custom.odl" "missing"
-           else
-             match Odl.Parser.parse_schema (read_file t (custom_file t)) with
-             | _ -> ()
-             | exception Odl.Parser.Parse_error (m, line, _) ->
-                 derived "custom.odl" "line %d: %s" line m
-             | exception Odl.Lexer.Lex_error (m, line, _) ->
-                 derived "custom.odl" "line %d: %s" line m
-             | exception Sys_error m -> derived "custom.odl" "%s" m);
-          let manifest = load_manifest t in
-          (* the checkpoint must be the replayed state at the end of the
-             log prefix it claims to cover *)
-          (let derived fmt = derived "checkpoint.odl" fmt in
-           match load_checkpoint t with
-           | None -> (
-               (* only a save that covered an op leaves one *)
-               match manifest with
-               | Some m when m.m_ops > 0 -> derived "missing"
-               | Some _ | None -> ())
-           | Some (Error m) -> derived "%s" m
-           | Some (Ok c) -> (
-               (* the covered records, [@undo;] resolved as the open does *)
-               match
-                 if covers c ~shrink_digest:(hex shrink_text) ~log_text then
-                   match Journal.parse (String.sub log_text 0 c.c_bytes) with
-                   | { Journal.entries; damage = None } -> (
-                       match Journal.resolve entries with
-                       | Ok steps when List.length steps = c.c_ops -> Some steps
-                       | Ok _ | Error _ -> None)
-                   | { damage = Some _; _ } -> None
-                 else None
-               with
-               | None -> derived "does not match the log prefix"
-               | Some prefix -> (
-                   match
-                     ( parse_workspace c.c_body,
-                       Core.Oplog.replay shrink_wrap prefix )
-                   with
-                   | Error m, _ -> derived "%s" m
-                   | Ok _, Error _ ->
-                       derived "covers a log prefix that does not replay"
-                   | Ok workspace, Ok s ->
-                       if
-                         not
-                           (Odl.Types.equal_schema (Core.Session.workspace s)
-                              workspace)
-                       then derived "differs from the replayed log prefix")));
-          (match manifest with
-          | None ->
-              if t.io.Io.file_exists (manifest_file t) then
-                issue "manifest: unreadable (rewritten by salvage)"
-              else issue "manifest: missing (rewritten by salvage)"
-          | Some m ->
-              (* The journal only grows between saves (an undo is a
-                 record too), so one at least as long as the save wrote
-                 lost nothing, however few ops it resolves to.  A shorter
-                 one may be the rewrite of a snapshot that crashed before
-                 its manifest: it lost a tail only if fewer ops replay as
-                 well.  A manifest without the byte watermark compares op
-                 counts alone. *)
-              let shorter =
-                match m.m_bytes with
-                | Some saved -> String.length log_text < saved
-                | None -> true
-              in
-              let actual = Core.Session.step_count session in
-              if shorter && actual < m.m_ops then
-                issue
-                  "manifest: records %d op(s) but only %d replay — a saved \
-                   tail was lost"
-                  m.m_ops actual;
-              (* lineage sanity (branched variants): a damaged lineage line
-                 is an issue, never a crash — the variant's own artifacts
-                 are still whole and salvage keeps the record as parsed *)
-              (match m.m_lineage with
-              | None -> ()
-              | Some (parent, fork) ->
-                  if not (Odl.Names.is_valid parent) then
-                    issue "manifest: parent %S is not a valid variant name"
-                      parent;
-                  if parent = Filename.basename t.dir then
-                    issue "manifest: variant records itself as its own parent";
-                  if fork < 0 then
-                    issue "manifest: negative fork stamp %d" fork));
-          finish (Some session))
+          let actual = Core.Session.step_count w.w_session in
+          if shorter && actual < m.m_ops then
+            issue
+              "manifest: records %d op(s) but only %d replay — a saved \
+               tail was lost"
+              m.m_ops actual;
+          (* lineage sanity (branched variants): a damaged lineage line
+             is an issue, never a crash — the variant's own artifacts
+             are still whole and salvage keeps the record as parsed *)
+          (match m.m_lineage with
+          | None -> ()
+          | Some (parent, fork) ->
+              if not (Odl.Names.is_valid parent) then
+                issue "manifest: parent %S is not a valid variant name"
+                  parent;
+              if parent = Filename.basename t.dir then
+                issue "manifest: variant records itself as its own parent";
+              if fork < 0 then
+                issue "manifest: negative fork stamp %d" fork));
+      finish (Some w.w_session)

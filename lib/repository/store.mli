@@ -32,7 +32,8 @@
     wrap and only the journal suffix (reading and digesting the files
     stays linear in their size, at memory speed).
     The checkpoint is derived data — a missing, damaged or stale one only
-    sends the load back to a full replay of the journal. *)
+    sends the load back to the recovery walk, the full replay of the
+    journal that {!fsck} runs too. *)
 
 type t
 
@@ -65,10 +66,6 @@ val log_of_string : string -> (Core.Concept.kind * Core.Modop.t) list
 
 val save_shrinkwrap : t -> Odl.Types.schema -> unit
 val load_shrinkwrap : t -> Odl.Types.schema
-val load_log : t -> (Core.Concept.kind * Core.Modop.t) list
-(** The empty list when no log has been saved yet.
-    @raise Bad_log on damage. *)
-
 val load_aliases : t -> Core.Aliases.t
 val load_custom : t -> Odl.Types.schema
 
@@ -257,8 +254,9 @@ val load_session :
     or — when the checkpoint is missing, covers no operation, is damaged,
     does not match the shrink wrap or journal prefix, has error
     diagnostics, is undone into by a later [@undo;], or the records after
-    it are corrupt — by replaying the whole journal on the stored shrink
-    wrap schema; then restore local names.  Both paths give the same
+    it are corrupt — by the recovery walk {!fsck} runs too: the whole
+    journal replayed on the stored shrink wrap schema, local names
+    restored, its first fault the error.  Both paths give the same
     session.  A torn journal tail (crash artifact of an unacknowledged
     append) is silently truncated; interior corruption is {!Damaged}.  No
     exception escapes the load.  One damage is not seen at the load: a
@@ -305,11 +303,13 @@ type fsck_report = {
 }
 
 val fsck : ?salvage:bool -> t -> fsck_report
-(** Inspect every artifact and report damage.  The checkpoint is checked
-    against the replayed journal prefix it claims to cover, [@undo;]
-    records resolved; a damaged or mismatched one is reported as derived
-    (it never makes the store unrecoverable), and so is a missing one once
-    the manifest records a save that covered an operation.  Reports are not checked: they are rendered on
-    request.  With [~salvage:true], rewrite the repository from the best
-    recoverable session (longest replayable journal prefix), regenerating
-    derived artifacts and removing stale temporary files. *)
+(** Inspect every artifact and report damage: each fault of
+    {!load_session}'s recovery walk is an issue.  The checkpoint is read
+    as the open reads it and compared with the state the walk reached at
+    the end of the prefix it covers; one the open cannot use or holding
+    another state is reported as derived (it never makes the store
+    unrecoverable), and so is a missing one once the manifest records a
+    save that covered an operation.  Reports are not checked: they are
+    rendered on request.  With [~salvage:true], rewrite the repository
+    from the best recoverable session (longest replayable journal prefix),
+    regenerating derived artifacts and removing stale temporary files. *)

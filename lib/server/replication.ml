@@ -312,6 +312,9 @@ module Apply = struct
     | Some e -> e.a_stamp
     | None -> 0
 
+  let session a variant =
+    Option.map (fun e -> e.a_session) (Hashtbl.find_opt a.a_states variant)
+
   (** Mark every variant stale and forget liveness: called before a
       reconnect, whose bootstrap will re-seed everything. *)
   let invalidate_all a =
@@ -351,10 +354,11 @@ module Apply = struct
         | None -> ())
     | Frame.Start { variant; stamp } -> (
         (* the shipped files are in place: load through the exact
-           recovery path [@open] uses, and publish at the leader's stamp *)
-        match Store.load_session (Repo.variant_store svc.repo variant) with
+           recovery path [@open] uses, the repository's base included,
+           and publish at the leader's stamp *)
+        match Repo.open_variant svc.repo variant with
         | Error e ->
-            replay_error (variant ^ ": " ^ Store.load_error_to_string e)
+            replay_error (variant ^ ": " ^ Repo.open_error_to_string e)
         | Ok session ->
             Hashtbl.replace a.a_states variant
               { a_session = session; a_stamp = stamp; a_stale = false };

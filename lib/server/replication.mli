@@ -86,6 +86,9 @@ module Apply : sig
   val stamp : t -> string -> int
   (** Last applied leader stamp for the variant (0 before its [+start]).
       Never exceeds the stamp the leader issued. *)
+
+  val session : t -> string -> Core.Session.t option
+  (** The session last applied for the variant; [None] before its [+start]. *)
 end
 
 (** A complete socket follower: bootstrap, background applier thread,

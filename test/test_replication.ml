@@ -258,6 +258,40 @@ let follower_serves_readonly () =
       Alcotest.(check bool) "unknown variant is a plain error" true
         (Str_contains.contains (req_err fsvc fresh "@open ghost readonly") "ghost")
 
+(* A follower's [+start] opens the variant through the repository's
+   base, as every variant load does: two variants' sessions share one
+   shrink wrap value, where a load without the base parses a copy of its
+   own each time. *)
+let follower_start_loads_through_base () =
+  let _, lio = mem_repo () in
+  let lsvc = service ~config:(quick_config ()) lio in
+  let hub = Replication.hub lsvc in
+  let c = Service.connect lsvc in
+  ignore (req_ok lsvc c "@open v");
+  ignore (req_ok lsvc c "focus ww:Person");
+  ignore (req_ok lsvc c (apply_line "on_v"));
+  ignore (req_ok lsvc c "@close");
+  ignore (req_ok lsvc c "@new w");
+  ignore (req_ok lsvc c "focus ww:Person");
+  ignore (req_ok lsvc c (apply_line "on_w"));
+  ignore (req_ok lsvc c "@close");
+  let frames = bootstrap_frames hub in
+  match open_follower frames with
+  | None -> Alcotest.fail "bootstrap stream must carry the root"
+  | Some (fsvc, _fio) -> (
+      let apply = Replication.Apply.create fsvc in
+      List.iter
+        (Replication.Apply.frame apply ~ack:(fun ~variant:_ ~stamp:_ -> ()))
+        frames;
+      match
+        (Replication.Apply.session apply "v", Replication.Apply.session apply "w")
+      with
+      | Some v, Some w ->
+          Alcotest.(check int) "v's op was applied" 1 (Session.step_count v);
+          Alcotest.(check bool) "one shrink wrap value" true
+            (Session.original v == Session.original w)
+      | _ -> Alcotest.fail "both variants must be started")
+
 (* A branched child crosses the bootstrap stream with its manifest, so a
    follower serves its lineage — parent, fork stamp, branches-of — at
    bounded staleness, and the fork stamp still floors [#version] on the
@@ -1112,4 +1146,6 @@ let tests =
       failed_flush_reseeds_on_reopen;
     test "replication: a reopen that repairs a torn tail re-seeds"
       torn_tail_reseeds_on_reopen;
+    test "follower: a bootstrap loads every variant through the base"
+      follower_start_loads_through_base;
   ]

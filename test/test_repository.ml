@@ -59,6 +59,31 @@ let same_as_full_replay store s =
 
 let ok_or_fail = function Ok v -> v | Error m -> Alcotest.fail m
 
+(* The open and fsck reach the journal through one walk: whenever a
+   read-only open succeeds, fsck's session is the same one — workspace,
+   log texts and local names.  [Some] names the first difference. *)
+let open_differs_from_fsck store =
+  match Store.load_session ~repair:false store with
+  | Error _ -> None
+  | Ok s -> (
+      let texts s =
+        List.map
+          (fun (st : Core.Session.step) ->
+            (Core.Concept.kind_name st.st_kind, st.st_text))
+          (Core.Session.log s)
+      and names s = Core.Aliases.to_string (Core.Session.aliases s) in
+      match (Store.fsck store).Store.fsck_session with
+      | None -> Some "fsck recovers no session"
+      | Some f ->
+          if
+            not
+              (Odl.Types.equal_schema (Core.Session.workspace s)
+                 (Core.Session.workspace f))
+          then Some "workspace"
+          else if texts s <> texts f then Some "log texts"
+          else if names s <> names f then Some "local names"
+          else None)
+
 let rec take n l =
   if n <= 0 then []
   else match l with [] -> [] | x :: r -> x :: take (n - 1) r
@@ -149,7 +174,13 @@ let custom_written_and_parsable () =
         (Odl.Schema.mem_interface custom "Extra"))
 
 let empty_log_on_fresh_repo () =
-  with_repo (fun repo -> Alcotest.(check int) "no log" 0 (List.length (Store.load_log repo)))
+  with_repo (fun repo ->
+      Store.save_session repo (Util.session_of (Util.university ()));
+      Alcotest.(check bool) "no log.ops" false
+        (Sys.file_exists (Store.log_file repo));
+      match Store.load_session repo with
+      | Ok s -> Alcotest.(check int) "no log" 0 (Core.Session.step_count s)
+      | Error e -> Alcotest.fail (Store.load_error_to_string e))
 
 (* --- the journal ---------------------------------------------------------- *)
 
@@ -369,6 +400,59 @@ let fsck_undo_after_snapshot () =
               (String.split_on_char '\n' manifest)));
       Alcotest.(check bool) "an old manifest counts ops" true
         (lost (Store.fsck repo)))
+
+(* fsck judges the checkpoint with the open's own reader, against the
+   state the walk reached at the end of the prefix it covers. *)
+let fsck_checkpoint_derived what damage =
+  with_repo (fun repo ->
+      let s =
+        Util.apply_many (Util.session_of (Util.university ()))
+          [ "add_type_definition(Lab)"; "add_type_definition(Annex)" ]
+      in
+      Store.save_session repo s;
+      damage repo s;
+      let report = Store.fsck repo in
+      Alcotest.(check (list string)) what
+        [ "checkpoint.odl: " ^ what ^ " (derived; regenerated by salvage)" ]
+        report.Store.fsck_issues;
+      Alcotest.(check bool) "nothing recovery needs is damaged" true
+        report.Store.fsck_derived_only;
+      ignore (Store.fsck ~salvage:true repo);
+      Alcotest.(check (list string)) "clean after salvage" []
+        (Store.fsck repo).Store.fsck_issues)
+
+(* The checkpoint body replaced, its digest recomputed. *)
+let rewrite_body repo body =
+  let io = Store.io repo and path = Store.checkpoint_file repo in
+  let text = io.Io.read_file path in
+  let header = String.sub text 0 (String.index text '\n' - 32) in
+  io.Io.write path (header ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body)
+
+(* A forged checkpoint — a valid workspace, but not the journal's — after
+   an [@undo;] that pops into the prefix it covers: the open replays the
+   journal, and fsck still compares the body with the prefix's state. *)
+let fsck_forged_checkpoint_after_undo () =
+  fsck_checkpoint_derived "differs from the replayed log prefix"
+    (fun repo s ->
+      Journal.append (Store.io repo) (Store.log_file repo) Journal.Undo;
+      rewrite_body repo
+        (Odl.Printer.schema_to_string
+           (Core.Session.workspace
+              (Util.apply_many s [ "add_type_definition(Forged)" ]))))
+
+(* A body that parses to the right workspace but is not laid out in the
+   printer's chunks cannot serve the open, so fsck reports it. *)
+let fsck_checkpoint_not_in_chunks () =
+  fsck_checkpoint_derived "a chunk is not laid out as the printer lays it out"
+    (fun repo s ->
+      match
+        Odl.Printer.split_chunks
+          (Odl.Printer.schema_to_string (Core.Session.workspace s))
+      with
+      | Some (name, (_, c) :: rest) ->
+          rewrite_body repo
+            (Odl.Printer.schema_of_chunks name ((c ^ " ") :: List.map snd rest))
+      | _ -> Alcotest.fail "the printer lays a workspace out in chunks")
 
 let stale_tmp_swept () =
   with_repo (fun repo ->
@@ -717,6 +801,11 @@ let writer_crash_sweep () =
     (try run (fst (Io.faulty ~crash_at:k io)) with Io.Crash -> ());
     Io.mem_crash ~flush:k mem;
     if io.Io.file_exists "/repo/shrinkwrap.odl" then begin
+      (match open_differs_from_fsck (Store.open_dir ~io "/repo") with
+      | Some what ->
+          Alcotest.failf "crash at syscall %d: fsck's session differs: %s" k
+            what
+      | None -> ());
       (match Store.load_session (Store.open_dir ~io "/repo") with
       | Error e ->
           Alcotest.failf "crash at syscall %d: %s" k
@@ -879,6 +968,11 @@ let mem_sweep actions =
     (* power loss: un-fsync'd data survives in full, torn, or not at all *)
     Io.mem_crash ~flush:k mem;
     let store = Store.open_dir ~io "/repo" in
+    (match open_differs_from_fsck store with
+    | Some what ->
+        QCheck2.Test.fail_reportf "crash at syscall %d: fsck's session differs: %s"
+          k what
+    | None -> ());
     (match Store.load_session store with
     | Error e ->
         QCheck2.Test.fail_reportf "crash at syscall %d: repository unreadable: %s"
@@ -1061,6 +1155,10 @@ let tests =
     test "stale temporary files swept" stale_tmp_swept;
     test "fsck: an undo after a snapshot loses nothing"
       fsck_undo_after_snapshot;
+    test "fsck: a forged checkpoint after an undo into it is derived"
+      fsck_forged_checkpoint_after_undo;
+    test "fsck: a checkpoint not laid out in chunks is derived"
+      fsck_checkpoint_not_in_chunks;
     test "mkdir_p nests and tolerates EEXIST" mkdir_p_nested;
     test "in-memory fs: the crash model keeps synced bytes, tears the rest"
       mem_crash_model;
