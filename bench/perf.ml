@@ -26,7 +26,8 @@
       [Repo.open_variant] on the repository's base, and the
       [Store.save_checkpoint] snapshot across history length; and
       (ungated) the open and the snapshot by interfaces differing from the
-      shrink wrap
+      shrink wrap at two schema sizes, and the [log] reply, cold and after
+      one more op, across history length
 *)
 
 open Bechamel
@@ -536,17 +537,23 @@ let recovery_row h =
 
 (* P10, the changed-interface axis (ungated): the open and the snapshot
    cost what the variant changed, so at a fixed history they grow with the
-   interfaces that differ from the shrink wrap.  [k] of the [recovery_n]
-   interfaces get one attribute each, in a [recovery_n]-op history for
-   every row; [Repo.open_variant] and the snapshot
+   interfaces that differ from the shrink wrap, not with the schema.  [k]
+   of the [n] interfaces get one attribute each, in a [recovery_n]-op
+   history for every row; [Repo.open_variant] and the snapshot
    ([Store.save_checkpoint]) on the base. *)
 let differing_counts () = smallest [ 0; 40; 400 ]
+let differing_sizes () = smallest [ recovery_n; 3200 ]
 
-type differing = { differ : int; diff_open_ms : float; diff_snapshot_ms : float }
+type differing = {
+  diff_n : int;
+  differ : int;
+  diff_open_ms : float;
+  diff_snapshot_ms : float;
+}
 
-let differing_row k =
+let differing_row n k =
   let module Repo = Repository.Repo in
-  let schema = schema_of recovery_n in
+  let schema = schema_of n in
   let io = Repository.Io.mem_io (Repository.Io.mem_create ()) in
   let repo = Result.get_ok (Repo.init ~io "/r" schema) in
   let base = Result.get_ok (Repo.create_variant repo "v") in
@@ -558,9 +565,9 @@ let differing_row k =
           Core.Op_parser.parse
             (if j < k then Printf.sprintf "add_attribute(T%d, string, 8, d%d)" j j
              else if (j - k) mod 2 = 0 then
-               Printf.sprintf "add_attribute(T%d, string, 8, e%d)" (k mod recovery_n) j
+               Printf.sprintf "add_attribute(T%d, string, 8, e%d)" (k mod n) j
              else
-               Printf.sprintf "delete_attribute(T%d, e%d)" (k mod recovery_n) (j - 1)) ))
+               Printf.sprintf "delete_attribute(T%d, e%d)" (k mod n) (j - 1)) ))
   in
   let session = Result.get_ok (Core.Oplog.replay_on base ops) in
   Result.get_ok (Repo.save_variant repo "v" session);
@@ -572,7 +579,33 @@ let differing_row k =
         Repository.Store.save_checkpoint ?base:(Repo.base repo)
           (Repo.variant_store repo "v") reopened)
   in
-  { differ = k; diff_open_ms; diff_snapshot_ms }
+  { diff_n = n; differ = k; diff_open_ms; diff_snapshot_ms }
+
+(* P10, the [log] reply (ungated): [Oplog.render_session] at [h] ops of
+   history, cold (a lineage nothing rendered yet, as right after an open)
+   and after one more op on a session whose log was just rendered. *)
+type log_reply = { log_history : int; cold_ms : float; after_op_ms : float }
+
+let log_reply_row h =
+  let schema = schema_of recovery_n in
+  let session =
+    Result.get_ok (Core.Oplog.replay schema (List.init h (history_op recovery_n)))
+  in
+  let kind, op = history_op recovery_n h in
+  let cold_ms =
+    median_ms_of (recovery_runs ())
+      ~setup:(fun () -> Core.Session.new_lineage session)
+      (fun s -> ignore (Core.Oplog.render_session s))
+  in
+  let after_op_ms =
+    median_ms_of (recovery_runs ())
+      ~setup:(fun () ->
+        let s = Core.Session.new_lineage session in
+        ignore (Core.Oplog.render_session s);
+        fst (Result.get_ok (Core.Session.apply s ~kind op)))
+      (fun s -> ignore (Core.Oplog.render_session s))
+  in
+  { log_history = h; cold_ms; after_op_ms }
 
 let run_recovery () =
   let rows = List.map recovery_row (recovery_sizes ()) in
@@ -588,17 +621,28 @@ let run_recovery () =
         r.history r.checkpoint_ms r.repo_open_ms r.full_replay_ms r.snapshot_ms
         r.reopened_snapshot_ms)
     rows;
-  let differing = List.map differing_row (differing_counts ()) in
+  let differing =
+    List.concat_map
+      (fun n -> List.map (differing_row n) (differing_counts ()))
+      (differing_sizes ())
+  in
   Printf.printf
     "\nP10: Repo.open_variant and the snapshot by interfaces differing \
-     from the shrink wrap (n = %d, %d ops), ms\n"
-    recovery_n recovery_n;
+     from the shrink wrap (%d ops), ms\n"
+    recovery_n;
   List.iter
     (fun d ->
-      Printf.printf "  %6d differ  open %8.1f  snapshot %8.1f\n" d.differ
-        d.diff_open_ms d.diff_snapshot_ms)
+      Printf.printf "  n = %4d  %6d differ  open %8.2f  snapshot %8.2f\n"
+        d.diff_n d.differ d.diff_open_ms d.diff_snapshot_ms)
     differing;
-  (rows, differing)
+  let log_replies = List.map log_reply_row (recovery_sizes ()) in
+  print_endline "\nP10: the log reply (Oplog.render_session), ms";
+  List.iter
+    (fun l ->
+      Printf.printf "  %6d ops  cold %8.3f  after one more op %8.3f\n"
+        l.log_history l.cold_ms l.after_op_ms)
+    log_replies;
+  (rows, differing, log_replies)
 
 (* P10 baseline: journal append vs whole-log rewrite, recorded as JSON so
    the O(1)-ish append per accepted operation stays an auditable claim;
@@ -617,7 +661,7 @@ let run_journal ~json_path () =
   in
   rm_rf dir;
   print_rows "P10: journal append vs whole-log rewrite (ns/run)" rows;
-  let recovery, differing = run_recovery () in
+  let recovery, differing, log_replies = run_recovery () in
   let shortest = List.fold_left min max_int (recovery_sizes ())
   and longest = List.fold_left max 0 (recovery_sizes ()) in
   (* [field] at the longest history over [field] at the shortest *)
@@ -692,22 +736,45 @@ let run_journal ~json_path () =
             ( "setup",
               Str
                 (Printf.sprintf
-                   "Synth n = %d, a %d-op history whose workspace differs \
-                    from the shrink wrap in k interfaces (one attribute \
-                    each), in-memory Io; Repo.open_variant and \
+                   "Synth n, a %d-op history whose workspace differs from \
+                    the shrink wrap in k interfaces (one attribute each), \
+                    in-memory Io; Repo.open_variant and \
                     Store.save_checkpoint on the repository's base; median \
                     of %d after a full major collection and an untimed \
                     run; ungated"
-                   recovery_n recovery_n (recovery_runs ())) );
+                   recovery_n (recovery_runs ())) );
             ("unit", Str "ms");
             ( "results",
               Arr
                 (List.map
                    (fun d ->
                      Obj
-                       [ ("differing", Int d.differ); ("open_ms", num 1 d.diff_open_ms);
-                         ("snapshot_ms", num 1 d.diff_snapshot_ms) ])
+                       [ ("n", Int d.diff_n); ("differing", Int d.differ);
+                         ("open_ms", num 2 d.diff_open_ms);
+                         ("snapshot_ms", num 2 d.diff_snapshot_ms) ])
                    differing) );
+          ] );
+      ( "log_reply",
+        Obj
+          [
+            ( "setup",
+              Str
+                (Printf.sprintf
+                   "Synth n = %d, the recovery history; \
+                    Oplog.render_session cold (a lineage with nothing \
+                    rendered) and after one more op on a session whose log \
+                    was just rendered; median of %d after a full major \
+                    collection and an untimed run; ungated"
+                   recovery_n (recovery_runs ())) );
+            ("unit", Str "ms");
+            ( "results",
+              Arr
+                (List.map
+                   (fun l ->
+                     Obj
+                       [ ("history", Int l.log_history); ("cold_ms", num 3 l.cold_ms);
+                         ("after_op_ms", num 3 l.after_op_ms) ])
+                   log_replies) );
           ] );
     ];
   report [ snd open_gate; snd snapshot_gate ]

@@ -38,6 +38,49 @@ let render t =
          "// in " ^ Concept.kind_name st.st_kind ^ "\n" ^ st.st_text ^ ";")
   |> String.concat "\n"
 
+(* [render] of [text]'s steps followed by [steps]: one string of the
+   exact size, [text] copied once. *)
+let extend text steps =
+  let lead = "// in " in
+  (* a rendering opens with no newline *)
+  let step_size n (st : Session.step) =
+    n + (if n > 0 then 1 else 0) + String.length lead
+    + String.length (Concept.kind_name st.st_kind)
+    + String.length st.st_text + 2
+  in
+  let b = Bytes.create (List.fold_left step_size (String.length text) steps) in
+  let at = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 b !at (String.length s);
+    at := !at + String.length s
+  in
+  put text;
+  List.iter
+    (fun (st : Session.step) ->
+      if !at > 0 then put "\n";
+      put lead;
+      put (Concept.kind_name st.st_kind);
+      put "\n";
+      put st.st_text;
+      put ";")
+    steps;
+  Bytes.unsafe_to_string b
+
+let render_session s =
+  let cell = Session.log_text s in
+  let last = Atomic.get cell in
+  let now = Session.spine s in
+  match Session.delta last.lt_spine now with
+  | [], [] -> last.lt_text
+  | undone, added ->
+      let text =
+        if undone = [] then extend last.lt_text added
+        else extend "" (Session.log s)
+      in
+      ignore
+        (Atomic.compare_and_set cell last { Session.lt_spine = now; lt_text = text });
+      text
+
 let replay_on session steps =
   List.fold_left
     (fun acc (kind, op) ->

@@ -56,7 +56,16 @@ val render : t -> string
 (** The log in the modification language (replayable via {!replay}); one
     [// in <concept schema>] comment line per op.  This is the designer's
     [log] reply.  It joins the steps' {!Session.field-st_text}s and prints
-    no op. *)
+    no op.  It is the reference for {!render_session}. *)
+
+val render_session : Session.t -> string
+(** [render (of_session s)], the designer's [log] reply, at the cost of
+    the steps since the last reply along [s]'s lineage: the lineage's
+    cell ({!Session.log_text}) is extended by the steps [s] added above
+    it, into one string of the exact size, and set to the result.  When an undo went below
+    the cell, or [s] is of another lineage, the log is rendered whole.
+    Safe from several threads at once: each reader checks the cell
+    against its own spine. *)
 
 val replay :
   ?paranoid:bool ->

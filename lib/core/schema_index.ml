@@ -512,8 +512,29 @@ let counts t = t.counts
 
 let patch t sch =
   let exception Rebuild in
-  (* [t]'s positions: 0 removed, 1 kept in place, 2 left for a fresh one *)
+  (* The leading interfaces [sch] shares physically with [t]'s list, in
+     its order, are survivors in place holding [t]'s lowest positions, up
+     to [kept]: they are not looked up, and a rest of the list shared
+     whole is not walked. *)
+  let rec shared last olds news =
+    match (olds, news) with
+    | _ :: _, _ when olds == news -> (t.next_pos - 1, [], [])
+    | o :: olds, i :: news when o == i -> shared (Some o) olds news
+    | _ ->
+        ( (match last with
+          | None -> -1
+          | Some o -> snd (SMap.find o.i_name t.by_name)),
+          olds,
+          news )
+  in
+  let kept, olds, news =
+    if t.has_dups then (-1, [], sch.s_interfaces)
+    else shared None t.sch.s_interfaces sch.s_interfaces
+  in
+  (* [t]'s positions past [kept]: 0 removed, 1 kept in place, 2 left for a
+     fresh one *)
   let alive = Bytes.make t.next_pos '\000' in
+  let is_alive p = p <= kept || Bytes.get alive p <> '\000' in
   let touched = ref [] and local = ref [] in
   let globals = ref true and extents = ref true in
   let counts = ref t.counts in
@@ -541,7 +562,7 @@ let patch t sch =
         end
     | Some (old_i, p) ->
         (* a name placed twice is a duplicate *)
-        if Bytes.get alive p <> '\000' then raise Rebuild;
+        if is_alive p then raise Rebuild;
         Bytes.set alive p '\002';
         globals := false;
         extents := false;
@@ -556,22 +577,25 @@ let patch t sch =
   in
   match
     if t.has_dups then raise Rebuild
-    else List.fold_left place ((t, t.by_name), -1, t.next_pos, false) sch.s_interfaces
+    else List.fold_left place ((t, t.by_name), kept, t.next_pos, false) news
   with
   | exception Rebuild -> build sch
   | (t', by_name), _, next_pos, _ ->
       let t', by_name =
-        SMap.fold
-          (fun name (old_i, p) (t', by_name) ->
-            if Bytes.get alive p <> '\000' then (t', by_name)
-            else begin
-              touched := name :: !touched;
-              globals := false;
-              extents := false;
-              counts := count (-1) old_i !counts;
-              (reindex t' name (refs_of old_i) no_refs, SMap.remove name by_name)
-            end)
-          t.by_name (t', by_name)
+        (* none is removed when [sch] shares all of [t]'s list *)
+        if olds = [] then (t', by_name)
+        else
+          SMap.fold
+            (fun name (old_i, p) (t', by_name) ->
+              if is_alive p then (t', by_name)
+              else begin
+                touched := name :: !touched;
+                globals := false;
+                extents := false;
+                counts := count (-1) old_i !counts;
+                (reindex t' name (refs_of old_i) no_refs, SMap.remove name by_name)
+              end)
+            t.by_name (t', by_name)
       in
       if !touched = [] && !local = [] then { t with sch }
       else

@@ -65,6 +65,12 @@ type step = {
   st_src : source;  (** the op's impact, see {!step_events} *)
 }
 
+(* A session's step spine with its length. *)
+type spine = { sp_steps : step list; sp_n : int }
+
+(* The last [log] rendered along a lineage, see {!log_text}. *)
+type log_text = { lt_spine : spine; lt_text : string }
+
 type t = {
   original_index : Schema_index.t;
       (** index of the shrink wrap schema, never modified (stability
@@ -94,6 +100,9 @@ type t = {
       (** monotonic change stamp: bumped by every state transition (apply,
           undo, redo, alias changes) and never decremented — two sessions
           with the same version along one lineage are the same value *)
+  log_text : log_text Atomic.t;
+      (** shared by every session derived from this one: a commit copies
+          the cell, and only a [log] reply sets it *)
 }
 
 exception Divergence of string
@@ -136,6 +145,9 @@ let check_divergence t ~kind op indexed_outcome =
 let new_history original ops =
   { h_original = original; h_ops = ops; h_lock = Mutex.create (); h_replay = None }
 
+let no_log_text () =
+  Atomic.make { lt_spine = { sp_steps = []; sp_n = 0 }; lt_text = "" }
+
 (** Start a session on [shrink_wrap].  The shrink wrap schema must be valid;
     otherwise its error diagnostics are returned so the designer can fix the
     repository copy first.  [paranoid] turns on per-operation differential
@@ -163,6 +175,7 @@ let create ?(paranoid = false) shrink_wrap =
           future = [];
           paranoid;
           version = 0;
+          log_text = no_log_text ();
         }
   | errors -> Error errors
 
@@ -175,9 +188,9 @@ let version t = t.version
 
 (* --- the spine delta ------------------------------------------------------ *)
 
-type spine = { sp_steps : step list; sp_n : int }
-
 let spine t = { sp_steps = t.rev_log; sp_n = t.nlog }
+let log_text t = t.log_text
+let new_lineage t = { t with log_text = no_log_text () }
 
 (* The printer is injective (the op parser inverts it), so equal texts are
    equal ops: no checkpointed op is parsed to compare it. *)
@@ -322,6 +335,7 @@ let of_checkpoint t ~workspace prefix =
           rev_log;
           nlog = n;
           version = t.version + n;
+          log_text = no_log_text ();
         }
 
 let indexed_apply t ~kind op =

@@ -174,6 +174,25 @@ val redoable : t -> int
 val custom_schema : ?name:string -> t -> schema
 (** The customized user schema (default name: ["<original>_custom"]). *)
 
+(** {1 The rendered log} *)
+
+type log_text = { lt_spine : spine; lt_text : string }
+(** A log rendering ({!Oplog.render_session}) and the spine it renders. *)
+
+val log_text : t -> log_text Atomic.t
+(** The lineage's cell holding the last [log] rendered along it.  Every
+    session derived from this one by apply, undo, redo and local-name
+    changes shares it, so a commit pays nothing for it; {!create},
+    {!of_checkpoint} and {!new_lineage} start a cell of their own, which
+    holds the empty log.  The cell may hold any rendering: a reader
+    extends it only when its spine is physically below the reader's
+    own ({!delta}). *)
+
+val new_lineage : t -> t
+(** The same session with a {!log_text} cell of its own.  Sessions taken
+    from one shared value (a repository's base session, from which every
+    variant starts) call it, so that two variants never share a cell. *)
+
 (** {1 Local names} *)
 
 val add_alias : t -> Aliases.target -> string -> (t, string) result

@@ -346,7 +346,7 @@ let rec exec_with ?writer state (cmd : Command.t) =
         [ Feedback.info ("local name of " ^ canonical ^ " dropped") ] )
   | List_aliases ->
       (state, [ Feedback.output (Session.aliases_report state.session) ])
-  | Log -> (state, [ Feedback.output (Core.Oplog.(render (of_session state.session))) ])
+  | Log -> (state, [ Feedback.output (Core.Oplog.render_session state.session) ])
   | Rules ->
       ( state,
         Repository.Knowledge.rule_summaries

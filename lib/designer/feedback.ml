@@ -16,7 +16,9 @@ let level_prefix = function
   | Caution -> "caution: "
   | Error -> "error: "
 
-let to_string f = level_prefix f.level ^ f.text
+(* an output is its text, not a copy of it: a [log] reply is long *)
+let to_string f =
+  match f.level with Output -> f.text | level -> level_prefix level ^ f.text
 
 let pp ppf f = Fmt.string ppf (to_string f)
 

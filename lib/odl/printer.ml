@@ -174,6 +174,19 @@ let schema_of_chunks name chunks =
        0 parts);
   Bytes.unsafe_to_string b
 
+let is_schema_of_chunks text name chunks =
+  let n = String.length text in
+  (* each part against its place in [text]: the whole is not built *)
+  let rec from off = function
+    | [] -> off = n
+    | c :: rest ->
+        let l = String.length c in
+        off + l <= n
+        && String.equal c (String.sub text off l)
+        && from (off + l) rest
+  in
+  from 0 ((header name :: chunks) @ [ trailer ])
+
 let schema_to_string s =
   to_string
     (64 + (512 * List.length s.s_interfaces))
@@ -187,10 +200,19 @@ let pp_domain ppf d = Fmt.string ppf (to_string 16 add_domain d)
 let pp_interface ppf i = Fmt.string ppf (interface_to_string i)
 let pp_schema ppf s = Fmt.string ppf (schema_to_string s)
 
+(* A line two in that opens a comment: the printer writes none, a reader
+   of its layout may (a repository checkpoint names unchanged interfaces
+   so), and it is a chunk of its own. *)
+let comment_lead = "\n  //"
+
 let split_chunks text =
   let n = String.length text and tl = String.length trailer in
   let ll = String.length chunk_lead in
-  let lead_at i = i + ll <= n && String.sub text i ll = chunk_lead in
+  let at lead i =
+    let l = String.length lead in
+    i + l <= n && String.sub text i l = lead
+  in
+  let lead_at i = at chunk_lead i || at comment_lead i in
   match String.index_opt text '\n' with
   | None -> None
   | Some h ->
@@ -208,13 +230,14 @@ let split_chunks text =
            trailer; the first must follow the header directly *)
         let named start j =
           (* the name runs from the lead to the space before the
-             supertypes or the brace *)
+             supertypes or the brace; a comment declares none *)
           let name_end =
             match String.index_from_opt text (start + ll) ' ' with
             | Some e when e < j -> e
             | _ -> start + ll
           in
-          ( String.sub text (start + ll) (name_end - start - ll),
+          ( (if at comment_lead start then ""
+             else String.sub text (start + ll) (name_end - start - ll)),
             String.sub text start (j - start) )
         in
         let rec cut acc start i =

@@ -41,10 +41,19 @@ val schema_of_chunks : string -> string list -> string
     [schema_of_chunks s.s_name (List.map interface_chunk s.s_interfaces)],
     byte for byte. *)
 
+val is_schema_of_chunks : string -> string -> string list -> bool
+(** [is_schema_of_chunks text name chunks] is
+    [String.equal text (schema_of_chunks name chunks)], compared chunk by
+    chunk without building the joined text. *)
+
 val split_chunks : string -> (string * (string * string) list) option
 (** The inverse framing: the schema name and the chunks of a text laid out
     as {!schema_of_chunks} lays it out, cut at every line that opens an
     interface two spaces in, each with the interface name it declares;
-    [None] when the header or closing line is not the printer's.  The
-    chunks are not parsed: for a text the printer made, they are its
-    chunks and their interfaces' names. *)
+    [None] when the header or closing line is not the printer's.  A line
+    two spaces in that opens a [//] comment, which the printer never
+    writes, is cut as a chunk of its own with the name [""]: a reader of
+    this layout can annotate a text so (a repository checkpoint names
+    the shrink wrap interfaces it does not print).  The chunks are not
+    parsed: for a text the printer made, they are its chunks and their
+    interfaces' names. *)

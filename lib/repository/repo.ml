@@ -56,7 +56,7 @@ let save ?lineage t store session =
 
 let replay t steps =
   match base t with
-  | Some b -> Core.Oplog.replay_on b.b_session steps
+  | Some b -> Core.Oplog.replay_on (Core.Session.new_lineage b.b_session) steps
   | None -> Core.Oplog.replay t.shrink_wrap steps
 
 let io t = t.io
@@ -140,7 +140,7 @@ let create_variant t name =
     | None -> Error "the shrink wrap schema is not valid"
     | Some b ->
         save t (variant_store t name) b.b_session;
-        Ok b.b_session
+        Ok (Core.Session.new_lineage b.b_session)
 
 (** Branch [child] off [parent]: persist a copy of the parent's session
     under the child's name with a lineage record (parent, fork stamp) in
@@ -303,8 +303,8 @@ let catalog t =
 (* --- integrity checking --------------------------------------------------- *)
 
 (* One store's exit class and report lines, each prefixed with [label]. *)
-let fsck_store ~salvage label store =
-  let report = Store.fsck ~salvage store in
+let fsck_store ?base ~salvage label store =
+  let report = Store.fsck ?base ~salvage store in
   let lines = List.map (fun m -> label ^ ": " ^ m) report.fsck_issues in
   match report with
   | { fsck_issues = []; _ } -> (0, [])
@@ -322,13 +322,17 @@ let fsck_dir ?(io = Io.unix) ~salvage dir =
     let results =
       if io.Io.is_directory variants then
         (* the top-level schema, then every variant, even when the schema
-           is damaged: each variant keeps its own copy *)
-        (match open_dir ~io dir with
-        | Ok _ -> (0, [])
-        | Error m -> (2, [ "shrinkwrap.odl: " ^ m ]))
+           is damaged: each variant keeps its own copy.  The variants
+           share the repository's base, built once. *)
+        let top, base =
+          match open_dir ~io dir with
+          | Ok t -> ((0, []), base t)
+          | Error m -> ((2, [ "shrinkwrap.odl: " ^ m ]), None)
+        in
+        top
         :: List.map
              (fun n ->
-               fsck_store ~salvage ("variants/" ^ n)
+               fsck_store ?base ~salvage ("variants/" ^ n)
                  (Store.open_dir ~io (Filename.concat variants n)))
              (names_in io variants)
       else [ fsck_store ~salvage "." (Store.open_dir ~io dir) ]

@@ -13,7 +13,9 @@
                              (absent while there are none)
     <dir>/custom.odl         the generated custom schema
     <dir>/checkpoint.odl     the workspace at the end of a journal prefix,
-                             with digests of the shrink wrap and that prefix
+                             as the interfaces that differ from the shrink
+                             wrap, with digests of the shrink wrap and that
+                             prefix
                              (absent until a save covers an operation)
     <dir>/manifest           format version, generation, journal watermark
     <dir>/reports/*          deliverables, written only on request
@@ -31,7 +33,8 @@
     changed, and the manifest last, so it witnesses a completed save.  All
     syscalls go through the injectable {!Io.t} the store was opened with.
 
-    Recovery opens from the checkpoint and replays only the journal records
+    Recovery opens from the checkpoint, which records the workspace as the
+    shrink wrap plus what changed, and replays only the journal records
     appended after it; the checkpoint is derived data, so whenever it is
     missing, damaged or does not match, the recovery walk — the full
     replay of the journal, the reference, which fsck runs too — takes
@@ -212,8 +215,8 @@ let lineage t =
 
 (* --- checkpoint ------------------------------------------------------------
 
-   One header line, then the workspace in ODL (so the file still parses as
-   a schema):
+   One header line, then the workspace in ODL (the file still parses as a
+   schema, of the interfaces the variant changed):
    {v
    // checkpoint 1 ops <n> bytes <b> log <md5> shrinkwrap <md5> body <md5>
    schema ... v}
@@ -224,11 +227,15 @@ let lineage t =
    checked before the workspace is read, so a checkpoint that cannot
    serve costs a digest, not a parse.
 
-   The body is the printer's layout, one chunk per interface
-   ({!Odl.Printer.interface_chunk}).  A chunk byte-identical to the shrink
-   wrap's chunk for that interface is that interface: the snapshot copies
-   it instead of printing, and the open takes the shrink wrap's interface
-   value instead of parsing. *)
+   The body is the printer's layout ({!Odl.Printer.split_chunks}) and
+   holds only what differs from the shrink wrap: a run of workspace
+   interfaces equal to consecutive shrink wrap interfaces is one line
+   naming them by position,
+   {v
+     // shrinkwrap <first> <count> v}
+   and every other interface is printed, as the custom schema prints
+   it.  A printed chunk byte-identical to the shrink wrap's chunk of that
+   name is that interface too, so a body printed whole still serves. *)
 
 type checkpoint = {
   c_ops : int;  (** the operations the covered records resolve to *)
@@ -290,74 +297,169 @@ let covered_prefix ~shrink_digest ~log_text checkpoint =
   in
   if List.length records = c.c_ops then Some (c, records) else None
 
-(* --- the shrink wrap's chunks ---------------------------------------------- *)
+(* --- the shrink wrap's interfaces ------------------------------------------ *)
 
 module SMap = Map.Make (String)
 
-(* Each shrink wrap interface with its chunk, by name. *)
-type chunks = (Odl.Types.interface * string) SMap.t
+type chunks = {
+  sw_from : Odl.Types.interface list array;
+      (** the shrink wrap's interface list from each position on *)
+  sw_chunks : string array;
+      (** each one's chunk in the stored text; [""] when that text is not
+          the printer's layout *)
+  sw_at : int SMap.t;  (** position by name *)
+}
 
-let chunk_map interfaces chunks =
-  List.fold_left2
-    (fun m (i : Odl.Types.interface) c -> SMap.add i.i_name (i, c) m)
-    SMap.empty interfaces chunks
+let chunks_of (schema : Odl.Types.schema) chunks =
+  let rec tails = function [] -> [] | _ :: rest as l -> l :: tails rest in
+  let sw_from = Array.of_list (tails schema.s_interfaces) in
+  let sw_at = ref SMap.empty in
+  Array.iteri
+    (fun k l -> sw_at := SMap.add (List.hd l).Odl.Types.i_name k !sw_at)
+    sw_from;
+  { sw_from; sw_chunks = Array.of_list chunks; sw_at = !sw_at }
 
-(* The chunks of a shrink wrap text the printer laid out, paired with the
-   interfaces it parsed to; none when it is not of that shape. *)
+(* The shrink wrap's interface at position [k]. *)
+let sw chunks k = List.hd chunks.sw_from.(k)
+
+(* The shrink wrap printed chunk by chunk: its text and its chunks. *)
+let printed (schema : Odl.Types.schema) =
+  let chunks = List.map Odl.Printer.interface_chunk schema.s_interfaces in
+  (Odl.Printer.schema_of_chunks schema.s_name chunks, chunks_of schema chunks)
+
+(* The chunks of a shrink wrap text, paired with the interfaces it parsed
+   to; all [""] when the printer did not lay it out. *)
 let chunks_of_text text (schema : Odl.Types.schema) =
-  match Odl.Printer.split_chunks text with
-  | Some (_, chunks)
-    when List.compare_lengths chunks schema.s_interfaces = 0 ->
-      chunk_map schema.s_interfaces (List.map snd chunks)
-  | _ -> SMap.empty
+  chunks_of schema
+    (match Odl.Printer.split_chunks text with
+    | Some (_, chunks)
+      when List.compare_lengths chunks schema.s_interfaces = 0 ->
+        List.map snd chunks
+    | _ -> List.map (fun _ -> "") schema.s_interfaces)
 
-(* The checkpoint body's workspace, sharing with the shrink wrap every
-   interface whose chunk is byte-identical to the shrink wrap's: only the
-   other chunks are parsed.  Each parsed chunk must print back to its own
-   bytes, so the body is exactly the printing of the result and parsing
-   it whole would give the same schema.  [Error] for a body not laid out
-   so — every body a snapshot writes is — which the caller treats as a
-   checkpoint that cannot serve. *)
-let checkpoint_workspace (chunks : chunks) body =
+(* The line naming the [count] shrink wrap interfaces from [first]. *)
+let run_chunk first count = Printf.sprintf "\n  // shrinkwrap %d %d" first count
+
+(* A workspace interface, as the checkpoint body holds it: the [count]
+   shrink wrap interfaces from [first], or a chunk of its own. *)
+type slot = Run of int * int | Own of string
+
+(* The checkpoint body's slots for a workspace: each interface equal to
+   the shrink wrap's of its name extends a run, the others are printed. *)
+let body_slots chunks (workspace : Odl.Types.schema) =
+  let extend slots k =
+    match slots with
+    | Run (first, count) :: rest when first + count = k ->
+        Run (first, count + 1) :: rest
+    | _ -> Run (k, 1) :: slots
+  in
+  List.fold_left
+    (fun slots (i : Odl.Types.interface) ->
+      let next =
+        match slots with Run (first, count) :: _ -> first + count | _ -> -1
+      in
+      (* the shrink wrap's next interface itself needs no lookup *)
+      if next >= 0 && next < Array.length chunks.sw_from && sw chunks next == i
+      then extend slots next
+      else
+        match SMap.find_opt i.i_name chunks.sw_at with
+        | Some k
+          when i == sw chunks k || Odl.Types.equal_interface i (sw chunks k) ->
+            extend slots k
+        | _ -> Own (Odl.Printer.interface_chunk i) :: slots)
+    [] workspace.s_interfaces
+  |> List.rev
+
+(* The custom schema's chunks: the shrink wrap's for a run. *)
+let custom_chunks chunks slots =
+  List.concat_map
+    (function
+      | Own c -> [ c ]
+      | Run (first, count) ->
+          List.init count (fun j ->
+              match chunks.sw_chunks.(first + j) with
+              | "" -> Odl.Printer.interface_chunk (sw chunks (first + j))
+              | c -> c))
+    slots
+
+let body_of_slots name slots =
+  Odl.Printer.schema_of_chunks name
+    (List.map
+       (function Run (first, count) -> run_chunk first count | Own c -> c)
+       slots)
+
+(* The one chunk reader, for the open and fsck: the checkpoint body's
+   workspace, sharing with the shrink wrap every interface a run names
+   and every one whose chunk is byte-identical to the shrink wrap's; only
+   the other chunks are parsed.  Each parsed chunk, and each run, must
+   print back to its own bytes.  [Error] for a body not laid out so or a
+   run the shrink wrap cannot resolve — every body a snapshot writes is
+   laid out so, on the shrink wrap its header names — which the caller
+   treats as a checkpoint that cannot serve. *)
+let checkpoint_workspace chunks body =
+  let slot (n, c) =
+    if n = "" then
+      match
+        Scanf.sscanf_opt c "\n  // shrinkwrap %d %d%!" (fun a b -> (a, b))
+      with
+      | Some (first, count)
+        when first >= 0 && count > 0
+             && first + count <= Array.length chunks.sw_from
+             && String.equal c (run_chunk first count) ->
+          Ok (Run (first, count))
+      | _ -> Error "a reference the shrink wrap cannot resolve"
+    else
+      match SMap.find_opt n chunks.sw_at with
+      | Some k when String.equal c chunks.sw_chunks.(k) -> Ok (Run (k, 1))
+      | _ -> Ok (Own c)
+  in
   match Odl.Printer.split_chunks body with
   | None -> Error "not laid out in interface chunks"
-  | Some (name, body_chunks) ->
-      let slots =
-        List.map
-          (fun (n, c) ->
-            match SMap.find_opt n chunks with
-            | Some (i, c') when String.equal c c' -> (c, Some i)
-            | _ -> (c, None))
-          body_chunks
+  | Some (name, body_chunks) -> (
+      let rec slots acc = function
+        | [] -> Ok (List.rev acc)
+        | c :: rest -> Result.bind (slot c) (fun s -> slots (s :: acc) rest)
       in
-      let own =
-        List.filter_map
-          (fun (c, i) -> if Option.is_none i then Some c else None)
-          slots
-      in
-      Result.bind
-        (Odl.Parser.parse_schema_result (Odl.Printer.schema_of_chunks name own))
-        (fun parsed ->
-          if
-            List.compare_lengths parsed.s_interfaces own = 0
-            && List.for_all2
-                 (fun i c -> String.equal (Odl.Printer.interface_chunk i) c)
-                 parsed.s_interfaces own
-          then
-            let rec fill acc parsed = function
-              | [] -> List.rev acc
-              | (_, Some i) :: rest -> fill (i :: acc) parsed rest
-              | (_, None) :: rest -> (
-                  match parsed with
-                  | p :: parsed -> fill (p :: acc) parsed rest
-                  | [] -> assert false)
-            in
-            Ok
-              {
-                Odl.Types.s_name = name;
-                s_interfaces = fill [] parsed.s_interfaces slots;
-              }
-          else Error "a chunk is not laid out as the printer lays it out")
+      match slots [] body_chunks with
+      | Error _ as e -> e
+      | Ok slots ->
+          let own = List.filter_map (function Own c -> Some c | Run _ -> None) slots in
+          Result.bind
+            (Odl.Parser.parse_schema_result (Odl.Printer.schema_of_chunks name own))
+            (fun parsed ->
+              if
+                List.compare_lengths parsed.s_interfaces own = 0
+                && List.for_all2
+                     (fun i c -> String.equal (Odl.Printer.interface_chunk i) c)
+                     parsed.s_interfaces own
+              then
+                (* built from the end: a last run that ends the shrink
+                   wrap is its list's tail itself, shared, not copied *)
+                let n = Array.length chunks.sw_from in
+                let fill (acc, parsed) = function
+                  | Run (first, count) when acc = [] && first + count = n ->
+                      (chunks.sw_from.(first), parsed)
+                  | Run (first, count) ->
+                      let acc = ref acc in
+                      for k = first + count - 1 downto first do
+                        acc := sw chunks k :: !acc
+                      done;
+                      (!acc, parsed)
+                  | Own _ -> (
+                      match parsed with
+                      | p :: parsed -> (p :: acc, parsed)
+                      | [] -> assert false)
+                in
+                Ok
+                  {
+                    Odl.Types.s_name = name;
+                    s_interfaces =
+                      fst
+                        (List.fold_left fill
+                           ([], List.rev parsed.s_interfaces)
+                           (List.rev slots));
+                  }
+              else Error "a chunk is not laid out as the printer lays it out"))
 
 (* --- whole sessions ------------------------------------------------------ *)
 
@@ -369,15 +471,8 @@ type base = {
 }
 
 let base session =
-  let schema = Core.Session.original session in
-  let chunks = List.map Odl.Printer.interface_chunk schema.s_interfaces in
-  let text = Odl.Printer.schema_of_chunks schema.s_name chunks in
-  {
-    b_text = text;
-    b_digest = hex text;
-    b_session = session;
-    b_chunks = chunk_map schema.s_interfaces chunks;
-  }
+  let text, chunks = printed (Core.Session.original session) in
+  { b_text = text; b_digest = hex text; b_session = session; b_chunks = chunks }
 
 (* [base], when [session] was derived from [base]'s session: every
    session derived from one shares its shrink wrap value physically. *)
@@ -397,18 +492,19 @@ let holds t path text =
 let write_changed t path text =
   if not (holds t path text) then write_file t path text
 
+(* The same for a schema text given as its chunks: compared with the file
+   in place, and joined only to be written. *)
+let write_schema_changed t path name chunks =
+  if
+    not
+      (try
+         t.io.Io.file_exists path
+         && Odl.Printer.is_schema_of_chunks (read_file t path) name chunks
+       with Sys_error _ -> false)
+  then write_file t path (Odl.Printer.schema_of_chunks name chunks)
+
 let remove_if_exists t path =
   if t.io.Io.file_exists path then t.io.Io.remove path
-
-(* The workspace's chunks: the shrink wrap's for an interface equal to the
-   shrink wrap's one of that name, printed for the others. *)
-let workspace_chunks (chunks : chunks) (workspace : Odl.Types.schema) =
-  List.map
-    (fun (i : Odl.Types.interface) ->
-      match SMap.find_opt i.i_name chunks with
-      | Some (i', c) when i == i' || Odl.Types.equal_interface i i' -> c
-      | _ -> Odl.Printer.interface_chunk i)
-    workspace.s_interfaces
 
 (** Whether a save would rewrite [aliases.map]: see the interface.  No
     local names, no file — unless there is one to empty. *)
@@ -444,26 +540,28 @@ let persist ?base ?lineage ?(era = 0) t session ~journal =
     match base_of base session with
     | Some b -> (b.b_text, b.b_digest, b.b_chunks)
     | None ->
-        let text = Odl.Printer.schema_to_string (Core.Session.original session) in
-        (text, hex text, SMap.empty)
+        let text, chunks = printed (Core.Session.original session) in
+        (text, hex text, chunks)
   in
   let workspace = Core.Session.workspace session in
-  let ws_chunks = workspace_chunks chunks workspace in
+  (* each interface the variant changed or added is printed once, for the
+     custom schema and the checkpoint *)
+  let slots = body_slots chunks workspace in
   write_changed t (shrinkwrap_file t) shrink_text;
   let log_text = journal () in
   if aliases_differ t session then
     write_file t (aliases_file t)
       (Core.Aliases.to_string (Core.Session.aliases session));
-  write_changed t (custom_file t)
-    (Odl.Printer.schema_of_chunks
-       (Core.Session.custom_schema session).s_name ws_chunks);
+  write_schema_changed t (custom_file t)
+    (Core.Session.custom_schema session).s_name
+    (custom_chunks chunks slots);
   (* a checkpoint covering no op could never serve: none is written, and
      an earlier one — stale after a rewrite, undone into otherwise — goes *)
   if ops = 0 then remove_if_exists t (checkpoint_file t)
   else
     write_file t (checkpoint_file t)
       (checkpoint_to_string ~shrink_digest ~log_text ~ops
-         (Odl.Printer.schema_of_chunks workspace.s_name ws_chunks));
+         (body_of_slots workspace.s_name slots));
   save_manifest t
     {
       m_generation = generation;
@@ -672,7 +770,7 @@ let walk t b ~log_text ~start (suffix : Journal.parsed) =
             fault (Rejected { op = k + 1; error; later = List.length rest });
             s)
   in
-  let session = apply 0 b.b_session steps in
+  let session = apply 0 (Core.Session.new_lineage b.b_session) steps in
   let session =
     match read_aliases t with
     | Ok aliases -> Core.Session.restore_aliases session aliases
@@ -790,7 +888,7 @@ type fsck_report = {
 (** Inspect every artifact of the repository, reporting damage; with
     [~salvage:true] rewrite it from the best recoverable session (longest
     replayable journal prefix) and sweep stale temporary files. *)
-let fsck ?(salvage = false) t =
+let fsck ?base ?(salvage = false) t =
   let issues = ref [] and damaged = ref false in
   let issue fmt =
     Printf.ksprintf (fun m -> damaged := true; issues := m :: !issues) fmt
@@ -827,7 +925,7 @@ let fsck ?(salvage = false) t =
     if salvage then begin
       sweep_tmp ();
       match session with
-      | Some s when !issues <> [] -> save_session t s
+      | Some s when !issues <> [] -> save_session ?base t s
       | _ -> ()
     end;
     {
@@ -836,7 +934,7 @@ let fsck ?(salvage = false) t =
       fsck_derived_only = not !damaged;
     }
   in
-  match read_base t with
+  match read_base ?base t with
   | Error (Damaged { reason; _ }) ->
       issue
         "shrinkwrap.odl: %s (unrecoverable: the base schema roots every \

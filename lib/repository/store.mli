@@ -13,7 +13,9 @@
                              (absent while there are none)
     <dir>/custom.odl         the generated custom schema
     <dir>/checkpoint.odl     the workspace at the end of a journal prefix,
-                             with digests of the shrink wrap and that prefix
+                             as the interfaces that differ from the shrink
+                             wrap, with digests of the shrink wrap and that
+                             prefix
                              (absent until a save covers an operation)
     <dir>/manifest           format version, generation, journal watermark
     <dir>/reports/*          deliverables, written only by {!save_reports}
@@ -28,9 +30,10 @@
     injectable {!Io.t}.
 
     Recovery cost is bounded by what changed: a load opens from the
-    checkpoint, parses only the interfaces that differ from the shrink
-    wrap and only the journal suffix (reading and digesting the files
-    stays linear in their size, at memory speed).
+    checkpoint, which records only the interfaces that differ from the
+    shrink wrap, parses only those and only the journal suffix (reading
+    the shrink wrap and the journal and digesting the covered journal
+    bytes stay linear in their size, at memory speed).
     The checkpoint is derived data — a missing, damaged or stale one only
     sends the load back to the recovery walk, the full replay of the
     journal that {!fsck} runs too. *)
@@ -160,8 +163,9 @@ val fence : t -> era:int -> unit
 (** {1 Whole sessions} *)
 
 type chunks
-(** The shrink wrap's interfaces, each with its printed chunk
-    ({!Odl.Printer.interface_chunk}). *)
+(** The shrink wrap's interfaces by position and by name, each with its
+    printed chunk ({!Odl.Printer.interface_chunk}): what a checkpoint body
+    names instead of printing. *)
 
 type base = private {
   b_text : string;  (** the shrink wrap, printed as {!save_session} stores it *)
@@ -215,14 +219,19 @@ val save_checkpoint : ?base:base -> t -> Core.Session.t -> unit
     could never serve again).  The manifest is always written, and so is
     the checkpoint of a session with an op, so a snapshot that changed
     neither local names nor the custom schema costs two fsyncs.
-    When the session was derived from [base]'s session, the shrink wrap
-    is not printed again and every workspace interface equal to the shrink
-    wrap's takes [base]'s chunk: only the interfaces the variant changed
-    or added are printed, once for both the custom schema and the
-    checkpoint.  Cost: O(changed interfaces) printing, plus O(schema +
-    journal) at memory speed — the journal read and its digest, the
-    schema texts joined, the body's digest, and the read-back of
-    [shrinkwrap.odl], [aliases.map] and [custom.odl] — and the writes. *)
+    The checkpoint body holds only what differs from the shrink wrap:
+    each run of workspace interfaces equal to consecutive shrink wrap
+    interfaces is one line naming them by position,
+    [// shrinkwrap <first> <count>], and the other interfaces are
+    printed, once for both the checkpoint and the custom schema.  When
+    the session was derived from [base]'s session, the shrink wrap is not
+    printed again and [custom.odl] takes [base]'s chunk for every
+    interface equal to the shrink wrap's.  Cost: O(changed interfaces)
+    printing, joining and digesting the body, plus at memory speed the
+    journal read and its digest (O(journal)), a pointer walk over the
+    workspace, and the read-back of [shrinkwrap.odl], [aliases.map] and
+    [custom.odl] ([custom.odl] compared chunk by chunk in place and
+    joined only when it is written: O(schema)) — and the writes. *)
 
 val aliases_differ : t -> Core.Session.t -> bool
 (** Whether a save of the session would rewrite [aliases.map]: its local
@@ -275,19 +284,23 @@ val load_session :
     digesting the shrink wrap again; the result is the same.
 
     Cost from the checkpoint: O(interfaces that differ from the shrink
-    wrap + journal suffix), plus O(schema + journal) at memory speed: the
-    files read, the shrink wrap compared with [base]'s text, the digests
-    of the checkpoint body and the covered journal bytes, and the cut of
-    the covered records.
+    wrap + journal suffix), plus at memory speed: the files read, the
+    shrink wrap compared with [base]'s text, the digest of the covered
+    journal bytes and the cut of the covered records (O(journal)), and
+    pointer walks over the interfaces.  The checkpoint body holds the
+    interfaces that differ, so reading and digesting it is O(changed).
     The covered journal prefix is digest-checked and its op texts cut,
     not parsed ({!Core.Session.of_checkpoint} parses them on first
     demand); its [@undo;] records are resolved as the cut goes
-    ({!Journal.op_records}).  The checkpoint body is split into its per-interface chunks:
-    a chunk byte-identical to the shrink wrap's takes the shrink wrap's
-    interface value, only the others are parsed, and the workspace index
-    is the shrink wrap session's patched with them
-    ({!Core.Schema_index.patch}).  A body not laid out in the printer's
-    chunks cannot serve and the journal is replayed.  Without a [base] the
+    ({!Journal.op_records}).  The checkpoint body is split into its
+    chunks by the one reader fsck uses too: a run takes the shrink wrap's
+    interface values at its positions, a printed chunk byte-identical to
+    the shrink wrap's takes that interface's value (so a body printed
+    whole, as older checkpoints are, still serves), only the others are
+    parsed, and the workspace index is the shrink wrap session's patched
+    with them ({!Core.Schema_index.patch}).  A body not laid out in the
+    printer's chunks, or a run the shrink wrap cannot resolve, cannot
+    serve and the journal is replayed.  Without a [base] the
     shrink wrap is parsed and indexed first, O(schema). *)
 
 (** {1 Integrity checking} *)
@@ -302,7 +315,7 @@ type fsck_report = {
           checkpoint): nothing recovery depends on is damaged *)
 }
 
-val fsck : ?salvage:bool -> t -> fsck_report
+val fsck : ?base:base -> ?salvage:bool -> t -> fsck_report
 (** Inspect every artifact and report damage: each fault of
     {!load_session}'s recovery walk is an issue.  The checkpoint is read
     as the open reads it and compared with the state the walk reached at
@@ -312,4 +325,9 @@ val fsck : ?salvage:bool -> t -> fsck_report
     save that covered an operation.  Reports are not checked: they are
     rendered on request.  With [~salvage:true], rewrite the repository
     from the best recoverable session (longest replayable journal prefix),
-    regenerating derived artifacts and removing stale temporary files. *)
+    regenerating derived artifacts and removing stale temporary files.
+    When [shrinkwrap.odl] holds exactly [base]'s text, the walk starts
+    from [base]'s session and salvage saves on [base], as
+    {!load_session} does: an fsck over V variants of one repository parses,
+    digests and indexes the shrink wrap once, not V times.  The report is
+    the same. *)

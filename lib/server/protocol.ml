@@ -168,12 +168,15 @@ let body_prefix = ". "
 let iter_lines emit r =
   List.iter
     (fun entry ->
+      let n = String.length entry in
+      (* the end of the line from [i]: a newline or the entry's end *)
+      let rec eol i =
+        if i = n || String.unsafe_get entry i = '\n' then i else eol (i + 1)
+      in
       let rec go i =
-        match String.index_from_opt entry i '\n' with
-        | Some j ->
-            emit ~body:true entry i (j - i);
-            go (j + 1)
-        | None -> emit ~body:true entry i (String.length entry - i)
+        let j = eol i in
+        emit ~body:true entry i (j - i);
+        if j < n then go (j + 1)
       in
       go 0)
     r.body;
@@ -187,12 +190,23 @@ let iter_lines emit r =
       meta ("!busy " ^ reason);
       meta (Printf.sprintf "!retry-after %d" retry_after_ms)
 
+(* Each line allocated once: a body line is the prefix and its bytes
+   blitted into one string. *)
 let to_lines r =
   let lines = ref [] in
   iter_lines
     (fun ~body s off len ->
-      let line = String.sub s off len in
-      lines := (if body then body_prefix ^ line else line) :: !lines)
+      let line =
+        if body then begin
+          let p = String.length body_prefix in
+          let b = Bytes.create (p + len) in
+          Bytes.blit_string body_prefix 0 b 0 p;
+          Bytes.blit_string s off b p len;
+          Bytes.unsafe_to_string b
+        end
+        else String.sub s off len
+      in
+      lines := line :: !lines)
     r;
   List.rev !lines
 

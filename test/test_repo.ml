@@ -262,6 +262,33 @@ let fsck_dir_not_a_directory () =
         (Result.is_error (Repo.fsck_dir ~io ~salvage:false path)))
     [ "/nowhere"; "/r/shrinkwrap.odl" ]
 
+(* fsck on the repository's base: two variants' recovered sessions share
+   one shrink wrap value, where an fsck without it parses a copy for
+   each; the reports are the same. *)
+let fsck_on_the_base () =
+  let module Store = Repository.Store in
+  let io = mem_repo () in
+  let repo = Result.get_ok (Repo.open_dir ~io "/r") in
+  let w, _ =
+    Util.apply_ok (Result.get_ok (Repo.create_variant repo "w"))
+      "add_type_definition(Annex)"
+  in
+  Result.get_ok (Repo.save_variant repo "w" w);
+  let fsck ?base v = Store.fsck ?base (Repo.variant_store repo v) in
+  let original (r : Store.fsck_report) =
+    Core.Session.original (Option.get r.fsck_session)
+  in
+  let base = Repo.base repo in
+  Alcotest.(check bool) "one shrink wrap value" true
+    (original (fsck ?base "v") == original (fsck ?base "w"));
+  Alcotest.(check bool) "a copy each without the base" false
+    (original (fsck "v") == original (fsck "w"));
+  List.iter
+    (fun v ->
+      Alcotest.(check (list string)) "the same report"
+        (fsck v).fsck_issues (fsck ?base v).fsck_issues)
+    [ "v"; "w" ]
+
 let tests =
   [
     test "init rejects invalid shrink wrap" init_rejects_invalid;
@@ -278,4 +305,5 @@ let tests =
     test "fsck_dir: a damaged shrink wrap still walks the variants"
       fsck_dir_damaged_shrinkwrap;
     test "fsck_dir: a path that is not a directory" fsck_dir_not_a_directory;
+    test "fsck on the base shares one shrink wrap value" fsck_on_the_base;
   ]

@@ -7,7 +7,12 @@
 
    Run with QCHECK_LONG=1 (the [fuzz-long] alias) for the full sweep. *)
 
-module Store = Repository.Store
+(* every fsck here runs with and without the repository's base *)
+module Store = struct
+  include Repository.Store
+
+  let fsck = Util.fsck_on_base
+end
 module Repo = Repository.Repo
 module Io = Repository.Io
 module Journal = Repository.Journal
@@ -453,6 +458,18 @@ let fsck_checkpoint_not_in_chunks () =
           rewrite_body repo
             (Odl.Printer.schema_of_chunks name ((c ^ " ") :: List.map snd rest))
       | _ -> Alcotest.fail "the printer lays a workspace out in chunks")
+
+(* A run the shrink wrap cannot resolve (here past its end) cannot serve
+   the open, which replays the journal instead; fsck reports it. *)
+let fsck_checkpoint_unresolved_run () =
+  fsck_checkpoint_derived "a reference the shrink wrap cannot resolve"
+    (fun repo _ ->
+      rewrite_body repo "schema University {\n  // shrinkwrap 0 999\n};\n";
+      match Store.load_session repo with
+      | Ok s ->
+          Alcotest.(check bool) "the open replays the journal" true
+            (same_as_full_replay repo s)
+      | Error e -> Alcotest.fail (Store.load_error_to_string e))
 
 let stale_tmp_swept () =
   with_repo (fun repo ->
@@ -948,12 +965,20 @@ let mem_sweep actions =
       (Util.session_of (Util.university ()))
       actions
   in
-  (* run to completion, the schedule leaves nothing for fsck to report *)
-  (match (Store.fsck (Store.open_dir ~io "/repo")).Store.fsck_issues with
-  | [] -> ()
-  | issues ->
-      QCheck2.Test.fail_reportf "uncrashed run: fsck reports %s"
-        (String.concat "; " issues));
+  (* run to completion, the schedule leaves nothing for fsck to report,
+     and the open — from a checkpoint the records after it extend, when
+     the schedule ends so — is the full replay *)
+  (let store = Store.open_dir ~io "/repo" in
+   (match (Store.fsck store).Store.fsck_issues with
+   | [] -> ()
+   | issues ->
+       QCheck2.Test.fail_reportf "uncrashed run: fsck reports %s"
+         (String.concat "; " issues));
+   match Store.load_session store with
+   | Ok s when same_as_full_replay store s -> ()
+   | Ok _ -> QCheck2.Test.fail_report "uncrashed run: reload differs from a full replay"
+   | Error e ->
+       QCheck2.Test.fail_reportf "uncrashed run: %s" (Store.load_error_to_string e));
   let timeline = [] :: List.rev states in
   for k = 0 to total () - 1 do
     let mem, io = fresh () in
@@ -1023,6 +1048,16 @@ let crash_sweep =
     (QCheck2.Test.make
        ~name:"crash at every syscall recovers a durable state (mem fs)"
        ~count:10 ~long_factor:50 ~print:schedule_print schedule_gen mem_sweep)
+
+(* A fixed schedule of the sweep that opens a checkpoint with a record
+   after it at every run: the generated ones need not. *)
+let crash_sweep_op_checkpoint_op () =
+  let ww = Core.Concept.Wagon_wheel in
+  ignore
+    (mem_sweep
+       [ A_op (ww, Util.parse_op "add_attribute(Person, string, 8, kept)");
+         A_checkpoint;
+         A_op (ww, Util.parse_op "add_type_definition(Lab)") ])
 
 (* The same harness over the real filesystem: a fixed schedule, a fresh
    directory per crash point. *)
@@ -1182,4 +1217,8 @@ let tests =
       writer_errors_are_results;
     test "writer: crash at every syscall of open, appends and close"
       writer_crash_sweep;
+    test "fsck: a run the shrink wrap cannot resolve is derived"
+      fsck_checkpoint_unresolved_run;
+    test "crash at every syscall of op, (checkpoint), op recovers (mem fs)"
+      crash_sweep_op_checkpoint_op;
   ]

@@ -23,7 +23,12 @@
    the cases. *)
 
 module Io = Repository.Io
-module Store = Repository.Store
+(* every fsck here runs with and without the repository's base *)
+module Store = struct
+  include Repository.Store
+
+  let fsck = Util.fsck_on_base
+end
 module Repo = Repository.Repo
 module Service = Server.Service
 module Protocol = Server.Protocol
@@ -318,14 +323,16 @@ let forged_copy io store =
   let i = String.index text '\n' in
   let header = String.sub text 0 (i - 32) in
   let body = String.sub text (i + 1) (String.length text - i - 1) in
-  let workspace = Odl.Parser.parse_schema body in
   let forged =
     Odl.Parser.parse_schema "interface Forged { attribute string x; };"
   in
   let body =
-    Odl.Printer.schema_to_string
-      { workspace with
-        s_interfaces = workspace.s_interfaces @ forged.s_interfaces }
+    match Odl.Printer.split_chunks body with
+    | Some (name, chunks) ->
+        Odl.Printer.schema_of_chunks name
+          (List.map snd chunks
+          @ List.map Odl.Printer.interface_chunk forged.s_interfaces)
+    | None -> Alcotest.fail "checkpoint body is not laid out in chunks"
   in
   io'.Io.write path (header ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body);
   copy
@@ -1147,6 +1154,173 @@ let journal_after_checkpoint_parsed_once () =
       Alcotest.(check bool) "reported at its journal line" true
         (Str_contains.contains (Store.load_error_to_string e) "log.ops is damaged: line 4:")
 
+
+(* --- the [log] reply, rendered incrementally ------------------------------- *)
+
+(* [Oplog.render_session] extends the lineage's last rendering; the
+   reference renders the whole log. *)
+let log_reply_differs s =
+  let expected = Core.Oplog.render (Core.Oplog.of_session s) in
+  let got = Core.Oplog.render_session s in
+  if String.equal got expected then None
+  else Some (Printf.sprintf "log reply %S, expected %S" got expected)
+
+type log_action =
+  | L_op of Core.Concept.kind * Core.Modop.t
+  | L_undo
+  | L_redo
+  | L_log
+  | L_merge of (Core.Concept.kind * Core.Modop.t) list
+      (** a branch takes these ops, the base one more; the branch merges *)
+  | L_reopen  (** full save, then the open from the checkpoint *)
+
+let log_action_gen =
+  let open QCheck2.Gen in
+  let op = pair Gen.concept_kind (Gen.plausible_op (Util.university ())) in
+  frequency
+    [
+      (5, map (fun (k, o) -> L_op (k, o)) op);
+      (3, return L_undo);
+      (1, return L_redo);
+      (4, return L_log);
+      (1, map (fun ops -> L_merge ops) (list_size (int_range 1 3) op));
+      (1, return L_reopen);
+    ]
+
+let print_log_actions actions =
+  let show = function
+    | L_op (k, o) -> Journal.entry_to_line (Journal.Op (k, o))
+    | L_undo -> "undo"
+    | L_redo -> "redo"
+    | L_log -> "log"
+    | L_merge ops ->
+        "merge ["
+        ^ String.concat " " (List.map (fun (k, o) -> Journal.entry_to_line (Journal.Op (k, o))) ops)
+        ^ "]"
+    | L_reopen -> "reopen"
+  in
+  String.concat "  " (List.map show actions)
+
+let apply_all s ops =
+  List.fold_left
+    (fun s (kind, op) ->
+      match Session.apply s ~kind op with Ok (s, _) -> s | Error _ -> s)
+    s ops
+
+let log_reply_is_the_render =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"the incremental log reply = the whole render"
+       ~count:100 ~long_factor:10 ~print:print_log_actions
+       QCheck2.Gen.(list_size (int_range 0 30) log_action_gen)
+       (fun actions ->
+         let store = Store.open_dir ~io:(Io.mem_io (Io.mem_create ())) "/v" in
+         let check s =
+           match log_reply_differs s with
+           | None -> ()
+           | Some m -> QCheck2.Test.fail_report m
+         in
+         let final =
+           List.fold_left
+             (fun s -> function
+               | L_op (kind, op) -> apply_all s [ (kind, op) ]
+               | L_undo -> Option.value (Session.undo s) ~default:s
+               | L_redo -> Option.fold ~none:s ~some:fst (Session.redo s)
+               | L_log ->
+                   check s;
+                   s
+               | L_merge ops ->
+                   (* branch and base share the lineage's cell *)
+                   let branch = apply_all s ops in
+                   let base = apply_all s [ List.hd ops ] in
+                   check branch;
+                   check base;
+                   let merged =
+                     (Core.Oplog.rebase ~base
+                        ~branch_ops:(Core.Oplog.branch_entries ~base ~branch))
+                       .r_session
+                   in
+                   check merged;
+                   merged
+               | L_reopen -> (
+                   Store.save_session store s;
+                   match Store.load_session store with
+                   | Ok s -> s
+                   | Error e ->
+                       QCheck2.Test.fail_report (Store.load_error_to_string e)))
+             (Util.session_of (Util.university ()))
+             actions
+         in
+         check final;
+         true))
+
+(* Published sessions are read from many threads: four render the log of
+   one opened session and of one derived from it, over and over, each
+   checking its own spine against the shared cell. *)
+let concurrent_log_replies () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let ops = List.init 60 (Printf.sprintf "add_attribute(Person, string, 8, t%d)") in
+  Store.save_session store (Util.apply_many (Util.session_of (tiny ())) ops);
+  let opened =
+    match Store.load_session store with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  in
+  let sessions =
+    [| opened;
+       Util.apply_many opened [ "add_attribute(Person, string, 8, later)" ];
+       Option.get (Session.undo opened) |]
+  in
+  let expected = Array.map (fun s -> Core.Oplog.render (Core.Oplog.of_session s)) sessions in
+  let wrong = Atomic.make 0 in
+  List.init 4 (fun i ->
+      Thread.create
+        (fun () ->
+          for k = 0 to 199 do
+            let j = (i + k) mod Array.length sessions in
+            if Core.Oplog.render_session sessions.(j) <> expected.(j) then
+              Atomic.incr wrong
+          done)
+        ())
+  |> List.iter Thread.join;
+  Alcotest.(check int) "every reply is the whole render" 0 (Atomic.get wrong)
+
+(* Two variants opened from one repository base never share a cell, nor
+   with the base: the base's stays empty whatever the variants render. *)
+let variants_keep_their_own_log =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"two variants of one base render their own logs"
+       ~count:50 ~long_factor:10
+       QCheck2.Gen.(
+         pair
+           (Gen.op_sequence ~max_len:6 (Util.university ()))
+           (Gen.op_sequence ~max_len:6 (Util.university ())))
+       (fun (ops_a, ops_b) ->
+         let io = Io.mem_io (Io.mem_create ()) in
+         let repo = Result.get_ok (Repo.init ~io "/r" (Util.university ())) in
+         let base = Option.get (Repo.base repo) in
+         List.iter
+           (fun (v, ops) ->
+             let fresh = Result.get_ok (Repo.create_variant repo v) in
+             Result.get_ok (Repo.save_variant repo v (apply_all fresh ops)))
+           [ ("a", ops_a); ("b", ops_b); ("c", []) ];
+         let opened v = Result.get_ok (Repo.open_variant repo v) in
+         let a = opened "a" and b = opened "b" and c = opened "c" in
+         let cells = List.map Session.log_text [ base.b_session; a; b; c ] in
+         let rec distinct = function
+           | [] -> true
+           | x :: rest -> List.for_all (fun y -> x != y) rest && distinct rest
+         in
+         if not (distinct cells) then QCheck2.Test.fail_report "a cell is shared";
+         let c = apply_all c [ (Core.Concept.Wagon_wheel, Util.parse_op "add_type_definition(Cq)") ] in
+         List.iter
+           (fun s ->
+             match log_reply_differs s with
+             | None -> ()
+             | Some m -> QCheck2.Test.fail_report m)
+           [ a; b; c; a; b; c ];
+         (Atomic.get (Session.log_text base.b_session)).lt_text = ""))
+
 let tests =
   [
     test "redo is lost across @close/@open (undo chain survives)"
@@ -1176,4 +1350,7 @@ let tests =
       unparsable_prefix_record_surfaces_later;
     test "the journal after a checkpoint is parsed and repaired once"
       journal_after_checkpoint_parsed_once;
+    log_reply_is_the_render;
+    test "four threads reply to log alike" concurrent_log_replies;
+    variants_keep_their_own_log;
   ]

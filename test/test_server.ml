@@ -165,7 +165,7 @@ let framing_matches_reference =
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"protocol: framing = split, prefix and join"
-       ~count:500 response (fun r ->
+       ~count:500 ~long_factor:10 response (fun r ->
          let lines = reference_lines r in
          Protocol.to_lines r = lines
          && Protocol.to_string r = String.concat "\n" lines ^ "\n"))

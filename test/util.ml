@@ -91,3 +91,22 @@ let rec rm_rf p =
     Sys.rmdir p
   end
   else if Sys.file_exists p then Sys.remove p
+
+(** [Repository.Store.fsck] with and without a base built from the
+    store's own shrink wrap (when it parses and is valid): the two reports
+    must list the same lines, since a base only saves the parse.  With
+    [~salvage:true] both run unsalvaged first, then the salvage runs on
+    the base.  Suites that shadow [Store.fsck] with it check every fsck
+    fixture they hold both ways. *)
+let fsck_on_base ?(salvage = false) store =
+  let module Store = Repository.Store in
+  let base =
+    match Store.load_shrinkwrap store with
+    | schema -> Result.to_option (Core.Session.create schema) |> Option.map Store.base
+    | exception _ -> None
+  in
+  let plain = Store.fsck store and based = Store.fsck ?base store in
+  Alcotest.(check (list string))
+    "fsck reports the same with the repository's base" plain.fsck_issues
+    based.fsck_issues;
+  if salvage then Store.fsck ?base ~salvage store else based
