@@ -201,13 +201,8 @@ module Indexed = Make (Schema_index)
 let wagon_wheel = Naive.wagon_wheel
 let wagon_wheels = Naive.wagon_wheels
 let generalization_hierarchy = Naive.generalization_hierarchy
-let generalization_hierarchies = Naive.generalization_hierarchies
-let aggregation_hierarchy = Naive.aggregation_hierarchy
 let aggregation_roots = Naive.aggregation_roots
-let aggregation_hierarchies = Naive.aggregation_hierarchies
-let instance_chain = Naive.instance_chain
 let instance_heads = Naive.instance_heads
-let instance_chains = Naive.instance_chains
 let decompose = Naive.decompose
 let concept = Naive.concept
 

@@ -20,10 +20,7 @@ module Make (V : Schema_view.S) : sig
   val wagon_wheel : V.t -> type_name -> Concept.t
   val wagon_wheels : V.t -> Concept.t list
   val generalization_hierarchy : V.t -> type_name -> Concept.t
-  val generalization_hierarchies : V.t -> Concept.t list
-  val aggregation_hierarchy : V.t -> type_name -> Concept.t
   val aggregation_roots : V.t -> type_name list
-  val aggregation_hierarchies : V.t -> Concept.t list
 
   val parts : V.t -> type_name -> type_name list
   (** The transitive parts under a type, sorted, following part-of edges
@@ -33,9 +30,7 @@ module Make (V : Schema_view.S) : sig
   val wholes : V.t -> type_name -> type_name list
   (** The transitive wholes a type is a part of; the mirror of [parts]. *)
 
-  val instance_chain : V.t -> type_name -> Concept.t
   val instance_heads : V.t -> type_name list
-  val instance_chains : V.t -> Concept.t list
   val decompose : V.t -> Concept.t list
 
   val concept : V.t -> string -> Concept.t option
@@ -57,24 +52,11 @@ val wagon_wheels : schema -> Concept.t list
 val generalization_hierarchy : schema -> type_name -> Concept.t
 (** The ISA tree rooted at the given type. *)
 
-val generalization_hierarchies : schema -> Concept.t list
-(** One per ISA root that has subtypes. *)
-
-val aggregation_hierarchy : schema -> type_name -> Concept.t
-(** The parts explosion rooted at the given type. *)
-
 val aggregation_roots : schema -> type_name list
 (** Interfaces that aggregate parts but are not parts themselves. *)
 
-val aggregation_hierarchies : schema -> Concept.t list
-
-val instance_chain : schema -> type_name -> Concept.t
-(** The instance-of chain headed at the given type. *)
-
 val instance_heads : schema -> type_name list
 (** Generic entities that are not themselves instances of anything. *)
-
-val instance_chains : schema -> Concept.t list
 
 val decompose : schema -> Concept.t list
 (** Wagon wheels, then generalization, aggregation and instance-of

@@ -161,7 +161,8 @@ let do_plan state op =
                 :: List.map Feedback.info
                      (Core.Advisor.suggest_text ~original workspace kind op e) )))
 
-(* [save DIR]: the session, its reports and any loaded data. *)
+(* [save DIR]: the session, its deliverables (custom schema, reports) and
+   any loaded data. *)
 let save_to ?io dir state =
   match
     let repo = Repository.Store.open_dir ?io dir in

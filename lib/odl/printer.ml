@@ -174,19 +174,6 @@ let schema_of_chunks name chunks =
        0 parts);
   Bytes.unsafe_to_string b
 
-let is_schema_of_chunks text name chunks =
-  let n = String.length text in
-  (* each part against its place in [text]: the whole is not built *)
-  let rec from off = function
-    | [] -> off = n
-    | c :: rest ->
-        let l = String.length c in
-        off + l <= n
-        && String.equal c (String.sub text off l)
-        && from (off + l) rest
-  in
-  from 0 ((header name :: chunks) @ [ trailer ])
-
 let schema_to_string s =
   to_string
     (64 + (512 * List.length s.s_interfaces))

@@ -28,8 +28,8 @@ val interface_to_string : interface -> string
     A schema's text is its header line, one chunk per interface and a
     closing line, concatenated: each chunk depends on its interface alone.
     A writer that keeps the chunks of unchanged interfaces prints only the
-    others, and a reader can tell which interfaces of a printed schema are
-    byte-identical to those of another. *)
+    others, and a reader cuts a printed schema back into them
+    ({!split_chunks}). *)
 
 val interface_chunk : interface -> string
 (** The interface as {!schema_to_string} lays it out inside a schema:
@@ -40,11 +40,6 @@ val schema_of_chunks : string -> string list -> string
     these chunks.  [schema_to_string s] is
     [schema_of_chunks s.s_name (List.map interface_chunk s.s_interfaces)],
     byte for byte. *)
-
-val is_schema_of_chunks : string -> string -> string list -> bool
-(** [is_schema_of_chunks text name chunks] is
-    [String.equal text (schema_of_chunks name chunks)], compared chunk by
-    chunk without building the joined text. *)
 
 val split_chunks : string -> (string * (string * string) list) option
 (** The inverse framing: the schema name and the chunks of a text laid out

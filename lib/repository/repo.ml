@@ -4,9 +4,10 @@
     This is the ACEDB situation as a subsystem: a well-crafted schema is
     published once, and each adopting project keeps its own customization —
     its variant — in the same repository.  Variants are full sessions
-    (operation journal, local names, custom schema, reports), and the
-    repository can compare variants pairwise: affinity and the
-    interoperation report over their common objects.
+    (operation journal, local names, checkpoint; the custom schema and
+    reports on request), and the repository can compare variants
+    pairwise: affinity and the interoperation report over their common
+    objects.
 
     Layout:
     {v

@@ -121,8 +121,9 @@ val fsck_dir :
     [variants/<name>]) and the file:
     - 0: clean (the one line [<dir>: clean]);
     - 1: damage found and [salvage] repaired it ([<store>: salvaged]), or
-      found only in derived artifacts ([custom.odl], the checkpoint:
-      recovery does not depend on them);
+      found only in the checkpoint, a derived artifact recovery does not
+      depend on ([custom.odl] and the reports are deliverables, not
+      checked);
     - 2: corrupt — damage present and not repaired.
     A multi-variant repository takes the worst class of its parts.
     [Error] (class 2 as well) when the path is not a directory, so not a

@@ -11,14 +11,14 @@
                              (absent while the history is empty)
     <dir>/aliases.map        local names:  Canonical = local
                              (absent while there are none)
-    <dir>/custom.odl         the generated custom schema
     <dir>/checkpoint.odl     the workspace at the end of a journal prefix,
                              as the interfaces that differ from the shrink
                              wrap, with digests of the shrink wrap and that
                              prefix
                              (absent until a save covers an operation)
     <dir>/manifest           format version, generation, journal watermark
-    <dir>/reports/*          deliverables, written only on request
+    <dir>/custom.odl         deliverables, written only on request
+    <dir>/reports/*          ({!save_reports}); nothing reads them back
     v}
 
     Durability protocol: whole-file artifacts go through {!Io.atomic_write}
@@ -94,8 +94,6 @@ let load_shrinkwrap t =
 
 let read_log t =
   if t.io.Io.file_exists (log_file t) then read_file t (log_file t) else ""
-
-let load_custom t = Odl.Parser.parse_schema (read_file t (custom_file t))
 
 let save_report t name contents =
   Io.mkdir_p t.io (reports_dir t);
@@ -233,9 +231,7 @@ let lineage t =
    naming them by position,
    {v
      // shrinkwrap <first> <count> v}
-   and every other interface is printed, as the custom schema prints
-   it.  A printed chunk byte-identical to the shrink wrap's chunk of that
-   name is that interface too, so a body printed whole still serves. *)
+   and every other interface is printed. *)
 
 type checkpoint = {
   c_ops : int;  (** the operations the covered records resolve to *)
@@ -304,38 +300,20 @@ module SMap = Map.Make (String)
 type chunks = {
   sw_from : Odl.Types.interface list array;
       (** the shrink wrap's interface list from each position on *)
-  sw_chunks : string array;
-      (** each one's chunk in the stored text; [""] when that text is not
-          the printer's layout *)
   sw_at : int SMap.t;  (** position by name *)
 }
 
-let chunks_of (schema : Odl.Types.schema) chunks =
+let chunks_of (schema : Odl.Types.schema) =
   let rec tails = function [] -> [] | _ :: rest as l -> l :: tails rest in
   let sw_from = Array.of_list (tails schema.s_interfaces) in
   let sw_at = ref SMap.empty in
   Array.iteri
     (fun k l -> sw_at := SMap.add (List.hd l).Odl.Types.i_name k !sw_at)
     sw_from;
-  { sw_from; sw_chunks = Array.of_list chunks; sw_at = !sw_at }
+  { sw_from; sw_at = !sw_at }
 
 (* The shrink wrap's interface at position [k]. *)
 let sw chunks k = List.hd chunks.sw_from.(k)
-
-(* The shrink wrap printed chunk by chunk: its text and its chunks. *)
-let printed (schema : Odl.Types.schema) =
-  let chunks = List.map Odl.Printer.interface_chunk schema.s_interfaces in
-  (Odl.Printer.schema_of_chunks schema.s_name chunks, chunks_of schema chunks)
-
-(* The chunks of a shrink wrap text, paired with the interfaces it parsed
-   to; all [""] when the printer did not lay it out. *)
-let chunks_of_text text (schema : Odl.Types.schema) =
-  chunks_of schema
-    (match Odl.Printer.split_chunks text with
-    | Some (_, chunks)
-      when List.compare_lengths chunks schema.s_interfaces = 0 ->
-        List.map snd chunks
-    | _ -> List.map (fun _ -> "") schema.s_interfaces)
 
 (* The line naming the [count] shrink wrap interfaces from [first]. *)
 let run_chunk first count = Printf.sprintf "\n  // shrinkwrap %d %d" first count
@@ -370,18 +348,6 @@ let body_slots chunks (workspace : Odl.Types.schema) =
     [] workspace.s_interfaces
   |> List.rev
 
-(* The custom schema's chunks: the shrink wrap's for a run. *)
-let custom_chunks chunks slots =
-  List.concat_map
-    (function
-      | Own c -> [ c ]
-      | Run (first, count) ->
-          List.init count (fun j ->
-              match chunks.sw_chunks.(first + j) with
-              | "" -> Odl.Printer.interface_chunk (sw chunks (first + j))
-              | c -> c))
-    slots
-
 let body_of_slots name slots =
   Odl.Printer.schema_of_chunks name
     (List.map
@@ -389,16 +355,16 @@ let body_of_slots name slots =
        slots)
 
 (* The one chunk reader, for the open and fsck: the checkpoint body's
-   workspace, sharing with the shrink wrap every interface a run names
-   and every one whose chunk is byte-identical to the shrink wrap's; only
-   the other chunks are parsed.  Each parsed chunk, and each run, must
+   workspace, sharing with the shrink wrap every interface a run names;
+   every other chunk is parsed.  Each parsed chunk, and each run, must
    print back to its own bytes.  [Error] for a body not laid out so or a
    run the shrink wrap cannot resolve — every body a snapshot writes is
    laid out so, on the shrink wrap its header names — which the caller
    treats as a checkpoint that cannot serve. *)
 let checkpoint_workspace chunks body =
   let slot (n, c) =
-    if n = "" then
+    if n <> "" then Ok (Own c)
+    else
       match
         Scanf.sscanf_opt c "\n  // shrinkwrap %d %d%!" (fun a b -> (a, b))
       with
@@ -408,10 +374,6 @@ let checkpoint_workspace chunks body =
              && String.equal c (run_chunk first count) ->
           Ok (Run (first, count))
       | _ -> Error "a reference the shrink wrap cannot resolve"
-    else
-      match SMap.find_opt n chunks.sw_at with
-      | Some k when String.equal c chunks.sw_chunks.(k) -> Ok (Run (k, 1))
-      | _ -> Ok (Own c)
   in
   match Odl.Printer.split_chunks body with
   | None -> Error "not laid out in interface chunks"
@@ -471,8 +433,10 @@ type base = {
 }
 
 let base session =
-  let text, chunks = printed (Core.Session.original session) in
-  { b_text = text; b_digest = hex text; b_session = session; b_chunks = chunks }
+  let schema = Core.Session.original session in
+  let text = Odl.Printer.schema_to_string schema in
+  { b_text = text; b_digest = hex text; b_session = session;
+    b_chunks = chunks_of schema }
 
 (* [base], when [session] was derived from [base]'s session: every
    session derived from one shares its shrink wrap value physically. *)
@@ -491,17 +455,6 @@ let holds t path text =
    read back costs less than a write's fsync. *)
 let write_changed t path text =
   if not (holds t path text) then write_file t path text
-
-(* The same for a schema text given as its chunks: compared with the file
-   in place, and joined only to be written. *)
-let write_schema_changed t path name chunks =
-  if
-    not
-      (try
-         t.io.Io.file_exists path
-         && Odl.Printer.is_schema_of_chunks (read_file t path) name chunks
-       with Sys_error _ -> false)
-  then write_file t path (Odl.Printer.schema_of_chunks name chunks)
 
 let remove_if_exists t path =
   if t.io.Io.file_exists path then t.io.Io.remove path
@@ -523,10 +476,10 @@ let rewrite_journal t steps =
   text
 
 (* The one save.  Artifacts go in the order recovery trusts them — shrink
-   wrap, journal, local names, custom schema, checkpoint — and the
-   manifest last; [journal] writes or reads the journal and gives its
-   text, which the checkpoint covers. *)
-let persist ?base ?lineage ?(era = 0) t session ~journal =
+   wrap, journal, local names, checkpoint — and the manifest last;
+   [journal] writes or reads the journal and gives its text, which the
+   checkpoint covers. *)
+let persist ?base:repo_base ?lineage ?(era = 0) t session ~journal =
   let ops = Core.Session.step_count session in
   let generation, era, lineage =
     match load_manifest t with
@@ -536,32 +489,23 @@ let persist ?base ?lineage ?(era = 0) t session ~journal =
           match lineage with Some _ -> lineage | None -> m.m_lineage )
     | None -> (1, era, lineage)
   in
-  let shrink_text, shrink_digest, chunks =
-    match base_of base session with
-    | Some b -> (b.b_text, b.b_digest, b.b_chunks)
-    | None ->
-        let text, chunks = printed (Core.Session.original session) in
-        (text, hex text, chunks)
+  (* off the repository's base, the shrink wrap is printed here *)
+  let b =
+    match base_of repo_base session with Some b -> b | None -> base session
   in
-  let workspace = Core.Session.workspace session in
-  (* each interface the variant changed or added is printed once, for the
-     custom schema and the checkpoint *)
-  let slots = body_slots chunks workspace in
-  write_changed t (shrinkwrap_file t) shrink_text;
+  write_changed t (shrinkwrap_file t) b.b_text;
   let log_text = journal () in
   if aliases_differ t session then
     write_file t (aliases_file t)
       (Core.Aliases.to_string (Core.Session.aliases session));
-  write_schema_changed t (custom_file t)
-    (Core.Session.custom_schema session).s_name
-    (custom_chunks chunks slots);
   (* a checkpoint covering no op could never serve: none is written, and
      an earlier one — stale after a rewrite, undone into otherwise — goes *)
-  if ops = 0 then remove_if_exists t (checkpoint_file t)
-  else
-    write_file t (checkpoint_file t)
-      (checkpoint_to_string ~shrink_digest ~log_text ~ops
-         (body_of_slots workspace.s_name slots));
+  (if ops = 0 then remove_if_exists t (checkpoint_file t)
+   else
+     let workspace = Core.Session.workspace session in
+     write_file t (checkpoint_file t)
+       (checkpoint_to_string ~shrink_digest:b.b_digest ~log_text ~ops
+          (body_of_slots workspace.s_name (body_slots b.b_chunks workspace))));
   save_manifest t
     {
       m_generation = generation;
@@ -582,9 +526,11 @@ let save_session ?base ?lineage ?era t session =
 let save_checkpoint ?base t session =
   persist ?base t session ~journal:(fun () -> read_log t)
 
-(** Render the designer deliverables into [reports/]: the impact,
-    consistency and mapping reports and [deliverables.html]. *)
+(** Render the designer deliverables: [custom.odl], and into [reports/]
+    the impact, consistency and mapping reports and [deliverables.html]. *)
 let save_reports t session =
+  write_file t (custom_file t)
+    (Odl.Printer.schema_to_string (Core.Session.custom_schema session));
   save_report t "impact" (Core.Session.impact_report session);
   save_report t "consistency" (Core.Session.consistency_report_text session);
   save_report t "mapping" (Core.Session.mapping_report session);
@@ -676,7 +622,7 @@ let read_base ?base t =
             | Ok s ->
                 Ok
                   { b_text = text; b_digest = hex text; b_session = s;
-                    b_chunks = chunks_of_text text schema }))
+                    b_chunks = chunks_of schema }))
 
 (* [kept]: the records before a corrupt line, all that is read; [later]:
    the records, or ops, dropped after the one at fault. *)
@@ -893,12 +839,13 @@ let fsck ?base ?(salvage = false) t =
   let issue fmt =
     Printf.ksprintf (fun m -> damaged := true; issues := m :: !issues) fmt
   in
-  (* damage to an artifact recovery does not depend on *)
-  let derived file fmt =
+  (* damage to the checkpoint, which recovery does not depend on *)
+  let derived fmt =
     Printf.ksprintf
       (fun m ->
         issues :=
-          Printf.sprintf "%s: %s (derived; regenerated by salvage)" file m
+          Printf.sprintf "checkpoint.odl: %s (derived; regenerated by salvage)"
+            m
           :: !issues)
       fmt
   in
@@ -957,39 +904,32 @@ let fsck ?base ?(salvage = false) t =
       let start = match covered with Some (c, _) -> c.c_bytes | None -> 0 in
       let w = walk t b ~log_text ~start (Journal.parse (from start log_text)) in
       List.iter (fun f -> issue "%s" (fault_line f)) w.w_faults;
-      (if not (t.io.Io.file_exists (custom_file t)) then
-         derived "custom.odl" "missing"
-       else
-         match Odl.Parser.parse_schema_result (read_file t (custom_file t)) with
-         | Ok _ -> ()
-         | Error m | (exception Sys_error m) -> derived "custom.odl" "%s" m);
       let manifest = load_manifest t in
       (* the checkpoint must be what the open reads from it — its digests,
          the record cut, the chunk reconstruction — and hold the state the
          walk reached at the end of the prefix it covers *)
-      (let derived fmt = derived "checkpoint.odl" fmt in
-       match (checkpoint, covered) with
-       | None, _ -> (
-           (* only a save that covered an op leaves one *)
-           match manifest with
-           | Some m when m.m_ops > 0 -> derived "missing"
-           | Some _ | None -> ())
-       | Some (Error m), _ -> derived "%s" m
-       | Some (Ok _), None -> derived "does not match the log prefix"
-       | Some (Ok _), Some (c, _) -> (
-           match checkpoint_workspace b.b_chunks c.c_body with
-           | Error m -> derived "%s" m
-           | Ok workspace -> (
-               match w.w_at_start () with
-               | Unread -> derived "does not match the log prefix"
-               | Unreplayable ->
-                   derived "covers a log prefix that does not replay"
-               | Reached s ->
-                   if
-                     not
-                       (Odl.Types.equal_schema (Core.Session.workspace s)
-                          workspace)
-                   then derived "differs from the replayed log prefix")));
+      (match (checkpoint, covered) with
+      | None, _ -> (
+          (* only a save that covered an op leaves one *)
+          match manifest with
+          | Some m when m.m_ops > 0 -> derived "missing"
+          | Some _ | None -> ())
+      | Some (Error m), _ -> derived "%s" m
+      | Some (Ok _), None -> derived "does not match the log prefix"
+      | Some (Ok _), Some (c, _) -> (
+          match checkpoint_workspace b.b_chunks c.c_body with
+          | Error m -> derived "%s" m
+          | Ok workspace -> (
+              match w.w_at_start () with
+              | Unread -> derived "does not match the log prefix"
+              | Unreplayable ->
+                  derived "covers a log prefix that does not replay"
+              | Reached s ->
+                  if
+                    not
+                      (Odl.Types.equal_schema (Core.Session.workspace s)
+                         workspace)
+                  then derived "differs from the replayed log prefix")));
       (match manifest with
       | None ->
           if t.io.Io.file_exists (manifest_file t) then

@@ -11,15 +11,21 @@
                              (absent while the history is empty)
     <dir>/aliases.map        local names:  Canonical = local
                              (absent while there are none)
-    <dir>/custom.odl         the generated custom schema
     <dir>/checkpoint.odl     the workspace at the end of a journal prefix,
                              as the interfaces that differ from the shrink
                              wrap, with digests of the shrink wrap and that
                              prefix
                              (absent until a save covers an operation)
     <dir>/manifest           format version, generation, journal watermark
-    <dir>/reports/*          deliverables, written only by {!save_reports}
+    <dir>/custom.odl         deliverables, written only by {!save_reports}
+    <dir>/reports/*          and never read back
     v}
+
+    Recovery reads the shrink wrap, the journal and the local names; the
+    checkpoint and the deliverables are derived from them.  [custom.odl]
+    and [reports/] reflect the last save that rendered deliverables: a
+    copy an older build left in a served variant is stale, and nothing
+    reads or checks it.
 
     Durability: every whole-file artifact is written via write-to-temp,
     fsync, atomic rename; the journal is append-only with a per-record
@@ -70,7 +76,6 @@ val log_of_string : string -> (Core.Concept.kind * Core.Modop.t) list
 val save_shrinkwrap : t -> Odl.Types.schema -> unit
 val load_shrinkwrap : t -> Odl.Types.schema
 val load_aliases : t -> Core.Aliases.t
-val load_custom : t -> Odl.Types.schema
 
 val append_step : t -> Core.Concept.kind * Core.Modop.t -> unit
 (** Journal one accepted operation; durable on return. *)
@@ -80,7 +85,7 @@ val append_step : t -> Core.Concept.kind * Core.Modop.t -> unit
     [swsd repl --save]'s persistence: the session is saved whole up
     front, then each command's delta is journalled before its feedback
     shows, so a crash loses at most the command in flight (never
-    acknowledged); the exit checkpoints and renders the reports. *)
+    acknowledged); the exit checkpoints and renders the deliverables. *)
 
 type writer
 
@@ -163,22 +168,21 @@ val fence : t -> era:int -> unit
 (** {1 Whole sessions} *)
 
 type chunks
-(** The shrink wrap's interfaces by position and by name, each with its
-    printed chunk ({!Odl.Printer.interface_chunk}): what a checkpoint body
-    names instead of printing. *)
+(** The shrink wrap's interfaces by position and by name: what a
+    checkpoint body names instead of printing. *)
 
 type base = private {
   b_text : string;  (** the shrink wrap, printed as {!save_session} stores it *)
   b_digest : string;  (** [b_text]'s hex digest, as a checkpoint records it *)
   b_session : Core.Session.t;  (** a session just created on it *)
-  b_chunks : chunks;  (** [b_text]'s per-interface chunks *)
+  b_chunks : chunks;  (** its interfaces by position and by name *)
 }
 (** A repository's shrink wrap, printed and indexed once
     ({!Repo}): the session every variant of the repository starts from. *)
 
 val base : Core.Session.t -> base
 (** The base of a session just created on a shrink wrap: its schema
-    printed and digested once, chunk by chunk. *)
+    printed, digested and indexed by position once. *)
 
 val save_session :
   ?base:base ->
@@ -191,14 +195,14 @@ val save_session :
     history: a new variant, a branch's staging copy, [save DIR], a
     promotion and salvage.  It writes the journal as the session's
     resolved log ({!Journal.steps_to_string}, no op printed), then does
-    what {!save_checkpoint} does over it: the shrink wrap, local names,
-    custom schema and checkpoint, and last the manifest — each
-    atomically.  It renders no reports.  An empty history writes no
-    [log.ops] (an old one is removed): a missing journal reads as empty
-    and the first append creates it.  [lineage] records the branch point
-    (parent variant, fork stamp) and [era] raises the write era to at
-    least it ({!fence}), both in the one manifest the save writes; without
-    them the manifest's are kept. *)
+    what {!save_checkpoint} does over it: the shrink wrap, local names
+    and checkpoint, and last the manifest — each atomically.  It renders
+    no deliverables: [custom.odl] and [reports/] are {!save_reports}'s.
+    An empty history writes no [log.ops] (an old one is removed): a
+    missing journal reads as empty and the first append creates it.
+    [lineage] records the branch point (parent variant, fork stamp) and
+    [era] raises the write era to at least it ({!fence}), both in the one
+    manifest the save writes; without them the manifest's are kept. *)
 
 val save_checkpoint : ?base:base -> t -> Core.Session.t -> unit
 (** Checkpoint a session whose history the journal holds — its records,
@@ -212,26 +216,23 @@ val save_checkpoint : ?base:base -> t -> Core.Session.t -> unit
     bytes, with the full digest of them.
 
     Only what recovery reads and whose bytes changed is written:
-    [shrinkwrap.odl], [aliases.map] and [custom.odl] when reading them
-    back gives other bytes (a read costs less than an fsync), no
-    [aliases.map] without local names (an existing one is emptied), and
-    no checkpoint for a session with no op (an old one is removed: it
-    could never serve again).  The manifest is always written, and so is
-    the checkpoint of a session with an op, so a snapshot that changed
-    neither local names nor the custom schema costs two fsyncs.
+    [shrinkwrap.odl] and [aliases.map] when reading them back gives other
+    bytes (a read costs less than an fsync), no [aliases.map] without
+    local names (an existing one is emptied), and no checkpoint for a
+    session with no op (an old one is removed: it could never serve
+    again).  The manifest is always written, and so is the checkpoint of
+    a session with an op, so a snapshot that did not change local names
+    costs two fsyncs.
     The checkpoint body holds only what differs from the shrink wrap:
     each run of workspace interfaces equal to consecutive shrink wrap
     interfaces is one line naming them by position,
     [// shrinkwrap <first> <count>], and the other interfaces are
-    printed, once for both the checkpoint and the custom schema.  When
-    the session was derived from [base]'s session, the shrink wrap is not
-    printed again and [custom.odl] takes [base]'s chunk for every
-    interface equal to the shrink wrap's.  Cost: O(changed interfaces)
+    printed.  When the session was derived from [base]'s session, the
+    shrink wrap is not printed again.  Cost: O(changed interfaces)
     printing, joining and digesting the body, plus at memory speed the
     journal read and its digest (O(journal)), a pointer walk over the
-    workspace, and the read-back of [shrinkwrap.odl], [aliases.map] and
-    [custom.odl] ([custom.odl] compared chunk by chunk in place and
-    joined only when it is written: O(schema)) — and the writes. *)
+    workspace, and the read-back of [shrinkwrap.odl] (O(schema)) and
+    [aliases.map] — and the writes. *)
 
 val aliases_differ : t -> Core.Session.t -> bool
 (** Whether a save of the session would rewrite [aliases.map]: its local
@@ -240,9 +241,11 @@ val aliases_differ : t -> Core.Session.t -> bool
     records misses the change. *)
 
 val save_reports : t -> Core.Session.t -> unit
-(** Render the deliverables into [reports/]: [impact.txt],
-    [consistency.txt], [mapping.txt] and [deliverables.html].  Called by
-    an explicit designer [save] and the CLI's [--save]. *)
+(** Render the deliverables: the custom schema into [custom.odl]
+    ({!Core.Session.custom_schema}, printed), and into [reports/]
+    [impact.txt], [consistency.txt], [mapping.txt] and
+    [deliverables.html].  The one writer of them all, called by an
+    explicit designer [save] and the CLI's [--save]. *)
 
 type load_error =
   | Damaged of { file : string; reason : string }
@@ -294,11 +297,11 @@ val load_session :
     demand); its [@undo;] records are resolved as the cut goes
     ({!Journal.op_records}).  The checkpoint body is split into its
     chunks by the one reader fsck uses too: a run takes the shrink wrap's
-    interface values at its positions, a printed chunk byte-identical to
-    the shrink wrap's takes that interface's value (so a body printed
-    whole, as older checkpoints are, still serves), only the others are
-    parsed, and the workspace index is the shrink wrap session's patched
-    with them ({!Core.Schema_index.patch}).  A body not laid out in the
+    interface values at its positions, every other chunk is parsed and
+    must print back to its bytes (so a body printed whole, as older
+    checkpoints are, still serves, at the cost of its parse), and the
+    workspace index is the shrink wrap session's patched with them
+    ({!Core.Schema_index.patch}).  A body not laid out in the
     printer's chunks, or a run the shrink wrap cannot resolve, cannot
     serve and the journal is replayed.  Without a [base] the
     shrink wrap is parsed and indexed first, O(schema). *)
@@ -311,8 +314,8 @@ type fsck_report = {
       (** best recoverable session; [None] only when the base schema
           itself is lost *)
   fsck_derived_only : bool;
-      (** every issue concerns a derived artifact ([custom.odl], the
-          checkpoint): nothing recovery depends on is damaged *)
+      (** every issue concerns the checkpoint, the one derived artifact
+          fsck checks: nothing recovery depends on is damaged *)
 }
 
 val fsck : ?base:base -> ?salvage:bool -> t -> fsck_report
@@ -322,8 +325,9 @@ val fsck : ?base:base -> ?salvage:bool -> t -> fsck_report
     the end of the prefix it covers; one the open cannot use or holding
     another state is reported as derived (it never makes the store
     unrecoverable), and so is a missing one once the manifest records a
-    save that covered an operation.  Reports are not checked: they are
-    rendered on request.  With [~salvage:true], rewrite the repository
+    save that covered an operation.  [custom.odl] and the reports are
+    not checked: they are deliverables, rendered on request.  With
+    [~salvage:true], rewrite the repository
     from the best recoverable session (longest replayable journal prefix),
     regenerating derived artifacts and removing stale temporary files.
     When [shrinkwrap.odl] holds exactly [base]'s text, the walk starts

@@ -50,12 +50,12 @@ exception Stream_error of string
 (* The variant artifacts a snapshot ships (and the only names a follower
    will write): everything {!Store.load_session} needs — the checkpoint
    included, so bootstrap and a promoted replica open from it rather than
-   replaying the whole journal — plus the derived custom schema and the
-   manifest, so a promoted replica starts from a complete store.  Never
-   [.lock] (locks are per-process) and never reports (rendered on
+   replaying the whole journal — plus the manifest, so a promoted replica
+   starts from a complete store.  Never [.lock] (locks are per-process)
+   and never the deliverables, [custom.odl] and reports (rendered on
    request). *)
 let artifact_names =
-  [ "shrinkwrap.odl"; "log.ops"; "aliases.map"; "custom.odl"; "checkpoint.odl"; "manifest" ]
+  [ "shrinkwrap.odl"; "log.ops"; "aliases.map"; "checkpoint.odl"; "manifest" ]
 
 (* --- the hub: leader-side fan-out ----------------------------------------- *)
 

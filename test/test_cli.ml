@@ -438,9 +438,9 @@ let fsck_corrupt_and_salvage () =
       check_run [ "variants"; "list"; dir ] 2 [ "shrinkwrap.odl" ];
       check_run [ "fsck"; dir ] 2 [ "shrinkwrap.odl" ])
 
-(* A new variant is its shrink wrap, custom schema and manifest: no empty
-   journal, no empty local names, no checkpoint of nothing — and that is
-   a clean repository, exit 0. *)
+(* A new variant is its shrink wrap and manifest: no empty journal, no
+   empty local names, no checkpoint of nothing, no custom schema (a
+   deliverable) — and that is a clean repository, exit 0. *)
 let fresh_variant_fscks_clean () =
   let dir = Util.tmp_dir () in
   Fun.protect
@@ -449,8 +449,8 @@ let fresh_variant_fscks_clean () =
       check_run [ "variants"; "init"; dir; "emsl" ] 0 [ "initialized" ];
       check_run [ "variants"; "new"; dir; "site1" ] 0 [ "variant site1 created" ];
       let vdir = Filename.concat (Filename.concat dir "variants") "site1" in
-      Alcotest.(check (list string)) "three files"
-        [ "custom.odl"; "manifest"; "shrinkwrap.odl" ]
+      Alcotest.(check (list string)) "two files"
+        [ "manifest"; "shrinkwrap.odl" ]
         (List.sort compare (Array.to_list (Sys.readdir vdir)));
       check_run [ "fsck"; dir ] 0 [ "clean" ];
       check_run [ "variants"; "list"; dir ] 0 [ "site1" ])
@@ -653,7 +653,7 @@ let tests =
       repl_save_paths;
     test "fsck reports, refuses, and salvages corruption" fsck_corrupt_and_salvage;
     test "fsck on a non-directory" fsck_not_a_directory;
-    test "a fresh variant is three files and fscks clean"
+    test "a fresh variant is two files and fscks clean"
       fresh_variant_fscks_clean;
     test "data commands" data_commands;
     test "oql command" oql_command;

@@ -894,7 +894,7 @@ let prefix_replay_prop =
             let p = "/repo/variants/v/" ^ name in
             if lio.Io.file_exists p then Some (name, lio.Io.read_file p)
             else None)
-          [ "shrinkwrap.odl"; "log.ops"; "aliases.map"; "custom.odl"; "checkpoint.odl";
+          [ "shrinkwrap.odl"; "log.ops"; "aliases.map"; "checkpoint.odl";
             "manifest" ]
       in
       let t = service ~config:(quick_config ()) lio in

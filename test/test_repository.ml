@@ -169,12 +169,27 @@ let reports_written () =
           Alcotest.(check bool) (name ^ " written") true (Sys.file_exists path))
         [ "impact"; "consistency"; "mapping" ])
 
+(* [custom.odl] is a deliverable: only [save_reports] writes it, and it
+   parses to the session's custom schema. *)
 let custom_written_and_parsable () =
   with_repo (fun repo ->
       let s = Util.session_of (Util.emsl ()) in
       let s, _ = Util.apply_ok s "add_type_definition(Extra)" in
+      let no_custom what =
+        Alcotest.(check bool) (what ^ " leaves no custom.odl") false
+          (Sys.file_exists (Store.custom_file repo))
+      in
       Store.save_session repo s;
-      let custom = Store.load_custom repo in
+      no_custom "save_session";
+      Store.save_checkpoint repo s;
+      no_custom "save_checkpoint";
+      Store.save_reports repo s;
+      let custom =
+        Odl.Parser.parse_schema
+          ((Store.io repo).Io.read_file (Store.custom_file repo))
+      in
+      Alcotest.(check bool) "custom.odl is the custom schema" true
+        (Odl.Types.equal_schema (Core.Session.custom_schema s) custom);
       Alcotest.(check bool) "custom has the addition" true
         (Odl.Schema.mem_interface custom "Extra"))
 
@@ -712,8 +727,8 @@ let writer_sourced_self_save () =
 
 (* The exit after clean appends is the checkpoint: the journal already
    holds the session, so [log.ops] is not written, and the fsyncs are the
-   custom schema's, the checkpoint's, the manifest's and the four
-   reports'. *)
+   checkpoint's and the manifest's, then the five deliverables'
+   ([custom.odl] and the four reports, through [save_reports]). *)
 let writer_close_checkpoints () =
   let mem = Io.mem_io (Io.mem_create ()) in
   let counting, fsyncs = Io.counting mem in

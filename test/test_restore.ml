@@ -709,20 +709,22 @@ let concurrent_log_renders () =
    than replaying the prefix (here it was doctored, digests recomputed, so
    the result shows which path ran) — and fsck, which does replay, flags
    it as derived damage that salvage regenerates. *)
+(* The checkpoint with [body] in place of its own: every digest is kept
+   but the body's, which is recomputed. *)
+let replace_body io store body =
+  let path = Store.checkpoint_file store in
+  let header = List.hd (String.split_on_char '\n' (io.Io.read_file path)) in
+  let header = String.sub header 0 (String.length header - 32) in
+  io.Io.write path (header ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body)
+
 let valid_checkpoint_is_trusted () =
   let io = Io.mem_io (Io.mem_create ()) in
   let store = Store.open_dir ~io "/v" in
   let s = Util.apply_many (Util.session_of (tiny ())) [ "add_type_definition(Lab)" ] in
   Store.save_session store s;
-  let path = Store.checkpoint_file store in
-  let header = List.hd (String.split_on_char '\n' (io.Io.read_file path)) in
-  let body =
-    Odl.Printer.schema_to_string
-      (Session.workspace (Util.apply_many s [ "add_type_definition(Forged)" ]))
-  in
-  (* keep every digest but the body's, which is recomputed *)
-  let header = String.sub header 0 (String.length header - 32) in
-  io.Io.write path (header ^ Digest.to_hex (Digest.string body) ^ "\n" ^ body);
+  replace_body io store
+    (Odl.Printer.schema_to_string
+       (Session.workspace (Util.apply_many s [ "add_type_definition(Forged)" ])));
   (match Store.load_session store with
   | Ok loaded ->
       Alcotest.(check bool) "opened from the checkpoint" true
@@ -887,10 +889,10 @@ let open_shares_unchanged_interfaces () =
             (differences loaded (full_replay store)))
     [ ("without a base", None); ("on the base", Some (university_base ())) ]
 
-(* A snapshot writes [shrinkwrap.odl], [aliases.map] and [custom.odl] only
-   when their bytes changed: a second detach of an unchanged session
-   rewrites the journal, the checkpoint and the manifest alone, and the
-   repository stays fsck-clean. *)
+(* A snapshot writes [shrinkwrap.odl] and [aliases.map] only when their
+   bytes changed, and [custom.odl], a deliverable, never: a second detach
+   of an unchanged session rewrites the journal, the checkpoint and the
+   manifest alone, and the repository stays fsck-clean. *)
 let snapshot_skips_unchanged_artifacts () =
   let m = Io.mem_create () in
   let written = ref [] in
@@ -924,10 +926,10 @@ let snapshot_skips_unchanged_artifacts () =
     List.sort compare !written
   in
   Alcotest.(check (list string)) "first snapshot writes every artifact"
-    [ "aliases.map"; "checkpoint.odl"; "custom.odl"; "log.ops"; "manifest";
+    [ "aliases.map"; "checkpoint.odl"; "log.ops"; "manifest";
       "shrinkwrap.odl" ]
     (save ());
-  Alcotest.(check (list string)) "an unchanged snapshot skips three"
+  Alcotest.(check (list string)) "an unchanged snapshot skips two"
     [ "checkpoint.odl"; "log.ops"; "manifest" ] (save ());
   let store = Repo.variant_store repo "v" in
   Alcotest.(check (list string)) "fsck clean" [] (Store.fsck store).Store.fsck_issues;
@@ -936,11 +938,11 @@ let snapshot_skips_unchanged_artifacts () =
       Alcotest.(check (option string)) "reopens as saved" None (differences s session)
   | Error e -> Alcotest.fail (Repo.open_error_to_string e)
 
-(* Fsync only what recovery needs.  A new variant fsyncs its shrink wrap,
-   custom schema and manifest — no empty journal, no empty local names, no
-   checkpoint of nothing.  A detach whose custom schema and local names
-   did not change fsyncs the checkpoint and the manifest: the journal is
-   checkpointed as it stands, [@undo;] records and all. *)
+(* Fsync only what recovery needs.  A new variant fsyncs its shrink wrap
+   and manifest — no empty journal, no empty local names, no checkpoint
+   of nothing, no custom schema (a deliverable).  A detach whose local
+   names did not change fsyncs the checkpoint and the manifest: the
+   journal is checkpointed as it stands, [@undo;] records and all. *)
 let fsyncs_per_create_and_detach () =
   let fsynced = ref [] in
   let mem = Io.mem_io (Io.mem_create ()) in
@@ -966,29 +968,29 @@ let fsyncs_per_create_and_detach () =
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  Alcotest.(check (list string)) "create_variant: three fsyncs"
-    [ "custom.odl"; "manifest"; "shrinkwrap.odl" ]
+  Alcotest.(check (list string)) "create_variant: two fsyncs"
+    [ "manifest"; "shrinkwrap.odl" ]
     (fsyncs (fun () ->
          match Repo.create_variant repo "v" with
          | Ok _ -> ()
          | Error e -> Alcotest.fail e));
   let vdir = "/repo/variants/v" in
-  Alcotest.(check (list string)) "a fresh variant is those three files"
-    [ "custom.odl"; "manifest"; "shrinkwrap.odl" ]
+  Alcotest.(check (list string)) "a fresh variant is those two files"
+    [ "manifest"; "shrinkwrap.odl" ]
     (io.Io.readdir vdir);
   let t = service io in
   let c = Service.connect t in
   ignore (req_ok t c "@open v");
   ignore (req_ok t c "focus ww:Person");
   ignore (req_ok t c (apply "first"));
-  Alcotest.(check (list string)) "a detach that changed the custom schema"
-    [ "checkpoint.odl"; "custom.odl"; "manifest" ]
+  Alcotest.(check (list string)) "a detach that changed the workspace"
+    [ "checkpoint.odl"; "manifest" ]
     (fsyncs (fun () -> ignore (req_ok t c "@close")));
   ignore (req_ok t c "@open v");
   ignore (req_ok t c "focus ww:Person");
   ignore (req_ok t c (apply "second"));
   ignore (req_ok t c "undo");
-  Alcotest.(check (list string)) "a detach with the custom schema unchanged"
+  Alcotest.(check (list string)) "a detach with the workspace unchanged"
     [ "checkpoint.odl"; "manifest" ]
     (fsyncs (fun () -> ignore (req_ok t c "@close")));
   Alcotest.(check bool) "the covered journal keeps its undo record" true
@@ -1074,12 +1076,9 @@ let snapshot_after_a_failed_flush () =
    together, digests recomputed) is not seen at the load.  The log is
    served from the texts; the first op asked of the prefix raises, and
    fsck, which parses the whole journal, reports the record. *)
-let unparsable_prefix_record_surfaces_later () =
-  let io = Io.mem_io (Io.mem_create ()) in
-  let store = Store.open_dir ~io "/v" in
-  Store.save_session store
-    (Util.apply_many (Util.session_of (tiny ()))
-       [ "add_type_definition(Lab)"; "add_type_definition(Room)" ]);
+(* The journal's first record made unparsable, with the checkpoint
+   header's journal length and digest recomputed to match. *)
+let forge_first_record io store =
   let log_text = io.Io.read_file (Store.log_file store) in
   let log_text =
     "@ww frobnicate(Lab;\n"
@@ -1097,7 +1096,15 @@ let unparsable_prefix_record_surfaces_later () =
         Printf.sprintf "// checkpoint 1 ops %d bytes %d log %s shrinkwrap %s body %s"
           ops (String.length log_text) (hex log_text) shrink body)
   in
-  io.Io.write path (header ^ String.sub text i (String.length text - i));
+  io.Io.write path (header ^ String.sub text i (String.length text - i))
+
+let unparsable_prefix_record_surfaces_later () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  Store.save_session store
+    (Util.apply_many (Util.session_of (tiny ()))
+       [ "add_type_definition(Lab)"; "add_type_definition(Room)" ]);
+  forge_first_record io store;
   (match Store.load_session store with
   | Error e -> Alcotest.fail (Store.load_error_to_string e)
   | Ok s ->
@@ -1321,6 +1328,44 @@ let variants_keep_their_own_log =
            [ a; b; c; a; b; c ];
          (Atomic.get (Session.log_text base.b_session)).lt_text = ""))
 
+(* A checkpoint whose body is the whole workspace printed, as snapshots
+   wrote it before bodies named the unchanged interfaces, still serves:
+   every chunk is parsed and prints back to its bytes.  The open equals
+   the full replay, with and without a base, and fsck reports the store
+   clean.  That the open took the checkpoint shows once a covered record
+   is forged unparsable (the journal digests recomputed): the walk would
+   report it, the open from the checkpoint does not parse it. *)
+let whole_printed_body_serves () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let store = Store.open_dir ~io "/v" in
+  let live =
+    Util.apply_many (Util.session_of (Util.university ()))
+      [ "add_attribute(Person, string, 8, nick)"; "add_type_definition(Lab)" ]
+  in
+  Store.save_session store live;
+  replace_body io store (Odl.Printer.schema_to_string (Session.workspace live));
+  List.iter
+    (fun (label, base) ->
+      match Store.load_session ?base store with
+      | Error e -> Alcotest.fail (Store.load_error_to_string e)
+      | Ok loaded ->
+          let reference = full_replay store in
+          Alcotest.(check (option string)) (label ^ ": = full replay") None
+            (differences loaded reference);
+          Alcotest.(check (option string)) (label ^ ": same ops") None
+            (ops_differences loaded reference))
+    [ ("without a base", None); ("on the base", Some (university_base ())) ];
+  Alcotest.(check (list string)) "fsck clean" []
+    (Store.fsck store).Store.fsck_issues;
+  forge_first_record io store;
+  match Store.load_session store with
+  | Ok s ->
+      Alcotest.(check bool) "opened from the checkpoint" true
+        (Odl.Schema.mem_interface (Session.workspace s) "Lab")
+  | Error e ->
+      Alcotest.failf "the open walked the journal: %s"
+        (Store.load_error_to_string e)
+
 let tests =
   [
     test "redo is lost across @close/@open (undo chain survives)"
@@ -1342,7 +1387,7 @@ let tests =
       open_shares_unchanged_interfaces;
     test "a snapshot writes only the artifacts whose bytes changed"
       snapshot_skips_unchanged_artifacts;
-    test "create fsyncs three files, an unchanged detach two"
+    test "create fsyncs two files, an unchanged detach two"
       fsyncs_per_create_and_detach;
     test "a snapshot after a failed flush rewrites the journal"
       snapshot_after_a_failed_flush;
@@ -1353,4 +1398,6 @@ let tests =
     log_reply_is_the_render;
     test "four threads reply to log alike" concurrent_log_replies;
     variants_keep_their_own_log;
+    test "a checkpoint body printed whole still serves the open and fsck"
+      whole_printed_body_serves;
   ]
