@@ -263,8 +263,9 @@ let journal_benches_for ~dir n =
     Test.make
       ~name:(Printf.sprintf "append/%d" n)
       (Staged.stage (fun () ->
-           Repository.Journal.append io log_path
-             (Repository.Journal.Op (Core.Concept.Wagon_wheel, op))));
+           Repository.Journal.append_raw io log_path
+             (Repository.Journal.encode
+                (Repository.Journal.Op (Core.Concept.Wagon_wheel, op)))));
     Test.make
       ~name:(Printf.sprintf "rewrite/%d" n)
       (Staged.stage (fun () -> Repository.Journal.rewrite io log_path entries));
@@ -491,7 +492,10 @@ let recovery_row h =
   Result.get_ok (Repo.save_variant repo "v" session);
   let store = Repo.variant_store repo "v" in
   List.iter
-    (fun k -> Store.append_step store (history_op recovery_n k))
+    (fun k ->
+      let kind, op = history_op recovery_n k in
+      Repository.Journal.(
+        append_raw (Store.io store) (Store.log_file store) (encode (Op (kind, op)))))
     (List.init recovery_suffix (fun i -> h + i));
   let opened = function
     | Ok s -> assert (Core.Session.step_count s = h + recovery_suffix)

@@ -2,11 +2,6 @@
     which concept schema type.  See the implementation header for the policy
     summary. *)
 
-val wagon_wheel_ops : string list
-val generalization_ops : string list
-val aggregation_ops : string list
-val instance_chain_ops : string list
-
 val ops_for : Concept.kind -> string list
 (** Operation keywords admissible in the given concept schema type. *)
 

@@ -1,26 +1,17 @@
 (** Clocks for observability.
 
     [wall] is the system clock (for timestamps shown to humans).  [now] is
-    the monotonized wall clock used for every duration measurement: it never
-    goes backwards, even across an NTP step, so a span can never report a
-    negative latency.  Monotonization is a single global high-water mark
-    maintained with a CAS loop — wait-free in practice and safe from any
-    thread. *)
+    the monotonic clock used for every duration measurement
+    (CLOCK_MONOTONIC, read in nanoseconds): it never goes backwards, even
+    across an NTP step, so a span can never report a negative latency,
+    and it resolves phases far shorter than the wall clock's microsecond.
+    Its values count from an arbitrary origin, so they are compared only
+    with each other, never with a wall time. *)
 
 let wall = Unix.gettimeofday
 
-let last = Atomic.make 0.0
-
-(** Monotonized wall clock: max of the current wall time and every value
-    previously returned. *)
-let now () =
-  let t = wall () in
-  let rec publish () =
-    let l = Atomic.get last in
-    if t > l then if Atomic.compare_and_set last l t then t else publish ()
-    else l
-  in
-  publish ()
+(** Seconds on the monotonic clock. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (** [monotonize clock] is [clock] clamped to its own (private) high-water
     mark — for tests that inject synthetic clocks. *)

@@ -6,7 +6,8 @@
     [Obs.snapshot], ...).
 
     The whole library depends only on the unix and threads libraries that
-    ship with the compiler; instrumented code takes an [Obs.t] and pays a
+    ship with the compiler and on bechamel's monotonic clock (the one
+    stub {!Clock.now} reads); instrumented code takes an [Obs.t] and pays a
     load-and-branch when it was created disabled ([Obs.noop]). *)
 
 module Clock = Clock

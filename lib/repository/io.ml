@@ -20,6 +20,7 @@ type t = {
   append : string -> string -> unit;  (** append, creating; NOT durable *)
   fsync : string -> unit;  (** make the file's current contents durable *)
   rename : string -> string -> unit;  (** atomic replace *)
+  truncate : string -> int -> unit;  (** cut to a length, then fsync *)
   remove : string -> unit;
   file_exists : string -> bool;
   is_directory : string -> bool;  (** [false] on dangling symlinks *)
@@ -95,6 +96,11 @@ let unix : t =
     rename =
       (fun a b ->
         try retry_eintr (fun () -> Unix.rename a b) with e -> sys_error a e);
+    truncate =
+      (fun path len ->
+        with_fd path [ Unix.O_WRONLY ] 0 (fun fd ->
+            retry_eintr (fun () -> Unix.ftruncate fd len);
+            retry_eintr (fun () -> Unix.fsync fd)));
     remove =
       (fun p ->
         try retry_eintr (fun () -> Unix.unlink p) with e -> sys_error p e);
@@ -253,6 +259,15 @@ let mem_io (m : mem) : t =
         | None -> Hashtbl.remove m.synced b);
         Hashtbl.remove m.synced a
         end);
+    truncate =
+      (fun p len ->
+        match get m.files p with
+        | Some f ->
+            (* a new file value (appends never shrink one), durable at once *)
+            let f = file_of_string (String.sub (contents f) 0 (min len f.len)) in
+            Hashtbl.replace m.files p f;
+            Hashtbl.replace m.synced p (f, f.len)
+        | None -> raise (Sys_error (p ^ ": No such file or directory")));
     remove =
       (fun p ->
         Hashtbl.remove m.files p;
@@ -327,6 +342,7 @@ let locked io =
     append = (fun p c -> guard (fun () -> io.append p c));
     fsync = (fun p -> guard (fun () -> io.fsync p));
     rename = (fun a b -> guard (fun () -> io.rename a b));
+    truncate = (fun p n -> guard (fun () -> io.truncate p n));
     remove = (fun p -> guard (fun () -> io.remove p));
     file_exists = (fun p -> guard (fun () -> io.file_exists p));
     is_directory = (fun p -> guard (fun () -> io.is_directory p));
@@ -344,6 +360,7 @@ let protected io =
     append = (fun p c -> retry_eintr (fun () -> io.append p c));
     fsync = (fun p -> retry_eintr (fun () -> io.fsync p));
     rename = (fun a b -> retry_eintr (fun () -> io.rename a b));
+    truncate = (fun p n -> retry_eintr (fun () -> io.truncate p n));
     remove = (fun p -> retry_eintr (fun () -> io.remove p));
     file_exists = (fun p -> retry_eintr (fun () -> io.file_exists p));
     is_directory = (fun p -> retry_eintr (fun () -> io.is_directory p));
@@ -353,11 +370,12 @@ let protected io =
 
 (** [observed ~now ~record io] times each write-path operation of [io] and
     reports it as [record op seconds] with [op] one of ["write"],
-    ["append"], ["fsync"], ["rename"].  Reads and metadata queries are left
-    untimed — the durability-critical syscalls are the ones whose latency
-    distribution matters.  Nothing is recorded when the operation raises:
-    a failed fsync's duration would pollute the latency histogram that
-    feeds the p99 alerts. *)
+    ["append"], ["fsync"], ["rename"].  Reads, metadata queries and the
+    rare [truncate] (a journal writer restoring its tail after a failed
+    append) pass through untimed — the syscalls of every commit are the
+    ones whose latency distribution matters.  Nothing is recorded when
+    the operation raises: a failed fsync's duration would pollute the
+    latency histogram that feeds the p99 alerts. *)
 let observed ~now ~record io =
   let timed op f =
     let t0 = now () in
@@ -383,8 +401,9 @@ let with_fsync_delay delay io =
 
 (* --- fault injection ----------------------------------------------------- *)
 
-(** Count every effectful syscall (write, append, fsync, rename, remove,
-    mkdir) going through the IO; the second component reads the count. *)
+(** Count every effectful syscall (write, append, fsync, rename, truncate,
+    remove, mkdir) going through the IO; the second component reads the
+    count. *)
 let counting io =
   let n = ref 0 in
   let tick () = incr n in
@@ -394,6 +413,7 @@ let counting io =
       append = (fun p c -> tick (); io.append p c);
       fsync = (fun p -> tick (); io.fsync p);
       rename = (fun a b -> tick (); io.rename a b);
+      truncate = (fun p n -> tick (); io.truncate p n);
       remove = (fun p -> tick (); io.remove p);
       mkdir = (fun p -> tick (); io.mkdir p);
     },
@@ -424,44 +444,49 @@ let eintr_faulty ~eintr_at io =
       append = (fun p c -> gate (fun () -> io.append p c));
       fsync = (fun p -> gate (fun () -> io.fsync p));
       rename = (fun a b -> gate (fun () -> io.rename a b));
+      truncate = (fun p n -> gate (fun () -> io.truncate p n));
       remove = (fun p -> gate (fun () -> io.remove p));
       mkdir = (fun p -> gate (fun () -> io.mkdir p));
     },
     fun () -> !delivered )
 
-(** [faulty ~crash_at io] raises {!Crash} in place of the [crash_at]-th
-    (0-based) effectful syscall.  A crashing [write]/[append] first lands a
-    torn prefix of its data (half), modelling a partial write; the other
-    syscalls have no effect at the crash point. *)
-let faulty ~crash_at io =
+type fault = Power_loss | Lands_then_fails
+
+(** [faulty ~fault ~crash_at io] fails the [crash_at]-th (0-based)
+    effectful syscall.  [Power_loss] (the default) raises {!Crash} in its
+    place: a crashing [write]/[append] first lands a torn prefix of its
+    data (half), modelling a partial write, and the other syscalls have no
+    effect at the crash point.  [Lands_then_fails] runs the syscall whole,
+    then raises [Sys_error], as a disk does whose fsync reports an error
+    after the data reached it: the caller cannot tell what took effect. *)
+let faulty ?(fault = Power_loss) ~crash_at io =
   let n = ref 0 in
-  let gate partial f =
-    if !n = crash_at then begin
-      incr n;
-      partial ();
-      raise Crash
-    end
-    else begin
-      incr n;
-      f ()
-    end
+  let gate path partial f =
+    let i = !n in
+    incr n;
+    if i <> crash_at then f ()
+    else
+      match fault with
+      | Power_loss ->
+          partial ();
+          raise Crash
+      | Lands_then_fails ->
+          f ();
+          raise (Sys_error (path ^ ": Input/output error (injected)"))
   in
   let nothing () = () in
+  let half c = String.sub c 0 (String.length c / 2) in
   ( {
       io with
       write =
-        (fun p c ->
-          gate
-            (fun () -> io.write p (String.sub c 0 (String.length c / 2)))
-            (fun () -> io.write p c));
+        (fun p c -> gate p (fun () -> io.write p (half c)) (fun () -> io.write p c));
       append =
         (fun p c ->
-          gate
-            (fun () -> io.append p (String.sub c 0 (String.length c / 2)))
-            (fun () -> io.append p c));
-      fsync = (fun p -> gate nothing (fun () -> io.fsync p));
-      rename = (fun a b -> gate nothing (fun () -> io.rename a b));
-      remove = (fun p -> gate nothing (fun () -> io.remove p));
-      mkdir = (fun p -> gate nothing (fun () -> io.mkdir p));
+          gate p (fun () -> io.append p (half c)) (fun () -> io.append p c));
+      fsync = (fun p -> gate p nothing (fun () -> io.fsync p));
+      rename = (fun a b -> gate a nothing (fun () -> io.rename a b));
+      truncate = (fun p k -> gate p nothing (fun () -> io.truncate p k));
+      remove = (fun p -> gate p nothing (fun () -> io.remove p));
+      mkdir = (fun p -> gate p nothing (fun () -> io.mkdir p));
     },
     fun () -> !n )

@@ -21,6 +21,10 @@ type t = {
   rename : string -> string -> unit;
       (** atomic replace; also moves a whole directory (one metadata
           operation — used to publish a staged variant branch) *)
+  truncate : string -> int -> unit;
+      (** cut the file to its first [n] bytes and fsync it: on return the
+          file is durably that prefix.  A journal writer restores its tail
+          with it after a failed append *)
   remove : string -> unit;
   file_exists : string -> bool;
   is_directory : string -> bool;  (** [false] on dangling symlinks *)
@@ -76,8 +80,8 @@ val protected : t -> t
 
 val observed : now:(unit -> float) -> record:(string -> float -> unit) -> t -> t
 (** Time each write-path operation and report it as [record op seconds]
-    ([op] is ["write"], ["append"], ["fsync"], or ["rename"]); reads are
-    untimed.  Failed operations are not recorded. *)
+    ([op] is ["write"], ["append"], ["fsync"], or ["rename"]); reads and
+    [truncate] are untimed.  Failed operations are not recorded. *)
 
 val with_fsync_delay : float -> t -> t
 (** [with_fsync_delay seconds io] models a slower disk: each fsync sleeps
@@ -94,10 +98,19 @@ val eintr_faulty : eintr_at:int list -> t -> t * (unit -> int)
     interrupts were delivered. *)
 
 val counting : t -> t * (unit -> int)
-(** Count every effectful syscall (write, append, fsync, rename, remove,
-    mkdir); the second component reads the count. *)
+(** Count every effectful syscall (write, append, fsync, rename, truncate,
+    remove, mkdir); the second component reads the count. *)
 
-val faulty : crash_at:int -> t -> t * (unit -> int)
-(** Raise {!Crash} in place of the [crash_at]-th (0-based) effectful
-    syscall.  A crashing write/append first lands a torn half-prefix of its
-    data; other syscalls have no effect at the crash point. *)
+(** How {!faulty}'s injected syscall fails. *)
+type fault =
+  | Power_loss
+      (** raise {!Crash} in place of the call: a write/append first lands
+          a torn half-prefix of its data, the other calls have no effect *)
+  | Lands_then_fails
+      (** the call takes effect whole, then raises [Sys_error]: the caller
+          cannot tell what reached the disk *)
+
+val faulty : ?fault:fault -> crash_at:int -> t -> t * (unit -> int)
+(** Fail the [crash_at]-th (0-based) effectful syscall as [fault] says
+    (default [Power_loss]); every other call passes through.  The second
+    component reads how many effectful calls were made. *)

@@ -181,8 +181,6 @@ let append_raw (io : Io.t) path data =
   io.append path data;
   io.fsync path
 
-let append io path entry = append_raw io path (encode entry)
-
 let encoded_delta ~before ~after =
   let undone, added = Core.Session.(delta (spine before) (spine after)) in
   let buf = Buffer.create 128 in

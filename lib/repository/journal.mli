@@ -56,10 +56,7 @@ val resolve : entry list -> ((Core.Concept.kind * Core.Modop.t) list, string) re
 (** {1 File operations} *)
 
 val encode : entry -> string
-(** One record, newline-terminated — the exact bytes {!append} writes. *)
-
-val append : Io.t -> string -> entry -> unit
-(** Append one record and fsync; the entry is durable on return. *)
+(** One record, newline-terminated. *)
 
 val append_raw : Io.t -> string -> string -> unit
 (** Append pre-encoded record bytes — a concatenation of {!encode}

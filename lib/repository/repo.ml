@@ -230,6 +230,14 @@ let open_variant ?on_uncovered t name =
       (fun e -> Load e)
       (load t ?on_uncovered name)
 
+(** {!open_variant} and the journal writer of the session it opened. *)
+let open_writer ?on_uncovered t name =
+  if not (mem_variant t name) then Error (No_variant name)
+  else
+    Result.map_error
+      (fun e -> Load e)
+      (Store.open_writer ?base:(base t) ?on_uncovered (variant_store t name))
+
 (** Like {!open_variant}, but strictly read-only: a torn journal tail is
     tolerated (its longest valid prefix replays) and {e never} repaired in
     place.  This is the safe way to read a variant another process — or

@@ -69,6 +69,14 @@ val open_variant :
 (** Load a variant's session by replaying its stored journal; a torn tail
     is repaired in place.  [on_uncovered] as in {!Store.load_session}. *)
 
+val open_writer :
+  ?on_uncovered:(unit -> unit) ->
+  t ->
+  string ->
+  (Store.writer, open_error) result
+(** {!open_variant} and the journal writer of the session it opened
+    ({!Store.open_writer}): the design service's way in. *)
+
 val open_variant_ro : t -> string -> (Core.Session.t, open_error) result
 (** Read-only load: tolerates a torn journal tail (longest valid prefix
     replays) without repairing it in place — safe against a concurrent

@@ -27,8 +27,9 @@
     variant, a branch, [save DIR], a promotion, salvage) rewrites it — its
     one compaction, dropping undone records.  The snapshot
     ({!save_checkpoint}) takes the journal as it stands and checkpoints all
-    of it; its caller knows the journal holds the session (no failed
-    append since the load), and calls the full save when it does not.
+    of it.  Appends and snapshots of a live session go through one
+    {!writer}, which knows the journal's durable length and so when a
+    snapshot may checkpoint and what a failed append left behind.
     Each save writes only what recovery reads and whose bytes
     changed, and the manifest last, so it witnesses a completed save.  All
     syscalls go through the injectable {!Io.t} the store was opened with.
@@ -103,11 +104,6 @@ let load_aliases t =
   if t.io.Io.file_exists (aliases_file t) then
     Core.Aliases.of_string (read_file t (aliases_file t))
   else Core.Aliases.empty
-
-(* --- incremental persistence -------------------------------------------- *)
-
-let append_step t (kind, op) =
-  Journal.append t.io (log_file t) (Journal.Op (kind, op))
 
 (* --- manifest ------------------------------------------------------------ *)
 
@@ -513,18 +509,23 @@ let persist ?base:repo_base ?lineage ?(era = 0) t session ~journal =
       m_bytes = Some (String.length log_text);
       m_era = era;
       m_lineage = lineage;
-    }
+    };
+  String.length log_text
+
+(* The full save; gives the length of the journal it wrote. *)
+let rewrite ?base ?lineage ?era t session =
+  persist ?base ?lineage ?era t session ~journal:(fun () ->
+      rewrite_journal t (Core.Session.log session))
 
 (** Persist what recovery needs, the journal rewritten as the session's
     resolved log: see the interface. *)
 let save_session ?base ?lineage ?era t session =
-  persist ?base ?lineage ?era t session ~journal:(fun () ->
-      rewrite_journal t (Core.Session.log session))
+  ignore (rewrite ?base ?lineage ?era t session : int)
 
 (** Checkpoint a session whose history the journal holds, the journal
     read and not written: see the interface. *)
 let save_checkpoint ?base t session =
-  persist ?base t session ~journal:(fun () -> read_log t)
+  ignore (persist ?base t session ~journal:(fun () -> read_log t) : int)
 
 (** Render the designer deliverables: [custom.odl], and into [reports/]
     the impact, consistency and mapping reports and [deliverables.html]. *)
@@ -538,24 +539,89 @@ let save_reports t session =
     (Filename.concat (reports_dir t) "deliverables.html")
     (Html_report.render session)
 
-(* --- the designer's durable writer --------------------------------------- *)
+(* --- the journal writer ------------------------------------------------------ *)
+
+(* What the journal holds past [w_length], the bytes through the last
+   successful fsync. *)
+type tail =
+  | Exact  (** nothing: the journal is [w_length] bytes *)
+  | Unknown  (** an append or fsync failed: anything past [w_length] *)
+  | Unwritten  (** a full save failed: the journal may be anything *)
 
 type writer = {
   w_store : t;
-  mutable w_durable : Core.Session.t option;
-      (** the last session journalled durably; [None] after a failed full
-          save into this directory, which leaves the journal unknown *)
+  w_base : base option;
+  mutable w_durable : Core.Session.t;  (** the session the journal holds *)
+  mutable w_length : int;
+  mutable w_tail : tail;
 }
 
 let guard f = match f () with v -> Ok v | exception Sys_error m -> Error m
 
+let make_writer ?base store session length =
+  { w_store = store; w_base = base; w_durable = session; w_length = length;
+    w_tail = Exact }
+
+(* The full save of [session] in place of whatever the journal holds. *)
+let rewrite_all w session =
+  w.w_tail <- Unwritten;
+  w.w_length <- rewrite ?base:w.w_base w.w_store session;
+  w.w_durable <- session;
+  w.w_tail <- Exact
+
 let writer ?io dir session =
   guard (fun () ->
       let t = open_dir ?io dir in
-      save_session t session;
-      { w_store = t; w_durable = Some session })
+      make_writer t session (rewrite t session))
 
 let writer_io w = w.w_store.io
+let writer_store w = w.w_store
+let durable w = w.w_durable
+
+let holds w session =
+  match Core.Session.(delta (spine w.w_durable) (spine session)) with
+  | [], [] -> true
+  | _ -> false
+
+(* Cut the journal back to its durable length; [false] when that failed
+   and only a full save can make the journal known again. *)
+let restore w =
+  let t = w.w_store in
+  match
+    if w.w_length > 0 || t.io.Io.file_exists (log_file t) then
+      t.io.Io.truncate (log_file t) w.w_length
+  with
+  | () ->
+      w.w_tail <- Exact;
+      true
+  | exception Sys_error _ -> false
+
+(* Make [upto] durable, [data] being the records from the durable session
+   to it: appended with one fsync onto a restored tail, or else the full
+   save of [upto].  [true] when the journal was rewritten. *)
+let extend w upto data =
+  let t = w.w_store in
+  if w.w_tail = Unwritten || (w.w_tail = Unknown && not (restore w)) then begin
+    rewrite_all w upto;
+    true
+  end
+  else begin
+    if data <> "" then begin
+      w.w_tail <- Unknown;
+      Journal.append_raw t.io (log_file t) data;
+      w.w_length <- w.w_length + String.length data;
+      w.w_tail <- Exact
+    end;
+    w.w_durable <- upto;
+    false
+  end
+
+let append_records w ~from ~upto data =
+  if not (holds w from) then
+    failwith
+      "journal append refused: the records do not extend the durable \
+       session (queued behind a failed append)";
+  extend w upto data
 
 let same_dir a b =
   a = b
@@ -566,23 +632,33 @@ let append ?saved_to w after =
   | Some (d, saved) when same_dir d w.w_store.dir ->
       (* that full save wrote [after]'s log as the journal; a failed one
          may have stopped anywhere *)
-      w.w_durable <- (if saved then Some after else None);
+      if saved then begin
+        w.w_durable <- after;
+        w.w_length <-
+          String.length (Journal.steps_to_string (Core.Session.log after));
+        w.w_tail <- Exact
+      end
+      else w.w_tail <- Unwritten;
       Ok ()
   | _ ->
       guard (fun () ->
-          let t = w.w_store in
-          (match w.w_durable with
-          | None -> save_session t after
-          | Some before ->
-              let n, _, data = Journal.encoded_delta ~before ~after in
-              if n > 0 then Journal.append_raw t.io (log_file t) data);
-          w.w_durable <- Some after)
+          let _, _, data = Journal.encoded_delta ~before:w.w_durable ~after in
+          ignore (extend w after data : bool))
+
+let snapshot w final =
+  if w.w_tail = Exact && holds w final then begin
+    save_checkpoint ?base:w.w_base w.w_store final;
+    w.w_durable <- final;
+    false
+  end
+  else begin
+    rewrite_all w final;
+    true
+  end
 
 let close w final =
   guard (fun () ->
-      (match w.w_durable with
-      | Some durable when durable == final -> save_checkpoint w.w_store final
-      | _ -> save_session w.w_store final);
+      ignore (snapshot w final : bool);
       save_reports w.w_store final)
 
 (* --- recovery ----------------------------------------------------------------
@@ -788,7 +864,7 @@ let resume b (c, records) entries =
     recovery walk: see the interface.  [repair] rewrites a torn tail in
     place so the next append lands on a clean file; a reader of a store
     another process may be appending to passes [~repair:false]. *)
-let load_session ?base ?(repair = true) ?(on_uncovered = ignore) t =
+let load ?base ~repair ~on_uncovered t =
   let ( let* ) = Result.bind in
   try
     let* b = read_base ?base t in
@@ -801,11 +877,16 @@ let load_session ?base ?(repair = true) ?(on_uncovered = ignore) t =
     let start = match covered with Some (c, _) -> c.c_bytes | None -> 0 in
     if String.length log_text > start then on_uncovered ();
     let suffix = Journal.parse (from start log_text) in
-    (match suffix.damage with
-    | Some (Journal.Torn_tail _) when repair ->
-        Io.atomic_write t.io (log_file t)
-          (String.sub log_text 0 start ^ Journal.to_string suffix.entries)
-    | _ -> ());
+    let length =
+      match suffix.damage with
+      | Some (Journal.Torn_tail _) when repair ->
+          let text =
+            String.sub log_text 0 start ^ Journal.to_string suffix.entries
+          in
+          Io.atomic_write t.io (log_file t) text;
+          String.length text
+      | _ -> String.length log_text
+    in
     match
       match (covered, suffix.damage) with
       | Some cov, (None | Some (Journal.Torn_tail _)) ->
@@ -814,14 +895,25 @@ let load_session ?base ?(repair = true) ?(on_uncovered = ignore) t =
     with
     | Some session -> (
         match read_aliases t with
-        | Ok aliases -> Ok (Core.Session.restore_aliases session aliases)
+        | Ok aliases ->
+            Ok (Core.Session.restore_aliases session aliases, length)
         | Error reason -> Error (Damaged { file = "aliases.map"; reason }))
     | None -> (
         let w = walk t b ~log_text ~start suffix in
         match List.find_map load_error_of_fault w.w_faults with
         | Some e -> Error e
-        | None -> Ok w.w_session)
+        | None -> Ok (w.w_session, length))
   with Sys_error m -> Error (Damaged { file = "repository"; reason = m })
+
+let load_session ?base ?(repair = true) ?(on_uncovered = ignore) t =
+  Result.map fst (load ?base ~repair ~on_uncovered t)
+
+(** The writer of a live session, from the recovery open: see the
+    interface. *)
+let open_writer ?base ?(on_uncovered = ignore) t =
+  Result.map
+    (fun (session, length) -> make_writer ?base t session length)
+    (load ?base ~repair:true ~on_uncovered t)
 
 (* --- integrity checking -------------------------------------------------- *)
 

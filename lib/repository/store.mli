@@ -30,7 +30,9 @@
     Durability: every whole-file artifact is written via write-to-temp,
     fsync, atomic rename; the journal is append-only with a per-record
     fsync ({!Journal}) and rewritten only by a full {!save_session}; the
-    snapshot, {!save_checkpoint}, takes it as it stands.  A save writes
+    snapshot, {!save_checkpoint}, takes it as it stands.  A live session's
+    appends and snapshots go through one {!writer}, which knows the
+    journal's durable length.  A save writes
     only what recovery reads and whose bytes changed, and the manifest
     last, so it witnesses a completed save.  All syscalls go through an
     injectable {!Io.t}.
@@ -76,46 +78,6 @@ val log_of_string : string -> (Core.Concept.kind * Core.Modop.t) list
 val save_shrinkwrap : t -> Odl.Types.schema -> unit
 val load_shrinkwrap : t -> Odl.Types.schema
 val load_aliases : t -> Core.Aliases.t
-
-val append_step : t -> Core.Concept.kind * Core.Modop.t -> unit
-(** Journal one accepted operation; durable on return. *)
-
-(** {1 The designer's durable writer}
-
-    [swsd repl --save]'s persistence: the session is saved whole up
-    front, then each command's delta is journalled before its feedback
-    shows, so a crash loses at most the command in flight (never
-    acknowledged); the exit checkpoints and renders the deliverables. *)
-
-type writer
-
-val writer : ?io:Io.t -> string -> Core.Session.t -> (writer, string) result
-(** Open (creating) the store at the directory and {!save_session} the
-    session into it: the journal then holds its history. *)
-
-val writer_io : writer -> Io.t
-(** The IO the writer's directory lives on. *)
-
-val append :
-  ?saved_to:string * bool -> writer -> Core.Session.t -> (unit, string) result
-(** Journal the records turning the last session journalled durably into
-    this one ({!Journal.encoded_delta}) with one fsync, nothing when their
-    logs are equal; this one becomes the last.  On [Error] the last stays,
-    so the next append carries the missing records too and the journal
-    always holds a session the designer passed through.
-    [saved_to = (dir, saved)] names a directory the command just
-    full-saved this session into ([save DIR]) and whether that save
-    succeeded.  When it is the writer's own, the append writes nothing: a
-    successful save wrote the journal, so nothing is appended twice; a
-    failed one leaves the journal unknown, so the next append and the
-    {!close} are full {!save_session}s. *)
-
-val close : writer -> Core.Session.t -> (unit, string) result
-(** The exit save of the final session, then {!save_reports}: a
-    {!save_checkpoint} when the last session journalled durably is the
-    final one, the full {!save_session} otherwise (after a failed append
-    or a failed save into this directory the journal is not the
-    session's). *)
 
 (** {1 Manifest} *)
 
@@ -207,13 +169,11 @@ val save_session :
 val save_checkpoint : ?base:base -> t -> Core.Session.t -> unit
 (** Checkpoint a session whose history the journal holds — its records,
     [@undo;]s included, resolve to the session's log.  That is the
-    caller's to know, not this function's: nothing is compared.  The
-    service's snapshot after its commits drained with no failed flush
-    since the load, and [repl --save]'s exit when every command was
-    journalled, know it; a caller that cannot (a failed append, a
-    directory that does not hold the history) calls {!save_session}.  The
-    journal is read and not written, and the checkpoint covers all its
-    bytes, with the full digest of them.
+    caller's to know, not this function's: nothing is compared.  A
+    journal {!writer} knows it ({!snapshot}); a caller that cannot (a
+    failed append, a directory that does not hold the history) calls
+    {!save_session}.  The journal is read and not written, and the
+    checkpoint covers all its bytes, with the full digest of them.
 
     Only what recovery reads and whose bytes changed is written:
     [shrinkwrap.odl] and [aliases.map] when reading them back gives other
@@ -305,6 +265,81 @@ val load_session :
     printer's chunks, or a run the shrink wrap cannot resolve, cannot
     serve and the journal is replayed.  Without a [base] the
     shrink wrap is parsed and indexed first, O(schema). *)
+
+(** {1 The journal writer}
+
+    The one writer of a live session's journal, [swsd repl --save]'s and
+    each service session's.  It holds the session the journal durably
+    holds and the journal's durable length, the bytes through the last
+    successful fsync.  A failed [append] or [fsync] may have landed some,
+    all or none of its records, so the next append first cuts the journal
+    back to the durable length ({!Io.field-truncate}), then appends the
+    whole missing delta; if the cut fails, it writes the full
+    {!save_session} instead.  An fsync is never retried alone: after a
+    failed one the kernel may have dropped the pages and marked them
+    clean.  A restored tail is a byte prefix of what was durable, so a
+    follower that received only durable bytes needs no re-seed; a rewrite
+    does. *)
+
+type writer
+
+val writer : ?io:Io.t -> string -> Core.Session.t -> (writer, string) result
+(** The repl's: open (creating) the store at the directory and
+    {!save_session} the session into it. *)
+
+val open_writer :
+  ?base:base ->
+  ?on_uncovered:(unit -> unit) ->
+  t ->
+  (writer, load_error) result
+(** The service's: {!load_session} (repairing a torn tail) and the writer
+    of the session it opened, its durable length the journal's as the
+    open left it, so the journal is not read a second time. *)
+
+val writer_io : writer -> Io.t
+(** The IO the writer's directory lives on. *)
+
+val writer_store : writer -> t
+
+val durable : writer -> Core.Session.t
+(** The session the journal durably holds. *)
+
+val holds : writer -> Core.Session.t -> bool
+(** Whether the session's log is the durable session's, in O(changed
+    steps) ({!Core.Session.delta}). *)
+
+val append :
+  ?saved_to:string * bool -> writer -> Core.Session.t -> (unit, string) result
+(** Make this session durable: journal the records turning the durable
+    session into it ({!Journal.encoded_delta}) with one fsync, nothing
+    when their logs are equal.  On [Error] the durable session stays, so
+    the next append carries the missing records too and the journal
+    always holds a session the designer passed through, each record
+    once.
+    [saved_to = (dir, saved)] names a directory the command just
+    full-saved this session into ([save DIR]) and whether that save
+    succeeded.  When it is the writer's own, the append writes nothing: a
+    successful save wrote the journal, so nothing is appended twice; a
+    failed one leaves the journal unknown, so the next append and the
+    {!close} are full {!save_session}s. *)
+
+val append_records :
+  writer -> from:Core.Session.t -> upto:Core.Session.t -> string -> bool
+(** {!append} from pre-encoded records: the concatenated
+    {!Journal.encoded_delta}s from [from] to [upto], a group-commit batch.
+    [true] when the journal was rewritten rather than appended to.
+    Raises [Sys_error] when the IO fails (a retry appends nothing twice)
+    and [Failure] when not [holds w from]: the records do not extend the
+    durable session, as when queued behind a batch that failed. *)
+
+val snapshot : writer -> Core.Session.t -> bool
+(** Save the final session: a {!save_checkpoint} when the journal is
+    exactly the durable length and {!holds} the final session, the full
+    {!save_session} otherwise; [true] when it rewrote the journal.
+    Raises [Sys_error] as the saves do.  The service's detach snapshot. *)
+
+val close : writer -> Core.Session.t -> (unit, string) result
+(** The repl's exit: {!snapshot}, then {!save_reports}. *)
 
 (** {1 Integrity checking} *)
 

@@ -16,14 +16,14 @@ type ticket = {
   mutable status : status;
 }
 
-type entry = {
-  data : string;
+type 'a entry = {
+  record : 'a;
   on_durable : (unit -> unit) option;
   ticket : ticket;
 }
 
-type lane = {
-  mutable pending : entry list;  (** newest first *)
+type 'a lane = {
+  mutable pending : 'a entry list;  (** newest first *)
   mutable npending : int;
   mutable oldest : float;  (** submit time of the oldest pending entry *)
   mutable rested : float;  (** when the lane's last flush completed *)
@@ -33,21 +33,20 @@ type lane = {
           the last flush completed plus that flush's waiters, all of whom
           will resubmit if they are still writing *)
   mutable flushing : bool;  (** a batch from this lane is being written *)
-  mutable poisoned : exn option;  (** tail state unknown after a failed flush *)
   mutable force : bool;  (** a drain wants this lane out now *)
 }
 
-type t = {
+type 'a t = {
   mu : Mutex.t;
   wake : Condition.t;
       (** work arrived / drain / stop / a tick elapsed — wakes the flusher *)
   settled : Condition.t;  (** a lane finished a flush — wakes drainers *)
   alarm : Condition.t;  (** a tick was asked for — wakes the alarm thread *)
-  lanes : (string, lane) Hashtbl.t;
+  lanes : (string, 'a lane) Hashtbl.t;
   policy : policy;
   now : unit -> float;
   sleep : float -> unit;
-  flush : path:string -> data:string -> unit;
+  flush : path:string -> 'a list -> unit;
   on_flush :
     (path:string -> batch:int -> linger:float -> seconds:float -> unit) option;
   mutable submitted : int;  (** total submits ever; the idle detector *)
@@ -103,7 +102,6 @@ let lane_of t path =
           rested = 0.0;
           expected = 0;
           flushing = false;
-          poisoned = None;
           force = false;
         }
       in
@@ -175,15 +173,13 @@ let collect t ~idle_mark =
 let has_pending t =
   Hashtbl.fold (fun _ l b -> b || l.npending > 0) t.lanes false
 
-(* Write one lane's batch.  Runs with [t.mu] released; re-locks only to
-   poison the lane on failure.  On success the [on_durable] callbacks run
-   in submission order before any ticket settles, so a waiter observing
-   [Ok] knows every earlier record in its batch is durable {e and}
-   published. *)
-let write_batch t path lane ~oldest batch =
-  let data = String.concat "" (List.map (fun e -> e.data) batch) in
+(* Write one lane's batch.  Runs with [t.mu] released.  On success the
+   [on_durable] callbacks run in submission order before any ticket
+   settles, so a waiter observing [Ok] knows every earlier record in its
+   batch is durable {e and} published. *)
+let write_batch t path ~oldest batch =
   let t0 = t.now () in
-  match if data = "" then () else t.flush ~path ~data with
+  match t.flush ~path (List.map (fun e -> e.record) batch) with
   | () ->
       (match t.on_flush with
       | Some f ->
@@ -199,17 +195,7 @@ let write_batch t path lane ~oldest batch =
                  waiter must not ack what it cannot prove was published *)
               settle e.ticket (Failed ex))
         batch
-  | exception e ->
-      (* The journal tail is now unknown (possibly torn): poison the lane
-         so no later record can fuse with the torn fragment, and fail the
-         whole batch plus anything that queued behind it meanwhile. *)
-      Mutex.lock t.mu;
-      lane.poisoned <- Some e;
-      let stragglers = List.rev lane.pending in
-      lane.pending <- [];
-      lane.npending <- 0;
-      Mutex.unlock t.mu;
-      List.iter (fun e' -> settle e'.ticket (Failed e)) (batch @ stragglers)
+  | exception e -> List.iter (fun e' -> settle e'.ticket (Failed e)) batch
 
 (* Flush the given lanes one at a time.  Called and returns with [t.mu]
    held. *)
@@ -222,7 +208,7 @@ let flush_lanes t ready =
       lane.force <- false;
       lane.flushing <- true;
       Mutex.unlock t.mu;
-      write_batch t path lane ~oldest batch;
+      write_batch t path ~oldest batch;
       Mutex.lock t.mu;
       lane.flushing <- false;
       lane.rested <- t.now ();
@@ -318,25 +304,24 @@ let create ?(policy = default_policy) ?(now = Unix.gettimeofday)
   t.flusher <- Some (Thread.create flusher_loop t);
   t
 
-let submit t ~path ?on_durable data =
+let submit t ~path ?on_durable record =
   Mutex.lock t.mu;
   let lane = lane_of t path in
   let tk =
-    match lane.poisoned with
-    | Some e -> fresh_ticket (Failed e)
-    | None when t.stopping -> fresh_ticket (Failed Stopped)
-    | None ->
-        let tk = fresh_ticket Pending in
-        lane.pending <- { data; on_durable; ticket = tk } :: lane.pending;
-        if lane.npending = 0 then lane.oldest <- t.now ();
-        lane.npending <- lane.npending + 1;
-        t.submitted <- t.submitted + 1;
-        (* wake the flusher only when this record can ripen a lane: a
-           first record (the flusher may be idle, and a lone writer's lane
-           is full on it) or one that fills its lane; the timed rules are
-           the alarm's *)
-        if lane.npending = 1 || full t lane then Condition.signal t.wake;
-        tk
+    if t.stopping then fresh_ticket (Failed Stopped)
+    else begin
+      let tk = fresh_ticket Pending in
+      lane.pending <- { record; on_durable; ticket = tk } :: lane.pending;
+      if lane.npending = 0 then lane.oldest <- t.now ();
+      lane.npending <- lane.npending + 1;
+      t.submitted <- t.submitted + 1;
+      (* wake the flusher only when this record can ripen a lane: a first
+         record (the flusher may be idle, and a lone writer's lane is full
+         on it) or one that fills its lane; the timed rules are the
+         alarm's *)
+      if lane.npending = 1 || full t lane then Condition.signal t.wake;
+      tk
+    end
   in
   Mutex.unlock t.mu;
   tk
@@ -346,9 +331,7 @@ let quiescent t ~path =
   let r =
     match Hashtbl.find_opt t.lanes path with
     | None -> true
-    | Some l ->
-        l.npending = 0 && (not l.flushing)
-        && match l.poisoned with None -> true | Some _ -> false
+    | Some l -> l.npending = 0 && not l.flushing
   in
   Mutex.unlock t.mu;
   r
@@ -376,18 +359,6 @@ let drain_all t =
     Condition.wait t.settled t.mu
   done;
   Mutex.unlock t.mu
-
-let reset t ~path =
-  Mutex.lock t.mu;
-  let was =
-    match Hashtbl.find_opt t.lanes path with
-    | Some ({ poisoned = Some _; _ } as l) ->
-        l.poisoned <- None;
-        true
-    | Some _ | None -> false
-  in
-  Mutex.unlock t.mu;
-  was
 
 let stop t =
   Mutex.lock t.mu;

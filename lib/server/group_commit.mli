@@ -1,12 +1,12 @@
 (** Group commit: one fsync amortized across a batch of writers.
 
     Writers encode their journal records under the variant writer lock,
-    {!submit} the bytes to a per-journal-file lane, and block on the
-    returned {!ticket}; a single flusher thread concatenates each lane's
-    pending records, writes them with {e one} append + fsync, and settles
-    every ticket in the batch.  An acknowledged ticket therefore still
-    implies durability — the fsync cost is just shared by everyone whose
-    record rode in the batch.
+    {!submit} them to a per-journal-file lane, and block on the returned
+    {!ticket}; a single flusher thread hands each lane's pending records
+    to [flush] as one batch — the service's journal writer appends them
+    with {e one} append + fsync — and settles every ticket in the batch.
+    An acknowledged ticket therefore still implies durability — the fsync
+    cost is just shared by everyone whose record rode in the batch.
 
     {2 Flush policy}
 
@@ -33,11 +33,10 @@
 
     A flush failure (after the caller's [flush] has exhausted its own
     retries) fails {e every} ticket in the batch — nothing in it is
-    acknowledged — and {e poisons} the lane: the journal file's tail state
-    is unknown (possibly torn), so appending more records could fuse a torn
-    fragment with a fresh record into interior corruption.  Subsequent
-    submits fail immediately until {!reset}, which the service calls after
-    the journal has been reloaded through recovery.
+    acknowledged.  The coordinator holds no failure state: records queued
+    behind the failed batch go out in the next batch, and the service's
+    journal writer ({!Repository.Store.append_records}) refuses them, as
+    they do not extend its durable session.
 
     {2 Ordering}
 
@@ -56,7 +55,7 @@ type policy = {
 val default_policy : policy
 (** [{ max_batch = 64; max_linger = 0.002; flush_on_idle = true }]. *)
 
-type t
+type 'a t
 
 type ticket
 (** One submitted record's handle; settled exactly once. *)
@@ -69,50 +68,46 @@ val create :
   ?policy:policy ->
   ?now:(unit -> float) ->
   ?sleep:(float -> unit) ->
-  flush:(path:string -> data:string -> unit) ->
+  flush:(path:string -> 'a list -> unit) ->
   ?on_flush:(path:string -> batch:int -> linger:float -> seconds:float -> unit) ->
   unit ->
-  t
+  'a t
 (** Start a coordinator (spawns the flusher thread; the first linger
     starts the alarm thread that times ticks with [sleep]).  [flush] must
-    make [data] durable at [path] or raise — it runs on the flusher thread
-    and owns its own retry discipline.  [on_flush] observes each
-    successful batch for the metrics layer: its record count, how long its
+    make the batch's records (in submission order) durable at [path] or
+    raise — it runs on the flusher thread and owns its own retry
+    discipline.  [on_flush] observes each successful batch for the
+    metrics layer: its record count, how long its
     oldest record waited before the flush started ([linger]), and the
     flush latency ([seconds]). *)
 
-val submit : t -> path:string -> ?on_durable:(unit -> unit) -> string -> ticket
-(** Enqueue pre-encoded record bytes (may be [""] to order a pure
+val submit : 'a t -> path:string -> ?on_durable:(unit -> unit) -> 'a -> ticket
+(** Enqueue a record (the service's may hold no bytes, to order a pure
     in-memory state change behind the lane's pending records).  Returns
     immediately; the caller must {!await} the ticket before acknowledging.
-    On a poisoned lane, or after {!stop}, the ticket is already failed. *)
+    After {!stop}, the ticket is already failed. *)
 
 val await : ticket -> (unit, exn) result
 (** Block until the ticket settles.  [Ok] means the record — and every
     record submitted to the lane before it — is durable and its
     [on_durable] has run. *)
 
-val drain : t -> path:string -> unit
+val drain : 'a t -> path:string -> unit
 (** Force the lane out and wait until it has no pending records and no
     flush in flight.  Callers must drain before any whole-file journal
     rewrite (snapshot, recovery repair) — a rewrite that raced a batch
     append would duplicate the batch's records. *)
 
-val drain_all : t -> unit
+val drain_all : 'a t -> unit
 (** {!drain} every lane; used before loading a session (the journal path
     is not known until the store is open). *)
 
-val quiescent : t -> path:string -> bool
-(** No pending records, no flush in flight, not poisoned.  A writer with
-    an empty delta may publish directly iff its lane is quiescent;
-    otherwise it must submit an empty record to keep publish order equal
-    to journal order. *)
+val quiescent : 'a t -> path:string -> bool
+(** No pending records and no flush in flight.  A writer with an empty
+    delta may publish directly only when its lane is quiescent; otherwise
+    it must submit an empty record to keep publish order equal to journal
+    order. *)
 
-val reset : t -> path:string -> bool
-(** Clear the lane's poison after the journal has been reloaded through
-    recovery (the on-disk tail is known-good again).  [true] iff the lane
-    was poisoned: a flush failed on it since the last reset. *)
-
-val stop : t -> unit
+val stop : 'a t -> unit
 (** Flush everything still pending, stop the flusher thread, and join it.
     Subsequent submits fail immediately.  Idempotent. *)

@@ -19,7 +19,10 @@ let default =
 
 (** Failures worth retrying: the repository's [Sys_error] wrapping of a
     syscall failure.  {!Repository.Io.Crash} (the injected power-loss
-    point) and everything else is terminal. *)
+    point) and everything else is terminal.  A failed call may have taken
+    effect, so the service retries only what repeats safely: its journal
+    writer's append, which first restores the tail a failed call left
+    ({!Repository.Store.append_records}), and its atomic snapshot. *)
 let is_transient = function Sys_error _ -> true | _ -> false
 
 let delay_for ~policy ~rand attempt =

@@ -35,11 +35,15 @@
     - {b Durability}: the engine runs with no repository attached; the
       service itself journals the delta of every accepted command (undo
       records, then fresh steps) through its {!Group_commit} lanes, whose
-      flusher appends with {!Retry.with_retries}, and only then
-      acknowledges with [!ok].  On any persistence failure the
+      flusher appends each batch through the session's journal writer
+      ({!Repository.Store.append_records}) under {!Retry.with_retries},
+      and only then acknowledges with [!ok]; the writer's durable length
+      makes the retry safe and refuses a batch queued behind a failed
+      one.  On any persistence failure the
       in-memory state is discarded and the session is evicted, so a live
       session provably equals the replay of its journal; the next [@open]
-      reloads from disk, whose recovery repairs any torn tail.
+      reloads from disk, whose recovery repairs any torn tail, and starts
+      a fresh writer from the length it read.
     - {b Degradation}: journal failures feed the variant's {!Breaker};
       a tripped breaker leaves the variant readable but refuses mutations
       until a cooled-down probe succeeds — the server never crashes over a
@@ -101,9 +105,13 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
         io
   in
   (* The group-commit coordinator's flush runs on the flusher thread: it
-     gets its own jitter stream (the service's [rand] is only touched
-     under variant locks) and a deadline so a failing disk cannot pin the
-     whole batch in backoff longer than one request is allowed to wait. *)
+     appends each batch through its session's writer, which restores the
+     tail a failed call left before it appends again, so a retry writes
+     nothing twice; its own jitter stream (the service's [rand] is only
+     touched under variant locks) and a deadline keep a failing disk from
+     pinning the batch in backoff longer than one request may wait.  A
+     writer that rewrote the journal re-seeds the followers. *)
+  let service = ref None in
   let make_commit () =
     let crand = Random.State.make [| 0x0ddba11 |] in
     Group_commit.create
@@ -114,18 +122,28 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
           flush_on_idle = config.flush_on_idle;
         }
       ~now:config.now ~sleep:config.sleep
-      ~flush:(fun ~path ~data ->
+      ~flush:(fun ~path:_ batch ->
+        let first = List.hd batch and last = List.hd (List.rev batch) in
+        let data = String.concat "" (List.map (fun d -> d.d_data) batch) in
+        let append () =
+          let t0 = config.now () in
+          let rewrote =
+            Repository.Store.append_records first.d_session.writer
+              ~from:first.d_from ~upto:last.d_upto data
+          in
+          if data <> "" then
+            Obs.Histo.observe i.h_journal_append (config.now () -. t0);
+          rewrote
+        in
         match
           Retry.with_retries ~rand:crand ~sleep:config.sleep ~now:config.now
             ~deadline:(config.now () +. config.request_deadline)
             ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Metrics.incr i.c_retries)
-            config.retry
-            (fun () ->
-              let t0 = config.now () in
-              Repository.Journal.append_raw io path data;
-              Obs.Histo.observe i.h_journal_append (config.now () -. t0))
+            config.retry append
         with
-        | Ok () -> ()
+        | Ok true ->
+            Option.iter (fun t -> invalidate t first.d_session.variant) !service
+        | Ok false -> ()
         | Error e -> raise e)
       ~on_flush:(fun ~path:_ ~batch ~linger ~seconds ->
         Obs.Histo.observe i.h_commit_batch (float_of_int batch);
@@ -135,25 +153,29 @@ let open_service ?(config = default_config) ?io ?(obs = Obs.create ()) dir =
   in
   Result.map
     (fun repo ->
-      {
-        (* created only once the repository opened, so a failed open never
-           leaks a flusher thread *)
-        commit = make_commit ();
-        repo;
-        config;
-        locks = Locks.create ();
-        pub = Publish.create ~keep:(fun p -> Query.View.trail p.view) ();
-        sessions = Hashtbl.create 8;
-        breakers = Hashtbl.create 8;
-        mu = Mutex.create ();
-        inflight = Atomic.make 0;
-        conn_ids = Atomic.make 0;
-        stopping = false;
-        rand = Random.State.make [| 0x5ca1ab1e |];
-        commit_waiting = Atomic.make 0;
-        repl = None;
-        i;
-      })
+      let t =
+        {
+          (* created only once the repository opened, so a failed open never
+             leaks a flusher thread *)
+          commit = make_commit ();
+          repo;
+          config;
+          locks = Locks.create ();
+          pub = Publish.create ~keep:(fun p -> Query.View.trail p.view) ();
+          sessions = Hashtbl.create 8;
+          breakers = Hashtbl.create 8;
+          mu = Mutex.create ();
+          inflight = Atomic.make 0;
+          conn_ids = Atomic.make 0;
+          stopping = false;
+          rand = Random.State.make [| 0x5ca1ab1e |];
+          commit_waiting = Atomic.make 0;
+          repl = None;
+          i;
+        }
+      in
+      service := Some t;
+      t)
     (Repo.open_dir ~io dir)
 
 let obs (t : t) = t.i.obs

@@ -15,20 +15,19 @@
 
 open Service_types
 
-(* Load a variant from disk into a fresh shared session and publish its
-   state; the one way a session comes off disk.  Loading replays the
-   journal and may rewrite a torn tail, so no batch append may race it:
-   drain {e all} commit lanes first (the journal path is known only once
-   the store is open).  Recovery leaves the tail known-good, so a lane
-   poisoned by a failed flush is reset on success.  Followers are
-   re-seeded only when their copy of the variant may be stale: on its
+(* Load a variant from disk into a fresh shared session, with the journal
+   writer the open made, and publish its state; the one way a session
+   comes off disk.  Loading replays the journal and may rewrite a torn
+   tail, so no batch append may race it: drain {e all} commit lanes first
+   (the journal path is known only once the store is open).  Followers
+   are re-seeded only when their copy of the variant may be stale: on its
    first load in this process (they may not hold it at all: a variant
-   created or branched since they bootstrapped), after a failed flush
-   (its snapshot rewrote the journal), or when the journal holds bytes
-   the checkpoint does not cover (a torn tail this load repairs, or
-   records another process appended).  A detach checkpoints the journal
-   as it stands, so a plain close and reopen re-seeds no one.  Caller
-   holds the variant writer lock. *)
+   created or branched since they bootstrapped), or when the journal
+   holds bytes the checkpoint does not cover (a torn tail this load
+   repairs, records another process appended, or a failed flush's that
+   landed unshipped).  A detach checkpoints the journal as it stands, so
+   a plain close and reopen re-seeds no one.  Caller holds the variant
+   writer lock. *)
 let load_session t variant =
   Group_commit.drain_all t.commit;
   let flock =
@@ -65,7 +64,7 @@ let load_session t variant =
       let first = Publish.seq t.pub variant = 0 in
       let uncovered = ref false in
       match
-        Repo.open_variant ~on_uncovered:(fun () -> uncovered := true) t.repo
+        Repo.open_writer ~on_uncovered:(fun () -> uncovered := true) t.repo
           variant
       with
       | Error e ->
@@ -75,39 +74,33 @@ let load_session t variant =
           (* an injected crash while reading/repairing; nothing attached *)
           Option.iter Locks.unlock_file flock;
           Error ("could not load variant: " ^ Printexc.to_string e)
-      | Ok session -> (
-          match Repo.variant_store t.repo variant with
-          | store ->
-              let s =
-                {
-                  variant;
-                  store;
-                  conns = Hashtbl.create 4;
-                  state = Engine.start session;
-                  dirty = false;
-                  last_used = t.config.now ();
-                  flock;
-                }
-              in
-              locked t (fun () -> Hashtbl.replace t.sessions variant s);
-              (* the stamp continues the variant's sequence across
-                 evict/reload cycles: readers never see it go backwards *)
-              ignore (publish t s : int);
-              (* a branched child's sequence starts at its fork stamp, so
-                 [#version] on its reads (readonly repl included) reports
-                 where on the parent's timeline it forked, and lineage
-                 diffs can anchor there *)
-              (match Store.lineage store with
-              | Some (_, fork) when fork > Publish.seq t.pub variant ->
-                  ignore (publish_state t variant ~at:fork s.state : int)
-              | Some _ | None -> ());
-              let poisoned = Group_commit.reset t.commit ~path:(log_path s) in
-              if first || poisoned || !uncovered then invalidate t variant;
-              Obs.Metrics.incr t.i.c_opened;
-              Ok s
-          | exception e ->
-              Option.iter Locks.unlock_file flock;
-              Error ("could not open variant store: " ^ Printexc.to_string e))))
+      | Ok writer ->
+          let s =
+            {
+              variant;
+              writer;
+              conns = Hashtbl.create 4;
+              state = Engine.start (Store.durable writer);
+              dirty = false;
+              last_used = t.config.now ();
+              flock;
+            }
+          in
+          locked t (fun () -> Hashtbl.replace t.sessions variant s);
+          (* the stamp continues the variant's sequence across
+             evict/reload cycles: readers never see it go backwards *)
+          ignore (publish t s : int);
+          (* a branched child's sequence starts at its fork stamp, so
+             [#version] on its reads (readonly repl included) reports
+             where on the parent's timeline it forked, and lineage diffs
+             can anchor there *)
+          (match Store.lineage (Store.writer_store writer) with
+          | Some (_, fork) when fork > Publish.seq t.pub variant ->
+              ignore (publish_state t variant ~at:fork s.state : int)
+          | Some _ | None -> ());
+          if first || !uncovered then invalidate t variant;
+          Obs.Metrics.incr t.i.c_opened;
+          Ok s))
 
 let attach t (s : session) (conn : conn) ~readonly =
   locked t (fun () -> Hashtbl.replace s.conns conn.id ());

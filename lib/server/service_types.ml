@@ -220,12 +220,11 @@ let make_instruments obs =
     publication-stamp order per variant — with the exact journal bytes
     that were appended.  [rs_invalidate] fires whenever the on-disk
     journal is {e rewritten} rather than appended to (a recovery repair,
-    a snapshot after a failed flush), so the shipped byte stream is no
-    longer a suffix of the file, and when a snapshot changed the local
-    names, which the stream does not carry: followers must be re-seeded
-    from a fresh snapshot.  A snapshot that only checkpoints the journal
-    as it stands re-seeds no one, and so does the variant's next load
-    unless the followers' copy may be stale
+    a writer's full save), so the shipped byte stream is no longer a
+    suffix of the file, and when a snapshot changed the local names,
+    which the stream does not carry: followers must be re-seeded from a
+    fresh snapshot.  A checkpoint, a restored tail (cut back to shipped
+    bytes) and a load of a variant the followers hold re-seed no one
     ({!Service_admin.load_session}). *)
 type replication_sink = {
   rs_ship : variant:string -> stamp:int -> data:string -> unit;
@@ -238,12 +237,21 @@ type published = { state : Engine.state; view : Query.View.t }
 
 type session = {
   variant : string;
-  store : Store.t;
+  writer : Store.writer;
+      (** the variant's journal writer: every append and snapshot *)
   conns : (int, unit) Hashtbl.t;  (** attached connection ids *)
   mutable state : Engine.state;  (** writer's copy; readers use [t.pub] *)
   mutable dirty : bool;  (** changes not yet snapshotted *)
   mutable last_used : float;  (** writer-path activity; reads go to [pub] *)
   mutable flock : Locks.file_lock option;
+}
+
+(* One submitted command's records, turning [d_from] into [d_upto]. *)
+type delta = {
+  d_session : session;
+  d_from : Core.Session.t;
+  d_upto : Core.Session.t;
+  d_data : string;
 }
 
 type t = {
@@ -261,9 +269,9 @@ type t = {
   conn_ids : int Atomic.t;
   mutable stopping : bool;
   rand : Random.State.t;
-  commit : Group_commit.t;
+  commit : delta Group_commit.t;
       (** the group-commit coordinator: every journal append goes through
-          its lanes *)
+          its lanes to the session's writer *)
   commit_waiting : int Atomic.t;
       (** writers blocked on a ticket right now (feeds the stall gauge) *)
   mutable repl : replication_sink option;
@@ -410,7 +418,7 @@ let invalidate t variant =
   | None -> ()
   | Some sink -> sink.rs_invalidate ~variant
 
-let log_path (s : session) = Store.log_file s.store
+let log_path (s : session) = Store.log_file (Store.writer_store s.writer)
 
 (* Wait until the session's group-commit lane is empty and no flush is in
    flight.  Mandatory before a snapshot and a recovery repair: the
@@ -420,11 +428,7 @@ let log_path (s : session) = Store.log_file s.store
    write them twice. *)
 let drain_commits t (s : session) = Group_commit.drain t.commit ~path:(log_path s)
 
-(* Snapshot a dirty session.  Once drained, a lane no flush failed on
-   since the load (which resets it) has appended every record of the
-   session, so the journal holds it and is checkpointed as it stands
-   ({!Store.save_checkpoint}); after a failed flush its tail is unknown,
-   so it is rewritten from the session ({!Store.save_session}).  A
+(* Snapshot a dirty session through its writer ({!Store.snapshot}).  A
    rewrite breaks the shipped byte stream and the stream does not carry
    local names: either re-seeds the followers, and so does a failed save,
    which may have written either. *)
@@ -433,23 +437,20 @@ let snapshot t (s : session) =
   else begin
     drain_commits t s;
     let session = s.state.Engine.session in
-    (* drained and held under the writer lock: quiescent unless poisoned *)
-    let held = Group_commit.quiescent t.commit ~path:(log_path s) in
-    let reseed = (not held) || Store.aliases_differ s.store session in
+    let renamed = Store.aliases_differ (Store.writer_store s.writer) session in
     match
       Retry.with_retries ~rand:t.rand ~sleep:t.config.sleep
         ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Metrics.incr t.i.c_retries)
         t.config.retry
         (fun () ->
           let t0 = t.config.now () in
-          let base = Repo.base t.repo in
-          if held then Store.save_checkpoint ?base s.store session
-          else Store.save_session ?base s.store session;
-          Obs.Histo.observe t.i.h_journal_rewrite (t.config.now () -. t0))
+          let rewrote = Store.snapshot s.writer session in
+          Obs.Histo.observe t.i.h_journal_rewrite (t.config.now () -. t0);
+          rewrote)
     with
-    | Ok () ->
+    | Ok rewrote ->
         s.dirty <- false;
-        if reseed then invalidate t s.variant;
+        if rewrote || renamed then invalidate t s.variant;
         Ok ()
     | Error e ->
         invalidate t s.variant;

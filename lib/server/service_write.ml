@@ -14,11 +14,13 @@
     commits to the new state {e before the lock is released} — per-variant
     engine order, journal order, and publish order are all the submission
     order.  The one command that skips the lane is one with nothing to
-    append (an empty delta) while the lane is quiescent: nothing is
-    pending to order behind, so it publishes and answers right here.
+    append (an empty delta) while the lane is quiescent and the writer
+    holds the session it starts from: it publishes and answers right
+    here.
 
     {b Phase 2 — off the lock}: block on the ticket.  The flusher thread
-    batches the lane, pays {e one} fsync for the whole batch, then runs
+    batches the lane, appends it through the session's journal writer
+    ({!Repository.Store.append_records}) with {e one} fsync, then runs
     each record's [on_durable] in order — which is where the new state is
     published for lock-free readers — and settles the tickets.  Only then
     is the command acknowledged, with the publication stamp as [#version]:
@@ -34,12 +36,12 @@
 
     A flush failure fails the whole batch: every waiter reacquires the
     writer lock to degrade the variant's breaker and evict the session —
-    which also {e retracts} the published snapshot — and the lane stays
-    poisoned until the next load of the variant ({!Service_admin.load_session},
-    behind [@open], a query's first read, or a merge into it) reloads the
-    journal through recovery and resets the lane.  A mid-flight death in
-    phase 1 (chaos hook, crash during encode) degrades and evicts under
-    the lock it already holds. *)
+    which also {e retracts} the published snapshot.  The writer refuses
+    any batch queued behind the failed one until the next load of the
+    variant ({!Service_admin.load_session}, behind [@open], a query's
+    first read, or a merge into it) starts a fresh writer.  A mid-flight
+    death in phase 1 (chaos hook, crash during encode) degrades and evicts
+    under the lock it already holds. *)
 
 open Service_types
 
@@ -86,13 +88,13 @@ let evict_staged t (st : staged) =
       evict t s
   | Some _ | None -> () (* another waiter of the failed batch got here first *)
 
-(* Phase-2 failure: the batch fsync failed (or the flusher refused the
-   record).  Reacquire the writer lock to evict — phase 1 released it —
+(* Phase-2 failure: the batch fsync failed (or the writer refused the
+   records).  Reacquire the writer lock to evict — phase 1 released it —
    then answer [!err].  If the variant is so contended the lock cannot be
    had by the deadline, evict anyway: serving a session whose disk state
    is unknown is strictly worse than the benign race (a writer admitted
-   meanwhile fails its own enqueue on the poisoned lane and lands here
-   too). *)
+   meanwhile stages records that do not extend the durable session; the
+   writer refuses them and it lands here too). *)
 let fail_staged t (st : staged) e =
   degrade t st.st_variant;
   let deadline = t.config.now () +. t.config.request_deadline in
@@ -225,12 +227,15 @@ let execute ?(load_if_absent = false) t ~sp (conn : conn) variant ~mutating
                 if
                   n > 0
                   || after != before
-                     && not (Group_commit.quiescent t.commit ~path)
+                     && not
+                          (Group_commit.quiescent t.commit ~path
+                          && Store.holds s.writer before.Engine.session)
                 then begin
                   (* A changed state with an empty delta (e.g. [focus])
                      still submits — an empty record — when the lane is
                      busy, so its publish is ordered behind the pending
-                     records' publishes. *)
+                     records' publishes, or after a failed batch, which
+                     the writer refuses it behind. *)
                   let version = ref (Publish.seq t.pub variant) in
                   let ticket =
                     Group_commit.submit t.commit ~path
@@ -240,7 +245,12 @@ let execute ?(load_if_absent = false) t ~sp (conn : conn) variant ~mutating
                         let stamp = publish_state t variant after in
                         version := stamp;
                         ship t ~variant ~stamp ~data)
-                      data
+                      {
+                        d_session = s;
+                        d_from = before.Engine.session;
+                        d_upto = after.Engine.session;
+                        d_data = data;
+                      }
                   in
                   `Staged
                     {

@@ -183,7 +183,7 @@ let bootstrap_frames hub =
 (* A follower service over a fresh in-memory fs, seeded with the root
    from the delivered stream prefix.  Returns [None] when the prefix was
    cut before [Root] — the follower never bootstrapped at all. *)
-let open_follower frames =
+let open_follower ?(wrap = Fun.id) frames =
   match
     List.find_map
       (function Frame.Root { data } -> Some data | _ -> None)
@@ -192,7 +192,7 @@ let open_follower frames =
   | None -> None
   | Some root ->
       let m = Io.mem_create () in
-      let io = Io.locked (Io.mem_io m) in
+      let io = wrap (Io.locked (Io.mem_io m)) in
       Io.mkdir_p io "/replica";
       Io.atomic_write io "/replica/shrinkwrap.odl" root;
       let config = { (quick_config ()) with Service.follower = true } in
@@ -598,10 +598,11 @@ let detach_does_not_reseed () =
     (resets "v" frames);
   Alcotest.(check int) "w's first load seeded it" 1 (resets "w" frames)
 
-(* A flush that fails leaves the journal's tail unknown and the detach
-   snapshot rewrites it from the session: the reopen that heals the lane
-   re-seeds.  Resets of [v] are counted at a marker written to [w] after
-   the failure, so the count after the reopen is the reopen's own. *)
+(* A flush whose every attempt lands its records and then fails leaves
+   them on disk and never ships them: the reopen reads bytes the
+   followers do not hold, and re-seeds.  Resets of [v] are counted at a
+   marker written to [w] after the failure, so the count after the
+   reopen is the reopen's own. *)
 let failed_flush_reseeds_on_reopen () =
   let raw = Io.locked (Io.mem_io (Io.mem_create ())) in
   let failing = ref false in
@@ -610,8 +611,8 @@ let failed_flush_reseeds_on_reopen () =
       raw with
       Io.append =
         (fun path data ->
-          if !failing then raise (Sys_error (path ^ ": injected EIO"))
-          else raw.Io.append path data);
+          raw.Io.append path data;
+          if !failing then raise (Sys_error (path ^ ": injected EIO")));
     }
   in
   (match Repo.init ~io:raw "/repo" (Test_server.tiny ()) with
@@ -1112,6 +1113,85 @@ let follower_survives_leader_restart () =
                   await "follower is live again" (fun () ->
                       Replication.Follower.live follower)))))
 
+(* --- failed calls that took effect ------------------------------------------ *)
+
+let journal_of io root = io.Io.read_file (root ^ "/variants/v/log.ops")
+
+(* The leader's flush lands and its fsync fails; the retry appends over
+   the restored tail, and the records ship once, after the retry's fsync:
+   a follower applying the stream holds the leader's journal byte for
+   byte, no record twice. *)
+let leader_flush_lands_then_fails () =
+  let raw, lio, armed = Test_server.landing_repo () in
+  let lsvc = service ~config:(quick_config ()) lio in
+  let hub = Replication.hub lsvc in
+  let c = Service.connect lsvc in
+  ignore (req_ok lsvc c "@open v");
+  ignore (req_ok lsvc c "focus ww:Person");
+  let frames =
+    capture_stream hub (fun await ->
+        Atomic.set armed true;
+        ignore (req_ok lsvc c (apply_line "once"));
+        ignore (req_ok lsvc c (apply_line "after"));
+        ignore (await (shipped "v" "after")))
+  in
+  Alcotest.(check bool) "the fsync failed" false (Atomic.get armed);
+  match open_follower frames with
+  | None -> Alcotest.fail "bootstrap stream must carry the root"
+  | Some (fsvc, fio) ->
+      let apply = Replication.Apply.create fsvc in
+      List.iter
+        (Replication.Apply.frame apply ~ack:(fun ~variant:_ ~stamp:_ -> ()))
+        frames;
+      Alcotest.(check string) "the follower's journal is the leader's"
+        (journal_of raw "/repo") (journal_of fio "/replica");
+      Alcotest.(check int) "each record once" 2
+        (List.length (Journal.parse (journal_of fio "/replica")).Journal.entries)
+
+(* The follower's own append lands and fails: the frame raises, which
+   ends the connection in the pump, and the reconnect's bootstrap
+   replaces the follower's files — its journal ends as the leader's, the
+   landed record once. *)
+let follower_append_lands_then_fails () =
+  let _, lio = mem_repo () in
+  let lsvc = service ~config:(quick_config ()) lio in
+  let hub = Replication.hub lsvc in
+  let c = Service.connect lsvc in
+  ignore (req_ok lsvc c "@open v");
+  ignore (req_ok lsvc c "focus ww:Person");
+  ignore (req_ok lsvc c (apply_line "seeded"));
+  let frames =
+    capture_stream hub (fun await ->
+        ignore (req_ok lsvc c (apply_line "landed"));
+        ignore (await (shipped "v" "landed")))
+  in
+  let armed = Atomic.make true in
+  let wrap io =
+    {
+      io with
+      Io.append =
+        (fun p data ->
+          io.Io.append p data;
+          if Filename.basename p = "log.ops" && Atomic.compare_and_set armed true false
+          then raise (Sys_error (p ^ ": Input/output error (injected)")));
+    }
+  in
+  match open_follower ~wrap frames with
+  | None -> Alcotest.fail "bootstrap stream must carry the root"
+  | Some (fsvc, fio) ->
+      let apply = Replication.Apply.create fsvc in
+      let ack ~variant:_ ~stamp:_ = () in
+      (match List.iter (Replication.Apply.frame apply ~ack) frames with
+      | () -> Alcotest.fail "the failed append must end the stream"
+      | exception Sys_error _ -> ());
+      (* what [Follower.run] does after the pump's catch-all *)
+      Replication.Apply.invalidate_all apply;
+      List.iter (Replication.Apply.frame apply ~ack) (bootstrap_frames hub);
+      Alcotest.(check string) "the follower's journal is the leader's"
+        (journal_of lio "/repo") (journal_of fio "/replica");
+      Alcotest.(check int) "each record once" 2
+        (List.length (Journal.parse (journal_of fio "/replica")).Journal.entries)
+
 let tests =
   [
     test "frame: every constructor round-trips exactly" frame_roundtrip;
@@ -1148,4 +1228,8 @@ let tests =
       torn_tail_reseeds_on_reopen;
     test "follower: a bootstrap loads every variant through the base"
       follower_start_loads_through_base;
+    test "replication: a leader flush that lands and fails ships its records once"
+      leader_flush_lands_then_fails;
+    test "follower: an append that lands and fails re-bootstraps to the leader's bytes"
+      follower_append_lands_then_fails;
   ]

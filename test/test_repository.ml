@@ -218,11 +218,17 @@ let kind_tags () =
 let incremental_appends () =
   with_repo (fun repo ->
       Store.save_session repo (Util.session_of (Util.university ()));
-      Store.append_step repo
-        (Core.Concept.Wagon_wheel, Util.parse_op "add_type_definition(Lab)");
-      Store.append_step repo
-        (Core.Concept.Generalization, Util.parse_op "add_supertype(Lab, Person)");
-      Journal.append (Store.io repo) (Store.log_file repo) Journal.Undo;
+      let journal e =
+        Journal.append_raw (Store.io repo) (Store.log_file repo) (Journal.encode e)
+      in
+      journal
+        (Journal.Op
+           (Core.Concept.Wagon_wheel, Util.parse_op "add_type_definition(Lab)"));
+      journal
+        (Journal.Op
+           (Core.Concept.Generalization,
+            Util.parse_op "add_supertype(Lab, Person)"));
+      journal Journal.Undo;
       let text = (Store.io repo).Io.read_file (Store.log_file repo) in
       Alcotest.(check bool) "undo journalled, not rewritten" true
         (Str_contains.contains text "@undo;");
@@ -362,8 +368,10 @@ let fsck_ignores_reports () =
 
 let missing_shrinkwrap () =
   with_repo (fun repo ->
-      Store.append_step repo
-        (Core.Concept.Wagon_wheel, Util.parse_op "add_type_definition(Lab)");
+      Journal.append_raw (Store.io repo) (Store.log_file repo)
+        (Journal.encode
+           (Journal.Op
+              (Core.Concept.Wagon_wheel, Util.parse_op "add_type_definition(Lab)")));
       (match Store.load_session repo with
       | Error (Store.Damaged { file; _ }) ->
           Alcotest.(check string) "names the schema" "shrinkwrap.odl" file
@@ -454,7 +462,8 @@ let rewrite_body repo body =
 let fsck_forged_checkpoint_after_undo () =
   fsck_checkpoint_derived "differs from the replayed log prefix"
     (fun repo s ->
-      Journal.append (Store.io repo) (Store.log_file repo) Journal.Undo;
+      Journal.append_raw (Store.io repo) (Store.log_file repo)
+        (Journal.encode Journal.Undo);
       rewrite_body repo
         (Odl.Printer.schema_to_string
            (Core.Session.workspace
@@ -942,14 +951,15 @@ let run_actions store session actions =
       | A_op (kind, op) -> (
           match Core.Session.apply session ~kind op with
           | Ok (s, _) ->
-              Store.append_step store (kind, op);
+              Journal.append_raw (Store.io store) (Store.log_file store)
+                (Journal.encode (Journal.Op (kind, op)));
               (s, steps s :: states)
           | Error _ -> (session, states))
       | A_undo -> (
           match Core.Session.undo session with
           | Some s ->
-              Journal.append (Store.io store) (Store.log_file store)
-                Journal.Undo;
+              Journal.append_raw (Store.io store) (Store.log_file store)
+                (Journal.encode Journal.Undo);
               (s, steps s :: states)
           | None -> (session, states))
       | A_snapshot ->
@@ -1181,6 +1191,229 @@ let op_texts_cut_from_records () =
       ("no semicolon", "@ww add_type_definition(Lab)\n");
     ]
 
+(* --- failed calls that took effect ------------------------------------------
+
+   A disk can report an error for a call that reached it: the records of a
+   failed append may be on disk, and after a failed fsync the kernel may
+   have dropped the pages.  The writer cuts the journal back to its
+   durable length before it appends again, so every op lands once. *)
+
+(* A mem fs on which, once armed, the next fsync and the next truncate of
+   [log.ops] each take effect and then fail. *)
+let landing_io () =
+  let io = Io.mem_io (Io.mem_create ()) in
+  let fsync_fails = ref false and truncate_fails = ref false in
+  let once armed path =
+    if !armed && Filename.basename path = "log.ops" then begin
+      armed := false;
+      raise (Sys_error (path ^ ": Input/output error (injected)"))
+    end
+  in
+  ( {
+      io with
+      Io.fsync = (fun p -> io.Io.fsync p; once fsync_fails p);
+      truncate = (fun p n -> io.Io.truncate p n; once truncate_fails p);
+    },
+    fsync_fails,
+    truncate_fails )
+
+(* The store at [/repo] opens to the designer's session with each of its
+   ops journalled once, and fscks clean. *)
+let journalled_once io st =
+  check_reloads (Store.open_dir ~io "/repo") st;
+  Alcotest.(check int) "each op journalled once"
+    (Core.Session.step_count st.Designer.Engine.session)
+    (List.length (Journal.read io "/repo/log.ops").Journal.entries);
+  match Repo.fsck_dir ~io ~salvage:false "/repo" with
+  | Ok (code, lines) ->
+      Alcotest.(check int) ("fsck class: " ^ String.concat "; " lines) 0 code
+  | Error m -> Alcotest.fail m
+
+let repl_focused ~io =
+  repl_from ~io "/repo" (Util.session_of (Util.university ())) [ "focus ww:Person" ]
+
+(* The append of [phone] lands and its fsync fails: the next command
+   restores the tail, then journals [phone] and [email], once each. *)
+let writer_fsync_lands_then_fails () =
+  let io, fsync_fails, _ = landing_io () in
+  let w, st = repl_focused ~io in
+  fsync_fails := true;
+  let st, fb = step w st "apply add_attribute(Person, string, 12, phone)" in
+  Alcotest.(check bool) "the failure is reported" true (persistence_failed fb);
+  let st, fb = step w st "apply add_attribute(Person, string, 12, email)" in
+  Alcotest.(check bool) "the next append succeeds" false (persistence_failed fb);
+  journalled_once io st
+
+(* The same, with the restoring truncate failing too: the writer falls
+   back to the full save, an atomic rewrite. *)
+let writer_truncate_fails_too () =
+  let io, fsync_fails, truncate_fails = landing_io () in
+  let w, st = repl_focused ~io in
+  fsync_fails := true;
+  truncate_fails := true;
+  let st, _ = step w st "apply add_attribute(Person, string, 12, phone)" in
+  let st, fb = step w st "apply add_attribute(Person, string, 12, email)" in
+  Alcotest.(check bool) "the next append succeeds" false (persistence_failed fb);
+  Alcotest.(check bool) "the truncate was tried and failed" false !truncate_fails;
+  Alcotest.(check bool) "the full save wrote a checkpoint" true
+    (io.Io.file_exists "/repo/checkpoint.odl");
+  journalled_once io st;
+  let st, fb = step w st "apply add_attribute(Person, string, 12, fax)" in
+  Alcotest.(check bool) "appends go on after the rewrite" false
+    (persistence_failed fb);
+  ok_or_fail (Store.close w st.Designer.Engine.session);
+  journalled_once io st
+
+(* Lands-then-fails at every effectful syscall of a repl session: the
+   open, the appends and the close.  Whenever the writer opened, the
+   store reopens as the designer's final session, each op once; it fscks
+   clean when the close succeeded, and salvageably otherwise (a failed
+   whole-file write can leave its temporary file). *)
+let writer_lands_then_fails_sweep () =
+  let lines =
+    [
+      "focus ww:Person";
+      "apply add_attribute(Person, string, 12, phone)";
+      "apply add_attribute(Person, string, 20, fax)";
+      "undo";
+      "apply add_attribute(Person, string, 30, email)";
+    ]
+  in
+  let session = Util.session_of (Util.university ()) in
+  let run io =
+    match Store.writer ~io "/repo" session with
+    | Error _ -> None
+    | Ok w ->
+        let st =
+          List.fold_left
+            (fun st l -> fst (step w st l))
+            (Designer.Engine.start session)
+            lines
+        in
+        Some (st, Store.close w st.Designer.Engine.session)
+  in
+  let counted, total = Io.counting (Io.mem_io (Io.mem_create ())) in
+  ignore (run counted);
+  let opened = ref 0 in
+  for k = 0 to total () - 1 do
+    let io = Io.mem_io (Io.mem_create ()) in
+    match run (fst (Io.faulty ~fault:Io.Lands_then_fails ~crash_at:k io)) with
+    | None -> ()
+    | Some (st, closed) ->
+        incr opened;
+        let final = st.Designer.Engine.session in
+        (match Store.load_session (Store.open_dir ~io "/repo") with
+        | Error e ->
+            Alcotest.failf "failure at syscall %d: %s" k
+              (Store.load_error_to_string e)
+        | Ok s ->
+            if not (steps_equal (steps s) (steps final)) then
+              Alcotest.failf
+                "failure at syscall %d: reopens with %d step(s), the designer \
+                 has %d"
+                k (Core.Session.step_count s) (Core.Session.step_count final));
+        let fsck ~salvage =
+          fst (ok_or_fail (Repository.Repo.fsck_dir ~io ~salvage "/repo"))
+        in
+        if Result.is_ok closed then
+          Alcotest.(check int)
+            (Printf.sprintf "failure at syscall %d: fsck clean" k)
+            0 (fsck ~salvage:false)
+        else begin
+          let salvaged = fsck ~salvage:true in
+          if salvaged > 1 then
+            Alcotest.failf "failure at syscall %d: fsck --salvage exits %d" k
+              salvaged;
+          Alcotest.(check int)
+            (Printf.sprintf "failure at syscall %d: clean after salvage" k)
+            0 (fsck ~salvage:false)
+        end
+  done;
+  Alcotest.(check bool) "most failure points leave an open writer" true
+    (!opened > total () - 8)
+
+(* The service's writer from the recovery open, and two sessions past its
+   durable one: [s1] one op further, [s2] two. *)
+let service_writer io =
+  let store = Store.open_dir ~io "/repo" in
+  Store.save_session store (Util.session_of (Util.university ()));
+  let w =
+    match Store.open_writer store with
+    | Ok w -> w
+    | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  in
+  let apply s name =
+    match
+      Core.Session.apply s ~kind:Core.Concept.Wagon_wheel
+        (Util.parse_op (Printf.sprintf "add_attribute(Person, string, 8, %s)" name))
+    with
+    | Ok (s, _) -> s
+    | Error e -> Alcotest.fail (Core.Apply.error_to_string e)
+  in
+  let s0 = Store.durable w in
+  let s1 = apply s0 "first" in
+  (store, w, s0, s1, apply s1 "second")
+
+let delta before after =
+  let _, _, data = Journal.encoded_delta ~before ~after in
+  data
+
+(* A batch queued behind one whose append failed does not extend the
+   writer's durable session: it is refused — never acknowledged — and
+   nothing more reaches the journal until a fresh writer opens it. *)
+let writer_refuses_batch_behind_failure () =
+  let mem = Io.mem_io (Io.mem_create ()) in
+  let full = ref false in
+  let io =
+    {
+      mem with
+      Io.append =
+        (fun p c ->
+          if !full then raise (Sys_error (p ^ ": No space left on device"))
+          else mem.Io.append p c);
+    }
+  in
+  let store, w, s0, s1, s2 = service_writer io in
+  full := true;
+  (match Store.append_records w ~from:s0 ~upto:s1 (delta s0 s1) with
+  | _ -> Alcotest.fail "the failing append must raise"
+  | exception Sys_error _ -> ());
+  full := false;
+  let journal () = Journal.read io (Store.log_file store) in
+  let before = journal () in
+  (match Store.append_records w ~from:s1 ~upto:s2 (delta s1 s2) with
+  | _ -> Alcotest.fail "a batch behind the failed one must be refused"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "nothing appended after the failure"
+    (List.length before.Journal.entries)
+    (List.length (journal ()).Journal.entries);
+  (* the reload is a fresh writer, which appends again *)
+  let w' =
+    match Store.open_writer store with
+    | Ok w -> w
+    | Error e -> Alcotest.fail (Store.load_error_to_string e)
+  in
+  let r0 = Store.durable w' in
+  Alcotest.(check int) "the reload holds no failed op" 0
+    (Core.Session.step_count r0);
+  let r1 = Result.get_ok (Result.map fst (Core.Session.apply r0
+    ~kind:Core.Concept.Wagon_wheel
+    (Util.parse_op "add_attribute(Person, string, 8, third)"))) in
+  ignore (Store.append_records w' ~from:r0 ~upto:r1 (delta r0 r1) : bool);
+  match Store.load_session store with
+  | Ok s -> Alcotest.(check int) "the fresh writer's op" 1 (Core.Session.step_count s)
+  | Error e -> Alcotest.fail (Store.load_error_to_string e)
+
+(* An empty batch on an exact tail (a state change with no records, queued
+   behind a busy lane) makes no syscall. *)
+let writer_empty_batch_is_no_io () =
+  let counted, calls = Io.counting (Io.mem_io (Io.mem_create ())) in
+  let _, w, s0, _, _ = service_writer counted in
+  let before = calls () in
+  Alcotest.(check bool) "not rewritten" false
+    (Store.append_records w ~from:s0 ~upto:s0 "");
+  Alcotest.(check int) "no syscall" before (calls ())
+
 let tests =
   [
     test "schema round trip" schema_roundtrip;
@@ -1236,4 +1469,14 @@ let tests =
       fsck_checkpoint_unresolved_run;
     test "crash at every syscall of op, (checkpoint), op recovers (mem fs)"
       crash_sweep_op_checkpoint_op;
+    test "writer: an fsync that lands and fails journals the op once"
+      writer_fsync_lands_then_fails;
+    test "writer: when the restoring truncate fails too, a full save"
+      writer_truncate_fails_too;
+    test "writer: lands-then-fails at every syscall of open, appends and close"
+      writer_lands_then_fails_sweep;
+    test "writer: a batch behind a failed append is refused until reload"
+      writer_refuses_batch_behind_failure;
+    test "writer: an empty batch on an exact tail makes no syscall"
+      writer_empty_batch_is_no_io;
   ]

@@ -139,10 +139,13 @@ let torn_undo_tail () =
     (Core.Concept.Wagon_wheel,
      Util.parse_op (Printf.sprintf "add_attribute(Person, string, 8, %s)" name))
   in
-  Store.append_step store (step "first");
-  Store.append_step store (step "second");
-  Repository.Journal.append io (Store.log_file store)
-    Repository.Journal.Undo;
+  let journal e =
+    Repository.Journal.(append_raw io (Store.log_file store) (encode e))
+  in
+  let op name = let kind, op = step name in Repository.Journal.Op (kind, op) in
+  journal (op "first");
+  journal (op "second");
+  journal Repository.Journal.Undo;
   (* a complete undo resolves: first only *)
   Alcotest.(check int) "complete @undo; resolves" 1
     (List.length (ops_of_log io));
@@ -268,14 +271,15 @@ let run store session actions =
       | Op (kind, op) -> (
           match Session.apply session ~kind op with
           | Ok (s, _) ->
-              Store.append_step store (kind, op);
+              Journal.append_raw (Store.io store) (Store.log_file store)
+                (Journal.encode (Journal.Op (kind, op)));
               s
           | Error _ -> session)
       | Undo -> (
           match Session.undo session with
           | Some s ->
-              Journal.append (Store.io store) (Store.log_file store)
-                Journal.Undo;
+              Journal.append_raw (Store.io store) (Store.log_file store)
+                (Journal.encode Journal.Undo);
               s
           | None -> session))
     session actions
@@ -1002,11 +1006,11 @@ let fsyncs_per_create_and_detach () =
     (ops_of_log io)
 
 (* A snapshot after a failed flush does not take the journal as it
-   stands: the lane's tail is unknown, and here the append that failed
-   wrote nothing while the session had already applied its op.  The
-   reaper takes the writer lock while that flush is in flight, so its
-   snapshot drains onto the poisoned lane before the failed writer can
-   evict the session.  It rewrites the journal from the session: the
+   stands: the writer's durable session lacks the session's last op, and
+   here the append that failed wrote nothing while the session had
+   already applied its op.  The reaper takes the writer lock while that
+   flush is in flight, so its snapshot drains the lane before the failed
+   writer can evict the session.  It rewrites the journal from the session: the
    variant fscks clean and reopens as the session, the unacknowledged op
    durable, as the ack contract allows (ack implies durable, not the
    reverse).  Checkpointing the journal as it stood would have left a

@@ -650,10 +650,10 @@ let breaker_degrades_variant () =
     (not (Str_contains.contains steps "lost"))
 
 (* A failed batch flush fails EVERY writer aboard — nothing in the batch
-   is acked, every session is evicted, the breaker trips — and the lane
-   stays poisoned until the variant is next loaded from disk, which
-   reloads the journal and resets the lane.  [reload] is that load; every
-   way in must heal the lane, so once the disk heals and the breaker
+   is acked, every session is evicted, the breaker trips — and nothing
+   more is appended until the variant is next loaded from disk, which
+   reloads the journal with a fresh writer.  [reload] is that load; every
+   way in must heal the variant, so once the disk heals and the breaker
    cools, writes flow again. *)
 let reload_open t c = ignore (req_ok t c "@open v")
 
@@ -734,7 +734,7 @@ let group_batch_failure_fails_all ~reload () =
       (* the breaker tripped: the reloaded variant is read-only *)
       Alcotest.(check bool) "breaker tripped" true
         (Str_contains.contains (req_err t c (apply_line "still_down")) "read-only");
-      (* disk heals, breaker cools; the reload already reset the lane —
+      (* disk heals, breaker cools; the reload's fresh writer appends —
          the next batch commits *)
       failing := false;
       clock := !clock +. 31.0;
@@ -903,7 +903,10 @@ let distinct_variants_parallel () =
 (* --- chaos: concurrent clients over a crashing filesystem ------------------ *)
 
 (* One chaos schedule: 3 clients race 3 ops each onto the shared variant
-   while (a) the filesystem crashes at a seed-chosen syscall, (b) a
+   while (a) the filesystem fails a seed-chosen syscall — a crash that
+   lands a torn half of a write, or a call that takes effect whole and
+   then reports an error (a failed fsync whose data reached the disk),
+   the kind also chosen by seed — (b) a
    seed-chosen subset of requests has its worker killed mid-flight, and
    (c) two readonly readers hammer the published snapshot throughout —
    every successful read must carry a never-backwards version stamp and a
@@ -933,8 +936,13 @@ let chaos_schedule seed =
       | Result.Ok _ -> ()
       | Result.Error e -> Alcotest.fail e)
   | Result.Error e -> Alcotest.fail e);
-  (* the locked wrapper outermost also serializes the injector's counter *)
-  let faulted, _ = Io.faulty ~crash_at:(5 + (seed * 17 mod 120)) (Io.mem_io m) in
+  (* the locked wrapper outermost also serializes the injector's counter;
+     the fault is a power-loss crash or, on every other pair of seeds, a
+     call that takes effect and then fails *)
+  let fault = if seed / 4 mod 2 = 0 then Io.Power_loss else Io.Lands_then_fails in
+  let faulted, _ =
+    Io.faulty ~fault ~crash_at:(5 + (seed * 17 mod 120)) (Io.mem_io m)
+  in
   let io = Io.locked faulted in
   let hook ~variant:_ ~line =
     if Hashtbl.hash (seed, line) mod 11 = 0 then
@@ -2382,6 +2390,123 @@ let stats_disabled () =
     (Str_contains.contains (req_err t c "@stats") "disabled");
   ignore (Service.shutdown t)
 
+(* --- failed calls that took effect ------------------------------------------ *)
+
+(* A mem-fs repository with [v] whose next fsync of a [log.ops], once
+   armed, lands and then fails. *)
+let landing_repo () =
+  let _, raw = mem_repo () in
+  let armed = Atomic.make false in
+  let io =
+    {
+      raw with
+      Io.fsync =
+        (fun p ->
+          raw.Io.fsync p;
+          if Filename.basename p = "log.ops" && Atomic.compare_and_set armed true false
+          then raise (Sys_error (p ^ ": Input/output error (injected)")));
+    }
+  in
+  (raw, io, armed)
+
+let fsck_clean io =
+  match Repo.fsck_dir ~io ~salvage:false "/repo" with
+  | Result.Ok (code, lines) ->
+      Alcotest.(check int) ("fsck class: " ^ String.concat "; " lines) 0 code
+  | Result.Error m -> Alcotest.fail m
+
+(* The flusher's append lands and its fsync fails; the retry restores the
+   tail before it appends again, so the acknowledged op is journalled
+   once and the store fscks clean after shutdown. *)
+let flush_lands_then_fails () =
+  let raw, io, armed = landing_repo () in
+  let t = service ~config:(quick_config ()) io in
+  let c = Service.connect t in
+  ignore (req_ok t c "@open v");
+  ignore (req_ok t c "focus ww:Person");
+  Atomic.set armed true;
+  ignore (req_ok t c (apply_line "once"));
+  Alcotest.(check bool) "the fsync failed" false (Atomic.get armed);
+  ignore (req_ok t c (apply_line "after"));
+  ignore (Service.shutdown t);
+  fsck_clean raw;
+  Alcotest.(check (list string)) "each acked op once"
+    [ "add_attribute(Person, string, 8, once)";
+      "add_attribute(Person, string, 8, after)" ]
+    (recovered_steps raw)
+
+(* A record queued behind a batch whose flush failed is never acked, and
+   nothing more is appended until the variant is reloaded: the session's
+   writer refuses records that do not extend its durable session. *)
+let queued_behind_failure_refused () =
+  with_watchdog ~secs:60.0 ~name:"queued behind a failure" (fun () ->
+      let _, raw = mem_repo () in
+      let failing = Atomic.make false
+      and entered = Atomic.make false
+      and go = Atomic.make false in
+      let io =
+        {
+          raw with
+          Io.append =
+            (fun p data ->
+              if Filename.basename p = "log.ops" && Atomic.get failing then begin
+                Atomic.set entered true;
+                while not (Atomic.get go) do Thread.delay 0.001 done;
+                Atomic.set failing false;
+                raise (Sys_error (p ^ ": injected: the append wrote nothing"))
+              end;
+              raw.Io.append p data);
+        }
+      in
+      let config =
+        {
+          (quick_config ~threshold:max_int ()) with
+          Service.retry = { quick_retry with Retry.max_attempts = 1 };
+        }
+      in
+      let obs = Obs.create () in
+      let t = service ~config ~obs io in
+      let a = Service.connect t and b = Service.connect t in
+      List.iter
+        (fun c ->
+          ignore (req_ok t c "@open v");
+          ignore (req_ok t c "focus ww:Person"))
+        [ a; b ];
+      Atomic.set failing true;
+      let answer c name =
+        let r = ref "" in
+        (Thread.create
+           (fun () -> r := Protocol.to_string (Service.request t c (apply_line name)))
+           (),
+         r)
+      in
+      let ta, doomed = answer a "doomed" in
+      while not (Atomic.get entered) do Thread.delay 0.001 done;
+      (* [doomed]'s batch is in flight: [behind] queues after it *)
+      let tb, behind = answer b "behind" in
+      while Obs.gauge_value obs "swsd.commit.stalled" <> Some 2 do
+        Thread.delay 0.001
+      done;
+      Atomic.set go true;
+      Thread.join ta;
+      Thread.join tb;
+      List.iter
+        (fun (what, r) ->
+          Alcotest.(check bool) (what ^ " not acknowledged") true
+            (Str_contains.contains !r "persistence failed"))
+        [ ("the failed batch", doomed); ("the batch behind it", behind) ];
+      Alcotest.(check (list string)) "nothing appended after the failure" []
+        (recovered_steps raw);
+      (* the reload is a fresh writer: writes flow again *)
+      ignore (req_ok t a "@open v");
+      ignore (req_ok t a "focus ww:Person");
+      ignore (req_ok t a (apply_line "healed"));
+      ignore (Service.shutdown t);
+      fsck_clean raw;
+      Alcotest.(check (list string)) "only the post-reload op"
+        [ "add_attribute(Person, string, 8, healed)" ]
+        (recovered_steps raw))
+
 let tests =
   [
     test "protocol: request parsing" parse_requests;
@@ -2451,8 +2576,8 @@ let tests =
       hangup_mid_response;
     test "repo: variant names are sorted whatever readdir yields"
       variant_names_sorted;
-    (* the other two ways a load heals a poisoned lane; appended so the
-       suite's existing test indices stay put *)
+    (* the other two ways a load heals a variant after a failed flush;
+       appended so the suite's existing test indices stay put *)
     test
       "service: a failed batch flush fails every writer aboard; a @query \
        load heals"
@@ -2470,6 +2595,10 @@ let tests =
       stop_ends_idle_connections;
     test "server: a request in flight at stop still gets its reply"
       stop_answers_request_in_flight;
+    test "service: a flush that lands and fails is retried and journalled once"
+      flush_lands_then_fails;
+    test "service: a record queued behind a failed batch is never acked"
+      queued_behind_failure_refused;
   ]
 
 let soak_tests = [ Alcotest.test_case "bounded chaos soak" `Slow soak ]
