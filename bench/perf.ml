@@ -580,8 +580,7 @@ let differing_row n k =
   let reopened = opened () in
   let diff_snapshot_ms =
     median_ms (recovery_runs ()) (fun () ->
-        Repository.Store.save_checkpoint ?base:(Repo.base repo)
-          (Repo.variant_store repo "v") reopened)
+        Repository.Store.save_checkpoint (Repo.variant_store repo "v") reopened)
   in
   { diff_n = n; differ = k; diff_open_ms; diff_snapshot_ms }
 

@@ -976,7 +976,8 @@ let fsck_cmd =
          "Check the integrity of a repository directory (a session store or \
           a variants repository) and optionally salvage it.  Exit status: 0 \
           the repository is clean; 1 damage was found and --salvage repaired \
-          it; 2 the repository is corrupt (damage present and not repaired, \
+          it, or found only in what recovery does not read (the checkpoint, \
+          stale temporary files); 2 the repository is corrupt (damage present and not repaired, \
           or the path is not a repository).  Multi-variant repositories \
           report the worst variant's status.")
     Term.(

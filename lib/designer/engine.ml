@@ -161,22 +161,36 @@ let do_plan state op =
                 :: List.map Feedback.info
                      (Core.Advisor.suggest_text ~original workspace kind op e) )))
 
+let same_dir a b =
+  a = b
+  || try Unix.realpath a = Unix.realpath b with Unix.Unix_error _ -> false
+
 (* [save DIR]: the session, its deliverables (custom schema, reports) and
-   any loaded data. *)
-let save_to ?io dir state =
-  match
-    let repo = Repository.Store.open_dir ?io dir in
-    Repository.Store.save_session repo state.session;
-    Repository.Store.save_reports repo state.session;
-    Option.iter
-      (fun store ->
-        (Repository.Store.io repo).write
-          (Filename.concat dir "data.objs")
-          (Objects.Serial.to_string store))
-      state.store
-  with
-  | () -> Ok ()
-  | exception Sys_error m -> Error m
+   any loaded data.  Into the [writer]'s own directory it is the writer's
+   exit save, {!Repository.Store.close}, which knows what the journal
+   holds; elsewhere it is a full save, on the writer's IO. *)
+let save_to ?writer dir state =
+  let module Store = Repository.Store in
+  let guard f = match f () with v -> Ok v | exception Sys_error m -> Error m in
+  let saved =
+    match writer with
+    | Some w when same_dir dir (Store.dir (Store.writer_store w)) ->
+        Result.map (fun () -> Store.writer_store w) (Store.close w state.session)
+    | _ ->
+        guard (fun () ->
+            let repo = Store.open_dir ?io:(Option.map Store.writer_io writer) dir in
+            Store.save_session repo state.session;
+            Store.save_reports repo state.session;
+            repo)
+  in
+  Result.bind saved (fun repo ->
+      guard (fun () ->
+          Option.iter
+            (fun store ->
+              (Store.io repo).write
+                (Filename.concat dir "data.objs")
+                (Objects.Serial.to_string store))
+            state.store))
 
 let save_feedback dir = function
   | Ok () -> [ Feedback.info ("session saved to " ^ dir) ]
@@ -353,7 +367,7 @@ let rec exec_with ?writer state (cmd : Command.t) =
         Repository.Knowledge.rule_summaries
         |> List.map (fun (name, what) ->
                Feedback.output (Printf.sprintf "%-24s %s" name what)) )
-  | Save dir -> (state, save_feedback dir (save_to dir state))
+  | Save dir -> (state, save_feedback dir (save_to ?writer dir state))
   | Help -> (state, [ Feedback.output Command.help_text ])
   | Quit -> ({ state with finished = true }, [ Feedback.info "bye" ])
 
@@ -361,30 +375,23 @@ let rec exec_with ?writer state (cmd : Command.t) =
     command on a [readonly] session, execute, then journal the session
     through [writer] before the feedback is returned. *)
 and exec_line ?(readonly = false) ?writer state line =
-  let saved_to, (state, feedback) =
+  let state, feedback =
     (* parse first, so a syntax error reads the same either way, as on
        the server's [!readonly] path *)
     match Command.parse line with
-    | exception Command.Bad_command m -> (None, (state, [ Feedback.error m ]))
+    | exception Command.Bad_command m -> (state, [ Feedback.error m ])
     | cmd when readonly && Command.mutates cmd ->
-        ( None,
-          ( state,
-            [
-              Feedback.error
-                "readonly session; restart without --readonly to modify";
-            ] ) )
-    | Save dir ->
-        (* on the writer's IO, which may be the one its directory is on *)
-        let saved =
-          save_to ?io:(Option.map Repository.Store.writer_io writer) dir state
-        in
-        (Some (dir, Result.is_ok saved), (state, save_feedback dir saved))
-    | cmd -> (None, exec_with ?writer state cmd)
+        ( state,
+          [
+            Feedback.error
+              "readonly session; restart without --readonly to modify";
+          ] )
+    | cmd -> exec_with ?writer state cmd
   in
   match writer with
   | None -> (state, feedback)
   | Some w -> (
-      match Repository.Store.append ?saved_to w state.session with
+      match Repository.Store.append w state.session with
       | Ok () -> (state, feedback)
       | Error m ->
           (state, feedback @ [ Feedback.caution ("persistence failed: " ^ m) ]))

@@ -32,7 +32,8 @@ val exec_line :
 (** One command line as [swsd repl] runs it: parse it (a parse failure is
     error feedback), refuse a {!Command.mutates} command when [readonly],
     {!exec} it, then — with a [writer] — journal the resulting session
-    ({!Repository.Store.append}; a [save] runs on the writer's IO, and one
-    into the writer's own directory journals nothing twice, or, when it
-    fails, makes the next journalling a full save).  A failed append adds
-    a [persistence failed: …] caution after the command's feedback. *)
+    ({!Repository.Store.append}).  A [save] runs on the writer's IO; one
+    into the writer's own directory is the writer's
+    {!Repository.Store.close} plus the loaded data, so the journal is
+    written by the writer alone.  A failed append adds a
+    [persistence failed: …] caution after the command's feedback. *)

@@ -4,27 +4,16 @@
     power of ten between [lo] and [hi], plus an underflow and an overflow
     bucket), so quantile estimates carry a bounded {e relative} error — the
     right trade for latencies spanning microseconds to seconds.  Recording
-    is sharded by thread id (one small mutex per shard, threads almost
-    never share one), and {!snapshot} merges the shards into an immutable,
-    mergeable value: snapshots of the same shape form a commutative monoid
-    under {!merge}, so per-process histograms can be combined across
-    scrapes or servers.
+    takes the histogram's one mutex (the process runs one domain of
+    systhreads, so recorders never run in parallel), and {!snapshot} copies
+    it into an immutable, mergeable value: snapshots of the same shape
+    form a commutative monoid under {!merge}, so per-process histograms
+    can be combined across scrapes or servers.
 
     Quantiles are read from a snapshot: the estimate for an interior bucket
     is its geometric midpoint; the underflow and overflow buckets answer
     with the exact observed minimum and maximum, so [quantile s 1.0] is the
     true max. *)
-
-let shard_count = 8
-
-type shard = {
-  mu : Mutex.t;
-  buckets : int array;
-  mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
 
 type t = {
   h_name : string;
@@ -32,19 +21,14 @@ type t = {
   h_lo : float;  (** lower edge of the first interior bucket *)
   h_hi : float;  (** upper edge of the last interior bucket *)
   h_per_decade : int;
-  h_n : int;  (** total buckets, including underflow (0) and overflow (n-1) *)
-  h_shards : shard array;
+  h_mu : Mutex.t;  (** guards the fields below *)
+  h_buckets : int array;
+      (** underflow (0), the interior buckets, overflow (last) *)
+  mutable h_count : int;
+  mutable h_sum : float;
+  mutable h_min : float;
+  mutable h_max : float;
 }
-
-let fresh_shard n =
-  {
-    mu = Mutex.create ();
-    buckets = Array.make n 0;
-    count = 0;
-    sum = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
-  }
 
 (** [create name] — value domain defaults to seconds: 1µs .. 1000s with 10
     buckets per decade (≈26% bucket width). *)
@@ -54,39 +38,44 @@ let create ?(on = true) ?(lo = 1e-6) ?(hi = 1e3) ?(per_decade = 10) name =
   let interior =
     int_of_float (ceil (Float.log10 (hi /. lo) *. float_of_int per_decade))
   in
-  let n = interior + 2 in
   {
     h_name = name;
     h_on = on;
     h_lo = lo;
     h_hi = hi;
     h_per_decade = per_decade;
-    h_n = n;
-    h_shards = Array.init shard_count (fun _ -> fresh_shard n);
+    h_mu = Mutex.create ();
+    h_buckets = Array.make (interior + 2) 0;
+    h_count = 0;
+    h_sum = 0.0;
+    h_min = infinity;
+    h_max = neg_infinity;
   }
 
 let name t = t.h_name
 
-let bucket_index t v =
-  if v < t.h_lo then 0
-  else if v >= t.h_hi then t.h_n - 1
+(* The bucket [v] falls into on a grid of [n] buckets. *)
+let bucket ~lo ~hi ~per_decade n v =
+  if v < lo then 0
+  else if v >= hi then n - 1
   else
-    let i =
-      1 + int_of_float (Float.log10 (v /. t.h_lo) *. float_of_int t.h_per_decade)
-    in
+    let i = 1 + int_of_float (Float.log10 (v /. lo) *. float_of_int per_decade) in
     (* float rounding at bucket edges can land one off; clamp to interior *)
-    max 1 (min (t.h_n - 2) i)
+    max 1 (min (n - 2) i)
 
 let observe t v =
   if t.h_on then begin
-    let s = t.h_shards.(Thread.id (Thread.self ()) land (shard_count - 1)) in
-    Mutex.lock s.mu;
-    s.buckets.(bucket_index t v) <- s.buckets.(bucket_index t v) + 1;
-    s.count <- s.count + 1;
-    s.sum <- s.sum +. v;
-    if v < s.min_v then s.min_v <- v;
-    if v > s.max_v then s.max_v <- v;
-    Mutex.unlock s.mu
+    let i =
+      bucket ~lo:t.h_lo ~hi:t.h_hi ~per_decade:t.h_per_decade
+        (Array.length t.h_buckets) v
+    in
+    Mutex.lock t.h_mu;
+    t.h_buckets.(i) <- t.h_buckets.(i) + 1;
+    t.h_count <- t.h_count + 1;
+    t.h_sum <- t.h_sum +. v;
+    if v < t.h_min then t.h_min <- v;
+    if v > t.h_max then t.h_max <- v;
+    Mutex.unlock t.h_mu
   end
 
 (* --- snapshots ------------------------------------------------------------ *)
@@ -102,35 +91,18 @@ type snapshot = {
   s_buckets : int array;
 }
 
-let empty_like t =
-  {
-    s_lo = t.h_lo;
-    s_hi = t.h_hi;
-    s_per_decade = t.h_per_decade;
-    s_count = 0;
-    s_sum = 0.0;
-    s_min = infinity;
-    s_max = neg_infinity;
-    s_buckets = Array.make t.h_n 0;
-  }
-
 let snapshot t =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.mu;
-      let r =
-        {
-          acc with
-          s_count = acc.s_count + s.count;
-          s_sum = acc.s_sum +. s.sum;
-          s_min = Float.min acc.s_min s.min_v;
-          s_max = Float.max acc.s_max s.max_v;
-          s_buckets = Array.mapi (fun i n -> n + s.buckets.(i)) acc.s_buckets;
-        }
-      in
-      Mutex.unlock s.mu;
-      r)
-    (empty_like t) t.h_shards
+  Mutex.protect t.h_mu (fun () ->
+      {
+        s_lo = t.h_lo;
+        s_hi = t.h_hi;
+        s_per_decade = t.h_per_decade;
+        s_count = t.h_count;
+        s_sum = t.h_sum;
+        s_min = t.h_min;
+        s_max = t.h_max;
+        s_buckets = Array.copy t.h_buckets;
+      })
 
 (** Combine two snapshots of the same shape (same [lo]/[hi]/[per_decade]).
     Associative and commutative, with the empty snapshot as identity. *)
@@ -148,17 +120,12 @@ let merge a b =
     s_buckets = Array.mapi (fun i n -> n + b.s_buckets.(i)) a.s_buckets;
   }
 
-(* The bucket an exact value of this snapshot's shape falls into; mirrors
-   [bucket_index] so tests can compare estimate vs oracle bucket-wise. *)
+(* The bucket an exact value of this snapshot's shape falls into, as
+   {!observe} places it, so tests can compare estimate vs oracle
+   bucket-wise. *)
 let snapshot_bucket s v =
-  let n = Array.length s.s_buckets in
-  if v < s.s_lo then 0
-  else if v >= s.s_hi then n - 1
-  else
-    let i =
-      1 + int_of_float (Float.log10 (v /. s.s_lo) *. float_of_int s.s_per_decade)
-    in
-    max 1 (min (n - 2) i)
+  bucket ~lo:s.s_lo ~hi:s.s_hi ~per_decade:s.s_per_decade
+    (Array.length s.s_buckets) v
 
 (** Quantile estimate for [q] in [0..1]: geometric midpoint of the bucket
     holding the rank-⌈q·count⌉ value; the underflow/overflow buckets answer

@@ -1,5 +1,5 @@
-(** Log-bucketed latency histograms: thread-sharded recording, mergeable
-    snapshots, quantile estimates with bounded relative error (the
+(** Log-bucketed latency histograms: one mutex-guarded set of buckets,
+    mergeable snapshots, quantile estimates with bounded relative error (the
     underflow/overflow buckets answer with the exact observed min/max). *)
 
 type t
@@ -11,10 +11,7 @@ val create : ?on:bool -> ?lo:float -> ?hi:float -> ?per_decade:int -> string -> 
 val name : t -> string
 
 val observe : t -> float -> unit
-(** Record one value; thread-safe, sharded by thread id. *)
-
-val bucket_index : t -> float -> int
-(** Which bucket a value lands in (0 = underflow, last = overflow). *)
+(** Record one value; thread-safe. *)
 
 type snapshot = {
   s_lo : float;
@@ -28,7 +25,7 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-(** Point-in-time merge of the shards. *)
+(** Point-in-time copy. *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Combine snapshots of the same shape; associative and commutative.

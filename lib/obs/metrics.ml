@@ -1,27 +1,18 @@
 (** Named counters and gauges.
 
     Counters are write-hot: the service increments several per request from
-    many worker threads.  Each counter is therefore backed by a small array
-    of per-thread sharded cells — a thread picks its cell by thread id, so
-    two threads almost never touch the same atomic — and the total is
-    aggregated only on read ({!value}, {!counters}).  There is no shared
-    mutex anywhere on the increment path.
+    its worker threads.  The process runs one domain of systhreads, so
+    those threads never increment in parallel: one atomic cell per
+    counter takes every increment with no mutex, and a per-thread shard
+    would only add a [Thread.self] lookup to each.
 
     Gauges are point-in-time values (sessions open, requests in flight) set
-    rarely; a single atomic cell suffices.
+    rarely; a single atomic cell as well.
 
     A registry created with [~on:false] hands out disabled instruments whose
     operations are a single branch — the [--no-obs] configuration. *)
 
-let shard_count = 16  (* power of two: thread id folds in with a mask *)
-
-let slot () = Thread.id (Thread.self ()) land (shard_count - 1)
-
-type counter = {
-  c_name : string;
-  c_on : bool;
-  c_cells : int Atomic.t array;
-}
+type counter = { c_name : string; c_on : bool; c_cell : int Atomic.t }
 
 type gauge = { g_name : string; g_on : bool; g_cell : int Atomic.t }
 
@@ -46,13 +37,7 @@ let counter r name =
       match List.find_opt (fun c -> c.c_name = name) r.r_counters with
       | Some c -> c
       | None ->
-          let c =
-            {
-              c_name = name;
-              c_on = r.r_on;
-              c_cells = Array.init shard_count (fun _ -> Atomic.make 0);
-            }
-          in
+          let c = { c_name = name; c_on = r.r_on; c_cell = Atomic.make 0 } in
           r.r_counters <- c :: r.r_counters;
           c)
 
@@ -65,12 +50,9 @@ let gauge r name =
           r.r_gauges <- g :: r.r_gauges;
           g)
 
-let incr c = if c.c_on then ignore (Atomic.fetch_and_add c.c_cells.(slot ()) 1)
-let add c n = if c.c_on then ignore (Atomic.fetch_and_add c.c_cells.(slot ()) n)
-
-(** Aggregate over the shards.  Reads race benignly with concurrent
-    increments: the result is some total that was true at a recent instant. *)
-let value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.c_cells
+let incr c = if c.c_on then Atomic.incr c.c_cell
+let add c n = if c.c_on then ignore (Atomic.fetch_and_add c.c_cell n)
+let value c = Atomic.get c.c_cell
 
 let set g v = if g.g_on then Atomic.set g.g_cell v
 let gauge_value g = Atomic.get g.g_cell

@@ -1,6 +1,5 @@
-(** Named counters (per-thread sharded cells, aggregated on read — the
-    increment path never touches a shared mutex) and gauges (single atomic
-    cell).  A registry created with [~on:false] hands out no-op
+(** Named counters and gauges, one atomic cell each: the increment path
+    takes no mutex.  A registry created with [~on:false] hands out no-op
     instruments. *)
 
 type counter
@@ -19,7 +18,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val value : counter -> int
-(** Aggregated total; races benignly with concurrent increments. *)
 
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
@@ -33,9 +31,6 @@ val find_counter : registry -> string -> int option
 val find_gauge : registry -> string -> int option
 
 val counters : registry -> (string * int) list
-(** All counters with their aggregated values, sorted by name. *)
+(** All counters with their values, sorted by name. *)
 
 val gauges : registry -> (string * int) list
-
-val shard_count : int
-(** How many cells back each counter (fixed; thread id selects one). *)

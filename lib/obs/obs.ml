@@ -1,4 +1,4 @@
-(** Dependency-free observability: sharded counters and gauges
+(** Dependency-free observability: atomic counters and gauges
     ({!Metrics}), log-bucketed latency histograms with mergeable snapshots
     ({!Histo}), request tracing over monotonic clocks ({!Trace}), and
     stable text/JSON exports ({!Export}) — tied together by the registry

@@ -17,8 +17,9 @@
 
     The shrink wrap is printed and indexed once per [t]: its base
     ({!Store.base}) is built on first use, under [base_lock], and every
-    variant opened, created or branched through [t] starts from its
-    session instead of parsing and indexing [shrinkwrap.odl] again. *)
+    store [t] opens holds it, so each variant opened, created, branched
+    or fscked through [t] starts from its session instead of parsing and
+    indexing [shrinkwrap.odl] again. *)
 
 type t = {
   dir : string;
@@ -46,14 +47,10 @@ let base t =
 
 let variants_dir t = Filename.concat t.dir "variants"
 let variant_dir t name = Filename.concat (variants_dir t) name
-let variant_store t name = Store.open_dir ~io:t.io (variant_dir t name)
 
-(* every load, save and replay of a variant goes through the base *)
-let load t ?repair ?on_uncovered name =
-  Store.load_session ?base:(base t) ?repair ?on_uncovered (variant_store t name)
-
-let save ?lineage t store session =
-  Store.save_session ?base:(base t) ?lineage store session
+(* every store of a variant holds the base *)
+let store t dir = Store.open_dir ~io:t.io ~base:(fun () -> base t) dir
+let variant_store t name = store t (variant_dir t name)
 
 let replay t steps =
   match base t with
@@ -140,7 +137,7 @@ let create_variant t name =
     match base t with
     | None -> Error "the shrink wrap schema is not valid"
     | Some b ->
-        save t (variant_store t name) b.b_session;
+        Store.save_session (variant_store t name) b.b_session;
         Ok (Core.Session.new_lineage b.b_session)
 
 (** Branch [child] off [parent]: persist a copy of the parent's session
@@ -164,7 +161,7 @@ let branch_variant t ~parent ~child ?at () =
   else
     (* read-only parent load: the parent may be live on another shard,
        so a torn tail is tolerated but never repaired in place *)
-    match load t ~repair:false parent with
+    match Store.load_session ~repair:false (variant_store t parent) with
     | Error e -> Error (Store.load_error_to_string e)
     | Ok session -> (
         let forked =
@@ -196,8 +193,8 @@ let branch_variant t ~parent ~child ?at () =
             (* leftovers of a crashed earlier attempt are simply
                overwritten: the full save rewrites or removes every
                artifact; the lineage rides in its one manifest *)
-            let st = Store.open_dir ~io:t.io staging in
-            save ~lineage:(parent, fork) t st child_session;
+            Store.save_session ~lineage:(parent, fork) (store t staging)
+              child_session;
             t.io.Io.rename staging (variant_dir t child);
             Ok child_session)
 
@@ -223,20 +220,16 @@ let lineage_listing t =
          Printf.sprintf "%s %s era %d" name lineage (Store.stored_era st))
 
 (** Load a variant's session by replaying its journal. *)
-let open_variant ?on_uncovered t name =
+let open_variant t name =
   if not (mem_variant t name) then Error (No_variant name)
   else
-    Result.map_error
-      (fun e -> Load e)
-      (load t ?on_uncovered name)
+    Result.map_error (fun e -> Load e) (Store.load_session (variant_store t name))
 
 (** {!open_variant} and the journal writer of the session it opened. *)
-let open_writer ?on_uncovered t name =
+let open_writer t name =
   if not (mem_variant t name) then Error (No_variant name)
   else
-    Result.map_error
-      (fun e -> Load e)
-      (Store.open_writer ?base:(base t) ?on_uncovered (variant_store t name))
+    Result.map_error (fun e -> Load e) (Store.open_writer (variant_store t name))
 
 (** Like {!open_variant}, but strictly read-only: a torn journal tail is
     tolerated (its longest valid prefix replays) and {e never} repaired in
@@ -248,28 +241,25 @@ let open_variant_ro t name =
   else
     Result.map_error
       (fun e -> Load e)
-      (load t ~repair:false name)
+      (Store.load_session ~repair:false (variant_store t name))
 
 (** Persist a session as (a new state of) the named variant. *)
 let save_variant t name session =
   if not (valid_variant_name name) then
     Error (Printf.sprintf "%s is not a valid variant name" name)
   else begin
-    save t (variant_store t name) session;
+    Store.save_session (variant_store t name) session;
     Ok ()
   end
 
-(** The custom schemas of all variants, with their names. *)
-let variant_customs t =
+(** Pairwise affinity matrix over the custom schemas of the variants that
+    open. *)
+let affinity_matrix t =
   variant_names t
   |> List.filter_map (fun name ->
-         match open_variant t name with
-         | Ok session -> Some (name, Core.Session.custom_schema ~name session)
-         | Error _ -> None)
-
-(** Pairwise affinity matrix over the variants' custom schemas. *)
-let affinity_matrix t =
-  Core.Affinity.matrix (List.map snd (variant_customs t))
+         Result.to_option (open_variant t name)
+         |> Option.map (Core.Session.custom_schema ~name))
+  |> Core.Affinity.matrix
 
 (** Interoperation analysis between two variants (paper section 5): the
     constructs both kept from the shrink wrap schema, and the interchange
@@ -312,8 +302,8 @@ let catalog t =
 (* --- integrity checking --------------------------------------------------- *)
 
 (* One store's exit class and report lines, each prefixed with [label]. *)
-let fsck_store ?base ~salvage label store =
-  let report = Store.fsck ?base ~salvage store in
+let fsck_store ~salvage label store =
+  let report = Store.fsck ~salvage store in
   let lines = List.map (fun m -> label ^ ": " ^ m) report.fsck_issues in
   match report with
   | { fsck_issues = []; _ } -> (0, [])
@@ -331,18 +321,18 @@ let fsck_dir ?(io = Io.unix) ~salvage dir =
     let results =
       if io.Io.is_directory variants then
         (* the top-level schema, then every variant, even when the schema
-           is damaged: each variant keeps its own copy.  The variants
-           share the repository's base, built once. *)
-        let top, base =
+           is damaged: each variant keeps its own copy.  The variants'
+           stores share the repository's base, built once. *)
+        let top, variant_store =
           match open_dir ~io dir with
-          | Ok t -> ((0, []), base t)
-          | Error m -> ((2, [ "shrinkwrap.odl: " ^ m ]), None)
+          | Ok t -> ((0, []), variant_store t)
+          | Error m ->
+              ( (2, [ "shrinkwrap.odl: " ^ m ]),
+                fun n -> Store.open_dir ~io (Filename.concat variants n) )
         in
         top
         :: List.map
-             (fun n ->
-               fsck_store ?base ~salvage ("variants/" ^ n)
-                 (Store.open_dir ~io (Filename.concat variants n)))
+             (fun n -> fsck_store ~salvage ("variants/" ^ n) (variant_store n))
              (names_in io variants)
       else [ fsck_store ~salvage "." (Store.open_dir ~io dir) ]
     in

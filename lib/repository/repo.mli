@@ -25,10 +25,8 @@ val base : t -> Store.base option
 (** The shrink wrap printed and opened as a fresh session, built on the
     first call (under a mutex, so concurrent callers build it once) —
     {!init}'s validation build when [t] came from {!init}.  [None] when the
-    shrink wrap is not valid.  {!open_variant}, {!open_variant_ro},
-    {!create_variant}, {!branch_variant} and {!save_variant} pass it to
-    {!Store.load_session} and {!Store.save_session}; so does the design
-    service's detach snapshot. *)
+    shrink wrap is not valid.  Every store [t] opens holds it
+    ({!variant_store}). *)
 
 val variant_names : t -> string list
 (** Subdirectories of [variants/], sorted (deterministic regardless of the
@@ -36,17 +34,20 @@ val variant_names : t -> string list
     are skipped. *)
 
 val mem_variant : t -> string -> bool
+
 val variant_store : t -> string -> Store.t
+(** The variant's store, on {!base} ({!Store.open_dir}): its loads, saves
+    and fsck start from the repository's shrink wrap session, built only
+    when one of them first needs it. *)
 
 val max_era : t -> int
 (** The highest write era ({!Store.stored_era}) over the existing
     variants; 0 when there are none.  Never creates a variant directory;
     an unreadable store counts as 0. *)
 
-val variants_dir : t -> string
 val variant_dir : t -> string -> string
-(** Paths under the repository; the service keeps its advisory lock file
-    ([.lock]) in a variant's directory. *)
+(** The variant's directory; the service keeps its advisory lock file
+    ([.lock]) there. *)
 
 val io : t -> Io.t
 val dir : t -> string
@@ -61,19 +62,11 @@ val open_error_to_string : open_error -> string
 val create_variant : t -> string -> (Core.Session.t, string) result
 (** Start (and persist) a fresh design session under the variant's name. *)
 
-val open_variant :
-  ?on_uncovered:(unit -> unit) ->
-  t ->
-  string ->
-  (Core.Session.t, open_error) result
+val open_variant : t -> string -> (Core.Session.t, open_error) result
 (** Load a variant's session by replaying its stored journal; a torn tail
-    is repaired in place.  [on_uncovered] as in {!Store.load_session}. *)
+    is repaired in place. *)
 
-val open_writer :
-  ?on_uncovered:(unit -> unit) ->
-  t ->
-  string ->
-  (Store.writer, open_error) result
+val open_writer : t -> string -> (Store.writer, open_error) result
 (** {!open_variant} and the journal writer of the session it opened
     ({!Store.open_writer}): the design service's way in. *)
 
@@ -107,7 +100,6 @@ val lineage_listing : t -> string list
 
 val save_variant : t -> string -> Core.Session.t -> (unit, string) result
 
-val variant_customs : t -> (string * Odl.Types.schema) list
 val affinity_matrix : t -> string
 
 val interop : t -> string -> string -> (Core.Interop.report, open_error) result

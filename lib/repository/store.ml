@@ -41,7 +41,28 @@
     replay of the journal, the reference, which fsck runs too — takes
     over. *)
 
-type t = { dir : string; io : Io.t }
+module SMap = Map.Make (String)
+
+type chunks = {
+  sw_from : Odl.Types.interface list array;
+      (** the shrink wrap's interface list from each position on *)
+  sw_at : int SMap.t;  (** position by name *)
+}
+
+type base = {
+  b_text : string;
+  b_digest : string;
+  b_session : Core.Session.t;
+  b_chunks : chunks;
+}
+
+type t = {
+  dir : string;
+  io : Io.t;
+  base : unit -> base option;
+      (** the repository's shrink wrap, asked for only when a load, save
+          or fsck needs one; [None] on a bare store *)
+}
 
 let dir t = t.dir
 let io t = t.io
@@ -53,10 +74,11 @@ let checkpoint_file t = Filename.concat t.dir "checkpoint.odl"
 let manifest_file t = Filename.concat t.dir "manifest"
 let reports_dir t = Filename.concat t.dir "reports"
 
-(** Open (creating if needed) a repository rooted at [dir]. *)
-let open_dir ?(io = Io.unix) dir =
+(** Open (creating if needed) a repository rooted at [dir], on [base]:
+    see the interface. *)
+let open_dir ?(io = Io.unix) ?(base = fun () -> None) dir =
   Io.mkdir_p io dir;
-  { dir; io }
+  { dir; io; base }
 
 let write_file t path contents = Io.atomic_write t.io path contents
 let read_file t path = t.io.Io.read_file path
@@ -291,14 +313,6 @@ let covered_prefix ~shrink_digest ~log_text checkpoint =
 
 (* --- the shrink wrap's interfaces ------------------------------------------ *)
 
-module SMap = Map.Make (String)
-
-type chunks = {
-  sw_from : Odl.Types.interface list array;
-      (** the shrink wrap's interface list from each position on *)
-  sw_at : int SMap.t;  (** position by name *)
-}
-
 let chunks_of (schema : Odl.Types.schema) =
   let rec tails = function [] -> [] | _ :: rest as l -> l :: tails rest in
   let sw_from = Array.of_list (tails schema.s_interfaces) in
@@ -421,27 +435,21 @@ let checkpoint_workspace chunks body =
 
 (* --- whole sessions ------------------------------------------------------ *)
 
-type base = {
-  b_text : string;
-  b_digest : string;
-  b_session : Core.Session.t;
-  b_chunks : chunks;
-}
-
 let base session =
   let schema = Core.Session.original session in
   let text = Odl.Printer.schema_to_string schema in
   { b_text = text; b_digest = hex text; b_session = session;
     b_chunks = chunks_of schema }
 
-(* [base], when [session] was derived from [base]'s session: every
-   session derived from one shares its shrink wrap value physically. *)
-let base_of base session =
-  match base with
+(* The store's base when [session] was derived from its session (every
+   session derived from one shares its shrink wrap value physically), else
+   the session's own, printed here. *)
+let base_for t session =
+  match t.base () with
   | Some b
     when Core.Session.original session == Core.Session.original b.b_session ->
-      Some b
-  | _ -> None
+      b
+  | _ -> base session
 
 let holds t path text =
   try t.io.Io.file_exists path && read_file t path = text
@@ -475,7 +483,7 @@ let rewrite_journal t steps =
    wrap, journal, local names, checkpoint — and the manifest last;
    [journal] writes or reads the journal and gives its text, which the
    checkpoint covers. *)
-let persist ?base:repo_base ?lineage ?(era = 0) t session ~journal =
+let persist ?lineage ?(era = 0) t session ~journal =
   let ops = Core.Session.step_count session in
   let generation, era, lineage =
     match load_manifest t with
@@ -485,10 +493,7 @@ let persist ?base:repo_base ?lineage ?(era = 0) t session ~journal =
           match lineage with Some _ -> lineage | None -> m.m_lineage )
     | None -> (1, era, lineage)
   in
-  (* off the repository's base, the shrink wrap is printed here *)
-  let b =
-    match base_of repo_base session with Some b -> b | None -> base session
-  in
+  let b = base_for t session in
   write_changed t (shrinkwrap_file t) b.b_text;
   let log_text = journal () in
   if aliases_differ t session then
@@ -513,19 +518,19 @@ let persist ?base:repo_base ?lineage ?(era = 0) t session ~journal =
   String.length log_text
 
 (* The full save; gives the length of the journal it wrote. *)
-let rewrite ?base ?lineage ?era t session =
-  persist ?base ?lineage ?era t session ~journal:(fun () ->
+let rewrite ?lineage ?era t session =
+  persist ?lineage ?era t session ~journal:(fun () ->
       rewrite_journal t (Core.Session.log session))
 
 (** Persist what recovery needs, the journal rewritten as the session's
     resolved log: see the interface. *)
-let save_session ?base ?lineage ?era t session =
-  ignore (rewrite ?base ?lineage ?era t session : int)
+let save_session ?lineage ?era t session =
+  ignore (rewrite ?lineage ?era t session : int)
 
 (** Checkpoint a session whose history the journal holds, the journal
     read and not written: see the interface. *)
-let save_checkpoint ?base t session =
-  ignore (persist ?base t session ~journal:(fun () -> read_log t) : int)
+let save_checkpoint t session =
+  ignore (persist t session ~journal:(fun () -> read_log t) : int)
 
 (** Render the designer deliverables: [custom.odl], and into [reports/]
     the impact, consistency and mapping reports and [deliverables.html]. *)
@@ -550,7 +555,8 @@ type tail =
 
 type writer = {
   w_store : t;
-  w_base : base option;
+  w_uncovered : bool;
+      (** at the open, the journal held bytes the checkpoint did not cover *)
   mutable w_durable : Core.Session.t;  (** the session the journal holds *)
   mutable w_length : int;
   mutable w_tail : tail;
@@ -558,25 +564,26 @@ type writer = {
 
 let guard f = match f () with v -> Ok v | exception Sys_error m -> Error m
 
-let make_writer ?base store session length =
-  { w_store = store; w_base = base; w_durable = session; w_length = length;
-    w_tail = Exact }
+let make_writer ~uncovered store session length =
+  { w_store = store; w_uncovered = uncovered; w_durable = session;
+    w_length = length; w_tail = Exact }
 
 (* The full save of [session] in place of whatever the journal holds. *)
 let rewrite_all w session =
   w.w_tail <- Unwritten;
-  w.w_length <- rewrite ?base:w.w_base w.w_store session;
+  w.w_length <- rewrite w.w_store session;
   w.w_durable <- session;
   w.w_tail <- Exact
 
 let writer ?io dir session =
   guard (fun () ->
       let t = open_dir ?io dir in
-      make_writer t session (rewrite t session))
+      make_writer ~uncovered:false t session (rewrite t session))
 
 let writer_io w = w.w_store.io
 let writer_store w = w.w_store
 let durable w = w.w_durable
+let uncovered w = w.w_uncovered
 
 let holds w session =
   match Core.Session.(delta (spine w.w_durable) (spine session)) with
@@ -623,31 +630,14 @@ let append_records w ~from ~upto data =
        session (queued behind a failed append)";
   extend w upto data
 
-let same_dir a b =
-  a = b
-  || try Unix.realpath a = Unix.realpath b with Unix.Unix_error _ -> false
-
-let append ?saved_to w after =
-  match saved_to with
-  | Some (d, saved) when same_dir d w.w_store.dir ->
-      (* that full save wrote [after]'s log as the journal; a failed one
-         may have stopped anywhere *)
-      if saved then begin
-        w.w_durable <- after;
-        w.w_length <-
-          String.length (Journal.steps_to_string (Core.Session.log after));
-        w.w_tail <- Exact
-      end
-      else w.w_tail <- Unwritten;
-      Ok ()
-  | _ ->
-      guard (fun () ->
-          let _, _, data = Journal.encoded_delta ~before:w.w_durable ~after in
-          ignore (extend w after data : bool))
+let append w after =
+  guard (fun () ->
+      let _, _, data = Journal.encoded_delta ~before:w.w_durable ~after in
+      ignore (extend w after data : bool))
 
 let snapshot w final =
   if w.w_tail = Exact && holds w final then begin
-    save_checkpoint ?base:w.w_base w.w_store final;
+    save_checkpoint w.w_store final;
     w.w_durable <- final;
     false
   end
@@ -679,14 +669,14 @@ let load_error_to_string = function
   | Replay e ->
       "log.ops does not replay: " ^ Core.Apply.error_to_string e
 
-(* The stored shrink wrap as a base: [base] itself when [shrinkwrap.odl]
+(* The stored shrink wrap as a base: the store's own when [shrinkwrap.odl]
    holds exactly its text, so nothing is parsed, indexed or digested
    again. *)
-let read_base ?base t =
+let read_base t =
   let damaged reason = Error (Damaged { file = "shrinkwrap.odl"; reason }) in
   if not (t.io.Io.file_exists (shrinkwrap_file t)) then damaged "missing"
   else
-    match (read_file t (shrinkwrap_file t), base) with
+    match (read_file t (shrinkwrap_file t), t.base ()) with
     | exception Sys_error m -> damaged m
     | text, Some b when String.equal b.b_text text -> Ok b
     | text, _ -> (
@@ -863,11 +853,13 @@ let resume b (c, records) entries =
 (** Open from the checkpoint plus the records after it, or else by the
     recovery walk: see the interface.  [repair] rewrites a torn tail in
     place so the next append lands on a clean file; a reader of a store
-    another process may be appending to passes [~repair:false]. *)
-let load ?base ~repair ~on_uncovered t =
+    another process may be appending to passes [~repair:false].  Gives
+    the session, the journal's length as the load left it, and whether
+    the checkpoint left journal bytes uncovered. *)
+let load ~repair t =
   let ( let* ) = Result.bind in
   try
-    let* b = read_base ?base t in
+    let* b = read_base t in
     let log_text = read_log t in
     let covered =
       covered_prefix ~shrink_digest:b.b_digest ~log_text (load_checkpoint t)
@@ -875,8 +867,8 @@ let load ?base ~repair ~on_uncovered t =
     (* Only the records after the covered prefix are parsed here; the
        prefix holds one record a line. *)
     let start = match covered with Some (c, _) -> c.c_bytes | None -> 0 in
-    if String.length log_text > start then on_uncovered ();
     let suffix = Journal.parse (from start log_text) in
+    let uncovered = String.length log_text > start in
     let length =
       match suffix.damage with
       | Some (Journal.Torn_tail _) when repair ->
@@ -896,24 +888,24 @@ let load ?base ~repair ~on_uncovered t =
     | Some session -> (
         match read_aliases t with
         | Ok aliases ->
-            Ok (Core.Session.restore_aliases session aliases, length)
+            Ok (Core.Session.restore_aliases session aliases, length, uncovered)
         | Error reason -> Error (Damaged { file = "aliases.map"; reason }))
     | None -> (
         let w = walk t b ~log_text ~start suffix in
         match List.find_map load_error_of_fault w.w_faults with
         | Some e -> Error e
-        | None -> Ok (w.w_session, length))
+        | None -> Ok (w.w_session, length, uncovered))
   with Sys_error m -> Error (Damaged { file = "repository"; reason = m })
 
-let load_session ?base ?(repair = true) ?(on_uncovered = ignore) t =
-  Result.map fst (load ?base ~repair ~on_uncovered t)
+let load_session ?(repair = true) t =
+  Result.map (fun (session, _, _) -> session) (load ~repair t)
 
 (** The writer of a live session, from the recovery open: see the
     interface. *)
-let open_writer ?base ?(on_uncovered = ignore) t =
+let open_writer t =
   Result.map
-    (fun (session, length) -> make_writer ?base t session length)
-    (load ?base ~repair:true ~on_uncovered t)
+    (fun (session, length, uncovered) -> make_writer ~uncovered t session length)
+    (load ~repair:true t)
 
 (* --- integrity checking -------------------------------------------------- *)
 
@@ -926,19 +918,17 @@ type fsck_report = {
 (** Inspect every artifact of the repository, reporting damage; with
     [~salvage:true] rewrite it from the best recoverable session (longest
     replayable journal prefix) and sweep stale temporary files. *)
-let fsck ?base ?(salvage = false) t =
+let fsck ?(salvage = false) t =
   let issues = ref [] and damaged = ref false in
   let issue fmt =
     Printf.ksprintf (fun m -> damaged := true; issues := m :: !issues) fmt
   in
-  (* damage to the checkpoint, which recovery does not depend on *)
-  let derived fmt =
+  (* damage to what recovery does not read: the checkpoint, a stale
+     temporary file *)
+  let derived fmt = Printf.ksprintf (fun m -> issues := m :: !issues) fmt in
+  let derived_checkpoint fmt =
     Printf.ksprintf
-      (fun m ->
-        issues :=
-          Printf.sprintf "checkpoint.odl: %s (derived; regenerated by salvage)"
-            m
-          :: !issues)
+      (derived "checkpoint.odl: %s (derived; regenerated by salvage)")
       fmt
   in
   let tmp_files =
@@ -953,7 +943,11 @@ let fsck ?base ?(salvage = false) t =
     under t.dir @ under (reports_dir t)
   in
   List.iter
-    (fun p -> issue "%s: stale temporary file from an interrupted write" p)
+    (fun p ->
+      derived
+        "%s: stale temporary file from an interrupted write (derived; \
+         removed by salvage)"
+        p)
     tmp_files;
   let sweep_tmp () =
     List.iter
@@ -964,7 +958,7 @@ let fsck ?base ?(salvage = false) t =
     if salvage then begin
       sweep_tmp ();
       match session with
-      | Some s when !issues <> [] -> save_session ?base t s
+      | Some s when !issues <> [] -> save_session t s
       | _ -> ()
     end;
     {
@@ -973,7 +967,7 @@ let fsck ?base ?(salvage = false) t =
       fsck_derived_only = not !damaged;
     }
   in
-  match read_base ?base t with
+  match read_base t with
   | Error (Damaged { reason; _ }) ->
       issue
         "shrinkwrap.odl: %s (unrecoverable: the base schema roots every \
@@ -1004,24 +998,24 @@ let fsck ?base ?(salvage = false) t =
       | None, _ -> (
           (* only a save that covered an op leaves one *)
           match manifest with
-          | Some m when m.m_ops > 0 -> derived "missing"
+          | Some m when m.m_ops > 0 -> derived_checkpoint "missing"
           | Some _ | None -> ())
-      | Some (Error m), _ -> derived "%s" m
-      | Some (Ok _), None -> derived "does not match the log prefix"
+      | Some (Error m), _ -> derived_checkpoint "%s" m
+      | Some (Ok _), None -> derived_checkpoint "does not match the log prefix"
       | Some (Ok _), Some (c, _) -> (
           match checkpoint_workspace b.b_chunks c.c_body with
-          | Error m -> derived "%s" m
+          | Error m -> derived_checkpoint "%s" m
           | Ok workspace -> (
               match w.w_at_start () with
-              | Unread -> derived "does not match the log prefix"
+              | Unread -> derived_checkpoint "does not match the log prefix"
               | Unreplayable ->
-                  derived "covers a log prefix that does not replay"
+                  derived_checkpoint "covers a log prefix that does not replay"
               | Reached s ->
                   if
                     not
                       (Odl.Types.equal_schema (Core.Session.workspace s)
                          workspace)
-                  then derived "differs from the replayed log prefix")));
+                  then derived_checkpoint "differs from the replayed log prefix")));
       (match manifest with
       | None ->
           if t.io.Io.file_exists (manifest_file t) then

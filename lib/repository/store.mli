@@ -37,19 +37,59 @@
     last, so it witnesses a completed save.  All syscalls go through an
     injectable {!Io.t}.
 
-    Recovery cost is bounded by what changed: a load opens from the
-    checkpoint, which records only the interfaces that differ from the
-    shrink wrap, parses only those and only the journal suffix (reading
-    the shrink wrap and the journal and digesting the covered journal
-    bytes stay linear in their size, at memory speed).
     The checkpoint is derived data — a missing, damaged or stale one only
     sends the load back to the recovery walk, the full replay of the
-    journal that {!fsck} runs too. *)
+    journal that {!fsck} runs too.
+
+    Cost is bounded by what changed.  A load from the checkpoint is
+    O(interfaces that differ from the shrink wrap + journal suffix): the
+    checkpoint body holds only the interfaces that differ, so reading,
+    digesting and parsing it is O(changed); the covered journal prefix
+    is digest-checked and its op texts cut, not parsed
+    ({!Core.Session.of_checkpoint} parses them on first demand), its
+    [@undo;] records resolved as the cut goes ({!Journal.op_records});
+    and the workspace index is the shrink wrap session's patched with the
+    changed interfaces ({!Core.Schema_index.patch}).  A checkpoint is
+    O(changed interfaces) printing, joining and digesting its body.  Both
+    add, at memory speed, the files read (a save reads [shrinkwrap.odl]
+    and [aliases.map] back, O(schema)), the digest of the journal
+    (O(journal)) and pointer walks over the interfaces — and the writes.
+    The shrink wrap costs O(schema) more, parsed and indexed by a load
+    and printed by a save, unless the store holds its base.
+
+    The base.  Every variant of a repository is designed against one
+    published shrink wrap, printed and indexed once ({!type-base}); a
+    store opened on it ({!open_dir}'s [base], {!Repo.variant_store})
+    starts each load and fsck from the base's session, digest and chunks
+    when [shrinkwrap.odl] holds exactly its text, and a save of a session
+    derived from the base's session prints no shrink wrap.  Otherwise, as
+    on a bare store, the base is built from [shrinkwrap.odl] (a load,
+    fsck) or from the session (a save).  The results are the same. *)
+
+type chunks
+(** The shrink wrap's interfaces by position and by name: what a
+    checkpoint body names instead of printing. *)
+
+type base = private {
+  b_text : string;  (** the shrink wrap, printed as {!save_session} stores it *)
+  b_digest : string;  (** [b_text]'s hex digest, as a checkpoint records it *)
+  b_session : Core.Session.t;  (** a session just created on it *)
+  b_chunks : chunks;  (** its interfaces by position and by name *)
+}
+(** A repository's shrink wrap, printed and indexed once ({!Repo}): the
+    session every variant of the repository starts from. *)
+
+val base : Core.Session.t -> base
+(** The base of a session just created on a shrink wrap: its schema
+    printed, digested and indexed by position once. *)
 
 type t
 
-val open_dir : ?io:Io.t -> string -> t
-(** Open (creating if needed) a repository rooted at the directory. *)
+val open_dir : ?io:Io.t -> ?base:(unit -> base option) -> string -> t
+(** Open (creating if needed) a repository rooted at the directory, on
+    [base]: asked for only when a load, save or fsck needs the shrink wrap,
+    so a store opened to read its manifest builds none.  The default is
+    a bare store. *)
 
 val dir : t -> string
 val io : t -> Io.t
@@ -129,33 +169,11 @@ val fence : t -> era:int -> unit
 
 (** {1 Whole sessions} *)
 
-type chunks
-(** The shrink wrap's interfaces by position and by name: what a
-    checkpoint body names instead of printing. *)
-
-type base = private {
-  b_text : string;  (** the shrink wrap, printed as {!save_session} stores it *)
-  b_digest : string;  (** [b_text]'s hex digest, as a checkpoint records it *)
-  b_session : Core.Session.t;  (** a session just created on it *)
-  b_chunks : chunks;  (** its interfaces by position and by name *)
-}
-(** A repository's shrink wrap, printed and indexed once
-    ({!Repo}): the session every variant of the repository starts from. *)
-
-val base : Core.Session.t -> base
-(** The base of a session just created on a shrink wrap: its schema
-    printed, digested and indexed by position once. *)
-
 val save_session :
-  ?base:base ->
-  ?lineage:string * int ->
-  ?era:int ->
-  t ->
-  Core.Session.t ->
-  unit
+  ?lineage:string * int -> ?era:int -> t -> Core.Session.t -> unit
 (** The full save, for a directory that does not hold the session's
-    history: a new variant, a branch's staging copy, [save DIR], a
-    promotion and salvage.  It writes the journal as the session's
+    history: a new variant, a branch's staging copy, [save DIR] into
+    another directory than the writer's, a promotion and salvage.  It writes the journal as the session's
     resolved log ({!Journal.steps_to_string}, no op printed), then does
     what {!save_checkpoint} does over it: the shrink wrap, local names
     and checkpoint, and last the manifest — each atomically.  It renders
@@ -166,7 +184,7 @@ val save_session :
     [era] raises the write era to at least it ({!fence}), both in the one
     manifest the save writes; without them the manifest's are kept. *)
 
-val save_checkpoint : ?base:base -> t -> Core.Session.t -> unit
+val save_checkpoint : t -> Core.Session.t -> unit
 (** Checkpoint a session whose history the journal holds — its records,
     [@undo;]s included, resolve to the session's log.  That is the
     caller's to know, not this function's: nothing is compared.  A
@@ -187,12 +205,7 @@ val save_checkpoint : ?base:base -> t -> Core.Session.t -> unit
     each run of workspace interfaces equal to consecutive shrink wrap
     interfaces is one line naming them by position,
     [// shrinkwrap <first> <count>], and the other interfaces are
-    printed.  When the session was derived from [base]'s session, the
-    shrink wrap is not printed again.  Cost: O(changed interfaces)
-    printing, joining and digesting the body, plus at memory speed the
-    journal read and its digest (O(journal)), a pointer walk over the
-    workspace, and the read-back of [shrinkwrap.odl] (O(schema)) and
-    [aliases.map] — and the writes. *)
+    printed.  Its cost is the header's. *)
 
 val aliases_differ : t -> Core.Session.t -> bool
 (** Whether a save of the session would rewrite [aliases.map]: its local
@@ -216,12 +229,7 @@ type load_error =
 
 val load_error_to_string : load_error -> string
 
-val load_session :
-  ?base:base ->
-  ?repair:bool ->
-  ?on_uncovered:(unit -> unit) ->
-  t ->
-  (Core.Session.t, load_error) result
+val load_session : ?repair:bool -> t -> (Core.Session.t, load_error) result
 (** Rebuild from the checkpoint plus the journal records appended after it,
     or — when the checkpoint is missing, covers no operation, is damaged,
     does not match the shrink wrap or journal prefix, has error
@@ -236,35 +244,18 @@ val load_session :
     [log.ops] and the checkpoint header were altered together so the
     digests still match.  It raises [Failure] later, from the first
     {!Core.Session.step_op} into the covered prefix (deep undo, impact,
-    rebase, merge); {!fsck} reports it as [log.ops] damage.  [on_uncovered]
-    is called when the journal holds bytes the checkpoint does not cover
-    (records appended since the last snapshot, or a torn tail).  [~repair:false]
-    (default [true]) suppresses that rewrite — required when reading a store
-    another process may be appending to (merge reads the branch lock-free;
-    the longest valid prefix is the acknowledged history).  When
-    [shrinkwrap.odl] holds exactly [base]'s text, the session starts from
-    [base]'s session, digest and chunks instead of parsing, indexing and
-    digesting the shrink wrap again; the result is the same.
+    rebase, merge); {!fsck} reports it as [log.ops] damage.  [~repair:false]
+    (default [true]) suppresses the tail's rewrite — required when reading
+    a store another process may be appending to (merge reads the branch
+    lock-free; the longest valid prefix is the acknowledged history).
 
-    Cost from the checkpoint: O(interfaces that differ from the shrink
-    wrap + journal suffix), plus at memory speed: the files read, the
-    shrink wrap compared with [base]'s text, the digest of the covered
-    journal bytes and the cut of the covered records (O(journal)), and
-    pointer walks over the interfaces.  The checkpoint body holds the
-    interfaces that differ, so reading and digesting it is O(changed).
-    The covered journal prefix is digest-checked and its op texts cut,
-    not parsed ({!Core.Session.of_checkpoint} parses them on first
-    demand); its [@undo;] records are resolved as the cut goes
-    ({!Journal.op_records}).  The checkpoint body is split into its
-    chunks by the one reader fsck uses too: a run takes the shrink wrap's
-    interface values at its positions, every other chunk is parsed and
-    must print back to its bytes (so a body printed whole, as older
-    checkpoints are, still serves, at the cost of its parse), and the
-    workspace index is the shrink wrap session's patched with them
-    ({!Core.Schema_index.patch}).  A body not laid out in the
+    The checkpoint body is split into its chunks by the one reader fsck
+    uses too: a run takes the shrink wrap's interface values at its
+    positions, every other chunk is parsed and must print back to its
+    bytes (so a body printed whole, as older checkpoints are, still
+    serves, at the cost of its parse).  A body not laid out in the
     printer's chunks, or a run the shrink wrap cannot resolve, cannot
-    serve and the journal is replayed.  Without a [base] the
-    shrink wrap is parsed and indexed first, O(schema). *)
+    serve and the journal is replayed.  Its cost is the header's. *)
 
 (** {1 The journal writer}
 
@@ -287,14 +278,15 @@ val writer : ?io:Io.t -> string -> Core.Session.t -> (writer, string) result
 (** The repl's: open (creating) the store at the directory and
     {!save_session} the session into it. *)
 
-val open_writer :
-  ?base:base ->
-  ?on_uncovered:(unit -> unit) ->
-  t ->
-  (writer, load_error) result
+val open_writer : t -> (writer, load_error) result
 (** The service's: {!load_session} (repairing a torn tail) and the writer
     of the session it opened, its durable length the journal's as the
     open left it, so the journal is not read a second time. *)
+
+val uncovered : writer -> bool
+(** Whether, at {!open_writer}, the journal held bytes the checkpoint did
+    not cover: records appended since the last snapshot, or a torn tail.
+    [false] for {!writer}'s. *)
 
 val writer_io : writer -> Io.t
 (** The IO the writer's directory lives on. *)
@@ -308,20 +300,13 @@ val holds : writer -> Core.Session.t -> bool
 (** Whether the session's log is the durable session's, in O(changed
     steps) ({!Core.Session.delta}). *)
 
-val append :
-  ?saved_to:string * bool -> writer -> Core.Session.t -> (unit, string) result
+val append : writer -> Core.Session.t -> (unit, string) result
 (** Make this session durable: journal the records turning the durable
     session into it ({!Journal.encoded_delta}) with one fsync, nothing
     when their logs are equal.  On [Error] the durable session stays, so
     the next append carries the missing records too and the journal
     always holds a session the designer passed through, each record
-    once.
-    [saved_to = (dir, saved)] names a directory the command just
-    full-saved this session into ([save DIR]) and whether that save
-    succeeded.  When it is the writer's own, the append writes nothing: a
-    successful save wrote the journal, so nothing is appended twice; a
-    failed one leaves the journal unknown, so the next append and the
-    {!close} are full {!save_session}s. *)
+    once. *)
 
 val append_records :
   writer -> from:Core.Session.t -> upto:Core.Session.t -> string -> bool
@@ -339,7 +324,8 @@ val snapshot : writer -> Core.Session.t -> bool
     Raises [Sys_error] as the saves do.  The service's detach snapshot. *)
 
 val close : writer -> Core.Session.t -> (unit, string) result
-(** The repl's exit: {!snapshot}, then {!save_reports}. *)
+(** The repl's exit, and a designer [save] into the writer's own
+    directory: {!snapshot}, then {!save_reports}. *)
 
 (** {1 Integrity checking} *)
 
@@ -349,24 +335,24 @@ type fsck_report = {
       (** best recoverable session; [None] only when the base schema
           itself is lost *)
   fsck_derived_only : bool;
-      (** every issue concerns the checkpoint, the one derived artifact
-          fsck checks: nothing recovery depends on is damaged *)
+      (** every issue concerns what recovery does not read — the
+          checkpoint, a stale temporary file: nothing recovery depends on
+          is damaged *)
 }
 
-val fsck : ?base:base -> ?salvage:bool -> t -> fsck_report
+val fsck : ?salvage:bool -> t -> fsck_report
 (** Inspect every artifact and report damage: each fault of
     {!load_session}'s recovery walk is an issue.  The checkpoint is read
     as the open reads it and compared with the state the walk reached at
     the end of the prefix it covers; one the open cannot use or holding
     another state is reported as derived (it never makes the store
     unrecoverable), and so is a missing one once the manifest records a
-    save that covered an operation.  [custom.odl] and the reports are
-    not checked: they are deliverables, rendered on request.  With
+    save that covered an operation.  A stale temporary file (a
+    whole-file write interrupted, or one that landed and then failed) is
+    derived too: recovery never reads it.  [custom.odl] and the reports
+    are not checked: they are deliverables, rendered on request.  With
     [~salvage:true], rewrite the repository
     from the best recoverable session (longest replayable journal prefix),
     regenerating derived artifacts and removing stale temporary files.
-    When [shrinkwrap.odl] holds exactly [base]'s text, the walk starts
-    from [base]'s session and salvage saves on [base], as
-    {!load_session} does: an fsck over V variants of one repository parses,
-    digests and indexes the shrink wrap once, not V times.  The report is
-    the same. *)
+    On the store's base, an fsck over V variants of one repository
+    parses, digests and indexes the shrink wrap once, not V times. *)

@@ -619,15 +619,12 @@ let promote ?(src_io = Io.unix) ?(dst_io = Io.unix) ~src ~dst () =
       | Error m -> Error ("cannot open the replica repository: " ^ m)
       | Ok dst_repo ->
           let variants = Repo.variant_names src_repo in
-          (* every variant is recovered and saved on the leader's base,
-             built once *)
-          let base = Repo.base src_repo in
           let era = 1 + max (Repo.max_era src_repo) (Repo.max_era dst_repo) in
           let results =
             List.map
               (fun v ->
                 let src_store = Repo.variant_store src_repo v in
-                let report = Store.fsck ?base ~salvage:false src_store in
+                let report = Store.fsck ~salvage:false src_store in
                 let outcome =
                   match report.Store.fsck_session with
                   | None ->
@@ -637,8 +634,15 @@ let promote ?(src_io = Io.unix) ?(dst_io = Io.unix) ~src ~dst () =
                            | [] -> [ "unrecoverable" ]
                            | issues -> issues))
                   | Some session ->
-                      let dst_store = Repo.variant_store dst_repo v in
-                      Store.save_session ?base ~era dst_store session;
+                      (* recovered on the leader's base, and saved
+                         through a store at the replica's home that holds
+                         it too, so no variant prints the shrink wrap *)
+                      let dst_store =
+                        Store.open_dir ~io:dst_io
+                          ~base:(fun () -> Repo.base src_repo)
+                          (Repo.variant_dir dst_repo v)
+                      in
+                      Store.save_session ~era dst_store session;
                       Ok ()
                 in
                 (* fence the old home even when unrecoverable: whatever

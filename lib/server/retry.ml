@@ -55,7 +55,7 @@ let delay_for ~policy ~rand attempt =
     advances the clock, the deadline check never fires inside [sleep],
     and the retries degenerate into a busy loop against a failing
     syscall. *)
-let with_retries ?rand ?(sleep = Thread.delay) ?(now = Unix.gettimeofday)
+let with_retries ?rand ?(sleep = Thread.delay) ?(now = Obs.Clock.now)
     ?deadline ?on_retry policy f =
   let rand =
     lazy

@@ -34,7 +34,8 @@ val with_retries :
     observes each backoff (0-based attempt, chosen delay) before the
     sleep.
 
-    [deadline] (absolute, measured by [now]) caps the retry budget: each
+    [deadline] (absolute, measured by [now], by default the monotonic
+    {!Obs.Clock.now}) caps the retry budget: each
     backoff sleep is clamped to the remaining time, and when none remains
     the last failure is returned immediately — never a zero-length sleep
     loop.  Total time slept on behalf of one call is at most

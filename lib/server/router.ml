@@ -211,7 +211,7 @@ let unavailable t shard m =
    (terminator included), synthesizing [!busy] when the shard is
    unreachable. *)
 let forward t st shard line =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   let rec go retried =
     match ask t st shard line with
     | Result.Ok lines | Result.Error (`Refused lines) -> lines
@@ -221,7 +221,7 @@ let forward t st shard line =
     | Result.Error (`Conn m) -> unavailable t shard m
   in
   let lines = go false in
-  Obs.Histo.observe t.i.h_forward (Unix.gettimeofday () -. t0);
+  Obs.Histo.observe t.i.h_forward (Obs.Clock.now () -. t0);
   lines
 
 (* --- per-request dispatch -------------------------------------------------- *)

@@ -62,11 +62,7 @@ let load_session t variant =
                stored t.config.era)
       | _ -> (
       let first = Publish.seq t.pub variant = 0 in
-      let uncovered = ref false in
-      match
-        Repo.open_writer ~on_uncovered:(fun () -> uncovered := true) t.repo
-          variant
-      with
+      match Repo.open_writer t.repo variant with
       | Error e ->
           Option.iter Locks.unlock_file flock;
           Error (Repo.open_error_to_string e)
@@ -98,7 +94,7 @@ let load_session t variant =
           | Some (_, fork) when fork > Publish.seq t.pub variant ->
               ignore (publish_state t variant ~at:fork s.state : int)
           | Some _ | None -> ());
-          if first || !uncovered then invalidate t variant;
+          if first || Store.uncovered writer then invalidate t variant;
           Obs.Metrics.incr t.i.c_opened;
           Ok s))
 

@@ -164,7 +164,7 @@ let connect ?(retry_for = 0.) ?policy ?rand ?sleep ?on_retry address =
             { Retry.default with Retry.max_attempts = max_int; max_delay = 0.25 }
       in
       Retry.with_retries ?rand ?sleep ?on_retry
-        ~deadline:(Unix.gettimeofday () +. retry_for) policy attempt
+        ~deadline:(Obs.Clock.now () +. retry_for) policy attempt
   in
   match outcome with
   | Result.Ok fd -> Result.Ok fd

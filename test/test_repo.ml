@@ -173,7 +173,7 @@ let variants_open_on_the_base () =
     List.length (List.filter (String.equal (shrink_path ^ Io.tmp_suffix)) !writes)
   in
   let before = shrink_writes () in
-  Store.save_session ~base store opened;
+  Store.save_session store opened;
   Alcotest.(check int) "an equal shrinkwrap.odl is not rewritten" before
     (shrink_writes ());
   (* the same schema in other bytes: parsed as without a base *)
@@ -184,7 +184,7 @@ let variants_open_on_the_base () =
     (Session.workspace reopened);
   let log s = Core.Oplog.(render (of_session s)) in
   Alcotest.(check string) "same log" (log opened) (log reopened);
-  Store.save_session ~base store opened;
+  Store.save_session store opened;
   Alcotest.(check string) "a differing shrinkwrap.odl is rewritten" base.b_text
     (io.Io.read_file shrink_path);
   Alcotest.(check bool) "and opens on the base again" true (on_base (open_v ()))
@@ -274,20 +274,50 @@ let fsck_on_the_base () =
       "add_type_definition(Annex)"
   in
   Result.get_ok (Repo.save_variant repo "w" w);
-  let fsck ?base v = Store.fsck ?base (Repo.variant_store repo v) in
+  let based v = Store.fsck (Repo.variant_store repo v) in
+  let fsck v = Store.fsck (Util.on_base None (Repo.variant_store repo v)) in
   let original (r : Store.fsck_report) =
     Core.Session.original (Option.get r.fsck_session)
   in
-  let base = Repo.base repo in
   Alcotest.(check bool) "one shrink wrap value" true
-    (original (fsck ?base "v") == original (fsck ?base "w"));
+    (original (based "v") == original (based "w"));
   Alcotest.(check bool) "a copy each without the base" false
     (original (fsck "v") == original (fsck "w"));
   List.iter
     (fun v ->
       Alcotest.(check (list string)) "the same report"
-        (fsck v).fsck_issues (fsck ?base v).fsck_issues)
+        (fsck v).fsck_issues (based v).fsck_issues)
     [ "v"; "w" ]
+
+(* Every way into a variant through [Repo] starts from the repository's
+   one shrink wrap value: the open, the writer, fsck of its store with and
+   without salvage, and the variant a promotion installs. *)
+let entry_points_share_the_base () =
+  let module Store = Repository.Store in
+  let io = mem_repo () in
+  let repo = Result.get_ok (Repo.open_dir ~io "/r") in
+  let shares_base repo what s =
+    let b = Option.get (Repo.base repo) in
+    Alcotest.(check bool) what true
+      (Core.Session.original s == Core.Session.original b.Store.b_session)
+  in
+  let shares = shares_base repo in
+  shares "open_variant" (Result.get_ok (Repo.open_variant repo "v"));
+  shares "open_writer" (Store.durable (Result.get_ok (Repo.open_writer repo "v")));
+  let fsck ~salvage =
+    Option.get (Store.fsck ~salvage (Repo.variant_store repo "v")).fsck_session
+  in
+  shares "fsck" (fsck ~salvage:false);
+  (* a stale temporary file gives salvage something to rewrite *)
+  io.Io.write "/r/variants/v/checkpoint.odl.tmp" "half a write";
+  shares "fsck --salvage" (fsck ~salvage:true);
+  match Server.Replication.promote ~src_io:io ~dst_io:io ~src:"/r" ~dst:"/d" () with
+  | Error m -> Alcotest.fail m
+  | Ok (_, outcomes) ->
+      List.iter (fun (v, o) -> if Result.is_error o then Alcotest.fail v) outcomes;
+      let promoted = Result.get_ok (Repo.open_dir ~io "/d") in
+      shares_base promoted "a promoted variant"
+        (Result.get_ok (Repo.open_variant promoted "v"))
 
 let tests =
   [
@@ -306,4 +336,5 @@ let tests =
       fsck_dir_damaged_shrinkwrap;
     test "fsck_dir: a path that is not a directory" fsck_dir_not_a_directory;
     test "fsck on the base shares one shrink wrap value" fsck_on_the_base;
+    test "every Repo entry point shares the base" entry_points_share_the_base;
   ]

@@ -1267,8 +1267,9 @@ let writer_truncate_fails_too () =
 (* Lands-then-fails at every effectful syscall of a repl session: the
    open, the appends and the close.  Whenever the writer opened, the
    store reopens as the designer's final session, each op once; it fscks
-   clean when the close succeeded, and salvageably otherwise (a failed
-   whole-file write can leave its temporary file). *)
+   clean when the close succeeded; otherwise, without salvage, it fscks
+   as damaged in derived artifacts only (a failed whole-file write can
+   leave its temporary file), and clean after salvage. *)
 let writer_lands_then_fails_sweep () =
   let lines =
     [
@@ -1320,6 +1321,9 @@ let writer_lands_then_fails_sweep () =
             (Printf.sprintf "failure at syscall %d: fsck clean" k)
             0 (fsck ~salvage:false)
         else begin
+          let found = fsck ~salvage:false in
+          if found > 1 then
+            Alcotest.failf "failure at syscall %d: fsck exits %d" k found;
           let salvaged = fsck ~salvage:true in
           if salvaged > 1 then
             Alcotest.failf "failure at syscall %d: fsck --salvage exits %d" k
@@ -1414,6 +1418,42 @@ let writer_empty_batch_is_no_io () =
     (Store.append_records w ~from:s0 ~upto:s0 "");
   Alcotest.(check int) "no syscall" before (calls ())
 
+(* The exit checkpoint's temporary file lands and then its write fails:
+   the close fails and leaves [checkpoint.odl.tmp], which recovery never
+   reads, so fsck finds derived damage only (class 1) and salvage sweeps
+   it. *)
+let stale_tmp_is_derived () =
+  let mem = Io.mem_io (Io.mem_create ()) in
+  let armed = ref false in
+  let io =
+    {
+      mem with
+      Io.write =
+        (fun p c ->
+          mem.Io.write p c;
+          if !armed && Filename.basename p = "checkpoint.odl" ^ Io.tmp_suffix
+          then begin
+            armed := false;
+            raise (Sys_error (p ^ ": Input/output error (injected)"))
+          end);
+    }
+  in
+  let w, st = repl_focused ~io in
+  let st, _ = step w st "apply add_attribute(Person, string, 12, phone)" in
+  armed := true;
+  Alcotest.(check bool) "the close fails" true
+    (Result.is_error (Store.close w st.Designer.Engine.session));
+  Alcotest.(check bool) "the temporary file is left" true
+    (mem.Io.file_exists ("/repo/checkpoint.odl" ^ Io.tmp_suffix));
+  check_reloads (Store.open_dir ~io "/repo") st;
+  let fsck ~salvage = ok_or_fail (Repo.fsck_dir ~io ~salvage "/repo") in
+  let code, lines = fsck ~salvage:false in
+  Alcotest.(check int) ("fsck class: " ^ String.concat "; " lines) 1 code;
+  Alcotest.(check bool) "reported as derived" true
+    (List.exists (fun l -> Str_contains.contains l "derived; removed by salvage") lines);
+  Alcotest.(check int) "salvaged" 1 (fst (fsck ~salvage:true));
+  Alcotest.(check int) "clean after salvage" 0 (fst (fsck ~salvage:false))
+
 let tests =
   [
     test "schema round trip" schema_roundtrip;
@@ -1479,4 +1519,5 @@ let tests =
       writer_refuses_batch_behind_failure;
     test "writer: an empty batch on an exact tail makes no syscall"
       writer_empty_batch_is_no_io;
+    test "fsck: a stale temporary file is derived" stale_tmp_is_derived;
   ]

@@ -509,7 +509,7 @@ let checkpoint_equals_replay =
          (* without a base, and on the repository's base session *)
          List.for_all
            (fun (label, base) ->
-             match Store.load_session ?base store with
+             match Store.load_session (Util.on_base base store) with
              | Error e ->
                  QCheck2.Test.fail_reportf "load %s failed: %s" label
                    (Store.load_error_to_string e)
@@ -634,13 +634,14 @@ let texts_are_printed actions =
       added;
     Journal.append_raw io (Store.log_file store) data
   in
+  let store_on on_base = Util.on_base (if on_base then Some base else None) store in
   let reopen on_base =
-    match Store.load_session ?base:(if on_base then Some base else None) store with
+    match Store.load_session (store_on on_base) with
     | Ok s -> s
     | Error e -> fail "reopen: %s" (Store.load_error_to_string e)
   in
   let snapshot on_base s =
-    Store.save_session ?base:(if on_base then Some base else None) store s;
+    Store.save_session (store_on on_base) s;
     (* an empty history is no journal *)
     let path = Store.log_file store in
     let bytes = if io.Io.file_exists path then io.Io.read_file path else "" in
@@ -876,7 +877,7 @@ let open_shares_unchanged_interfaces () =
   Store.save_session store live;
   List.iter
     (fun (label, base) ->
-      match Store.load_session ?base store with
+      match Store.load_session (Util.on_base base store) with
       | Error e -> Alcotest.fail (Store.load_error_to_string e)
       | Ok loaded ->
           let shrink = Session.original loaded in
@@ -1350,7 +1351,7 @@ let whole_printed_body_serves () =
   replace_body io store (Odl.Printer.schema_to_string (Session.workspace live));
   List.iter
     (fun (label, base) ->
-      match Store.load_session ?base store with
+      match Store.load_session (Util.on_base base store) with
       | Error e -> Alcotest.fail (Store.load_error_to_string e)
       | Ok loaded ->
           let reference = full_replay store in

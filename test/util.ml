@@ -92,9 +92,13 @@ let rec rm_rf p =
   end
   else if Sys.file_exists p then Sys.remove p
 
-(** [Repository.Store.fsck] with and without a base built from the
-    store's own shrink wrap (when it parses and is valid): the two reports
-    must list the same lines, since a base only saves the parse.  With
+(** [store] opened again on base [b] ([None]: bare). *)
+let on_base b store =
+  Repository.Store.(open_dir ~io:(io store) ~base:(fun () -> b) (dir store))
+
+(** [Repository.Store.fsck] of the store bare and on a base built from its
+    own shrink wrap (when it parses and is valid): the two reports must
+    list the same lines, since a base only saves the parse.  With
     [~salvage:true] both run unsalvaged first, then the salvage runs on
     the base.  Suites that shadow [Store.fsck] with it check every fsck
     fixture they hold both ways. *)
@@ -105,8 +109,9 @@ let fsck_on_base ?(salvage = false) store =
     | schema -> Result.to_option (Core.Session.create schema) |> Option.map Store.base
     | exception _ -> None
   in
-  let plain = Store.fsck store and based = Store.fsck ?base store in
+  let based = on_base base store in
+  let plain = Store.fsck store and report = Store.fsck based in
   Alcotest.(check (list string))
     "fsck reports the same with the repository's base" plain.fsck_issues
-    based.fsck_issues;
-  if salvage then Store.fsck ?base ~salvage store else based
+    report.fsck_issues;
+  if salvage then Store.fsck ~salvage based else report
